@@ -530,8 +530,6 @@ def cmd_finite_type(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = load_system(args.file)
-    if args.levels < 1:
-        raise ValueError("--levels must be >= 1")
     rep = prolongation_tower(system, args.levels)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     level_payloads = []
@@ -593,6 +591,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in 'invalid int value'
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="formalpde",
@@ -608,13 +619,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="path to a .pde system file")
         if levels is not None:
-            p.add_argument("--levels", type=int, default=levels,
+            p.add_argument("--levels", type=_int_at_least(1), default=levels,
                            help=f"prolongation depth (default {levels})")
         if l_max is not None:
-            p.add_argument("--l-max", dest="l_max", type=int, default=l_max,
+            p.add_argument("--l-max", dest="l_max", type=_int_at_least(0),
+                           default=l_max,
                            help=f"cohomology window bound (default {l_max})")
         if m_max:
-            p.add_argument("--m-max", dest="m_max", type=int, default=None,
+            p.add_argument("--m-max", dest="m_max", type=_int_at_least(1),
+                           default=None,
                            help="highest form degree (default: base_dim)")
         p.add_argument("--json", metavar="PATH",
                        help="write a JSON report to PATH; '-' prints only JSON")

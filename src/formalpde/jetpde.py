@@ -17,17 +17,26 @@ symbol), and whether the truncation onto the previous fiber is onto.  A
 failure of surjectivity is a genuine integrability obstruction and comes with
 an explicit witness: a solution jet of the lower order that no higher-order
 solution extends.
+
+The tower does not prolong every row it has ever made.  Prolongation is
+linear in the equations, so the row space of a prolonged system depends only
+on the row space of the system prolonged.  Each level therefore prolongs a
+row basis of the level below, and one elimination of the result gives both
+the level's fiber and the row basis handed up: at most (1 + n) times the
+rank in rows, instead of (1 + n)^level times the base equation count.  The
+fibers are canonical subspaces, so the reports do not depend on how the
+equations are stored.  ``formal_prolongation`` itself still keeps every row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, kernel, rat
+from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
 from .relconn import RelConn
 from .spencer import cohomology
 from .tableau import Tableau, TypeVerdict, classify_type, tower
@@ -114,10 +123,14 @@ def solution_fiber(system: PdeSystem) -> Subspace:
 @lru_cache(maxsize=None)
 def symbol_tableau(system: PdeSystem) -> Tableau:
     """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m."""
+    return _symbol(system)
+
+
+def _symbol(system: PdeSystem) -> Tableau:
     n, m, k = system.n, system.m, system.k
     lo = _jet_offsets(n, m, k)[k]
     top_dim = sym_dim(n, k) * m
-    rows = [list(system.equations.row(r)[lo:]) for r in range(system.equations.rows)]
+    rows = [system.equations.row(r)[lo:] for r in range(system.equations.rows)]
     space = kernel(RatMatrix(rows, cols=top_dim))
     return Tableau(n=n, f=m, space=space, degree=k)
 
@@ -209,9 +222,12 @@ def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
     prev_fiber = base_fiber
     first_failure: tuple[int, tuple] | None = None
     for level in range(1, depth + 1):
-        cur = formal_prolongation(cur)
-        fiber = solution_fiber(cur)
-        sym = symbol_tableau(cur).space.dim
+        # carry the level system as a row basis: same row space, hence the
+        # same fiber and symbol, but at most one row per jet coordinate
+        prolonged = formal_prolongation(cur)
+        fiber, rows = kernel_with_row_basis(prolonged.equations)
+        cur = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
+        sym = _symbol(cur).space.dim
         if sym != symbol_ranks[level - 1]:
             raise InvariantViolation(
                 "prolonged-system symbol disagrees with the tableau tower"
@@ -283,30 +299,17 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     report = cohomology(chain, l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
     tower_report = prolongation_tower(system, 1)
-    level1 = tower_report.levels[0]
-    if not level1.projection_surjective:
-        return IntegrabilityReport(
-            n=system.n,
-            m=system.m,
-            k=system.k,
-            base_fiber_dim=tower_report.base_fiber_dim,
-            levels=tower_report.levels,
-            verdict="obstructed-at",
-            verdict_level=1,
-            certification_basis=f"goldschmidt({l_max})",
-            witness=level1.witness,
-            cohomology=hdims,
+    if not tower_report.levels[0].projection_surjective:
+        # the depth-1 tower already reports obstructed-at(1) and its witness
+        return replace(
+            tower_report, certification_basis=f"goldschmidt({l_max})", cohomology=hdims
         )
     bad = next(
         ((l, mm) for (l, mm) in sorted(hdims) if mm == 2 and hdims[(l, mm)]), None
     )
     if bad is not None:
-        return IntegrabilityReport(
-            n=system.n,
-            m=system.m,
-            k=system.k,
-            base_fiber_dim=tower_report.base_fiber_dim,
-            levels=tower_report.levels,
+        return replace(
+            tower_report,
             verdict="inconclusive",
             verdict_level=bad[0],
             certification_basis=f"goldschmidt({l_max})",
@@ -321,12 +324,8 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     else:
         verdict, basis = "integrable-up-to", f"goldschmidt-up-to-evidence({l_max})"
         level = l_max
-    return IntegrabilityReport(
-        n=system.n,
-        m=system.m,
-        k=system.k,
-        base_fiber_dim=tower_report.base_fiber_dim,
-        levels=tower_report.levels,
+    return replace(
+        tower_report,
         verdict=verdict,
         verdict_level=level,
         certification_basis=basis,
@@ -349,47 +348,15 @@ def finite_type_integrability(
         raise ValueError("max_levels must be >= 1")
     verdict = classify_type(symbol_tableau(system), l_max)
     if verdict.kind != "finite":
-        deferred = goldschmidt_check(system, l_max)
-        return IntegrabilityReport(
-            n=deferred.n,
-            m=deferred.m,
-            k=deferred.k,
-            base_fiber_dim=deferred.base_fiber_dim,
-            levels=deferred.levels,
-            verdict=deferred.verdict,
-            verdict_level=deferred.verdict_level,
-            certification_basis=deferred.certification_basis,
-            witness=deferred.witness,
-            cohomology=deferred.cohomology,
-            type_verdict=verdict,
-        )
+        return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
     need = max(verdict.level + 1, 1)
     if max_levels < need:
-        capped = prolongation_tower(system, max_levels)
-        return IntegrabilityReport(
-            n=capped.n,
-            m=capped.m,
-            k=capped.k,
-            base_fiber_dim=capped.base_fiber_dim,
-            levels=capped.levels,
-            verdict=capped.verdict,
-            verdict_level=capped.verdict_level,
-            certification_basis=capped.certification_basis,
-            witness=capped.witness,
-            type_verdict=verdict,
-        )
+        return replace(prolongation_tower(system, max_levels), type_verdict=verdict)
     report = prolongation_tower(system, need)
     if report.verdict == "obstructed-at":
-        return IntegrabilityReport(
-            n=report.n,
-            m=report.m,
-            k=report.k,
-            base_fiber_dim=report.base_fiber_dim,
-            levels=report.levels,
-            verdict=report.verdict,
-            verdict_level=report.verdict_level,
+        return replace(
+            report,
             certification_basis=f"finite-type({verdict.level})",
-            witness=report.witness,
             type_verdict=verdict,
         )
     # above the vanishing level the projections must be bijections
@@ -399,12 +366,8 @@ def finite_type_integrability(
             raise InvariantViolation(
                 "projections above the vanishing level are not bijections"
             )
-    return IntegrabilityReport(
-        n=report.n,
-        m=report.m,
-        k=report.k,
-        base_fiber_dim=report.base_fiber_dim,
-        levels=report.levels,
+    return replace(
+        report,
         verdict="formally-integrable-certified",
         verdict_level=verdict.level,
         certification_basis=f"finite-type({verdict.level})",

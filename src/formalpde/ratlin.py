@@ -11,6 +11,12 @@ forms, kernel bases and canonical subspace bases are reproducible across runs
 and platforms.  A `Subspace` stores the canonical column-echelon basis of its
 span (the transposed reduced row echelon form of any spanning set), hence two
 equal subspaces compare equal as plain data.
+
+Kernels need only one elimination.  Reducing a matrix with its columns in
+reverse order, under the same pivot rule, leaves each free column's kernel
+vector with its leading 1 at that column and zeros at every other free
+column, which is exactly the canonical basis; the nonzero rows of that one
+echelon form also give a row basis of the matrix (`kernel_with_row_basis`).
 """
 
 from __future__ import annotations
@@ -291,7 +297,8 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "pivots", "_constraints")
 
     def __init__(self, ambient_dim: int, basis: RatMatrix, pivots: tuple[int, ...]):
-        # Not for direct use -- go through from_spanning/zero/full.
+        # Not for direct use -- go through from_spanning/zero/full, or
+        # kernel_with_row_basis, whose basis is canonical as built.
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
@@ -428,21 +435,46 @@ class Subspace:
 # --------------------------- derived maps ---------------------------
 
 
-def kernel(m: RatMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols."""
-    r, pivots = rref(m)
+def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
+    """Null space of m as a canonical Subspace, and a row basis of m.
+
+    One elimination gives both.  ``rref`` runs, with its usual pivot rule, on
+    m with the column order reversed, so its pivots are the rightmost
+    independent columns of m and every other column f is free.  The kernel
+    vector of a free column f is 1 at f and, at each pivot column, minus the
+    echelon entry of f in that pivot's row.  Reversed reduction leaves such
+    entries only for pivots to the right of f, so f is the vector's leading
+    entry, and every other kernel vector vanishes there.  Taken in ascending
+    f, these vectors already are the canonical column-echelon basis, with
+    the free columns as its pivots, and no second reduction is needed.
+
+    The nonzero rows of the same echelon form, with the columns put back in
+    order, are a row basis of m.  Their leading entries sit in the rightmost
+    columns first: for jet matrices, the highest-order coordinates.
+    """
+    cols = m.cols
+    r, rev_pivots = rref(RatMatrix([row[::-1] for row in m._rows], cols=cols))
+    pivots = [cols - 1 - p for p in rev_pivots]
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
+    free = [f for f in range(cols) if f not in pivot_set]
+    echelon = [r.row(i) for i in range(len(pivots))]
+    basis_cols = []
     for f in free:
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * cols
         v[f] = _ONE
-        for i, p in enumerate(pivots):
-            coeff = r[i, f]
+        rev_f = cols - 1 - f
+        for row, p in zip(echelon, pivots):
+            coeff = row[rev_f]
             if coeff:
                 v[p] = -coeff
-        vecs.append(v)
-    return Subspace.from_spanning(m.cols, vecs)
+        basis_cols.append(v)
+    space = Subspace(cols, RatMatrix.from_cols(basis_cols, rows=cols), tuple(free))
+    return space, RatMatrix([row[::-1] for row in echelon], cols=cols)
+
+
+def kernel(m: RatMatrix) -> Subspace:
+    """Null space of m as a canonical Subspace of Q^cols (see kernel_with_row_basis)."""
+    return kernel_with_row_basis(m)[0]
 
 
 def image(m: RatMatrix) -> Subspace:

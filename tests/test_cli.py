@@ -7,7 +7,8 @@ Plan:
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses, 1 for input problems,
-    2 for internal consistency failures
+    2 for internal consistency failures; an out-of-range count flag is a
+    bad flag, named in the message
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
@@ -267,6 +268,30 @@ def test_exit_one_for_input_problems(tmp_path, capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, bound",
+    [
+        ("symbol", "--levels", "0", 1),
+        ("tower", "--levels", "-1", 1),
+        ("finite-type", "--levels", "0", 1),
+        ("crosscheck", "--levels", "0", 1),
+        ("cohomology", "--l-max", "-1", 0),
+        ("goldschmidt", "--l-max", "-2", 0),
+        ("finite-type", "--l-max", "-1", 0),
+        ("cohomology", "--m-max", "0", 1),
+    ],
+)
+def test_out_of_range_flags_name_the_flag(command, flag, value, bound, capsys):
+    path = str(corpus_path("wave1d.pde"))
+    with pytest.raises(SystemExit) as info:
+        main([command, path, flag, value])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least {bound}, got {value}" in err
+    # the smallest accepted value still runs
+    assert main([command, path, flag, str(bound), "--json", "-"]) == 0
+
+
 def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
     import formalpde.cli as cli_mod
 
@@ -341,7 +366,9 @@ def test_crosscheck_multiple_levels(capsys):
     for lv in payload["levels"]:
         assert lv["jet_route"] == lv["connection_route"]
     assert [lv["jet_route"]["fiber_dim"] for lv in payload["levels"]] == [6, 8, 10]
-    assert main(["crosscheck", path, "--levels", "0"]) == 1
+    with pytest.raises(SystemExit) as info:
+        main(["crosscheck", path, "--levels", "0"])
+    assert info.value.code == 1
 
 
 def test_version_flag(capsys):

@@ -9,7 +9,9 @@ Plan:
     equation-free systems
  6. flat-connection systems: commuting certified, noncommuting obstructed,
     with an honestly non-extendable witness
- 7. formal prolongation keeps the original equations
+ 7. formal prolongation keeps the original equations; the tower carries a
+    row basis, so its matrices stay within the jet fiber width and its
+    fibers match the plain repeated prolongation
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -23,9 +25,11 @@ Plan:
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from formalpde.cli import load_system
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     PdeSystem,
@@ -264,6 +268,40 @@ def test_prolongation_keeps_original_equations():
     f0 = solution_fiber(s)
     trunc = Subspace.from_spanning(lo, [col[:lo] for col in f1.basis_columns()])
     assert f0.contains(trunc)
+
+
+def heat3() -> PdeSystem:
+    return PdeSystem.from_terms(
+        3, 1, 2, [[(1, 0, (2, 0, 0)), (1, 0, (0, 2, 0)), (-1, 0, (0, 0, 1))]]
+    )
+
+
+def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
+    import formalpde.jetpde as jetpde_mod
+
+    received = []
+
+    def recording(system):
+        received.append((system.k, system.equations.rows))
+        return formal_prolongation(system)
+
+    monkeypatch.setattr(jetpde_mod, "formal_prolongation", recording)
+    for s in (laplace2d(), heat3()):
+        received.clear()
+        prolongation_tower(s, 6)
+        assert [k for k, _ in received] == [s.k + level - 1 for level in range(1, 7)]
+        for k, rows in received:
+            assert rows <= jet_fiber_dim(s.n, s.m, k)
+    monkeypatch.undo()
+    # the carried row basis loses nothing: every level's fiber is the fiber
+    # of the plain repeated prolongation, which keeps every row
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        s = load_system(str(path))
+        rep = prolongation_tower(s, 4)
+        naive = s
+        for level in rep.levels:
+            naive = formal_prolongation(naive)
+            assert level.fiber_dim == solution_fiber(naive).dim, (path.name, level)
 
 
 # --------------------------- 8. goldschmidt ---------------------------

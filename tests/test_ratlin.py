@@ -6,7 +6,9 @@ Plan:
     reduce_mod, quotient_dim preconditions);
  3) hypothesis property tests for the classical identities (rank-nullity,
     modular law dims, Fredholm witness, expressed_in factorization);
- 4) zero-row / zero-column edge shapes.
+ 4) zero-row / zero-column edge shapes;
+ 5) the single-elimination kernel equals the kernel read off rref(m) and
+    canonicalised again, bit for bit, and its row basis spans the row space.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from formalpde.ratlin import (
     expressed_in,
     image,
     kernel,
+    kernel_with_row_basis,
     preimage,
     rref,
     solve,
@@ -192,6 +195,59 @@ def test_rank_nullity_and_kernel_annihilation(m):
     for col in k.basis_columns():
         assert all(x == 0 for x in m.apply(col))
     assert image(m).dim == m.rank()
+
+
+small_fractions = st.sampled_from([F(p, q) for p in range(-3, 4) for q in (1, 2, 3)])
+
+
+def matrices_with_empty_shapes(max_rows=6, max_cols=7):
+    """Like matrices(), but zero rows and zero columns are allowed too."""
+    return st.integers(0, max_rows).flatmap(
+        lambda r: st.integers(0, max_cols).flatmap(
+            lambda c: st.lists(
+                st.lists(small_fractions, min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            ).map(lambda rows: RatMatrix(rows, cols=c))
+        )
+    )
+
+
+def free_column_kernel(m: RatMatrix) -> Subspace:
+    """The kernel read off rref(m) directly, one vector per free column,
+    then canonicalised by a second reduction."""
+    r, pivots = rref(m)
+    vecs = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r[i, f]
+        vecs.append(v)
+    return Subspace.from_spanning(m.cols, vecs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices_with_empty_shapes())
+def test_single_elimination_kernel_is_bit_identical(m):
+    k, rows = kernel_with_row_basis(m)
+    ref = free_column_kernel(m)
+    assert k.ambient_dim == ref.ambient_dim == m.cols
+    assert k.basis.shape == ref.basis.shape
+    assert k.basis == ref.basis
+    assert k.pivots == ref.pivots
+    assert kernel(m) == k and kernel(m).pivots == k.pivots
+    # the row basis is independent and spans the row space of m
+    assert rows.cols == m.cols and rows.rows == m.rank()
+    assert rows.rank() == rows.rows
+    assert image(rows.transpose()) == image(m.transpose())
+
+
+def test_single_elimination_kernel_on_empty_shapes():
+    for r, c in ((0, 0), (0, 3), (3, 0), (2, 2)):
+        k, rows = kernel_with_row_basis(RatMatrix.zeros(r, c))
+        assert k == Subspace.full(c) and k.pivots == tuple(range(c))
+        assert rows.shape == (0, c)
 
 
 @settings(deadline=None, max_examples=60)
