@@ -45,19 +45,13 @@ from .errors import InvariantViolation
 from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
+    crosscheck_routes,
     finite_type_integrability,
-    formal_prolongation,
     goldschmidt_check,
     jet_coords,
-    jet_fiber_dim,
-    jet_to_prolongation_point,
-    pde_to_relconn,
     prolongation_tower,
-    solution_fiber,
     symbol_tableau,
 )
-from .ratlin import Subspace
-from .relconn import classical_prolongation_fiber
 from .spencer import cohomology
 from .tableau import classify_type, tower
 
@@ -530,50 +524,31 @@ def cmd_finite_type(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = load_system(args.file)
-    rep = prolongation_tower(system, args.levels)
+    levels = crosscheck_routes(system, args.levels)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
-    level_payloads = []
-    cur = system
-    for level in range(1, args.levels + 1):
-        conn = pde_to_relconn(cur)
-        pf = classical_prolongation_fiber(conn)
-        fib = solution_fiber(formal_prolongation(cur))
-        pts = [jet_to_prolongation_point(cur, col) for col in fib.basis_columns()]
-        mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
-        if mapped != pf.subspace or mapped.dim != fib.dim:
-            raise InvariantViolation(
-                f"jet-side and connection-side prolongation fibers "
-                f"disagree at level {level}"
-            )
-        lo = jet_fiber_dim(cur.n, cur.m, cur.k)
-        tower_img = Subspace.from_spanning(lo, [c[:lo] for c in fib.basis_columns()])
-        if pf.projection_image.dim != tower_img.dim:
-            raise InvariantViolation(
-                f"projection images disagree between the routes at level {level}"
-            )
-        lines.append(
-            f"level {level}: jet route fiber {fib.dim} image {tower_img.dim} | "
-            f"connection route fiber {pf.subspace.dim} image "
-            f"{pf.projection_image.dim} | symbol {rep.levels[level - 1].symbol_dim}"
-        )
-        level_payloads.append(
-            {
-                "level": level,
-                "jet_route": {"fiber_dim": fib.dim, "image_dim": tower_img.dim},
-                "connection_route": {
-                    "fiber_dim": pf.subspace.dim,
-                    "image_dim": pf.projection_image.dim,
-                },
-                "symbol_dim": rep.levels[level - 1].symbol_dim,
-            }
-        )
-        cur = formal_prolongation(cur)
+    lines.extend(
+        f"level {r.level}: jet route fiber {r.jet_fiber_dim} image {r.jet_image_dim} | "
+        f"connection route fiber {r.connection_fiber_dim} image "
+        f"{r.connection_image_dim} | symbol {r.symbol_dim}"
+        for r in levels
+    )
     lines.append(f"routes agree at every level 1..{args.levels}")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "crosscheck",
         "system": _system_payload(system),
-        "levels": level_payloads,
+        "levels": [
+            {
+                "level": r.level,
+                "jet_route": {"fiber_dim": r.jet_fiber_dim, "image_dim": r.jet_image_dim},
+                "connection_route": {
+                    "fiber_dim": r.connection_fiber_dim,
+                    "image_dim": r.connection_image_dim,
+                },
+                "symbol_dim": r.symbol_dim,
+            }
+            for r in levels
+        ],
         "agree": True,
     }
     _emit(args, lines, payload)

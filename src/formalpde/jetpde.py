@@ -37,10 +37,10 @@ from typing import Sequence
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
-from .relconn import RelConn
+from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import cohomology
 from .tableau import Tableau, TypeVerdict, classify_type, tower
-from .tensorspace import multi_indices, sym_dim, sym_rank
+from .tensorspace import multi_indices, raise_sym, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
 
@@ -154,8 +154,7 @@ def formal_prolongation(system: PdeSystem) -> PdeSystem:
         for i in range(n):
             out = [_ZERO] * width
             for (a, alpha), x in terms:
-                shifted = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                out[jet_index(n, m, k + 1, a, shifted)] += x
+                out[jet_index(n, m, k + 1, a, raise_sym(alpha, i))] += x
             rows.append(out)
     return PdeSystem(n=n, m=m, k=k + 1, equations=RatMatrix(rows, cols=width))
 
@@ -398,8 +397,7 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
         for i in range(n):
             shifted = []
             for a, alpha in lo_coords:
-                up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-                shifted.append(-col[jet_index(n, m, k, a, up)])
+                shifted.append(-col[jet_index(n, m, k, a, raise_sym(alpha, i))])
             cols_a[i].append(shifted)
     sigma = RatMatrix.from_cols(cols_sigma, rows=lo)
     mats = [RatMatrix.from_cols(cols_a[i], rows=lo) for i in range(n)]
@@ -430,10 +428,66 @@ def jet_to_prolongation_point(
     for i in range(n):
         shifted = []
         for a, alpha in hi_coords:
-            up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-            shifted.append(u[jet_index(n, m, k + 1, a, up)])
+            shifted.append(u[jet_index(n, m, k + 1, a, raise_sym(alpha, i))])
         coords = fiber.coords_of(shifted)
         if coords is None:
             raise ValueError("a shifted jet does not solve the system")
         pieces.extend(coords)
     return tuple(pieces)
+
+
+@dataclass(frozen=True)
+class RouteLevel:
+    """One crosscheck level: fiber and projection-image dimensions per route."""
+
+    level: int
+    jet_fiber_dim: int
+    jet_image_dim: int
+    connection_fiber_dim: int
+    connection_image_dim: int
+    symbol_dim: int
+
+
+def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
+    """Prolong along the jet route and the connection route, level by level.
+
+    The jet route solves the formally prolonged equations; the connection
+    route takes the classical prolongation fiber of ``pde_to_relconn``.  At
+    every level the jet fiber, mapped by ``jet_to_prolongation_point``, must
+    be the connection fiber, and the projection images must have equal
+    dimensions; a disagreement is an InvariantViolation.  Each level carries a
+    row basis of the prolonged equations up, as the tower does, so the walk
+    stays polynomial; the symbol dimensions come from ``prolongation_tower``.
+    """
+    tower_levels = prolongation_tower(system, depth).levels
+    out = []
+    cur = system
+    for level in range(1, depth + 1):
+        pf = classical_prolongation_fiber(pde_to_relconn(cur))
+        rows = kernel_with_row_basis(formal_prolongation(cur).equations)[1]
+        nxt = PdeSystem(n=cur.n, m=cur.m, k=cur.k + 1, equations=rows)
+        fib = solution_fiber(nxt)
+        pts = [jet_to_prolongation_point(cur, col) for col in fib.basis_columns()]
+        mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
+        if mapped != pf.subspace or mapped.dim != fib.dim:
+            raise InvariantViolation(
+                f"jet-side and connection-side prolongation fibers "
+                f"disagree at level {level}"
+            )
+        img = _truncation_image(fib, cur.fiber_dim)
+        if pf.projection_image.dim != img.dim:
+            raise InvariantViolation(
+                f"projection images disagree between the routes at level {level}"
+            )
+        out.append(
+            RouteLevel(
+                level=level,
+                jet_fiber_dim=fib.dim,
+                jet_image_dim=img.dim,
+                connection_fiber_dim=pf.subspace.dim,
+                connection_image_dim=pf.projection_image.dim,
+                symbol_dim=tower_levels[level - 1].symbol_dim,
+            )
+        )
+        cur = nxt
+    return tuple(out)

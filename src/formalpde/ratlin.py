@@ -185,10 +185,6 @@ class RatMatrix:
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
-    def scale(self, c) -> "RatMatrix":
-        c = rat(c)
-        return RatMatrix([[c * x for x in r] for r in self._rows], cols=self.cols)
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in @")
@@ -392,37 +388,6 @@ class Subspace:
             self.contains_vector(other.basis.col(j)) for j in range(other.dim)
         )
 
-    # -- lattice operations --
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return Subspace.from_spanning(
-            self.ambient_dim, RatMatrix.hstack([self.basis, other.basis])
-        )
-
-    __add__ = sum
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # x in both spans  <=>  A s = B t for coefficient vectors (s, t).
-        stacked = RatMatrix.hstack([self.basis, -other.basis])
-        k = kernel(stacked)
-        vecs = []
-        for j in range(k.dim):
-            coeffs = k.basis.col(j)[: self.dim]
-            vecs.append(self.basis.apply(coeffs))
-        return Subspace.from_spanning(self.ambient_dim, vecs)
-
-    def quotient_dim(self, small: "Subspace") -> int:
-        """dim(self / small); raises ValueError unless small is contained in self."""
-        if not self.contains(small):
-            raise ValueError("quotient_dim: the alleged subspace is not contained")
-        return self.dim - small.dim
-
     def constraint_matrix(self) -> RatMatrix:
         """A matrix Q with kernel exactly this subspace (rows span the annihilator)."""
         cached = self._constraints
@@ -529,31 +494,3 @@ def solve_affine(a: RatMatrix, b: Sequence) -> AffineSolution:
         if witness is None:
             raise InvariantViolation("infeasible system without a Fredholm witness")
     return AffineSolution(particular, ker, witness)
-
-
-def preimage(m: RatMatrix, target: Subspace) -> Subspace:
-    """{x : m x in target} as a subspace of the domain."""
-    if m.rows != target.ambient_dim:
-        raise ValueError("target lives in the wrong ambient space")
-    q = target.constraint_matrix()
-    if q.rows == 0:  # target is everything
-        return Subspace.full(m.cols)
-    return kernel(q @ m)
-
-
-def expressed_in(m: RatMatrix, src: Subspace, tgt: Subspace) -> RatMatrix:
-    """The matrix of m restricted to src, in the canonical bases of src and tgt.
-
-    Requires m(src) to lie inside tgt; raises ValueError with the offending
-    basis column otherwise.
-    """
-    if m.cols != src.ambient_dim or m.rows != tgt.ambient_dim:
-        raise ValueError("shape mismatch in expressed_in")
-    cols = []
-    for j in range(src.dim):
-        img = m.apply(src.basis.col(j))
-        coords = tgt.coords_of(img)
-        if coords is None:
-            raise ValueError(f"image of basis column {j} escapes the target subspace")
-        cols.append(coords)
-    return RatMatrix.from_cols(cols, rows=tgt.dim)

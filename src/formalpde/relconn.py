@@ -37,7 +37,6 @@ from .ratlin import (
 )
 from .spencer import delta_partial_matrix
 from .tableau import Tableau, prolong
-from .tensorspace import ext_indices, ext_rank
 
 _ZERO = Fraction(0)
 
@@ -68,11 +67,6 @@ class RelConn:
             f"RelConn(n={self.n}, source={self.source_dim}, "
             f"coeff={self.coeff_dim}, symbol dim {self.symbol.dim})"
         )
-
-
-def symbol(conn: RelConn) -> Subspace:
-    """ker(sigma) inside the source space."""
-    return conn.symbol
 
 
 def symbol_map(conn: RelConn) -> Tableau:
@@ -283,41 +277,26 @@ class TorsionResult:
     witness: tuple[Fraction, ...] | None = None
 
 
-def _lift_system(conn: RelConn, e: Sequence) -> tuple[RatMatrix, list[Fraction]]:
-    """sigma(psi_i) = -A_i e as a system over the flat psi vector."""
-    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    rows = []
-    rhs: list[Fraction] = []
-    for i in range(n):
-        neg = [-x for x in conn.mats[i].apply(e)]
-        for b in range(cd):
-            row = [_ZERO] * (n * sd)
-            srow = conn.sigma.row(b)
-            for c in range(sd):
-                if srow[c]:
-                    row[i * sd + c] = srow[c]
-            rows.append(row)
-            rhs.append(neg[b])
-    return RatMatrix(rows, cols=n * sd), rhs
+def _lift_system(rows: RatMatrix, e: Sequence) -> tuple[RatMatrix, list[Fraction]]:
+    """Equations over (e, psi) as a linear system over psi at the point e.
+
+    The psi columns form the matrix; the e columns, applied to e, move to the
+    right-hand side with their sign flipped.  Rows keep their order, so a
+    Fredholm witness indexes the given rows.
+    """
+    sd = len(e)
+    data = rows.row_list()
+    rhs = [-sum((x * y for x, y in zip(row[:sd], e) if x and y), _ZERO) for row in data]
+    return RatMatrix([row[sd:] for row in data], cols=rows.cols - sd), rhs
 
 
 def curvature_of_lift(conn: RelConn, psi: Sequence) -> tuple[Fraction, ...]:
-    """K(i,j) = A_j psi_i - A_i psi_j over Λ² ⊗ W slot coordinates."""
-    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    psi = [rat(x) for x in psi]
-    out = [_ZERO] * (len(ext_indices(n, 2)) * cd)
-    for (i, j) in ext_indices(n, 2):
-        base = ext_rank(n, (i, j)) * cd
-        vi = psi[i * sd : (i + 1) * sd]
-        vj = psi[j * sd : (j + 1) * sd]
-        term = [
-            a - b
-            for a, b in zip(conn.mats[j].apply(vi), conn.mats[i].apply(vj))
-        ]
-        for b, x in enumerate(term):
-            if x:
-                out[base + b] = x
-    return tuple(out)
+    """K(i,j) = A_j psi_i - A_i psi_j over Λ² ⊗ W slot coordinates.
+
+    These are the left-hand sides of ``_symmetry_rows`` at (0, psi), whose
+    row order (i < j in exterior order, then b) is the slot order.
+    """
+    return _symmetry_rows(conn).apply([_ZERO] * conn.source_dim + list(psi))
 
 
 def torsion_at(conn: RelConn, e: Sequence) -> TorsionResult:
@@ -325,20 +304,11 @@ def torsion_at(conn: RelConn, e: Sequence) -> TorsionResult:
     e = [rat(x) for x in e]
     if len(e) != conn.source_dim:
         raise ValueError("point has wrong dimension")
-    lift_mat, rhs = _lift_system(conn, e)
-    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    sym_rows = []
-    sym_rhs = []
-    full_sym = _symmetry_rows(conn)
-    for r in range(full_sym.rows):
-        row = full_sym.row(r)
-        sym_rows.append(row[sd:])
-        sym_rhs.append(_ZERO)
-    full = RatMatrix.vstack([lift_mat, RatMatrix(sym_rows, cols=n * sd)]) if sym_rows else lift_mat
-    sol = solve_affine(full, rhs + sym_rhs)
+    partial = _partial_rows(conn)
+    sol = solve_affine(*_lift_system(RatMatrix.vstack([partial, _symmetry_rows(conn)]), e))
     if sol.feasible:
         return TorsionResult(kind="vanishes", lift=sol.particular)
-    partial_sol = solve_affine(lift_mat, rhs)
+    partial_sol = solve_affine(*_lift_system(partial, e))
     if not partial_sol.feasible:
         return TorsionResult(kind="fiber-empty", witness=partial_sol.witness)
     k = curvature_of_lift(conn, partial_sol.particular)

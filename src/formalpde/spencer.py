@@ -12,6 +12,10 @@ second contractions meet antisymmetric double insertions.  (The equivalent
 Hom-form convention delta(eta)(X, Y) = eta(X)(Y) - eta(Y)(X) differs from this
 one by a global sign in form degree 1; kernels, images and dimensions agree.)
 
+The contraction alpha_i x^(alpha - e_i) comes from `tensorspace`: the ambient
+differential is assembled column by column from `delta_apply_basis`, the
+restricted ones apply the rows of `iota_table` to basis vectors.
+
 Coordinates:
 * ambient matrices (`delta_matrix`) use TensorSpaceDesc flat indices
   (fiber slowest, exterior middle, symmetric fastest);
@@ -41,35 +45,15 @@ from .tensorspace import (
     ext_dim,
     ext_indices,
     ext_rank,
-    multi_indices,
+    iota_apply,
+    iota_table,
     sym_dim,
-    sym_rank,
 )
 
 _ZERO = Fraction(0)
 
 
 # --------------------------- ambient differential ---------------------------
-
-
-@lru_cache(maxsize=None)
-def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
-    """Ambient Spencer differential Λ^j ⊗ S^k ⊗ F -> Λ^(j+1) ⊗ S^(k-1) ⊗ F."""
-    src = TensorSpaceDesc(n, j, k, f)
-    tgt = TensorSpaceDesc(n, j + 1, k - 1, f)
-    cols: list[list[Fraction]] = []
-    for a, s, alpha in src.basis():
-        col = [_ZERO] * tgt.dim
-        for i in range(n):
-            ins = delta_insertion(s, i)
-            hit = contract_sym(alpha, i)
-            if ins is None or hit is None:
-                continue
-            sign, merged = ins
-            coeff, beta = hit
-            col[tgt.index_of(a, merged, beta)] += sign * coeff
-        cols.append(col)
-    return RatMatrix.from_cols(cols, rows=tgt.dim)
 
 
 def delta_apply_basis(
@@ -89,6 +73,19 @@ def delta_apply_basis(
     return {key: v for key, v in out.items() if v}
 
 
+@lru_cache(maxsize=None)
+def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
+    """Ambient Spencer differential Λ^j ⊗ S^k ⊗ F -> Λ^(j+1) ⊗ S^(k-1) ⊗ F."""
+    tgt = TensorSpaceDesc(n, j + 1, k - 1, f)
+    cols: list[list[Fraction]] = []
+    for a, s, alpha in TensorSpaceDesc(n, j, k, f).basis():
+        col = [_ZERO] * tgt.dim
+        for key, coeff in delta_apply_basis(n, j, k, a, s, alpha).items():
+            col[tgt.index_of(*key)] = coeff
+        cols.append(col)
+    return RatMatrix.from_cols(cols, rows=tgt.dim)
+
+
 # --------------------------- restricted differentials ---------------------------
 
 
@@ -96,9 +93,9 @@ def _slot_matrix(
     n: int,
     m: int,
     src_cols: Sequence[tuple[Fraction, ...]],
-    act: Callable[[int, tuple[Fraction, ...]], tuple[Fraction, ...]],
+    act: Callable[[int, tuple[Fraction, ...]], Sequence[Fraction]],
     tgt_fiber_dim: int,
-    tgt_coords: Callable[[tuple[Fraction, ...]], tuple[Fraction, ...]],
+    tgt_coords: Callable[[Sequence[Fraction]], tuple[Fraction, ...]],
     tgt_basis_dim: int,
 ) -> RatMatrix:
     """Generic insertion-sign slot matrix Λ^m ⊗ V -> Λ^(m+1) ⊗ W.
@@ -149,28 +146,6 @@ def _slot_matrix(
     return RatMatrix.from_cols(cols, rows=nrows)
 
 
-def _iota_action(n: int, k: int, f: int):
-    """Direction-wise contraction on S^k ⊗ F coordinate vectors (a*sd + sym)."""
-    sd_src = sym_dim(n, k)
-    sd_tgt = sym_dim(n, k - 1)
-    src_mi = multi_indices(n, k)
-
-    def act(i: int, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        out = [_ZERO] * (sd_tgt * f)
-        for flat, x in enumerate(v):
-            if not x:
-                continue
-            a, sr = divmod(flat, sd_src)
-            hit = contract_sym(src_mi[sr], i)
-            if hit is None:
-                continue
-            coeff, beta = hit
-            out[a * sd_tgt + sym_rank(beta)] += coeff * x
-        return tuple(out)
-
-    return act
-
-
 def _partial_action(partial: RatMatrix, n: int):
     """Direction-wise application of a Hom(E, F_b)-valued map, rows b*n + i."""
     fb = partial.rows // n
@@ -210,14 +185,11 @@ def delta_restricted(
             )
         return c
 
+    table = iota_table(n, k, f)
     return _slot_matrix(
-        n, m, src.basis_columns(), _iota_action(n, k, f), tgt.ambient_dim, coords, tgt.dim
+        n, m, src.basis_columns(), lambda i, v: iota_apply(table[i], v, tgt.ambient_dim),
+        tgt.ambient_dim, coords, tgt.dim,
     )
-
-
-def delta_hom_matrix(n: int, f: int, k: int, src: Subspace, tgt: Subspace) -> RatMatrix:
-    """The form-degree-1 restricted differential Hom(E, src) -> Hom(Λ²E, tgt)."""
-    return delta_restricted(n, f, k, 1, src, tgt)
 
 
 def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
@@ -238,16 +210,6 @@ def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
     return _slot_matrix(
         n, j, basis, _partial_action(partial, n), fb, lambda v: v, fb
     )
-
-
-def hom_perm(n: int, q: int) -> RatMatrix:
-    """Change of coordinates S^1 ⊗ R^q (flat c*n + i) -> Λ^1 slot (flat i*q + c)."""
-    size = n * q
-    rows = [[_ZERO] * size for _ in range(size)]
-    for c in range(q):
-        for i in range(n):
-            rows[i * q + c][c * n + i] = Fraction(1)
-    return RatMatrix(rows, cols=size)
 
 
 # --------------------------- chains and cohomology ---------------------------

@@ -5,10 +5,11 @@ the textbook Hom(E, F) case); its prolongation is
 
     g^(1) = { xi in S^(d+1) E* ⊗ F : iota_v xi in g for every v },
 
-computed as an intersection of contraction preimages.  A generalized tableau
-is an abstract carrier subspace g together with a degree-lowering map
-∂ : g -> Hom(E, F) (rows b*n + i); its first prolongation lives in S^1 ⊗ R^p
-over the canonical basis of g (p = dim g),
+computed as an intersection of contraction preimages, with every contraction
+read off `tensorspace.iota_table`.  A generalized tableau is an abstract
+carrier subspace g together with a degree-lowering map ∂ : g -> Hom(E, F)
+(rows b*n + i); its first prolongation lives in S^1 ⊗ R^p over the canonical
+basis of g (p = dim g),
 
     g^(1)(∂) = { eta : ∂(eta(X))(Y) = ∂(eta(Y))(X) for all X, Y },
 
@@ -29,43 +30,24 @@ from functools import lru_cache
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
 from .spencer import TableauChain
-from .tensorspace import multi_indices, sym_dim, sym_rank
+from .tensorspace import iota_apply, iota_table, sym_dim
 
 _ZERO = Fraction(0)
 
 
-# --------------------------- contraction matrices ---------------------------
-
-
-@lru_cache(maxsize=None)
-def iota_matrix(n: int, d: int, f: int, i: int) -> RatMatrix:
-    """Single-direction contraction S^d ⊗ F -> S^(d-1) ⊗ F (monomial coefficients)."""
-    src_mi = multi_indices(n, d)
-    sd_src = sym_dim(n, d)
-    sd_tgt = sym_dim(n, d - 1)
-    rows = [[_ZERO] * (sd_src * f) for _ in range(sd_tgt * f)]
-    for a in range(f):
-        for sr, alpha in enumerate(src_mi):
-            if alpha[i]:
-                beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                rows[a * sd_tgt + sym_rank(beta)][a * sd_src + sr] = Fraction(alpha[i])
-    return RatMatrix(rows, cols=sd_src * f)
+# --------------------------- polarization ---------------------------
 
 
 @lru_cache(maxsize=None)
 def polarization_matrix(n: int, degree: int, f: int) -> RatMatrix:
     """Total contraction S^degree ⊗ F -> Hom(E, S^(degree-1) ⊗ F), rows b*n + i."""
-    sd_src = sym_dim(n, degree)
-    sd_tgt = sym_dim(n, degree - 1)
-    rows = [[_ZERO] * (sd_src * f) for _ in range(n * sd_tgt * f)]
-    for a in range(f):
-        for sr, alpha in enumerate(multi_indices(n, degree)):
-            for i in range(n):
-                if alpha[i]:
-                    beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-                    b = a * sd_tgt + sym_rank(beta)
-                    rows[b * n + i][a * sd_src + sr] = Fraction(alpha[i])
-    return RatMatrix(rows, cols=sd_src * f)
+    cols = sym_dim(n, degree) * f
+    rows = [[_ZERO] * cols for _ in range(n * sym_dim(n, degree - 1) * f)]
+    for i, entries in enumerate(iota_table(n, degree, f)):
+        for c, hit in enumerate(entries):
+            if hit is not None:
+                rows[hit[0] * n + i][c] = hit[1]
+    return RatMatrix(rows, cols=cols)
 
 
 # --------------------------- the tableau type ---------------------------
@@ -152,8 +134,15 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     q = space.constraint_matrix()
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
-    blocks = [q @ iota_matrix(n, degree + 1, f, i) for i in range(n)]
-    return kernel(RatMatrix.vstack(blocks))
+    # iota_i xi in g  <=>  Q iota_i xi = 0; column c of Q iota_i is
+    # alpha_i times the column of Q at c's contraction target
+    qrows = [q.row(r) for r in range(q.rows)]
+    rows = [
+        [_ZERO if hit is None else qrow[hit[0]] * hit[1] for hit in entries]
+        for entries in iota_table(n, degree + 1, f)
+        for qrow in qrows
+    ]
+    return kernel(RatMatrix(rows, cols=target_dim))
 
 
 def _generalized_first_prolong(t: Tableau) -> Subspace:
@@ -205,13 +194,6 @@ class TableauTower:
     def ranks(self) -> tuple[int, ...]:
         return tuple(level.dim for level in self.levels)
 
-    def level_fiber(self) -> int:
-        return self.base.f if self.base.classical else self.base.dim
-
-    def level_degree(self, i: int) -> int:
-        """Symmetric degree of level i (i = 0 means the base carrier)."""
-        return (self.base.degree + i) if self.base.classical else i
-
     def chain(self) -> TableauChain:
         """The tower as a chain ready for cohomology.
 
@@ -242,10 +224,9 @@ class TableauTower:
 
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
     # every contraction of every basis vector must land in the previous space
-    for i in range(n):
-        m = iota_matrix(n, degree, f, i)
+    for entries in iota_table(n, degree, f):
         for col in level.basis_columns():
-            if not prev.contains_vector(m.apply(col)):
+            if not prev.contains_vector(iota_apply(entries, col, prev.ambient_dim)):
                 raise InvariantViolation(
                     "tower level does not contract into its predecessor"
                 )

@@ -17,6 +17,9 @@ Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 
 Symmetric tensors are polynomials with plain monomial coefficients: the
 contraction (directional derivative) ι_i sends x^alpha to alpha_i x^(alpha-e_i).
+This module owns that contraction as one cached sparse table, `iota_table`;
+the symbol prolongation, the polarization, the Spencer differentials and the
+tower verification all read their matrices and actions off it.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .ratlin import RatMatrix
-
 ExtIndex = tuple[int, ...]
 MultiIndex = tuple[int, ...]
+
+_ZERO = Fraction(0)
 
 
 # --------------------------- enumeration ---------------------------
@@ -107,6 +110,35 @@ def contract_sym(alpha: MultiIndex, i: int) -> tuple[Fraction, MultiIndex] | Non
     return Fraction(alpha[i]), reduced
 
 
+@lru_cache(maxsize=None)
+def iota_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction] | None, ...], ...]:
+    """ι_i : S^d ⊗ F -> S^(d-1) ⊗ F for every direction i, as sparse entries.
+
+    table[i][a * sym_dim(n, d) + sym_rank(alpha)] is (target, alpha_i) with
+    target = a * sym_dim(n, d-1) + sym_rank(alpha - e_i), or None when
+    alpha_i = 0: each source coordinate has at most one image per direction.
+    """
+    sd_tgt = sym_dim(n, d - 1)
+    table = []
+    for i in range(n):
+        entries = []
+        for a in range(f):
+            for alpha in multi_indices(n, d):
+                hit = contract_sym(alpha, i)
+                entries.append(None if hit is None else (a * sd_tgt + sym_rank(hit[1]), hit[0]))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def iota_apply(entries, vec, tgt_dim: int) -> list[Fraction]:
+    """One direction's contraction (a row of `iota_table`) applied to vec."""
+    out = [_ZERO] * tgt_dim
+    for x, hit in zip(vec, entries):
+        if x and hit is not None:
+            out[hit[0]] += hit[1] * x
+    return out
+
+
 def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
 
@@ -149,44 +181,9 @@ class TensorSpaceDesc:
         sr = _sym_rank_table(self.n, self.k)[tuple(alpha)]
         return (a * ext_dim(self.n, self.j) + er) * sym_dim(self.n, self.k) + sr
 
-    def coindex_of(self, idx: int) -> tuple[int, ExtIndex, MultiIndex]:
-        if not (0 <= idx < self.dim):
-            raise ValueError("flat index out of range")
-        sd = sym_dim(self.n, self.k)
-        ed = ext_dim(self.n, self.j)
-        sr = idx % sd
-        rest = idx // sd
-        er = rest % ed
-        a = rest // ed
-        return a, ext_indices(self.n, self.j)[er], multi_indices(self.n, self.k)[sr]
-
     def basis(self):
         """Triples (a, s, alpha) in flat order."""
         for a in range(self.f):
             for s in ext_indices(self.n, self.j):
                 for alpha in multi_indices(self.n, self.k):
                     yield a, s, alpha
-
-
-def contraction_matrix(desc: TensorSpaceDesc) -> RatMatrix:
-    """Total contraction S^k ⊗ F -> E* ⊗ S^(k-1) ⊗ F, eta -> (v -> ι_v eta).
-
-    Only defined on pure symmetric spaces (j = 0) of degree k >= 1; degree 0
-    has nothing to contract and is rejected.
-    """
-    if desc.j != 0:
-        raise ValueError("contraction_matrix needs a j = 0 source")
-    if desc.k < 1:
-        raise ValueError("contraction undefined in degree 0")
-    target = TensorSpaceDesc(desc.n, 1, desc.k - 1, desc.f)
-    cols: list[list[Fraction]] = []
-    zero = Fraction(0)
-    for a, _s, alpha in desc.basis():
-        col = [zero] * target.dim
-        for i in range(desc.n):
-            hit = contract_sym(alpha, i)
-            if hit is not None:
-                coeff, beta = hit
-                col[target.index_of(a, (i,), beta)] = coeff
-        cols.append(col)
-    return RatMatrix.from_cols(cols, rows=target.dim)

@@ -9,9 +9,9 @@ Plan:
     equation-free systems
  6. flat-connection systems: commuting certified, noncommuting obstructed,
     with an honestly non-extendable witness
- 7. formal prolongation keeps the original equations; the tower carries a
-    row basis, so its matrices stay within the jet fiber width and its
-    fibers match the plain repeated prolongation
+ 7. formal prolongation keeps the original equations; the tower and the
+    crosscheck walk carry a row basis, so their matrices stay within the jet
+    fiber width, and the tower's fibers match the plain repeated prolongation
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -23,6 +23,7 @@ Plan:
 13. tower depth validation; finite-type bound capping
 """
 
+import json
 import random
 from fractions import Fraction
 from importlib import resources
@@ -303,6 +304,33 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
             naive = formal_prolongation(naive)
             assert level.fiber_dim == solution_fiber(naive).dim, (path.name, level)
 
+
+def test_crosscheck_rows_stay_within_the_jet_fiber(monkeypatch, tmp_path, capsys):
+    import sys
+
+    from formalpde.cli import format_system, main
+
+    received = []
+
+    def recording(system):
+        received.append((system.k, system.equations.rows))
+        return formal_prolongation(system)
+
+    # patch every formalpde namespace the crosscheck walk could look it up in
+    for name, mod in list(sys.modules.items()):
+        held = getattr(mod, "formal_prolongation", None)
+        if name.startswith("formalpde") and held is formal_prolongation:
+            monkeypatch.setattr(mod, "formal_prolongation", recording)
+    for s in (laplace2d(), heat3()):
+        path = tmp_path / "system.pde"
+        path.write_text(format_system(s))
+        received.clear()
+        assert main(["crosscheck", str(path), "--levels", "4", "--json", "-"]) == 0
+        levels = json.loads(capsys.readouterr().out)["levels"]
+        assert [lv["level"] for lv in levels] == [1, 2, 3, 4]
+        assert max(k for k, _ in received) == s.k + 3
+        for k, rows in received:
+            assert rows <= jet_fiber_dim(s.n, s.m, k), (s.n, k, rows)
 
 # --------------------------- 8. goldschmidt ---------------------------
 

@@ -3,9 +3,9 @@
 Plan:
  1) hand-checked row reductions, kernels, images, affine solves;
  2) canonical Subspace semantics (order-independent bases, membership,
-    reduce_mod, quotient_dim preconditions);
+    reduce_mod, constraint matrices);
  3) hypothesis property tests for the classical identities (rank-nullity,
-    modular law dims, Fredholm witness, expressed_in factorization);
+    Fredholm witness);
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its row basis spans the row space.
@@ -20,11 +20,9 @@ from formalpde.ratlin import (
     AffineSolution,
     RatMatrix,
     Subspace,
-    expressed_in,
     image,
     kernel,
     kernel_with_row_basis,
-    preimage,
     rref,
     solve,
     solve_affine,
@@ -130,44 +128,10 @@ def test_reduce_mod_and_coords():
     assert u.coords_of(w) is None
 
 
-def test_sum_intersect_hand_case():
-    u = Subspace.from_spanning(3, [[1, 0, 0], [0, 1, 0]])
-    v = Subspace.from_spanning(3, [[0, 1, 0], [0, 0, 1]])
-    w = u.intersect(v)
-    assert w.dim == 1 and w.contains_vector([0, 1, 0])
-    assert (u + v).dim == 3
-
-
-def test_quotient_dim_checks_containment():
-    big = Subspace.full(2)
-    small = Subspace.from_spanning(2, [[1, 0]])
-    assert big.quotient_dim(small) == 1
-    other = Subspace.from_spanning(3, [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        small.quotient_dim(Subspace.from_spanning(2, [[0, 1]]).sum(small))
-    with pytest.raises(ValueError):
-        big.quotient_dim(other)  # ambient mismatch
-
-
 def test_constraint_matrix_cuts_out_the_subspace():
     u = Subspace.from_spanning(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
     q = u.constraint_matrix()
     assert kernel(q) == u
-
-
-def test_preimage_hand_case():
-    m = RatMatrix([[1, 0], [0, 1], [0, 0]])
-    tgt = Subspace.from_spanning(3, [[1, 0, 0]])
-    pre = preimage(m, tgt)
-    assert pre.dim == 1 and pre.contains_vector([1, 0])
-
-
-def test_expressed_in_raises_when_image_escapes():
-    m = RatMatrix.identity(2)
-    src = Subspace.from_spanning(2, [[1, 1]])
-    tgt = Subspace.from_spanning(2, [[1, 0]])
-    with pytest.raises(ValueError):
-        expressed_in(m, src, tgt)
 
 
 # --------------------------- 3) property tests ---------------------------
@@ -274,50 +238,6 @@ def test_solve_affine_certificates(m, x):
                 assert all(v == 0 for v in m.transpose().apply(y))
                 assert sum(yi * vi for yi, vi in zip(y, bad)) != 0
                 break
-
-
-def matrix_pairs_same_rows(max_rows=4, max_cols=3):
-    def build(r):
-        one = st.integers(1, max_cols).flatmap(
-            lambda c: st.lists(
-                st.lists(small_entries, min_size=c, max_size=c),
-                min_size=r,
-                max_size=r,
-            ).map(RatMatrix)
-        )
-        return st.tuples(one, one)
-
-    return st.integers(1, max_rows).flatmap(build)
-
-
-@settings(deadline=None, max_examples=40)
-@given(matrix_pairs_same_rows())
-def test_modular_dimension_law(pair):
-    a, b = pair
-    u = image(a)
-    v = image(b)
-    assert (u + v).dim + u.intersect(v).dim == u.dim + v.dim
-    assert (u + v).contains(u) and u.contains(u.intersect(v))
-
-
-@settings(deadline=None, max_examples=40)
-@given(matrices(4, 4))
-def test_expressed_in_factors_through_bases(m):
-    src = Subspace.full(m.cols)
-    tgt = image(m) + Subspace.zero(m.rows)
-    r = expressed_in(m, src, tgt)
-    assert m @ src.basis == tgt.basis @ r
-
-
-@settings(deadline=None, max_examples=40)
-@given(matrix_pairs_same_rows(4, 4))
-def test_preimage_property(pair):
-    m, spanning = pair
-    tgt = image(spanning)
-    pre = preimage(m, tgt)
-    for col in pre.basis_columns():
-        assert tgt.contains_vector(m.apply(col))
-    assert pre.contains(kernel(m))
 
 
 # --------------------------- 4) degenerate shapes ---------------------------

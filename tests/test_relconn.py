@@ -28,7 +28,6 @@ from formalpde.relconn import (
     h01_dim,
     partial_prolongation_fiber,
     prolongation_connection,
-    symbol,
     symbol_map,
     torsion_at,
 )
@@ -79,7 +78,7 @@ def test_flat_noncommuting_obstruction_is_commutator():
 
 def test_flat_symbol_is_zero_and_sigma_surjective():
     conn = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    assert symbol(conn).dim == 0
+    assert conn.symbol.dim == 0
     assert conn.sigma_surjective
     tab = symbol_map(conn)
     assert tab.dim == 0 and tab.partial_map.shape == (4, 0)
@@ -111,7 +110,7 @@ def test_partial_fiber_with_kernel():
     a1 = RatMatrix([[0, 0, 1], [0, 0, 0]])
     a2 = RatMatrix([[0, 0, 2], [0, 0, 0]])
     conn = RelConn(sigma, [a1, a2])
-    assert symbol(conn).dim == 1
+    assert conn.symbol.dim == 1
     pf = classical_prolongation_fiber(conn)
     assert pf.subspace.dim == 4
     assert pf.projection_image == Subspace.full(3)
@@ -203,7 +202,7 @@ def test_class_is_lift_independent():
     rng = random.Random(34)
     for _ in range(10):
         conn = random_surjective_conn(rng)
-        if symbol(conn).dim == 0:
+        if conn.symbol.dim == 0:
             continue
         fiber = partial_prolongation_fiber(conn)
         cols = fiber.basis_columns()
@@ -212,7 +211,7 @@ def test_class_is_lift_independent():
         base = cols[0]
         e = base[:sd]
         psi1 = list(base[sd:])
-        g = symbol(conn)
+        g = conn.symbol
         shift = g.basis_columns()[0]
         psi2 = list(psi1)
         for c in range(sd):

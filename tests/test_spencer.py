@@ -23,12 +23,10 @@ from formalpde.spencer import (
     TableauChain,
     cohomology,
     delta_apply_basis,
-    delta_hom_matrix,
     delta_matrix,
     delta_partial_matrix,
     delta_restricted,
     euler_check,
-    hom_perm,
     is_r_acyclic,
 )
 from formalpde.tensorspace import TensorSpaceDesc, sym_dim
@@ -99,7 +97,7 @@ def cr_tableau_space():
 def test_delta_hom_on_cr_tableau():
     g = cr_tableau_space()
     full_f = Subspace.full(2)  # S^0 ⊗ R^2
-    d = delta_hom_matrix(2, 2, 1, g, full_f)
+    d = delta_restricted(2, 2, 1, 1, g, full_f)
     assert d.shape == (2, 4)  # Λ² ⊗ F is 1*2-dimensional, Λ¹ ⊗ g is 2*2
     assert kernel(d).dim == 2  # frozen via the brute-force oracle
     assert d.rank() == 2
@@ -111,7 +109,7 @@ def test_delta_partial_with_inclusion_equals_restricted():
     # the subspace ambient flat (a*n + i) is already that row convention.
     incl = g.basis
     left = delta_partial_matrix(incl, 2, 1)
-    right = delta_hom_matrix(2, 2, 1, g, Subspace.full(2))
+    right = delta_restricted(2, 2, 1, 1, g, Subspace.full(2))
     assert left == right
 
 
@@ -126,15 +124,6 @@ def test_delta_restricted_escape_raises():
     tgt = Subspace.from_spanning(2, [[0, 1]])  # span{x2} in S^1
     with pytest.raises(ValueError):
         delta_restricted(2, 1, 2, 0, src, tgt)
-
-
-def test_hom_perm_is_a_permutation():
-    p = hom_perm(2, 3)
-    assert p.rank() == 6
-    # S^1⊗R^3 coordinate (c=1, i=0) -> slot coordinate i*3 + c = 1
-    v = [0] * 6
-    v[1 * 2 + 0] = 1
-    assert p.apply(v).index(Fraction(1)) == 1
 
 
 # --------------------------- 4) chains ---------------------------

@@ -22,7 +22,6 @@ from formalpde.spencer import cohomology
 from formalpde.tableau import (
     Tableau,
     classify_type,
-    iota_matrix,
     polarization_matrix,
     prolong,
     stabilization_scan,
@@ -145,15 +144,14 @@ def test_generalized_prolongation_transport_along_injective_partial():
         g1 = prolong(gen)  # inside S^1 ⊗ R^p, flat c*n + i
         w = image(partial)  # inside S^1 ⊗ F, flat b*n + i
         w1 = prolong(Tableau(n=n, f=f, space=w))
-        # transport: eta -> the unique xi in S^2 ⊗ F with iota_i xi = ∂(eta_i)
-        stacked = RatMatrix.vstack([iota_matrix(n, 2, f, i) for i in range(n)])
+        # transport: eta -> the unique xi in S^2 ⊗ F with iota_i xi = ∂(eta_i);
+        # polarization row b*n + i reads coordinate b of iota_i xi
+        pol = polarization_matrix(n, 2, f)
         transported = []
         for eta in g1.basis_columns():
-            targets = []
-            for i in range(n):
-                coeffs = [eta[c * n + i] for c in range(p)]
-                targets.extend(partial.apply(coeffs))
-            xi = solve(stacked, targets)
+            images = [partial.apply([eta[c * n + i] for c in range(p)]) for i in range(n)]
+            targets = [images[i][b] for b in range(n * f) for i in range(n)]
+            xi = solve(pol, targets)
             assert xi is not None
             transported.append(xi)
         span = Subspace.from_spanning(sym_dim(n, 2) * f, transported)

@@ -4,7 +4,7 @@ Plan:
  1) pinned enumeration orders against an independent comparator implementing
     the graded-reverse-lex definition literally;
  2) flat index <-> triple bijection (hand cases + hypothesis round trip);
- 3) contraction matrix hand cases (monomial-coefficient convention);
+ 3) contraction table hand cases (monomial-coefficient convention);
  4) degenerate degree conventions (S^k = 0 for k < 0, Λ^j = 0 for j > n).
 """
 
@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 from formalpde.tensorspace import (
     TensorSpaceDesc,
     contract_sym,
-    contraction_matrix,
     delta_insertion,
     ext_dim,
     ext_indices,
     ext_rank,
+    iota_apply,
+    iota_table,
     multi_indices,
     raise_sym,
     sym_dim,
@@ -95,7 +96,6 @@ def test_flat_index_hand_case():
     d = TensorSpaceDesc(n=2, j=0, k=2, f=1)
     assert d.dim == 3
     assert d.index_of(0, (), (1, 1)) == 1
-    assert d.coindex_of(1) == (0, (), (1, 1))
 
 
 def test_flat_layout_fiber_slowest():
@@ -118,7 +118,6 @@ def test_index_bijection(n, j, k, f):
     seen = []
     for a, s, alpha in d.basis():
         idx = d.index_of(a, s, alpha)
-        assert d.coindex_of(idx) == (a, s, alpha)
         seen.append(idx)
     assert seen == list(range(d.dim))
 
@@ -129,31 +128,32 @@ def test_index_bijection(n, j, k, f):
 def test_contraction_monomial_convention():
     # eta = x1 x2: derivative along e1 is x2, along e2 is x1
     d = TensorSpaceDesc(2, 0, 2, 1)
-    c = contraction_matrix(d)
-    target = TensorSpaceDesc(2, 1, 1, 1)
-    col = c.col(d.index_of(0, (), (1, 1)))
-    assert col[target.index_of(0, (0,), (0, 1))] == 1
-    assert col[target.index_of(0, (1,), (1, 0))] == 1
-    assert sum(1 for x in col if x) == 2
-    # eta = x1^2: derivative along e1 is 2 x1 (coefficient 2, not 1)
-    col2 = c.col(d.index_of(0, (), (2, 0)))
-    assert col2[target.index_of(0, (0,), (1, 0))] == 2
+    target = TensorSpaceDesc(2, 0, 1, 1)
+    table = iota_table(2, 2, 1)
+    src = d.index_of(0, (), (1, 1))
+    assert table[0][src] == (target.index_of(0, (), (0, 1)), 1)
+    assert table[1][src] == (target.index_of(0, (), (1, 0)), 1)
+    # eta = x1^2: derivative along e1 is 2 x1 (coefficient 2, not 1), along e2 is 0
+    sq = d.index_of(0, (), (2, 0))
+    assert table[0][sq] == (target.index_of(0, (), (1, 0)), 2)
+    assert table[1][sq] is None
+    eta = [Fraction(0)] * d.dim
+    eta[sq], eta[src] = Fraction(3), Fraction(5)  # 3 x1^2 + 5 x1 x2
+    assert iota_apply(table[0], eta, target.dim) == [6, 5]
 
 
 def test_contraction_degree_one_is_permutation_identity():
-    c = contraction_matrix(TensorSpaceDesc(2, 0, 1, 1))
-    assert c.shape == (2, 2)
-    assert c.col(0)[0] == 1 and c.col(1)[1] == 1
-    assert c.rank() == 2
-
-
-def test_contraction_rejects_degree_zero():
-    import pytest
-
-    with pytest.raises(ValueError):
-        contraction_matrix(TensorSpaceDesc(2, 0, 0, 1))
-    with pytest.raises(ValueError):
-        contraction_matrix(TensorSpaceDesc(2, 1, 2, 1))
+    # S^1 -> S^0 with two fiber slots: iota_i picks the x_i coefficient of each
+    table = iota_table(2, 1, 2)
+    assert table[0] == ((0, 1), None, (1, 1), None)
+    assert table[1] == (None, (0, 1), None, (1, 1))
+    hits = [
+        (c, i, hit) for i, entries in enumerate(table) for c, hit in enumerate(entries) if hit
+    ]
+    # every source coordinate has one image, every (target, direction) one preimage
+    assert sorted(c for c, _, _ in hits) == [0, 1, 2, 3]
+    assert len({(hit[0], i) for _, i, hit in hits}) == 4
+    assert all(hit[1] == 1 for _, _, hit in hits)
 
 
 def test_contract_and_raise_sym():
