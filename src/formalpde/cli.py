@@ -179,22 +179,15 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
         scanner.pos += 1
         scanner.skip_ws()
     # the trivial equation: a bare, unsigned zero
-    if sign == 1 and not terms and scanner.peek() == "0":
+    trivial = False
+    if sign == 1 and scanner.peek() == "0":
         save = scanner.pos
         scanner.pos += 1
         scanner.skip_ws()
-        if scanner.peek() == "=":
-            scanner.pos += 1
-            scanner.skip_ws()
-            if scanner.peek() != "0":
-                scanner.fail("'0' on the right-hand side")
-            scanner.pos += 1
-            scanner.skip_ws()
-            if scanner.pos != len(scanner.text):
-                scanner.fail("end of line after '= 0'")
-            return []
-        scanner.pos = save
-    while True:
+        trivial = scanner.peek() == "="
+        if not trivial:
+            scanner.pos = save
+    while not trivial:
         coeff = Fraction(1)
         if scanner.peek().isdigit():
             coeff = scanner.take_rational()
@@ -212,16 +205,17 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
             scanner.skip_ws()
             continue
         if ch == "=":
-            scanner.pos += 1
-            scanner.skip_ws()
-            if scanner.peek() != "0":
-                scanner.fail("'0' on the right-hand side")
-            scanner.pos += 1
-            scanner.skip_ws()
-            if scanner.pos != len(scanner.text):
-                scanner.fail("end of line after '= 0'")
-            return terms
+            break
         scanner.fail("'+', '-' or '= 0'")
+    scanner.pos += 1  # the '='
+    scanner.skip_ws()
+    if scanner.peek() != "0":
+        scanner.fail("'0' on the right-hand side")
+    scanner.pos += 1
+    scanner.skip_ws()
+    if scanner.pos != len(scanner.text):
+        scanner.fail("end of line after '= 0'")
+    return terms
 
 
 def parse_system(text: str) -> PdeSystem:
@@ -434,13 +428,12 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 def cmd_symbol(args) -> int:
     system = load_system(args.file)
     tab = symbol_tableau(system)
-    ranks = (tab.space.dim,) + tower(tab, args.levels).ranks
-    verdict = classify_type(tab, args.levels)
+    verdict = classify_type(tower(tab, args.levels), args.levels)
     lines = [
         f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}",
         f"symbol dimension: {tab.space.dim}",
         "prolongation ranks: "
-        + " ".join(f"g({l})={d}" for l, d in enumerate(ranks)),
+        + " ".join(f"g({l})={d}" for l, d in enumerate(verdict.ranks)),
         f"symbol type: {verdict.kind}({verdict.level})",
     ]
     payload = {
@@ -448,7 +441,7 @@ def cmd_symbol(args) -> int:
         "command": "symbol",
         "system": _system_payload(system),
         "symbol_dim": tab.space.dim,
-        "ranks": list(ranks),
+        "ranks": list(verdict.ranks),
         "symbol_type": {"kind": verdict.kind, "level": verdict.level},
     }
     _emit(args, lines, payload)

@@ -11,14 +11,18 @@ Formal prolongation appends, for every equation and every direction, the
 equation with all derivative indices shifted by that direction; the original
 rows are kept, so fibers of repeated prolongations truncate into each other.
 
-The prolongation tower records, per level: the fiber dimension, the symbol
-dimension (cross-checked against the tableau prolongation of the base
-symbol), and whether the truncation onto the previous fiber is onto.  A
-failure of surjectivity is a genuine integrability obstruction and comes with
-an explicit witness: a solution jet of the lower order that no higher-order
-solution extends.
+Each analysis builds the tableau tower of the base symbol once, at the
+largest depth it needs, and walks the jet prolongation once.  Per level the
+walk yields the level's fiber, its symbol dimension (checked against the
+tableau tower) and the truncation image in the fiber below.  The tower report
+reads surjectivity off it; a failure is a genuine integrability obstruction
+and comes with an explicit witness: a solution jet of the lower order that no
+higher-order solution extends.  The crosscheck maps the same walk's fibers
+into the connection route, whose prolongation fibers come from eliminations
+of their own, so the two routes stay independent.  Level systems never enter
+a cache; only the base system's fiber and symbol do.
 
-The tower does not prolong every row it has ever made.  Prolongation is
+The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so the row space of a prolonged system depends only
 on the row space of the system prolonged.  Each level therefore prolongs a
 row basis of the level below, and one elimination of the result gives both
@@ -39,7 +43,7 @@ from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import cohomology
-from .tableau import Tableau, TypeVerdict, classify_type, tower
+from .tableau import Tableau, TableauTower, TypeVerdict, classify_type, tower
 from .tensorspace import multi_indices, raise_sym, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
@@ -159,12 +163,6 @@ def formal_prolongation(system: PdeSystem) -> PdeSystem:
     return PdeSystem(n=n, m=m, k=k + 1, equations=RatMatrix(rows, cols=width))
 
 
-def _truncation_image(fiber_hi: Subspace, lo_dim: int) -> Subspace:
-    return Subspace.from_spanning(
-        lo_dim, [col[:lo_dim] for col in fiber_hi.basis_columns()]
-    )
-
-
 # --------------------------- tower reports ---------------------------
 
 
@@ -210,42 +208,44 @@ class IntegrabilityReport:
     type_verdict: TypeVerdict | None = None
 
 
-def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
-    """Walk depth prolongations, checking surjectivity of every truncation."""
-    if depth < 1:
-        raise ValueError("tower needs depth >= 1")
-    base_fiber = solution_fiber(system)
-    symbol_ranks = tower(symbol_tableau(system), depth).ranks
-    records: list[LevelRecord] = []
-    cur = system
-    prev_fiber = base_fiber
-    first_failure: tuple[int, tuple] | None = None
-    for level in range(1, depth + 1):
+def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
+    """Prolong once per tableau-tower rank, checking every level as it goes.
+
+    Yields, per level: the system below and its fiber, then the level's
+    fiber, its truncation image and its symbol dimension.
+    """
+    cur, cur_fiber = system, base_fiber
+    for rank in symbol_ranks:
         # carry the level system as a row basis: same row space, hence the
         # same fiber and symbol, but at most one row per jet coordinate
         prolonged = formal_prolongation(cur)
         fiber, rows = kernel_with_row_basis(prolonged.equations)
-        cur = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
-        sym = _symbol(cur).space.dim
-        if sym != symbol_ranks[level - 1]:
+        nxt = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
+        sym = _symbol(nxt).space.dim
+        if sym != rank:
             raise InvariantViolation(
                 "prolonged-system symbol disagrees with the tableau tower"
             )
-        img = _truncation_image(fiber, prev_fiber.ambient_dim)
-        if not prev_fiber.contains(img):
+        lo = cur_fiber.ambient_dim
+        img = Subspace.from_spanning(lo, [col[:lo] for col in fiber.basis_columns()])
+        if not cur_fiber.contains(img):
             raise InvariantViolation("truncated solutions violate the lower system")
         if fiber.dim != sym + img.dim:
             raise InvariantViolation("fiber dimension fails exactness bookkeeping")
+        yield cur, cur_fiber, fiber, img, sym
+        cur, cur_fiber = nxt, fiber
+
+
+def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> IntegrabilityReport:
+    """The tower report over one level per given tableau-tower rank."""
+    base_fiber = solution_fiber(system)
+    records: list[LevelRecord] = []
+    steps = _walk(system, base_fiber, symbol_ranks)
+    for level, (_, prev_fiber, fiber, img, sym) in enumerate(steps, 1):
         surjective = img.dim == prev_fiber.dim
-        witness = None
-        if not surjective:
-            witness = next(
-                col
-                for col in prev_fiber.basis_columns()
-                if not img.contains_vector(col)
-            )
-            if first_failure is None:
-                first_failure = (level, witness)
+        witness = None if surjective else next(
+            col for col in prev_fiber.basis_columns() if not img.contains_vector(col)
+        )
         records.append(
             LevelRecord(
                 level=level,
@@ -256,30 +256,33 @@ def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
                 witness=witness,
             )
         )
-        prev_fiber = fiber
-    if first_failure is not None:
-        level, witness = first_failure
-        return IntegrabilityReport(
-            n=system.n,
-            m=system.m,
-            k=system.k,
-            base_fiber_dim=base_fiber.dim,
-            levels=tuple(records),
-            verdict="obstructed-at",
-            verdict_level=level,
-            certification_basis=f"tower({depth})",
-            witness=witness,
-        )
-    return IntegrabilityReport(
+    report = IntegrabilityReport(
         n=system.n,
         m=system.m,
         k=system.k,
         base_fiber_dim=base_fiber.dim,
         levels=tuple(records),
         verdict="integrable-up-to",
-        verdict_level=depth,
+        verdict_level=len(records),
         certification_basis="exhausted-bound",
     )
+    failed = next((rec for rec in records if not rec.projection_surjective), None)
+    if failed is None:
+        return report
+    return replace(
+        report,
+        verdict="obstructed-at",
+        verdict_level=failed.level,
+        certification_basis=f"tower({len(records)})",
+        witness=failed.witness,
+    )
+
+
+def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
+    """Walk depth prolongations, checking surjectivity of every truncation."""
+    if depth < 1:
+        raise ValueError("tower needs depth >= 1")
+    return _tower_report(system, tower(symbol_tableau(system), depth).ranks)
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -293,11 +296,13 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    tw = tower(symbol_tableau(system), l_max + 1)
-    chain = tw.chain()
-    report = cohomology(chain, l_max=l_max, m_max=2)
+    return _goldschmidt(system, l_max, tower(symbol_tableau(system), l_max + 1))
+
+
+def _goldschmidt(system: PdeSystem, l_max: int, tw: TableauTower) -> IntegrabilityReport:
+    report = cohomology(tw.chain(), l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
-    tower_report = prolongation_tower(system, 1)
+    tower_report = _tower_report(system, tw.ranks[:1])
     if not tower_report.levels[0].projection_surjective:
         # the depth-1 tower already reports obstructed-at(1) and its witness
         return replace(
@@ -345,13 +350,17 @@ def finite_type_integrability(
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
-    verdict = classify_type(symbol_tableau(system), l_max)
+    if l_max < 0:
+        raise ValueError("l_max must be >= 0")
+    # one symbol tower serves the type, the jet walk and the fallback
+    tw = tower(symbol_tableau(system), l_max + 1)
+    verdict = classify_type(tw, l_max)
     if verdict.kind != "finite":
-        return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
-    need = max(verdict.level + 1, 1)
+        return replace(_goldschmidt(system, l_max, tw), type_verdict=verdict)
+    need = verdict.level + 1
     if max_levels < need:
-        return replace(prolongation_tower(system, max_levels), type_verdict=verdict)
-    report = prolongation_tower(system, need)
+        return replace(_tower_report(system, tw.ranks[:max_levels]), type_verdict=verdict)
+    report = _tower_report(system, tw.ranks[:need])
     if report.verdict == "obstructed-at":
         return replace(
             report,
@@ -386,8 +395,11 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
     so that the first-order covariant constancy D_i s = A_i s + sigma(d_i s) = 0
     encodes exactly the passage from a k-jet section to its (k+1)-jet.
     """
+    return _relconn(system, solution_fiber(system))
+
+
+def _relconn(system: PdeSystem, fiber: Subspace) -> RelConn:
     n, m, k = system.n, system.m, system.k
-    fiber = solution_fiber(system)
     lo = jet_fiber_dim(n, m, k - 1)
     lo_coords = jet_coords(n, m, k - 1)
     cols_sigma = []
@@ -413,8 +425,13 @@ def jet_to_prolongation_point(
     the direction-i shift of u, also expressed there.  Raises ValueError when
     u does not define such a point (it must solve the prolonged system).
     """
+    return _prolongation_point(system, solution_fiber(system), u)
+
+
+def _prolongation_point(
+    system: PdeSystem, fiber: Subspace, u: Sequence
+) -> tuple[Fraction, ...]:
     n, m, k = system.n, system.m, system.k
-    fiber = solution_fiber(system)
     u = [rat(x) for x in u]
     if len(u) != jet_fiber_dim(n, m, k + 1):
         raise ValueError("expected a jet of order k + 1")
@@ -451,30 +468,26 @@ class RouteLevel:
 def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     """Prolong along the jet route and the connection route, level by level.
 
-    The jet route solves the formally prolonged equations; the connection
-    route takes the classical prolongation fiber of ``pde_to_relconn``.  At
-    every level the jet fiber, mapped by ``jet_to_prolongation_point``, must
-    be the connection fiber, and the projection images must have equal
-    dimensions; a disagreement is an InvariantViolation.  Each level carries a
-    row basis of the prolonged equations up, as the tower does, so the walk
-    stays polynomial; the symbol dimensions come from ``prolongation_tower``.
+    The jet route is the tower's own walk: it solves the prolonged equations
+    and runs the tower's checks.  The connection route takes the classical
+    prolongation fiber of the relative connection on each lower fiber, as
+    ``pde_to_relconn`` builds it, so the two routes share no elimination.  At
+    every level the jet fiber, mapped as by ``jet_to_prolongation_point``,
+    must be the connection fiber, and the projection images must have equal
+    dimensions; a disagreement is an InvariantViolation.
     """
-    tower_levels = prolongation_tower(system, depth).levels
     out = []
-    cur = system
-    for level in range(1, depth + 1):
-        pf = classical_prolongation_fiber(pde_to_relconn(cur))
-        rows = kernel_with_row_basis(formal_prolongation(cur).equations)[1]
-        nxt = PdeSystem(n=cur.n, m=cur.m, k=cur.k + 1, equations=rows)
-        fib = solution_fiber(nxt)
-        pts = [jet_to_prolongation_point(cur, col) for col in fib.basis_columns()]
+    ranks = tower(symbol_tableau(system), depth).ranks
+    steps = _walk(system, solution_fiber(system), ranks)
+    for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
+        pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
+        pts = [_prolongation_point(lower, lower_fiber, c) for c in fib.basis_columns()]
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
         if mapped != pf.subspace or mapped.dim != fib.dim:
             raise InvariantViolation(
                 f"jet-side and connection-side prolongation fibers "
                 f"disagree at level {level}"
             )
-        img = _truncation_image(fib, cur.fiber_dim)
         if pf.projection_image.dim != img.dim:
             raise InvariantViolation(
                 f"projection images disagree between the routes at level {level}"
@@ -486,8 +499,7 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
                 jet_image_dim=img.dim,
                 connection_fiber_dim=pf.subspace.dim,
                 connection_image_dim=pf.projection_image.dim,
-                symbol_dim=tower_levels[level - 1].symbol_dim,
+                symbol_dim=sym,
             )
         )
-        cur = nxt
     return tuple(out)

@@ -27,8 +27,6 @@ from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
 
-Rat = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

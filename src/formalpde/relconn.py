@@ -45,7 +45,7 @@ class RelConn:
     """A relative connection (sigma, A_1..A_n) with cached derived data."""
 
     __slots__ = ("n", "source_dim", "coeff_dim", "sigma", "mats", "symbol",
-                 "sigma_surjective", "_symbol_map", "_delta_image")
+                 "_symbol_map", "_delta_image")
 
     def __init__(self, sigma: RatMatrix, mats: Sequence[RatMatrix]):
         n = len(mats)
@@ -58,7 +58,6 @@ class RelConn:
         self.sigma = sigma
         self.mats = tuple(mats)
         self.symbol = kernel(sigma)
-        self.sigma_surjective = sigma.rank() == self.coeff_dim
         self._symbol_map = None
         self._delta_image = None
 

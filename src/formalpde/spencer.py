@@ -322,9 +322,6 @@ class CohomologyReport:
         default=None, compare=False
     )
 
-    def h(self, l: int, m: int) -> int:
-        return self.entries[(l, m)].h_dim
-
 
 def cohomology(
     chain: TableauChain, l_max: int, m_max: int, representatives: bool = False

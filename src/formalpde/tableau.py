@@ -289,16 +289,17 @@ class TypeVerdict:
     ranks: tuple[int, ...]
 
 
-def classify_type(t: Tableau, l_max: int) -> TypeVerdict:
+def classify_type(tw: TableauTower, l_max: int) -> TypeVerdict:
+    """The type through level l_max, read off a tower at least that deep."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    ranks = [t.dim]
-    if l_max >= 1:
-        ranks.extend(tower(t, l_max).ranks)
+    if l_max > len(tw.levels):
+        raise ValueError("l_max exceeds the tower depth")
+    ranks = (tw.base.dim,) + tw.ranks[:l_max]
     for l, r in enumerate(ranks):
         if r == 0:
-            return TypeVerdict(kind="finite", level=l, ranks=tuple(ranks))
-    return TypeVerdict(kind="infinite-up-to", level=l_max, ranks=tuple(ranks))
+            return TypeVerdict(kind="finite", level=l, ranks=ranks)
+    return TypeVerdict(kind="infinite-up-to", level=l_max, ranks=ranks)
 
 
 @dataclass(frozen=True)

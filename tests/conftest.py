@@ -1,6 +1,49 @@
-"""Shared pytest hooks: a per-criterion summary for the acceptance suite."""
+"""Shared pytest hooks and fixtures.
 
+* a per-criterion summary for the acceptance suite;
+* child processes import the package from this checkout's ``src/``, so tests
+  that start ``python -m formalpde`` need no install;
+* ``count_calls`` wraps a package function in every namespace that holds it.
+"""
+
+import os
 import re
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def _children_import_this_checkout(monkeypatch):
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (SRC, inherited))))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """install(func) -> the list of argument tuples of every later call.
+
+    The wrapper replaces func in every loaded ``formalpde`` module that holds
+    it, so calls from any module are seen.
+    """
+
+    def install(func):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return func(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("formalpde") and getattr(mod, func.__name__, None) is func:
+                monkeypatch.setattr(mod, func.__name__, counting)
+        return calls
+
+    return install
+
 
 _CRITERION_RE = re.compile(r"test_criterion_(\d+)_([a-z0-9_]+)")
 _results: dict[tuple[str, str], bool] = {}

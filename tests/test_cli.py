@@ -12,7 +12,8 @@ Plan:
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
-    gradient system through the vanishing symbol
+    gradient system through the vanishing symbol; every command builds the
+    symbol tower once
 """
 
 import json
@@ -34,6 +35,7 @@ from formalpde.cli import (
 )
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, jet_index
+from formalpde.tableau import tower
 
 
 def corpus_path(name: str):
@@ -347,6 +349,17 @@ def test_module_entry_point():
     assert payload["verdict"] == "formally-integrable-certified"
     assert payload["certification_basis"] == "finite-type(0)"
     assert payload["basis_ref"].startswith("Cartan")
+
+
+def test_each_command_builds_one_symbol_tower(count_calls, capsys):
+    calls = count_calls(tower)
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        for command in ("symbol", "tower", "cohomology", "goldschmidt",
+                        "finite-type", "crosscheck"):
+            calls.clear()
+            assert main([command, str(path), "--json", "-"]) == 0
+            capsys.readouterr()
+            assert len(calls) == 1, (path.name, command)
 
 
 def test_load_system_reads_files(tmp_path):

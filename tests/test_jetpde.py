@@ -11,7 +11,8 @@ Plan:
     with an honestly non-extendable witness
  7. formal prolongation keeps the original equations; the tower and the
     crosscheck walk carry a row basis, so their matrices stay within the jet
-    fiber width, and the tower's fibers match the plain repeated prolongation
+    fiber width, and the tower's fibers match the plain repeated prolongation;
+    the crosscheck prolongs once per level and caches no level system
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -34,6 +35,7 @@ from formalpde.cli import load_system
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     PdeSystem,
+    crosscheck_routes,
     finite_type_integrability,
     formal_prolongation,
     goldschmidt_check,
@@ -305,32 +307,37 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
             assert level.fiber_dim == solution_fiber(naive).dim, (path.name, level)
 
 
-def test_crosscheck_rows_stay_within_the_jet_fiber(monkeypatch, tmp_path, capsys):
-    import sys
-
+def test_crosscheck_rows_stay_within_the_jet_fiber(count_calls, tmp_path, capsys):
     from formalpde.cli import format_system, main
 
-    received = []
-
-    def recording(system):
-        received.append((system.k, system.equations.rows))
-        return formal_prolongation(system)
-
-    # patch every formalpde namespace the crosscheck walk could look it up in
-    for name, mod in list(sys.modules.items()):
-        held = getattr(mod, "formal_prolongation", None)
-        if name.startswith("formalpde") and held is formal_prolongation:
-            monkeypatch.setattr(mod, "formal_prolongation", recording)
+    calls = count_calls(formal_prolongation)
     for s in (laplace2d(), heat3()):
         path = tmp_path / "system.pde"
         path.write_text(format_system(s))
-        received.clear()
+        calls.clear()
         assert main(["crosscheck", str(path), "--levels", "4", "--json", "-"]) == 0
         levels = json.loads(capsys.readouterr().out)["levels"]
         assert [lv["level"] for lv in levels] == [1, 2, 3, 4]
+        received = [(lower.k, lower.equations.rows) for (lower,) in calls]
         assert max(k for k, _ in received) == s.k + 3
         for k, rows in received:
             assert rows <= jet_fiber_dim(s.n, s.m, k), (s.n, k, rows)
+
+def test_crosscheck_shares_the_walk_and_caches_no_level_system(count_calls):
+    calls = count_calls(formal_prolongation)
+    for s in (cauchy_riemann(), laplace2d(), heat3()):
+        for depth in (1, 2, 3):
+            calls.clear()
+            crosscheck_routes(s, depth)
+            assert len(calls) == depth, (s.n, depth)
+    # only the base system's fiber is cached; the level fibers come from the walk
+    solution_fiber.cache_clear()
+    symbol_tableau.cache_clear()
+    crosscheck_routes(laplace2d(), 3)
+    assert solution_fiber.cache_info().currsize <= 1
+    with pytest.raises(ValueError):
+        crosscheck_routes(cauchy_riemann(), 0)
+
 
 # --------------------------- 8. goldschmidt ---------------------------
 

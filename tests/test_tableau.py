@@ -62,15 +62,17 @@ def test_free_tableau_ranks_are_binomial():
 def test_zero_tableau_tower():
     tw = tower(Tableau.zero(2, 2), 3)
     assert tw.ranks == (0, 0, 0)
-    verdict = classify_type(Tableau.zero(2, 2), 2)
+    verdict = classify_type(tower(Tableau.zero(2, 2), 2), 2)
     assert verdict.kind == "finite" and verdict.level == 0
+    with pytest.raises(ValueError):  # the type is read off levels the tower has
+        classify_type(tw, 4)
 
 
 def test_identity_like_tableau_is_finite_type_level_one():
     # g spanned by x1 ⊗ f0 + x2 ⊗ f1: second derivatives are pinned down to 0
     t = Tableau.from_matrices(2, 2, [[[1, 0], [0, 1]]])
     assert prolong(t).dim == 0
-    verdict = classify_type(t, 3)
+    verdict = classify_type(tower(t, 3), 3)
     assert verdict.kind == "finite" and verdict.level == 1
     assert verdict.ranks == (1, 0, 0, 0)
 
@@ -192,7 +194,7 @@ def test_generalized_partial_shape_validation():
 
 
 def test_classify_cr_is_infinite_up_to_bound():
-    verdict = classify_type(cr_tableau(), 4)
+    verdict = classify_type(tower(cr_tableau(), 4), 4)
     assert verdict.kind == "infinite-up-to" and verdict.level == 4
     assert verdict.ranks == (2, 2, 2, 2, 2)
 
@@ -214,7 +216,7 @@ def test_degenerate_towers_are_zero_not_errors():
     for t in (Tableau.full(0, 2), Tableau.full(2, 0), Tableau.zero(0, 0)):
         tw = tower(t, 3)
         assert tw.ranks == (0, 0, 0)
-        assert classify_type(t, 2).kind == "finite"
+        assert classify_type(tower(t, 2), 2).kind == "finite"
 
 
 def test_polarization_matrix_degree_one_is_reindexed_identity():
