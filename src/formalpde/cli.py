@@ -16,6 +16,7 @@ unsigned rational coefficient (p or p/q, '*' optionally separating it from
 the variable) and a jet variable u<component> with an optional derivative
 tail _x<i>...x<j>.  Signs belong to the separators; 'eq: 0 = 0' denotes the
 trivial equation.  Components and directions are 1-based in this syntax.
+Numbers are written with the ASCII digits 0-9 only.
 
 Syntax errors report line and column plus the expected token; semantic
 errors (component or direction out of range, derivative order above the
@@ -83,8 +84,9 @@ class PdeSemanticError(ValueError):
 
 # --------------------------- parsing ---------------------------
 
-_HEADER_RE = re.compile(r"^\s*(base_dim|fiber_rank|order)\s*=\s*(\d+)\s*$")
+_HEADER_RE = re.compile(r"^\s*(base_dim|fiber_rank|order)\s*=\s*([0-9]+)\s*$")
 _HEADER_NAMES = ("base_dim", "fiber_rank", "order")
+_DIGITS = frozenset("0123456789")  # str.isdigit() also accepts '²' and '٢'
 
 
 class _TermScanner:
@@ -111,7 +113,7 @@ class _TermScanner:
 
     def take_int(self, expected: str) -> int:
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.fail(expected)
@@ -189,7 +191,7 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
             scanner.pos = save
     while not trivial:
         coeff = Fraction(1)
-        if scanner.peek().isdigit():
+        if scanner.peek() in _DIGITS:
             coeff = scanner.take_rational()
             scanner.skip_ws()
             if scanner.peek() == "*":

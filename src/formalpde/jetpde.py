@@ -227,7 +227,7 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
                 "prolonged-system symbol disagrees with the tableau tower"
             )
         lo = cur_fiber.ambient_dim
-        img = Subspace.from_spanning(lo, [col[:lo] for col in fiber.basis_columns()])
+        img = Subspace.from_spanning(lo, [v[:lo] for v in fiber.basis])
         if not cur_fiber.contains(img):
             raise InvariantViolation("truncated solutions violate the lower system")
         if fiber.dim != sym + img.dim:
@@ -244,7 +244,7 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
     for level, (_, prev_fiber, fiber, img, sym) in enumerate(steps, 1):
         surjective = img.dim == prev_fiber.dim
         witness = None if surjective else next(
-            col for col in prev_fiber.basis_columns() if not img.contains_vector(col)
+            v for v in prev_fiber.basis if not img.contains_vector(v)
         )
         records.append(
             LevelRecord(
@@ -401,18 +401,18 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
 def _relconn(system: PdeSystem, fiber: Subspace) -> RelConn:
     n, m, k = system.n, system.m, system.k
     lo = jet_fiber_dim(n, m, k - 1)
-    lo_coords = jet_coords(n, m, k - 1)
-    cols_sigma = []
-    cols_a: list[list] = [[] for _ in range(n)]
-    for col in fiber.basis_columns():
-        cols_sigma.append(col[:lo])
-        for i in range(n):
-            shifted = []
-            for a, alpha in lo_coords:
-                shifted.append(-col[jet_index(n, m, k, a, raise_sym(alpha, i))])
-            cols_a[i].append(shifted)
-    sigma = RatMatrix.from_cols(cols_sigma, rows=lo)
-    mats = [RatMatrix.from_cols(cols_a[i], rows=lo) for i in range(n)]
+    basis = fiber.basis
+    sigma = RatMatrix([[v[r] for v in basis] for r in range(lo)], cols=len(basis))
+    mats = [
+        RatMatrix(
+            [
+                [-v[jet_index(n, m, k, a, raise_sym(alpha, i))] for v in basis]
+                for a, alpha in jet_coords(n, m, k - 1)
+            ],
+            cols=len(basis),
+        )
+        for i in range(n)
+    ]
     return RelConn(sigma, mats)
 
 
@@ -481,7 +481,7 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     steps = _walk(system, solution_fiber(system), ranks)
     for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
-        pts = [_prolongation_point(lower, lower_fiber, c) for c in fib.basis_columns()]
+        pts = [_prolongation_point(lower, lower_fiber, v) for v in fib.basis]
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
         if mapped != pf.subspace or mapped.dim != fib.dim:
             raise InvariantViolation(

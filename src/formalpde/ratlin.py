@@ -2,15 +2,16 @@
 
 Every decision this package makes reduces to ranks, kernels, images and affine
 solvability over Q, so arithmetic is exact: entries are `fractions.Fraction`,
-floating point never enters.  Matrices are dense and immutable.
+floating point never enters.  Matrices are dense, immutable and built from
+their rows.
 
 Determinism is part of the contract, not an aspiration.  Row reduction uses a
 fixed pivot rule -- leftmost nonzero column, first nonzero row at or below the
 cursor, pivot scaled to 1, full elimination above and below -- so echelon
 forms, kernel bases and canonical subspace bases are reproducible across runs
-and platforms.  A `Subspace` stores the canonical column-echelon basis of its
-span (the transposed reduced row echelon form of any spanning set), hence two
-equal subspaces compare equal as plain data.
+and platforms.  A `Subspace` stores the canonical basis of its span as a tuple
+of vectors, the nonzero rows of the reduced row echelon form of any spanning
+set, hence two equal subspaces compare equal as plain data.
 
 Kernels need only one elimination.  Reducing a matrix with its columns in
 reverse order, under the same pivot rule, leaves each free column's kernel
@@ -90,40 +91,6 @@ class RatMatrix:
         )
 
     @staticmethod
-    def from_cols(cols: Sequence[Sequence], *, rows: int | None = None) -> "RatMatrix":
-        """Build from a list of column vectors."""
-        cols = [tuple(rat(x) for x in c) for c in cols]
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise ValueError("ragged columns")
-            if rows is not None and rows != height:
-                raise ValueError("rows does not match column height")
-            rows = height
-        elif rows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return RatMatrix(
-            [[cols[j][i] for j in range(len(cols))] for i in range(rows)],
-            cols=len(cols),
-        )
-
-    @staticmethod
-    def column(vec: Sequence) -> "RatMatrix":
-        return RatMatrix([[rat(x)] for x in vec], cols=1)
-
-    @staticmethod
-    def hstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
-        if not mats:
-            raise ValueError("hstack of nothing")
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("hstack: row counts differ")
-        total = sum(m.cols for m in mats)
-        return RatMatrix(
-            [sum((m._rows[i] for m in mats), ()) for i in range(rows)], cols=total
-        )
-
-    @staticmethod
     def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
         if not mats:
             raise ValueError("vstack of nothing")
@@ -150,9 +117,6 @@ class RatMatrix:
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self._rows)
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
 
     # -- algebra --
 
@@ -281,16 +245,21 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 class Subspace:
     """A linear subspace of Q^ambient_dim with a canonical basis.
 
-    The basis is stored as the columns of ``basis`` in column-echelon form:
-    column j has entry 1 in its pivot row p_j, pivot rows strictly increase,
-    and every other basis column vanishes on p_j.  Canonicality means equal
+    ``basis`` is a tuple of vectors (tuples of Fraction) in reduced echelon
+    form: vector j has entry 1 at its pivot p_j, pivots strictly increase,
+    and every other basis vector vanishes at p_j.  Canonicality means equal
     subspaces are equal as data, which the rest of the package leans on for
     caching and for byte-stable reports.
     """
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_constraints")
 
-    def __init__(self, ambient_dim: int, basis: RatMatrix, pivots: tuple[int, ...]):
+    def __init__(
+        self,
+        ambient_dim: int,
+        basis: tuple[tuple[Fraction, ...], ...],
+        pivots: tuple[int, ...],
+    ):
         # Not for direct use -- go through from_spanning/zero/full, or
         # kernel_with_row_basis, whose basis is canonical as built.
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -302,32 +271,24 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @staticmethod
-    def from_spanning(ambient_dim: int, vectors) -> "Subspace":
-        """Span of the given vectors (a RatMatrix of columns, or a vector list)."""
-        if isinstance(vectors, RatMatrix):
-            mat = vectors
-            if mat.rows != ambient_dim:
-                raise ValueError("spanning matrix has wrong ambient dimension")
-        else:
-            mat = RatMatrix.from_cols(list(vectors), rows=ambient_dim)
-        r, pivots = rref(mat.transpose())
-        cols = [r.row(i) for i in range(len(pivots))]
-        basis = RatMatrix.from_cols(cols, rows=ambient_dim)
-        return Subspace(ambient_dim, basis, pivots)
+    def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
+        """Span of the given vectors: the nonzero rows of their rref."""
+        r, pivots = rref(RatMatrix(list(vectors), cols=ambient_dim))
+        return Subspace(ambient_dim, r._rows[: len(pivots)], pivots)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.zeros(ambient_dim, 0), ())
+        return Subspace(ambient_dim, (), ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(
-            ambient_dim, RatMatrix.identity(ambient_dim), tuple(range(ambient_dim))
+            ambient_dim, RatMatrix.identity(ambient_dim)._rows, tuple(range(ambient_dim))
         )
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.basis)
 
     def __eq__(self, other) -> bool:
         return (
@@ -342,28 +303,24 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def basis_columns(self) -> list[tuple[Fraction, ...]]:
-        return [self.basis.col(j) for j in range(self.dim)]
-
     # -- membership and coordinates --
 
     def reduce_mod(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Canonical coset representative of vec modulo this subspace.
 
-        Subtracts the unique combination of basis columns matching vec on the
+        Subtracts the unique combination of basis vectors matching vec on the
         pivot coordinates; the result vanishes there.  reduce_mod(v) == 0 iff
         v lies in the subspace.
         """
         v = [rat(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        for j, p in enumerate(self.pivots):
+        for b, p in zip(self.basis, self.pivots):
             c = v[p]
             if c:
-                col = self.basis.col(j)
-                for i, b in enumerate(col):
-                    if b:
-                        v[i] -= c * b
+                for i, x in enumerate(b):
+                    if x:
+                        v[i] -= c * x
         return tuple(v)
 
     def contains_vector(self, vec: Sequence) -> bool:
@@ -371,26 +328,22 @@ class Subspace:
 
     def coords_of(self, vec: Sequence) -> tuple[Fraction, ...] | None:
         """Coordinates of vec in the canonical basis, or None if outside."""
-        v = [rat(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong ambient dimension")
-        coords = tuple(v[p] for p in self.pivots)
-        if any(self.reduce_mod(v)):
+        if any(self.reduce_mod(vec)):
             return None
-        return coords
+        # basis vector j is the only one nonzero at its pivot
+        return tuple(rat(vec[p]) for p in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(
-            self.contains_vector(other.basis.col(j)) for j in range(other.dim)
-        )
+        return all(self.contains_vector(v) for v in other.basis)
 
     def constraint_matrix(self) -> RatMatrix:
         """A matrix Q with kernel exactly this subspace (rows span the annihilator)."""
         cached = self._constraints
         if cached is None:
-            cached = kernel(self.basis.transpose()).basis.transpose()
+            annihilator = kernel(RatMatrix(self.basis, cols=self.ambient_dim))
+            cached = RatMatrix(annihilator.basis, cols=self.ambient_dim)
             object.__setattr__(self, "_constraints", cached)
         return cached
 
@@ -408,7 +361,7 @@ def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
     echelon entry of f in that pivot's row.  Reversed reduction leaves such
     entries only for pivots to the right of f, so f is the vector's leading
     entry, and every other kernel vector vanishes there.  Taken in ascending
-    f, these vectors already are the canonical column-echelon basis, with
+    f, these vectors already are the canonical echelon basis, with
     the free columns as its pivots, and no second reduction is needed.
 
     The nonzero rows of the same echelon form, with the columns put back in
@@ -421,7 +374,7 @@ def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
     pivot_set = set(pivots)
     free = [f for f in range(cols) if f not in pivot_set]
     echelon = [r.row(i) for i in range(len(pivots))]
-    basis_cols = []
+    basis = []
     for f in free:
         v = [_ZERO] * cols
         v[f] = _ONE
@@ -430,8 +383,8 @@ def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
             coeff = row[rev_f]
             if coeff:
                 v[p] = -coeff
-        basis_cols.append(v)
-    space = Subspace(cols, RatMatrix.from_cols(basis_cols, rows=cols), tuple(free))
+        basis.append(tuple(v))
+    space = Subspace(cols, tuple(basis), tuple(free))
     return space, RatMatrix([row[::-1] for row in echelon], cols=cols)
 
 
@@ -442,7 +395,7 @@ def kernel(m: RatMatrix) -> Subspace:
 
 def image(m: RatMatrix) -> Subspace:
     """Column span of m as a canonical Subspace of Q^rows."""
-    return Subspace.from_spanning(m.rows, m)
+    return Subspace.from_spanning(m.rows, zip(*m._rows))
 
 
 @dataclass(frozen=True)
@@ -468,7 +421,7 @@ def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     bv = [rat(x) for x in b]
     if len(bv) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = RatMatrix.hstack([a, RatMatrix.column(bv)])
+    aug = RatMatrix([row + (x,) for row, x in zip(a._rows, bv)], cols=a.cols + 1)
     r, pivots = rref(aug)
     if pivots and pivots[-1] == a.cols:
         return None
@@ -484,7 +437,7 @@ def solve_affine(a: RatMatrix, b: Sequence) -> AffineSolution:
     witness = None
     if particular is None:
         bv = [rat(x) for x in b]
-        for y in kernel(a.transpose()).basis_columns():
+        for y in kernel(a.transpose()).basis:
             pairing = sum((yi * bi for yi, bi in zip(y, bv) if yi and bi), _ZERO)
             if pairing:
                 witness = y

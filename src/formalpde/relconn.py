@@ -73,7 +73,7 @@ def symbol_map(conn: RelConn) -> Tableau:
     if conn._symbol_map is None:
         g = conn.symbol
         rows = [[_ZERO] * g.dim for _ in range(conn.n * conn.coeff_dim)]
-        for c, vec in enumerate(g.basis_columns()):
+        for c, vec in enumerate(g.basis):
             for i, a in enumerate(conn.mats):
                 out = a.apply(vec)
                 for b, x in enumerate(out):
@@ -158,9 +158,9 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     n, sd = conn.n, conn.source_dim
     full_rows = RatMatrix.vstack([_partial_rows(conn), _symmetry_rows(conn)])
     fiber = kernel(full_rows)
-    proj = Subspace.from_spanning(sd, [col[:sd] for col in fiber.basis_columns()])
+    proj = Subspace.from_spanning(sd, [v[:sd] for v in fiber.basis])
     psi_block = RatMatrix(
-        [row[sd:] for row in full_rows.row_list()], cols=n * sd
+        [full_rows.row(r)[sd:] for r in range(full_rows.rows)], cols=n * sd
     )
     ker_part = kernel(psi_block)
     if fiber.dim != ker_part.dim + proj.dim:
@@ -168,10 +168,10 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D)
     g = conn.symbol
     etas = []
-    for col in ker_part.basis_columns():
+    for v in ker_part.basis:
         eta = [_ZERO] * (g.dim * n)
         for i in range(n):
-            coords = g.coords_of(col[i * sd : (i + 1) * sd])
+            coords = g.coords_of(v[i * sd : (i + 1) * sd])
             if coords is None:
                 raise InvariantViolation("kernel part leaves the symbol")
             for c, x in enumerate(coords):
@@ -192,16 +192,14 @@ def prolongation_connection(conn: RelConn) -> RelConn:
     """
     fiber = classical_prolongation_fiber(conn).subspace
     sd, n = conn.source_dim, conn.n
-    cols = fiber.basis_columns()
-    sigma_p = RatMatrix.from_cols([col[:sd] for col in cols], rows=sd)
-    mats = []
-    for i in range(n):
-        mats.append(
-            RatMatrix.from_cols(
-                [tuple(-x for x in col[(1 + i) * sd : (2 + i) * sd]) for col in cols],
-                rows=sd,
-            )
+    basis = fiber.basis
+    sigma_p = RatMatrix([[v[r] for v in basis] for r in range(sd)], cols=len(basis))
+    mats = [
+        RatMatrix(
+            [[-v[(1 + i) * sd + r] for v in basis] for r in range(sd)], cols=len(basis)
         )
+        for i in range(n)
+    ]
     return RelConn(sigma_p, mats)
 
 
@@ -284,7 +282,7 @@ def _lift_system(rows: RatMatrix, e: Sequence) -> tuple[RatMatrix, list[Fraction
     Fredholm witness indexes the given rows.
     """
     sd = len(e)
-    data = rows.row_list()
+    data = [rows.row(r) for r in range(rows.rows)]
     rhs = [-sum((x * y for x, y in zip(row[:sd], e) if x and y), _ZERO) for row in data]
     return RatMatrix([row[sd:] for row in data], cols=rows.cols - sd), rhs
 
@@ -332,7 +330,7 @@ def h01_dim(outer: RelConn, inner: RelConn) -> int:
     n = outer.n
     z = kernel(delta_partial_matrix(symbol_map(outer).partial_map, n, 1))
     vecs = []
-    for v in inner.symbol.basis_columns():
+    for v in inner.symbol.basis:
         eta = [_ZERO] * (n * p)
         for i in range(n):
             img = inner.mats[i].apply(v)

@@ -13,13 +13,13 @@ Hom-form convention delta(eta)(X, Y) = eta(X)(Y) - eta(Y)(X) differs from this
 one by a global sign in form degree 1; kernels, images and dimensions agree.)
 
 The contraction alpha_i x^(alpha - e_i) comes from `tensorspace`: the ambient
-differential is assembled column by column from `delta_apply_basis`, the
-restricted ones apply the rows of `iota_table` to basis vectors.
+differential is assembled from `delta_apply_basis`, the restricted ones apply
+the rows of `iota_table` to basis vectors; both write the rows of the matrix.
 
 Coordinates:
 * ambient matrices (`delta_matrix`) use TensorSpaceDesc flat indices
   (fiber slowest, exterior middle, symmetric fastest);
-* restricted matrices on Λ^m ⊗ W for a subspace W with w basis columns use
+* restricted matrices on Λ^m ⊗ W for a subspace W with w basis vectors use
   slot coordinates ext_rank * w + c (exterior slowest over the W basis).
 
 A `TableauChain` packages a prolongation tower W_0, W_1, ... (W_l inside
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import InvariantViolation
@@ -73,17 +72,15 @@ def delta_apply_basis(
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
 def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
     """Ambient Spencer differential Λ^j ⊗ S^k ⊗ F -> Λ^(j+1) ⊗ S^(k-1) ⊗ F."""
+    src = TensorSpaceDesc(n, j, k, f)
     tgt = TensorSpaceDesc(n, j + 1, k - 1, f)
-    cols: list[list[Fraction]] = []
-    for a, s, alpha in TensorSpaceDesc(n, j, k, f).basis():
-        col = [_ZERO] * tgt.dim
+    rows = [[_ZERO] * src.dim for _ in range(tgt.dim)]
+    for c, (a, s, alpha) in enumerate(src.basis()):
         for key, coeff in delta_apply_basis(n, j, k, a, s, alpha).items():
-            col[tgt.index_of(*key)] = coeff
-        cols.append(col)
-    return RatMatrix.from_cols(cols, rows=tgt.dim)
+            rows[tgt.index_of(*key)][c] = coeff
+    return RatMatrix(rows, cols=src.dim)
 
 
 # --------------------------- restricted differentials ---------------------------
@@ -92,9 +89,8 @@ def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
 def _slot_matrix(
     n: int,
     m: int,
-    src_cols: Sequence[tuple[Fraction, ...]],
+    src_vecs: Sequence[tuple[Fraction, ...]],
     act: Callable[[int, tuple[Fraction, ...]], Sequence[Fraction]],
-    tgt_fiber_dim: int,
     tgt_coords: Callable[[Sequence[Fraction]], tuple[Fraction, ...]],
     tgt_basis_dim: int,
 ) -> RatMatrix:
@@ -106,25 +102,24 @@ def _slot_matrix(
     ext-major on both sides.
     """
     src_ext = ext_indices(n, m)
-    tgt_ext_count = ext_dim(n, m + 1)
     w = tgt_basis_dim
-    nrows = tgt_ext_count * w
+    nsrc = len(src_vecs)
+    rows = [[_ZERO] * (len(src_ext) * nsrc) for _ in range(ext_dim(n, m + 1) * w)]
     acted: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
 
     def act_coords(c: int, i: int):
         key = (c, i)
         if key not in acted:
-            img = act(i, src_cols[c])
+            img = act(i, src_vecs[c])
             if not any(img):
                 acted[key] = None
             else:
                 acted[key] = tgt_coords(img)
         return acted[key]
 
-    cols: list[list[Fraction]] = []
-    for s in src_ext:
-        for c in range(len(src_cols)):
-            col = [_ZERO] * nrows
+    for e, s in enumerate(src_ext):
+        for c in range(nsrc):
+            col = e * nsrc + c
             for i in range(n):
                 ins = delta_insertion(s, i)
                 if ins is None:
@@ -134,16 +129,10 @@ def _slot_matrix(
                 if coords is None:
                     continue
                 base = ext_rank(n, merged) * w
-                if sign == 1:
-                    for r, x in enumerate(coords):
-                        if x:
-                            col[base + r] += x
-                else:
-                    for r, x in enumerate(coords):
-                        if x:
-                            col[base + r] -= x
-            cols.append(col)
-    return RatMatrix.from_cols(cols, rows=nrows)
+                for r, x in enumerate(coords):
+                    if x:
+                        rows[base + r][col] += sign * x
+    return RatMatrix(rows, cols=len(src_ext) * nsrc)
 
 
 def _partial_action(partial: RatMatrix, n: int):
@@ -187,8 +176,8 @@ def delta_restricted(
 
     table = iota_table(n, k, f)
     return _slot_matrix(
-        n, m, src.basis_columns(), lambda i, v: iota_apply(table[i], v, tgt.ambient_dim),
-        tgt.ambient_dim, coords, tgt.dim,
+        n, m, src.basis, lambda i, v: iota_apply(table[i], v, tgt.ambient_dim),
+        coords, tgt.dim,
     )
 
 
@@ -201,15 +190,9 @@ def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
     """
     if partial.rows % n != 0:
         raise ValueError("partial map rows must be a multiple of n")
-    g_dim = partial.cols
+    basis = Subspace.full(partial.cols).basis
     fb = partial.rows // n
-    basis = [
-        tuple(_ZERO if c != d else Fraction(1) for c in range(g_dim))
-        for d in range(g_dim)
-    ]
-    return _slot_matrix(
-        n, j, basis, _partial_action(partial, n), fb, lambda v: v, fb
-    )
+    return _slot_matrix(n, j, basis, _partial_action(partial, n), lambda v: v, fb)
 
 
 # --------------------------- chains and cohomology ---------------------------
@@ -261,15 +244,7 @@ class TableauChain:
                 self.n, self.fiber_dim, self.degree0 + l, m, src, self.levels[l - 1]
             )
         act = _partial_action(self.bottom_partial, self.n)
-        return _slot_matrix(
-            self.n,
-            m,
-            src.basis_columns(),
-            act,
-            self.bottom_dim,
-            lambda v: v,
-            self.bottom_dim,
-        )
+        return _slot_matrix(self.n, m, src.basis, act, lambda v: v, self.bottom_dim)
 
     def vanishing_level(self) -> int | None:
         """Smallest l with levels[l] = 0, if any (zero levels must persist)."""
@@ -362,9 +337,8 @@ def cohomology(
                 )
             entries[(l, m)] = HEntry(z.dim, b.dim, z.dim - b.dim)
             if representatives:
-                reduced = [b.reduce_mod(col) for col in z.basis_columns()]
-                span = Subspace.from_spanning(z.ambient_dim, reduced)
-                reps[(l, m)] = tuple(span.basis_columns())
+                reduced = [b.reduce_mod(v) for v in z.basis]
+                reps[(l, m)] = Subspace.from_spanning(z.ambient_dim, reduced).basis
     return CohomologyReport(
         n=chain.n,
         l_max=l_max,

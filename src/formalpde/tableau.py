@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
-from .spencer import TableauChain
+from .spencer import TableauChain, cohomology
 from .tensorspace import iota_apply, iota_table, sym_dim
 
 _ZERO = Fraction(0)
@@ -145,10 +145,11 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     return kernel(RatMatrix(rows, cols=target_dim))
 
 
-def _generalized_first_prolong(t: Tableau) -> Subspace:
+def _symmetry_equations(t: Tableau) -> RatMatrix:
+    """∂(eta_i)(e_j) = ∂(eta_j)(e_i) for i < j, as rows over eta (flat c*n + i)."""
     n, f, p = t.n, t.f, t.space.dim
     partial = t.partial_map
-    ambient = sym_dim(n, 1) * p  # eta flat index c*n + i
+    ambient = sym_dim(n, 1) * p
     rows: list[list[Fraction]] = []
     for b in range(f):
         for i in range(n):
@@ -163,16 +164,14 @@ def _generalized_first_prolong(t: Tableau) -> Subspace:
                     if co_i:
                         row[c * n + j] -= co_i
                 rows.append(row)
-    if not rows:
-        return Subspace.full(ambient)
-    return kernel(RatMatrix(rows, cols=ambient))
+    return RatMatrix(rows, cols=ambient)
 
 
 def prolong(t: Tableau) -> Subspace:
     """First prolongation; S^(degree+1) ⊗ F for classical, S^1 ⊗ R^p for generalized."""
     if t.classical:
         return _classical_prolong(t.n, t.f, t.degree, t.space)
-    return _generalized_first_prolong(t)
+    return kernel(_symmetry_equations(t))
 
 
 # --------------------------- towers ---------------------------
@@ -225,27 +224,11 @@ class TableauTower:
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
     # every contraction of every basis vector must land in the previous space
     for entries in iota_table(n, degree, f):
-        for col in level.basis_columns():
-            if not prev.contains_vector(iota_apply(entries, col, prev.ambient_dim)):
+        for v in level.basis:
+            if not prev.contains_vector(iota_apply(entries, v, prev.ambient_dim)):
                 raise InvariantViolation(
                     "tower level does not contract into its predecessor"
                 )
-
-
-def _verify_generalized_level_one(t: Tableau, level: Subspace):
-    partial, n, f, p = t.partial_map, t.n, t.f, t.space.dim
-    for col in level.basis_columns():
-        for b in range(f):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    s = _ZERO
-                    for c in range(p):
-                        s += partial[b * n + j, c] * col[c * n + i]
-                        s -= partial[b * n + i, c] * col[c * n + j]
-                    if s:
-                        raise InvariantViolation(
-                            "generalized first prolongation violates ∂-symmetry"
-                        )
 
 
 def tower(t: Tableau, depth: int) -> TableauTower:
@@ -259,12 +242,16 @@ def tower(t: Tableau, depth: int) -> TableauTower:
         if levels and levels[-1].dim == 0:
             levels.append(Subspace.zero(sym_dim(t.n, degree_i) * fiber))
             continue
-        if i == 1:
+        if i == 1 and t.classical:
             nxt = prolong(t)
-            if t.classical:
-                _verify_contracts_into(t.n, fiber, degree_i, nxt, t.space)
-            else:
-                _verify_generalized_level_one(t, nxt)
+            _verify_contracts_into(t.n, fiber, degree_i, nxt, t.space)
+        elif i == 1:
+            equations = _symmetry_equations(t)
+            nxt = kernel(equations)
+            if any(any(equations.apply(v)) for v in nxt.basis):
+                raise InvariantViolation(
+                    "generalized first prolongation violates ∂-symmetry"
+                )
         else:
             prev = levels[-1]
             nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
@@ -319,8 +306,6 @@ class StabilizationScan:
 
 
 def stabilization_scan(t: Tableau, l_max: int) -> StabilizationScan:
-    from .spencer import cohomology
-
     tw = tower(t, l_max + 1)
     report = cohomology(tw.chain(), l_max=l_max, m_max=max(t.n, 1))
     entries = {key: e.h_dim for key, e in report.entries.items()}

@@ -333,7 +333,7 @@ def test_criterion_07_cross_route_equivalence():
         assert pf.subspace.dim == f1.dim
         lo = jet_fiber_dim(s.n, s.m, s.k)
         jet_image_dim = Subspace.from_spanning(
-            lo, [col[:lo] for col in f1.basis_columns()]
+            lo, [col[:lo] for col in f1.basis]
         ).dim
         assert pf.projection_image.dim == jet_image_dim
     elapsed = time.monotonic() - started
@@ -372,7 +372,7 @@ def test_criterion_09_torsion_lift_independence():
         delta_image = image(
             delta_partial_matrix(symbol_map(conn).partial_map, n, 1)
         )
-        sym_basis = symbol_map(conn).space.basis_columns()
+        sym_basis = symbol_map(conn).space.basis
         for c in range(q):
             e = [Fraction(1) if t == c else Fraction(0) for t in range(q)]
             result = torsion_at(conn, e)

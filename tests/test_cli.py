@@ -2,7 +2,9 @@
 
 Plan:
  1. every corpus file parses to the expected system matrix
- 2. syntax errors carry line, column and the expected token
+ 2. syntax errors carry line, column and the expected token; numbers are
+    ASCII digits, and fuzzed text raises only PdeSyntaxError or
+    PdeSemanticError
  3. semantic errors carry stable codes
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
@@ -24,6 +26,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from formalpde.cli import (
     PdeSemanticError,
@@ -126,6 +129,36 @@ def test_syntax_error_positions():
     with pytest.raises(PdeSyntaxError) as info:
         parse_system(HEADER + "eq: u1 = 0  # trailing comment\n")
     assert "full-line comment" in info.value.message
+
+
+# only ASCII digits are numbers: '²' and '٢' pass str.isdigit()
+_FUZZ_CHARS = st.sampled_from("u_x0123/*+-= \t:eq#²٢") | st.characters()
+_FUZZ_LINES = st.text(_FUZZ_CHARS, max_size=24)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_FUZZ_LINES | _FUZZ_LINES.map(lambda t: "eq: " + t), max_size=4))
+@example(["eq: u1_x²"])
+@example(["eq: 2² u1 = 0"])
+def test_parser_raises_only_input_errors(lines):
+    # the headers are fixed and small, and a fuzzed header line can only be a
+    # duplicate: the fuzzed text reaches the parser and nothing else
+    try:
+        parse_system(HEADER + "\n".join(lines))
+    except (PdeSyntaxError, PdeSemanticError):
+        pass
+
+
+def test_non_ascii_digits_are_syntax_errors():
+    with pytest.raises(PdeSyntaxError) as info:
+        parse_system(HEADER + "eq: u1_x² = 0\n")
+    assert (info.value.line, info.value.col) == (4, 9)
+    assert "direction number" in info.value.message
+
+    with pytest.raises(PdeSyntaxError) as info:
+        parse_system("base_dim = ٢\nfiber_rank = 1\norder = 1\n")
+    assert (info.value.line, info.value.col) == (1, 1)
+    assert "header" in info.value.message
 
 
 # --------------------------- 3. semantic errors ---------------------------

@@ -269,7 +269,7 @@ def test_prolongation_keeps_original_equations():
     # truncated solutions of the prolonged system solve the original
     f1 = solution_fiber(p1)
     f0 = solution_fiber(s)
-    trunc = Subspace.from_spanning(lo, [col[:lo] for col in f1.basis_columns()])
+    trunc = Subspace.from_spanning(lo, [col[:lo] for col in f1.basis])
     assert f0.contains(trunc)
 
 
@@ -445,20 +445,21 @@ def test_prolongation_fiber_matches_connection():
         conn = pde_to_relconn(s)
         pf = classical_prolongation_fiber(conn)
         f1 = solution_fiber(formal_prolongation(s))
-        pts = [jet_to_prolongation_point(s, col) for col in f1.basis_columns()]
+        pts = [jet_to_prolongation_point(s, col) for col in f1.basis]
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
         assert mapped.dim == f1.dim  # the identification is injective
         assert mapped == pf.subspace
         # projection images agree after moving back to jet coordinates
         fiber = solution_fiber(s)
+        fiber_matrix = RatMatrix(fiber.basis, cols=fiber.ambient_dim).transpose()
         jet_img = Subspace.from_spanning(
             fiber.ambient_dim,
-            [fiber.basis.apply(col) for col in pf.projection_image.basis_columns()],
+            [fiber_matrix.apply(col) for col in pf.projection_image.basis],
         )
         lo = jet_fiber_dim(s.n, s.m, s.k)
-        tower_img = Subspace.from_spanning(lo, [c[:lo] for c in f1.basis_columns()])
+        tower_img = Subspace.from_spanning(lo, [c[:lo] for c in f1.basis])
         assert jet_img.dim == tower_img.dim
-        assert all(fiber.contains_vector(c) for c in jet_img.basis_columns())
+        assert all(fiber.contains_vector(c) for c in jet_img.basis)
 
 
 def test_prolongation_point_rejects_non_solutions():

@@ -8,7 +8,9 @@ Plan:
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
-    canonicalised again, bit for bit, and its row basis spans the row space.
+    canonicalised again, bit for bit, and its row basis spans the row space;
+    a spanned subspace's basis is the nonzero rows of the rref of its
+    spanning vectors.
 """
 
 from fractions import Fraction
@@ -105,12 +107,12 @@ def test_subspace_canonical_basis_is_order_independent():
     c = Subspace.from_spanning(3, [v1, [1, 3, 4], v2])  # redundant spanning set
     assert a == b == c
     assert a.basis == b.basis == c.basis
-    # column-echelon: pivot entries are 1, other basis columns vanish there
+    # echelon: pivot entries are 1, other basis vectors vanish there
     for j, p in enumerate(a.pivots):
-        assert a.basis[p, j] == 1
+        assert a.basis[j][p] == 1
         for l in range(a.dim):
             if l != j:
-                assert a.basis[p, l] == 0
+                assert a.basis[l][p] == 0
 
 
 def test_reduce_mod_and_coords():
@@ -119,13 +121,26 @@ def test_reduce_mod_and_coords():
     assert u.contains_vector(v)
     coords = u.coords_of(v)
     assert coords is not None
-    rebuilt = u.basis.apply(coords)
+    rebuilt = RatMatrix(u.basis).transpose().apply(coords)
     assert rebuilt == (F(2), F(3), F(5))
     w = [0, 0, 1]
     red = u.reduce_mod(w)
     assert any(red)
     assert u.reduce_mod(red) == red  # idempotent
     assert u.coords_of(w) is None
+
+
+def test_wrong_vector_lengths_raise():
+    u = Subspace.from_spanning(3, [[1, 0, 1]])
+    with pytest.raises(ValueError):
+        Subspace.from_spanning(3, [[1, 2]])
+    with pytest.raises(ValueError):
+        Subspace.from_spanning(3, [[1, 2, 3], [1, 2]])
+    for probe in (u.reduce_mod, u.contains_vector, u.coords_of):
+        with pytest.raises(ValueError):
+            probe([1, 0])
+    with pytest.raises(ValueError):
+        solve(RatMatrix([[1, 0]]), [1, 2])
 
 
 def test_constraint_matrix_cuts_out_the_subspace():
@@ -156,7 +171,7 @@ def matrices(max_rows=5, max_cols=5):
 def test_rank_nullity_and_kernel_annihilation(m):
     k = kernel(m)
     assert m.rank() + k.dim == m.cols
-    for col in k.basis_columns():
+    for col in k.basis:
         assert all(x == 0 for x in m.apply(col))
     assert image(m).dim == m.rank()
 
@@ -197,7 +212,8 @@ def test_single_elimination_kernel_is_bit_identical(m):
     k, rows = kernel_with_row_basis(m)
     ref = free_column_kernel(m)
     assert k.ambient_dim == ref.ambient_dim == m.cols
-    assert k.basis.shape == ref.basis.shape
+    assert len(k.basis) == len(ref.basis)
+    assert all(len(v) == m.cols for v in k.basis)
     assert k.basis == ref.basis
     assert k.pivots == ref.pivots
     assert kernel(m) == k and kernel(m).pivots == k.pivots
@@ -205,6 +221,23 @@ def test_single_elimination_kernel_is_bit_identical(m):
     assert rows.cols == m.cols and rows.rows == m.rank()
     assert rows.rank() == rows.rows
     assert image(rows.transpose()) == image(m.transpose())
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices_with_empty_shapes())
+def test_from_spanning_basis_is_the_nonzero_rref_rows(m):
+    vectors = [m.row(i) for i in range(m.rows)]
+    s = Subspace.from_spanning(m.cols, vectors)
+    r, pivots = rref(m)
+    nonzero = tuple(row for row in (r.row(i) for i in range(r.rows)) if any(row))
+    assert s.basis == nonzero and s.pivots == pivots
+    assert type(s.basis) is tuple
+    assert all(type(v) is tuple and all(type(x) is F for x in v) for v in s.basis)
+    # each basis vector is 1 at its own pivot and 0 at every other pivot
+    for j, p in enumerate(s.pivots):
+        for l, v in enumerate(s.basis):
+            assert v[p] == (1 if l == j else 0)
+    assert image(m) == Subspace.from_spanning(m.rows, [m.col(j) for j in range(m.cols)])
 
 
 def test_single_elimination_kernel_on_empty_shapes():

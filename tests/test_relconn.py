@@ -134,12 +134,12 @@ def test_prolongation_connection_is_compatible():
 def test_prolongation_connection_sign_is_forced():
     conn = flat_conn([[1, 1], [0, 1]], [[1, 2], [0, 1]])
     fiber = classical_prolongation_fiber(conn).subspace
-    cols = fiber.basis_columns()
-    sigma_p = RatMatrix.from_cols([c[:2] for c in cols], rows=2)
+    cols = fiber.basis
+    sigma_p = RatMatrix([c[:2] for c in cols], cols=2).transpose()
     wrong = RelConn(
         sigma_p,
         [
-            RatMatrix.from_cols([c[2 + i * 2 : 4 + i * 2] for c in cols], rows=2)
+            RatMatrix([c[2 + i * 2 : 4 + i * 2] for c in cols], cols=2).transpose()
             for i in range(2)
         ],
     )
@@ -173,7 +173,7 @@ def test_curvature_matches_section_level_oracle():
         fiber = partial_prolongation_fiber(conn)
         if fiber.dim == 0:
             continue
-        col = fiber.basis_columns()[rng.randrange(fiber.dim)]
+        col = fiber.basis[rng.randrange(fiber.dim)]
         sd = conn.source_dim
         e = sympy.Matrix([sympy.Rational(x) for x in col[:sd]])
         psis = [
@@ -205,14 +205,14 @@ def test_class_is_lift_independent():
         if conn.symbol.dim == 0:
             continue
         fiber = partial_prolongation_fiber(conn)
-        cols = fiber.basis_columns()
+        cols = fiber.basis
         sd = conn.source_dim
         # find two lifts over the same base point by adding a kernel direction
         base = cols[0]
         e = base[:sd]
         psi1 = list(base[sd:])
         g = conn.symbol
-        shift = g.basis_columns()[0]
+        shift = g.basis[0]
         psi2 = list(psi1)
         for c in range(sd):
             psi2[c] += shift[c]  # shift psi_1 by a symbol vector

@@ -107,7 +107,7 @@ def test_delta_partial_with_inclusion_equals_restricted():
     g = cr_tableau_space()
     # ∂ = the inclusion g -> S^1 ⊗ F read as Hom(E, F) with rows b*n + i;
     # the subspace ambient flat (a*n + i) is already that row convention.
-    incl = g.basis
+    incl = RatMatrix(g.basis).transpose()
     left = delta_partial_matrix(incl, 2, 1)
     right = delta_restricted(2, 2, 1, 1, g, Subspace.full(2))
     assert left == right

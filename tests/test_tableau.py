@@ -150,7 +150,7 @@ def test_generalized_prolongation_transport_along_injective_partial():
         # polarization row b*n + i reads coordinate b of iota_i xi
         pol = polarization_matrix(n, 2, f)
         transported = []
-        for eta in g1.basis_columns():
+        for eta in g1.basis:
             images = [partial.apply([eta[c * n + i] for c in range(p)]) for i in range(n)]
             targets = [images[i][b] for b in range(n * f) for i in range(n)]
             xi = solve(pol, targets)
