@@ -89,6 +89,16 @@ _HEADER_NAMES = ("base_dim", "fiber_rank", "order")
 _DIGITS = frozenset("0123456789")  # str.isdigit() also accepts '²' and '٢'
 
 
+def _int_literal(line_no: int, col: int, digits: str) -> int:
+    """int(digits), as a PdeSyntaxError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PdeSyntaxError(
+            line_no, col, f"integer literal of {len(digits)} digits is too long"
+        ) from None
+
+
 class _TermScanner:
     """Hand scanner for the right-hand side of an 'eq:' line."""
 
@@ -117,7 +127,7 @@ class _TermScanner:
             self.pos += 1
         if self.pos == start:
             self.fail(expected)
-        return int(self.text[start : self.pos])
+        return _int_literal(self.line_no, self.offset + start, self.text[start : self.pos])
 
     def take_rational(self) -> Fraction:
         num = self.take_int("an unsigned integer")
@@ -236,7 +246,8 @@ def parse_system(text: str) -> PdeSystem:
             )
         match = _HEADER_RE.match(raw)
         if match:
-            name, value = match.group(1), int(match.group(2))
+            name = match.group(1)
+            value = _int_literal(line_no, match.start(2) + 1, match.group(2))
             if equations:
                 raise PdeSemanticError(
                     line_no, "header-after-equation",

@@ -42,7 +42,7 @@ from typing import Sequence
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
 from .relconn import RelConn, classical_prolongation_fiber
-from .spencer import cohomology
+from .spencer import cohomology, is_r_acyclic
 from .tableau import Tableau, TableauTower, TypeVerdict, classify_type, tower
 from .tensorspace import multi_indices, raise_sym, sym_dim, sym_rank
 
@@ -308,26 +308,17 @@ def _goldschmidt(system: PdeSystem, l_max: int, tw: TableauTower) -> Integrabili
         return replace(
             tower_report, certification_basis=f"goldschmidt({l_max})", cohomology=hdims
         )
-    bad = next(
-        ((l, mm) for (l, mm) in sorted(hdims) if mm == 2 and hdims[(l, mm)]), None
-    )
-    if bad is not None:
-        return replace(
-            tower_report,
-            verdict="inconclusive",
-            verdict_level=bad[0],
-            certification_basis=f"goldschmidt({l_max})",
-            cohomology=hdims,
-        )
-    if report.vanishing_level is not None:
+    acyclic = is_r_acyclic(report, 2)
+    if not acyclic.acyclic:
+        verdict, level, basis = "inconclusive", acyclic.failure[0], f"goldschmidt({l_max})"
+    elif acyclic.unconditional:
         # the vanishing symbol makes 2-acyclicity unconditional, so the
         # certification names the finite-type route that closed the argument
-        verdict = "formally-integrable-certified"
-        basis = f"finite-type({report.vanishing_level})"
         level = report.vanishing_level
+        verdict, basis = "formally-integrable-certified", f"finite-type({level})"
     else:
-        verdict, basis = "integrable-up-to", f"goldschmidt-up-to-evidence({l_max})"
-        level = l_max
+        verdict, level = "integrable-up-to", l_max
+        basis = f"goldschmidt-up-to-evidence({l_max})"
     return replace(
         tower_report,
         verdict=verdict,

@@ -13,27 +13,28 @@ Hom-form convention delta(eta)(X, Y) = eta(X)(Y) - eta(Y)(X) differs from this
 one by a global sign in form degree 1; kernels, images and dimensions agree.)
 
 The contraction alpha_i x^(alpha - e_i) comes from `tensorspace`: the ambient
-differential is assembled from `delta_apply_basis`, the restricted ones apply
-the rows of `iota_table` to basis vectors; both write the rows of the matrix.
+differential is assembled from `delta_apply_basis`.  Every restricted
+differential is assembled once, by `_slot_matrix`, from a degree-lowering map
+∂ : V -> Hom(E, W) given in basis coordinates (rows b*n + i, one column per
+V basis vector); delta(omega ⊗ v) = (-1)^|omega| omega ∧ ∂(v).
 
 Coordinates:
 * ambient matrices (`delta_matrix`) use TensorSpaceDesc flat indices
   (fiber slowest, exterior middle, symmetric fastest);
-* restricted matrices on Λ^m ⊗ W for a subspace W with w basis vectors use
+* restricted matrices on Λ^m ⊗ W for a space W with w basis vectors use
   slot coordinates ext_rank * w + c (exterior slowest over the W basis).
 
-A `TableauChain` packages a prolongation tower W_0, W_1, ... (W_l inside
-S^(degree0+l) ⊗ Φ) together with the space one step below W_0 and the
-degree-lowering map into it, so one cohomology routine serves both classical
-towers (bottom = full S^(degree0-1) ⊗ Φ, map = polarization) and generalized
-ones (bottom = an abstract coefficient space, map = the tableau's ∂).
+A `TableauChain` is its levels W_0, W_1, ... plus one ∂ per level:
+partials[l] maps level l into level l-1, and partials[0] maps W_0 into the
+space one step below it (the full S^(d-1) ⊗ F under ι for a classical
+tableau, the tableau's own ∂ for a generalized one).  So one cohomology
+routine serves both, and the map out of every slot is the one assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, image, kernel
@@ -44,9 +45,6 @@ from .tensorspace import (
     ext_dim,
     ext_indices,
     ext_rank,
-    iota_apply,
-    iota_table,
-    sym_dim,
 )
 
 _ZERO = Fraction(0)
@@ -86,113 +84,40 @@ def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
 # --------------------------- restricted differentials ---------------------------
 
 
-def _slot_matrix(
-    n: int,
-    m: int,
-    src_vecs: Sequence[tuple[Fraction, ...]],
-    act: Callable[[int, tuple[Fraction, ...]], Sequence[Fraction]],
-    tgt_coords: Callable[[Sequence[Fraction]], tuple[Fraction, ...]],
-    tgt_basis_dim: int,
-) -> RatMatrix:
-    """Generic insertion-sign slot matrix Λ^m ⊗ V -> Λ^(m+1) ⊗ W.
+def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
+    """Slot map Λ^m ⊗ V -> Λ^(m+1) ⊗ W of ∂ : V -> Hom(E, W), rows b*n + i.
 
-    act(i, v) applies the direction-i degree-lowering action to a V basis
-    vector, in W's ambient fiber coordinates; tgt_coords converts that to
-    coordinates in W's basis (identity for full W).  Slot coordinates are
-    ext-major on both sides.
+    Column e * dim V + c is e_S ⊗ v_c; each direction i not in S sends it to
+    the insertion sign times e_(S ∪ i) ⊗ ∂(v_c)(e_i).
     """
     src_ext = ext_indices(n, m)
-    w = tgt_basis_dim
-    nsrc = len(src_vecs)
+    nsrc = partial.cols
+    w = partial.rows // n if n else 0
+    prows = [partial.row(r) for r in range(partial.rows)]
     rows = [[_ZERO] * (len(src_ext) * nsrc) for _ in range(ext_dim(n, m + 1) * w)]
-    acted: dict[tuple[int, int], tuple[Fraction, ...] | None] = {}
-
-    def act_coords(c: int, i: int):
-        key = (c, i)
-        if key not in acted:
-            img = act(i, src_vecs[c])
-            if not any(img):
-                acted[key] = None
-            else:
-                acted[key] = tgt_coords(img)
-        return acted[key]
-
     for e, s in enumerate(src_ext):
-        for c in range(nsrc):
-            col = e * nsrc + c
-            for i in range(n):
-                ins = delta_insertion(s, i)
-                if ins is None:
-                    continue
-                sign, merged = ins
-                coords = act_coords(c, i)
-                if coords is None:
-                    continue
-                base = ext_rank(n, merged) * w
-                for r, x in enumerate(coords):
-                    if x:
-                        rows[base + r][col] += sign * x
-    return RatMatrix(rows, cols=len(src_ext) * nsrc)
-
-
-def _partial_action(partial: RatMatrix, n: int):
-    """Direction-wise application of a Hom(E, F_b)-valued map, rows b*n + i."""
-    fb = partial.rows // n
-
-    def act(i: int, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        out = [_ZERO] * fb
-        for c, x in enumerate(v):
-            if not x:
+        for i in range(n):
+            ins = delta_insertion(s, i)
+            if ins is None:
                 continue
-            for b in range(fb):
-                coeff = partial[b * n + i, c]
-                if coeff:
-                    out[b] += coeff * x
-        return tuple(out)
-
-    return act
-
-
-def delta_restricted(
-    n: int, f: int, k: int, m: int, src: Subspace, tgt: Subspace
-) -> RatMatrix:
-    """Spencer differential Λ^m ⊗ src -> Λ^(m+1) ⊗ tgt in slot coordinates.
-
-    src must sit in S^k ⊗ F and tgt in S^(k-1) ⊗ F; raises ValueError when the
-    image of some basis element escapes tgt (the chain is then inconsistent).
-    """
-    if src.ambient_dim != sym_dim(n, k) * f:
-        raise ValueError("src does not sit in S^k ⊗ F")
-    if tgt.ambient_dim != sym_dim(n, k - 1) * f:
-        raise ValueError("tgt does not sit in S^(k-1) ⊗ F")
-
-    def coords(vec):
-        c = tgt.coords_of(vec)
-        if c is None:
-            raise ValueError(
-                "image of the restricted differential escapes the target level"
-            )
-        return c
-
-    table = iota_table(n, k, f)
-    return _slot_matrix(
-        n, m, src.basis, lambda i, v: iota_apply(table[i], v, tgt.ambient_dim),
-        coords, tgt.dim,
-    )
+            sign, merged = ins
+            base = ext_rank(n, merged) * w
+            for b in range(w):
+                out = rows[base + b]
+                for c, x in enumerate(prows[b * n + i]):
+                    if x:
+                        out[e * nsrc + c] += sign * x
+    return RatMatrix(rows, cols=len(src_ext) * nsrc)
 
 
 def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
     """delta_∂: Λ^j ⊗ R^G -> Λ^(j+1) ⊗ F_b built from a degree-lowering map ∂.
 
-    ∂ is given as a matrix R^G -> Hom(E, R^(F_b)) with row convention b*n + i;
-    the slot map is delta_∂(omega ⊗ v) = (-1)^|omega| omega ∧ ∂(v), assembled
-    with the same insertion signs as the symmetric case.
+    ∂ is given as a matrix R^G -> Hom(E, R^(F_b)) with row convention b*n + i.
     """
     if partial.rows % n != 0:
         raise ValueError("partial map rows must be a multiple of n")
-    basis = Subspace.full(partial.cols).basis
-    fb = partial.rows // n
-    return _slot_matrix(n, j, basis, _partial_action(partial, n), lambda v: v, fb)
+    return _slot_matrix(n, j, partial)
 
 
 # --------------------------- chains and cohomology ---------------------------
@@ -200,37 +125,28 @@ def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
 
 @dataclass(frozen=True)
 class TableauChain:
-    """A prolongation tower with its one-step-below space and map.
+    """Levels W_0, W_1, ... with one degree-lowering map per level.
 
-    levels[l] is a subspace of S^(degree0 + l) ⊗ Φ (Φ of dimension fiber_dim);
-    bottom_partial maps the full level-0 ambient into Hom(E, R^bottom_dim)
-    with row convention b*n + i.  Level -1 means the full bottom space.
+    partials[l] is ∂ on level l in basis coordinates: rows b*n + i over the
+    basis of level l-1 (for l = 0, of the space one step below W_0), one
+    column per basis vector of level l.
     """
 
     n: int
-    fiber_dim: int
-    degree0: int
     levels: tuple[Subspace, ...]
-    bottom_dim: int
-    bottom_partial: RatMatrix
+    partials: tuple[RatMatrix, ...]
 
     def __post_init__(self):
-        for l, lev in enumerate(self.levels):
-            want = sym_dim(self.n, self.degree0 + l) * self.fiber_dim
-            if lev.ambient_dim != want:
-                raise ValueError(f"level {l} has ambient {lev.ambient_dim}, want {want}")
-        if self.n and self.bottom_partial.rows != self.n * self.bottom_dim:
-            raise ValueError("bottom_partial rows must equal n * bottom_dim")
-        if self.bottom_partial.cols != sym_dim(self.n, self.degree0) * self.fiber_dim:
-            raise ValueError("bottom_partial must consume the level-0 ambient")
-
-    def level_dim(self, l: int) -> int:
-        if l == -1:
-            return self.bottom_dim
-        return self.levels[l].dim
+        if len(self.partials) != len(self.levels):
+            raise ValueError("need one partial map per level")
+        for l, (lev, partial) in enumerate(zip(self.levels, self.partials)):
+            if partial.cols != lev.dim:
+                raise ValueError(f"partial map {l} must consume the level-{l} basis")
+            if l and partial.rows != self.n * self.levels[l - 1].dim:
+                raise ValueError(f"partial map {l} must land in level {l - 1}")
 
     def slot_dim(self, l: int, m: int) -> int:
-        return ext_dim(self.n, m) * self.level_dim(l)
+        return ext_dim(self.n, m) * self.levels[l].dim
 
     def map_out(self, l: int, m: int) -> RatMatrix:
         """The differential leaving slot (l, m), into slot (l-1, m+1)."""
@@ -238,13 +154,7 @@ class TableauChain:
             raise ValueError("no outgoing map below the bottom")
         if l >= len(self.levels):
             raise ValueError("chain too short: level not present")
-        src = self.levels[l]
-        if l >= 1:
-            return delta_restricted(
-                self.n, self.fiber_dim, self.degree0 + l, m, src, self.levels[l - 1]
-            )
-        act = _partial_action(self.bottom_partial, self.n)
-        return _slot_matrix(self.n, m, src.basis, act, lambda v: v, self.bottom_dim)
+        return _slot_matrix(self.n, m, self.partials[l])
 
     def vanishing_level(self) -> int | None:
         """Smallest l with levels[l] = 0, if any (zero levels must persist)."""
@@ -370,30 +280,3 @@ def is_r_acyclic(report: CohomologyReport, r: int) -> AcyclicityVerdict:
         r=r, acyclic=True, unconditional=unconditional, bound=report.l_max, failure=None
     )
 
-
-def euler_check(chain: TableauChain, i: int) -> tuple[int, int]:
-    """Both sides of the Euler identity on the weight-i anti-diagonal complex.
-
-    The complex is W_i -> Λ^1 ⊗ W_(i-1) -> ... truncated at exterior degree n
-    or at the bottom space; returns (alternating sum of slot dims, alternating
-    sum of cohomology dims of the truncated complex).  The two agree for any
-    finite complex; a mismatch means the slot maps are inconsistent.
-    """
-    if i < 0 or i >= len(chain.levels):
-        raise ValueError("anti-diagonal weight outside the chain")
-    jmax = min(chain.n, i + 1)
-    slots = [(i - j, j) for j in range(jmax + 1)]
-    dims = [chain.slot_dim(l, m) for l, m in slots]
-    ranks = []
-    for idx, (l, m) in enumerate(slots):
-        if idx == len(slots) - 1 or dims[idx] == 0:
-            ranks.append(0)
-        else:
-            ranks.append(chain.map_out(l, m).rank())
-    lhs = sum((-1) ** j * d for j, d in enumerate(dims))
-    rhs = 0
-    for j, d in enumerate(dims):
-        z = d - ranks[j]
-        b = ranks[j - 1] if j > 0 else 0
-        rhs += (-1) ** j * (z - b)
-    return lhs, rhs

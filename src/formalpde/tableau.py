@@ -17,15 +17,17 @@ and higher prolongations are classical prolongations of g^(1)(∂), so ∂ is
 consumed exactly once, at level 1.
 
 Towers re-verify, level by level, that each computed space really contracts
-into the previous one; a vanished level makes all later ones zero by
-construction (monotone vanishing is structural, not re-derived).
+into the previous one, and keep the coordinates of those contractions: they
+are the level's degree-lowering map ∂ in basis coordinates, the one encoding
+from which `TableauTower.chain` feeds every Spencer differential.  A vanished
+level makes all later ones zero by construction (monotone vanishing is
+structural, not re-derived).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
@@ -33,21 +35,6 @@ from .spencer import TableauChain, cohomology
 from .tensorspace import iota_apply, iota_table, sym_dim
 
 _ZERO = Fraction(0)
-
-
-# --------------------------- polarization ---------------------------
-
-
-@lru_cache(maxsize=None)
-def polarization_matrix(n: int, degree: int, f: int) -> RatMatrix:
-    """Total contraction S^degree ⊗ F -> Hom(E, S^(degree-1) ⊗ F), rows b*n + i."""
-    cols = sym_dim(n, degree) * f
-    rows = [[_ZERO] * cols for _ in range(n * sym_dim(n, degree - 1) * f)]
-    for i, entries in enumerate(iota_table(n, degree, f)):
-        for c, hit in enumerate(entries):
-            if hit is not None:
-                rows[hit[0] * n + i][c] = hit[1]
-    return RatMatrix(rows, cols=cols)
 
 
 # --------------------------- the tableau type ---------------------------
@@ -179,15 +166,18 @@ def prolong(t: Tableau) -> Subspace:
 
 @dataclass(frozen=True)
 class TableauTower:
-    """Levels g^(1) .. g^(depth) over a base tableau.
+    """Levels g^(1) .. g^(depth) over a base tableau, each with its ∂.
 
     For a classical base, level i sits in S^(degree+i) ⊗ F.  For a generalized
     base, levels sit in S^i ⊗ R^p over the canonical basis of the carrier
-    (p = base.dim), and level 1 consumed ∂.
+    (p = base.dim), and level 1 consumed ∂.  contractions[i-1] is ∂ on level
+    i: ι of its basis vectors in the basis of level i-1 (g, or R^p for a
+    generalized base), as plain rows b*n + i.
     """
 
     base: Tableau
     levels: tuple[Subspace, ...]
+    contractions: tuple[tuple[tuple[Fraction, ...], ...], ...]
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -196,39 +186,46 @@ class TableauTower:
     def chain(self) -> TableauChain:
         """The tower as a chain ready for cohomology.
 
-        Classical: levels are g = g^(0), g^(1), ..., the bottom is the full
-        S^(degree-1) ⊗ F and the bottom map is polarization.  Generalized:
-        level 0 is the full carrier-coordinate space R^p, the bottom is F and
-        the bottom map is ∂ itself.
+        Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F.
+        Generalized: level 0 is the full carrier-coordinate space R^p, and its
+        ∂ is the tableau's own.
         """
         t = self.base
         if t.classical:
-            return TableauChain(
-                n=t.n,
-                fiber_dim=t.f,
-                degree0=t.degree,
-                levels=(t.space,) + self.levels,
-                bottom_dim=sym_dim(t.n, t.degree - 1) * t.f,
-                bottom_partial=polarization_matrix(t.n, t.degree, t.f),
-            )
+            level0 = t.space
+            bottom = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)
+            rows0 = _verify_contracts_into(t.n, t.f, t.degree, t.space, bottom)
+            partial0 = RatMatrix(rows0, cols=t.dim)
+        else:
+            level0, partial0 = Subspace.full(t.dim), t.partial_map
+        partials = tuple(
+            RatMatrix(rows, cols=level.dim)
+            for rows, level in zip(self.contractions, self.levels)
+        )
         return TableauChain(
-            n=t.n,
-            fiber_dim=t.dim,
-            degree0=0,
-            levels=(Subspace.full(t.dim),) + self.levels,
-            bottom_dim=t.f,
-            bottom_partial=t.partial_map,
+            n=t.n, levels=(level0,) + self.levels, partials=(partial0,) + partials
         )
 
 
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
-    # every contraction of every basis vector must land in the previous space
-    for entries in iota_table(n, degree, f):
+    """ι of every basis vector of level in prev's basis, rows b*n + i.
+
+    Raises InvariantViolation when a contraction escapes prev.
+    """
+    rows = [()] * (n * prev.dim)
+    for i, entries in enumerate(iota_table(n, degree, f)):
+        images = []
         for v in level.basis:
-            if not prev.contains_vector(iota_apply(entries, v, prev.ambient_dim)):
+            img = iota_apply(entries, v, prev.ambient_dim)
+            if not prev.contains_vector(img):
                 raise InvariantViolation(
                     "tower level does not contract into its predecessor"
                 )
+            # prev's basis vector j is the only one nonzero at its pivot
+            images.append(list(map(img.__getitem__, prev.pivots)))
+        for b, row in enumerate(zip(*images)):
+            rows[b * n + i] = row
+    return tuple(rows)
 
 
 def tower(t: Tableau, depth: int) -> TableauTower:
@@ -236,28 +233,30 @@ def tower(t: Tableau, depth: int) -> TableauTower:
     if depth < 1:
         raise ValueError("tower needs depth >= 1")
     levels: list[Subspace] = []
+    contractions = []
     fiber = t.f if t.classical else t.dim
+    prev = t.space if t.classical else Subspace.full(fiber)
     for i in range(1, depth + 1):
         degree_i = (t.degree + i) if t.classical else i
-        if levels and levels[-1].dim == 0:
-            levels.append(Subspace.zero(sym_dim(t.n, degree_i) * fiber))
-            continue
-        if i == 1 and t.classical:
-            nxt = prolong(t)
-            _verify_contracts_into(t.n, fiber, degree_i, nxt, t.space)
-        elif i == 1:
-            equations = _symmetry_equations(t)
-            nxt = kernel(equations)
-            if any(any(equations.apply(v)) for v in nxt.basis):
-                raise InvariantViolation(
-                    "generalized first prolongation violates ∂-symmetry"
-                )
+        if prev.dim == 0:
+            nxt = Subspace.zero(sym_dim(t.n, degree_i) * fiber)
+            contractions.append(())
         else:
-            prev = levels[-1]
-            nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
-            _verify_contracts_into(t.n, fiber, degree_i, nxt, prev)
+            if i > 1:
+                nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
+            elif t.classical:
+                nxt = prolong(t)
+            else:
+                equations = _symmetry_equations(t)
+                nxt = kernel(equations)
+                if any(any(equations.apply(v)) for v in nxt.basis):
+                    raise InvariantViolation(
+                        "generalized first prolongation violates ∂-symmetry"
+                    )
+            contractions.append(_verify_contracts_into(t.n, fiber, degree_i, nxt, prev))
         levels.append(nxt)
-    return TableauTower(base=t, levels=tuple(levels))
+        prev = nxt
+    return TableauTower(base=t, levels=tuple(levels), contractions=tuple(contractions))
 
 
 # --------------------------- classification ---------------------------

@@ -3,8 +3,8 @@
 Plan:
  1. every corpus file parses to the expected system matrix
  2. syntax errors carry line, column and the expected token; numbers are
-    ASCII digits, and fuzzed text raises only PdeSyntaxError or
-    PdeSemanticError
+    ASCII digits, an over-long literal is a syntax error at its column, and
+    fuzzed text raises only PdeSyntaxError or PdeSemanticError
  3. semantic errors carry stable codes
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
@@ -159,6 +159,29 @@ def test_non_ascii_digits_are_syntax_errors():
         parse_system("base_dim = ٢\nfiber_rank = 1\norder = 1\n")
     assert (info.value.line, info.value.col) == (1, 1)
     assert "header" in info.value.message
+
+
+_LONG = "7" * 5000  # past int()'s default limit of 4,300 digits
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        (HEADER + f"eq: {_LONG} u1 = 0\n", 4, 5),  # coefficient
+        (HEADER + f"eq: 2/{_LONG} u1 = 0\n", 4, 7),  # denominator
+        (HEADER + f"eq: u{_LONG} = 0\n", 4, 6),  # component
+        (HEADER + f"eq: u1_x{_LONG} = 0\n", 4, 9),  # direction
+        (f"base_dim = {_LONG}\nfiber_rank = 1\norder = 1\n", 1, 12),  # header
+    ],
+)
+def test_overlong_integer_literals_are_syntax_errors(text, line, col, tmp_path, capsys):
+    with pytest.raises(PdeSyntaxError) as info:
+        parse_system(text)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert "5000 digits" in info.value.message
+    path = write_pde(tmp_path, text)
+    assert main(["symbol", path]) == 1
+    assert capsys.readouterr().err == f"{path}: {info.value}\n"
 
 
 # --------------------------- 3. semantic errors ---------------------------

@@ -3,7 +3,7 @@
 Plan:
  1) hand-checked row reductions, kernels, images, affine solves;
  2) canonical Subspace semantics (order-independent bases, membership,
-    reduce_mod, constraint matrices);
+    reduce_mod, constraint matrices); floats are refused;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
@@ -141,6 +141,17 @@ def test_wrong_vector_lengths_raise():
             probe([1, 0])
     with pytest.raises(ValueError):
         solve(RatMatrix([[1, 0]]), [1, 2])
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, float("nan")])
+def test_floats_are_refused(x):
+    # exactness is a contract: a float is never rounded into a Fraction
+    with pytest.raises(ValueError, match="not an exact rational"):
+        RatMatrix([[1, x]])
+    with pytest.raises(ValueError, match="not an exact rational"):
+        RatMatrix([[1, 2]]).apply([1, x])
+    with pytest.raises(ValueError, match="not an exact rational"):
+        Subspace.from_spanning(2, [[1, 0], [x, 1]])
 
 
 def test_constraint_matrix_cuts_out_the_subspace():

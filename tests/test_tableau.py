@@ -22,7 +22,6 @@ from formalpde.spencer import cohomology
 from formalpde.tableau import (
     Tableau,
     classify_type,
-    polarization_matrix,
     prolong,
     stabilization_scan,
     tower,
@@ -130,6 +129,11 @@ def test_tower_rejects_depth_zero():
 # --------------------------- 3) generalized tableaux ---------------------------
 
 
+def polarization(n, degree, f):
+    """ι on the full S^degree ⊗ F: the level-0 ∂ of its chain, rows b*n + i."""
+    return tower(Tableau.full(n, f, degree), 1).chain().partials[0]
+
+
 def random_injective_partial(rng, n, f, p):
     while True:
         m = RatMatrix([[rng.randint(-2, 2) for _ in range(p)] for _ in range(n * f)])
@@ -148,7 +152,7 @@ def test_generalized_prolongation_transport_along_injective_partial():
         w1 = prolong(Tableau(n=n, f=f, space=w))
         # transport: eta -> the unique xi in S^2 ⊗ F with iota_i xi = ∂(eta_i);
         # polarization row b*n + i reads coordinate b of iota_i xi
-        pol = polarization_matrix(n, 2, f)
+        pol = polarization(n, 2, f)
         transported = []
         for eta in g1.basis:
             images = [partial.apply([eta[c * n + i] for c in range(p)]) for i in range(n)]
@@ -174,7 +178,9 @@ def test_generalized_tower_and_chain():
     gen = Tableau.generalized(2, 2, Subspace.full(3), partial)
     tw = tower(gen, 3)
     chain = tw.chain()
-    assert chain.degree0 == 0 and chain.fiber_dim == 3 and chain.bottom_dim == 2
+    # level 0 is the full carrier R^3, and its ∂ lands in F = R^2
+    assert chain.levels[0] == Subspace.full(3) and chain.partials[0] == partial
+    assert chain.partials[0].rows == 2 * 2
     report = cohomology(chain, l_max=1, m_max=2)
     for (l, m), e in report.entries.items():
         assert e.h_dim >= 0
@@ -220,7 +226,7 @@ def test_degenerate_towers_are_zero_not_errors():
 
 
 def test_polarization_matrix_degree_one_is_reindexed_identity():
-    p = polarization_matrix(2, 1, 3)
+    p = polarization(2, 1, 3)
     assert p.shape == (6, 6) and p.rank() == 6
     for a in range(3):
         for i in range(2):
