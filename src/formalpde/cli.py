@@ -639,10 +639,7 @@ def main(argv=None) -> int:
     except (PdeSyntaxError, PdeSemanticError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

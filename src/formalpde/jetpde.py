@@ -8,8 +8,11 @@ S^d ⊗ R^m layout of tensorspace, and truncation to a lower order is a prefix
 projection.
 
 Formal prolongation appends, for every equation and every direction, the
-equation with all derivative indices shifted by that direction; the original
-rows are kept, so fibers of repeated prolongations truncate into each other.
+equation with all derivative indices shifted by that direction, read off one
+cached shift table; the original rows are kept, so fibers of repeated
+prolongations truncate into each other.  The symbol of a system is the part
+of its solution fiber vanishing below the top order, read off the fiber's
+canonical basis rather than eliminated again.
 
 Each analysis builds the tableau tower of the base symbol once, at the
 largest depth it needs, and walks the jet prolongation once.  Per level the
@@ -83,6 +86,15 @@ def jet_coords(n: int, m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _jet_shift(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """shift[i][c]: the order-(k+1) index of order-k coordinate c raised by x_i."""
+    return tuple(
+        tuple(jet_index(n, m, k + 1, a, raise_sym(alpha, i)) for a, alpha in jet_coords(n, m, k))
+        for i in range(n)
+    )
+
+
 # --------------------------- systems ---------------------------
 
 
@@ -126,39 +138,26 @@ def solution_fiber(system: PdeSystem) -> Subspace:
 
 @lru_cache(maxsize=None)
 def symbol_tableau(system: PdeSystem) -> Tableau:
-    """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m."""
-    return _symbol(system)
-
-
-def _symbol(system: PdeSystem) -> Tableau:
-    n, m, k = system.n, system.m, system.k
-    lo = _jet_offsets(n, m, k)[k]
-    top_dim = sym_dim(n, k) * m
-    rows = [system.equations.row(r)[lo:] for r in range(system.equations.rows)]
-    space = kernel(RatMatrix(rows, cols=top_dim))
-    return Tableau(n=n, f=m, space=space, degree=k)
+    """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m:
+    the solution jets vanishing below order k."""
+    space = solution_fiber(system).tail(jet_fiber_dim(system.n, system.m, system.k - 1))
+    return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
     """The order-(k+1) system: original rows kept, plus every shifted row."""
     n, m, k = system.n, system.m, system.k
     width = jet_fiber_dim(n, m, k + 1)
-    coords = jet_coords(n, m, k)
-    rows: list[list[Fraction]] = []
-    sparse_rows = []
-    for r in range(system.equations.rows):
-        row = system.equations.row(r)
-        terms = [(coords[c], x) for c, x in enumerate(row) if x]
-        sparse_rows.append(terms)
-        out = [_ZERO] * width
-        for (a, alpha), x in terms:
-            out[jet_index(n, m, k + 1, a, alpha)] += x
-        rows.append(out)
-    for terms in sparse_rows:
-        for i in range(n):
+    eqs = [system.equations.row(r) for r in range(system.equations.rows)]
+    # order-k coordinates are a prefix of the order-(k+1) ones
+    pad = (_ZERO,) * (width - system.fiber_dim)
+    rows = [row + pad for row in eqs]
+    for row in eqs:
+        terms = [(c, x) for c, x in enumerate(row) if x]
+        for targets in _jet_shift(n, m, k):
             out = [_ZERO] * width
-            for (a, alpha), x in terms:
-                out[jet_index(n, m, k + 1, a, raise_sym(alpha, i))] += x
+            for c, x in terms:
+                out[targets[c]] = x
             rows.append(out)
     return PdeSystem(n=n, m=m, k=k + 1, equations=RatMatrix(rows, cols=width))
 
@@ -221,12 +220,12 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
         prolonged = formal_prolongation(cur)
         fiber, rows = kernel_with_row_basis(prolonged.equations)
         nxt = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
-        sym = _symbol(nxt).space.dim
+        lo = cur_fiber.ambient_dim
+        sym = fiber.tail(lo).dim
         if sym != rank:
             raise InvariantViolation(
                 "prolonged-system symbol disagrees with the tableau tower"
             )
-        lo = cur_fiber.ambient_dim
         img = Subspace.from_spanning(lo, [v[:lo] for v in fiber.basis])
         if not cur_fiber.contains(img):
             raise InvariantViolation("truncated solutions violate the lower system")
@@ -395,14 +394,8 @@ def _relconn(system: PdeSystem, fiber: Subspace) -> RelConn:
     basis = fiber.basis
     sigma = RatMatrix([[v[r] for v in basis] for r in range(lo)], cols=len(basis))
     mats = [
-        RatMatrix(
-            [
-                [-v[jet_index(n, m, k, a, raise_sym(alpha, i))] for v in basis]
-                for a, alpha in jet_coords(n, m, k - 1)
-            ],
-            cols=len(basis),
-        )
-        for i in range(n)
+        RatMatrix([[-v[t] for v in basis] for t in targets], cols=len(basis))
+        for targets in _jet_shift(n, m, k - 1)
     ]
     return RelConn(sigma, mats)
 
@@ -426,18 +419,14 @@ def _prolongation_point(
     u = [rat(x) for x in u]
     if len(u) != jet_fiber_dim(n, m, k + 1):
         raise ValueError("expected a jet of order k + 1")
-    hi_coords = jet_coords(n, m, k)
     pieces = []
     trunc = u[: jet_fiber_dim(n, m, k)]
     e = fiber.coords_of(trunc)
     if e is None:
         raise ValueError("truncation does not solve the system")
     pieces.extend(e)
-    for i in range(n):
-        shifted = []
-        for a, alpha in hi_coords:
-            shifted.append(u[jet_index(n, m, k + 1, a, raise_sym(alpha, i))])
-        coords = fiber.coords_of(shifted)
+    for targets in _jet_shift(n, m, k):
+        coords = fiber.coords_of([u[t] for t in targets])
         if coords is None:
             raise ValueError("a shifted jet does not solve the system")
         pieces.extend(coords)

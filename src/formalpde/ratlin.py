@@ -18,6 +18,10 @@ reverse order, under the same pivot rule, leaves each free column's kernel
 vector with its leading 1 at that column and zeros at every other free
 column, which is exactly the canonical basis; the nonzero rows of that one
 echelon form also give a row basis of the matrix (`kernel_with_row_basis`).
+
+A canonical basis answers its own slices without elimination: the vectors
+vanishing before a coordinate (`Subspace.tail`) and the annihilator
+(`Subspace.constraint_matrix`) are read off it.
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ class Subspace:
     caching and for byte-stable reports.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_constraints")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(
         self,
@@ -265,7 +269,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_constraints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -338,14 +341,26 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return all(self.contains_vector(v) for v in other.basis)
 
+    def tail(self, start: int) -> "Subspace":
+        """The vectors vanishing before start, cut at start: the basis vectors
+        with pivot >= start, cut there, already are its canonical basis."""
+        keep = [j for j, p in enumerate(self.pivots) if p >= start]
+        basis = tuple(self.basis[j][start:] for j in keep)
+        pivots = tuple(self.pivots[j] - start for j in keep)
+        return Subspace(self.ambient_dim - start, basis, pivots)
+
     def constraint_matrix(self) -> RatMatrix:
-        """A matrix Q with kernel exactly this subspace (rows span the annihilator)."""
-        cached = self._constraints
-        if cached is None:
-            annihilator = kernel(RatMatrix(self.basis, cols=self.ambient_dim))
-            cached = RatMatrix(annihilator.basis, cols=self.ambient_dim)
-            object.__setattr__(self, "_constraints", cached)
-        return cached
+        """A matrix with kernel exactly this subspace, read off the basis: row
+        e_j - sum_p v_p[j] e_p for each non-pivot j (v_p has pivot p)."""
+        rows = []
+        for j in sorted(set(range(self.ambient_dim)) - set(self.pivots)):
+            row = [_ZERO] * self.ambient_dim
+            row[j] = _ONE
+            for v, p in zip(self.basis, self.pivots):
+                if v[j]:
+                    row[p] = -v[j]
+            rows.append(row)
+        return RatMatrix(rows, cols=self.ambient_dim)
 
 
 # --------------------------- derived maps ---------------------------

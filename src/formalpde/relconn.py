@@ -144,7 +144,8 @@ class ProlFiber:
     """The classical prolongation fiber with its two canonical pieces.
 
     subspace sits in (1+n)*source_dim coordinates; kernel_part is the e = 0
-    slice in the psi-block coordinates and is canonically the generalized
+    slice in the psi-block coordinates, read off the canonical basis of
+    subspace (``Subspace.tail``), and is canonically the generalized
     prolongation g^(1)(∂_D); projection_image is the set of source points
     admitting a full first-order lift.
     """
@@ -156,13 +157,9 @@ class ProlFiber:
 
 def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     n, sd = conn.n, conn.source_dim
-    full_rows = RatMatrix.vstack([_partial_rows(conn), _symmetry_rows(conn)])
-    fiber = kernel(full_rows)
+    fiber = kernel(RatMatrix.vstack([_partial_rows(conn), _symmetry_rows(conn)]))
     proj = Subspace.from_spanning(sd, [v[:sd] for v in fiber.basis])
-    psi_block = RatMatrix(
-        [full_rows.row(r)[sd:] for r in range(full_rows.rows)], cols=n * sd
-    )
-    ker_part = kernel(psi_block)
+    ker_part = fiber.tail(sd)
     if fiber.dim != ker_part.dim + proj.dim:
         raise InvariantViolation("prolongation fiber fails exactness bookkeeping")
     # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D)

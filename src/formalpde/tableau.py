@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
-from .spencer import TableauChain, cohomology
+from .spencer import TableauChain
 from .tensorspace import iota_apply, iota_table, sym_dim
 
 _ZERO = Fraction(0)
@@ -242,10 +242,8 @@ def tower(t: Tableau, depth: int) -> TableauTower:
             nxt = Subspace.zero(sym_dim(t.n, degree_i) * fiber)
             contractions.append(())
         else:
-            if i > 1:
+            if i > 1 or t.classical:
                 nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
-            elif t.classical:
-                nxt = prolong(t)
             else:
                 equations = _symmetry_equations(t)
                 nxt = kernel(equations)
@@ -286,39 +284,3 @@ def classify_type(tw: TableauTower, l_max: int) -> TypeVerdict:
         if r == 0:
             return TypeVerdict(kind="finite", level=l, ranks=ranks)
     return TypeVerdict(kind="infinite-up-to", level=l_max, ranks=ranks)
-
-
-@dataclass(frozen=True)
-class StabilizationScan:
-    """Observed vanishing of H^(l,m) over a bounded window.
-
-    stabilization[m] is the smallest l0 such that H^(l,m) = 0 for all
-    l0 <= l <= l_max (l_max + 1 when even the last computed slot is nonzero).
-    certified is True only under the finite-type short-circuit; otherwise the
-    scan is evidence up to l_max, never a claim about all levels.
-    """
-
-    l_max: int
-    entries: dict[tuple[int, int], int]
-    stabilization: dict[int, int]
-    certified: bool
-
-
-def stabilization_scan(t: Tableau, l_max: int) -> StabilizationScan:
-    tw = tower(t, l_max + 1)
-    report = cohomology(tw.chain(), l_max=l_max, m_max=max(t.n, 1))
-    entries = {key: e.h_dim for key, e in report.entries.items()}
-    stab: dict[int, int] = {}
-    for m in range(1, max(t.n, 1) + 1):
-        level = l_max + 1
-        for l in range(l_max, -1, -1):
-            if entries[(l, m)] != 0:
-                break
-            level = l
-        stab[m] = level
-    certified = (
-        report.vanishing_level is not None and report.vanishing_level <= l_max + 1
-    )
-    return StabilizationScan(
-        l_max=l_max, entries=entries, stabilization=stab, certified=certified
-    )

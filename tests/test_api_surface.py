@@ -22,7 +22,6 @@ CALLERLESS = {
     "relconn.partial_prolongation_fiber": "ROADMAP 4: gains a caller or moves into tests",
     "relconn.torsion_at": "ROADMAP 6: names the obstruction a completion removes",
     "spencer.delta_matrix": "ROADMAP 4: the ambient reference differential of the tests",
-    "tableau.stabilization_scan": "ROADMAP 4: gains a caller or moves into tests",
 }
 
 

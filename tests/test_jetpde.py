@@ -12,7 +12,9 @@ Plan:
  7. formal prolongation keeps the original equations; the tower and the
     crosscheck walk carry a row basis, so their matrices stay within the jet
     fiber width, and the tower's fibers match the plain repeated prolongation;
-    the crosscheck prolongs once per level and caches no level system
+    the crosscheck prolongs once per level and caches no level system; the
+    eliminations per analysis are pinned (symbols and e = 0 slices are read
+    off the fibers, not eliminated again)
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -48,7 +50,7 @@ from formalpde.jetpde import (
     solution_fiber,
     symbol_tableau,
 )
-from formalpde.ratlin import RatMatrix, Subspace, image, solve_affine
+from formalpde.ratlin import RatMatrix, Subspace, image, rref, solve_affine
 from formalpde.relconn import classical_prolongation_fiber, torsion_at
 from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
@@ -342,6 +344,28 @@ def test_crosscheck_shares_the_walk_and_caches_no_level_system(count_calls):
     assert solution_fiber.cache_info().currsize <= 1
     with pytest.raises(ValueError):
         crosscheck_routes(cauchy_riemann(), 0)
+
+
+def test_eliminations_per_analysis(count_calls):
+    # a tower level eliminates its tableau prolongation, its jet system and
+    # its truncation image; a crosscheck level adds the connection's symbol,
+    # prolongation fiber, projection image, ∂-symmetry kernel, g^(1) check
+    # and mapped jet fiber; a Spencer slot takes a kernel and an image; the
+    # base fiber is one more.  Symbols and e = 0 slices are read off fibers.
+    calls = count_calls(rref)
+
+    def count(analysis, *args):
+        solution_fiber.cache_clear()
+        symbol_tableau.cache_clear()
+        calls.clear()
+        analysis(*args)
+        return len(calls)
+
+    for d in range(1, 5):
+        assert count(prolongation_tower, heat3(), d) == 3 * d + 1
+        assert count(crosscheck_routes, heat3(), d) == 9 * d + 1
+    for l in range(4):
+        assert count(goldschmidt_check, heat3(), l) == 5 * l + 8
 
 
 # --------------------------- 8. goldschmidt ---------------------------

@@ -3,14 +3,16 @@
 Plan:
  1) hand-checked row reductions, kernels, images, affine solves;
  2) canonical Subspace semantics (order-independent bases, membership,
-    reduce_mod, constraint matrices); floats are refused;
+    reduce_mod, constraint matrices read off the basis with no elimination);
+    floats are refused;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its row basis spans the row space;
     a spanned subspace's basis is the nonzero rows of the rref of its
-    spanning vectors.
+    spanning vectors; a kernel's tail is the kernel of the columns it keeps,
+    and every subspace is the kernel of its constraint matrix.
 """
 
 from fractions import Fraction
@@ -154,9 +156,11 @@ def test_floats_are_refused(x):
         Subspace.from_spanning(2, [[1, 0], [x, 1]])
 
 
-def test_constraint_matrix_cuts_out_the_subspace():
+def test_constraint_matrix_cuts_out_the_subspace(count_calls):
     u = Subspace.from_spanning(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
+    calls = count_calls(rref)
     q = u.constraint_matrix()
+    assert calls == []  # read off the canonical basis
     assert kernel(q) == u
 
 
@@ -249,6 +253,27 @@ def test_from_spanning_basis_is_the_nonzero_rref_rows(m):
         for l, v in enumerate(s.basis):
             assert v[p] == (1 if l == j else 0)
     assert image(m) == Subspace.from_spanning(m.rows, [m.col(j) for j in range(m.cols)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices_with_empty_shapes())
+def test_kernel_tail_is_the_kernel_of_the_kept_columns(m):
+    k = kernel(m)
+    for start in range(m.cols + 1):
+        tail = k.tail(start)
+        ref = kernel(RatMatrix([m.row(i)[start:] for i in range(m.rows)], cols=m.cols - start))
+        assert tail.ambient_dim == ref.ambient_dim
+        assert tail.basis == ref.basis and tail.pivots == ref.pivots
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices_with_empty_shapes())
+def test_every_subspace_is_the_kernel_of_its_constraints(m):
+    u = Subspace.from_spanning(m.cols, [m.row(i) for i in range(m.rows)])
+    q = u.constraint_matrix()
+    assert q.shape == (m.cols - u.dim, m.cols)
+    k = kernel(q)
+    assert k == u and k.pivots == u.pivots
 
 
 def test_single_elimination_kernel_on_empty_shapes():

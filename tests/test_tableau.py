@@ -8,7 +8,8 @@ Plan:
     the lower bound dim g^(1) >= n dim g - C(n,2) f, monotone vanishing;
  3) generalized tableaux: ∂-symmetry kernel, transport along an injective ∂
     to the classical prolongation of Image(∂), chain assembly;
- 4) classification and stabilization scans, degenerate n = 0 / f = 0 towers.
+ 4) classification, bounded vs unconditional cohomology windows, degenerate
+    n = 0 / f = 0 towers.
 """
 
 import random
@@ -18,12 +19,11 @@ import pytest
 
 from formalpde.errors import InvariantViolation
 from formalpde.ratlin import RatMatrix, Subspace, image, solve
-from formalpde.spencer import cohomology
+from formalpde.spencer import cohomology, is_r_acyclic
 from formalpde.tableau import (
     Tableau,
     classify_type,
     prolong,
-    stabilization_scan,
     tower,
 )
 from formalpde.tensorspace import sym_dim
@@ -205,17 +205,21 @@ def test_classify_cr_is_infinite_up_to_bound():
     assert verdict.ranks == (2, 2, 2, 2, 2)
 
 
-def test_stabilization_scan_cr():
-    scan = stabilization_scan(cr_tableau(), 3)
-    assert not scan.certified  # infinite type within the window: evidence only
-    assert all(h == 0 for h in scan.entries.values())
-    assert scan.stabilization == {1: 0, 2: 0}
+def test_cr_cohomology_vanishes_in_the_window_only():
+    report = cohomology(tower(cr_tableau(), 4).chain(), l_max=3, m_max=2)
+    assert set(report.entries) == {(l, m) for l in range(4) for m in (1, 2)}
+    assert all(e.h_dim == 0 for e in report.entries.values())
+    verdict = is_r_acyclic(report, 2)
+    assert verdict.acyclic
+    assert not verdict.unconditional  # infinite type within the window: evidence only
 
 
-def test_stabilization_scan_finite_type_is_certified():
+def test_finite_type_cohomology_is_unconditional():
     t = Tableau.from_matrices(2, 2, [[[1, 0], [0, 1]]])
-    scan = stabilization_scan(t, 2)
-    assert scan.certified
+    report = cohomology(tower(t, 3).chain(), l_max=2, m_max=2)
+    assert report.vanishing_level is not None and report.vanishing_level <= 3
+    verdict = is_r_acyclic(report, 1)
+    assert verdict.acyclic and verdict.unconditional
 
 
 def test_degenerate_towers_are_zero_not_errors():
