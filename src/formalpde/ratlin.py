@@ -5,6 +5,14 @@ solvability over Q, so arithmetic is exact: entries are `fractions.Fraction`,
 floating point never enters.  Matrices are dense, immutable and built from
 their rows.
 
+Entries are validated by type at every boundary (`RatMatrix`, `apply`,
+`Subspace.reduce_mod`): a row whose entries are all Fractions is kept as is,
+any other row is coerced entry by entry, and a float is refused either way.
+Zeros are skipped by structure, not by testing each entry: elimination reads
+the pivot row's nonzero columns once per pivot, a subspace reads a basis
+vector's nonzero (index, value) pairs the first time a membership test
+subtracts it and keeps them, and `apply` reads the vector's nonzeros once.
+
 Determinism is part of the contract, not an aspiration.  Row reduction uses a
 fixed pivot rule -- leftmost nonzero column, first nonzero row at or below the
 cursor, pivot scaled to 1, full elimination above and below -- so echelon
@@ -47,7 +55,15 @@ def rat(x) -> Fraction:
     raise ValueError(f"not an exact rational: {x!r}")
 
 
+_EXACT = {Fraction}
+
+
 def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
+    """The row as a tuple of Fractions: kept as is when every entry already
+    is one (a type check run in C), otherwise coerced entry by entry."""
+    row = tuple(row)
+    if _EXACT.issuperset(map(type, row)):
+        return row
     return tuple(rat(x) for x in row)
 
 
@@ -168,14 +184,16 @@ class RatMatrix:
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product as a tuple."""
-        v = [rat(x) for x in vec]
+        v = _frozen_row(vec)
         if len(v) != self.cols:
             raise ValueError("shape mismatch in apply")
+        support = [(j, b) for j, b in enumerate(v) if b]
         out = []
         for r in self._rows:
             s = _ZERO
-            for a, b in zip(r, v):
-                if a and b:
+            for j, b in support:
+                a = r[j]
+                if a:
                     s += a * b
             out.append(s)
         return tuple(out)
@@ -222,20 +240,22 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             continue
         work[cursor], work[pivot_row] = work[pivot_row], work[cursor]
         prow = work[cursor]
+        # the pivot row's nonzero columns, read once: scaling keeps them
+        # nonzero, and elimination only ever touches them
+        support = [j for j in range(col, ncols) if prow[j]]
         inv = _ONE / prow[col]
         if inv != 1:
-            for j in range(col, ncols):
-                if prow[j]:
-                    prow[j] *= inv
+            for j in support:
+                prow[j] *= inv
+        pairs = [(j, prow[j]) for j in support]
         for i in range(nrows):
             if i == cursor:
                 continue
-            factor = work[i][col]
+            target = work[i]
+            factor = target[col]
             if factor:
-                target = work[i]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        target[j] -= factor * prow[j]
+                for j, x in pairs:
+                    target[j] -= factor * x
         pivots.append(col)
         cursor += 1
         if cursor == nrows:
@@ -256,7 +276,7 @@ class Subspace:
     caching and for byte-stable reports.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
 
     def __init__(
         self,
@@ -269,6 +289,10 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        # each basis vector's nonzero (index, value) pairs, read the first
+        # time reduce_mod needs them; a cache, so no part of equality,
+        # hashing or repr
+        object.__setattr__(self, "_support", [None] * len(basis))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -315,15 +339,20 @@ class Subspace:
         pivot coordinates; the result vanishes there.  reduce_mod(v) == 0 iff
         v lies in the subspace.
         """
-        v = [rat(x) for x in vec]
+        v = list(_frozen_row(vec))
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        for b, p in zip(self.basis, self.pivots):
+        support = self._support
+        for j, p in enumerate(self.pivots):
             c = v[p]
             if c:
-                for i, x in enumerate(b):
-                    if x:
-                        v[i] -= c * x
+                pairs = support[j]
+                if pairs is None:
+                    pairs = support[j] = [
+                        (i, x) for i, x in enumerate(self.basis[j]) if x
+                    ]
+                for i, x in pairs:
+                    v[i] -= c * x
         return tuple(v)
 
     def contains_vector(self, vec: Sequence) -> bool:

@@ -93,7 +93,10 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
     src_ext = ext_indices(n, m)
     nsrc = partial.cols
     w = partial.rows // n if n else 0
-    prows = [partial.row(r) for r in range(partial.rows)]
+    # each ∂ row's nonzero (column, value) pairs, read once per assembly
+    prows = [
+        [(c, x) for c, x in enumerate(partial.row(r)) if x] for r in range(partial.rows)
+    ]
     rows = [[_ZERO] * (len(src_ext) * nsrc) for _ in range(ext_dim(n, m + 1) * w)]
     for e, s in enumerate(src_ext):
         for i in range(n):
@@ -102,11 +105,11 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
                 continue
             sign, merged = ins
             base = ext_rank(n, merged) * w
+            offset = e * nsrc
             for b in range(w):
                 out = rows[base + b]
-                for c, x in enumerate(prows[b * n + i]):
-                    if x:
-                        out[e * nsrc + c] += sign * x
+                for c, x in prows[b * n + i]:
+                    out[offset + c] += sign * x
     return RatMatrix(rows, cols=len(src_ext) * nsrc)
 
 

@@ -125,7 +125,10 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     # alpha_i times the column of Q at c's contraction target
     qrows = [q.row(r) for r in range(q.rows)]
     rows = [
-        [_ZERO if hit is None else qrow[hit[0]] * hit[1] for hit in entries]
+        [
+            qrow[hit[0]] * hit[1] if hit is not None and qrow[hit[0]] else _ZERO
+            for hit in entries
+        ]
         for entries in iota_table(n, degree + 1, f)
         for qrow in qrows
     ]

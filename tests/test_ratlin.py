@@ -4,15 +4,17 @@ Plan:
  1) hand-checked row reductions, kernels, images, affine solves;
  2) canonical Subspace semantics (order-independent bases, membership,
     reduce_mod, constraint matrices read off the basis with no elimination);
-    floats are refused;
+    floats are refused, also among Fractions, and reduce_mod's cached
+    supports leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its row basis spans the row space;
     a spanned subspace's basis is the nonzero rows of the rref of its
-    spanning vectors; a kernel's tail is the kernel of the columns it keeps,
-    and every subspace is the kernel of its constraint matrix.
+    spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
+    tail is the kernel of the columns it keeps, and every subspace is the
+    kernel of its constraint matrix.
 """
 
 from fractions import Fraction
@@ -154,6 +156,29 @@ def test_floats_are_refused(x):
         RatMatrix([[1, 2]]).apply([1, x])
     with pytest.raises(ValueError, match="not an exact rational"):
         Subspace.from_spanning(2, [[1, 0], [x, 1]])
+    # rows of Fractions skip coercion; one float among them is still caught
+    exact = [F(1), F(-2, 3), F(0)]
+    tainted = [F(1), x, F(0)]
+    u = Subspace.from_spanning(3, [exact, [0, 0, 1]])
+    for build in (
+        lambda: RatMatrix([exact, tainted]),
+        lambda: RatMatrix([exact]).apply(tainted),
+        lambda: u.reduce_mod(tainted),
+        lambda: u.contains_vector(tainted),
+    ):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            build()
+    # other exact entries are coerced into the same matrix
+    assert RatMatrix([[1, "-2/3", False, F(1, 2), True]]) == RatMatrix(
+        [[F(1), F(-2, 3), F(0), F(1, 2), F(1)]]
+    )
+    # the support read by reduce_mod is a cache, invisible to the value
+    assert u.contains_vector(exact) and not u.contains_vector([0, 1, 0])
+    fresh = Subspace.from_spanning(3, [[0, 0, 1], exact])
+    assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
+    for name in ("basis", "_support"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, None)
 
 
 def test_constraint_matrix_cuts_out_the_subspace(count_calls):
@@ -205,6 +230,34 @@ def matrices_with_empty_shapes(max_rows=6, max_cols=7):
             ).map(lambda rows: RatMatrix(rows, cols=c))
         )
     )
+
+
+sparse_entries = st.sampled_from(
+    [F(0)] * 12 + [F(p, q) for p in (-3, -1, 1, 2) for q in (1, 3)]
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda r: st.integers(1, 8).flatmap(
+            lambda c: st.lists(
+                st.lists(sparse_entries, min_size=c, max_size=c), min_size=r, max_size=r
+            )
+        )
+    )
+)
+def test_rref_matches_sympy(rows):
+    # the reduced row echelon form is unique, so sympy is an oracle that
+    # shares neither code nor pivot rule with ratlin
+    import sympy
+
+    r, pivots = rref(RatMatrix(rows))
+    want, want_pivots = sympy.Matrix(rows).rref()
+    assert pivots == tuple(want_pivots)
+    assert [list(r.row(i)) for i in range(r.rows)] == [
+        [F(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)
+    ]
 
 
 def free_column_kernel(m: RatMatrix) -> Subspace:
