@@ -29,15 +29,19 @@ partials[l] maps level l into level l-1, and partials[0] maps W_0 into the
 space one step below it (the full S^(d-1) ⊗ F under ι for a classical
 tableau, the tableau's own ∂ for a generalized one).  So one cohomology
 routine serves both, and the map out of every slot is the one assembly.
+
+Cohomology needs only dimensions, so it is read off ranks: each slot map is
+assembled and eliminated once, and im ⊂ ker is checked as δ∘δ = 0 on the
+assembled maps rather than by subspace membership.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, image, kernel
+from .ratlin import RatMatrix, Subspace
 from .tensorspace import (
     TensorSpaceDesc,
     contract_sym,
@@ -88,7 +92,8 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
     """Slot map Λ^m ⊗ V -> Λ^(m+1) ⊗ W of ∂ : V -> Hom(E, W), rows b*n + i.
 
     Column e * dim V + c is e_S ⊗ v_c; each direction i not in S sends it to
-    the insertion sign times e_(S ∪ i) ⊗ ∂(v_c)(e_i).
+    the insertion sign times e_(S ∪ i) ⊗ ∂(v_c)(e_i).  Each entry is written
+    at most once, with a nonzero value, so every zero entry is `_ZERO` itself.
     """
     src_ext = ext_indices(n, m)
     nsrc = partial.cols
@@ -206,15 +211,27 @@ class CohomologyReport:
     m_max: int
     entries: dict[tuple[int, int], HEntry]
     vanishing_level: int | None
-    representatives: dict[tuple[int, int], tuple[tuple[Fraction, ...], ...]] | None = field(
-        default=None, compare=False
-    )
 
 
-def cohomology(
-    chain: TableauChain, l_max: int, m_max: int, representatives: bool = False
-) -> CohomologyReport:
+def _composes_to_zero(a_rows: list, b_rows: list) -> bool:
+    """Whether A @ B = 0, walked over the nonzero (column, value) pairs of the
+    rows of A and B one product row at a time, never building the product."""
+    for a_row in a_rows:
+        acc: dict[int, Fraction] = {}
+        for k, a in a_row:
+            for j, b in b_rows[k]:
+                acc[j] = acc.get(j, _ZERO) + a * b
+        if any(acc.values()):
+            return False
+    return True
+
+
+def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     """Spencer cohomology dimensions H^(l,m) for 0 <= l <= l_max, 1 <= m <= m_max.
+
+    Read off ranks: with A the map out of slot (l, m) and B the map into it,
+    dim Z = dim slot - rank A and dim B = rank B, each map eliminated once.
+    im B ⊂ ker A is checked as A @ B = 0; a failure raises InvariantViolation.
 
     Needs the chain to carry levels through l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
@@ -226,39 +243,40 @@ def cohomology(
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"
         )
-    outs: dict[tuple[int, int], RatMatrix] = {}
+    # each map's rank and nonzero row supports, read once; `_slot_matrix`
+    # leaves its zeros as `_ZERO` (a zero kept by mistake adds zero terms)
+    maps: dict[tuple[int, int], tuple[int, list]] = {}
 
     def out(l, m):
-        if (l, m) not in outs:
-            outs[(l, m)] = chain.map_out(l, m)
-        return outs[(l, m)]
+        if (l, m) not in maps:
+            mat = chain.map_out(l, m)
+            rows = [
+                [(c, x) for c, x in enumerate(mat.row(r)) if x is not _ZERO]
+                for r in range(mat.rows)
+            ]
+            maps[(l, m)] = (mat.rank(), rows)
+        return maps[(l, m)]
 
     entries: dict[tuple[int, int], HEntry] = {}
-    reps: dict[tuple[int, int], tuple] = {}
     for l in range(l_max + 1):
         for m in range(1, m_max + 1):
             if chain.slot_dim(l, m) == 0:
                 entries[(l, m)] = HEntry(0, 0, 0)
-                if representatives:
-                    reps[(l, m)] = ()
                 continue
-            z = kernel(out(l, m))
-            b = image(out(l + 1, m - 1))
-            if not z.contains(b):
+            a_rank, a_rows = out(l, m)
+            b_rank, b_rows = out(l + 1, m - 1)
+            if not _composes_to_zero(a_rows, b_rows):
                 raise InvariantViolation(
                     f"image is not contained in the kernel at slot ({l}, {m})"
                 )
-            entries[(l, m)] = HEntry(z.dim, b.dim, z.dim - b.dim)
-            if representatives:
-                reduced = [b.reduce_mod(v) for v in z.basis]
-                reps[(l, m)] = Subspace.from_spanning(z.ambient_dim, reduced).basis
+            z_dim = chain.slot_dim(l, m) - a_rank
+            entries[(l, m)] = HEntry(z_dim, b_rank, z_dim - b_rank)
     return CohomologyReport(
         n=chain.n,
         l_max=l_max,
         m_max=m_max,
         entries=entries,
         vanishing_level=chain.vanishing_level(),
-        representatives=reps if representatives else None,
     )
 
 

@@ -9,7 +9,9 @@ Plan:
     map of random towers against the ambient differential read through the
     level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
-    short-chain and bad-r errors.
+    short-chain and bad-r errors, a chain whose ∂s do not commute is refused,
+    and on random towers every entry equals the subspace reference
+    (kernel, image, containment) below.
 
 Frozen reference values come from tests/oracle_brute.py (independent sympy
 implementation): the first-order 2x2 rotation-like tableau has ker dim 2 in
@@ -20,10 +22,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formalpde.errors import InvariantViolation
-from formalpde.ratlin import RatMatrix, Subspace, kernel
+from formalpde.jetpde import PdeSystem, symbol_tableau
+from formalpde.ratlin import RatMatrix, Subspace, image, kernel
 from formalpde.spencer import (
+    HEntry,
     TableauChain,
     cohomology,
     delta_apply_basis,
@@ -251,8 +256,61 @@ def test_zero_chain_vanishing_short_circuit():
     assert verdict.acyclic and verdict.unconditional
 
 
+def reference_cycles_and_boundaries(chain, l, m):
+    """Z^(l,m) and B^(l,m) as subspaces: the kernel of the map out of the
+    slot and the image of the map into it, checked to nest."""
+    z = kernel(chain.map_out(l, m))
+    b = image(chain.map_out(l + 1, m - 1))
+    assert z.contains(b), (l, m)
+    return z, b
+
+
 def test_representatives_span_a_complement():
     chain = full_chain(2, 2, 2)
-    report = cohomology(chain, l_max=1, m_max=2, representatives=True)
-    for key, reps in report.representatives.items():
-        assert len(reps) == report.entries[key].h_dim
+    report = cohomology(chain, l_max=1, m_max=2)
+    for (l, m), entry in report.entries.items():
+        z, b = reference_cycles_and_boundaries(chain, l, m)
+        reduced = [b.reduce_mod(v) for v in z.basis]
+        reps = Subspace.from_spanning(z.ambient_dim, reduced).basis
+        assert len(reps) == entry.h_dim
+
+
+def test_noncommuting_partials_are_refused():
+    # on full levels of S^1, S^2 (n = 2, f = 1) the second ∂ is polarization
+    # plus one stray entry: ∂_1 of x1^2 gains an x2 term, so ∂_2∂_1 x1^2 = 1
+    # while ∂_1∂_2 x1^2 = 0, and δ∘δ out of slot (1, 0) is not zero
+    chain = full_chain(2, 1, 2)
+    rows = [list(chain.partials[1].row(r)) for r in range(chain.partials[1].rows)]
+    rows[1 * 2 + 0][0] += 1  # row b*n + i with b = x2, i = x1; column x1^2
+    partials = (chain.partials[0], RatMatrix(rows), chain.partials[2])
+    bad = TableauChain(n=2, levels=chain.levels, partials=partials)
+    message = r"image is not contained in the kernel at slot \(0, 1\)"
+    with pytest.raises(InvariantViolation, match=message):
+        cohomology(bad, l_max=1, m_max=2)
+
+
+@st.composite
+def small_systems(draw):
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    terms = st.tuples(
+        st.integers(-2, 2),
+        st.integers(0, m - 1),
+        st.lists(st.integers(0, k), min_size=n, max_size=n)
+        .filter(lambda alpha: sum(alpha) <= k)
+        .map(tuple),
+    )
+    eqs = draw(st.lists(st.lists(terms, min_size=1, max_size=4), min_size=1, max_size=4))
+    return PdeSystem.from_terms(n, m, k, eqs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_systems(), st.integers(0, 2))
+def test_cohomology_matches_the_subspace_reference(system, l_max):
+    chain = tower(symbol_tableau(system), l_max + 1).chain()
+    report = cohomology(chain, l_max=l_max, m_max=system.n)
+    for (l, m), entry in report.entries.items():
+        if chain.slot_dim(l, m) == 0:
+            assert entry == HEntry(0, 0, 0)
+            continue
+        z, b = reference_cycles_and_boundaries(chain, l, m)
+        assert entry == HEntry(z.dim, b.dim, z.dim - b.dim), (l, m)
