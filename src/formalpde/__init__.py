@@ -37,12 +37,10 @@ from .spencer import (
     CohomologyReport,
     TableauChain,
     cohomology,
-    delta_matrix,
     is_r_acyclic,
 )
 from .tableau import (
     Tableau,
-    TableauTower,
     TypeVerdict,
     classify_type,
     prolong,
@@ -66,14 +64,12 @@ __all__ = [
     "Subspace",
     "Tableau",
     "TableauChain",
-    "TableauTower",
     "TorsionResult",
     "TypeVerdict",
     "classical_prolongation_fiber",
     "classify_type",
     "cohomology",
     "compatible",
-    "delta_matrix",
     "finite_type_integrability",
     "formal_prolongation",
     "goldschmidt_check",

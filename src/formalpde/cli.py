@@ -470,8 +470,8 @@ def cmd_tower(args) -> int:
 
 def cmd_cohomology(args) -> int:
     system = load_system(args.file)
-    m_max = args.m_max if args.m_max is not None else max(system.n, 1)
-    chain = tower(symbol_tableau(system), args.l_max + 1).chain()
+    m_max = args.m_max if args.m_max is not None else system.n
+    chain = tower(symbol_tableau(system), args.l_max + 1)
     report = cohomology(chain, l_max=args.l_max, m_max=m_max)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.append("l      " + "  ".join(f"H(l,{mm})" for mm in range(1, m_max + 1)))

@@ -45,8 +45,8 @@ from typing import Sequence
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
 from .relconn import RelConn, classical_prolongation_fiber
-from .spencer import cohomology, is_r_acyclic
-from .tableau import Tableau, TableauTower, TypeVerdict, classify_type, tower
+from .spencer import TableauChain, cohomology, is_r_acyclic
+from .tableau import Tableau, TypeVerdict, classify_type, tower
 from .tensorspace import multi_indices, raise_sym, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
@@ -68,6 +68,8 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
 
 
 def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
+    if len(alpha) != n or any(x < 0 for x in alpha):
+        raise ValueError(f"multi-index {tuple(alpha)} is not {n} nonnegative orders")
     d = sum(alpha)
     if d > k:
         raise ValueError("derivative order exceeds the jet order")
@@ -298,10 +300,10 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     return _goldschmidt(system, l_max, tower(symbol_tableau(system), l_max + 1))
 
 
-def _goldschmidt(system: PdeSystem, l_max: int, tw: TableauTower) -> IntegrabilityReport:
-    report = cohomology(tw.chain(), l_max=l_max, m_max=2)
+def _goldschmidt(system: PdeSystem, l_max: int, chain: TableauChain) -> IntegrabilityReport:
+    report = cohomology(chain, l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
-    tower_report = _tower_report(system, tw.ranks[:1])
+    tower_report = _tower_report(system, chain.ranks[:1])
     if not tower_report.levels[0].projection_surjective:
         # the depth-1 tower already reports obstructed-at(1) and its witness
         return replace(
@@ -343,14 +345,14 @@ def finite_type_integrability(
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     # one symbol tower serves the type, the jet walk and the fallback
-    tw = tower(symbol_tableau(system), l_max + 1)
-    verdict = classify_type(tw, l_max)
+    chain = tower(symbol_tableau(system), l_max + 1)
+    verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
-        return replace(_goldschmidt(system, l_max, tw), type_verdict=verdict)
+        return replace(_goldschmidt(system, l_max, chain), type_verdict=verdict)
     need = verdict.level + 1
     if max_levels < need:
-        return replace(_tower_report(system, tw.ranks[:max_levels]), type_verdict=verdict)
-    report = _tower_report(system, tw.ranks[:need])
+        return replace(_tower_report(system, chain.ranks[:max_levels]), type_verdict=verdict)
+    report = _tower_report(system, chain.ranks[:need])
     if report.verdict == "obstructed-at":
         return replace(
             report,

@@ -12,23 +12,18 @@ second contractions meet antisymmetric double insertions.  (The equivalent
 Hom-form convention delta(eta)(X, Y) = eta(X)(Y) - eta(Y)(X) differs from this
 one by a global sign in form degree 1; kernels, images and dimensions agree.)
 
-The contraction alpha_i x^(alpha - e_i) comes from `tensorspace`: the ambient
-differential is assembled from `delta_apply_basis`.  Every restricted
-differential is assembled once, by `_slot_matrix`, from a degree-lowering map
-∂ : V -> Hom(E, W) given in basis coordinates (rows b*n + i, one column per
-V basis vector); delta(omega ⊗ v) = (-1)^|omega| omega ∧ ∂(v).
+Every differential is assembled once, by `_slot_matrix`, from a
+degree-lowering map ∂ : V -> Hom(E, W) given in basis coordinates (rows
+b*n + i, one column per V basis vector); delta(omega ⊗ v) =
+(-1)^|omega| omega ∧ ∂(v).  Its matrix on Λ^m ⊗ V uses slot coordinates
+ext_rank * dim V + c (exterior slowest over the V basis).
 
-Coordinates:
-* ambient matrices (`delta_matrix`) use TensorSpaceDesc flat indices
-  (fiber slowest, exterior middle, symmetric fastest);
-* restricted matrices on Λ^m ⊗ W for a space W with w basis vectors use
-  slot coordinates ext_rank * w + c (exterior slowest over the W basis).
-
-A `TableauChain` is its levels W_0, W_1, ... plus one ∂ per level:
-partials[l] maps level l into level l-1, and partials[0] maps W_0 into the
-space one step below it (the full S^(d-1) ⊗ F under ι for a classical
-tableau, the tableau's own ∂ for a generalized one).  So one cohomology
-routine serves both, and the map out of every slot is the one assembly.
+A `TableauChain`, as `tableau.tower` builds it, is its levels W_0, W_1, ...
+plus one ∂ per level: partials[l] maps level l into level l-1, and
+partials[0] maps W_0 into the space one step below it (the full
+S^(d-1) ⊗ F under ι for a classical tableau, the tableau's own ∂ for a
+generalized one).  So one cohomology routine serves both, and the map out of
+every slot is the one assembly.
 
 Cohomology needs only dimensions, so it is read off ranks: each slot map is
 assembled and eliminated once, and im ⊂ ker is checked as δ∘δ = 0 on the
@@ -42,50 +37,12 @@ from fractions import Fraction
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace
-from .tensorspace import (
-    TensorSpaceDesc,
-    contract_sym,
-    delta_insertion,
-    ext_dim,
-    ext_indices,
-    ext_rank,
-)
+from .tensorspace import delta_insertion, ext_dim, ext_indices, ext_rank
 
 _ZERO = Fraction(0)
 
 
-# --------------------------- ambient differential ---------------------------
-
-
-def delta_apply_basis(
-    n: int, j: int, k: int, a: int, s: tuple[int, ...], alpha: tuple[int, ...]
-) -> dict[tuple[int, tuple[int, ...], tuple[int, ...]], Fraction]:
-    """delta on one basis element, as a sparse {(a, ext, sym): coeff} map."""
-    out: dict = {}
-    for i in range(n):
-        ins = delta_insertion(s, i)
-        hit = contract_sym(alpha, i)
-        if ins is None or hit is None:
-            continue
-        sign, merged = ins
-        coeff, beta = hit
-        key = (a, merged, beta)
-        out[key] = out.get(key, _ZERO) + sign * coeff
-    return {key: v for key, v in out.items() if v}
-
-
-def delta_matrix(n: int, j: int, k: int, f: int) -> RatMatrix:
-    """Ambient Spencer differential Λ^j ⊗ S^k ⊗ F -> Λ^(j+1) ⊗ S^(k-1) ⊗ F."""
-    src = TensorSpaceDesc(n, j, k, f)
-    tgt = TensorSpaceDesc(n, j + 1, k - 1, f)
-    rows = [[_ZERO] * src.dim for _ in range(tgt.dim)]
-    for c, (a, s, alpha) in enumerate(src.basis()):
-        for key, coeff in delta_apply_basis(n, j, k, a, s, alpha).items():
-            rows[tgt.index_of(*key)][c] = coeff
-    return RatMatrix(rows, cols=src.dim)
-
-
-# --------------------------- restricted differentials ---------------------------
+# --------------------------- differentials ---------------------------
 
 
 def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
@@ -152,6 +109,14 @@ class TableauChain:
                 raise ValueError(f"partial map {l} must consume the level-{l} basis")
             if l and partial.rows != self.n * self.levels[l - 1].dim:
                 raise ValueError(f"partial map {l} must land in level {l - 1}")
+            # rows b*n + i: the assembly would cut any other count short
+            if not l and (partial.rows % self.n if self.n else partial.rows):
+                raise ValueError("partial map 0 needs a multiple of n rows (b*n + i)")
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """Dimensions of levels 1 .. depth."""
+        return tuple(level.dim for level in self.levels[1:])
 
     def slot_dim(self, l: int, m: int) -> int:
         return ext_dim(self.n, m) * self.levels[l].dim

@@ -16,12 +16,14 @@ basis of g (p = dim g),
 and higher prolongations are classical prolongations of g^(1)(∂), so ∂ is
 consumed exactly once, at level 1.
 
-Towers re-verify, level by level, that each computed space really contracts
-into the previous one, and keep the coordinates of those contractions: they
-are the level's degree-lowering map ∂ in basis coordinates, the one encoding
-from which `TableauTower.chain` feeds every Spencer differential.  A vanished
-level makes all later ones zero by construction (monotone vanishing is
-structural, not re-derived).
+`tower` returns the `TableauChain` that cohomology and `classify_type` read.
+It re-verifies, level by level, that each computed space really contracts
+into the previous one, and keeps the coordinates of those contractions as a
+`RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
+encoding from which every Spencer differential is assembled.  Level 0 is g
+with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
+∂ (generalized).  A vanished level makes all later ones zero by construction
+(monotone vanishing is structural, not re-derived).
 """
 
 from __future__ import annotations
@@ -87,10 +89,6 @@ class Tableau:
         return self.space.dim
 
     @staticmethod
-    def classical_from(n: int, f: int, space: Subspace, degree: int = 1) -> "Tableau":
-        return Tableau(n=n, f=f, space=space, degree=degree)
-
-    @staticmethod
     def generalized(n: int, f: int, space: Subspace, partial: RatMatrix) -> "Tableau":
         return Tableau(n=n, f=f, space=space, partial_map=partial)
 
@@ -101,14 +99,6 @@ class Tableau:
     @staticmethod
     def zero(n: int, f: int, degree: int = 1) -> "Tableau":
         return Tableau(n=n, f=f, space=Subspace.zero(sym_dim(n, degree) * f), degree=degree)
-
-    @staticmethod
-    def from_matrices(n: int, f: int, mats) -> "Tableau":
-        """Degree-1 classical tableau spanned by Hom(E,F) matrices M[a][i]."""
-        vecs = []
-        for m in mats:
-            vecs.append([Fraction(m[a][i]) for a in range(f) for i in range(n)])
-        return Tableau(n=n, f=f, space=Subspace.from_spanning(n * f, vecs))
 
 
 # --------------------------- prolongation ---------------------------
@@ -167,51 +157,8 @@ def prolong(t: Tableau) -> Subspace:
 # --------------------------- towers ---------------------------
 
 
-@dataclass(frozen=True)
-class TableauTower:
-    """Levels g^(1) .. g^(depth) over a base tableau, each with its ∂.
-
-    For a classical base, level i sits in S^(degree+i) ⊗ F.  For a generalized
-    base, levels sit in S^i ⊗ R^p over the canonical basis of the carrier
-    (p = base.dim), and level 1 consumed ∂.  contractions[i-1] is ∂ on level
-    i: ι of its basis vectors in the basis of level i-1 (g, or R^p for a
-    generalized base), as plain rows b*n + i.
-    """
-
-    base: Tableau
-    levels: tuple[Subspace, ...]
-    contractions: tuple[tuple[tuple[Fraction, ...], ...], ...]
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return tuple(level.dim for level in self.levels)
-
-    def chain(self) -> TableauChain:
-        """The tower as a chain ready for cohomology.
-
-        Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F.
-        Generalized: level 0 is the full carrier-coordinate space R^p, and its
-        ∂ is the tableau's own.
-        """
-        t = self.base
-        if t.classical:
-            level0 = t.space
-            bottom = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)
-            rows0 = _verify_contracts_into(t.n, t.f, t.degree, t.space, bottom)
-            partial0 = RatMatrix(rows0, cols=t.dim)
-        else:
-            level0, partial0 = Subspace.full(t.dim), t.partial_map
-        partials = tuple(
-            RatMatrix(rows, cols=level.dim)
-            for rows, level in zip(self.contractions, self.levels)
-        )
-        return TableauChain(
-            n=t.n, levels=(level0,) + self.levels, partials=(partial0,) + partials
-        )
-
-
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
-    """ι of every basis vector of level in prev's basis, rows b*n + i.
+    """∂ on level: ι of every basis vector of level in prev's basis, rows b*n + i.
 
     Raises InvariantViolation when a contraction escapes prev.
     """
@@ -228,22 +175,31 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
             images.append(list(map(img.__getitem__, prev.pivots)))
         for b, row in enumerate(zip(*images)):
             rows[b * n + i] = row
-    return tuple(rows)
+    return RatMatrix(rows, cols=level.dim)
 
 
-def tower(t: Tableau, depth: int) -> TableauTower:
-    """Prolongations g^(1) .. g^(depth), each level re-verified against the last."""
+def tower(t: Tableau, depth: int) -> TableauChain:
+    """Levels 0 .. depth with their ∂, each level re-verified against the last.
+
+    Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F;
+    level i is g^(i) in S^(degree+i) ⊗ F.  Generalized: level 0 is the full
+    carrier-coordinate space R^p (p = dim g), and its ∂ is the tableau's own;
+    level i sits in S^i ⊗ R^p, and level 1 consumed ∂.
+    """
     if depth < 1:
         raise ValueError("tower needs depth >= 1")
-    levels: list[Subspace] = []
-    contractions = []
-    fiber = t.f if t.classical else t.dim
-    prev = t.space if t.classical else Subspace.full(fiber)
+    if t.classical:
+        fiber, prev = t.f, t.space
+        bottom = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)
+        partial = _verify_contracts_into(t.n, t.f, t.degree, t.space, bottom)
+    else:
+        fiber, prev, partial = t.dim, Subspace.full(t.dim), t.partial_map
+    levels, partials = [prev], [partial]
     for i in range(1, depth + 1):
         degree_i = (t.degree + i) if t.classical else i
         if prev.dim == 0:
             nxt = Subspace.zero(sym_dim(t.n, degree_i) * fiber)
-            contractions.append(())
+            partial = RatMatrix((), cols=0)
         else:
             if i > 1 or t.classical:
                 nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
@@ -254,10 +210,11 @@ def tower(t: Tableau, depth: int) -> TableauTower:
                     raise InvariantViolation(
                         "generalized first prolongation violates ∂-symmetry"
                     )
-            contractions.append(_verify_contracts_into(t.n, fiber, degree_i, nxt, prev))
+            partial = _verify_contracts_into(t.n, fiber, degree_i, nxt, prev)
         levels.append(nxt)
+        partials.append(partial)
         prev = nxt
-    return TableauTower(base=t, levels=tuple(levels), contractions=tuple(contractions))
+    return TableauChain(n=t.n, levels=tuple(levels), partials=tuple(partials))
 
 
 # --------------------------- classification ---------------------------
@@ -276,14 +233,14 @@ class TypeVerdict:
     ranks: tuple[int, ...]
 
 
-def classify_type(tw: TableauTower, l_max: int) -> TypeVerdict:
+def classify_type(chain: TableauChain, l_max: int) -> TypeVerdict:
     """The type through level l_max, read off a tower at least that deep."""
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    if l_max > len(tw.levels):
+    if l_max >= len(chain.levels):
         raise ValueError("l_max exceeds the tower depth")
-    ranks = (tw.base.dim,) + tw.ranks[:l_max]
-    for l, r in enumerate(ranks):
-        if r == 0:
-            return TypeVerdict(kind="finite", level=l, ranks=ranks)
+    ranks = tuple(level.dim for level in chain.levels[: l_max + 1])
+    level = chain.vanishing_level()
+    if level is not None and level <= l_max:
+        return TypeVerdict(kind="finite", level=level, ranks=ranks)
     return TypeVerdict(kind="infinite-up-to", level=l_max, ranks=ranks)

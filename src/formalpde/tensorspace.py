@@ -1,4 +1,4 @@
-"""Coordinates for the spaces Λ^j E* ⊗ S^k E* ⊗ F.
+"""Coordinates for the spaces S^k E* ⊗ F and Λ^j E*.
 
 Fixed basis orderings (every matrix in the package is written against these):
 
@@ -8,9 +8,8 @@ Fixed basis orderings (every matrix in the package is written against these):
   x1^2, x1x2, x2^2, x1x3, x2x3, x3^2.
 * exterior indices: strictly increasing tuples of 0-based directions, in
   ascending lexicographic order.
-* the flat index of (fiber a, exterior S, symmetric alpha) is
-  (a * C(n,j) + ext_rank(S)) * sym_dim(n,k) + sym_rank(alpha): fiber slowest,
-  exterior in the middle, symmetric fastest.
+* the flat index of (fiber a, symmetric alpha) in S^k ⊗ F is
+  a * sym_dim(n,k) + sym_rank(alpha): fiber slowest.
 
 Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 Λ^j = 0 for j > n or j < 0, so the corresponding dimensions are 0.
@@ -18,13 +17,12 @@ Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 Symmetric tensors are polynomials with plain monomial coefficients: the
 contraction (directional derivative) ι_i sends x^alpha to alpha_i x^(alpha-e_i).
 This module owns that contraction as one cached sparse table, `iota_table`;
-the symbol prolongation, the polarization, the Spencer differentials and the
-tower verification all read their matrices and actions off it.
+the symbol prolongation and the tower verification read their matrices and
+actions off it, and so every level's ∂ that the Spencer differentials use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -156,34 +154,3 @@ def delta_insertion(s: ExtIndex, i: int) -> tuple[int, ExtIndex] | None:
     merged = tuple(sorted(s + (i,)))
     return (-1) ** below, merged
 
-
-# --------------------------- the space descriptor ---------------------------
-
-
-@dataclass(frozen=True)
-class TensorSpaceDesc:
-    """Λ^j E* ⊗ S^k E* ⊗ F with dim E = n, dim F = f."""
-
-    n: int
-    j: int
-    k: int
-    f: int
-
-    @property
-    def dim(self) -> int:
-        return self.f * ext_dim(self.n, self.j) * sym_dim(self.n, self.k)
-
-    def index_of(self, a: int, s: ExtIndex, alpha: MultiIndex) -> int:
-        """Flat index of basis element (fiber a, exterior s, symmetric alpha)."""
-        if not (0 <= a < self.f):
-            raise ValueError("fiber index out of range")
-        er = _ext_rank_table(self.n, self.j)[tuple(s)]
-        sr = _sym_rank_table(self.n, self.k)[tuple(alpha)]
-        return (a * ext_dim(self.n, self.j) + er) * sym_dim(self.n, self.k) + sr
-
-    def basis(self):
-        """Triples (a, s, alpha) in flat order."""
-        for a in range(self.f):
-            for s in ext_indices(self.n, self.j):
-                for alpha in multi_indices(self.n, self.k):
-                    yield a, s, alpha

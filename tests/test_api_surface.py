@@ -21,7 +21,6 @@ CALLERLESS = {
     "relconn.h01_dim": "ROADMAP 4: gains a caller or moves into tests",
     "relconn.partial_prolongation_fiber": "ROADMAP 4: gains a caller or moves into tests",
     "relconn.torsion_at": "ROADMAP 6: names the obstruction a completion removes",
-    "spencer.delta_matrix": "ROADMAP 4: the ambient reference differential of the tests",
 }
 
 

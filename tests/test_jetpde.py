@@ -28,6 +28,7 @@ Plan:
 
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -140,6 +141,14 @@ def test_jet_index_validation():
         jet_index(2, 1, 1, 0, (2, 0))
     with pytest.raises(ValueError):
         jet_index(2, 1, 1, 1, (1, 0))
+
+
+@pytest.mark.parametrize("alpha", [(1,), (1, 0, 0), (2, -1), (-1, 0)])
+def test_jet_index_refuses_a_multi_index_of_the_wrong_shape(alpha):
+    with pytest.raises(ValueError, match=rf"multi-index {re.escape(str(alpha))}"):
+        jet_index(2, 1, 2, 0, alpha)
+    with pytest.raises(ValueError, match="multi-index"):
+        PdeSystem.from_terms(2, 1, 2, [[(1, 0, (0, 1)), (-1, 0, alpha)]])
 
 
 # --------------------------- 2. construction ---------------------------
@@ -430,10 +439,10 @@ def assert_torsion_home(s: PdeSystem):
     # the slice is closed under the Spencer differential into form degree 3
     # (for k = 1 that target, Λ^3 ⊗ S^-1 ⊗ F, is zero)
     if k >= 2:
-        full = tower(Tableau.full(n, m, k - 1), 1).chain()
+        full = tower(Tableau.full(n, m, k - 1), 1)
         assert all(x == 0 for x in full.map_out(0, 2).apply(slice_vec))
     # and nonzero modulo the image of delta on forms valued in the symbol
-    img = image(tower(symbol_tableau(s), 1).chain().map_out(0, 1))
+    img = image(tower(symbol_tableau(s), 1).map_out(0, 1))
     assert any(x != 0 for x in img.reduce_mod(slice_vec))
 
 

@@ -9,10 +9,14 @@ Plan:
     map of random towers against the ambient differential read through the
     level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
-    short-chain and bad-r errors, a chain whose ∂s do not commute is refused,
-    and on random towers every entry equals the subspace reference
-    (kernel, image, containment) below.
+    short-chain and bad-r errors, a chain whose ∂s do not commute or whose
+    level-0 ∂ has a row count the assembly would cut short is refused, and on
+    random towers every entry equals the subspace reference (kernel, image,
+    containment) below;
+ 5) on random small systems, the tower's level dimensions and the type
+    verdict equal the sympy oracle's symbol tower.
 
+The ambient differential of 1)-3) lives in tests/ambient_reference.py.
 Frozen reference values come from tests/oracle_brute.py (independent sympy
 implementation): the first-order 2x2 rotation-like tableau has ker dim 2 in
 form degree 1, and free towers are acyclic in every slot.
@@ -31,13 +35,20 @@ from formalpde.spencer import (
     HEntry,
     TableauChain,
     cohomology,
-    delta_apply_basis,
-    delta_matrix,
     delta_partial_matrix,
     is_r_acyclic,
 )
-from formalpde.tableau import Tableau, _verify_contracts_into, tower
-from formalpde.tensorspace import TensorSpaceDesc, ext_indices, multi_indices, sym_dim
+from formalpde.tableau import (
+    Tableau,
+    TypeVerdict,
+    _verify_contracts_into,
+    classify_type,
+    tower,
+)
+from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
+
+import oracle_brute
+from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
 
 
 # --------------------------- 1) ambient hand cases ---------------------------
@@ -104,7 +115,7 @@ def cr_tableau_space():
 
 def cr_chain_map(m):
     # level 0 of the CR tableau's chain: ι into the full S^0 ⊗ F
-    return tower(Tableau(n=2, f=2, space=cr_tableau_space()), 1).chain().map_out(0, m)
+    return tower(Tableau(n=2, f=2, space=cr_tableau_space()), 1).map_out(0, m)
 
 
 def test_delta_hom_on_cr_tableau():
@@ -177,7 +188,7 @@ def test_chain_maps_match_the_ambient_differential():
         amb = sym_dim(n, degree) * f
         vecs = [[rng.randint(-2, 2) for _ in range(amb)] for _ in range(rng.randint(1, 3))]
         t = Tableau(n=n, f=f, space=Subspace.from_spanning(amb, vecs), degree=degree)
-        chain = tower(t, 3).chain()
+        chain = tower(t, 3)
         below = Subspace.full(sym_dim(n, degree - 1) * f)
         for l, level in enumerate(chain.levels):
             for m in range(n + 1):
@@ -256,6 +267,15 @@ def test_zero_chain_vanishing_short_circuit():
     assert verdict.acyclic and verdict.unconditional
 
 
+@pytest.mark.parametrize("n, rows", [(2, 3), (2, 1), (0, 1)])
+def test_level_zero_partial_needs_a_multiple_of_n_rows(n, rows):
+    # rows b*n + i: with n = 2, three rows would lose the last one to b = rows // n
+    partial0 = RatMatrix([[1], [0], [5]][:rows])
+    levels = (Subspace.full(1), Subspace.zero(0))
+    with pytest.raises(ValueError, match="partial map 0"):
+        TableauChain(n=n, levels=levels, partials=(partial0, RatMatrix.zeros(n, 0)))
+
+
 def reference_cycles_and_boundaries(chain, l, m):
     """Z^(l,m) and B^(l,m) as subspaces: the kernel of the map out of the
     slot and the image of the map into it, checked to nest."""
@@ -290,7 +310,8 @@ def test_noncommuting_partials_are_refused():
 
 
 @st.composite
-def small_systems(draw):
+def small_terms(draw):
+    """(n, m, k, equations) with n <= 3, m <= 2, k <= 2, as `from_terms` reads them."""
     n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
     terms = st.tuples(
         st.integers(-2, 2),
@@ -300,13 +321,17 @@ def small_systems(draw):
         .map(tuple),
     )
     eqs = draw(st.lists(st.lists(terms, min_size=1, max_size=4), min_size=1, max_size=4))
-    return PdeSystem.from_terms(n, m, k, eqs)
+    return n, m, k, eqs
+
+
+def small_systems():
+    return small_terms().map(lambda terms: PdeSystem.from_terms(*terms))
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_systems(), st.integers(0, 2))
 def test_cohomology_matches_the_subspace_reference(system, l_max):
-    chain = tower(symbol_tableau(system), l_max + 1).chain()
+    chain = tower(symbol_tableau(system), l_max + 1)
     report = cohomology(chain, l_max=l_max, m_max=system.n)
     for (l, m), entry in report.entries.items():
         if chain.slot_dim(l, m) == 0:
@@ -314,3 +339,19 @@ def test_cohomology_matches_the_subspace_reference(system, l_max):
             continue
         z, b = reference_cycles_and_boundaries(chain, l, m)
         assert entry == HEntry(z.dim, b.dim, z.dim - b.dim), (l, m)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_terms(), st.integers(1, 3), st.integers(0, 3))
+def test_tower_and_type_match_the_oracle(terms, depth, l_max):
+    l_max = min(l_max, depth)
+    chain = tower(symbol_tableau(PdeSystem.from_terms(*terms)), depth)
+    dims = tuple(len(basis) for _, _, basis in oracle_brute.symbol_tower_bases(*terms, depth))
+    assert tuple(level.dim for level in chain.levels) == dims
+    assert chain.ranks == dims[1:]
+    ranks = dims[: l_max + 1]
+    if 0 in ranks:
+        expected = TypeVerdict(kind="finite", level=ranks.index(0), ranks=ranks)
+    else:
+        expected = TypeVerdict(kind="infinite-up-to", level=l_max, ranks=ranks)
+    assert classify_type(chain, l_max) == expected

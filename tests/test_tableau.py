@@ -13,6 +13,7 @@ Plan:
 """
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -29,8 +30,14 @@ from formalpde.tableau import (
 from formalpde.tensorspace import sym_dim
 
 
+def from_matrices(n, f, mats):
+    """Degree-1 classical tableau spanned by Hom(E,F) matrices M[a][i]."""
+    vecs = [[Fraction(m[a][i]) for a in range(f) for i in range(n)] for m in mats]
+    return Tableau(n=n, f=f, space=Subspace.from_spanning(n * f, vecs))
+
+
 def cr_tableau():
-    return Tableau.from_matrices(2, 2, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
+    return from_matrices(2, 2, [[[1, 0], [0, 1]], [[0, 1], [-1, 0]]])
 
 
 def random_tableau(rng, n=None, f=None):
@@ -69,7 +76,7 @@ def test_zero_tableau_tower():
 
 def test_identity_like_tableau_is_finite_type_level_one():
     # g spanned by x1 ⊗ f0 + x2 ⊗ f1: second derivatives are pinned down to 0
-    t = Tableau.from_matrices(2, 2, [[[1, 0], [0, 1]]])
+    t = from_matrices(2, 2, [[[1, 0], [0, 1]]])
     assert prolong(t).dim == 0
     verdict = classify_type(tower(t, 3), 3)
     assert verdict.kind == "finite" and verdict.level == 1
@@ -94,9 +101,9 @@ def test_prolong_of_prolong_is_second_level():
         t = random_tableau(rng)
         tw = tower(t, 2)
         as_tableau = Tableau(
-            n=t.n, f=t.f, space=tw.levels[0], degree=t.degree + 1
+            n=t.n, f=t.f, space=tw.levels[1], degree=t.degree + 1
         )
-        assert prolong(as_tableau) == tw.levels[1]
+        assert prolong(as_tableau) == tw.levels[2]
 
 
 def test_first_prolongation_dimension_lower_bound():
@@ -131,7 +138,7 @@ def test_tower_rejects_depth_zero():
 
 def polarization(n, degree, f):
     """ι on the full S^degree ⊗ F: the level-0 ∂ of its chain, rows b*n + i."""
-    return tower(Tableau.full(n, f, degree), 1).chain().partials[0]
+    return tower(Tableau.full(n, f, degree), 1).partials[0]
 
 
 def random_injective_partial(rng, n, f, p):
@@ -176,8 +183,7 @@ def test_generalized_tower_and_chain():
         ]
     )
     gen = Tableau.generalized(2, 2, Subspace.full(3), partial)
-    tw = tower(gen, 3)
-    chain = tw.chain()
+    chain = tower(gen, 3)
     # level 0 is the full carrier R^3, and its ∂ lands in F = R^2
     assert chain.levels[0] == Subspace.full(3) and chain.partials[0] == partial
     assert chain.partials[0].rows == 2 * 2
@@ -185,8 +191,8 @@ def test_generalized_tower_and_chain():
     for (l, m), e in report.entries.items():
         assert e.h_dim >= 0
     # level 2 is the classical prolongation of level 1 inside S^* ⊗ R^3
-    lvl1_tab = Tableau(n=2, f=3, space=tw.levels[0])
-    assert prolong(lvl1_tab) == tw.levels[1]
+    lvl1_tab = Tableau(n=2, f=3, space=chain.levels[1])
+    assert prolong(lvl1_tab) == chain.levels[2]
 
 
 def test_generalized_partial_shape_validation():
@@ -206,7 +212,7 @@ def test_classify_cr_is_infinite_up_to_bound():
 
 
 def test_cr_cohomology_vanishes_in_the_window_only():
-    report = cohomology(tower(cr_tableau(), 4).chain(), l_max=3, m_max=2)
+    report = cohomology(tower(cr_tableau(), 4), l_max=3, m_max=2)
     assert set(report.entries) == {(l, m) for l in range(4) for m in (1, 2)}
     assert all(e.h_dim == 0 for e in report.entries.values())
     verdict = is_r_acyclic(report, 2)
@@ -215,8 +221,8 @@ def test_cr_cohomology_vanishes_in_the_window_only():
 
 
 def test_finite_type_cohomology_is_unconditional():
-    t = Tableau.from_matrices(2, 2, [[[1, 0], [0, 1]]])
-    report = cohomology(tower(t, 3).chain(), l_max=2, m_max=2)
+    t = from_matrices(2, 2, [[[1, 0], [0, 1]]])
+    report = cohomology(tower(t, 3), l_max=2, m_max=2)
     assert report.vanishing_level is not None and report.vanishing_level <= 3
     verdict = is_r_acyclic(report, 1)
     assert verdict.acyclic and verdict.unconditional

@@ -15,7 +15,6 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from formalpde.tensorspace import (
-    TensorSpaceDesc,
     contract_sym,
     delta_insertion,
     ext_dim,
@@ -28,6 +27,8 @@ from formalpde.tensorspace import (
     sym_dim,
     sym_rank,
 )
+
+from ambient_reference import TensorSpaceDesc
 
 
 # reference comparator, straight from the definition: alpha precedes beta in
