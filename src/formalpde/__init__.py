@@ -27,7 +27,6 @@ from .relconn import (
     TorsionResult,
     classical_prolongation_fiber,
     compatible,
-    h01_dim,
     prolongation_connection,
     symbol_map,
     torsion_at,
@@ -73,7 +72,6 @@ __all__ = [
     "finite_type_integrability",
     "formal_prolongation",
     "goldschmidt_check",
-    "h01_dim",
     "image",
     "is_r_acyclic",
     "jet_coords",

@@ -100,10 +100,6 @@ class RatMatrix:
     # -- constructors --
 
     @staticmethod
-    def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix([[_ZERO] * cols for _ in range(rows)], cols=cols)
-
-    @staticmethod
     def identity(n: int) -> "RatMatrix":
         return RatMatrix(
             [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)],
@@ -150,38 +146,6 @@ class RatMatrix:
     def __hash__(self) -> int:
         return hash((self.cols, self._rows))
 
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in r] for r in self._rows], cols=self.cols)
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in +")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ],
-            cols=self.cols,
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + (-other)
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in @")
-        out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        orows = other._rows
-        for i, rowa in enumerate(self._rows):
-            oi = out[i]
-            for k, a in enumerate(rowa):
-                if a:  # skip-zero: matrices here are mostly sparse
-                    rb = orows[k]
-                    for j, b in enumerate(rb):
-                        if b:
-                            oi[j] += a * b
-        return RatMatrix(out, cols=other.cols)
-
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product as a tuple."""
         v = _frozen_row(vec)
@@ -204,14 +168,8 @@ class RatMatrix:
             cols=self.rows,
         )
 
-    def is_zero(self) -> bool:
-        return all(not x for r in self._rows for x in r)
-
-    def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
-        return rref(self)
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref(self)[1])
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)

@@ -35,7 +35,7 @@ from .ratlin import (
     rat,
     solve_affine,
 )
-from .spencer import delta_partial_matrix
+from .spencer import TableauChain
 from .tableau import Tableau, prolong
 
 _ZERO = Fraction(0)
@@ -88,7 +88,8 @@ def _delta_image(conn: RelConn) -> Subspace:
     """Image of delta_∂D : Hom(E, g) -> Λ² ⊗ W, in slot coordinates."""
     if conn._delta_image is None:
         partial = symbol_map(conn).partial_map
-        conn._delta_image = image(delta_partial_matrix(partial, conn.n, 1))
+        chain = TableauChain(conn.n, (Subspace.full(partial.cols),), (partial,))
+        conn._delta_image = image(chain.map_out(0, 1))
     return conn._delta_image
 
 
@@ -132,11 +133,6 @@ def _symmetry_rows(conn: RelConn) -> RatMatrix:
                         row[(1 + j) * sd + c] -= ai[c]
                 rows.append(row)
     return RatMatrix(rows, cols=width)
-
-
-def partial_prolongation_fiber(conn: RelConn) -> Subspace:
-    """{(e, psi) : sigma(psi_i) = -A_i e for all i}."""
-    return kernel(_partial_rows(conn))
 
 
 @dataclass(frozen=True)
@@ -221,29 +217,29 @@ def compatible(outer: RelConn, inner: RelConn) -> CompatibilityReport:
     """Check the two compatibility identities of a nested pair.
 
     (1) A_i sigma' = sigma B_i for every direction; (2) A_i B_j = A_j B_i for
-    i < j.  Failures carry the first basis vector where the identity breaks
-    and the nonzero discrepancy, one record per broken identity.
+    i < j.  Both sides are applied to one inner basis vector at a time.
+    Failures carry the first basis vector where the identity breaks and the
+    nonzero discrepancy, one record per broken identity.
     """
     if inner.n != outer.n:
         raise ValueError("direction counts differ")
     if inner.coeff_dim != outer.source_dim:
         raise ValueError("inner coefficients must be the outer source")
+    a, b = outer.mats, inner.mats
+    # each identity as (condition, directions, P, Q, R, S) for P Q = R S
+    identities = [(1, (i,), a[i], inner.sigma, outer.sigma, b[i]) for i in range(outer.n)]
+    identities += [
+        (2, (i, j), a[i], b[j], a[j], b[i])
+        for i in range(outer.n)
+        for j in range(i + 1, outer.n)
+    ]
     failures: list[CompatibilityFailure] = []
-    for i in range(outer.n):
-        diff = outer.mats[i] @ inner.sigma - outer.sigma @ inner.mats[i]
-        if not diff.is_zero():
-            col = next(j for j in range(diff.cols) if any(diff.col(j)))
-            failures.append(
-                CompatibilityFailure(1, (i,), col, diff.col(col))
-            )
-    for i in range(outer.n):
-        for j in range(i + 1, outer.n):
-            diff = outer.mats[i] @ inner.mats[j] - outer.mats[j] @ inner.mats[i]
-            if not diff.is_zero():
-                col = next(c for c in range(diff.cols) if any(diff.col(c)))
-                failures.append(
-                    CompatibilityFailure(2, (i, j), col, diff.col(col))
-                )
+    for condition, directions, p, q, r, s in identities:
+        for c in range(inner.source_dim):
+            diff = tuple(x - y for x, y in zip(p.apply(q.col(c)), r.apply(s.col(c))))
+            if any(diff):
+                failures.append(CompatibilityFailure(condition, directions, c, diff))
+                break
     return CompatibilityReport(ok=not failures, failures=tuple(failures))
 
 
@@ -313,33 +309,3 @@ def torsion_at(conn: RelConn, e: Sequence) -> TorsionResult:
         )
     return TorsionResult(kind="obstruction", representative=rep)
 
-
-def h01_dim(outer: RelConn, inner: RelConn) -> int:
-    """dim of ker(delta_∂D on Hom(E, g)) / (symbol of the inner connection).
-
-    Requires the pair to pass ``compatible``; raises ValueError otherwise.
-    """
-    report = compatible(outer, inner)
-    if not report.ok:
-        raise ValueError("h01_dim needs a compatible pair")
-    g = outer.symbol
-    p = g.dim
-    n = outer.n
-    z = kernel(delta_partial_matrix(symbol_map(outer).partial_map, n, 1))
-    vecs = []
-    for v in inner.symbol.basis:
-        eta = [_ZERO] * (n * p)
-        for i in range(n):
-            img = inner.mats[i].apply(v)
-            coords = g.coords_of(img)
-            if coords is None:
-                raise InvariantViolation(
-                    "inner symbol does not map into the outer symbol"
-                )
-            for c, x in enumerate(coords):
-                eta[i * p + c] = x
-        vecs.append(eta)
-    b = Subspace.from_spanning(n * p, vecs)
-    if not z.contains(b):
-        raise InvariantViolation("inner-symbol image is not closed")
-    return z.dim - b.dim

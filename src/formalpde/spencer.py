@@ -75,16 +75,6 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
     return RatMatrix(rows, cols=len(src_ext) * nsrc)
 
 
-def delta_partial_matrix(partial: RatMatrix, n: int, j: int) -> RatMatrix:
-    """delta_∂: Λ^j ⊗ R^G -> Λ^(j+1) ⊗ F_b built from a degree-lowering map ∂.
-
-    ∂ is given as a matrix R^G -> Hom(E, R^(F_b)) with row convention b*n + i.
-    """
-    if partial.rows % n != 0:
-        raise ValueError("partial map rows must be a multiple of n")
-    return _slot_matrix(n, j, partial)
-
-
 # --------------------------- chains and cohomology ---------------------------
 
 

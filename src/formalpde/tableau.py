@@ -92,14 +92,6 @@ class Tableau:
     def generalized(n: int, f: int, space: Subspace, partial: RatMatrix) -> "Tableau":
         return Tableau(n=n, f=f, space=space, partial_map=partial)
 
-    @staticmethod
-    def full(n: int, f: int, degree: int = 1) -> "Tableau":
-        return Tableau(n=n, f=f, space=Subspace.full(sym_dim(n, degree) * f), degree=degree)
-
-    @staticmethod
-    def zero(n: int, f: int, degree: int = 1) -> "Tableau":
-        return Tableau(n=n, f=f, space=Subspace.zero(sym_dim(n, degree) * f), degree=degree)
-
 
 # --------------------------- prolongation ---------------------------
 

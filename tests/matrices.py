@@ -1,0 +1,23 @@
+"""Matrix helpers that only tests call, built on `RatMatrix.apply` and
+`TableauChain.map_out`: the library keeps no algebra without a caller."""
+
+from formalpde.ratlin import RatMatrix, Subspace
+from formalpde.spencer import TableauChain
+
+
+def zeros(rows: int, cols: int) -> RatMatrix:
+    return RatMatrix([[0] * cols for _ in range(rows)], cols=cols)
+
+
+def product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a b, one column of b at a time through ``a.apply``."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    cols = [a.apply(b.col(c)) for c in range(b.cols)]
+    return RatMatrix([[col[r] for col in cols] for r in range(a.rows)], cols=b.cols)
+
+
+def slot_map(partial: RatMatrix, n: int, m: int) -> RatMatrix:
+    """δ_∂ : Λ^m ⊗ R^G -> Λ^(m+1) ⊗ F for ∂ = partial (rows b*n + i): the map
+    out of slot (0, m) of the one-level chain that ∂ starts."""
+    return TableauChain(n, (Subspace.full(partial.cols),), (partial,)).map_out(0, m)

@@ -1,15 +1,28 @@
 """No public API without a caller.
 
-Every public top-level function and class in ``src/formalpde`` must be
-referenced by name from product code somewhere in ``src/`` outside its own
-definition, or sit on ``CALLERLESS`` with the ROADMAP item that will give it
-a caller (or move it into ``tests/``).  Re-exports in ``__init__.py`` are not
-callers, and tests are not callers.  An allowlisted name that gains a caller
-or disappears fails the test too, so the list can only shrink.
+Every public top-level function and class in ``src/formalpde``, and every
+public method, static method and property of a public class, must have a
+caller in product code somewhere in ``src/`` outside its own definition, or
+sit on ``CALLERLESS`` with the ROADMAP item that will give it a caller (or
+move it into ``tests/``).  Re-exports in ``__init__.py`` are not callers, and
+tests are not callers.  An allowlisted name that gains a caller or disappears
+fails the test too, so the list can only shrink.
+
+What counts as a caller:
+* a top-level name: the name read or written anywhere;
+* a method or property: its name read as an attribute anywhere;
+* a static method: ``Cls.name`` for its own class, or ``self.name``/
+  ``cls.name`` inside that class, so ``Subspace.full`` does not hide
+  ``Tableau.full``;
+* ``__matmul__``: any ``@``.  ``+``, ``-`` and unary ``-`` also act on
+  Fractions, so ``__add__``, ``__sub__`` and ``__neg__`` never have one.
+Other dunders are protocol, and private classes are skipped whole.
 """
 
 import ast
 from pathlib import Path
+
+import formalpde
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "formalpde"
 
@@ -17,44 +30,53 @@ CALLERLESS = {
     "cli.format_system": "ROADMAP 6: prints the completed system",
     "jetpde.jet_to_prolongation_point": "ROADMAP 3: maps jet fibers onto connection fibers",
     "jetpde.pde_to_relconn": "ROADMAP 3: the connection-native tower starts from it",
+    "relconn.compatible": "ROADMAP 3: checks each level of the connection-native tower",
     "relconn.prolongation_connection": "ROADMAP 3: the connection-native tower",
-    "relconn.h01_dim": "ROADMAP 4: gains a caller or moves into tests",
-    "relconn.partial_prolongation_fiber": "ROADMAP 4: gains a caller or moves into tests",
     "relconn.torsion_at": "ROADMAP 6: names the obstruction a completion removes",
 }
 
+_FRACTION_OPERATORS = {"__add__", "__sub__", "__neg__"}
+_OPERATORS = _FRACTION_OPERATORS | {"__matmul__"}
 
-def _names(node, skip=None) -> set[str]:
-    """Every Name read or written under node, leaving out the subtree skip."""
-    found, todo = set(), [node]
-    while todo:
-        cur = todo.pop()
-        if cur is skip:
+
+def _member_called(cls, meth, nodes) -> bool:
+    if meth.name in _FRACTION_OPERATORS:
+        return False
+    own, inside = set(ast.walk(meth)), set(ast.walk(cls))
+    if meth.name == "__matmul__":
+        return any(isinstance(getattr(n, "op", None), ast.MatMult) for n in nodes - own)
+    static = any(getattr(d, "id", None) == "staticmethod" for d in meth.decorator_list)
+    for node in nodes - own:
+        if not (isinstance(node, ast.Attribute) and node.attr == meth.name):
             continue
-        if isinstance(cur, ast.Name):
-            found.add(cur.id)
-        todo.extend(ast.iter_child_nodes(cur))
-    return found
+        owner = getattr(node.value, "id", None)
+        if not static or owner == cls.name or (owner in ("self", "cls") and node in inside):
+            return True
+    return False
 
 
 def _callerless(src: Path = SRC) -> set[str]:
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted(src.glob("*.py"))}
+    # every node of product code; re-exports in __init__.py are not callers
+    nodes = {n for name, tree in modules.items() if name != "__init__" for n in ast.walk(tree)}
     out = set()
     for mod, tree in modules.items():
         if mod.startswith("__"):
             continue
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            if node.name.startswith("_"):
-                continue
-            called = any(
-                node.name in _names(other, skip=node if other is tree else None)
-                for name, other in modules.items()
-                if name != "__init__"
-            )
-            if not called:
+            names = {n.id for n in nodes - set(ast.walk(node)) if isinstance(n, ast.Name)}
+            if node.name not in names:
                 out.add(f"{mod}.{node.name}")
+            body = node.body if isinstance(node, ast.ClassDef) else ()
+            members = [m for m in body if isinstance(m, ast.FunctionDef)]
+            out |= {
+                f"{mod}.{node.name}.{m.name}"
+                for m in members
+                if (not m.name.startswith("_") or m.name in _OPERATORS)
+                and not _member_called(node, m, nodes)
+            }
     return out
 
 
@@ -76,3 +98,32 @@ def test_the_check_sees_a_callerless_function(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import used\n\nX = used()\n")
     assert _callerless(tmp_path) == {"a.unused"}
+
+
+def test_the_check_sees_callerless_members(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    @staticmethod\n    def full():\n        return A\n\n"
+        "    @staticmethod\n    def zero():\n        return A.full()\n\n"
+        "    def __matmul__(self, other):\n        return self\n\n"
+        "    def __neg__(self):\n        return self\n\n\n"
+        "class B:\n"
+        "    @staticmethod\n    def zero():\n        return B\n\n"
+        "    def apply(self):\n        return 1\n\n\n"
+        "class _Parser:\n    def error(self):\n        return 1\n"
+    )
+    # zero is called only on B, apply through any instance, error never
+    (tmp_path / "b.py").write_text("from .a import A, B\n\nX = B.zero().apply() + A.zero() - 1\n")
+    assert _callerless(tmp_path) == {"a.A.__matmul__", "a.A.__neg__"}
+    # a static method called only on another class has no caller
+    (tmp_path / "b.py").write_text("from .a import A, B\n\nX = B.zero().apply() @ A\n")
+    assert _callerless(tmp_path) == {"a.A.zero", "a.A.__neg__"}
+
+
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imported = {alias.asname or alias.name for node in imports for alias in node.names}
+    assert set(formalpde.__all__) == imported
+    assert len(formalpde.__all__) == len(imported)
+    assert all(hasattr(formalpde, name) for name in formalpde.__all__)

@@ -19,7 +19,6 @@ Plan:
 """
 
 import json
-import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -245,38 +244,21 @@ def test_empty_equation_list_is_a_free_system():
 # --------------------------- 5. canonical printing ---------------------------
 
 
-def random_system(rng: random.Random) -> PdeSystem:
-    n = rng.randint(1, 3)
-    m = rng.randint(1, 2)
-    k = rng.randint(1, 2)
-    eqs = []
-    for _ in range(rng.randint(0, 3)):
-        terms = []
-        for _ in range(rng.randint(0, 4)):
-            a = rng.randrange(m)
-            alpha = [0] * n
-            for _ in range(rng.randint(0, k)):
-                alpha[rng.randrange(n)] += 1
-            terms.append(
-                (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), a, tuple(alpha))
-            )
-        eqs.append(terms)
-    return PdeSystem.from_terms(n, m, k, eqs)
+@st.composite
+def pde_systems(draw):
+    """Systems with signed rational coefficients; an equation may be empty,
+    and its terms may be zero or cancel."""
+    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    # a multi-index of order <= k, as the directions it differentiates along
+    alpha = st.lists(st.integers(0, n - 1), max_size=k).map(lambda d: tuple(map(d.count, range(n))))
+    term = st.tuples(st.fractions(-4, 4, max_denominator=3), st.integers(0, m - 1), alpha)
+    return PdeSystem.from_terms(n, m, k, draw(st.lists(st.lists(term, max_size=4), max_size=3)))
 
 
-def test_print_parse_round_trip():
-    systems = [
-        parse_system(corpus_text(name))
-        for name in (
-            "cauchy_riemann.pde", "laplace2d.pde", "wave1d.pde",
-            "gradient_zero.pde", "flat_connection_commuting.pde",
-            "flat_connection_obstructed.pde",
-        )
-    ]
-    rng = random.Random(7521)
-    systems += [random_system(rng) for _ in range(40)]
-    for s in systems:
-        assert parse_system(format_system(s)) == s
+@settings(deadline=None, max_examples=300)
+@given(pde_systems())
+def test_print_parse_round_trip(s):
+    assert parse_system(format_system(s)) == s
 
 
 def test_canonical_form_is_stable():

@@ -19,20 +19,19 @@ import pytest
 import sympy
 
 from formalpde.errors import InvariantViolation
-from formalpde.ratlin import RatMatrix, Subspace, image
+from formalpde.ratlin import RatMatrix, Subspace, image, kernel
 from formalpde.relconn import (
     RelConn,
+    _partial_rows,
     classical_prolongation_fiber,
     compatible,
     curvature_of_lift,
-    h01_dim,
-    partial_prolongation_fiber,
     prolongation_connection,
     symbol_map,
     torsion_at,
 )
-from formalpde.spencer import delta_partial_matrix
 
+from matrices import slot_map, zeros
 from oracle_brute import section_curvature
 
 F = Fraction
@@ -46,6 +45,33 @@ def flat_conn(a1, a2):
 
 def to_sympy(m: RatMatrix) -> sympy.Matrix:
     return sympy.Matrix([[sympy.Rational(x) for x in m.row(i)] for i in range(m.rows)])
+
+
+def partial_prolongation_fiber(conn: RelConn) -> Subspace:
+    """{(e, psi) : sigma(psi_i) = -A_i e for all i}."""
+    return kernel(_partial_rows(conn))
+
+
+def h01_dim(outer: RelConn, inner: RelConn) -> int:
+    """dim of ker(delta_∂D on Hom(E, g)) / (symbol of the inner connection).
+
+    Requires the pair to pass ``compatible``; raises ValueError otherwise.
+    """
+    if not compatible(outer, inner).ok:
+        raise ValueError("h01_dim needs a compatible pair")
+    g, n = outer.symbol, outer.n
+    z = kernel(slot_map(symbol_map(outer).partial_map, n, 1))  # delta_∂D on Hom(E, g)
+    vecs = []
+    for v in inner.symbol.basis:
+        eta = [F(0)] * (n * g.dim)
+        for i in range(n):
+            coords = g.coords_of(inner.mats[i].apply(v))
+            assert coords is not None, "inner symbol does not map into the outer symbol"
+            eta[i * g.dim : (i + 1) * g.dim] = coords
+        vecs.append(eta)
+    b = Subspace.from_spanning(n * g.dim, vecs)
+    assert z.contains(b), "inner-symbol image is not closed"
+    return z.dim - b.dim
 
 
 # --------------------------- 1) flat connections ---------------------------
@@ -66,12 +92,13 @@ def test_flat_noncommuting_obstruction_is_commutator():
     a1 = [[0, 1], [0, 0]]
     a2 = [[0, 0], [1, 0]]
     conn = flat_conn(a1, a2)
-    comm = RatMatrix(a1) @ RatMatrix(a2) - RatMatrix(a2) @ RatMatrix(a1)
+    m1, m2 = conn.mats
     for e in ([1, 0], [0, 1], [2, 5]):
         res = torsion_at(conn, e)
         assert res.kind == "obstruction"
         # ker sigma = 0, so the class is the raw curvature [A_1, A_2] e
-        assert res.representative == comm.apply(e)
+        comm_e = tuple(x - y for x, y in zip(m1.apply(m2.apply(e)), m2.apply(m1.apply(e))))
+        assert res.representative == comm_e
     # points in the kernel of the commutator (here only 0) do vanish
     assert torsion_at(conn, [0, 0]).kind == "vanishes"
 
@@ -216,7 +243,7 @@ def test_class_is_lift_independent():
         psi2 = list(psi1)
         for c in range(sd):
             psi2[c] += shift[c]  # shift psi_1 by a symbol vector
-        im = image(delta_partial_matrix(symbol_map(conn).partial_map, conn.n, 1))
+        im = image(slot_map(symbol_map(conn).partial_map, conn.n, 1))
         k1 = im.reduce_mod(curvature_of_lift(conn, psi1))
         k2 = im.reduce_mod(curvature_of_lift(conn, psi2))
         assert k1 == k2
@@ -228,7 +255,7 @@ def test_class_is_lift_independent():
 def test_fiber_empty_with_witness():
     sigma = RatMatrix([[1, 0], [0, 0]])
     a1 = RatMatrix([[0, 0], [1, 0]])
-    a2 = RatMatrix.zeros(2, 2)
+    a2 = zeros(2, 2)
     conn = RelConn(sigma, [a1, a2])
     res = torsion_at(conn, [1, 0])
     assert res.kind == "fiber-empty"
@@ -241,12 +268,17 @@ def test_fiber_empty_with_witness():
 
 def test_compatibility_failure_records():
     outer = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    inner = RelConn(RatMatrix.identity(2), [RatMatrix.zeros(2, 2)] * 2)
+    inner = RelConn(RatMatrix.identity(2), [zeros(2, 2)] * 2)
     report = compatible(outer, inner)
     assert not report.ok
-    kinds = {f.condition for f in report.failures}
-    assert kinds == {1}
-    assert all(any(f.discrepancy) for f in report.failures)
+
+    def records(report):
+        return [(f.condition, f.directions, f.basis_index, f.discrepancy) for f in report.failures]
+
+    # condition 1 breaks as A_i itself: its first nonzero column
+    assert records(report) == [(1, (0,), 1, (1, 0)), (1, (1,), 0, (0, 1))]
+    # A_1 A_2 - A_2 A_1 = diag(1, -1): condition 2 breaks at the first column
+    assert records(compatible(outer, outer)) == [(2, (0, 1), 0, (1, 0))]
 
 
 def test_h01_dim_worked_example():
@@ -257,13 +289,13 @@ def test_h01_dim_worked_example():
     # against the full prolongation the quotient closes up
     assert h01_dim(outer, prolongation_connection(outer)) == 0
     # against the empty inner connection it is all of Z: one dimension here
-    trivial = RelConn(RatMatrix.zeros(3, 0), [RatMatrix.zeros(3, 0)] * 2)
+    trivial = RelConn(zeros(3, 0), [zeros(3, 0)] * 2)
     assert h01_dim(outer, trivial) == 1
 
 
 def test_h01_dim_rejects_incompatible_pairs():
     outer = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    inner = RelConn(RatMatrix.identity(2), [RatMatrix.zeros(2, 2)] * 2)
+    inner = RelConn(RatMatrix.identity(2), [zeros(2, 2)] * 2)
     with pytest.raises(ValueError):
         h01_dim(outer, inner)
 
@@ -272,4 +304,4 @@ def test_relconn_shape_validation():
     with pytest.raises(ValueError):
         RelConn(RatMatrix.identity(2), [])
     with pytest.raises(ValueError):
-        RelConn(RatMatrix.identity(2), [RatMatrix.zeros(3, 2)])
+        RelConn(RatMatrix.identity(2), [zeros(3, 2)])
