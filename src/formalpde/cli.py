@@ -20,7 +20,8 @@ Numbers are written with the ASCII digits 0-9 only.
 
 Syntax errors report line and column plus the expected token; semantic
 errors (component or direction out of range, derivative order above the
-declared order, zero denominators, header problems) carry a stable code.
+declared order, zero denominators, header problems such as a base jet fiber
+above MAX_BASE_FIBER) carry a stable code.
 
 Exit codes: 0 = analysis completed (obstructed verdicts included), 1 = bad
 input (unreadable file, parse error, bad flags), 2 = an internal consistency
@@ -87,6 +88,23 @@ class PdeSemanticError(ValueError):
 _HEADER_RE = re.compile(r"^\s*(base_dim|fiber_rank|order)\s*=\s*([0-9]+)\s*$")
 _HEADER_NAMES = ("base_dim", "fiber_rank", "order")
 _DIGITS = frozenset("0123456789")  # str.isdigit() also accepts '²' and '٢'
+# Largest base jet fiber m·C(n+k, n) the parser accepts.  Every command holds
+# the base fiber as a dense canonical basis and prolongs it at least once, so
+# its cost grows as N^3 in time and N^2 in memory: a free system with N = 500
+# (base_dim 1, fiber_rank 250, order 1) takes about 4 s and 110 MB under
+# `tower`.  Every corpus and benchmark-pool system has N <= 20.
+MAX_BASE_FIBER = 500
+
+
+def _base_fiber_exceeds(n: int, m: int, k: int) -> bool:
+    """Whether m·C(n+k, n) > MAX_BASE_FIBER, built up one factor at a time
+    and stopped once past it, so huge headers cost a few steps."""
+    size = m
+    for i in range(1, min(n, k) + 1):
+        if size > MAX_BASE_FIBER:
+            break
+        size = size * (max(n, k) + i) // i
+    return size > MAX_BASE_FIBER
 
 
 def _int_literal(line_no: int, col: int, digits: str) -> int:
@@ -233,7 +251,6 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
 def parse_system(text: str) -> PdeSystem:
     """Parse .pde source into a PdeSystem; equations keep file order."""
     headers: dict[str, int] = {}
-    header_lines: dict[str, int] = {}
     equations: list[list[tuple[Fraction, int, tuple[int, ...]]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -262,7 +279,14 @@ def parse_system(text: str) -> PdeSystem:
                     line_no, "header-out-of-range", f"{name} must be at least 1"
                 )
             headers[name] = value
-            header_lines[name] = line_no
+            if len(headers) == len(_HEADER_NAMES) and _base_fiber_exceeds(
+                headers["base_dim"], headers["fiber_rank"], headers["order"]
+            ):
+                raise PdeSemanticError(
+                    line_no, "header-out-of-range",
+                    f"base jet fiber fiber_rank·C(base_dim+order, base_dim) "
+                    f"exceeds {MAX_BASE_FIBER}",
+                )
             continue
         if stripped.startswith("eq:"):
             missing = [h for h in _HEADER_NAMES if h not in headers]

@@ -29,7 +29,8 @@ echelon form also give a row basis of the matrix (`kernel_with_row_basis`).
 
 A canonical basis answers its own slices without elimination: the vectors
 vanishing before a coordinate (`Subspace.tail`) and the annihilator
-(`Subspace.constraint_matrix`) are read off it.
+(`Subspace.constraint_matrix`) are read off it.  Where only a rank is needed,
+`rank_mod_p` gives a lower bound for it from integers mod one fixed prime.
 """
 
 from __future__ import annotations
@@ -219,6 +220,45 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if cursor == nrows:
             break
     return RatMatrix(work, cols=ncols), tuple(pivots)
+
+
+PRIME = 2**31 - 1  # the one modulus of `rank_mod_p`
+
+
+def rank_mod_p(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> int | None:
+    """Rank mod PRIME of the rows given by their nonzero (column, value)
+    pairs, or None when a denominator is divisible by PRIME.  It never
+    exceeds the rank over Q: a minor nonzero mod PRIME is nonzero over Q.
+
+    Entries become num * den⁻¹ mod PRIME, and zero residues are dropped, so
+    every kept entry can be a pivot.  Each row is reduced at its smallest
+    column by the pivot rows so far until it vanishes or becomes one.
+    """
+    p = PRIME
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for pairs in rows:
+        row: dict[int, int] = {}
+        for c, x in pairs:
+            den = x.denominator % p
+            if not den:
+                return None
+            if v := (x.numerator * pow(den, -1, p) if den != 1 else x.numerator) % p:
+                row[c] = v
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p)
+                pivot_rows[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in prow.items():
+                w = (row.get(j, 0) - f * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+    return len(pivot_rows)
 
 
 # --------------------------- subspaces ---------------------------

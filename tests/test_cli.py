@@ -5,7 +5,8 @@ Plan:
  2. syntax errors carry line, column and the expected token; numbers are
     ASCII digits, an over-long literal is a syntax error at its column, and
     fuzzed text raises only PdeSyntaxError or PdeSemanticError
- 3. semantic errors carry stable codes
+ 3. semantic errors carry stable codes; headers whose base jet fiber is
+    past the parser's limit are refused fast, before any equation is read
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses, 1 for input problems,
@@ -21,12 +22,14 @@ Plan:
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from formalpde import cli
 from formalpde.cli import (
     PdeSemanticError,
     PdeSyntaxError,
@@ -206,6 +209,33 @@ def test_semantic_error_codes():
     )
     assert semantic_code("base_dim = 0\nfiber_rank = 1\norder = 1\n") \
         == "header-out-of-range"
+
+
+@pytest.mark.parametrize(
+    "n, m, k",
+    [(99999999999, 1, 1), (1, 99999999999, 1), (10**90, 10**90, 10**90), (1, 251, 1)],
+    ids=["base_dim", "fiber_rank", "every-header", "one-past"],
+)
+def test_base_fiber_past_the_limit_is_refused_before_allocating(
+    n, m, k, tmp_path, capsys, monkeypatch
+):
+    def never(*args):
+        raise AssertionError("the system was built")
+
+    monkeypatch.setattr(cli, "_parse_equation", never)
+    monkeypatch.setattr(PdeSystem, "from_terms", never)
+    path = write_pde(tmp_path, f"base_dim = {n}\nfiber_rank = {m}\norder = {k}\neq: u1_x1 = 0\n")
+    start = time.perf_counter()
+    assert main(["symbol", path]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "[header-out-of-range]" in err and f"exceeds {cli.MAX_BASE_FIBER}" in err
+
+
+def test_base_fiber_at_the_limit_is_accepted():
+    # 250 · C(1 + 1, 1) = 500
+    s = parse_system("base_dim = 1\nfiber_rank = 250\norder = 1\n")
+    assert s.equations.cols == cli.MAX_BASE_FIBER
 
 
 # --------------------------- 4. term forms ---------------------------

@@ -9,7 +9,9 @@ Plan:
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
- 5) the single-elimination kernel equals the kernel read off rref(m) and
+ 5) the rank mod PRIME equals the rank over Q where no minor can be
+    divisible by PRIME, drops zero residues and refuses denominators of
+    PRIME; the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its row basis spans the row space;
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
@@ -23,12 +25,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formalpde.ratlin import (
+    PRIME,
     AffineSolution,
     RatMatrix,
     Subspace,
     image,
     kernel,
     kernel_with_row_basis,
+    rank_mod_p,
     rref,
     solve,
     solve_affine,
@@ -260,6 +264,30 @@ def test_rref_matches_sympy(rows):
     assert [list(r.row(i)) for i in range(r.rows)] == [
         [F(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)
     ]
+
+
+def supports(m: RatMatrix) -> list:
+    return [[(c, x) for c, x in enumerate(m.row(r)) if x] for r in range(m.rows)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(matrices_with_empty_shapes(max_rows=5, max_cols=6))
+def test_rank_mod_p_is_the_rank_over_q_on_small_entries(m):
+    # times 6, a row of small_fractions is integer with entries of size
+    # <= 18, and 6 is a unit mod PRIME; with at most 5 rows every minor of
+    # the scaled rows is below (18 * sqrt(5))^5 < 2^27 by Hadamard's bound,
+    # so no nonzero minor vanishes mod PRIME and the ranks agree
+    assert rank_mod_p(supports(m)) == m.rank()
+
+
+def test_rank_mod_p_drops_zero_residues_and_refuses_denominators_of_p():
+    # multiples of PRIME have residue 0: kept, one would be a pivot with no inverse
+    assert rank_mod_p([[(0, F(PRIME)), (1, F(3 * PRIME, 2))], [(1, F(5))]]) == 1
+    # a row cancelling to zero at its fill-in
+    assert rank_mod_p([[(0, F(1)), (1, F(2))], [(0, F(2)), (1, F(4))]]) == 1
+    assert rank_mod_p([[(0, F(1, PRIME))]]) is None
+    assert rank_mod_p([[(0, F(PRIME, 7))]]) == 0
+    assert rank_mod_p([]) == 0
 
 
 def free_column_kernel(m: RatMatrix) -> Subspace:

@@ -10,9 +10,12 @@ Plan:
     level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain and bad-r errors, a chain whose ∂s do not commute or whose
-    level-0 ∂ has a row count the assembly would cut short is refused, and on
-    random towers every entry equals the subspace reference (kernel, image,
-    containment) below;
+    level-0 ∂ has a row count the assembly would cut short is refused;
+    the modular squeeze certifies a vanishing window with no exact rank,
+    and each reason to fall back to exact ranks (every residue 0 mod p, a
+    denominator divisible by p, a nonzero H) gives the exact report; on
+    random classical and generalized towers every entry equals the subspace
+    reference (kernel, image, containment) below;
  5) on random small systems, the tower's level dimensions and the type
     verdict equal the sympy oracle's symbol tower.
 
@@ -29,8 +32,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formalpde.errors import InvariantViolation
-from formalpde.jetpde import PdeSystem, symbol_tableau
-from formalpde.ratlin import RatMatrix, Subspace, image, kernel
+from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
+from formalpde.ratlin import PRIME, RatMatrix, Subspace, image, kernel
 from formalpde.spencer import (
     HEntry,
     TableauChain,
@@ -309,6 +312,93 @@ def test_noncommuting_partials_are_refused():
         cohomology(bad, l_max=1, m_max=2)
 
 
+# --------------------------- 4b) the modular squeeze ---------------------------
+
+
+@pytest.fixture
+def exact_ranks(monkeypatch):
+    """Shapes of the matrices `RatMatrix.rank` eliminates over Q from here on."""
+    shapes = []
+    rank = RatMatrix.rank
+
+    def counting(self):
+        shapes.append(self.shape)
+        return rank(self)
+
+    monkeypatch.setattr(RatMatrix, "rank", counting)
+    return shapes
+
+
+def scaled_chain(chain, factor):
+    """The chain with every entry of every ∂ multiplied by factor."""
+    partials = tuple(
+        RatMatrix([[x * factor for x in d.row(r)] for r in range(d.rows)], cols=d.cols)
+        for d in chain.partials
+    )
+    return TableauChain(n=chain.n, levels=chain.levels, partials=partials)
+
+
+def test_vanishing_cohomology_needs_no_exact_rank(exact_ranks):
+    report = cohomology(full_chain(2, 1, 3), l_max=2, m_max=2)
+    assert all(e.h_dim == 0 for e in report.entries.values())
+    assert exact_ranks == []
+
+
+@pytest.mark.parametrize(
+    "factor", [PRIME, Fraction(1, PRIME)], ids=["residues-zero", "denominators-of-p"]
+)
+def test_maps_the_squeeze_cannot_read_get_exact_ranks(exact_ranks, factor):
+    # scaled by p every residue is 0, so each modular rank is 0 and no slot is
+    # certified; scaled by 1/p no entry has a residue at all.  Scaling keeps
+    # δ∘δ = 0 and every rank, so the report must not change.
+    chain = full_chain(2, 1, 3)
+    want = cohomology(chain, l_max=2, m_max=2).entries
+    got = cohomology(scaled_chain(chain, factor), l_max=2, m_max=2).entries
+    assert got == want
+    # every slot is nonzero here, and each distinct map is eliminated once
+    maps = set(want) | {(l + 1, m - 1) for l, m in want}
+    assert len(exact_ranks) == len(maps) == 10
+
+
+def test_nonzero_cohomology_gets_exact_ranks_and_keeps_the_verdict(exact_ranks):
+    # u_x1x1 = u_x2x2 = 0 has H(0, 2) = 1: slot (0, 2) keeps a positive bound,
+    # so its maps are ranked over Q, and the verdict stays inconclusive
+    system = PdeSystem.from_terms(2, 1, 2, [[(1, 0, (2, 0))], [(1, 0, (0, 2))]])
+    rep = goldschmidt_check(system, 2)
+    assert (rep.verdict, rep.verdict_level) == ("inconclusive", 0)
+    assert rep.cohomology[(0, 2)] == 1
+    assert len(exact_ranks) == 2
+    chain = tower(symbol_tableau(system), 3)
+    assert_matches_the_subspace_reference(chain, cohomology(chain, l_max=2, m_max=2))
+
+
+def assert_matches_the_subspace_reference(chain, report):
+    for (l, m), entry in report.entries.items():
+        if chain.slot_dim(l, m) == 0:
+            assert entry == HEntry(0, 0, 0)
+            continue
+        z, b = reference_cycles_and_boundaries(chain, l, m)
+        assert entry == HEntry(z.dim, b.dim, z.dim - b.dim), (l, m)
+
+
+@st.composite
+def generalized_tableaux(draw):
+    """Tableau.generalized over a full carrier with a random rational ∂,
+    n <= 3, f <= 2, dim g <= 3: its towers often have nonzero H."""
+    n, f, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entries = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+    row = st.lists(entries, min_size=p, max_size=p)
+    rows = draw(st.lists(row, min_size=n * f, max_size=n * f))
+    return Tableau.generalized(n, f, Subspace.full(p), RatMatrix(rows, cols=p))
+
+
+@settings(deadline=None, max_examples=40)
+@given(generalized_tableaux(), st.integers(0, 2))
+def test_generalized_cohomology_matches_the_subspace_reference(t, l_max):
+    chain = tower(t, l_max + 1)
+    assert_matches_the_subspace_reference(chain, cohomology(chain, l_max=l_max, m_max=t.n))
+
+
 @st.composite
 def small_terms(draw):
     """(n, m, k, equations) with n <= 3, m <= 2, k <= 2, as `from_terms` reads them."""
@@ -333,12 +423,7 @@ def small_systems():
 def test_cohomology_matches_the_subspace_reference(system, l_max):
     chain = tower(symbol_tableau(system), l_max + 1)
     report = cohomology(chain, l_max=l_max, m_max=system.n)
-    for (l, m), entry in report.entries.items():
-        if chain.slot_dim(l, m) == 0:
-            assert entry == HEntry(0, 0, 0)
-            continue
-        z, b = reference_cycles_and_boundaries(chain, l, m)
-        assert entry == HEntry(z.dim, b.dim, z.dim - b.dim), (l, m)
+    assert_matches_the_subspace_reference(chain, report)
 
 
 @settings(deadline=None, max_examples=40)
