@@ -47,6 +47,7 @@ from .errors import InvariantViolation
 from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
+    check_jet_budget,
     crosscheck_routes,
     finite_type_integrability,
     goldschmidt_check,
@@ -464,6 +465,7 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def cmd_symbol(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.levels)
     tab = symbol_tableau(system)
     verdict = classify_type(tower(tab, args.levels), args.levels)
     lines = [
@@ -487,6 +489,7 @@ def cmd_symbol(args) -> int:
 
 def cmd_tower(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.levels)
     rep = prolongation_tower(system, args.levels)
     _emit(args, _report_table(rep), _report_payload("tower", system, rep))
     return 0
@@ -494,6 +497,7 @@ def cmd_tower(args) -> int:
 
 def cmd_cohomology(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.l_max + 1)
     m_max = args.m_max if args.m_max is not None else system.n
     chain = tower(symbol_tableau(system), args.l_max + 1)
     report = cohomology(chain, l_max=args.l_max, m_max=m_max)
@@ -530,6 +534,7 @@ def cmd_cohomology(args) -> int:
 
 def cmd_goldschmidt(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.l_max + 1)
     rep = goldschmidt_check(system, args.l_max)
     lines = _report_table(rep)
     h2 = [rep.cohomology[(l, 2)] for l in range(args.l_max + 1)]
@@ -542,6 +547,7 @@ def cmd_goldschmidt(args) -> int:
 
 def cmd_finite_type(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.l_max + 1)  # the walk never passes the symbol tower
     rep = finite_type_integrability(system, args.l_max, args.levels)
     lines = _report_table(rep)
     if rep.type_verdict is not None:
@@ -554,6 +560,7 @@ def cmd_finite_type(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = load_system(args.file)
+    check_jet_budget(system, args.levels)
     levels = crosscheck_routes(system, args.levels)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.extend(

@@ -67,6 +67,34 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
     return _jet_offsets(n, m, k)[k + 1]
 
 
+# Widest jet fiber, in coordinates, an analysis may prolong to.  The walk
+# eliminates up to (1 + n) rows per fiber coordinate at every level, and its
+# cost grows about as N^2 in time: u_x1x1 + u_x2x2 - u_x3 = 0 under
+# `tower --levels 14` reaches N = 969 in 2.2 s and 72 MB, and the free
+# first-order system in three variables at depth 15 (also 969) in 1.9 s and
+# 53 MB (in-process, Python 3.11, shared 2-vCPU VM).  Every corpus, pool and
+# benchmark input stays at or below 330 (the 4-D wave equation at depth 5).
+MAX_JET_FIBER = 1000
+
+
+def check_jet_budget(system: PdeSystem, depth: int) -> None:
+    """Refuse, before any elimination, a prolongation of system to depth whose
+    jet fiber m·C(n+k+depth, n) exceeds MAX_JET_FIBER (ValueError naming the
+    stage and the size).  The binomial is built one factor at a time and
+    stopped once past the budget, so a huge depth costs a few steps."""
+    n, order = system.n, system.k + depth
+    size, built = system.m, 0
+    while built < n and size <= MAX_JET_FIBER:
+        built += 1
+        size = size * (order + built) // built
+    if size > MAX_JET_FIBER:
+        has = f"{size}" if built == n else f"more than {size}"
+        raise ValueError(
+            f"prolongation to depth {depth} needs the order-{order} jet fiber of "
+            f"{has} coordinates, above the budget of {MAX_JET_FIBER}"
+        )
+
+
 def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
     if len(alpha) != n or any(x < 0 for x in alpha):
         raise ValueError(f"multi-index {tuple(alpha)} is not {n} nonnegative orders")

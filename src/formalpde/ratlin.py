@@ -9,23 +9,24 @@ Entries are validated by type at every boundary (`RatMatrix`, `apply`,
 `Subspace.reduce_mod`): a row whose entries are all Fractions is kept as is,
 any other row is coerced entry by entry, and a float is refused either way.
 Zeros are skipped by structure, not by testing each entry: elimination reads
-the pivot row's nonzero columns once per pivot, a subspace reads a basis
+each input row once, into its nonzero columns, a subspace reads a basis
 vector's nonzero (index, value) pairs the first time a membership test
 subtracts it and keeps them, and `apply` reads the vector's nonzeros once.
 
-Determinism is part of the contract, not an aspiration.  Row reduction uses a
-fixed pivot rule -- leftmost nonzero column, first nonzero row at or below the
-cursor, pivot scaled to 1, full elimination above and below -- so echelon
-forms, kernel bases and canonical subspace bases are reproducible across runs
-and platforms.  A `Subspace` stores the canonical basis of its span as a tuple
-of vectors, the nonzero rows of the reduced row echelon form of any spanning
-set, hence two equal subspaces compare equal as plain data.
+Determinism is part of the contract, not an aspiration.  The reduced row
+echelon form of a row space is unique, so echelon forms, kernel bases and
+canonical subspace bases depend on the spans alone, not on how `rref`
+eliminates, and are reproducible across runs and platforms.  `rref`
+eliminates over integer rows and emits Fractions only for its result.  A
+`Subspace` stores the canonical basis of its span as a tuple of vectors, the
+nonzero rows of the reduced row echelon form of any spanning set, hence two
+equal subspaces compare equal as plain data.
 
-Kernels need only one elimination.  Reducing a matrix with its columns in
-reverse order, under the same pivot rule, leaves each free column's kernel
-vector with its leading 1 at that column and zeros at every other free
-column, which is exactly the canonical basis; the nonzero rows of that one
-echelon form also give a row basis of the matrix (`kernel_with_row_basis`).
+Kernels need only one elimination.  The reduced row echelon form of a matrix
+with its columns in reverse order leaves each free column's kernel vector
+with its leading 1 at that column and zeros at every other free column,
+which is exactly the canonical basis; the nonzero rows of that one echelon
+form also give a row basis of the matrix (`kernel_with_row_basis`).
 
 A canonical basis answers its own slices without elimination: the vectors
 vanishing before a coordinate (`Subspace.tail`) and the annihilator
@@ -37,6 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, filterfalse, repeat
+from math import gcd, lcm
+from operator import is_not
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
@@ -178,48 +182,107 @@ class RatMatrix:
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with the fixed pivot rule.
+    """Reduced row echelon form: (R, pivots), pivots the pivot columns in order.
 
-    Returns (R, pivots) where pivots are the pivot column indices in order.
-    Pivot choice: scan columns left to right; within a column take the first
-    nonzero row at or below the cursor; scale the pivot to 1; eliminate the
-    column everywhere else.
+    The reduced row echelon form of a row space is unique: its nonzero rows
+    have leading 1s in strictly increasing columns, and every other row
+    vanishes at each of those columns.  R is those rows followed by zero rows
+    up to m.rows, so R and the pivots depend on the span of m's rows alone.
+
+    Computed over the integers.  Each nonzero row, scaled by the lcm of its
+    denominators, is inserted in turn: while its leading column holds a pivot
+    row, it is reduced against that row (`_eliminate`); a row left nonzero
+    becomes the pivot row of its leading column.  Then each pivot column is
+    cleared above its pivot, from the last pivot to the first, and each row
+    is divided by its pivot into Fractions.
     """
-    work = [list(r) for r in m._rows]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    cursor = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(cursor, nrows):
-            if work[i][col]:
-                pivot_row = i
+    ncols = m.cols
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in _integer_rows(m._rows, ncols):
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                g = gcd(*row.values())
+                pivot_rows[c] = _divided(row, -g if row[c] < 0 else g)
                 break
-        if pivot_row is None:
-            continue
-        work[cursor], work[pivot_row] = work[pivot_row], work[cursor]
-        prow = work[cursor]
-        # the pivot row's nonzero columns, read once: scaling keeps them
-        # nonzero, and elimination only ever touches them
-        support = [j for j in range(col, ncols) if prow[j]]
-        inv = _ONE / prow[col]
-        if inv != 1:
-            for j in support:
-                prow[j] *= inv
-        pairs = [(j, prow[j]) for j in support]
-        for i in range(nrows):
-            if i == cursor:
-                continue
-            target = work[i]
-            factor = target[col]
-            if factor:
-                for j, x in pairs:
-                    target[j] -= factor * x
-        pivots.append(col)
-        cursor += 1
-        if cursor == nrows:
-            break
-    return RatMatrix(work, cols=ncols), tuple(pivots)
+            row = _eliminate(row, prow, c)
+    pivots = sorted(pivot_rows)
+    # the rows of later pivots are cleared first, so each vanishes at every
+    # other pivot column, and clearing one column never refills another
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        for j in [j for j in row if j != c and j in pivot_rows]:
+            row = _eliminate(row, pivot_rows[j], j)
+        pivot_rows[c] = row
+    made: dict[tuple[int, int], Fraction] = {}  # equal quotients share one Fraction
+    out: list = []
+    for c in pivots:
+        row = pivot_rows[c]
+        p = row[c]
+        line = [_ZERO] * ncols
+        for j, v in row.items():
+            x = made.get((v, p))
+            if x is None:
+                x = made[(v, p)] = Fraction(v, p)
+            line[j] = x
+        out.append(line)
+    out.extend([(_ZERO,) * ncols] * (m.rows - len(pivots)))
+    return RatMatrix(out, cols=ncols), tuple(pivots)
+
+
+def _integer_rows(rows: Sequence[tuple[Fraction, ...]], ncols: int) -> list[dict[int, int]]:
+    """Each nonzero row as {column: int}, scaled by the lcm of its denominators.
+
+    Zeros are mostly one shared object, so an identity test run in C skips
+    them, and only the other entries are read (a zero numerator drops one).
+    """
+    zero = next(filterfalse(None, chain.from_iterable(rows)), None)
+    cols = range(ncols)
+    out = []
+    for r in rows:
+        row: dict[int, int] = {}
+        dens: dict[int, int] = {}
+        for j in compress(cols, map(is_not, r, repeat(zero))):
+            num, den = r[j].as_integer_ratio()
+            if num:
+                row[j] = num
+                if den != 1:
+                    dens[j] = den
+        if dens:
+            scale = lcm(*dens.values())
+            row = {j: v * (scale // dens.get(j, 1)) for j, v in row.items()}
+        if row:
+            out.append(row)
+    return out
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """The multiple (p/g)·row − (f/g)·prow that vanishes at c, where p and f
+    are the entries of prow and row there and g = gcd(p, f).
+
+    Entries that cancel are dropped, so the keys stay the nonzero columns
+    and a reduction loop ends.  A row scaled up is divided by its content,
+    which keeps the integers as small as the row space allows.
+    """
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = {j: a * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = row.get(j, 0) - b * v
+        if w:
+            row[j] = w
+        else:
+            del row[j]
+    if a != 1 and row:
+        row = _divided(row, gcd(*row.values()))
+    return row
+
+
+def _divided(row: dict[int, int], g: int) -> dict[int, int]:
+    return row if g == 1 else {j: v // g for j, v in row.items()}
 
 
 PRIME = 2**31 - 1  # the one modulus of `rank_mod_p`
@@ -396,15 +459,16 @@ class Subspace:
 def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
     """Null space of m as a canonical Subspace, and a row basis of m.
 
-    One elimination gives both.  ``rref`` runs, with its usual pivot rule, on
-    m with the column order reversed, so its pivots are the rightmost
-    independent columns of m and every other column f is free.  The kernel
-    vector of a free column f is 1 at f and, at each pivot column, minus the
-    echelon entry of f in that pivot's row.  Reversed reduction leaves such
-    entries only for pivots to the right of f, so f is the vector's leading
-    entry, and every other kernel vector vanishes there.  Taken in ascending
-    f, these vectors already are the canonical echelon basis, with
-    the free columns as its pivots, and no second reduction is needed.
+    One elimination gives both.  ``rref`` runs on m with the column order
+    reversed; its pivots, the pivot columns of that unique echelon form, are
+    the rightmost independent columns of m, and every other column f is
+    free.  The kernel vector of a free column f is 1 at f and, at each pivot
+    column, minus the echelon entry of f in that pivot's row.  Reversed
+    reduction leaves such entries only for pivots to the right of f, so f is
+    the vector's leading entry, and every other kernel vector vanishes
+    there.  Taken in ascending f, these vectors already are the canonical
+    echelon basis, with the free columns as its pivots, and no second
+    reduction is needed.
 
     The nonzero rows of the same echelon form, with the columns put back in
     order, are a row basis of m.  Their leading entries sit in the rightmost

@@ -56,15 +56,18 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 
     Column e * dim V + c is e_S ⊗ v_c; each direction i not in S sends it to
     the insertion sign times e_(S ∪ i) ⊗ ∂(v_c)(e_i).  Each entry is written
-    at most once, with a nonzero value, so every zero entry is `_ZERO` itself.
+    at most once (e fixes S, and the merged slot then fixes i), with a
+    nonzero value, so it is stored, not added, and every zero entry is
+    `_ZERO` itself.
     """
     src_ext = ext_indices(n, m)
     nsrc = partial.cols
     w = partial.rows // n if n else 0
-    # each ∂ row's nonzero (column, value) pairs, read once per assembly
+    # each ∂ row's nonzero (column, value) pairs and their negations, once
     prows = [
         [(c, x) for c, x in enumerate(partial.row(r)) if x] for r in range(partial.rows)
     ]
+    by_sign = {1: prows, -1: [[(c, -x) for c, x in pairs] for pairs in prows]}
     rows = [[_ZERO] * (len(src_ext) * nsrc) for _ in range(ext_dim(n, m + 1) * w)]
     for e, s in enumerate(src_ext):
         for i in range(n):
@@ -72,12 +75,13 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
             if ins is None:
                 continue
             sign, merged = ins
+            signed = by_sign[sign]
             base = ext_rank(n, merged) * w
             offset = e * nsrc
             for b in range(w):
                 out = rows[base + b]
-                for c, x in prows[b * n + i]:
-                    out[offset + c] += sign * x
+                for c, x in signed[b * n + i]:
+                    out[offset + c] = x
     return RatMatrix(rows, cols=len(src_ext) * nsrc)
 
 

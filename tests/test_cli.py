@@ -11,7 +11,8 @@ Plan:
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses, 1 for input problems,
     2 for internal consistency failures; an out-of-range count flag is a
-    bad flag, named in the message
+    bad flag, named in the message; a depth whose jet fiber is past the
+    budget exits 1 within a second, before any elimination
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
@@ -39,7 +40,7 @@ from formalpde.cli import (
     parse_system,
 )
 from formalpde.errors import InvariantViolation
-from formalpde.jetpde import PdeSystem, jet_index
+from formalpde.jetpde import MAX_JET_FIBER, PdeSystem, check_jet_budget, jet_index
 from formalpde.tableau import tower
 
 
@@ -360,6 +361,46 @@ def test_out_of_range_flags_name_the_flag(command, flag, value, bound, capsys):
     assert f"argument {flag}: must be at least {bound}, got {value}" in err
     # the smallest accepted value still runs
     assert main([command, path, flag, str(bound), "--json", "-"]) == 0
+
+
+HEAT3 = "base_dim = 3\nfiber_rank = 1\norder = 2\neq: u1_x1x1 + u1_x2x2 - u1_x3 = 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("tower", "--levels", "20"),  # the order-22 jet fiber: C(25, 3) = 2300
+        ("tower", "--levels", "9" * 23),
+        ("goldschmidt", "--l-max", "9" * 23),
+        ("cohomology", "--l-max", "10" + "0" * 20),
+    ],
+)
+def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, tmp_path):
+    # in a child with a timeout: a refusal that came too late would run the
+    # analysis, which must never happen in the test run itself
+    path = write_pde(tmp_path, HEAT3)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "formalpde", command, path, flag, value],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and not proc.stdout
+    assert "prolongation to depth" in proc.stderr
+    assert f"above the budget of {MAX_JET_FIBER}" in proc.stderr
+
+
+def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
+    # n = 1: m·C(1 + k + depth, 1) = 10 · (2 + depth), so depth 98 is 1000
+    free = PdeSystem.from_terms(1, 10, 1, [])
+    check_jet_budget(free, 98)
+    with pytest.raises(ValueError, match="order-100 jet fiber of 1010 coordinates"):
+        check_jet_budget(free, 99)
+    # the widest benchmark ladder input: the 4-D wave equation at depth 5
+    check_jet_budget(PdeSystem.from_terms(4, 1, 2, []), 5)
+    # every corpus system at each command's default depth
+    for path in (resources.files("formalpde") / "corpus").iterdir():
+        check_jet_budget(cli.load_system(str(path)), 6)
 
 
 def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,11 @@ Plan:
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
-    kernel of its constraint matrix.
+    kernel of its constraint matrix;
+ 6) the integer row insertion of rref equals a Fraction Gauss–Jordan
+    reference (`rref_reference.py`), matrix and pivots, on wide
+    denominators, dense and sparse rows, and duplicated, scaled and combined
+    rows that cancel mid-insertion.
 """
 
 from fractions import Fraction
@@ -39,6 +43,7 @@ from formalpde.ratlin import (
 )
 
 from matrices import zeros
+from rref_reference import reference_rref
 
 F = Fraction
 
@@ -416,3 +421,55 @@ def test_matrix_immutability_and_hash():
         m.rows = 5
     assert hash(m) == hash(RatMatrix([[1, 2]]))
     assert m != RatMatrix([[1, 3]])
+
+
+# --------------------------- 6) the Fraction reference ---------------------------
+
+
+def test_rref_of_the_hilbert_matrix_is_the_identity():
+    h = RatMatrix([[F(1, i + j + 1) for j in range(10)] for i in range(10)])
+    assert rref(h) == reference_rref(h) == (RatMatrix.identity(10), tuple(range(10)))
+
+
+def test_rref_row_cancelling_exactly_mid_insertion():
+    # row 2 is 2·row 0 + row 1: reduced at column 0 by row 0 (content 2) and
+    # at column 1 by row 1, it leaves no entry
+    m = RatMatrix([[6, 10, 0], [0, 15, 21], [12, 35, 21]])
+    r, pivots = rref(m)
+    assert pivots == (0, 1) and (r, pivots) == reference_rref(m)
+    assert r == RatMatrix([[1, 0, F(-7, 3)], [0, 1, F(7, 5)], [0, 0, 0]])
+
+
+wide_fractions = st.builds(F, st.integers(-(10**4), 10**4), st.integers(1, 10**4))
+# zeros that are not one shared object: a zero numerator decides, not identity
+fresh_zeros = st.builds(F, st.just(0), st.integers(1, 9))
+
+
+@st.composite
+def stress_matrices(draw, max_rows=12, max_cols=14):
+    """Dense and sparse rows with denominators up to 10^4, then copies of
+    them scaled by wide fractions and sums of two, all shuffled."""
+    cols = draw(st.integers(0, max_cols))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows // 2))):
+        if draw(st.booleans()):
+            entries = st.one_of(wide_fractions, fresh_zeros)
+            row = draw(st.lists(entries, min_size=cols, max_size=cols))
+        else:
+            row = [F(0)] * cols
+            if cols:
+                hits = st.dictionaries(st.integers(0, cols - 1), wide_fractions, max_size=3)
+                for j, x in draw(hits).items():
+                    row[j] = x
+        rows.append(row)
+    for _ in range(draw(st.integers(0, max_rows - len(rows))) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(wide_fractions), draw(st.one_of(st.just(F(0)), wide_fractions))
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    return RatMatrix(draw(st.permutations(rows)), cols=cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(stress_matrices())
+def test_rref_matches_the_fraction_reference(m):
+    assert rref(m) == reference_rref(m)
