@@ -48,6 +48,7 @@ from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
     check_jet_budget,
+    check_spencer_budget,
     crosscheck_routes,
     finite_type_integrability,
     goldschmidt_check,
@@ -497,8 +498,11 @@ def cmd_tower(args) -> int:
 
 def cmd_cohomology(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.l_max + 1)
     m_max = args.m_max if args.m_max is not None else system.n
+    if m_max > system.n:  # every form degree past n is a zero slot
+        raise ValueError(f"--m-max {m_max} exceeds base_dim {system.n}")
+    check_jet_budget(system, args.l_max + 1)
+    check_spencer_budget(system, args.l_max, m_max)
     chain = tower(symbol_tableau(system), args.l_max + 1)
     report = cohomology(chain, l_max=args.l_max, m_max=m_max)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
@@ -535,6 +539,7 @@ def cmd_cohomology(args) -> int:
 def cmd_goldschmidt(args) -> int:
     system = load_system(args.file)
     check_jet_budget(system, args.l_max + 1)
+    check_spencer_budget(system, args.l_max, 2)
     rep = goldschmidt_check(system, args.l_max)
     lines = _report_table(rep)
     h2 = [rep.cohomology[(l, 2)] for l in range(args.l_max + 1)]

@@ -80,19 +80,54 @@ MAX_JET_FIBER = 1000
 def check_jet_budget(system: PdeSystem, depth: int) -> None:
     """Refuse, before any elimination, a prolongation of system to depth whose
     jet fiber m·C(n+k+depth, n) exceeds MAX_JET_FIBER (ValueError naming the
-    stage and the size).  The binomial is built one factor at a time and
-    stopped once past the budget, so a huge depth costs a few steps."""
+    stage and the size)."""
     n, order = system.n, system.k + depth
-    size, built = system.m, 0
-    while built < n and size <= MAX_JET_FIBER:
-        built += 1
-        size = size * (order + built) // built
-    if size > MAX_JET_FIBER:
-        has = f"{size}" if built == n else f"more than {size}"
+    has = _past_budget(system.m, [(order + i, i) for i in range(1, n + 1)], MAX_JET_FIBER)
+    if has:
         raise ValueError(
             f"prolongation to depth {depth} needs the order-{order} jet fiber of "
             f"{has} coordinates, above the budget of {MAX_JET_FIBER}"
         )
+
+
+# Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
+# maps are dense, so cost grows about as N^2: the free first-order system in
+# seven variables under `cohomology --l-max 1` meets N = 2940 in 1.0 s and
+# 61 MB, in eight variables (8400) 7.1 s and 279 MB (in-process, Python 3.11,
+# shared 2-vCPU VM).  Corpus, pool and benchmark inputs stay at or below 336.
+MAX_SPENCER_SLOT = 3000
+
+
+def check_spencer_budget(system: PdeSystem, l_max: int, m_max: int) -> None:
+    """Refuse, before any slot map is assembled, a cohomology window whose
+    maps may meet a slot past MAX_SPENCER_SLOT (ValueError naming the stage
+    and the size).  Slot (l, j), Λ^j ⊗ W_l with W_l in S^(k+l) ⊗ R^m (W_-1
+    the space below W_0), has at most C(n, j)·m·C(n+k+l-1, k+l) coordinates.
+    The maps meet it only for l <= l_max + 1, j <= m_max + 1 and
+    l + j <= l_max + m_max, so the bound is largest at one of three levels."""
+    n = system.n
+    for level, j in ((l_max + 1, m_max - 1), (l_max, m_max), (l_max - 1, m_max + 1)):
+        j, degree = min(j, n // 2), system.k + level
+        exterior = [(n - j + i, i) for i in range(1, j + 1)]  # C(n, j)
+        symmetric = [(degree + i, i) for i in range(1, n)]  # C(degree + n - 1, n - 1)
+        has = _past_budget(system.m, exterior + symmetric, MAX_SPENCER_SLOT)
+        if has:
+            raise ValueError(
+                f"Spencer cohomology to l_max {l_max} and m_max {m_max} meets slots "
+                f"(Λ^{j} ⊗ level {level}) of {has} coordinates, above the "
+                f"budget of {MAX_SPENCER_SLOT}"
+            )
+
+
+def _past_budget(size: int, factors: list[tuple[int, int]], budget: int) -> str | None:
+    """None if size times num/den over the factors, each >= 1 and building a
+    binomial, stays within budget; else that size as a phrase.  The product
+    stops once past budget, so a huge binomial costs a few steps."""
+    for num, den in factors:
+        if size > budget:
+            return f"more than {size}"
+        size = size * num // den
+    return f"{size}" if size > budget else None
 
 
 def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
@@ -366,7 +401,7 @@ def finite_type_integrability(
     tower is surjective through level l + 1 (within max_levels), projections
     above l are bijections and the system is formally integrable outright.
     For symbols that stay nonzero through l_max the question defers to
-    ``goldschmidt_check``.
+    ``goldschmidt_check``, whose window must pass ``check_spencer_budget``.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
@@ -376,6 +411,7 @@ def finite_type_integrability(
     chain = tower(symbol_tableau(system), l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
+        check_spencer_budget(system, l_max, 2)
         return replace(_goldschmidt(system, l_max, chain), type_verdict=verdict)
     need = verdict.level + 1
     if max_levels < need:

@@ -31,7 +31,7 @@ form also give a row basis of the matrix (`kernel_with_row_basis`).
 A canonical basis answers its own slices without elimination: the vectors
 vanishing before a coordinate (`Subspace.tail`) and the annihilator
 (`Subspace.constraint_matrix`) are read off it.  Where only a rank is needed,
-`rank_mod_p` gives a lower bound for it from integers mod one fixed prime.
+`rank` counts the pivot rows of the same integer insertion and stops there.
 """
 
 from __future__ import annotations
@@ -173,9 +173,6 @@ class RatMatrix:
             cols=self.rows,
         )
 
-    def rank(self) -> int:
-        return len(rref(self)[1])
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
@@ -189,24 +186,18 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     vanishes at each of those columns.  R is those rows followed by zero rows
     up to m.rows, so R and the pivots depend on the span of m's rows alone.
 
-    Computed over the integers.  Each nonzero row, scaled by the lcm of its
-    denominators, is inserted in turn: while its leading column holds a pivot
-    row, it is reduced against that row (`_eliminate`); a row left nonzero
-    becomes the pivot row of its leading column.  Then each pivot column is
-    cleared above its pivot, from the last pivot to the first, and each row
-    is divided by its pivot into Fractions.
+    Computed over the integers: `_echelon` inserts each row, scaled by the
+    lcm of its denominators, into pivot rows by leading column.  Then each
+    pivot column is cleared above its pivot, from the last pivot to the
+    first, and each row is divided by its pivot into Fractions.
     """
     ncols = m.cols
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for row in _integer_rows(m._rows, ncols):
-        while row:
-            c = min(row)
-            prow = pivot_rows.get(c)
-            if prow is None:
-                g = gcd(*row.values())
-                pivot_rows[c] = _divided(row, -g if row[c] < 0 else g)
-                break
-            row = _eliminate(row, prow, c)
+    # zeros are mostly one shared object, so an identity test run in C skips
+    # them, and only the other entries are read
+    zero = next(filterfalse(None, chain.from_iterable(m._rows)), None)
+    pivot_rows = _echelon(
+        _integer_row(compress(enumerate(r), map(is_not, r, repeat(zero)))) for r in m._rows
+    )
     pivots = sorted(pivot_rows)
     # the rows of later pivots are cleared first, so each vanishes at every
     # other pivot column, and clearing one column never refills another
@@ -231,30 +222,50 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix(out, cols=ncols), tuple(pivots)
 
 
-def _integer_rows(rows: Sequence[tuple[Fraction, ...]], ncols: int) -> list[dict[int, int]]:
-    """Each nonzero row as {column: int}, scaled by the lcm of its denominators.
+def rank(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> int:
+    """Rank over Q of the rows given by their nonzero (column, value) pairs:
+    the number of pivot rows `rref`'s integer insertion leaves, with no
+    back-substitution and no Fractions built."""
+    return len(_echelon(map(_integer_row, rows)))
 
-    Zeros are mostly one shared object, so an identity test run in C skips
-    them, and only the other entries are read (a zero numerator drops one).
+
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Pivot rows of the integer rows, by leading column.
+
+    Each row is inserted in turn: while its leading column holds a pivot
+    row, it is reduced against that row (`_eliminate`); a row left nonzero,
+    divided by its content and made positive there, becomes the pivot row of
+    its leading column.
     """
-    zero = next(filterfalse(None, chain.from_iterable(rows)), None)
-    cols = range(ncols)
-    out = []
-    for r in rows:
-        row: dict[int, int] = {}
-        dens: dict[int, int] = {}
-        for j in compress(cols, map(is_not, r, repeat(zero))):
-            num, den = r[j].as_integer_ratio()
-            if num:
-                row[j] = num
-                if den != 1:
-                    dens[j] = den
-        if dens:
-            scale = lcm(*dens.values())
-            row = {j: v * (scale // dens.get(j, 1)) for j, v in row.items()}
-        if row:
-            out.append(row)
-    return out
+    pivot_rows: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivot_rows.get(c)
+            if prow is None:
+                g = gcd(*row.values())
+                pivot_rows[c] = _divided(row, -g if row[c] < 0 else g)
+                break
+            row = _eliminate(row, prow, c)
+    return pivot_rows
+
+
+def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """The row of the (column, value) pairs as {column: int}, scaled by the
+    lcm of its denominators.  Zero numerators are dropped: every key must be
+    able to lead, or a pivot of 0 would be kept."""
+    row: dict[int, int] = {}
+    dens: dict[int, int] = {}
+    for j, x in pairs:
+        num, den = x.as_integer_ratio()
+        if num:
+            row[j] = num
+            if den != 1:
+                dens[j] = den
+    if dens:
+        scale = lcm(*dens.values())
+        row = {j: v * (scale // dens.get(j, 1)) for j, v in row.items()}
+    return row
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
@@ -283,45 +294,6 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, i
 
 def _divided(row: dict[int, int], g: int) -> dict[int, int]:
     return row if g == 1 else {j: v // g for j, v in row.items()}
-
-
-PRIME = 2**31 - 1  # the one modulus of `rank_mod_p`
-
-
-def rank_mod_p(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> int | None:
-    """Rank mod PRIME of the rows given by their nonzero (column, value)
-    pairs, or None when a denominator is divisible by PRIME.  It never
-    exceeds the rank over Q: a minor nonzero mod PRIME is nonzero over Q.
-
-    Entries become num * den⁻¹ mod PRIME, and zero residues are dropped, so
-    every kept entry can be a pivot.  Each row is reduced at its smallest
-    column by the pivot rows so far until it vanishes or becomes one.
-    """
-    p = PRIME
-    pivot_rows: dict[int, dict[int, int]] = {}
-    for pairs in rows:
-        row: dict[int, int] = {}
-        for c, x in pairs:
-            den = x.denominator % p
-            if not den:
-                return None
-            if v := (x.numerator * pow(den, -1, p) if den != 1 else x.numerator) % p:
-                row[c] = v
-        while row:
-            c = min(row)
-            prow = pivot_rows.get(c)
-            if prow is None:
-                inv = pow(row[c], -1, p)
-                pivot_rows[c] = {j: v * inv % p for j, v in row.items()}
-                break
-            f = row[c]
-            for j, v in prow.items():
-                w = (row.get(j, 0) - f * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-    return len(pivot_rows)
 
 
 # --------------------------- subspaces ---------------------------

@@ -26,14 +26,9 @@ generalized one).  So one cohomology routine serves both, and the map out of
 every slot is the one assembly.
 
 Cohomology needs only dimensions, so it is read off ranks: each slot map is
-assembled once, and im ⊂ ker is checked exactly as δ∘δ = 0 on the assembled
-maps rather than by subspace membership.  The ranks come from a squeeze:
-each map is ranked mod the prime `ratlin.PRIME`, which never exceeds its rank
-over Q, and since δ∘δ = 0 makes H = dim - rank A - rank B >= 0 at every
-slot, a slot whose modular ranks fill its dimension has H = 0 and certifies
-both ranks exact.  Fraction elimination (`RatMatrix.rank`) runs only on a
-map no slot certifies: one at a slot with H > 0, or one with a denominator
-divisible by the prime.
+assembled once, im ⊂ ker is checked exactly as δ∘δ = 0 on the assembled
+maps rather than by subspace membership, and each map is ranked once by
+`ratlin.rank`, `rref`'s integer elimination without its back-substitution.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, rank_mod_p
+from .ratlin import RatMatrix, Subspace, rank
 from .tensorspace import delta_insertion, ext_dim, ext_indices, ext_rank
 
 _ZERO = Fraction(0)
@@ -196,11 +191,8 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
 
     Read off ranks: with A the map out of slot (l, m) and B the map into it,
     dim Z = dim slot - rank A and dim B = rank B.  im B ⊂ ker A is checked
-    first, exactly, as A @ B = 0; a failure raises InvariantViolation.  Then
-    H = dim - rank A - rank B >= 0, and rank_p <= rank over Q (`rank_mod_p`),
-    so dim - rank_p A - rank_p B = 0 proves H = 0 and both modular ranks
-    exact.  A map no slot certifies (a slot with a positive bound, or a
-    denominator divisible by PRIME) is ranked over Q by `RatMatrix.rank`.
+    first, exactly, as A @ B = 0; a failure raises InvariantViolation.  Each
+    distinct map is then ranked once (`ratlin.rank`).
 
     Needs the chain to carry levels through l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
@@ -212,41 +204,31 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"
         )
-    # each map's nonzero row supports and rank mod PRIME, read once;
-    # `_slot_matrix` leaves its zeros as `_ZERO` (a zero kept by mistake
-    # adds zero terms and has no residue)
-    maps: dict[tuple[int, int], tuple[list, int | None]] = {}
+    # each map's nonzero row supports, read once; `_slot_matrix` leaves its
+    # zeros as `_ZERO` (a zero kept by mistake adds zero terms, and `rank`
+    # drops it)
+    maps: dict[tuple[int, int], list] = {}
 
     def out(l, m):
         if (l, m) not in maps:
             mat = chain.map_out(l, m)
-            rows = [
+            maps[(l, m)] = [
                 [(c, x) for c, x in enumerate(mat.row(r)) if x is not _ZERO]
                 for r in range(mat.rows)
             ]
-            maps[(l, m)] = (rows, rank_mod_p(rows))
         return maps[(l, m)]
 
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if chain.slot_dim(l, m)]
-    exact: dict[tuple[int, int], int] = {}  # maps whose rank over Q is known
     for l, m in slots:
-        (a_rows, a_rank), (b_rows, b_rank) = out(l, m), out(l + 1, m - 1)
-        if not _composes_to_zero(a_rows, b_rows):
+        if not _composes_to_zero(out(l, m), out(l + 1, m - 1)):
             raise InvariantViolation(
                 f"image is not contained in the kernel at slot ({l}, {m})"
             )
-        if None not in (a_rank, b_rank) and a_rank + b_rank == chain.slot_dim(l, m):
-            exact[(l, m)], exact[(l + 1, m - 1)] = a_rank, b_rank
-
-    def rank(l, m):  # the exact path re-assembles: no dense map is kept
-        if (l, m) not in exact:
-            exact[(l, m)] = chain.map_out(l, m).rank()
-        return exact[(l, m)]
-
+    ranks = {key: rank(rows) for key, rows in maps.items()}
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))
     for l, m in slots:
-        z_dim, b_dim = chain.slot_dim(l, m) - rank(l, m), rank(l + 1, m - 1)
+        z_dim, b_dim = chain.slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
         entries[(l, m)] = HEntry(z_dim, b_dim, z_dim - b_dim)
     return CohomologyReport(
         n=chain.n,

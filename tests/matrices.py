@@ -1,7 +1,7 @@
-"""Matrix helpers that only tests call, built on `RatMatrix.apply` and
-`TableauChain.map_out`: the library keeps no algebra without a caller."""
+"""Matrix helpers that only tests call, built on `RatMatrix.apply`, `rref`
+and `TableauChain.map_out`: the library keeps no algebra without a caller."""
 
-from formalpde.ratlin import RatMatrix, Subspace
+from formalpde.ratlin import RatMatrix, Subspace, rref
 from formalpde.spencer import TableauChain
 
 
@@ -15,6 +15,12 @@ def product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         raise ValueError("shape mismatch in product")
     cols = [a.apply(b.col(c)) for c in range(b.cols)]
     return RatMatrix([[col[r] for col in cols] for r in range(a.rows)], cols=b.cols)
+
+
+def rref_rank(m: RatMatrix) -> int:
+    """The rank of m, its rref's pivot count, so that test ranks do not go
+    through `ratlin.rank`."""
+    return len(rref(m)[1])
 
 
 def slot_map(partial: RatMatrix, n: int, m: int) -> RatMatrix:

@@ -26,6 +26,8 @@ import sys
 import time
 from fractions import Fraction
 from importlib import resources
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +42,15 @@ from formalpde.cli import (
     parse_system,
 )
 from formalpde.errors import InvariantViolation
-from formalpde.jetpde import MAX_JET_FIBER, PdeSystem, check_jet_budget, jet_index
+from formalpde.jetpde import (
+    MAX_JET_FIBER,
+    MAX_SPENCER_SLOT,
+    PdeSystem,
+    check_jet_budget,
+    check_spencer_budget,
+    finite_type_integrability,
+    jet_index,
+)
 from formalpde.tableau import tower
 
 
@@ -401,6 +411,91 @@ def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
     # every corpus system at each command's default depth
     for path in (resources.files("formalpde") / "corpus").iterdir():
         check_jet_budget(cli.load_system(str(path)), 6)
+
+
+# passes the parser (base fiber 44) and, at --l-max 0, the jet budget
+# (C(45, 2) = 990), yet its slots reach C(43, 21)·C(44, 2) coordinates
+FIRST_ORDER_43 = "base_dim = 43\nfiber_rank = 1\norder = 1\neq: u1_x1 = 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("cohomology", ["--m-max", "100000"], "--m-max 100000 exceeds base_dim 2"),
+        ("cohomology", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 43"),
+        ("goldschmidt", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 2"),
+    ],
+)
+def test_spencer_window_past_its_budget_is_refused_in_a_child(
+    command, flags, message, tmp_path
+):
+    # in a child with a timeout, as for the jet budget: never assemble the slots
+    if "--m-max" in flags:
+        path = str(corpus_path("wave1d.pde"))
+    else:
+        path = write_pde(tmp_path, FIRST_ORDER_43)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "formalpde", command, path, *flags],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and not proc.stdout
+    assert message in proc.stderr
+
+
+def test_spencer_budget_is_exact_at_its_edge_and_admits_the_ladder():
+    # n = 1: every slot is Λ^0 ⊗ S^d ⊗ R^m, of m coordinates
+    check_spencer_budget(PdeSystem.from_terms(1, MAX_SPENCER_SLOT, 1, []), 5, 1)
+    with pytest.raises(ValueError, match=f"of {MAX_SPENCER_SLOT + 1} coordinates"):
+        check_spencer_budget(PdeSystem.from_terms(1, MAX_SPENCER_SLOT + 1, 1, []), 5, 1)
+    # the benchmark's goldschmidt window on the 4-D wave equation, and beyond
+    check_spencer_budget(PdeSystem.from_terms(4, 1, 2, []), 6, 2)
+    # every corpus system at each command's default window
+    for path in (resources.files("formalpde") / "corpus").iterdir():
+        system = cli.load_system(str(path))
+        check_spencer_budget(system, 2, system.n)
+
+
+def test_finite_type_budgets_only_its_goldschmidt_fallback():
+    # in 18 variables, m_max 2 meets Λ^1 ⊗ S^2 of 18·171 = 3078 coordinates
+    n = 18
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    gradient = PdeSystem.from_terms(n, 1, 1, [[(1, 0, alpha)] for alpha in units])
+    assert finite_type_integrability(gradient, 0, 6).verdict == (
+        "formally-integrable-certified"
+    )
+    with pytest.raises(ValueError, match="Spencer cohomology to l_max 0 and m_max 2"):
+        finite_type_integrability(PdeSystem.from_terms(n, 1, 1, []), 0, 6)
+
+
+def largest_slot_met(n, m, k, l_max, m_max):
+    """The widest slot Λ^j ⊗ S^(k+l) ⊗ R^m that cohomology's maps meet: each
+    slot (l, j) of the window, the target (l-1, j+1) of the map out of it and
+    the source (l+1, j-1) of the map into it."""
+    met = [
+        (level, j)
+        for l in range(l_max + 1)
+        for mm in range(1, m_max + 1)
+        for level, j in ((l, mm), (l - 1, mm + 1), (l + 1, mm - 1))
+    ]
+    return max(comb(n, j) * m * comb(n + k + level - 1, k + level) for level, j in met)
+
+
+def test_spencer_budget_refuses_exactly_the_windows_past_it():
+    # the free first-order system in ten variables meets at most 550
+    # coordinates under goldschmidt --l-max 0, though Λ^3 ⊗ level 1 has 6600
+    assert largest_slot_met(10, 1, 1, 0, 2) == 550
+    for n, m, k in product(range(1, 11), (1, 3), (1, 2)):
+        system = PdeSystem.from_terms(n, m, k, [])
+        for l_max, m_max in product(range(4), range(1, n + 1)):
+            fits = largest_slot_met(n, m, k, l_max, m_max) <= MAX_SPENCER_SLOT
+            try:
+                check_spencer_budget(system, l_max, m_max)
+            except ValueError:
+                assert not fits, (n, m, k, l_max, m_max)
+            else:
+                assert fits, (n, m, k, l_max, m_max)
 
 
 def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):

@@ -362,11 +362,11 @@ def test_eliminations_per_analysis(count_calls):
     # its truncation image; a crosscheck level adds the connection's symbol,
     # prolongation fiber, projection image, ∂-symmetry kernel, g^(1) check
     # and mapped jet fiber; the base fiber is one more.  Symbols and e = 0
-    # slices are read off fibers.  A Spencer window eliminates nothing over
-    # Q when every H vanishes: its slot maps are ranked mod p, and each
-    # slot's H >= 0 bound certifies those ranks exact.  So goldschmidt_check
-    # takes the base fiber, one jet level (its jet system and truncation
-    # image) and one tableau prolongation per symbol level 1 .. l + 1.
+    # slices are read off fibers.  A Spencer window calls no `rref`: its
+    # slot maps are ranked by `ratlin.rank`, which builds no basis.  So
+    # goldschmidt_check takes the base fiber, one jet level (its jet system
+    # and truncation image) and one tableau prolongation per symbol level
+    # 1 .. l + 1.
     calls = count_calls(rref)
 
     def count(analysis, *args):

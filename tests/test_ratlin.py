@@ -9,9 +9,7 @@ Plan:
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
- 5) the rank mod PRIME equals the rank over Q where no minor can be
-    divisible by PRIME, drops zero residues and refuses denominators of
-    PRIME; the single-elimination kernel equals the kernel read off rref(m) and
+ 5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its row basis spans the row space;
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
@@ -20,7 +18,11 @@ Plan:
  6) the integer row insertion of rref equals a Fraction Gauss–Jordan
     reference (`rref_reference.py`), matrix and pivots, on wide
     denominators, dense and sparse rows, and duplicated, scaled and combined
-    rows that cancel mid-insertion.
+    rows that cancel mid-insertion; `rank` of the rows' nonzero pairs, or of
+    all their pairs with explicit zeros, equals that reference's pivot
+    count, and so do fixed cases: entries and denominators that are
+    multiples of 2^31 − 1, a row cancelling at fill-in, no rows, and a zero
+    pair at a row's leading column.
 """
 
 from fractions import Fraction
@@ -29,20 +31,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formalpde.ratlin import (
-    PRIME,
     AffineSolution,
     RatMatrix,
     Subspace,
     image,
     kernel,
     kernel_with_row_basis,
-    rank_mod_p,
+    rank,
     rref,
     solve,
     solve_affine,
 )
 
-from matrices import zeros
+from matrices import rref_rank, zeros
 from rref_reference import reference_rref
 
 F = Fraction
@@ -69,7 +70,7 @@ def test_rref_pivot_rule_prefers_first_nonzero_row():
 def test_rref_idempotent_and_rank():
     m = RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     r, pivots = rref(m)
-    assert m.rank() == 2 and pivots == (0, 1)
+    assert rref_rank(m) == 2 and pivots == (0, 1)
     assert rref(r)[0] == r
 
 
@@ -221,10 +222,10 @@ def matrices(max_rows=5, max_cols=5):
 @given(matrices())
 def test_rank_nullity_and_kernel_annihilation(m):
     k = kernel(m)
-    assert m.rank() + k.dim == m.cols
+    assert rref_rank(m) + k.dim == m.cols
     for col in k.basis:
         assert all(x == 0 for x in m.apply(col))
-    assert image(m).dim == m.rank()
+    assert image(m).dim == rref_rank(m)
 
 
 small_fractions = st.sampled_from([F(p, q) for p in range(-3, 4) for q in (1, 2, 3)])
@@ -271,30 +272,6 @@ def test_rref_matches_sympy(rows):
     ]
 
 
-def supports(m: RatMatrix) -> list:
-    return [[(c, x) for c, x in enumerate(m.row(r)) if x] for r in range(m.rows)]
-
-
-@settings(deadline=None, max_examples=200)
-@given(matrices_with_empty_shapes(max_rows=5, max_cols=6))
-def test_rank_mod_p_is_the_rank_over_q_on_small_entries(m):
-    # times 6, a row of small_fractions is integer with entries of size
-    # <= 18, and 6 is a unit mod PRIME; with at most 5 rows every minor of
-    # the scaled rows is below (18 * sqrt(5))^5 < 2^27 by Hadamard's bound,
-    # so no nonzero minor vanishes mod PRIME and the ranks agree
-    assert rank_mod_p(supports(m)) == m.rank()
-
-
-def test_rank_mod_p_drops_zero_residues_and_refuses_denominators_of_p():
-    # multiples of PRIME have residue 0: kept, one would be a pivot with no inverse
-    assert rank_mod_p([[(0, F(PRIME)), (1, F(3 * PRIME, 2))], [(1, F(5))]]) == 1
-    # a row cancelling to zero at its fill-in
-    assert rank_mod_p([[(0, F(1)), (1, F(2))], [(0, F(2)), (1, F(4))]]) == 1
-    assert rank_mod_p([[(0, F(1, PRIME))]]) is None
-    assert rank_mod_p([[(0, F(PRIME, 7))]]) == 0
-    assert rank_mod_p([]) == 0
-
-
 def free_column_kernel(m: RatMatrix) -> Subspace:
     """The kernel read off rref(m) directly, one vector per free column,
     then canonicalised by a second reduction."""
@@ -321,8 +298,8 @@ def test_single_elimination_kernel_is_bit_identical(m):
     assert k.pivots == ref.pivots
     assert kernel(m) == k and kernel(m).pivots == k.pivots
     # the row basis is independent and spans the row space of m
-    assert rows.cols == m.cols and rows.rows == m.rank()
-    assert rows.rank() == rows.rows
+    assert rows.cols == m.cols and rows.rows == rref_rank(m)
+    assert rref_rank(rows) == rows.rows
     assert image(rows.transpose()) == image(m.transpose())
 
 
@@ -473,3 +450,29 @@ def stress_matrices(draw, max_rows=12, max_cols=14):
 @given(stress_matrices())
 def test_rref_matches_the_fraction_reference(m):
     assert rref(m) == reference_rref(m)
+
+
+def supports(m: RatMatrix) -> list:
+    return [[(c, x) for c, x in enumerate(m.row(r)) if x] for r in range(m.rows)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(stress_matrices())
+def test_rank_matches_the_fraction_reference(m):
+    want = len(reference_rref(m)[1])
+    assert rank(supports(m)) == want
+    # every entry as a pair, zeros included: a zero pair is dropped, never led by
+    assert rank([list(enumerate(m.row(r))) for r in range(m.rows)]) == want
+
+
+P = 2**31 - 1  # a common modulus: an exact rank must not read its multiples as 0
+
+
+def test_rank_fixed_cases():
+    assert rank([[(0, F(P)), (1, F(3 * P, 2))], [(1, F(5))]]) == 2
+    assert rank([[(0, F(1, P))]]) == rank([[(0, F(P, 7))]]) == 1
+    # the second row cancels at its fill-in
+    assert rank([[(0, F(1)), (1, F(2))], [(0, F(2)), (1, F(4))]]) == 1
+    assert rank([]) == rank([[(0, F(0))], []]) == 0
+    # an explicit zero at the leading column must not become a pivot
+    assert rank([[(0, F(0)), (1, F(3))], [(0, F(2))]]) == 2

@@ -11,11 +11,10 @@ Plan:
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain and bad-r errors, a chain whose ∂s do not commute or whose
     level-0 ∂ has a row count the assembly would cut short is refused;
-    the modular squeeze certifies a vanishing window with no exact rank,
-    and each reason to fall back to exact ranks (every residue 0 mod p, a
-    denominator divisible by p, a nonzero H) gives the exact report; on
-    random classical and generalized towers every entry equals the subspace
-    reference (kernel, image, containment) below;
+    each distinct slot map is ranked once; chains scaled by 2^31 - 1 or
+    its inverse, a nonzero H, and random classical and generalized towers
+    give every entry of the subspace reference (kernel, image, containment)
+    below;
  5) on random small systems, the tower's level dimensions and the type
     verdict equal the sympy oracle's symbol tower.
 
@@ -33,7 +32,7 @@ from hypothesis import given, settings, strategies as st
 
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
-from formalpde.ratlin import PRIME, RatMatrix, Subspace, image, kernel
+from formalpde.ratlin import RatMatrix, Subspace, image, kernel, rank
 from formalpde.spencer import (
     HEntry,
     TableauChain,
@@ -51,7 +50,7 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import product, slot_map, zeros
+from matrices import product, rref_rank, slot_map, zeros
 
 
 # --------------------------- 1) ambient hand cases ---------------------------
@@ -125,7 +124,7 @@ def test_delta_hom_on_cr_tableau():
     d = cr_chain_map(1)
     assert d.shape == (2, 4)  # Λ² ⊗ F is 1*2-dimensional, Λ¹ ⊗ g is 2*2
     assert kernel(d).dim == 2  # frozen via the brute-force oracle
-    assert d.rank() == 2
+    assert rref_rank(d) == 2
 
 
 def test_delta_partial_with_inclusion_equals_restricted():
@@ -312,21 +311,9 @@ def test_noncommuting_partials_are_refused():
         cohomology(bad, l_max=1, m_max=2)
 
 
-# --------------------------- 4b) the modular squeeze ---------------------------
+# --------------------------- 4b) exact ranks ---------------------------
 
-
-@pytest.fixture
-def exact_ranks(monkeypatch):
-    """Shapes of the matrices `RatMatrix.rank` eliminates over Q from here on."""
-    shapes = []
-    rank = RatMatrix.rank
-
-    def counting(self):
-        shapes.append(self.shape)
-        return rank(self)
-
-    monkeypatch.setattr(RatMatrix, "rank", counting)
-    return shapes
+P = 2**31 - 1  # a common modulus for ranks; an exact rank does not depend on it
 
 
 def scaled_chain(chain, factor):
@@ -338,36 +325,36 @@ def scaled_chain(chain, factor):
     return TableauChain(n=chain.n, levels=chain.levels, partials=partials)
 
 
-def test_vanishing_cohomology_needs_no_exact_rank(exact_ranks):
+def test_each_distinct_map_is_ranked_once(count_calls):
+    calls = count_calls(rank)
     report = cohomology(full_chain(2, 1, 3), l_max=2, m_max=2)
     assert all(e.h_dim == 0 for e in report.entries.values())
-    assert exact_ranks == []
+    # every slot is nonzero here, and a map shared by two slots is ranked once
+    maps = set(report.entries) | {(l + 1, m - 1) for l, m in report.entries}
+    assert len(calls) == len(maps) == 10
 
 
 @pytest.mark.parametrize(
-    "factor", [PRIME, Fraction(1, PRIME)], ids=["residues-zero", "denominators-of-p"]
+    "factor", [P, Fraction(1, P)], ids=["residues-zero", "denominators-of-p"]
 )
-def test_maps_the_squeeze_cannot_read_get_exact_ranks(exact_ranks, factor):
-    # scaled by p every residue is 0, so each modular rank is 0 and no slot is
-    # certified; scaled by 1/p no entry has a residue at all.  Scaling keeps
-    # δ∘δ = 0 and every rank, so the report must not change.
+def test_maps_the_squeeze_cannot_read_get_exact_ranks(factor):
+    # maps a rank mod P cannot read: every entry 0 mod P, or every
+    # denominator divisible by P.  Scaling keeps δ∘δ = 0 and every rank, so
+    # the report must not change
     chain = full_chain(2, 1, 3)
     want = cohomology(chain, l_max=2, m_max=2).entries
-    got = cohomology(scaled_chain(chain, factor), l_max=2, m_max=2).entries
-    assert got == want
-    # every slot is nonzero here, and each distinct map is eliminated once
-    maps = set(want) | {(l + 1, m - 1) for l, m in want}
-    assert len(exact_ranks) == len(maps) == 10
+    scaled = scaled_chain(chain, factor)
+    report = cohomology(scaled, l_max=2, m_max=2)
+    assert report.entries == want
+    assert_matches_the_subspace_reference(scaled, report)
 
 
-def test_nonzero_cohomology_gets_exact_ranks_and_keeps_the_verdict(exact_ranks):
-    # u_x1x1 = u_x2x2 = 0 has H(0, 2) = 1: slot (0, 2) keeps a positive bound,
-    # so its maps are ranked over Q, and the verdict stays inconclusive
+def test_nonzero_cohomology_gets_exact_ranks_and_keeps_the_verdict():
+    # u_x1x1 = u_x2x2 = 0 has H(0, 2) = 1, so the verdict stays inconclusive
     system = PdeSystem.from_terms(2, 1, 2, [[(1, 0, (2, 0))], [(1, 0, (0, 2))]])
     rep = goldschmidt_check(system, 2)
     assert (rep.verdict, rep.verdict_level) == ("inconclusive", 0)
     assert rep.cohomology[(0, 2)] == 1
-    assert len(exact_ranks) == 2
     chain = tower(symbol_tableau(system), 3)
     assert_matches_the_subspace_reference(chain, cohomology(chain, l_max=2, m_max=2))
 
