@@ -24,7 +24,8 @@ declared order, zero denominators, header problems such as a base jet fiber
 above MAX_BASE_FIBER) carry a stable code.
 
 Exit codes: 0 = analysis completed (obstructed verdicts included), 1 = bad
-input (unreadable file, parse error, bad flags), 2 = an internal consistency
+input (unreadable file, parse error, bad flags, or an input past the size
+budget of the library stage that would run it), 2 = an internal consistency
 check failed.
 
 With --json PATH the machine-readable report is written to PATH next to the
@@ -47,17 +48,16 @@ from .errors import InvariantViolation
 from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
-    check_jet_budget,
-    check_spencer_budget,
     crosscheck_routes,
     finite_type_integrability,
     goldschmidt_check,
     jet_coords,
     prolongation_tower,
-    symbol_tableau,
+    symbol_tower,
 )
 from .spencer import cohomology
-from .tableau import classify_type, tower
+from .tableau import classify_type
+from .tensorspace import binomial_past
 
 SCHEMA_VERSION = 1
 
@@ -96,17 +96,6 @@ _DIGITS = frozenset("0123456789")  # str.isdigit() also accepts '²' and '٢'
 # (base_dim 1, fiber_rank 250, order 1) takes about 4 s and 110 MB under
 # `tower`.  Every corpus and benchmark-pool system has N <= 20.
 MAX_BASE_FIBER = 500
-
-
-def _base_fiber_exceeds(n: int, m: int, k: int) -> bool:
-    """Whether m·C(n+k, n) > MAX_BASE_FIBER, built up one factor at a time
-    and stopped once past it, so huge headers cost a few steps."""
-    size = m
-    for i in range(1, min(n, k) + 1):
-        if size > MAX_BASE_FIBER:
-            break
-        size = size * (max(n, k) + i) // i
-    return size > MAX_BASE_FIBER
 
 
 def _int_literal(line_no: int, col: int, digits: str) -> int:
@@ -281,8 +270,8 @@ def parse_system(text: str) -> PdeSystem:
                     line_no, "header-out-of-range", f"{name} must be at least 1"
                 )
             headers[name] = value
-            if len(headers) == len(_HEADER_NAMES) and _base_fiber_exceeds(
-                headers["base_dim"], headers["fiber_rank"], headers["order"]
+            if len(headers) == len(_HEADER_NAMES) and binomial_past(
+                headers["fiber_rank"], headers["base_dim"], headers["order"], MAX_BASE_FIBER
             ):
                 raise PdeSemanticError(
                     line_no, "header-out-of-range",
@@ -466,12 +455,11 @@ def _emit(args, lines: list[str], payload: dict) -> None:
 
 def cmd_symbol(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.levels)
-    tab = symbol_tableau(system)
-    verdict = classify_type(tower(tab, args.levels), args.levels)
+    chain = symbol_tower(system, args.levels)
+    verdict = classify_type(chain, args.levels)
     lines = [
         f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}",
-        f"symbol dimension: {tab.space.dim}",
+        f"symbol dimension: {chain.levels[0].dim}",
         "prolongation ranks: "
         + " ".join(f"g({l})={d}" for l, d in enumerate(verdict.ranks)),
         f"symbol type: {verdict.kind}({verdict.level})",
@@ -480,7 +468,7 @@ def cmd_symbol(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "command": "symbol",
         "system": _system_payload(system),
-        "symbol_dim": tab.space.dim,
+        "symbol_dim": chain.levels[0].dim,
         "ranks": list(verdict.ranks),
         "symbol_type": {"kind": verdict.kind, "level": verdict.level},
     }
@@ -490,7 +478,6 @@ def cmd_symbol(args) -> int:
 
 def cmd_tower(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.levels)
     rep = prolongation_tower(system, args.levels)
     _emit(args, _report_table(rep), _report_payload("tower", system, rep))
     return 0
@@ -501,9 +488,7 @@ def cmd_cohomology(args) -> int:
     m_max = args.m_max if args.m_max is not None else system.n
     if m_max > system.n:  # every form degree past n is a zero slot
         raise ValueError(f"--m-max {m_max} exceeds base_dim {system.n}")
-    check_jet_budget(system, args.l_max + 1)
-    check_spencer_budget(system, args.l_max, m_max)
-    chain = tower(symbol_tableau(system), args.l_max + 1)
+    chain = symbol_tower(system, args.l_max + 1)
     report = cohomology(chain, l_max=args.l_max, m_max=m_max)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.append("l      " + "  ".join(f"H(l,{mm})" for mm in range(1, m_max + 1)))
@@ -538,8 +523,6 @@ def cmd_cohomology(args) -> int:
 
 def cmd_goldschmidt(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.l_max + 1)
-    check_spencer_budget(system, args.l_max, 2)
     rep = goldschmidt_check(system, args.l_max)
     lines = _report_table(rep)
     h2 = [rep.cohomology[(l, 2)] for l in range(args.l_max + 1)]
@@ -552,7 +535,6 @@ def cmd_goldschmidt(args) -> int:
 
 def cmd_finite_type(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.l_max + 1)  # the walk never passes the symbol tower
     rep = finite_type_integrability(system, args.l_max, args.levels)
     lines = _report_table(rep)
     if rep.type_verdict is not None:
@@ -565,7 +547,6 @@ def cmd_finite_type(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     system = load_system(args.file)
-    check_jet_budget(system, args.levels)
     levels = crosscheck_routes(system, args.levels)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.extend(
@@ -632,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, levels=None, l_max=None, m_max=False):
+    def add(name, help_text, *, levels=None, l_max=None, m_max=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="path to a .pde system file")
         if levels is not None:
@@ -648,30 +629,34 @@ def build_parser() -> argparse.ArgumentParser:
                            help="highest form degree (default: base_dim)")
         p.add_argument("--json", metavar="PATH",
                        help="write a JSON report to PATH; '-' prints only JSON")
-        p.set_defaults(func=func)
         return p
 
-    add("symbol", cmd_symbol,
-        "symbol tableau: dimension, prolongation ranks, type", levels=4)
-    add("tower", cmd_tower,
-        "walk the prolongation tower and test each projection", levels=4)
-    add("cohomology", cmd_cohomology,
-        "table of symbol cohomology dimensions", l_max=2, m_max=True)
-    add("goldschmidt", cmd_goldschmidt,
-        "first-projection surjectivity plus bounded 2-acyclicity", l_max=2)
-    add("finite-type", cmd_finite_type,
-        "certification through symbol vanishing", levels=6, l_max=2)
-    add("crosscheck", cmd_crosscheck,
+    add("symbol", "symbol tableau: dimension, prolongation ranks, type", levels=4)
+    add("tower", "walk the prolongation tower and test each projection", levels=4)
+    add("cohomology", "table of symbol cohomology dimensions", l_max=2, m_max=True)
+    add("goldschmidt", "first-projection surjectivity plus bounded 2-acyclicity",
+        l_max=2)
+    add("finite-type", "certification through symbol vanishing", levels=6, l_max=2)
+    add("crosscheck",
         "compare the jet route against the connection route level by level",
         levels=2)
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first main()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # the module's current bindings, read per call, so a rebound cmd_* runs
+    command = {"symbol": cmd_symbol, "tower": cmd_tower, "cohomology": cmd_cohomology,
+               "goldschmidt": cmd_goldschmidt, "finite-type": cmd_finite_type,
+               "crosscheck": cmd_crosscheck}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (PdeSyntaxError, PdeSemanticError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1

@@ -33,6 +33,11 @@ the level's fiber and the row basis handed up: at most (1 + n) times the
 rank in rows, instead of (1 + n)^level times the base equation count.  The
 fibers are canonical subspaces, so the reports do not depend on how the
 equations are stored.  ``formal_prolongation`` itself still keeps every row.
+
+Two size budgets live here, each checked before anything is eliminated:
+``symbol_tower``, every analysis's tower, refuses a depth whose jet fiber
+passes MAX_JET_FIBER, and ``crosscheck_routes`` a connection route wider than
+MAX_CROSSCHECK_WIDTH.  ``tableau.tower`` and ``spencer.cohomology`` hold theirs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 from .errors import InvariantViolation
@@ -47,7 +53,7 @@ from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, classify_type, tower
-from .tensorspace import multi_indices, raise_sym, sym_dim, sym_rank
+from .tensorspace import binomial_past, multi_indices, raise_sym, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
 
@@ -55,16 +61,9 @@ _ZERO = Fraction(0)
 # --------------------------- jet coordinates ---------------------------
 
 
-@lru_cache(maxsize=None)
-def _jet_offsets(n: int, m: int, k: int) -> tuple[int, ...]:
-    offsets = [0]
-    for d in range(k + 1):
-        offsets.append(offsets[-1] + sym_dim(n, d) * m)
-    return tuple(offsets)
-
-
 def jet_fiber_dim(n: int, m: int, k: int) -> int:
-    return _jet_offsets(n, m, k)[k + 1]
+    """m·C(n + k, n): the jets of order <= k (0 for k = -1)."""
+    return m * comb(n + k, n)
 
 
 # Widest jet fiber, in coordinates, an analysis may prolong to.  The walk
@@ -81,53 +80,13 @@ def check_jet_budget(system: PdeSystem, depth: int) -> None:
     """Refuse, before any elimination, a prolongation of system to depth whose
     jet fiber m·C(n+k+depth, n) exceeds MAX_JET_FIBER (ValueError naming the
     stage and the size)."""
-    n, order = system.n, system.k + depth
-    has = _past_budget(system.m, [(order + i, i) for i in range(1, n + 1)], MAX_JET_FIBER)
+    order = system.k + depth
+    has = binomial_past(system.m, system.n, order, MAX_JET_FIBER)
     if has:
         raise ValueError(
             f"prolongation to depth {depth} needs the order-{order} jet fiber of "
             f"{has} coordinates, above the budget of {MAX_JET_FIBER}"
         )
-
-
-# Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
-# maps are dense, so cost grows about as N^2: the free first-order system in
-# seven variables under `cohomology --l-max 1` meets N = 2940 in 1.0 s and
-# 61 MB, in eight variables (8400) 7.1 s and 279 MB (in-process, Python 3.11,
-# shared 2-vCPU VM).  Corpus, pool and benchmark inputs stay at or below 336.
-MAX_SPENCER_SLOT = 3000
-
-
-def check_spencer_budget(system: PdeSystem, l_max: int, m_max: int) -> None:
-    """Refuse, before any slot map is assembled, a cohomology window whose
-    maps may meet a slot past MAX_SPENCER_SLOT (ValueError naming the stage
-    and the size).  Slot (l, j), Λ^j ⊗ W_l with W_l in S^(k+l) ⊗ R^m (W_-1
-    the space below W_0), has at most C(n, j)·m·C(n+k+l-1, k+l) coordinates.
-    The maps meet it only for l <= l_max + 1, j <= m_max + 1 and
-    l + j <= l_max + m_max, so the bound is largest at one of three levels."""
-    n = system.n
-    for level, j in ((l_max + 1, m_max - 1), (l_max, m_max), (l_max - 1, m_max + 1)):
-        j, degree = min(j, n // 2), system.k + level
-        exterior = [(n - j + i, i) for i in range(1, j + 1)]  # C(n, j)
-        symmetric = [(degree + i, i) for i in range(1, n)]  # C(degree + n - 1, n - 1)
-        has = _past_budget(system.m, exterior + symmetric, MAX_SPENCER_SLOT)
-        if has:
-            raise ValueError(
-                f"Spencer cohomology to l_max {l_max} and m_max {m_max} meets slots "
-                f"(Λ^{j} ⊗ level {level}) of {has} coordinates, above the "
-                f"budget of {MAX_SPENCER_SLOT}"
-            )
-
-
-def _past_budget(size: int, factors: list[tuple[int, int]], budget: int) -> str | None:
-    """None if size times num/den over the factors, each >= 1 and building a
-    binomial, stays within budget; else that size as a phrase.  The product
-    stops once past budget, so a huge binomial costs a few steps."""
-    for num, den in factors:
-        if size > budget:
-            return f"more than {size}"
-        size = size * num // den
-    return f"{size}" if size > budget else None
 
 
 def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
@@ -138,17 +97,12 @@ def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
         raise ValueError("derivative order exceeds the jet order")
     if not (0 <= a < m):
         raise ValueError("component out of range")
-    return _jet_offsets(n, m, k)[d] + a * sym_dim(n, d) + sym_rank(alpha)
+    return jet_fiber_dim(n, m, d - 1) + a * sym_dim(n, d) + sym_rank(alpha)
 
 
 @lru_cache(maxsize=None)
 def jet_coords(n: int, m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    out = []
-    for d in range(k + 1):
-        for a in range(m):
-            for alpha in multi_indices(n, d):
-                out.append((a, alpha))
-    return tuple(out)
+    return tuple((a, al) for d in range(k + 1) for a in range(m) for al in multi_indices(n, d))
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +161,16 @@ def symbol_tableau(system: PdeSystem) -> Tableau:
     the solution jets vanishing below order k."""
     space = solution_fiber(system).tail(jet_fiber_dim(system.n, system.m, system.k - 1))
     return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
+
+
+def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
+    """The tableau tower of the system's symbol, levels 0 .. depth.
+
+    Every analysis reads its tower here, and no jet walk goes deeper than the
+    tower, so a depth past the jet budget (``check_jet_budget``) is refused
+    first; the tower then holds its own budget (``tableau.tower``)."""
+    check_jet_budget(system, depth)
+    return tower(symbol_tableau(system), depth)
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -310,24 +274,13 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
         witness = None if surjective else next(
             v for v in prev_fiber.basis if not img.contains_vector(v)
         )
-        records.append(
-            LevelRecord(
-                level=level,
-                fiber_dim=fiber.dim,
-                symbol_dim=sym,
-                projection_surjective=surjective,
-                torsion_vanishes=surjective,
-                witness=witness,
-            )
-        )
+        records.append(LevelRecord(
+            level=level, fiber_dim=fiber.dim, symbol_dim=sym,
+            projection_surjective=surjective, torsion_vanishes=surjective, witness=witness,
+        ))
     report = IntegrabilityReport(
-        n=system.n,
-        m=system.m,
-        k=system.k,
-        base_fiber_dim=base_fiber.dim,
-        levels=tuple(records),
-        verdict="integrable-up-to",
-        verdict_level=len(records),
+        n=system.n, m=system.m, k=system.k, base_fiber_dim=base_fiber.dim,
+        levels=tuple(records), verdict="integrable-up-to", verdict_level=len(records),
         certification_basis="exhausted-bound",
     )
     failed = next((rec for rec in records if not rec.projection_surjective), None)
@@ -343,10 +296,9 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
 
 
 def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
-    """Walk depth prolongations, checking surjectivity of every truncation."""
-    if depth < 1:
-        raise ValueError("tower needs depth >= 1")
-    return _tower_report(system, tower(symbol_tableau(system), depth).ranks)
+    """Walk depth prolongations, checking surjectivity of every truncation
+    (depth >= 1, as for the tower)."""
+    return _tower_report(system, symbol_tower(system, depth).ranks)
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -360,7 +312,7 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    return _goldschmidt(system, l_max, tower(symbol_tableau(system), l_max + 1))
+    return _goldschmidt(system, l_max, symbol_tower(system, l_max + 1))
 
 
 def _goldschmidt(system: PdeSystem, l_max: int, chain: TableauChain) -> IntegrabilityReport:
@@ -384,10 +336,7 @@ def _goldschmidt(system: PdeSystem, l_max: int, chain: TableauChain) -> Integrab
         verdict, level = "integrable-up-to", l_max
         basis = f"goldschmidt-up-to-evidence({l_max})"
     return replace(
-        tower_report,
-        verdict=verdict,
-        verdict_level=level,
-        certification_basis=basis,
+        tower_report, verdict=verdict, verdict_level=level, certification_basis=basis,
         cohomology=hdims,
     )
 
@@ -401,17 +350,16 @@ def finite_type_integrability(
     tower is surjective through level l + 1 (within max_levels), projections
     above l are bijections and the system is formally integrable outright.
     For symbols that stay nonzero through l_max the question defers to
-    ``goldschmidt_check``, whose window must pass ``check_spencer_budget``.
+    ``goldschmidt_check``, whose window ``spencer.cohomology`` budgets.
     """
     if max_levels < 1:
         raise ValueError("max_levels must be >= 1")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     # one symbol tower serves the type, the jet walk and the fallback
-    chain = tower(symbol_tableau(system), l_max + 1)
+    chain = symbol_tower(system, l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
-        check_spencer_budget(system, l_max, 2)
         return replace(_goldschmidt(system, l_max, chain), type_verdict=verdict)
     need = verdict.level + 1
     if max_levels < need:
@@ -419,23 +367,15 @@ def finite_type_integrability(
     report = _tower_report(system, chain.ranks[:need])
     if report.verdict == "obstructed-at":
         return replace(
-            report,
-            certification_basis=f"finite-type({verdict.level})",
-            type_verdict=verdict,
+            report, certification_basis=f"finite-type({verdict.level})", type_verdict=verdict
         )
     # above the vanishing level the projections must be bijections
     dims = [report.base_fiber_dim] + [rec.fiber_dim for rec in report.levels]
-    for j in range(max(verdict.level, 1), len(dims) - 1):
-        if dims[j + 1] != dims[j]:
-            raise InvariantViolation(
-                "projections above the vanishing level are not bijections"
-            )
+    if any(dims[j + 1] != dims[j] for j in range(max(verdict.level, 1), len(dims) - 1)):
+        raise InvariantViolation("projections above the vanishing level are not bijections")
     return replace(
-        report,
-        verdict="formally-integrable-certified",
-        verdict_level=verdict.level,
-        certification_basis=f"finite-type({verdict.level})",
-        type_verdict=verdict,
+        report, verdict="formally-integrable-certified", verdict_level=verdict.level,
+        certification_basis=f"finite-type({verdict.level})", type_verdict=verdict,
     )
 
 
@@ -511,6 +451,15 @@ class RouteLevel:
     symbol_dim: int
 
 
+# Widest connection route, in coordinates, a crosscheck may walk: (1 + n)
+# copies (e and each ψ_i) of the jet fiber of order k + depth - 1.  Cost grows
+# about as N^2.4: the free first-order system in three variables meets
+# N = 880 at depth 9 in 1.9 s and 49 MB, 1144 at depth 10 in 3.4 s and 73 MB
+# (in-process, Python 3.11, shared 2-vCPU VM).  Corpus and pool systems at the
+# default depth 2 stay at or below 80, the heat system at depth 5 at 336.
+MAX_CROSSCHECK_WIDTH = 1000
+
+
 def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     """Prolong along the jet route and the connection route, level by level.
 
@@ -520,10 +469,18 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     ``pde_to_relconn`` builds it, so the two routes share no elimination.  At
     every level the jet fiber, mapped as by ``jet_to_prolongation_point``,
     must be the connection fiber, and the projection images must have equal
-    dimensions; a disagreement is an InvariantViolation.
+    dimensions; a disagreement is an InvariantViolation.  A route wider than
+    MAX_CROSSCHECK_WIDTH is refused before anything is eliminated.
     """
+    order = system.k + depth - 1
+    has = binomial_past((1 + system.n) * system.m, system.n, order, MAX_CROSSCHECK_WIDTH)
+    if has:
+        raise ValueError(
+            f"crosscheck to depth {depth} maps (1 + n) copies of the order-{order} jet "
+            f"fiber, {has} coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"
+        )
     out = []
-    ranks = tower(symbol_tableau(system), depth).ranks
+    ranks = symbol_tower(system, depth).ranks
     steps = _walk(system, solution_fiber(system), ranks)
     for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
@@ -538,14 +495,9 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
             raise InvariantViolation(
                 f"projection images disagree between the routes at level {level}"
             )
-        out.append(
-            RouteLevel(
-                level=level,
-                jet_fiber_dim=fib.dim,
-                jet_image_dim=img.dim,
-                connection_fiber_dim=pf.subspace.dim,
-                connection_image_dim=pf.projection_image.dim,
-                symbol_dim=sym,
-            )
-        )
+        out.append(RouteLevel(
+            level=level, jet_fiber_dim=fib.dim, jet_image_dim=img.dim,
+            connection_fiber_dim=pf.subspace.dim,
+            connection_image_dim=pf.projection_image.dim, symbol_dim=sym,
+        ))
     return tuple(out)

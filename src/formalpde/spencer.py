@@ -29,6 +29,8 @@ Cohomology needs only dimensions, so it is read off ranks: each slot map is
 assembled once, im ⊂ ker is checked exactly as δ∘δ = 0 on the assembled
 maps rather than by subspace membership, and each map is ranked once by
 `ratlin.rank`, `rref`'s integer elimination without its back-substitution.
+A window holds its size budget: no slot its maps meet may pass
+MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 """
 
 from __future__ import annotations
@@ -83,6 +85,14 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 # --------------------------- chains and cohomology ---------------------------
 
 
+# Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
+# maps are dense, so cost grows about as N^2: the free first-order system in
+# seven variables under `cohomology --l-max 1` meets N = 2940 in 1.0 s and
+# 61 MB, in eight variables (8400) 7.1 s and 279 MB (in-process, Python 3.11,
+# shared 2-vCPU VM).  Corpus, pool and benchmark inputs stay at or below 336.
+MAX_SPENCER_SLOT = 3000
+
+
 @dataclass(frozen=True)
 class TableauChain:
     """Levels W_0, W_1, ... with one degree-lowering map per level.
@@ -114,7 +124,9 @@ class TableauChain:
         return tuple(level.dim for level in self.levels[1:])
 
     def slot_dim(self, l: int, m: int) -> int:
-        return ext_dim(self.n, m) * self.levels[l].dim
+        """dim Λ^m ⊗ W_l, with W_-1 the space partials[0] maps into."""
+        width = self.levels[l].dim if l >= 0 else self.partials[0].rows // max(self.n, 1)
+        return ext_dim(self.n, m) * width
 
     def map_out(self, l: int, m: int) -> RatMatrix:
         """The differential leaving slot (l, m), into slot (l-1, m+1)."""
@@ -126,17 +138,12 @@ class TableauChain:
 
     def vanishing_level(self) -> int | None:
         """Smallest l with levels[l] = 0, if any (zero levels must persist)."""
-        found = None
-        for l, lev in enumerate(self.levels):
-            if lev.dim == 0:
-                found = l
-                break
-        if found is not None:
-            for l in range(found + 1, len(self.levels)):
-                if self.levels[l].dim != 0:
-                    raise InvariantViolation(
-                        "a vanished tableau level was followed by a nonzero one"
-                    )
+        dims = [lev.dim for lev in self.levels]
+        if 0 not in dims:
+            return None
+        found = dims.index(0)
+        if any(dims[found:]):
+            raise InvariantViolation("a vanished tableau level was followed by a nonzero one")
         return found
 
 
@@ -196,7 +203,8 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
 
     Needs the chain to carry levels through l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
-    otherwise rather than prolonging silently.
+    otherwise rather than prolonging silently.  It refuses (ValueError),
+    before any assembly, a window whose maps meet a slot past MAX_SPENCER_SLOT.
     """
     if l_max < 0 or m_max < 1:
         raise ValueError("need l_max >= 0 and m_max >= 1")
@@ -221,6 +229,14 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if chain.slot_dim(l, m)]
     for l, m in slots:
+        for met in ((l - 1, m + 1), (l, m), (l + 1, m - 1)):
+            if chain.slot_dim(*met) > MAX_SPENCER_SLOT:
+                raise ValueError(
+                    f"Spencer cohomology to l_max {l_max} and m_max {m_max} meets slot "
+                    f"(l, m) = {met} of {chain.slot_dim(*met)} coordinates, above the "
+                    f"budget of {MAX_SPENCER_SLOT}"
+                )
+    for l, m in slots:
         if not _composes_to_zero(out(l, m), out(l + 1, m - 1)):
             raise InvariantViolation(
                 f"image is not contained in the kernel at slot ({l}, {m})"
@@ -243,20 +259,14 @@ def is_r_acyclic(report: CohomologyReport, r: int) -> AcyclicityVerdict:
     """Decide r-acyclicity (H^(l,m) = 0 for all l and 1 <= m <= r) from a report."""
     if r < 1 or r > report.m_max:
         raise ValueError("r must satisfy 1 <= r <= m_max of the report")
-    for l in range(report.l_max + 1):
-        for m in range(1, r + 1):
-            if report.entries[(l, m)].h_dim != 0:
-                return AcyclicityVerdict(
-                    r=r,
-                    acyclic=False,
-                    unconditional=True,
-                    bound=report.l_max,
-                    failure=(l, m),
-                )
-    unconditional = (
-        report.vanishing_level is not None and report.vanishing_level <= report.l_max + 1
+    failure = next(
+        ((l, m) for l in range(report.l_max + 1) for m in range(1, r + 1)
+         if report.entries[(l, m)].h_dim),
+        None,
     )
+    vanished = report.vanishing_level is not None and report.vanishing_level <= report.l_max + 1
     return AcyclicityVerdict(
-        r=r, acyclic=True, unconditional=unconditional, bound=report.l_max, failure=None
+        r=r, acyclic=failure is None, unconditional=failure is not None or vanished,
+        bound=report.l_max, failure=failure,
     )
 

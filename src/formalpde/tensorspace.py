@@ -13,6 +13,8 @@ Fixed basis orderings (every matrix in the package is written against these):
 
 Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 Λ^j = 0 for j > n or j < 0, so the corresponding dimensions are 0.
+`binomial_past` sizes such spaces against a limit without computing a
+binomial of a huge argument; every size budget of the package reads it.
 
 Symmetric tensors are polynomials with plain monomial coefficients: the
 contraction (directional derivative) ι_i sends x^alpha to alpha_i x^(alpha-e_i).
@@ -51,6 +53,20 @@ def ext_dim(n: int, j: int) -> int:
     if j < 0 or j > n:
         return 0
     return comb(n, j)
+
+
+def binomial_past(scale: int, a: int, b: int, cap: int) -> str | None:
+    """None if scale·C(a + b, a) <= cap, else that size as a phrase.
+
+    The product is built one factor at a time and stops once past cap
+    ('more than S'), so a size limit on huge a or b costs a few steps where
+    `math.comb` would not (scale >= 1; a negative a or b leaves scale)."""
+    size = scale
+    for i in range(1, min(a, b) + 1):
+        if size > cap:
+            return f"more than {size}"
+        size = size * (max(a, b) + i) // i
+    return f"{size}" if size > cap else None
 
 
 @lru_cache(maxsize=None)

@@ -41,17 +41,25 @@ from formalpde.cli import (
     main,
     parse_system,
 )
+from formalpde import jetpde, spencer, tableau as tableau_module
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
+    MAX_CROSSCHECK_WIDTH,
     MAX_JET_FIBER,
-    MAX_SPENCER_SLOT,
     PdeSystem,
     check_jet_budget,
-    check_spencer_budget,
+    crosscheck_routes,
     finite_type_integrability,
+    goldschmidt_check,
     jet_index,
+    prolongation_tower,
+    symbol_tableau,
+    symbol_tower,
 )
-from formalpde.tableau import tower
+from formalpde.ratlin import RatMatrix, Subspace, rank, rref
+from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
+from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
+from formalpde.tensorspace import multi_indices
 
 
 def corpus_path(name: str):
@@ -413,27 +421,19 @@ def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
         check_jet_budget(cli.load_system(str(path)), 6)
 
 
-# passes the parser (base fiber 44) and, at --l-max 0, the jet budget
-# (C(45, 2) = 990), yet its slots reach C(43, 21)·C(44, 2) coordinates
+# passes the parser (base fiber 44) and, at depth 1, the jet budget
+# (C(45, 2) = 990), yet its depth-1 tower reaches S^2 of C(44, 2) = 946
+# coordinates: n·A^2 = 3.8e7
 FIRST_ORDER_43 = "base_dim = 43\nfiber_rank = 1\norder = 1\neq: u1_x1 = 0\n"
 
 
-@pytest.mark.parametrize(
-    "command, flags, message",
-    [
-        ("cohomology", ["--m-max", "100000"], "--m-max 100000 exceeds base_dim 2"),
-        ("cohomology", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 43"),
-        ("goldschmidt", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 2"),
-    ],
-)
-def test_spencer_window_past_its_budget_is_refused_in_a_child(
-    command, flags, message, tmp_path
-):
-    # in a child with a timeout, as for the jet budget: never assemble the slots
-    if "--m-max" in flags:
-        path = str(corpus_path("wave1d.pde"))
-    else:
-        path = write_pde(tmp_path, FIRST_ORDER_43)
+def free_first_order(n: int) -> str:
+    return f"base_dim = {n}\nfiber_rank = 1\norder = 1\n"
+
+
+def run_child(command, path, flags):
+    """The command in a child with a timeout: a refusal that came too late
+    would run the analysis, which must never happen in the test run itself."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "formalpde", command, path, *flags],
@@ -441,20 +441,91 @@ def test_spencer_window_past_its_budget_is_refused_in_a_child(
     )
     assert time.perf_counter() - start < 1
     assert proc.returncode == 1 and not proc.stdout
-    assert message in proc.stderr
+    return proc.stderr
 
 
-def test_spencer_budget_is_exact_at_its_edge_and_admits_the_ladder():
-    # n = 1: every slot is Λ^0 ⊗ S^d ⊗ R^m, of m coordinates
-    check_spencer_budget(PdeSystem.from_terms(1, MAX_SPENCER_SLOT, 1, []), 5, 1)
-    with pytest.raises(ValueError, match=f"of {MAX_SPENCER_SLOT + 1} coordinates"):
-        check_spencer_budget(PdeSystem.from_terms(1, MAX_SPENCER_SLOT + 1, 1, []), 5, 1)
-    # the benchmark's goldschmidt window on the 4-D wave equation, and beyond
-    check_spencer_budget(PdeSystem.from_terms(4, 1, 2, []), 6, 2)
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("cohomology", ["--m-max", "100000"], "--m-max 100000 exceeds base_dim 2"),
+        # the free system in eight variables: level 2 has C(10, 3) = 120
+        # coordinates, so slot (2, 4) has C(8, 4)·120 = 8400
+        ("cohomology", ["--l-max", "1"], "Spencer cohomology to l_max 1 and m_max 8"),
+        # in 18 variables: slot (1, 1) has 18·C(19, 2) = 3078 coordinates
+        ("goldschmidt", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 2"),
+    ],
+)
+def test_spencer_window_past_its_budget_is_refused_in_a_child(
+    command, flags, message, tmp_path
+):
+    if "--m-max" in flags:
+        path = str(corpus_path("wave1d.pde"))
+    else:
+        path = write_pde(tmp_path, free_first_order(8 if command == "cohomology" else 18))
+    assert message in run_child(command, path, flags)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("symbol", ["--levels", "1"]),
+        ("finite-type", ["--l-max", "0"]),
+        ("cohomology", ["--l-max", "0"]),
+        ("goldschmidt", ["--l-max", "0"]),
+    ],
+)
+def test_symbol_tower_past_its_budget_is_refused_in_a_child(command, flags, tmp_path):
+    err = run_child(command, write_pde(tmp_path, FIRST_ORDER_43), flags)
+    assert "symbol tower to depth 1 reaches S^2 ⊗ R^1 in 43 variables" in err
+    assert f"A = 946 coordinates: n·A^2 is above the budget of {MAX_TOWER_WORK}" in err
+
+
+class Admitted(Exception):
+    """Raised by a stub of the first step past a budget check."""
+
+
+def reaches(monkeypatch, module, name, call) -> bool:
+    """Whether call gets past its budget check to module.name (stubbed out,
+    so nothing past the check runs); a refusal propagates."""
+
+    def stub(*args, **kwargs):
+        raise Admitted
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, name, stub)
+        try:
+            call()
+        except Admitted:
+            return True
+    return False
+
+
+def chain_of_widths(n, below, dims):
+    """A chain with zero maps whose level -1 and levels 0.. have the given
+    dimensions: only its shape matters to the Spencer budget."""
+    levels = tuple(Subspace.full(d) for d in dims)
+    partials = [RatMatrix([[Fraction(0)] * dims[0]] * (n * below), cols=dims[0])]
+    partials += [
+        RatMatrix([[Fraction(0)] * d] * (n * prev), cols=d) for prev, d in zip(dims, dims[1:])
+    ]
+    return TableauChain(n=n, levels=levels, partials=tuple(partials))
+
+
+def test_spencer_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
+    # n = 2, window (0, 1): the map out of it meets Λ^2 ⊗ level -1, of
+    # C(2, 2)·below coordinates, the widest slot met
+    report = cohomology(chain_of_widths(2, MAX_SPENCER_SLOT, (1, 0)), 0, 1)
+    assert report.entries[(0, 1)] == HEntry(2, 0, 2)
+    with pytest.raises(ValueError, match=f"\\(-1, 2\\) of {MAX_SPENCER_SLOT + 1} coordinates"):
+        cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1)
+    # the benchmark's goldschmidt window on the 4-D wave equation (the free
+    # second-order system bounds it), and beyond
+    free4 = PdeSystem.from_terms(4, 1, 2, [])
+    assert reaches(monkeypatch, spencer, "_slot_matrix", lambda: goldschmidt_check(free4, 6))
     # every corpus system at each command's default window
     for path in (resources.files("formalpde") / "corpus").iterdir():
         system = cli.load_system(str(path))
-        check_spencer_budget(system, 2, system.n)
+        cohomology(symbol_tower(system, 3), 2, system.n)
 
 
 def test_finite_type_budgets_only_its_goldschmidt_fallback():
@@ -469,33 +540,140 @@ def test_finite_type_budgets_only_its_goldschmidt_fallback():
         finite_type_integrability(PdeSystem.from_terms(n, 1, 1, []), 0, 6)
 
 
-def largest_slot_met(n, m, k, l_max, m_max):
-    """The widest slot Λ^j ⊗ S^(k+l) ⊗ R^m that cohomology's maps meet: each
-    slot (l, j) of the window, the target (l-1, j+1) of the map out of it and
-    the source (l+1, j-1) of the map into it."""
+def largest_slot_met(chain, l_max, m_max):
+    """The widest slot Λ^j ⊗ W_level that cohomology's maps meet, from the
+    chain's exact level dimensions: for each window slot (l, mm) with
+    Λ^mm ⊗ W_l nonzero, the slot itself, the target (l-1, mm+1) of the map
+    out of it and the source (l+1, mm-1) of the map into it (W_-1 is the
+    space the level-0 map lands in)."""
+    n = chain.n
+    dims = {l: level.dim for l, level in enumerate(chain.levels)}
+    dims[-1] = chain.partials[0].rows // n
     met = [
         (level, j)
         for l in range(l_max + 1)
         for mm in range(1, m_max + 1)
+        if comb(n, mm) * dims[l]
         for level, j in ((l, mm), (l - 1, mm + 1), (l + 1, mm - 1))
     ]
-    return max(comb(n, j) * m * comb(n + k + level - 1, k + level) for level, j in met)
+    return max((comb(n, j) * dims[level] for level, j in met), default=0)
 
 
-def test_spencer_budget_refuses_exactly_the_windows_past_it():
-    # the free first-order system in ten variables meets at most 550
-    # coordinates under goldschmidt --l-max 0, though Λ^3 ⊗ level 1 has 6600
-    assert largest_slot_met(10, 1, 1, 0, 2) == 550
-    for n, m, k in product(range(1, 11), (1, 3), (1, 2)):
-        system = PdeSystem.from_terms(n, m, k, [])
-        for l_max, m_max in product(range(4), range(1, n + 1)):
-            fits = largest_slot_met(n, m, k, l_max, m_max) <= MAX_SPENCER_SLOT
+def test_spencer_budget_refuses_exactly_the_windows_past_it(monkeypatch):
+    # the budget scaled down, so small chains meet it on both sides
+    heat3 = cli.parse_system(HEAT3)
+    gradient = PdeSystem.from_terms(3, 1, 1, [[(1, 0, (1, 0, 0))], [(1, 0, (0, 1, 0))],
+                                              [(1, 0, (0, 0, 1))]])
+    # every second derivative zero: W_0 = 0, but W_-1 has 6 coordinates
+    hessian = PdeSystem.from_terms(
+        3, 2, 2, [[(1, a, alpha)] for a in range(2) for alpha in multi_indices(3, 2)]
+    )
+    systems = [PdeSystem.from_terms(n, m, k, []) for n, m, k in product((1, 2, 3), (1, 2), (1, 2))]
+    systems += [heat3, gradient, hessian, cli.load_system(str(corpus_path("cauchy_riemann.pde")))]
+    outcomes = set()
+    for system in systems:
+        chain = symbol_tower(system, 3)
+        for l_max, m_max, budget in product(range(3), range(1, system.n + 1), (8, 30, 90)):
+            monkeypatch.setattr(spencer, "MAX_SPENCER_SLOT", budget)
+            fits = largest_slot_met(chain, l_max, m_max) <= budget
             try:
-                check_spencer_budget(system, l_max, m_max)
+                reaches(
+                    monkeypatch, spencer, "_slot_matrix", lambda: cohomology(chain, l_max, m_max)
+                )
             except ValueError:
-                assert not fits, (n, m, k, l_max, m_max)
+                refused = True
             else:
-                assert fits, (n, m, k, l_max, m_max)
+                refused = False
+            assert refused != fits, (system, l_max, m_max, budget)
+            outcomes.add(fits)
+    assert outcomes == {True, False}
+    # the vanished symbol of the gradient system has no slot at all
+    assert largest_slot_met(symbol_tower(gradient, 3), 2, 3) == 0
+
+
+def test_tower_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
+    def builds(t):
+        return reaches(monkeypatch, Subspace, "full", lambda: tower(t, 1))
+
+    # n = 2 at depth 1: A = f·(degree + 2), and 2·2236^2 <= 10^7 < 2·2237^2
+    assert MAX_TOWER_WORK == 10**7
+    assert builds(Tableau(n=2, f=559, space=Subspace.zero(3 * 559), degree=2))
+    with pytest.raises(ValueError, match="A = 2237 coordinates"):
+        tower(Tableau(n=2, f=1, space=Subspace.zero(2236), degree=2235), 1)
+    # a generalized tableau of p carrier coordinates in n = 10 directions:
+    # depth 1 reaches S^1 ⊗ R^p, A = 10p, so p = 100 is n·A^2 = 10^7
+    def generalized(p):
+        return Tableau.generalized(10, 1, Subspace.full(p), RatMatrix([[Fraction(0)] * p] * 10))
+
+    assert builds(generalized(100))
+    with pytest.raises(ValueError, match="A = 1010 coordinates"):
+        tower(generalized(101), 1)
+    # the benchmark ladder, the heat system at the jet budget's edge, and the
+    # gradient system in 18 variables whose finite-type test above needs depth 1
+    n = 18
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    for system, depth in (
+        (PdeSystem.from_terms(4, 1, 2, []), 5),
+        (cli.parse_system(HEAT3), 14),
+        (PdeSystem.from_terms(n, 1, 1, [[(1, 0, alpha)] for alpha in units]), 1),
+    ):
+        tower(symbol_tableau(system), depth)
+    # every corpus system at each command's default depth
+    for path in (resources.files("formalpde") / "corpus").iterdir():
+        tower(symbol_tableau(cli.load_system(str(path))), 4)
+
+
+def test_crosscheck_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
+    # n = 1: (1 + n)·m·C(1 + k + depth - 1, 1) = 2·250·(1 + depth)
+    free = PdeSystem.from_terms(1, 250, 1, [])
+    assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(free, 1))
+    with pytest.raises(ValueError, match=f"1500 coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"):
+        crosscheck_routes(free, 2)
+    heat3 = cli.parse_system(HEAT3)
+    assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(heat3, 5))
+    systems = [cli.load_system(str(p)) for p in (resources.files("formalpde") / "corpus").iterdir()]
+    systems += [PdeSystem.from_terms(n, m, k, []) for n, m, k in ((3, 2, 1), (2, 2, 2))]  # widest pool shapes
+    for system in systems:
+        assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(system, 2))
+
+
+def test_a_refused_analysis_eliminates_nothing(count_calls):
+    heat3 = cli.parse_system(HEAT3)
+    free18 = PdeSystem.from_terms(18, 1, 1, [])
+    first43 = cli.parse_system(FIRST_ORDER_43)
+    # the base system's own fiber, bounded by the parser and cached, is the
+    # one elimination every analysis starts from
+    symbol_tableau(free18), symbol_tableau(first43)
+    table = [
+        (lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
+        (lambda: goldschmidt_check(free18, 0), "Spencer cohomology to l_max 0"),
+        (lambda: finite_type_integrability(first43, 0, 6), "symbol tower to depth 1"),
+        (lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
+        (lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1), "symbol tower to depth 1"),
+        (lambda: cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1),
+         "Spencer cohomology to l_max 0"),
+    ]
+    calls = [count_calls(rref), count_calls(rank), count_calls(spencer._slot_matrix)]
+    for call, stage in table:
+        with pytest.raises(ValueError, match=stage):
+            call()
+    assert calls == [[], [], []]
+
+
+def test_the_parser_is_built_once_and_dispatch_reads_the_current_command(
+    count_calls, monkeypatch, capsys
+):
+    path = str(corpus_path("laplace2d.pde"))
+    assert main(["symbol", path]) == 0
+    builds = count_calls(cli.build_parser)
+    assert main(["tower", path]) == 0
+    assert main(["crosscheck", path]) == 0
+    assert builds == []
+    ran = []
+    monkeypatch.setattr(cli, "cmd_tower", lambda args: ran.append(args.command) or 0)
+    assert main(["tower", path]) == 0
+    assert ran == ["tower"]
+    capsys.readouterr()
 
 
 def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
