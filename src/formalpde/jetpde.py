@@ -15,15 +15,17 @@ of its solution fiber vanishing below the top order, read off the fiber's
 canonical basis rather than eliminated again.
 
 Each analysis builds the tableau tower of the base symbol once, at the
-largest depth it needs, and walks the jet prolongation once.  Per level the
-walk yields the level's fiber, its symbol dimension (checked against the
-tableau tower) and the truncation image in the fiber below.  The tower report
-reads surjectivity off it; a failure is a genuine integrability obstruction
-and comes with an explicit witness: a solution jet of the lower order that no
-higher-order solution extends.  The crosscheck maps the same walk's fibers
-into the connection route, whose prolongation fibers come from eliminations
-of their own, so the two routes stay independent.  Level systems never enter
-a cache; only the base system's fiber and symbol do.
+largest depth it needs, and walks the jet prolongation once, with one
+elimination per level.  It yields the level's fiber, the truncation image in
+the fiber below, read off the fiber's canonical basis (``Subspace.head``),
+and the symbol dimension, the rest of that basis, checked against the tower.
+The tower report reads surjectivity off it; a failure is a genuine
+integrability obstruction and comes with an explicit witness: a solution jet
+of the lower order that no higher-order solution extends.  The crosscheck
+maps the same walk's fibers into the connection route, whose prolongation
+fibers come from eliminations of their own, so the two routes stay
+independent.  Level systems never enter a cache; only the base system's fiber
+and symbol do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so the row space of a prolonged system depends only
@@ -240,26 +242,28 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     """Prolong once per tableau-tower rank, checking every level as it goes.
 
     Yields, per level: the system below and its fiber, then the level's
-    fiber, its truncation image and its symbol dimension.
+    fiber, its truncation image (the fiber's basis vectors with pivot in the
+    lower coordinates, cut there) and its symbol dimension (the others).
     """
     cur, cur_fiber = system, base_fiber
-    for rank in symbol_ranks:
+    for level, rank in enumerate(symbol_ranks, 1):
         # carry the level system as a row basis: same row space, hence the
         # same fiber and symbol, but at most one row per jet coordinate
         prolonged = formal_prolongation(cur)
         fiber, rows = kernel_with_row_basis(prolonged.equations)
         nxt = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
-        lo = cur_fiber.ambient_dim
-        sym = fiber.tail(lo).dim
+        img = fiber.head(cur_fiber.ambient_dim)
+        sym = fiber.dim - img.dim
         if sym != rank:
             raise InvariantViolation(
-                "prolonged-system symbol disagrees with the tableau tower"
+                f"prolonged-system symbol of dim {sym} disagrees with the tableau "
+                f"tower's rank {rank} at level {level}"
             )
-        img = Subspace.from_spanning(lo, [v[:lo] for v in fiber.basis])
         if not cur_fiber.contains(img):
-            raise InvariantViolation("truncated solutions violate the lower system")
-        if fiber.dim != sym + img.dim:
-            raise InvariantViolation("fiber dimension fails exactness bookkeeping")
+            raise InvariantViolation(
+                f"truncated solutions (image dim {img.dim}) violate the lower system "
+                f"(fiber dim {cur_fiber.dim}) at level {level}"
+            )
         yield cur, cur_fiber, fiber, img, sym
         cur, cur_fiber = nxt, fiber
 
@@ -396,14 +400,7 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
 
 def _relconn(system: PdeSystem, fiber: Subspace) -> RelConn:
     n, m, k = system.n, system.m, system.k
-    lo = jet_fiber_dim(n, m, k - 1)
-    basis = fiber.basis
-    sigma = RatMatrix([[v[r] for v in basis] for r in range(lo)], cols=len(basis))
-    mats = [
-        RatMatrix([[-v[t] for v in basis] for t in targets], cols=len(basis))
-        for targets in _jet_shift(n, m, k - 1)
-    ]
-    return RelConn(sigma, mats)
+    return RelConn.on_fiber(fiber, range(jet_fiber_dim(n, m, k - 1)), _jet_shift(n, m, k - 1))
 
 
 def jet_to_prolongation_point(

@@ -28,14 +28,16 @@ with its leading 1 at that column and zeros at every other free column,
 which is exactly the canonical basis; the nonzero rows of that one echelon
 form also give a row basis of the matrix (`kernel_with_row_basis`).
 
-A canonical basis answers its own slices without elimination: the vectors
-vanishing before a coordinate (`Subspace.tail`) and the annihilator
-(`Subspace.constraint_matrix`) are read off it.  Where only a rank is needed,
-`rank` counts the pivot rows of the same integer insertion and stops there.
+A canonical basis answers its own slices without elimination: the projection
+before a cut (`Subspace.head`), the vectors vanishing before it
+(`Subspace.tail`) and the annihilator (`Subspace.constraint_matrix`) are read
+off it.  Where only a rank is needed, `rank` counts the pivot rows of the
+same integer insertion and stops there.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, filterfalse, repeat
@@ -403,12 +405,19 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         return all(self.contains_vector(v) for v in other.basis)
 
+    def head(self, stop: int) -> "Subspace":
+        """The projection onto the coordinates before stop: the basis vectors
+        with pivot < stop, cut there, already are its canonical basis, and
+        every other basis vector projects to zero."""
+        j = bisect_left(self.pivots, stop)
+        return Subspace(stop, tuple(v[:stop] for v in self.basis[:j]), self.pivots[:j])
+
     def tail(self, start: int) -> "Subspace":
         """The vectors vanishing before start, cut at start: the basis vectors
         with pivot >= start, cut there, already are its canonical basis."""
-        keep = [j for j, p in enumerate(self.pivots) if p >= start]
-        basis = tuple(self.basis[j][start:] for j in keep)
-        pivots = tuple(self.pivots[j] - start for j in keep)
+        j = bisect_left(self.pivots, start)
+        basis = tuple(v[start:] for v in self.basis[j:])
+        pivots = tuple(p - start for p in self.pivots[j:])
         return Subspace(self.ambient_dim - start, basis, pivots)
 
     def constraint_matrix(self) -> RatMatrix:

@@ -61,6 +61,21 @@ class RelConn:
         self._symbol_map = None
         self._delta_image = None
 
+    @staticmethod
+    def on_fiber(
+        fiber: Subspace, sigma_rows: Sequence[int], direction_rows: Sequence[Sequence[int]]
+    ) -> "RelConn":
+        """The connection a fiber carries, over its canonical basis: sigma
+        reads the coordinates sigma_rows of each basis vector, and A_i minus
+        the coordinates direction_rows[i]."""
+        basis = fiber.basis
+        sigma = RatMatrix([[v[r] for v in basis] for r in sigma_rows], cols=len(basis))
+        mats = [
+            RatMatrix([[-v[r] for v in basis] for r in rows], cols=len(basis))
+            for rows in direction_rows
+        ]
+        return RelConn(sigma, mats)
+
     def __repr__(self) -> str:
         return (
             f"RelConn(n={self.n}, source={self.source_dim}, "
@@ -72,13 +87,9 @@ def symbol_map(conn: RelConn) -> Tableau:
     """The generalized tableau (g, ∂_D) with ∂_D(v) = (i -> A_i v)."""
     if conn._symbol_map is None:
         g = conn.symbol
-        rows = [[_ZERO] * g.dim for _ in range(conn.n * conn.coeff_dim)]
-        for c, vec in enumerate(g.basis):
-            for i, a in enumerate(conn.mats):
-                out = a.apply(vec)
-                for b, x in enumerate(out):
-                    if x:
-                        rows[b * conn.n + i][c] = x
+        images = [[a.apply(v) for v in g.basis] for a in conn.mats]
+        # row b*n + i holds coordinate b of A_i on each basis vector
+        rows = [[out[b] for out in ai] for b in range(conn.coeff_dim) for ai in images]
         partial = RatMatrix(rows, cols=g.dim)
         conn._symbol_map = Tableau.generalized(conn.n, conn.coeff_dim, g, partial)
     return conn._symbol_map
@@ -99,20 +110,14 @@ def _delta_image(conn: RelConn) -> Subspace:
 def _partial_rows(conn: RelConn) -> RatMatrix:
     """Rows of the linear system cutting the partial fiber out of (e, psi)."""
     n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    width = (1 + n) * sd
     rows = []
     for i in range(n):
         for b in range(cd):
-            row = [_ZERO] * width
-            arow = conn.mats[i].row(b)
-            srow = conn.sigma.row(b)
-            for c in range(sd):
-                if arow[c]:
-                    row[c] = arow[c]
-                if srow[c]:
-                    row[(1 + i) * sd + c] = srow[c]
+            # A_i e + sigma psi_i: A_i's row over e, sigma's over block i
+            row = list(conn.mats[i].row(b)) + [_ZERO] * (n * sd)
+            row[(1 + i) * sd : (2 + i) * sd] = conn.sigma.row(b)
             rows.append(row)
-    return RatMatrix(rows, cols=width)
+    return RatMatrix(rows, cols=(1 + n) * sd)
 
 
 def _symmetry_rows(conn: RelConn) -> RatMatrix:
@@ -123,14 +128,11 @@ def _symmetry_rows(conn: RelConn) -> RatMatrix:
     for i in range(n):
         for j in range(i + 1, n):
             for b in range(cd):
+                # i < j, so the two psi blocks are distinct
                 row = [_ZERO] * width
-                aj = conn.mats[j].row(b)
                 ai = conn.mats[i].row(b)
-                for c in range(sd):
-                    if aj[c]:
-                        row[(1 + i) * sd + c] += aj[c]
-                    if ai[c]:
-                        row[(1 + j) * sd + c] -= ai[c]
+                row[(1 + i) * sd : (2 + i) * sd] = conn.mats[j].row(b)
+                row[(1 + j) * sd : (2 + j) * sd] = [-x if x else _ZERO for x in ai]
                 rows.append(row)
     return RatMatrix(rows, cols=width)
 
@@ -154,7 +156,7 @@ class ProlFiber:
 def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     n, sd = conn.n, conn.source_dim
     fiber = kernel(RatMatrix.vstack([_partial_rows(conn), _symmetry_rows(conn)]))
-    proj = Subspace.from_spanning(sd, [v[:sd] for v in fiber.basis])
+    proj = fiber.head(sd)
     ker_part = fiber.tail(sd)
     if fiber.dim != ker_part.dim + proj.dim:
         raise InvariantViolation("prolongation fiber fails exactness bookkeeping")
@@ -183,17 +185,12 @@ def prolongation_connection(conn: RelConn) -> RelConn:
     sigma' extracts the base point e; the direction maps extract -psi_i (the
     sign is forced by compatibility: sigma(psi_i) = -A_i e on the fiber).
     """
-    fiber = classical_prolongation_fiber(conn).subspace
-    sd, n = conn.source_dim, conn.n
-    basis = fiber.basis
-    sigma_p = RatMatrix([[v[r] for v in basis] for r in range(sd)], cols=len(basis))
-    mats = [
-        RatMatrix(
-            [[-v[(1 + i) * sd + r] for v in basis] for r in range(sd)], cols=len(basis)
-        )
-        for i in range(n)
-    ]
-    return RelConn(sigma_p, mats)
+    sd = conn.source_dim
+    return RelConn.on_fiber(
+        classical_prolongation_fiber(conn).subspace,
+        range(sd),
+        [range((1 + i) * sd, (2 + i) * sd) for i in range(conn.n)],
+    )
 
 
 # --------------------------- compatibility ---------------------------

@@ -129,15 +129,11 @@ def _symmetry_equations(t: Tableau) -> RatMatrix:
     for b in range(f):
         for i in range(n):
             for j in range(i + 1, n):
+                # ∂(eta_i)(e_j) - ∂(eta_j)(e_i) at output coordinate b; eta_i
+                # is the slice of the coordinates c * n + i
                 row = [_ZERO] * ambient
-                for c in range(p):
-                    # ∂(eta_i)(e_j) - ∂(eta_j)(e_i) at output coordinate b
-                    co_j = partial[b * n + j, c]
-                    co_i = partial[b * n + i, c]
-                    if co_j:
-                        row[c * n + i] += co_j
-                    if co_i:
-                        row[c * n + j] -= co_i
+                row[i::n] = partial.row(b * n + j)
+                row[j::n] = [-x if x else _ZERO for x in partial.row(b * n + i)]
                 rows.append(row)
     return RatMatrix(rows, cols=ambient)
 

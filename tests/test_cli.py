@@ -52,11 +52,13 @@ from formalpde.jetpde import (
     finite_type_integrability,
     goldschmidt_check,
     jet_index,
+    pde_to_relconn,
     prolongation_tower,
     symbol_tableau,
     symbol_tower,
 )
 from formalpde.ratlin import RatMatrix, Subspace, rank, rref
+from formalpde.relconn import classical_prolongation_fiber
 from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
 from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
 from formalpde.tensorspace import multi_indices
@@ -686,6 +688,36 @@ def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main(["tower", path]) == 2
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+def move_the_cut(monkeypatch):
+    """Fault: every truncation image read off a fiber loses its last vector."""
+    read_off = Subspace.head
+
+    def moved(self, stop):
+        image = read_off(self, stop)
+        return Subspace(stop, image.basis[:-1], image.pivots[:-1])
+
+    monkeypatch.setattr(Subspace, "head", moved)
+
+
+@pytest.mark.parametrize("command", ["tower", "goldschmidt", "finite-type", "crosscheck"])
+def test_a_moved_cut_in_the_walk_is_an_internal_failure(command, tmp_path, capsys, monkeypatch):
+    # the symbol is the rest of the fiber's basis, so a short image shows up
+    # as a symbol one larger than the independent tableau tower's rank
+    move_the_cut(monkeypatch)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert "symbol of dim" in err and "disagrees with the tableau tower" in err
+    assert "at level 1" in err
+
+
+def test_a_moved_cut_in_the_connection_route_fails_its_exactness(monkeypatch):
+    move_the_cut(monkeypatch)
+    conn = pde_to_relconn(parse_system(corpus_text("laplace2d.pde")))
+    with pytest.raises(InvariantViolation, match="exactness"):
+        classical_prolongation_fiber(conn)
 
 
 # --------------------------- 7. JSON output ---------------------------

@@ -358,15 +358,14 @@ def test_crosscheck_shares_the_walk_and_caches_no_level_system(count_calls):
 
 
 def test_eliminations_per_analysis(count_calls):
-    # a tower level eliminates its tableau prolongation, its jet system and
-    # its truncation image; a crosscheck level adds the connection's symbol,
-    # prolongation fiber, projection image, ∂-symmetry kernel, g^(1) check
-    # and mapped jet fiber; the base fiber is one more.  Symbols and e = 0
-    # slices are read off fibers.  A Spencer window calls no `rref`: its
-    # slot maps are ranked by `ratlin.rank`, which builds no basis.  So
-    # goldschmidt_check takes the base fiber, one jet level (its jet system
-    # and truncation image) and one tableau prolongation per symbol level
-    # 1 .. l + 1.
+    # a tower level eliminates its tableau prolongation and its jet system;
+    # a crosscheck level adds the connection's symbol, prolongation fiber,
+    # ∂-symmetry kernel, g^(1) check and mapped jet fiber; the base fiber is
+    # one more.  Truncation images, symbols and e = 0 slices are read off
+    # the fibers' canonical bases, not eliminated.  A Spencer window calls
+    # no `rref`: its slot maps are ranked by `ratlin.rank`, which builds no
+    # basis.  So goldschmidt_check takes the base fiber, one jet level (its
+    # jet system) and one tableau prolongation per symbol level 1 .. l + 1.
     calls = count_calls(rref)
 
     def count(analysis, *args):
@@ -377,10 +376,10 @@ def test_eliminations_per_analysis(count_calls):
         return len(calls)
 
     for d in range(1, 5):
-        assert count(prolongation_tower, heat3(), d) == 3 * d + 1
-        assert count(crosscheck_routes, heat3(), d) == 9 * d + 1
+        assert count(prolongation_tower, heat3(), d) == 2 * d + 1
+        assert count(crosscheck_routes, heat3(), d) == 7 * d + 1
     for l in range(4):
-        assert count(goldschmidt_check, heat3(), l) == l + 4
+        assert count(goldschmidt_check, heat3(), l) == l + 3
 
 
 # --------------------------- 8. goldschmidt ---------------------------

@@ -329,6 +329,11 @@ def test_kernel_tail_is_the_kernel_of_the_kept_columns(m):
         ref = kernel(RatMatrix([m.row(i)[start:] for i in range(m.rows)], cols=m.cols - start))
         assert tail.ambient_dim == ref.ambient_dim
         assert tail.basis == ref.basis and tail.pivots == ref.pivots
+        # the projection onto the coordinates before the cut, read off as well
+        head = k.head(start)
+        ref = Subspace.from_spanning(start, [v[:start] for v in k.basis])
+        assert head.ambient_dim == ref.ambient_dim
+        assert head.basis == ref.basis and head.pivots == ref.pivots
 
 
 @settings(deadline=None, max_examples=200)
