@@ -28,13 +28,12 @@ independent.  Level systems never enter a cache; only the base system's fiber
 and symbol do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
-linear in the equations, so the row space of a prolonged system depends only
-on the row space of the system prolonged.  Each level therefore prolongs a
-row basis of the level below, and one elimination of the result gives both
-the level's fiber and the row basis handed up: at most (1 + n) times the
-rank in rows, instead of (1 + n)^level times the base equation count.  The
-fibers are canonical subspaces, so the reports do not depend on how the
-equations are stored.  ``formal_prolongation`` itself still keeps every row.
+linear in the equations, so a prolonged system's fiber depends only on the
+fiber prolonged.  Each level therefore prolongs the annihilator of the fiber
+below, read off its canonical basis (``Subspace.constraint_matrix``): (1 + n)
+times the rank in rows, instead of (1 + n)^level times the base equation
+count, and the user's equations enter only through the base fiber.
+``formal_prolongation`` itself still keeps every row.
 
 Two size budgets live here, each checked before anything is eliminated:
 ``symbol_tower``, every analysis's tower, refuses a depth whose jet fiber
@@ -51,7 +50,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, kernel, kernel_with_row_basis, rat
+from .ratlin import RatMatrix, Subspace, kernel, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, classify_type, tower
@@ -102,7 +101,6 @@ def jet_index(n: int, m: int, k: int, a: int, alpha: tuple[int, ...]) -> int:
     return jet_fiber_dim(n, m, d - 1) + a * sym_dim(n, d) + sym_rank(alpha)
 
 
-@lru_cache(maxsize=None)
 def jet_coords(n: int, m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple((a, al) for d in range(k + 1) for a in range(m) for al in multi_indices(n, d))
 
@@ -241,17 +239,14 @@ class IntegrabilityReport:
 def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     """Prolong once per tableau-tower rank, checking every level as it goes.
 
-    Yields, per level: the system below and its fiber, then the level's
-    fiber, its truncation image (the fiber's basis vectors with pivot in the
-    lower coordinates, cut there) and its symbol dimension (the others).
+    Yields, per level: the system below (its fiber's annihilator) and that
+    fiber, then the level's fiber, its truncation image (the basis vectors
+    with pivot in the lower coordinates, cut there) and its symbol dimension.
     """
-    cur, cur_fiber = system, base_fiber
+    cur_fiber = base_fiber
     for level, rank in enumerate(symbol_ranks, 1):
-        # carry the level system as a row basis: same row space, hence the
-        # same fiber and symbol, but at most one row per jet coordinate
-        prolonged = formal_prolongation(cur)
-        fiber, rows = kernel_with_row_basis(prolonged.equations)
-        nxt = PdeSystem(n=cur.n, m=cur.m, k=prolonged.k, equations=rows)
+        lower = replace(system, k=system.k + level - 1, equations=cur_fiber.constraint_matrix())
+        fiber = kernel(formal_prolongation(lower).equations)
         img = fiber.head(cur_fiber.ambient_dim)
         sym = fiber.dim - img.dim
         if sym != rank:
@@ -264,8 +259,8 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
                 f"truncated solutions (image dim {img.dim}) violate the lower system "
                 f"(fiber dim {cur_fiber.dim}) at level {level}"
             )
-        yield cur, cur_fiber, fiber, img, sym
-        cur, cur_fiber = nxt, fiber
+        yield lower, cur_fiber, fiber, img, sym
+        cur_fiber = fiber
 
 
 def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> IntegrabilityReport:
@@ -481,7 +476,10 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     steps = _walk(system, solution_fiber(system), ranks)
     for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
-        pts = [_prolongation_point(lower, lower_fiber, v) for v in fib.basis]
+        try:
+            pts = [_prolongation_point(lower, lower_fiber, v) for v in fib.basis]
+        except ValueError as err:  # the walk's own fiber: no input is at fault
+            raise InvariantViolation(f"jet fiber does not map at level {level}: {err}") from err
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
         if mapped != pf.subspace or mapped.dim != fib.dim:
             raise InvariantViolation(

@@ -25,8 +25,8 @@ equal subspaces compare equal as plain data.
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
 with its leading 1 at that column and zeros at every other free column,
-which is exactly the canonical basis; the nonzero rows of that one echelon
-form also give a row basis of the matrix (`kernel_with_row_basis`).
+which is exactly the canonical basis; those echelon rows, a row basis of the
+matrix, come back up to sign as its annihilator (`constraint_matrix`).
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -49,6 +49,7 @@ from .errors import InvariantViolation
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def rat(x) -> Fraction:
@@ -320,7 +321,7 @@ class Subspace:
         pivots: tuple[int, ...],
     ):
         # Not for direct use -- go through from_spanning/zero/full, or
-        # kernel_with_row_basis, whose basis is canonical as built.
+        # kernel, whose basis is canonical as built.
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
@@ -403,6 +404,9 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
+        # canonical bases: one at least as large is contained only if equal
+        if other.dim >= self.dim:
+            return other.basis == self.basis
         return all(self.contains_vector(v) for v in other.basis)
 
     def head(self, stop: int) -> "Subspace":
@@ -422,25 +426,28 @@ class Subspace:
 
     def constraint_matrix(self) -> RatMatrix:
         """A matrix with kernel exactly this subspace, read off the basis: row
-        e_j - sum_p v_p[j] e_p for each non-pivot j (v_p has pivot p)."""
-        rows = []
-        for j in sorted(set(range(self.ambient_dim)) - set(self.pivots)):
-            row = [_ZERO] * self.ambient_dim
-            row[j] = _ONE
-            for v, p in zip(self.basis, self.pivots):
-                if v[j]:
-                    row[p] = -v[j]
-            rows.append(row)
-        return RatMatrix(rows, cols=self.ambient_dim)
+        sum_p v_p[j] e_p - e_j for each non-pivot j (v_p has pivot p), from the
+        basis vectors' own nonzero entries; for a kernel, its echelon rows."""
+        d = self.ambient_dim
+        rows = {j: [_ZERO] * d for j in sorted(set(range(d)).difference(self.pivots))}
+        zero = next(filterfalse(None, chain.from_iterable(self.basis)), None)
+        for v, p in zip(self.basis, self.pivots):
+            # nonzeros by identity, as in rref; an entry at a pivot has no row
+            for j, x in compress(enumerate(v), map(is_not, v, repeat(zero))):
+                if j in rows:
+                    rows[j][p] = x
+        for j, row in rows.items():
+            row[j] = _MINUS_ONE
+        return RatMatrix(list(rows.values()), cols=d)
 
 
 # --------------------------- derived maps ---------------------------
 
 
-def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
-    """Null space of m as a canonical Subspace, and a row basis of m.
+def kernel(m: RatMatrix) -> Subspace:
+    """Null space of m as a canonical Subspace of Q^cols.
 
-    One elimination gives both.  ``rref`` runs on m with the column order
+    One elimination gives it.  ``rref`` runs on m with the column order
     reversed; its pivots, the pivot columns of that unique echelon form, are
     the rightmost independent columns of m, and every other column f is
     free.  The kernel vector of a free column f is 1 at f and, at each pivot
@@ -451,33 +458,23 @@ def kernel_with_row_basis(m: RatMatrix) -> tuple[Subspace, RatMatrix]:
     echelon basis, with the free columns as its pivots, and no second
     reduction is needed.
 
-    The nonzero rows of the same echelon form, with the columns put back in
-    order, are a row basis of m.  Their leading entries sit in the rightmost
-    columns first: for jet matrices, the highest-order coordinates.
+    Those echelon rows, columns put back in order, are a row basis of m, and
+    the kernel's ``constraint_matrix`` reads them back off, up to sign.
     """
     cols = m.cols
     r, rev_pivots = rref(RatMatrix([row[::-1] for row in m._rows], cols=cols))
     pivots = [cols - 1 - p for p in rev_pivots]
-    pivot_set = set(pivots)
-    free = [f for f in range(cols) if f not in pivot_set]
-    echelon = [r.row(i) for i in range(len(pivots))]
+    free = sorted(set(range(cols)).difference(pivots))
     basis = []
     for f in free:
         v = [_ZERO] * cols
         v[f] = _ONE
-        rev_f = cols - 1 - f
-        for row, p in zip(echelon, pivots):
-            coeff = row[rev_f]
+        for row, p in zip(r._rows, pivots):  # the nonzero rows lead r
+            coeff = row[-1 - f]  # column f, counted from the reversed row's end
             if coeff:
                 v[p] = -coeff
         basis.append(tuple(v))
-    space = Subspace(cols, tuple(basis), tuple(free))
-    return space, RatMatrix([row[::-1] for row in echelon], cols=cols)
-
-
-def kernel(m: RatMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols (see kernel_with_row_basis)."""
-    return kernel_with_row_basis(m)[0]
+    return Subspace(cols, tuple(basis), tuple(free))
 
 
 def image(m: RatMatrix) -> Subspace:

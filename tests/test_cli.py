@@ -10,9 +10,11 @@ Plan:
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses, 1 for input problems,
-    2 for internal consistency failures; an out-of-range count flag is a
-    bad flag, named in the message; a depth whose jet fiber is past the
-    budget exits 1 within a second, before any elimination
+    2 for internal consistency failures, among them faults injected into the
+    walk (a moved cut, a dropped kept row) and into the crosscheck's jet
+    mapping; an out-of-range count flag is a bad flag, named in the message;
+    a depth whose jet fiber is past the budget exits 1 within a second,
+    before any elimination
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
@@ -24,6 +26,7 @@ import json
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -718,6 +721,44 @@ def test_a_moved_cut_in_the_connection_route_fails_its_exactness(monkeypatch):
     conn = pde_to_relconn(parse_system(corpus_text("laplace2d.pde")))
     with pytest.raises(InvariantViolation, match="exactness"):
         classical_prolongation_fiber(conn)
+
+
+@pytest.mark.parametrize("command", ["tower", "goldschmidt", "finite-type", "crosscheck"])
+def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsys, monkeypatch):
+    # without the lower equation the truncated solutions fill the lower jets,
+    # while the shifted rows alone still give the tableau tower's symbol, so
+    # only the containment check sees the fault
+    prolong = jetpde.formal_prolongation
+
+    def dropped(system):
+        out = prolong(system).equations
+        rows = [out.row(r) for r in range(1, out.rows)]
+        return replace(system, k=system.k + 1, equations=RatMatrix(rows, cols=out.cols))
+
+    monkeypatch.setattr(jetpde, "formal_prolongation", dropped)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main([command, path]) == 2
+    assert (
+        "truncated solutions (image dim 6) violate the lower system (fiber dim 5) at level 1"
+        in capsys.readouterr().err
+    )
+
+
+def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
+    tmp_path, capsys, monkeypatch
+):
+    # the walk's fibers solve the prolonged system, so a jet the connection
+    # route cannot read is the program's failure (exit 2), not the input's
+    to_point = jetpde._prolongation_point
+
+    def perturbed(system, fiber, u):
+        return to_point(system, fiber, [*u[:-1], u[-1] + 1])
+
+    monkeypatch.setattr(jetpde, "_prolongation_point", perturbed)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["crosscheck", path]) == 2
+    err = capsys.readouterr().err
+    assert "does not map at level 1" in err and "does not solve the system" in err
 
 
 # --------------------------- 7. JSON output ---------------------------

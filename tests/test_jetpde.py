@@ -10,7 +10,8 @@ Plan:
  6. flat-connection systems: commuting certified, noncommuting obstructed,
     with an honestly non-extendable witness
  7. formal prolongation keeps the original equations; the tower and the
-    crosscheck walk carry a row basis, so their matrices stay within the jet
+    crosscheck walk prolong each lower fiber's annihilator, one row per jet
+    coordinate outside that fiber, so their matrices stay within the jet
     fiber width, and the tower's fibers match the plain repeated prolongation;
     the crosscheck prolongs once per level and caches no level system; the
     eliminations per analysis are pinned (symbols and e = 0 slices are read
@@ -309,13 +310,16 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
     monkeypatch.setattr(jetpde_mod, "formal_prolongation", recording)
     for s in (laplace2d(), heat3()):
         received.clear()
-        prolongation_tower(s, 6)
+        rep = prolongation_tower(s, 6)
         assert [k for k, _ in received] == [s.k + level - 1 for level in range(1, 7)]
-        for k, rows in received:
-            assert rows <= jet_fiber_dim(s.n, s.m, k)
+        # each level prolongs the annihilator of the fiber below: one row per
+        # jet coordinate outside that fiber
+        lower_dims = [rep.base_fiber_dim] + [lv.fiber_dim for lv in rep.levels[:-1]]
+        for (k, rows), lower_dim in zip(received, lower_dims):
+            assert rows == jet_fiber_dim(s.n, s.m, k) - lower_dim, (s.n, k)
     monkeypatch.undo()
-    # the carried row basis loses nothing: every level's fiber is the fiber
-    # of the plain repeated prolongation, which keeps every row
+    # the annihilator handed up loses nothing: every level's fiber is the
+    # fiber of the plain repeated prolongation, which keeps every row
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         s = load_system(str(path))
         rep = prolongation_tower(s, 4)

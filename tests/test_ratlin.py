@@ -3,6 +3,7 @@
 Plan:
  1) hand-checked row reductions, kernels, images, affine solves;
  2) canonical Subspace semantics (order-independent bases, membership,
+    containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
     floats are refused, also among Fractions, and reduce_mod's cached
     supports leave equality and hashing alone;
@@ -10,7 +11,8 @@ Plan:
     Fredholm witness);
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
-    canonicalised again, bit for bit, and its row basis spans the row space;
+    canonicalised again, bit for bit, and its annihilator is the row basis of
+    the reversed-column rref of m, up to sign and row order;
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
@@ -36,7 +38,6 @@ from formalpde.ratlin import (
     Subspace,
     image,
     kernel,
-    kernel_with_row_basis,
     rank,
     rref,
     solve,
@@ -201,6 +202,14 @@ def test_constraint_matrix_cuts_out_the_subspace(count_calls):
     assert kernel(q) == u
 
 
+def test_contains_compares_subspaces_not_dimensions():
+    plane = Subspace.from_spanning(3, [[1, 0, 0], [0, 1, 0]])
+    assert not plane.contains(Subspace.from_spanning(3, [[1, 0, 0], [0, 0, 1]]))
+    assert plane.contains(Subspace.from_spanning(3, [[1, 1, 0], [1, -1, 0]]))
+    assert not plane.contains(Subspace.full(3))
+    assert plane.contains(Subspace.from_spanning(3, [[1, 2, 0]]))
+
+
 # --------------------------- 3) property tests ---------------------------
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -289,18 +298,20 @@ def free_column_kernel(m: RatMatrix) -> Subspace:
 @settings(deadline=None, max_examples=200)
 @given(matrices_with_empty_shapes())
 def test_single_elimination_kernel_is_bit_identical(m):
-    k, rows = kernel_with_row_basis(m)
+    k = kernel(m)
     ref = free_column_kernel(m)
     assert k.ambient_dim == ref.ambient_dim == m.cols
     assert len(k.basis) == len(ref.basis)
     assert all(len(v) == m.cols for v in k.basis)
     assert k.basis == ref.basis
     assert k.pivots == ref.pivots
-    assert kernel(m) == k and kernel(m).pivots == k.pivots
-    # the row basis is independent and spans the row space of m
-    assert rows.cols == m.cols and rows.rows == rref_rank(m)
-    assert rref_rank(rows) == rows.rows
-    assert image(rows.transpose()) == image(m.transpose())
+    # the kernel's annihilator is m's row basis from the reversed-column
+    # rref, up to sign and row order: the walk hands it up as the next level
+    r, pivots = rref(RatMatrix([m.row(i)[::-1] for i in range(m.rows)], cols=m.cols))
+    echelon = {tuple(r.row(i)[::-1]) for i in range(len(pivots))}
+    q = k.constraint_matrix()
+    assert q.shape == (rref_rank(m), m.cols)
+    assert {tuple(-x for x in q.row(i)) for i in range(q.rows)} == echelon
 
 
 @settings(deadline=None, max_examples=200)
@@ -348,9 +359,9 @@ def test_every_subspace_is_the_kernel_of_its_constraints(m):
 
 def test_single_elimination_kernel_on_empty_shapes():
     for r, c in ((0, 0), (0, 3), (3, 0), (2, 2)):
-        k, rows = kernel_with_row_basis(zeros(r, c))
+        k = kernel(zeros(r, c))
         assert k == Subspace.full(c) and k.pivots == tuple(range(c))
-        assert rows.shape == (0, c)
+        assert k.constraint_matrix().shape == (0, c)
 
 
 @settings(deadline=None, max_examples=60)
