@@ -54,7 +54,7 @@ from .ratlin import RatMatrix, Subspace, kernel, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, classify_type, tower
-from .tensorspace import binomial_past, multi_indices, raise_sym, sym_dim, sym_rank
+from .tensorspace import binomial_past, multi_indices, raise_table, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
 
@@ -107,11 +107,10 @@ def jet_coords(n: int, m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...
 
 @lru_cache(maxsize=None)
 def _jet_shift(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """shift[i][c]: the order-(k+1) index of order-k coordinate c raised by x_i."""
-    return tuple(
-        tuple(jet_index(n, m, k + 1, a, raise_sym(alpha, i)) for a, alpha in jet_coords(n, m, k))
-        for i in range(n)
-    )
+    """shift[i][c]: the order-(k+1) index of order-k coordinate c raised by x_i,
+    each degree-d block raised into the degree-(d+1) one at jet_fiber_dim(n, m, d)."""
+    blocks = [(jet_fiber_dim(n, m, d), raise_table(n, d, m)) for d in range(k + 1)]
+    return tuple(tuple(start + up for start, t in blocks for up, _ in t[i]) for i in range(n))
 
 
 # --------------------------- systems ---------------------------

@@ -204,10 +204,17 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     Needs the chain to carry levels through l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
     otherwise rather than prolonging silently.  It refuses (ValueError),
-    before any assembly, a window whose maps meet a slot past MAX_SPENCER_SLOT.
+    before any assembly, a window whose maps meet a slot past MAX_SPENCER_SLOT,
+    and before building its grid an m_max past max(n, 2): every form degree
+    past n is a zero slot, and no caller asks past 2 when n < 2.
     """
     if l_max < 0 or m_max < 1:
         raise ValueError("need l_max >= 0 and m_max >= 1")
+    if m_max > max(chain.n, 2):
+        raise ValueError(
+            f"Spencer cohomology to m_max {m_max} is past form degree {max(chain.n, 2)}, "
+            f"the larger of n = {chain.n} and 2"
+        )
     if len(chain.levels) < l_max + 2:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"

@@ -6,10 +6,11 @@ the textbook Hom(E, F) case); its prolongation is
     g^(1) = { xi in S^(d+1) E* ⊗ F : iota_v xi in g for every v },
 
 computed as an intersection of contraction preimages, with every contraction
-read off `tensorspace.iota_table`.  A generalized tableau is an abstract
-carrier subspace g together with a degree-lowering map ∂ : g -> Hom(E, F)
-(rows b*n + i); its first prolongation lives in S^1 ⊗ R^p over the canonical
-basis of g (p = dim g),
+read backwards off `tensorspace.raise_table` (ι_i at c is x_i at c scaled by
+its factor).  A generalized tableau is an abstract carrier subspace g
+together with a degree-lowering map ∂ : g -> Hom(E, F) (rows b*n + i); its
+first prolongation lives in S^1 ⊗ R^p over the canonical basis of g
+(p = dim g),
 
     g^(1)(∂) = { eta : ∂(eta(X))(Y) = ∂(eta(Y))(X) for all X, Y },
 
@@ -24,8 +25,8 @@ encoding from which every Spencer differential is assembled.  Level 0 is g
 with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
 ∂ (generalized).  A vanished level makes all later ones zero by construction
 (monotone vanishing is structural, not re-derived).  `tower` holds the
-tower's size budget, MAX_TOWER_WORK, and refuses a tower past it before the
-first level is built.
+tower's size budget, MAX_TOWER_WORK, and refuses a tower past it, or deeper
+than its square root, before the first level is built.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from math import isqrt
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
 from .spencer import TableauChain
-from .tensorspace import binomial_past, iota_apply, iota_table, sym_dim
+from .tensorspace import binomial_past, raise_table, sym_dim
 
 _ZERO = Fraction(0)
 
@@ -106,17 +107,16 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     q = space.constraint_matrix()
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
-    # iota_i xi in g  <=>  Q iota_i xi = 0; column c of Q iota_i is
-    # alpha_i times the column of Q at c's contraction target
-    qrows = [q.row(r) for r in range(q.rows)]
-    rows = [
-        [
-            qrow[hit[0]] * hit[1] if hit is not None and qrow[hit[0]] else _ZERO
-            for hit in entries
-        ]
-        for entries in iota_table(n, degree + 1, f)
-        for qrow in qrows
-    ]
+    # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
+    # factor, is the column of Q iota_i at c raised by x_i
+    rows = []
+    for entries in raise_table(n, degree, f):
+        for r in range(q.rows):
+            row = [_ZERO] * target_dim
+            for (up, k), x in zip(entries, q.row(r)):
+                if x:
+                    row[up] = x * k
+            rows.append(row)
     return kernel(RatMatrix(rows, cols=target_dim))
 
 
@@ -154,13 +154,15 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
     Raises InvariantViolation when a contraction escapes prev.
     """
     rows = [()] * (n * prev.dim)
-    for i, entries in enumerate(iota_table(n, degree, f)):
+    for i, entries in enumerate(raise_table(n, degree - 1, f)):
         images = []
         for v in level.basis:
-            img = iota_apply(entries, v, prev.ambient_dim)
+            # coordinate c of iota_i v is v at c raised by x_i, times the factor
+            img = [x * k if (x := v[up]) else _ZERO for up, k in entries]
             if not prev.contains_vector(img):
                 raise InvariantViolation(
-                    "tower level does not contract into its predecessor"
+                    f"tower level of degree {degree} (dim {level.dim}) does not contract "
+                    f"into its predecessor (dim {prev.dim}) along direction {i}"
                 )
             # prev's basis vector j is the only one nonzero at its pivot
             images.append(list(map(img.__getitem__, prev.pivots)))
@@ -184,10 +186,17 @@ def tower(t: Tableau, depth: int) -> TableauChain:
     level i is g^(i) in S^(degree+i) ⊗ F.  Generalized: level 0 is the full
     carrier-coordinate space R^p (p = dim g), and its ∂ is the tableau's own;
     level i sits in S^i ⊗ R^p, and level 1 consumed ∂.  Refused (ValueError)
-    before anything is built when n·A^2 passes MAX_TOWER_WORK.
+    before anything is built when n·A^2 passes MAX_TOWER_WORK, or the depth
+    passes isqrt(MAX_TOWER_WORK): A >= depth + 1 when n >= 2, so the depth
+    bound binds only where A does not grow with it (n <= 1, empty carriers).
     """
     if depth < 1:
         raise ValueError("tower needs depth >= 1")
+    if depth > isqrt(MAX_TOWER_WORK):
+        raise ValueError(
+            f"symbol tower to depth {depth} is deeper than {isqrt(MAX_TOWER_WORK)}, "
+            f"the square root of the budget of {MAX_TOWER_WORK}"
+        )
     fiber = t.f if t.classical else t.dim
     top = t.degree + depth if t.classical else depth
     # n·A^2 > W exactly when A > isqrt(W // n)
@@ -218,7 +227,8 @@ def tower(t: Tableau, depth: int) -> TableauChain:
                 nxt = kernel(equations)
                 if any(any(equations.apply(v)) for v in nxt.basis):
                     raise InvariantViolation(
-                        "generalized first prolongation violates ∂-symmetry"
+                        f"generalized first prolongation violates ∂-symmetry: dim {nxt.dim} "
+                        f"in S^1 ⊗ R^{t.dim}, {equations.rows} symmetry equations"
                     )
             partial = _verify_contracts_into(t.n, fiber, degree_i, nxt, prev)
         levels.append(nxt)

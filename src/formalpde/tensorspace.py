@@ -16,11 +16,13 @@ Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 `binomial_past` sizes such spaces against a limit without computing a
 binomial of a huge argument; every size budget of the package reads it.
 
-Symmetric tensors are polynomials with plain monomial coefficients: the
-contraction (directional derivative) ι_i sends x^alpha to alpha_i x^(alpha-e_i).
-This module owns that contraction as one cached sparse table, `iota_table`;
-the symbol prolongation and the tower verification read their matrices and
-actions off it, and so every level's ∂ that the Spencer differentials use.
+Symmetric tensors are polynomials with plain monomial coefficients.  The
+action of x_i raises x^alpha to x^(alpha+e_i); read backwards, scaled by
+alpha_i + 1, it is the contraction (directional derivative) ι_i, which sends
+x^alpha to alpha_i x^(alpha-e_i).  This module owns that one map as a cached
+sparse table, `raise_table`: the jet walk's total derivatives shift along it,
+and the symbol prolongation and the tower verification contract along it, and
+so does every level's ∂ that the Spencer differentials use.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from math import comb
 
 ExtIndex = tuple[int, ...]
 MultiIndex = tuple[int, ...]
-
-_ZERO = Fraction(0)
-
 
 # --------------------------- enumeration ---------------------------
 
@@ -116,45 +115,28 @@ def ext_rank(n: int, s: ExtIndex) -> int:
 # --------------------------- elementary actions ---------------------------
 
 
-def contract_sym(alpha: MultiIndex, i: int) -> tuple[Fraction, MultiIndex] | None:
-    """ι_i on a monomial: x^alpha -> alpha_i x^(alpha - e_i); None if alpha_i = 0."""
-    if alpha[i] == 0:
-        return None
-    reduced = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-    return Fraction(alpha[i]), reduced
+def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
+    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
 
 
 @lru_cache(maxsize=None)
-def iota_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction] | None, ...], ...]:
-    """ι_i : S^d ⊗ F -> S^(d-1) ⊗ F for every direction i, as sparse entries.
+def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """x_i : S^d ⊗ F -> S^(d+1) ⊗ F for every direction i, as sparse entries.
 
-    table[i][a * sym_dim(n, d) + sym_rank(alpha)] is (target, alpha_i) with
-    target = a * sym_dim(n, d-1) + sym_rank(alpha - e_i), or None when
-    alpha_i = 0: each source coordinate has at most one image per direction.
+    table[i][a * sym_dim(n, d) + sym_rank(alpha)] is (up, alpha_i + 1) with
+    up = a * sym_dim(n, d+1) + sym_rank(alpha + e_i): each source coordinate
+    has exactly one image per direction.  Coordinate c of ι_i w, for w in
+    S^(d+1) ⊗ F, is w[up] times the factor.
     """
-    sd_tgt = sym_dim(n, d - 1)
-    table = []
-    for i in range(n):
-        entries = []
-        for a in range(f):
-            for alpha in multi_indices(n, d):
-                hit = contract_sym(alpha, i)
-                entries.append(None if hit is None else (a * sd_tgt + sym_rank(hit[1]), hit[0]))
-        table.append(tuple(entries))
-    return tuple(table)
-
-
-def iota_apply(entries, vec, tgt_dim: int) -> list[Fraction]:
-    """One direction's contraction (a row of `iota_table`) applied to vec."""
-    out = [_ZERO] * tgt_dim
-    for x, hit in zip(vec, entries):
-        if x and hit is not None:
-            out[hit[0]] += hit[1] * x
-    return out
-
-
-def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
-    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+    sd_up = sym_dim(n, d + 1)
+    return tuple(
+        tuple(
+            (a * sd_up + sym_rank(raise_sym(alpha, i)), Fraction(alpha[i] + 1))
+            for a in range(f)
+            for alpha in multi_indices(n, d)
+        )
+        for i in range(n)
+    )
 
 
 def delta_insertion(s: ExtIndex, i: int) -> tuple[int, ExtIndex] | None:

@@ -7,6 +7,10 @@ slowest, exterior in the middle, symmetric fastest, so the flat index of
 (fiber a, exterior S, symmetric alpha) is
 (a * C(n,j) + ext_rank(S)) * sym_dim(n,k) + sym_rank(alpha).  The sign
 convention is the one in the ``spencer`` module docstring.
+
+It owns the conventions it checks: the monomial contraction and the
+insertion sign are derived here, from that docstring, and only the
+enumeration and index functions come from the package.
 """
 
 from dataclasses import dataclass
@@ -14,8 +18,6 @@ from fractions import Fraction
 
 from formalpde.ratlin import RatMatrix
 from formalpde.tensorspace import (
-    contract_sym,
-    delta_insertion,
     ext_dim,
     ext_indices,
     ext_rank,
@@ -57,12 +59,31 @@ class TensorSpaceDesc:
                     yield a, s, alpha
 
 
+def contract(alpha, i):
+    """ι_i x^alpha = alpha_i x^(alpha - e_i), monomial (not divided-power)
+    coefficients: (alpha_i, alpha - e_i), or None when alpha_i = 0."""
+    if not alpha[i]:
+        return None
+    return alpha[i], tuple(x - (j == i) for j, x in enumerate(alpha))
+
+
+def insert(s, i):
+    """omega ∧ e_i for omega = e_s, times (-1)^|s|: (sign, sorted slot), or
+    None when i occurs in s.  e_i moves left past every member of s above it,
+    one transposition each."""
+    if i in s:
+        return None
+    above = sum(1 for x in s if x > i)
+    return (-1) ** (len(s) + above), tuple(sorted(s + (i,)))
+
+
 def delta_apply_basis(n: int, j: int, k: int, a: int, s, alpha) -> dict:
-    """delta on one basis element, as a sparse {(a, ext, sym): coeff} map."""
+    """delta on one basis element, as a sparse {(a, ext, sym): coeff} map:
+    delta(omega ⊗ v) = (-1)^|omega| omega ∧ delta(v)."""
     out: dict = {}
     for i in range(n):
-        ins = delta_insertion(s, i)
-        hit = contract_sym(alpha, i)
+        ins = insert(s, i)
+        hit = contract(alpha, i)
         if ins is None or hit is None:
             continue
         sign, merged = ins

@@ -30,7 +30,7 @@ from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,7 +64,7 @@ from formalpde.ratlin import RatMatrix, Subspace, rank, rref
 from formalpde.relconn import classical_prolongation_fiber
 from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
 from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
-from formalpde.tensorspace import multi_indices
+from formalpde.tensorspace import multi_indices, sym_dim
 
 
 def corpus_path(name: str):
@@ -628,6 +628,34 @@ def test_tower_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
         tower(symbol_tableau(cli.load_system(str(path))), 4)
 
 
+def test_tower_refuses_a_depth_past_the_root_of_its_budget():
+    # n = 1 and an empty generalized carrier: A does not grow with the depth,
+    # so only the depth bound stops the tower
+    assert isqrt(MAX_TOWER_WORK) == 3162
+    line = Tableau(n=1, f=1, space=Subspace.full(1))
+    empty = Tableau.generalized(2, 1, Subspace.full(0), RatMatrix([[], []], cols=0))
+    for t in (line, empty):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"symbol tower to depth {10**7} is deeper than 3162"):
+            tower(t, 10**7)
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ValueError, match="symbol tower to depth 3163"):
+            tower(t, 3163)
+    assert len(tower(line, 3162).levels) == 3163
+
+
+def test_cohomology_refuses_a_form_degree_past_every_caller():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Spencer cohomology to m_max 400000 is past form degree 2"):
+        cohomology(chain_of_widths(2, 1, (1, 0)), 0, 4 * 10**5)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="m_max 4 is past form degree 3"):
+        cohomology(symbol_tower(cli.parse_system(HEAT3), 2), 0, 4)
+    # goldschmidt asks for m_max 2 in one variable too: u'' = 0
+    line = PdeSystem.from_terms(1, 1, 2, [[(1, 0, (2,))]])
+    assert goldschmidt_check(line, 2).verdict == "formally-integrable-certified"
+
+
 def test_crosscheck_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
     # n = 1: (1 + n)·m·C(1 + k + depth - 1, 1) = 2·250·(1 + depth)
     free = PdeSystem.from_terms(1, 250, 1, [])
@@ -759,6 +787,35 @@ def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
     assert main(["crosscheck", path]) == 2
     err = capsys.readouterr().err
     assert "does not map at level 1" in err and "does not solve the system" in err
+
+
+def test_a_prolongation_escaping_its_level_fails_the_towers_contraction(
+    tmp_path, capsys, monkeypatch
+):
+    # g^(1) replaced by all of S^3: x1^3 contracts along e1 to 3 x1^2, not in g
+    monkeypatch.setattr(
+        tableau_module,
+        "_classical_prolong",
+        lambda n, f, degree, space: Subspace.full(sym_dim(n, degree + 1) * f),
+    )
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["symbol", path]) == 2
+    assert (
+        "tower level of degree 3 (dim 4) does not contract into its predecessor (dim 2) "
+        "along direction 0" in capsys.readouterr().err
+    )
+
+
+def test_a_generalized_prolongation_off_its_kernel_fails_the_symmetry_check(monkeypatch):
+    # ∂(v)(e1) = 1, ∂(v)(e2) = 0: the symmetry equation eta_2 = 0 cuts the
+    # full S^1 ⊗ R^1, so a kernel that returns the full space is caught
+    monkeypatch.setattr(tableau_module, "kernel", lambda m: Subspace.full(m.cols))
+    t = Tableau.generalized(2, 1, Subspace.full(1), RatMatrix([[1], [0]]))
+    with pytest.raises(
+        InvariantViolation,
+        match="violates ∂-symmetry: dim 2 in S\\^1 ⊗ R\\^1, 1 symmetry equations",
+    ):
+        tower(t, 1)
 
 
 # --------------------------- 7. JSON output ---------------------------

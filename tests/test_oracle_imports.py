@@ -1,0 +1,46 @@
+"""The test oracles own the conventions they check.
+
+``tests/oracle_brute.py`` rebuilds everything on sympy and imports nothing
+from formalpde.  ``tests/ambient_reference.py`` takes from the package only
+``RatMatrix`` and the enumeration and index functions; it derives the
+monomial contraction and the insertion sign itself.  So a convention bug in
+the package cannot pass through an oracle that shares it.
+"""
+
+import ast
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+
+ENUMERATION = {"ext_dim", "ext_indices", "ext_rank", "multi_indices", "sym_dim", "sym_rank"}
+
+
+def package_imports(source: str) -> set:
+    """(module, name) for every name the source imports from formalpde; a
+    plain ``import formalpde...`` gives (module, None)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "formalpde":
+            out |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {(a.name, None) for a in node.names if a.name.split(".")[0] == "formalpde"}
+    return out
+
+
+def test_the_check_sees_every_package_import():
+    source = "import formalpde.ratlin\nfrom formalpde.tensorspace import delta_insertion\n"
+    assert package_imports(source) == {
+        ("formalpde.ratlin", None),
+        ("formalpde.tensorspace", "delta_insertion"),
+    }
+
+
+def test_the_brute_oracle_imports_nothing_from_the_package():
+    assert package_imports((TESTS / "oracle_brute.py").read_text()) == set()
+
+
+def test_the_ambient_reference_imports_only_enumeration_and_ratmatrix():
+    allowed = {("formalpde.ratlin", "RatMatrix")}
+    allowed |= {("formalpde.tensorspace", name) for name in ENUMERATION}
+    got = package_imports((TESTS / "ambient_reference.py").read_text())
+    assert got <= allowed, sorted(got - allowed)

@@ -4,7 +4,9 @@ Plan:
  1) pinned enumeration orders against an independent comparator implementing
     the graded-reverse-lex definition literally;
  2) flat index <-> triple bijection (hand cases + hypothesis round trip);
- 3) contraction table hand cases (monomial-coefficient convention);
+ 3) the x_i table: contraction hand cases read backwards through it
+    (monomial-coefficient convention), and the jet walk's shift against a
+    second derivation through jet_index;
  4) degenerate degree conventions (S^k = 0 for k < 0, Λ^j = 0 for j > n).
 """
 
@@ -14,16 +16,15 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
+from formalpde.jetpde import _jet_shift, jet_coords, jet_index
 from formalpde.tensorspace import (
-    contract_sym,
     delta_insertion,
     ext_dim,
     ext_indices,
     ext_rank,
-    iota_apply,
-    iota_table,
     multi_indices,
     raise_sym,
+    raise_table,
     sym_dim,
     sym_rank,
 )
@@ -126,40 +127,63 @@ def test_index_bijection(n, j, k, f):
 # --------------------------- 3) contraction ---------------------------
 
 
+def contract(table, i, eta, dim):
+    """ι_i eta read backwards through the x_i table: coordinate c of the
+    result is eta at c raised by x_i, times the factor."""
+    out = [Fraction(0)] * dim
+    for c, (up, factor) in enumerate(table[i]):
+        out[c] = eta[up] * factor
+    return out
+
+
 def test_contraction_monomial_convention():
     # eta = x1 x2: derivative along e1 is x2, along e2 is x1
     d = TensorSpaceDesc(2, 0, 2, 1)
     target = TensorSpaceDesc(2, 0, 1, 1)
-    table = iota_table(2, 2, 1)
+    table = raise_table(2, 1, 1)
     src = d.index_of(0, (), (1, 1))
-    assert table[0][src] == (target.index_of(0, (), (0, 1)), 1)
-    assert table[1][src] == (target.index_of(0, (), (1, 0)), 1)
-    # eta = x1^2: derivative along e1 is 2 x1 (coefficient 2, not 1), along e2 is 0
+    assert table[0][target.index_of(0, (), (0, 1))] == (src, 1)
+    assert table[1][target.index_of(0, (), (1, 0))] == (src, 1)
+    # eta = x1^2: derivative along e1 is 2 x1 (coefficient 2, not 1), along
+    # e2 is 0, as no x_2 raise lands on x1^2
     sq = d.index_of(0, (), (2, 0))
-    assert table[0][sq] == (target.index_of(0, (), (1, 0)), 2)
-    assert table[1][sq] is None
+    assert table[0][target.index_of(0, (), (1, 0))] == (sq, 2)
+    assert sq not in [up for up, _ in table[1]]
     eta = [Fraction(0)] * d.dim
     eta[sq], eta[src] = Fraction(3), Fraction(5)  # 3 x1^2 + 5 x1 x2
-    assert iota_apply(table[0], eta, target.dim) == [6, 5]
+    assert contract(table, 0, eta, target.dim) == [6, 5]
+    assert contract(table, 1, eta, target.dim) == [5, 0]
+    assert all(type(factor) is Fraction for entries in table for _, factor in entries)
 
 
 def test_contraction_degree_one_is_permutation_identity():
-    # S^1 -> S^0 with two fiber slots: iota_i picks the x_i coefficient of each
-    table = iota_table(2, 1, 2)
-    assert table[0] == ((0, 1), None, (1, 1), None)
-    assert table[1] == (None, (0, 1), None, (1, 1))
-    hits = [
-        (c, i, hit) for i, entries in enumerate(table) for c, hit in enumerate(entries) if hit
-    ]
-    # every source coordinate has one image, every (target, direction) one preimage
-    assert sorted(c for c, _, _ in hits) == [0, 1, 2, 3]
-    assert len({(hit[0], i) for _, i, hit in hits}) == 4
-    assert all(hit[1] == 1 for _, _, hit in hits)
+    # S^0 -> S^1 with two fiber slots: x_i sends fiber a to its x_i slot, so
+    # iota_i picks the x_i coefficient of each
+    table = raise_table(2, 0, 2)
+    assert table[0] == ((0, 1), (2, 1))
+    assert table[1] == ((1, 1), (3, 1))
+    hits = [(c, i, hit) for i, entries in enumerate(table) for c, hit in enumerate(entries)]
+    # every raised coordinate has one preimage, every (source, direction) one image
+    assert sorted(up for _, _, (up, _) in hits) == [0, 1, 2, 3]
+    assert len({(c, i) for c, i, _ in hits}) == 4
+    assert all(factor == 1 for _, _, (_, factor) in hits)
+
+
+def test_jet_shift_matches_jet_index_of_the_raised_coordinate():
+    # a second derivation of the walk's shift, coordinate by coordinate
+    for n, m, k in product(range(1, 5), range(1, 4), range(0, 5)):
+        want = tuple(
+            tuple(jet_index(n, m, k + 1, a, raise_sym(alpha, i)) for a, alpha in jet_coords(n, m, k))
+            for i in range(n)
+        )
+        assert _jet_shift(n, m, k) == want, (n, m, k)
 
 
 def test_contract_and_raise_sym():
-    assert contract_sym((2, 0), 0) == (Fraction(2), (1, 0))
-    assert contract_sym((0, 3), 0) is None
+    # x1^2 contracts along e1 to 2 x1: x1 raised by x1 is x1^2, factor 2;
+    # no x1 raise lands on x2^3, so its e1 contraction is zero
+    assert raise_table(2, 1, 1)[0][sym_rank((1, 0))] == (sym_rank((2, 0)), 2)
+    assert sym_rank((0, 3)) not in [up for up, _ in raise_table(2, 2, 1)[0]]
     assert raise_sym((1, 0), 1) == (1, 1)
 
 
