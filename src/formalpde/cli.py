@@ -332,12 +332,9 @@ def format_system(system: PdeSystem) -> str:
         "",
     ]
     coords = jet_coords(system.n, system.m, system.k)
-    for r in range(system.equations.rows):
-        row = system.equations.row(r)
+    for row in system.equations.pairs:
         pieces = []
-        for c, coeff in enumerate(row):
-            if coeff == 0:
-                continue
+        for c, coeff in row:
             comp, alpha = coords[c]
             term = _format_term(coeff, comp, alpha)
             if not pieces:

@@ -105,7 +105,7 @@ def jet_coords(n: int, m: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...
     return tuple((a, al) for d in range(k + 1) for a in range(m) for al in multi_indices(n, d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _jet_shift(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """shift[i][c]: the order-(k+1) index of order-k coordinate c raised by x_i,
     each degree-d block raised into the degree-(d+1) one at jet_fiber_dim(n, m, d)."""
@@ -148,13 +148,13 @@ class PdeSystem:
         return jet_fiber_dim(self.n, self.m, self.k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def solution_fiber(system: PdeSystem) -> Subspace:
     """Jets of order k satisfying every equation."""
     return kernel(system.equations)
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def symbol_tableau(system: PdeSystem) -> Tableau:
     """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m:
     the solution jets vanishing below order k."""
@@ -176,18 +176,14 @@ def formal_prolongation(system: PdeSystem) -> PdeSystem:
     """The order-(k+1) system: original rows kept, plus every shifted row."""
     n, m, k = system.n, system.m, system.k
     width = jet_fiber_dim(n, m, k + 1)
-    eqs = [system.equations.row(r) for r in range(system.equations.rows)]
-    # order-k coordinates are a prefix of the order-(k+1) ones
-    pad = (_ZERO,) * (width - system.fiber_dim)
-    rows = [row + pad for row in eqs]
+    # order-k coordinates are a prefix of the order-(k+1) ones, so the rows
+    # are kept as they are; a shift keeps each row's column order
+    eqs = system.equations.pairs
+    rows = list(eqs)
     for row in eqs:
-        terms = [(c, x) for c, x in enumerate(row) if x]
         for targets in _jet_shift(n, m, k):
-            out = [_ZERO] * width
-            for c, x in terms:
-                out[targets[c]] = x
-            rows.append(out)
-    return PdeSystem(n=n, m=m, k=k + 1, equations=RatMatrix(rows, cols=width))
+            rows.append([(targets[c], x) for c, x in row])
+    return PdeSystem(n=n, m=m, k=k + 1, equations=RatMatrix(pairs=rows, cols=width))
 
 
 # --------------------------- tower reports ---------------------------
@@ -482,8 +478,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)
         if mapped != pf.subspace or mapped.dim != fib.dim:
             raise InvariantViolation(
-                f"jet-side and connection-side prolongation fibers "
-                f"disagree at level {level}"
+                f"jet-side (dim {fib.dim}, mapped {mapped.dim}) and connection-side "
+                f"(dim {pf.subspace.dim}) prolongation fibers disagree at level {level}"
             )
         if pf.projection_image.dim != img.dim:
             raise InvariantViolation(

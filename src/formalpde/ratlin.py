@@ -2,25 +2,29 @@
 
 Every decision this package makes reduces to ranks, kernels, images and affine
 solvability over Q, so arithmetic is exact: entries are `fractions.Fraction`,
-floating point never enters.  Matrices are dense, immutable and built from
-their rows.
+floating point never enters.  Matrices are immutable and sparse: a
+`RatMatrix` stores each row as its nonzero (column, value) pairs in
+ascending column order, because prolongation moves each coefficient to one
+new column and every matrix the package builds is sparse by construction.
 
-Entries are validated by type at every boundary (`RatMatrix`, `apply`,
-`Subspace.reduce_mod`): a row whose entries are all Fractions is kept as is,
-any other row is coerced entry by entry, and a float is refused either way.
-Zeros are skipped by structure, not by testing each entry: elimination reads
-each input row once, into its nonzero columns, a subspace reads a basis
-vector's nonzero (index, value) pairs the first time a membership test
-subtracts it and keeps them, and `apply` reads the vector's nonzeros once.
+A matrix is built from dense rows, validated and converted once, or from rows
+already in pair form.  Entries are validated by type at every boundary
+(`RatMatrix`, `apply`, `Subspace.reduce_mod`): a dense row whose entries are
+all Fractions is kept as is, any other row is coerced entry by entry, and a
+float is refused either way; pair rows must hold Fractions.  Zeros are
+skipped by structure, not by testing each entry: dense rows are read into
+pairs once, in `RatMatrix`, every stage reads and emits pairs from there, a
+subspace keeps each basis vector's nonzero pairs once they are known, and
+`apply` reads the vector's nonzeros once.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
 canonical subspace bases depend on the spans alone, not on how `rref`
 eliminates, and are reproducible across runs and platforms.  `rref`
 eliminates over integer rows and emits Fractions only for its result.  A
-`Subspace` stores the canonical basis of its span as a tuple of vectors, the
-nonzero rows of the reduced row echelon form of any spanning set, hence two
-equal subspaces compare equal as plain data.
+`Subspace` stores the canonical basis of its span as a tuple of dense
+vectors, the nonzero rows of the reduced row echelon form of any spanning
+set, hence two equal subspaces compare equal as plain data.
 
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, filterfalse, repeat
 from math import gcd, lcm
-from operator import is_not
+from operator import is_not, itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvariantViolation
@@ -79,27 +83,50 @@ def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
 
 
 class RatMatrix:
-    """Immutable dense matrix over Q.
+    """Immutable sparse matrix over Q.
+
+    ``pairs[i]`` is row i's nonzero (column, Fraction) pairs in ascending
+    column order; it is the only storage, so equal matrices are equal as
+    data.  ``RatMatrix(data)`` takes dense rows, validates them and reads
+    their nonzeros: the one place dense rows become pairs.
+    ``RatMatrix(pairs=rows, cols=w)`` takes rows already in that form and
+    checks only that every value is a Fraction; each producer keeps its
+    columns ascending and its values nonzero by construction.  ``row``,
+    ``col`` and indexing render dense on demand.
 
     Zero-row and zero-column shapes are first-class: pass ``cols=`` when the
     row list is empty so the shape survives.
     """
 
-    __slots__ = ("_rows", "rows", "cols")
+    __slots__ = ("pairs", "rows", "cols")
 
-    def __init__(self, data: Sequence[Sequence], *, cols: int | None = None):
-        rows = tuple(_frozen_row(r) for r in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols does not match row width")
-            cols = width
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "rows", len(rows))
+    def __init__(self, data: Sequence[Sequence] = (), *, cols: int | None = None, pairs=None):
+        if pairs is not None:
+            if cols is None:
+                raise ValueError("pair rows need an explicit column count")
+            pairs = tuple(map(tuple, pairs))
+            if not _EXACT.issuperset(map(type, map(itemgetter(1), chain.from_iterable(pairs)))):
+                raise ValueError("pair values must be Fractions")
+        else:
+            rows = tuple(_frozen_row(r) for r in data)
+            if rows:
+                width = len(rows[0])
+                if any(len(r) != width for r in rows):
+                    raise ValueError("ragged rows")
+                if cols is not None and cols != width:
+                    raise ValueError("cols does not match row width")
+                cols = width
+            elif cols is None:
+                raise ValueError("empty matrix needs an explicit column count")
+            # zeros are mostly one shared object, so an identity test run in
+            # C skips them, and only the other entries are tested
+            zero = next(filterfalse(None, chain.from_iterable(rows)), None)
+            pairs = tuple(
+                tuple(filter(itemgetter(1), compress(enumerate(r), map(is_not, r, repeat(zero)))))
+                for r in rows
+            )
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "rows", len(pairs))
         object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):  # immutability
@@ -109,10 +136,7 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)],
-            cols=n,
-        )
+        return RatMatrix(pairs=[((i, _ONE),) for i in range(n)], cols=n)
 
     @staticmethod
     def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -121,10 +145,7 @@ class RatMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("vstack: column counts differ")
-        data: list[tuple[Fraction, ...]] = []
-        for m in mats:
-            data.extend(m._rows)
-        return RatMatrix(data, cols=cols)
+        return RatMatrix(pairs=chain.from_iterable(m.pairs for m in mats), cols=cols)
 
     # -- access --
 
@@ -134,13 +155,16 @@ class RatMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return dict(self.pairs[i]).get(j, _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        line = [_ZERO] * self.cols
+        for j, x in self.pairs[i]:
+            line[j] = x
+        return tuple(line)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        return tuple(dict(r).get(j, _ZERO) for r in self.pairs)
 
     # -- algebra --
 
@@ -148,36 +172,28 @@ class RatMatrix:
         return (
             isinstance(other, RatMatrix)
             and self.cols == other.cols
-            and self._rows == other._rows
+            and self.pairs == other.pairs
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._rows))
+        return hash((self.cols, self.pairs))
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         """Matrix-vector product as a tuple."""
         v = _frozen_row(vec)
         if len(v) != self.cols:
             raise ValueError("shape mismatch in apply")
-        support = [(j, b) for j, b in enumerate(v) if b]
-        out = []
-        for r in self._rows:
-            s = _ZERO
-            for j, b in support:
-                a = r[j]
-                if a:
-                    s += a * b
-            out.append(s)
-        return tuple(out)
+        return tuple(sum((a * b for j, a in r if (b := v[j])), _ZERO) for r in self.pairs)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        out: list[list] = [[] for _ in range(self.cols)]
+        for i, r in enumerate(self.pairs):  # ascending i keeps each column's order
+            for j, x in r:
+                out[j].append((i, x))
+        return RatMatrix(pairs=out, cols=self.rows)
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)
+        body = "; ".join(" ".join(map(str, self.row(i))) for i in range(self.rows))
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
@@ -192,15 +208,9 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     Computed over the integers: `_echelon` inserts each row, scaled by the
     lcm of its denominators, into pivot rows by leading column.  Then each
     pivot column is cleared above its pivot, from the last pivot to the
-    first, and each row is divided by its pivot into Fractions.
+    first, and each row is divided by its pivot into Fraction pairs.
     """
-    ncols = m.cols
-    # zeros are mostly one shared object, so an identity test run in C skips
-    # them, and only the other entries are read
-    zero = next(filterfalse(None, chain.from_iterable(m._rows)), None)
-    pivot_rows = _echelon(
-        _integer_row(compress(enumerate(r), map(is_not, r, repeat(zero)))) for r in m._rows
-    )
+    pivot_rows = _echelon(map(_integer_row, m.pairs))
     pivots = sorted(pivot_rows)
     # the rows of later pivots are cleared first, so each vanishes at every
     # other pivot column, and clearing one column never refills another
@@ -214,15 +224,15 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     for c in pivots:
         row = pivot_rows[c]
         p = row[c]
-        line = [_ZERO] * ncols
-        for j, v in row.items():
+        line = []
+        for j, v in sorted(row.items()):
             x = made.get((v, p))
             if x is None:
                 x = made[(v, p)] = Fraction(v, p)
-            line[j] = x
+            line.append((j, x))
         out.append(line)
-    out.extend([(_ZERO,) * ncols] * (m.rows - len(pivots)))
-    return RatMatrix(out, cols=ncols), tuple(pivots)
+    out.extend([()] * (m.rows - len(pivots)))
+    return RatMatrix(pairs=out, cols=m.cols), tuple(pivots)
 
 
 def rank(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> int:
@@ -319,16 +329,17 @@ class Subspace:
         ambient_dim: int,
         basis: tuple[tuple[Fraction, ...], ...],
         pivots: tuple[int, ...],
+        support: Sequence | None = None,
     ):
         # Not for direct use -- go through from_spanning/zero/full, or
         # kernel, whose basis is canonical as built.
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        # each basis vector's nonzero (index, value) pairs, read the first
-        # time reduce_mod needs them; a cache, so no part of equality,
-        # hashing or repr
-        object.__setattr__(self, "_support", [None] * len(basis))
+        # each basis vector's nonzero (index, value) pairs, handed over by
+        # the builder that made them or read the first time they are needed;
+        # a cache, so no part of equality, hashing or repr
+        object.__setattr__(self, "_support", list(support or [None] * len(basis)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -337,7 +348,8 @@ class Subspace:
     def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """Span of the given vectors: the nonzero rows of their rref."""
         r, pivots = rref(RatMatrix(list(vectors), cols=ambient_dim))
-        return Subspace(ambient_dim, r._rows[: len(pivots)], pivots)
+        rank = len(pivots)
+        return Subspace(ambient_dim, tuple(map(r.row, range(rank))), pivots, r.pairs[:rank])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -345,9 +357,9 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(
-            ambient_dim, RatMatrix.identity(ambient_dim)._rows, tuple(range(ambient_dim))
-        )
+        e = RatMatrix.identity(ambient_dim)
+        basis = tuple(map(e.row, range(ambient_dim)))
+        return Subspace(ambient_dim, basis, tuple(range(ambient_dim)), e.pairs)
 
     @property
     def dim(self) -> int:
@@ -378,18 +390,19 @@ class Subspace:
         v = list(_frozen_row(vec))
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
-        support = self._support
         for j, p in enumerate(self.pivots):
             c = v[p]
             if c:
-                pairs = support[j]
-                if pairs is None:
-                    pairs = support[j] = [
-                        (i, x) for i, x in enumerate(self.basis[j]) if x
-                    ]
-                for i, x in pairs:
+                for i, x in self._pairs(j):
                     v[i] -= c * x
         return tuple(v)
+
+    def _pairs(self, j: int) -> Sequence[tuple[int, Fraction]]:
+        """Basis vector j's nonzero (index, value) pairs, cached."""
+        pairs = self._support[j]
+        if pairs is None:
+            pairs = self._support[j] = [(i, x) for i, x in enumerate(self.basis[j]) if x]
+        return pairs
 
     def contains_vector(self, vec: Sequence) -> bool:
         return not any(self.reduce_mod(vec))
@@ -427,18 +440,17 @@ class Subspace:
     def constraint_matrix(self) -> RatMatrix:
         """A matrix with kernel exactly this subspace, read off the basis: row
         sum_p v_p[j] e_p - e_j for each non-pivot j (v_p has pivot p), from the
-        basis vectors' own nonzero entries; for a kernel, its echelon rows."""
+        basis vectors' own nonzero pairs; for a kernel, its echelon rows."""
         d = self.ambient_dim
-        rows = {j: [_ZERO] * d for j in sorted(set(range(d)).difference(self.pivots))}
-        zero = next(filterfalse(None, chain.from_iterable(self.basis)), None)
-        for v, p in zip(self.basis, self.pivots):
-            # nonzeros by identity, as in rref; an entry at a pivot has no row
-            for j, x in compress(enumerate(v), map(is_not, v, repeat(zero))):
-                if j in rows:
-                    rows[j][p] = x
+        rows = {j: [] for j in sorted(set(range(d)).difference(self.pivots))}
+        for k, p in enumerate(self.pivots):  # ascending p keeps each row's order
+            for j, x in self._pairs(k):
+                if j in rows:  # an entry at a pivot has no row
+                    rows[j].append((p, x))
+        # v_p vanishes before its pivot p, so every p in row j is below j
         for j, row in rows.items():
-            row[j] = _MINUS_ONE
-        return RatMatrix(list(rows.values()), cols=d)
+            row.append((j, _MINUS_ONE))
+        return RatMatrix(pairs=rows.values(), cols=d)
 
 
 # --------------------------- derived maps ---------------------------
@@ -462,24 +474,29 @@ def kernel(m: RatMatrix) -> Subspace:
     the kernel's ``constraint_matrix`` reads them back off, up to sign.
     """
     cols = m.cols
-    r, rev_pivots = rref(RatMatrix([row[::-1] for row in m._rows], cols=cols))
-    pivots = [cols - 1 - p for p in rev_pivots]
-    free = sorted(set(range(cols)).difference(pivots))
+    last = cols - 1
+    reversed_rows = [[(last - j, x) for j, x in reversed(row)] for row in m.pairs]
+    r, rev_pivots = rref(RatMatrix(pairs=reversed_rows, cols=cols))
+    free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
+    support = {f: [(f, _ONE)] for f in free}
+    # the nonzero rows lead r, and each row's tail past its pivot holds only
+    # free columns
+    for row in r.pairs[: len(rev_pivots)]:
+        p = last - row[0][0]
+        for j, x in row[1:]:
+            support[last - j].append((p, -x))
     basis = []
-    for f in free:
+    for pairs in support.values():
         v = [_ZERO] * cols
-        v[f] = _ONE
-        for row, p in zip(r._rows, pivots):  # the nonzero rows lead r
-            coeff = row[-1 - f]  # column f, counted from the reversed row's end
-            if coeff:
-                v[p] = -coeff
+        for j, x in pairs:
+            v[j] = x
         basis.append(tuple(v))
-    return Subspace(cols, tuple(basis), tuple(free))
+    return Subspace(cols, tuple(basis), tuple(free), support.values())
 
 
 def image(m: RatMatrix) -> Subspace:
     """Column span of m as a canonical Subspace of Q^rows."""
-    return Subspace.from_spanning(m.rows, zip(*m._rows))
+    return Subspace.from_spanning(m.rows, zip(*map(m.row, range(m.rows))))
 
 
 @dataclass(frozen=True)
@@ -505,7 +522,9 @@ def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
     bv = [rat(x) for x in b]
     if len(bv) != a.rows:
         raise ValueError("right-hand side has wrong length")
-    aug = RatMatrix([row + (x,) for row, x in zip(a._rows, bv)], cols=a.cols + 1)
+    aug = RatMatrix(
+        pairs=[row + ((a.cols, x),) if x else row for row, x in zip(a.pairs, bv)], cols=a.cols + 1
+    )
     r, pivots = rref(aug)
     if pivots and pivots[-1] == a.cols:
         return None

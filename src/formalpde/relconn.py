@@ -114,27 +114,23 @@ def _partial_rows(conn: RelConn) -> RatMatrix:
     for i in range(n):
         for b in range(cd):
             # A_i e + sigma psi_i: A_i's row over e, sigma's over block i
-            row = list(conn.mats[i].row(b)) + [_ZERO] * (n * sd)
-            row[(1 + i) * sd : (2 + i) * sd] = conn.sigma.row(b)
-            rows.append(row)
-    return RatMatrix(rows, cols=(1 + n) * sd)
+            psi = [((1 + i) * sd + c, x) for c, x in conn.sigma.pairs[b]]
+            rows.append(conn.mats[i].pairs[b] + tuple(psi))
+    return RatMatrix(pairs=rows, cols=(1 + n) * sd)
 
 
 def _symmetry_rows(conn: RelConn) -> RatMatrix:
     """A_j psi_i - A_i psi_j = 0 for i < j, as rows over (e, psi)."""
     n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    width = (1 + n) * sd
     rows = []
     for i in range(n):
         for j in range(i + 1, n):
             for b in range(cd):
-                # i < j, so the two psi blocks are distinct
-                row = [_ZERO] * width
-                ai = conn.mats[i].row(b)
-                row[(1 + i) * sd : (2 + i) * sd] = conn.mats[j].row(b)
-                row[(1 + j) * sd : (2 + j) * sd] = [-x if x else _ZERO for x in ai]
+                # i < j, so the two psi blocks are distinct and in column order
+                row = [((1 + i) * sd + c, x) for c, x in conn.mats[j].pairs[b]]
+                row += [((1 + j) * sd + c, -x) for c, x in conn.mats[i].pairs[b]]
                 rows.append(row)
-    return RatMatrix(rows, cols=width)
+    return RatMatrix(pairs=rows, cols=(1 + n) * sd)
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,11 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
             for c, x in enumerate(coords):
                 eta[c * n + i] = x
         etas.append(eta)
-    if Subspace.from_spanning(g.dim * n, etas) != prolong(symbol_map(conn)):
+    rewritten, g1 = Subspace.from_spanning(g.dim * n, etas), prolong(symbol_map(conn))
+    if rewritten != g1:
         raise InvariantViolation(
-            "kernel part does not match the generalized prolongation"
+            f"kernel part (dim {rewritten.dim}) does not match the generalized "
+            f"prolongation (dim {g1.dim})"
         )
     return ProlFiber(subspace=fiber, projection_image=proj, kernel_part=ker_part)
 
@@ -272,9 +270,9 @@ def _lift_system(rows: RatMatrix, e: Sequence) -> tuple[RatMatrix, list[Fraction
     Fredholm witness indexes the given rows.
     """
     sd = len(e)
-    data = [rows.row(r) for r in range(rows.rows)]
-    rhs = [-sum((x * y for x, y in zip(row[:sd], e) if x and y), _ZERO) for row in data]
-    return RatMatrix([row[sd:] for row in data], cols=rows.cols - sd), rhs
+    rhs = [-sum((x * e[j] for j, x in row if j < sd), _ZERO) for row in rows.pairs]
+    psi = [[(j - sd, x) for j, x in row if j >= sd] for row in rows.pairs]
+    return RatMatrix(pairs=psi, cols=rows.cols - sd), rhs
 
 
 def curvature_of_lift(conn: RelConn, psi: Sequence) -> tuple[Fraction, ...]:

@@ -54,18 +54,15 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
     Column e * dim V + c is e_S ⊗ v_c; each direction i not in S sends it to
     the insertion sign times e_(S ∪ i) ⊗ ∂(v_c)(e_i).  Each entry is written
     at most once (e fixes S, and the merged slot then fixes i), with a
-    nonzero value, so it is stored, not added, and every zero entry is
-    `_ZERO` itself.
+    nonzero value, so each row is ∂'s signed pairs appended block by block,
+    in ascending e and so in ascending column order.
     """
     src_ext = ext_indices(n, m)
     nsrc = partial.cols
     w = partial.rows // n if n else 0
-    # each ∂ row's nonzero (column, value) pairs and their negations, once
-    prows = [
-        [(c, x) for c, x in enumerate(partial.row(r)) if x] for r in range(partial.rows)
-    ]
-    by_sign = {1: prows, -1: [[(c, -x) for c, x in pairs] for pairs in prows]}
-    rows = [[_ZERO] * (len(src_ext) * nsrc) for _ in range(ext_dim(n, m + 1) * w)]
+    # each ∂ row's pairs and their negations, once
+    by_sign = {1: partial.pairs, -1: [[(c, -x) for c, x in row] for row in partial.pairs]}
+    rows = [[] for _ in range(ext_dim(n, m + 1) * w)]
     for e, s in enumerate(src_ext):
         for i in range(n):
             ins = delta_insertion(s, i)
@@ -76,20 +73,19 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
             base = ext_rank(n, merged) * w
             offset = e * nsrc
             for b in range(w):
-                out = rows[base + b]
-                for c, x in signed[b * n + i]:
-                    out[offset + c] = x
-    return RatMatrix(rows, cols=len(src_ext) * nsrc)
+                rows[base + b] += [(offset + c, x) for c, x in signed[b * n + i]]
+    return RatMatrix(pairs=rows, cols=len(src_ext) * nsrc)
 
 
 # --------------------------- chains and cohomology ---------------------------
 
 
 # Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
-# maps are dense, so cost grows about as N^2: the free first-order system in
-# seven variables under `cohomology --l-max 1` meets N = 2940 in 1.0 s and
-# 61 MB, in eight variables (8400) 7.1 s and 279 MB (in-process, Python 3.11,
-# shared 2-vCPU VM).  Corpus, pool and benchmark inputs stay at or below 336.
+# maps are stored as pairs, so cost grows about as N^1.1: the free first-order
+# system under `cohomology --l-max 1` meets N = 2940 in seven variables in
+# 0.08 s and 19 MB, 8400 in eight in 0.26 s and 22 MB, and 20790 in nine in
+# 0.75 s and 32 MB (in-process, budget lifted, Python 3.11, shared 2-vCPU VM).
+# Corpus, pool and benchmark inputs stay at or below 336.
 MAX_SPENCER_SLOT = 3000
 
 
@@ -219,18 +215,12 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"
         )
-    # each map's nonzero row supports, read once; `_slot_matrix` leaves its
-    # zeros as `_ZERO` (a zero kept by mistake adds zero terms, and `rank`
-    # drops it)
-    maps: dict[tuple[int, int], list] = {}
+    # each map's rows as nonzero (column, value) pairs, assembled once
+    maps: dict[tuple[int, int], tuple] = {}
 
     def out(l, m):
         if (l, m) not in maps:
-            mat = chain.map_out(l, m)
-            maps[(l, m)] = [
-                [(c, x) for c, x in enumerate(mat.row(r)) if x is not _ZERO]
-                for r in range(mat.rows)
-            ]
+            maps[(l, m)] = chain.map_out(l, m).pairs
         return maps[(l, m)]
 
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]

@@ -108,16 +108,13 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
     # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
-    # factor, is the column of Q iota_i at c raised by x_i
+    # factor, is the column of Q iota_i at c raised by x_i, which keeps
+    # each row's column order
     rows = []
     for entries in raise_table(n, degree, f):
-        for r in range(q.rows):
-            row = [_ZERO] * target_dim
-            for (up, k), x in zip(entries, q.row(r)):
-                if x:
-                    row[up] = x * k
-            rows.append(row)
-    return kernel(RatMatrix(rows, cols=target_dim))
+        for row in q.pairs:
+            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
+    return kernel(RatMatrix(pairs=rows, cols=target_dim))
 
 
 def _symmetry_equations(t: Tableau) -> RatMatrix:
@@ -125,17 +122,17 @@ def _symmetry_equations(t: Tableau) -> RatMatrix:
     n, f, p = t.n, t.f, t.space.dim
     partial = t.partial_map
     ambient = sym_dim(n, 1) * p
-    rows: list[list[Fraction]] = []
+    rows = []
     for b in range(f):
         for i in range(n):
             for j in range(i + 1, n):
                 # ∂(eta_i)(e_j) - ∂(eta_j)(e_i) at output coordinate b; eta_i
-                # is the slice of the coordinates c * n + i
-                row = [_ZERO] * ambient
-                row[i::n] = partial.row(b * n + j)
-                row[j::n] = [-x if x else _ZERO for x in partial.row(b * n + i)]
-                rows.append(row)
-    return RatMatrix(rows, cols=ambient)
+                # is the slice of the coordinates c * n + i, so the two
+                # strides interleave and the row is sorted
+                row = [(c * n + i, x) for c, x in partial.pairs[b * n + j]]
+                row += [(c * n + j, -x) for c, x in partial.pairs[b * n + i]]
+                rows.append(sorted(row))
+    return RatMatrix(pairs=rows, cols=ambient)
 
 
 def prolong(t: Tableau) -> Subspace:

@@ -68,7 +68,7 @@ def binomial_past(scale: int, a: int, b: int, cap: int) -> str | None:
     return f"{size}" if size > cap else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def multi_indices(n: int, k: int) -> tuple[MultiIndex, ...]:
     """All exponent tuples of total degree k, in the canonical order."""
     if k < 0 or (n == 0 and k > 0):
@@ -87,7 +87,7 @@ def multi_indices(n: int, k: int) -> tuple[MultiIndex, ...]:
     return tuple(sorted(fill(n, k), key=lambda a: tuple(reversed(a))))
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _sym_rank_table(n: int, k: int) -> dict[MultiIndex, int]:
     return {a: i for i, a in enumerate(multi_indices(n, k))}
 
@@ -96,14 +96,14 @@ def sym_rank(alpha: MultiIndex) -> int:
     return _sym_rank_table(len(alpha), sum(alpha))[tuple(alpha)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def ext_indices(n: int, j: int) -> tuple[ExtIndex, ...]:
     if j < 0 or j > n:
         return ()
     return tuple(combinations(range(n), j))
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def _ext_rank_table(n: int, j: int) -> dict[ExtIndex, int]:
     return {s: i for i, s in enumerate(ext_indices(n, j))}
 
@@ -119,7 +119,7 @@ def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
     return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
 
 
-@lru_cache(maxsize=None)
+@lru_cache
 def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """x_i : S^d ⊗ F -> S^(d+1) ⊗ F for every direction i, as sparse entries.
 

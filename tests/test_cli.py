@@ -44,7 +44,7 @@ from formalpde.cli import (
     main,
     parse_system,
 )
-from formalpde import jetpde, spencer, tableau as tableau_module
+from formalpde import jetpde, relconn as relconn_module, spencer, tableau as tableau_module
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     MAX_CROSSCHECK_WIDTH,
@@ -789,6 +789,57 @@ def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
     assert "does not map at level 1" in err and "does not solve the system" in err
 
 
+def test_a_swapped_jet_mapping_fails_the_crosschecks_fiber_comparison(
+    tmp_path, capsys, monkeypatch
+):
+    # a coordinate swap is invertible, so every fiber vector still maps and
+    # the dimensions agree, but the mapped fiber is not the connection's
+    to_point = jetpde._prolongation_point
+
+    def swapped(system, fiber, u):
+        point = to_point(system, fiber, u)
+        return (point[-1], *point[1:-1], point[0])
+
+    monkeypatch.setattr(jetpde, "_prolongation_point", swapped)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["crosscheck", path]) == 2
+    assert (
+        "jet-side (dim 7, mapped 7) and connection-side (dim 7) prolongation fibers "
+        "disagree at level 1" in capsys.readouterr().err
+    )
+
+
+def test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check(
+    tmp_path, capsys, monkeypatch
+):
+    # with A_j psi_i + A_i psi_j = 0 the e = 0 slice of the connection fiber
+    # is no longer g^(1)(∂_D), which tableau._symmetry_equations cuts out
+    # independently
+    rows_of = relconn_module._symmetry_rows
+
+    def flipped(conn):
+        sd, rows = conn.source_dim, rows_of(conn)
+        # rows run over i < j, then b; the second psi block is block 1 + j
+        starts = [
+            (1 + j) * sd
+            for i in range(conn.n)
+            for j in range(i + 1, conn.n)
+            for _ in range(conn.coeff_dim)
+        ]
+        pairs = [
+            [(c, -x if c >= start else x) for c, x in row] for row, start in zip(rows.pairs, starts)
+        ]
+        return RatMatrix(pairs=pairs, cols=rows.cols)
+
+    monkeypatch.setattr(relconn_module, "_symmetry_rows", flipped)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["crosscheck", path]) == 2
+    assert (
+        "kernel part (dim 2) does not match the generalized prolongation (dim 2)"
+        in capsys.readouterr().err
+    )
+
+
 def test_a_prolongation_escaping_its_level_fails_the_towers_contraction(
     tmp_path, capsys, monkeypatch
 ):
@@ -872,6 +923,30 @@ def test_each_command_builds_one_symbol_tower(count_calls, capsys):
             assert main([command, str(path), "--json", "-"]) == 0
             capsys.readouterr()
             assert len(calls) == 1, (path.name, command)
+
+
+def test_every_matrix_built_from_pairs_is_canonical(monkeypatch, capsys):
+    # RatMatrix(pairs=...) checks only the value types; every producer must
+    # emit ascending columns and no zeros, so each such matrix equals the one
+    # its dense rows read back into pairs
+    built = []
+    init = RatMatrix.__init__
+
+    def recording(self, data=(), *, cols=None, pairs=None):
+        init(self, data, cols=cols, pairs=pairs)
+        if pairs is not None:
+            built.append(self)
+
+    monkeypatch.setattr(RatMatrix, "__init__", recording)
+    jetpde.solution_fiber.cache_clear()  # so the base fibers are eliminated here too
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        for command in ("symbol", "tower", "cohomology", "goldschmidt",
+                        "finite-type", "crosscheck"):
+            assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(built) > 100
+    for m in built:
+        assert m == RatMatrix([m.row(i) for i in range(m.rows)], cols=m.cols), m
 
 
 def test_load_system_reads_files(tmp_path):

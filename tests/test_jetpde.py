@@ -13,7 +13,8 @@ Plan:
     crosscheck walk prolong each lower fiber's annihilator, one row per jet
     coordinate outside that fiber, so their matrices stay within the jet
     fiber width, and the tower's fibers match the plain repeated prolongation;
-    the crosscheck prolongs once per level and caches no level system; the
+    the crosscheck prolongs once per level and caches no level system, and
+    every cache in the package is bounded; the
     eliminations per analysis are pinned (symbols and e = 0 slices are read
     off the fibers, not eliminated again)
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
@@ -27,7 +28,9 @@ Plan:
 13. tower depth validation; finite-type bound capping
 """
 
+import importlib
 import json
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -35,6 +38,7 @@ from importlib import resources
 
 import pytest
 
+import formalpde
 from formalpde.cli import load_system
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
@@ -359,6 +363,22 @@ def test_crosscheck_shares_the_walk_and_caches_no_level_system(count_calls):
     assert solution_fiber.cache_info().currsize <= 1
     with pytest.raises(ValueError):
         crosscheck_routes(cauchy_riemann(), 0)
+
+
+def test_every_cache_in_the_package_is_bounded():
+    # a long-lived process must not grow a cache without bound; the six
+    # commands of one system still share the entries they need
+    caches = {
+        f"{info.name}.{name}": value
+        for info in pkgutil.iter_modules(formalpde.__path__)
+        if info.name != "__main__"  # importing it runs the command line
+        for name, value in vars(importlib.import_module(f"formalpde.{info.name}")).items()
+        if callable(getattr(value, "cache_info", None))
+    }
+    assert {"jetpde.solution_fiber", "tensorspace.raise_table"} <= set(caches)
+    assert len(caches) >= 8
+    unbounded = [name for name, cache in caches.items() if cache.cache_info().maxsize is None]
+    assert unbounded == []
 
 
 def test_eliminations_per_analysis(count_calls):

@@ -3,8 +3,10 @@
 ``tests/oracle_brute.py`` rebuilds everything on sympy and imports nothing
 from formalpde.  ``tests/ambient_reference.py`` takes from the package only
 ``RatMatrix`` and the enumeration and index functions; it derives the
-monomial contraction and the insertion sign itself.  So a convention bug in
-the package cannot pass through an oracle that shares it.
+monomial contraction and the insertion sign itself.  ``tests/rref_reference.py``
+takes only ``RatMatrix``.  Both build and read matrices through dense rows
+alone, never ``RatMatrix``'s pair encoding, so a convention bug in the
+package cannot pass through an oracle that shares it.
 """
 
 import ast
@@ -44,3 +46,28 @@ def test_the_ambient_reference_imports_only_enumeration_and_ratmatrix():
     allowed |= {("formalpde.tensorspace", name) for name in ENUMERATION}
     got = package_imports((TESTS / "ambient_reference.py").read_text())
     assert got <= allowed, sorted(got - allowed)
+
+
+def test_the_rref_reference_imports_only_ratmatrix():
+    got = package_imports((TESTS / "rref_reference.py").read_text())
+    assert got == {("formalpde.ratlin", "RatMatrix")}
+
+
+def pair_encoding_uses(source: str) -> list:
+    """Line numbers where the source reads ``.pairs`` or passes ``pairs=``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "pairs")
+        or (isinstance(node, ast.keyword) and node.arg == "pairs")
+    )
+
+
+def test_the_check_sees_the_pair_encoding():
+    source = "m = RatMatrix(pairs=rows, cols=2)\nrows = m.pairs\nm.row(0)\n"
+    assert pair_encoding_uses(source) == [1, 2]
+
+
+def test_the_oracles_stay_dense():
+    for name in ("rref_reference.py", "ambient_reference.py"):
+        assert pair_encoding_uses((TESTS / name).read_text()) == [], name

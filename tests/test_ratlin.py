@@ -5,7 +5,7 @@ Plan:
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
-    floats are refused, also among Fractions, and reduce_mod's cached
+    floats are refused, also among Fractions and among pairs, and reduce_mod's cached
     supports leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness);
@@ -24,7 +24,8 @@ Plan:
     all their pairs with explicit zeros, equals that reference's pivot
     count, and so do fixed cases: entries and denominators that are
     multiples of 2^31 − 1, a row cancelling at fill-in, no rows, and a zero
-    pair at a row's leading column.
+    pair at a row's leading column; a matrix built from its nonzero pairs
+    equals, and hashes as, the one built from its dense rows.
 """
 
 from fractions import Fraction
@@ -181,6 +182,9 @@ def test_floats_are_refused(x):
     ):
         with pytest.raises(ValueError, match="not an exact rational"):
             build()
+    # rows given as pairs are not coerced, so a float among them is refused
+    with pytest.raises(ValueError, match="pair values must be Fractions"):
+        RatMatrix(pairs=[[(0, F(1)), (2, x)]], cols=3)
     # other exact entries are coerced into the same matrix
     assert RatMatrix([[1, "-2/3", False, F(1, 2), True]]) == RatMatrix(
         [[F(1), F(-2, 3), F(0), F(1, 2), F(1)]]
@@ -414,6 +418,11 @@ def test_matrix_immutability_and_hash():
         m.rows = 5
     assert hash(m) == hash(RatMatrix([[1, 2]]))
     assert m != RatMatrix([[1, 3]])
+    # the same matrix built dense and from its nonzero pairs is the same data
+    dense = RatMatrix([[0, F(2, 3), 0], [0, 0, 0], [-1, 0, 4]])
+    sparse = RatMatrix(pairs=[[(1, F(2, 3))], [], [(0, F(-1)), (2, F(4))]], cols=3)
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.row(2) == (F(-1), F(0), F(4)) and sparse[0, 1] == F(2, 3)
 
 
 # --------------------------- 6) the Fraction reference ---------------------------
