@@ -9,13 +9,16 @@ new column and every matrix the package builds is sparse by construction.
 
 A matrix is built from dense rows, validated and converted once, or from rows
 already in pair form.  Entries are validated by type at every boundary
-(`RatMatrix`, `apply`, `Subspace.reduce_mod`): a dense row whose entries are
-all Fractions is kept as is, any other row is coerced entry by entry, and a
-float is refused either way; pair rows must hold Fractions.  Zeros are
-skipped by structure, not by testing each entry: dense rows are read into
-pairs once, in `RatMatrix`, every stage reads and emits pairs from there, a
-subspace keeps each basis vector's nonzero pairs once they are known, and
-`apply` reads the vector's nonzeros once.
+(`RatMatrix`, `apply`, the vectors a `Subspace` is asked about): a dense row
+whose entries are all Fractions is kept as is, any other row is coerced
+entry by entry, and a float is refused either way; pair rows must hold
+Fractions.  Zeros are skipped by structure, not by testing each entry:
+dense rows are read into pairs once, in `RatMatrix`, every stage reads and
+emits pairs from there, a subspace keeps each basis vector's nonzero pairs
+once they are known, and `apply` reads the vector's nonzeros once.
+Membership (`Subspace._coords`, behind every membership and coordinate
+query) reads only the coordinates touched by a vector and by the basis
+vectors its pivot entries select; `reduce_mod` alone stays dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
@@ -44,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from math import gcd, lcm
 from operator import is_not, itemgetter
 from typing import Iterable, Sequence
@@ -77,6 +80,10 @@ def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
     if _EXACT.issuperset(map(type, row)):
         return row
     return tuple(rat(x) for x in row)
+
+
+def _nonzeros(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
+    return [(i, x) for i, x in enumerate(row) if x]
 
 
 # --------------------------- matrices ---------------------------
@@ -322,7 +329,7 @@ class Subspace:
     caching and for byte-stable reports.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_support")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_support", "_index")
 
     def __init__(
         self,
@@ -336,10 +343,11 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
-        # each basis vector's nonzero (index, value) pairs, handed over by
-        # the builder that made them or read the first time they are needed;
-        # a cache, so no part of equality, hashing or repr
+        # each basis vector's nonzero pairs, led by its pivot's (p, 1), handed
+        # over by the builder that made them or read the first time they are
+        # needed; a cache, so no part of equality, hashing or repr
         object.__setattr__(self, "_support", list(support or [None] * len(basis)))
+        object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -387,9 +395,7 @@ class Subspace:
         pivot coordinates; the result vanishes there.  reduce_mod(v) == 0 iff
         v lies in the subspace.
         """
-        v = list(_frozen_row(vec))
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector has wrong ambient dimension")
+        v = list(self._checked(vec))
         for j, p in enumerate(self.pivots):
             c = v[p]
             if c:
@@ -397,22 +403,42 @@ class Subspace:
                     v[i] -= c * x
         return tuple(v)
 
+    def _checked(self, vec: Sequence) -> tuple[Fraction, ...]:
+        v = _frozen_row(vec)
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector has wrong ambient dimension")
+        return v
+
     def _pairs(self, j: int) -> Sequence[tuple[int, Fraction]]:
-        """Basis vector j's nonzero (index, value) pairs, cached."""
+        """Basis vector j's nonzero (index, value) pairs, cached; the first is
+        (p_j, 1), as the vector vanishes before its pivot."""
         pairs = self._support[j]
         if pairs is None:
-            pairs = self._support[j] = [(i, x) for i, x in enumerate(self.basis[j]) if x]
+            pairs = self._support[j] = _nonzeros(self.basis[j])
         return pairs
 
+    def _coords(self, pairs: Sequence[tuple[int, Fraction]]) -> list | None:
+        """Canonical coordinates (j, x_j) of the vector with these nonzero
+        (index, value) pairs, or None if it lies outside.  x_j is its entry at
+        pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
+        every pivot, and only the touched coordinates off them are read."""
+        index = self._index
+        coords = [(index[i], x) for i, x in pairs if i in index]
+        rest = {i: x for i, x in pairs if i not in index}
+        for j, x in coords:
+            for i, b in islice(self._pairs(j), 1, None):
+                rest[i] = rest.get(i, _ZERO) - x * b
+        return None if any(rest.values()) else coords
+
     def contains_vector(self, vec: Sequence) -> bool:
-        return not any(self.reduce_mod(vec))
+        return self._coords(_nonzeros(self._checked(vec))) is not None
 
     def coords_of(self, vec: Sequence) -> tuple[Fraction, ...] | None:
         """Coordinates of vec in the canonical basis, or None if outside."""
-        if any(self.reduce_mod(vec)):
+        coords = self._coords(_nonzeros(self._checked(vec)))
+        if coords is None:
             return None
-        # basis vector j is the only one nonzero at its pivot
-        return tuple(rat(vec[p]) for p in self.pivots)
+        return tuple(dict(coords).get(j, _ZERO) for j in range(self.dim))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

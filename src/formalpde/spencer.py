@@ -27,8 +27,10 @@ every slot is the one assembly.
 
 Cohomology needs only dimensions, so it is read off ranks: each slot map is
 assembled once, im ⊂ ker is checked exactly as δ∘δ = 0 on the assembled
-maps rather than by subspace membership, and each map is ranked once by
-`ratlin.rank`, `rref`'s integer elimination without its back-substitution.
+maps rather than by subspace membership, over integers (each map scaled by
+its denominators, which keeps the product's zero pattern), and each map is
+ranked once by `ratlin.rank`, `rref`'s integer elimination without its
+back-substitution.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 """
@@ -36,13 +38,11 @@ MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, rank
+from .ratlin import RatMatrix, Subspace, _integer_row, rank
 from .tensorspace import delta_insertion, ext_dim, ext_indices, ext_rank
-
-_ZERO = Fraction(0)
 
 
 # --------------------------- differentials ---------------------------
@@ -178,12 +178,16 @@ class CohomologyReport:
 
 def _composes_to_zero(a_rows: list, b_rows: list) -> bool:
     """Whether A @ B = 0, walked over the nonzero (column, value) pairs of the
-    rows of A and B one product row at a time, never building the product."""
+    rows of A and B one product row at a time, never building the product.
+    In integers: each row of A is scaled by the lcm of its own denominators,
+    B once by the lcm of all of its; nonzero scalings keep the zero pattern."""
+    scale = lcm(*{x.denominator for row in b_rows for _, x in row})
+    b_int = [[(j, x.numerator * (scale // x.denominator)) for j, x in row] for row in b_rows]
     for a_row in a_rows:
-        acc: dict[int, Fraction] = {}
-        for k, a in a_row:
-            for j, b in b_rows[k]:
-                acc[j] = acc.get(j, _ZERO) + a * b
+        acc: dict[int, int] = {}
+        for k, a in _integer_row(a_row).items():
+            for j, b in b_int[k]:
+                acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             return False
     return True

@@ -21,7 +21,9 @@ consumed exactly once, at level 1.
 It re-verifies, level by level, that each computed space really contracts
 into the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
-encoding from which every Spencer differential is assembled.  Level 0 is g
+encoding from which every Spencer differential is assembled.  Each
+contraction is read off a basis vector's nonzero pairs and tested over
+them, and ∂ is emitted as pairs; no dense vector is built.  Level 0 is g
 with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
 ∂ (generalized).  A vanished level makes all later ones zero by construction
 (monotone vanishing is structural, not re-derived).  `tower` holds the
@@ -32,15 +34,12 @@ than its square root, before the first level is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
 from .spencer import TableauChain
 from .tensorspace import binomial_past, raise_table, sym_dim
-
-_ZERO = Fraction(0)
 
 
 # --------------------------- the tableau type ---------------------------
@@ -148,24 +147,27 @@ def prolong(t: Tableau) -> Subspace:
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
     """∂ on level: ι of every basis vector of level in prev's basis, rows b*n + i.
 
-    Raises InvariantViolation when a contraction escapes prev.
+    Raises InvariantViolation when a contraction escapes prev.  ι_i v is read
+    off v's nonzero pairs and tested over them, and ∂ is emitted as pairs.
     """
-    rows = [()] * (n * prev.dim)
+    rows = [[] for _ in range(n * prev.dim)]
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
-        images = []
-        for v in level.basis:
-            # coordinate c of iota_i v is v at c raised by x_i, times the factor
-            img = [x * k if (x := v[up]) else _ZERO for up, k in entries]
-            if not prev.contains_vector(img):
+        # coordinate c of iota_i v is v at c raised by x_i, times the factor
+        down = {up: (c, k) for c, (up, k) in enumerate(entries)}
+        for col in range(level.dim):
+            img = []
+            for up, x in level._pairs(col):
+                if (hit := down.get(up)) is not None:
+                    img.append((hit[0], x * hit[1]))
+            coords = prev._coords(img)
+            if coords is None:
                 raise InvariantViolation(
                     f"tower level of degree {degree} (dim {level.dim}) does not contract "
                     f"into its predecessor (dim {prev.dim}) along direction {i}"
                 )
-            # prev's basis vector j is the only one nonzero at its pivot
-            images.append(list(map(img.__getitem__, prev.pivots)))
-        for b, row in enumerate(zip(*images)):
-            rows[b * n + i] = row
-    return RatMatrix(rows, cols=level.dim)
+            for b, x in coords:
+                rows[b * n + i].append((col, x))
+    return RatMatrix(pairs=rows, cols=level.dim)
 
 
 # Largest n·A^2 a tower may reach, A = f·C(n+d-1, n-1) the ambient of its

@@ -3,7 +3,8 @@
 * a per-criterion summary for the acceptance suite;
 * child processes import the package from this checkout's ``src/``, so tests
   that start ``python -m formalpde`` need no install;
-* ``count_calls`` wraps a package function in every namespace that holds it.
+* ``count_calls`` wraps a package function in every namespace that holds it,
+  or a method on its class.
 """
 
 import os
@@ -27,7 +28,8 @@ def count_calls(monkeypatch):
     """install(func) -> the list of argument tuples of every later call.
 
     The wrapper replaces func in every loaded ``formalpde`` module that holds
-    it, so calls from any module are seen.
+    it, so calls from any module are seen; a method (``Subspace.reduce_mod``)
+    is replaced on its class, and its calls' first argument is the instance.
     """
 
     def install(func):
@@ -37,6 +39,10 @@ def count_calls(monkeypatch):
             calls.append(args)
             return func(*args, **kwargs)
 
+        owner, _, attr = func.__qualname__.rpartition(".")
+        if owner:
+            monkeypatch.setattr(getattr(sys.modules[func.__module__], owner), attr, counting)
+            return calls
         for name, mod in list(sys.modules.items()):
             if name.startswith("formalpde") and getattr(mod, func.__name__, None) is func:
                 monkeypatch.setattr(mod, func.__name__, counting)

@@ -16,7 +16,9 @@ Plan:
     the crosscheck prolongs once per level and caches no level system, and
     every cache in the package is bounded; the
     eliminations per analysis are pinned (symbols and e = 0 slices are read
-    off the fibers, not eliminated again)
+    off the fibers, not eliminated again), and the tower, its cohomology and
+    goldschmidt test membership over nonzero pairs, never by a dense
+    coset representative
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -55,9 +57,11 @@ from formalpde.jetpde import (
     prolongation_tower,
     solution_fiber,
     symbol_tableau,
+    symbol_tower,
 )
 from formalpde.ratlin import RatMatrix, Subspace, image, rref, solve_affine
 from formalpde.relconn import classical_prolongation_fiber, torsion_at
+from formalpde.spencer import cohomology
 from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
@@ -404,6 +408,29 @@ def test_eliminations_per_analysis(count_calls):
         assert count(crosscheck_routes, heat3(), d) == 7 * d + 1
     for l in range(4):
         assert count(goldschmidt_check, heat3(), l) == l + 3
+
+
+def wave4() -> PdeSystem:
+    # u_x1x1 - u_x2x2 - u_x3x3 - u_x4x4 + u_x1 = 0
+    second = [(1 if i == 0 else -1, 0, tuple(2 * (j == i) for j in range(4))) for i in range(4)]
+    return PdeSystem.from_terms(4, 1, 2, [second + [(1, 0, (1, 0, 0, 0))]])
+
+
+def test_the_tower_and_cohomology_never_reduce_densely(count_calls):
+    # the tower's contraction check and every walk membership read a vector's
+    # nonzero pairs (`Subspace._coords`); δ∘δ = 0 multiplies integers.  A
+    # return to the dense coset representative fails here
+    dense = count_calls(Subspace.reduce_mod)
+    sparse = count_calls(Subspace._coords)
+    for s in (heat3(), wave4()):
+        solution_fiber.cache_clear()
+        symbol_tableau.cache_clear()
+        chain = symbol_tower(s, 3)
+        report = cohomology(chain, 2, 2)
+        assert all(e.h_dim == 0 for e in report.entries.values())
+        goldschmidt_check(s, 2)
+    assert dense == []
+    assert len(sparse) > 100
 
 
 # --------------------------- 8. goldschmidt ---------------------------

@@ -8,7 +8,8 @@ Plan:
     floats are refused, also among Fractions and among pairs, and reduce_mod's cached
     supports leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
-    Fredholm witness);
+    Fredholm witness); coordinates read over a vector's nonzeros agree with
+    reduce_mod, on spans and on kernels, and rebuild the vector;
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its annihilator is the row basis of
@@ -283,6 +284,28 @@ def test_rref_matches_sympy(rows):
     assert [list(r.row(i)) for i in range(r.rows)] == [
         [F(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)
     ]
+
+
+@settings(deadline=None, max_examples=150)
+@given(matrices_with_empty_shapes(4, 6), st.booleans(), st.data())
+def test_coordinates_agree_with_the_coset_representative(m, as_kernel, data):
+    # membership reads only the coordinates a vector and the basis vectors it
+    # selects touch; reduce_mod reads every coordinate, so the two must agree.
+    # A kernel hands its supports over in its own order, a span reads them
+    # off the rref, so both kinds of subspace are drawn
+    u = kernel(m) if as_kernel else Subspace.from_spanning(m.cols, map(m.row, range(m.rows)))
+    d = u.ambient_dim
+    weights = data.draw(st.lists(sparse_entries, min_size=u.dim, max_size=u.dim))
+    inside = [sum((w * b[i] for w, b in zip(weights, u.basis)), F(0)) for i in range(d)]
+    noise = data.draw(st.lists(sparse_entries, min_size=d, max_size=d))
+    for v in (inside, [x + y for x, y in zip(inside, noise)]):
+        coords = u.coords_of(v)
+        assert (coords is None) == any(u.reduce_mod(v)) == (not u.contains_vector(v))
+        if coords is not None:
+            assert len(coords) == u.dim
+            rebuilt = [sum((c * b[i] for c, b in zip(coords, u.basis)), F(0)) for i in range(d)]
+            assert rebuilt == v
+    assert u.coords_of(inside) == tuple(weights)
 
 
 def free_column_kernel(m: RatMatrix) -> Subspace:

@@ -5,12 +5,16 @@ Plan:
  2) delta∘delta = 0 on ambient spaces (small sweep; the full sweep is in the
     acceptance suite);
  3) restricted differentials: the first-order tableau slot map, exact equality
-    with the ∂-built map for ∂ = inclusion, escape detection, and every chain
-    map of random towers against the ambient differential read through the
-    level bases;
+    with the ∂-built map for ∂ = inclusion, escape detection (also of a
+    contraction that agrees with its predecessor at every pivot), and every
+    chain map of random towers against the ambient differential read through
+    the level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain and bad-r errors, a chain whose ∂s do not commute or whose
     level-0 ∂ has a row count the assembly would cut short is refused;
+    the integer δ∘δ = 0 check agrees with Fraction products on maps that
+    compose to zero only once denominators cancel, and on those maps with one
+    entry moved;
     each distinct slot map is ranked once; chains scaled by 2^31 - 1 or
     its inverse, a nonzero H, and random classical and generalized towers
     give every entry of the subspace reference (kernel, image, containment)
@@ -36,6 +40,7 @@ from formalpde.ratlin import RatMatrix, Subspace, image, kernel, rank
 from formalpde.spencer import (
     HEntry,
     TableauChain,
+    _composes_to_zero,
     cohomology,
     is_r_acyclic,
 )
@@ -148,6 +153,23 @@ def test_delta_restricted_escape_raises():
     tgt = Subspace.from_spanning(2, [[0, 1]])  # span{x2} in S^1
     with pytest.raises(InvariantViolation):
         _verify_contracts_into(2, 1, 2, src, tgt)
+
+
+def test_a_contraction_off_the_pivots_is_an_escape():
+    # prev = span{x1 + x2} in S^1, pivot x1.  v = x1^2 + 4 x1x2 has
+    # ι_1 v = 2 x1 + 4 x2: it agrees with 2·(x1 + x2) at the pivot and
+    # differs only at x2, so a check reading pivot entries alone would miss it
+    prev = Subspace.from_spanning(2, [[1, 1]])
+    level = Subspace.from_spanning(3, [[1, 4, 0]])
+    message = (
+        r"tower level of degree 2 \(dim 1\) does not contract into its "
+        r"predecessor \(dim 1\) along direction 0"
+    )
+    with pytest.raises(InvariantViolation, match=message):
+        _verify_contracts_into(2, 1, 2, level, prev)
+    # (x1 + x2)^2 contracts to 2·(x1 + x2) along both directions
+    level = Subspace.from_spanning(3, [[1, 2, 1]])
+    assert _verify_contracts_into(2, 1, 2, level, prev) == RatMatrix([[2], [2]])
 
 
 def ambient_map_through_bases(n, f, degree, m, level, below):
@@ -309,6 +331,50 @@ def test_noncommuting_partials_are_refused():
     message = r"image is not contained in the kernel at slot \(0, 1\)"
     with pytest.raises(InvariantViolation, match=message):
         cohomology(bad, l_max=1, m_max=2)
+
+
+def fraction_product_is_zero(a_rows, b_rows, width):
+    """A @ B = 0 over dense Fraction rows, one entry at a time."""
+    return all(
+        sum((x * b_rows[k][j] for k, x in enumerate(a)), Fraction(0)) == 0
+        for a in a_rows
+        for j in range(width)
+    )
+
+
+fractions_off_the_integers = st.sampled_from(
+    [Fraction(0)] * 6 + [Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 3, 5)]
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_the_integer_composition_check_matches_fraction_products(k, w, data):
+    # B with a dependent last row, and A spanning B's left kernel scaled by
+    # non-integers: A @ B = 0 only once the denominators cancel.  One entry
+    # of A moved in a column where B's row is nonzero must be caught, and an
+    # unrelated A must get the reference's answer either way
+    rows = st.lists(fractions_off_the_integers, min_size=w, max_size=w)
+    b = data.draw(st.lists(rows, min_size=k, max_size=k))
+    if k > 1:
+        c0, c1 = data.draw(st.lists(fractions_off_the_integers, min_size=2, max_size=2))
+        b[-1] = [c0 * x + c1 * y for x, y in zip(b[0], b[1])]
+    b_pairs = RatMatrix(b).pairs
+    scale = data.draw(st.sampled_from([Fraction(p, q) for p in (-2, 1, 3) for q in (2, 7)]))
+    a = [[scale * x for x in v] for v in kernel(RatMatrix(b).transpose()).basis]
+    assert fraction_product_is_zero(a, b, w)
+    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs)
+    hits = [row for row, entries in enumerate(b) if any(entries)]
+    if a and hits:
+        r = data.draw(st.integers(0, len(a) - 1))
+        a[r][data.draw(st.sampled_from(hits))] += Fraction(1, 7)
+        assert not fraction_product_is_zero(a, b, w)
+        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs)
+    other = data.draw(
+        st.lists(st.lists(fractions_off_the_integers, min_size=k, max_size=k), max_size=3)
+    )
+    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_pairs)
+    assert got == fraction_product_is_zero(other, b, w)
 
 
 # --------------------------- 4b) exact ranks ---------------------------
