@@ -14,18 +14,16 @@ prolongations truncate into each other.  The symbol of a system is the part
 of its solution fiber vanishing below the top order, read off the fiber's
 canonical basis rather than eliminated again.
 
-Each analysis builds the tableau tower of the base symbol once, at the
-largest depth it needs, and walks the jet prolongation once, with one
-elimination per level.  It yields the level's fiber, the truncation image in
-the fiber below, read off the fiber's canonical basis (``Subspace.head``),
-and the symbol dimension, the rest of that basis, checked against the tower.
-The tower report reads surjectivity off it; a failure is a genuine
-integrability obstruction and comes with an explicit witness: a solution jet
-of the lower order that no higher-order solution extends.  The crosscheck
-maps the same walk's fibers into the connection route, whose prolongation
-fibers come from eliminations of their own, so the two routes stay
-independent.  Level systems never enter a cache; only the base system's fiber
-and symbol do.
+Each analysis reads a prefix of the symbol's tableau tower, built once per
+system, and walks the jet prolongation once, one elimination per level, for
+the level's fiber, its truncation image in the fiber below and the symbol
+dimension, both read off the fiber's canonical basis (``Subspace.head``) and
+checked against the tower.  A projection that is not surjective is a genuine
+obstruction, with a witness: a lower-order solution jet that no higher-order
+solution extends.  The crosscheck maps the same walk's fibers into the
+connection route, whose fibers come from eliminations of their own, so the
+two routes stay independent.  Level systems never enter a cache; only the
+base system's fiber, symbol and tower do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
@@ -35,10 +33,9 @@ times the rank in rows, instead of (1 + n)^level times the base equation
 count, and the user's equations enter only through the base fiber.
 ``formal_prolongation`` itself still keeps every row.
 
-Two size budgets live here, each checked before anything is eliminated:
-``symbol_tower``, every analysis's tower, refuses a depth whose jet fiber
-passes MAX_JET_FIBER, and ``crosscheck_routes`` a connection route wider than
-MAX_CROSSCHECK_WIDTH.  ``tableau.tower`` and ``spencer.cohomology`` hold theirs.
+Two size budgets live here, checked before anything is eliminated: the jet
+fiber of every analysis's tower (MAX_JET_FIBER) and the width of a connection
+route (MAX_CROSSCHECK_WIDTH); ``tableau`` and ``spencer`` hold theirs.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
-from .tableau import Tableau, TypeVerdict, classify_type, tower
+from .tableau import Tableau, TypeVerdict, check_tower_budget, classify_type, tower
 from .tensorspace import binomial_past, multi_indices, raise_table, sym_dim, sym_rank
 
 _ZERO = Fraction(0)
@@ -70,10 +67,10 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
 # Widest jet fiber, in coordinates, an analysis may prolong to.  The walk
 # eliminates up to (1 + n) rows per fiber coordinate at every level, and its
 # cost grows about as N^2 in time: u_x1x1 + u_x2x2 - u_x3 = 0 under
-# `tower --levels 14` reaches N = 969 in 2.2 s and 72 MB, and the free
-# first-order system in three variables at depth 15 (also 969) in 1.9 s and
-# 53 MB (in-process, Python 3.11, shared 2-vCPU VM).  Every corpus, pool and
-# benchmark input stays at or below 330 (the 4-D wave equation at depth 5).
+# `tower --levels 14` reaches N = 969 in 0.22 s and 28 MB peak RSS, and the
+# free first-order system in three variables at depth 15 (also 969) in 0.14 s
+# and 42 MB (in-process, Python 3.11.7, shared 2-vCPU VM).  Every corpus, pool
+# and benchmark input stays at or below 330 (the 4-D wave equation at depth 5).
 MAX_JET_FIBER = 1000
 
 
@@ -162,14 +159,23 @@ def symbol_tableau(system: PdeSystem) -> Tableau:
     return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
 
 
-def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
-    """The tableau tower of the system's symbol, levels 0 .. depth.
+@lru_cache(maxsize=1)
+def _held_tower(system: PdeSystem) -> list[TableauChain]:
+    return []  # the deepest tower built for the most recent system, once built
 
-    Every analysis reads its tower here, and no jet walk goes deeper than the
-    tower, so a depth past the jet budget (``check_jet_budget``) is refused
-    first; the tower then holds its own budget (``tableau.tower``)."""
+
+def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
+    """Levels 0 .. depth of the symbol's tableau tower, which every analysis
+    and jet walk reads, after the jet and tower budgets: a prefix of the tower
+    held for the most recent system, rebuilt deeper only when too shallow."""
     check_jet_budget(system, depth)
-    return tower(symbol_tableau(system), depth)
+    check_tower_budget(t := symbol_tableau(system), depth)
+    held = _held_tower(system)
+    if not held or len(held[0].levels) <= depth:
+        held.clear()  # a build that raises leaves nothing held
+        held.append(tower(t, depth))
+    cut = slice(depth + 1)
+    return replace(held[0], levels=held[0].levels[cut], partials=held[0].partials[cut])
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -306,10 +312,7 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    return _goldschmidt(system, l_max, symbol_tower(system, l_max + 1))
-
-
-def _goldschmidt(system: PdeSystem, l_max: int, chain: TableauChain) -> IntegrabilityReport:
+    chain = symbol_tower(system, l_max + 1)
     report = cohomology(chain, l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
     tower_report = _tower_report(system, chain.ranks[:1])
@@ -350,11 +353,10 @@ def finite_type_integrability(
         raise ValueError("max_levels must be >= 1")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    # one symbol tower serves the type, the jet walk and the fallback
     chain = symbol_tower(system, l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
-        return replace(_goldschmidt(system, l_max, chain), type_verdict=verdict)
+        return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
     need = verdict.level + 1
     if max_levels < need:
         return replace(_tower_report(system, chain.ranks[:max_levels]), type_verdict=verdict)
@@ -365,8 +367,12 @@ def finite_type_integrability(
         )
     # above the vanishing level the projections must be bijections
     dims = [report.base_fiber_dim] + [rec.fiber_dim for rec in report.levels]
-    if any(dims[j + 1] != dims[j] for j in range(max(verdict.level, 1), len(dims) - 1)):
-        raise InvariantViolation("projections above the vanishing level are not bijections")
+    for j in range(max(verdict.level, 1), len(dims) - 1):
+        if dims[j + 1] != dims[j]:
+            raise InvariantViolation(
+                f"projections above the vanishing level {verdict.level} are not "
+                f"bijections: level {j + 1} has fiber dim {dims[j + 1]}, level {j} has {dims[j]}"
+            )
     return replace(
         report, verdict="formally-integrable-certified", verdict_level=verdict.level,
         certification_basis=f"finite-type({verdict.level})", type_verdict=verdict,
@@ -440,10 +446,10 @@ class RouteLevel:
 
 # Widest connection route, in coordinates, a crosscheck may walk: (1 + n)
 # copies (e and each ψ_i) of the jet fiber of order k + depth - 1.  Cost grows
-# about as N^2.4: the free first-order system in three variables meets
-# N = 880 at depth 9 in 1.9 s and 49 MB, 1144 at depth 10 in 3.4 s and 73 MB
-# (in-process, Python 3.11, shared 2-vCPU VM).  Corpus and pool systems at the
-# default depth 2 stay at or below 80, the heat system at depth 5 at 336.
+# about as N^2.5: the free first-order system in three variables meets
+# N = 880 at depth 9 in 0.91 s and 28 MB, 1144 at depth 10 in 1.6 s and 36 MB
+# (in-process, Python 3.11.7, shared 2-vCPU VM).  Corpus and pool systems at
+# the default depth 2 stay at or below 80, the heat system at depth 5 at 336.
 MAX_CROSSCHECK_WIDTH = 1000
 
 

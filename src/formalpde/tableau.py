@@ -26,9 +26,9 @@ contraction is read off a basis vector's nonzero pairs and tested over
 them, and ∂ is emitted as pairs; no dense vector is built.  Level 0 is g
 with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
 ∂ (generalized).  A vanished level makes all later ones zero by construction
-(monotone vanishing is structural, not re-derived).  `tower` holds the
-tower's size budget, MAX_TOWER_WORK, and refuses a tower past it, or deeper
-than its square root, before the first level is built.
+(monotone vanishing is structural, not re-derived).  `check_tower_budget`
+holds the tower's size budget, MAX_TOWER_WORK: `tower` refuses a tower past
+it, or deeper than its square root, before the first level is built.
 """
 
 from __future__ import annotations
@@ -178,17 +178,9 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
 MAX_TOWER_WORK = 10**7
 
 
-def tower(t: Tableau, depth: int) -> TableauChain:
-    """Levels 0 .. depth with their ∂, each level re-verified against the last.
-
-    Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F;
-    level i is g^(i) in S^(degree+i) ⊗ F.  Generalized: level 0 is the full
-    carrier-coordinate space R^p (p = dim g), and its ∂ is the tableau's own;
-    level i sits in S^i ⊗ R^p, and level 1 consumed ∂.  Refused (ValueError)
-    before anything is built when n·A^2 passes MAX_TOWER_WORK, or the depth
-    passes isqrt(MAX_TOWER_WORK): A >= depth + 1 when n >= 2, so the depth
-    bound binds only where A does not grow with it (n <= 1, empty carriers).
-    """
+def check_tower_budget(t: Tableau, depth: int) -> None:
+    """Refuse (ValueError) a depth below 1, an n·A^2 past MAX_TOWER_WORK, or a
+    depth past its square root, binding only where A is flat (n <= 1, empty carriers)."""
     if depth < 1:
         raise ValueError("tower needs depth >= 1")
     if depth > isqrt(MAX_TOWER_WORK):
@@ -206,6 +198,18 @@ def tower(t: Tableau, depth: int) -> TableauChain:
             f"variables, A = {has} coordinates: n·A^2 is above the budget of "
             f"{MAX_TOWER_WORK}"
         )
+
+
+def tower(t: Tableau, depth: int) -> TableauChain:
+    """Levels 0 .. depth with their ∂, each level re-verified against the last.
+
+    Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F;
+    level i is g^(i) in S^(degree+i) ⊗ F.  Generalized: level 0 is the full
+    carrier-coordinate space R^p (p = dim g), and its ∂ is the tableau's own;
+    level i sits in S^i ⊗ R^p, and level 1 consumed ∂.  Budget checked first.
+    """
+    check_tower_budget(t, depth)
+    fiber = t.f if t.classical else t.dim
     if t.classical:
         prev = t.space
         bottom = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)

@@ -3,6 +3,9 @@
 * a per-criterion summary for the acceptance suite;
 * child processes import the package from this checkout's ``src/``, so tests
   that start ``python -m formalpde`` need no install;
+* each test starts with no symbol tower held (``jetpde._held_tower``), so a
+  test that breaks a tower internal meets a tower built under that fault, not
+  one an earlier test left behind;
 * ``count_calls`` wraps a package function in every namespace that holds it,
   or a method on its class.
 """
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from formalpde import jetpde
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -21,6 +26,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def _children_import_this_checkout(monkeypatch):
     inherited = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (SRC, inherited))))
+
+
+@pytest.fixture(autouse=True)
+def _no_tower_held():
+    jetpde._held_tower.cache_clear()
 
 
 @pytest.fixture

@@ -857,6 +857,28 @@ def test_a_prolongation_escaping_its_level_fails_the_towers_contraction(
     )
 
 
+def test_a_projection_above_the_vanishing_level_that_is_not_a_bijection_is_located(
+    tmp_path, capsys, monkeypatch
+):
+    # u_11 = u_22 = 0 vanishes at level 1, so finite-type checks the level-2
+    # projection; a level-2 fiber one dimension too wide must name both levels
+    report_of = jetpde._tower_report
+
+    def widened(system, ranks):
+        rep = report_of(system, ranks)
+        top = replace(rep.levels[-1], fiber_dim=rep.levels[-1].fiber_dim + 1)
+        return replace(rep, levels=rep.levels[:-1] + (top,))
+
+    monkeypatch.setattr(jetpde, "_tower_report", widened)
+    s = PdeSystem.from_terms(2, 1, 2, [[(1, 0, (2, 0))], [(1, 0, (0, 2))]])
+    path = write_pde(tmp_path, format_system(s))
+    assert main(["finite-type", path]) == 2
+    assert (
+        "projections above the vanishing level 1 are not bijections: "
+        "level 2 has fiber dim 5, level 1 has 4" in capsys.readouterr().err
+    )
+
+
 def test_a_generalized_prolongation_off_its_kernel_fails_the_symmetry_check(monkeypatch):
     # ∂(v)(e1) = 1, ∂(v)(e2) = 0: the symmetry equation eta_2 = 0 cuts the
     # full S^1 ⊗ R^1, so a kernel that returns the full space is caught
@@ -915,14 +937,16 @@ def test_module_entry_point():
 
 
 def test_each_command_builds_one_symbol_tower(count_calls, capsys):
+    # the six commands of one system share its held tower: the first, at the
+    # deepest default depth, builds it, and the other five read its prefixes
     calls = count_calls(tower)
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        calls.clear()
         for command in ("symbol", "tower", "cohomology", "goldschmidt",
                         "finite-type", "crosscheck"):
-            calls.clear()
             assert main([command, str(path), "--json", "-"]) == 0
             capsys.readouterr()
-            assert len(calls) == 1, (path.name, command)
+        assert len(calls) == 1, path.name
 
 
 def test_every_matrix_built_from_pairs_is_canonical(monkeypatch, capsys):

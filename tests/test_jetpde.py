@@ -27,7 +27,9 @@ Plan:
 11. solution jets of the prolonged system = prolongation fiber of the
     associated relative connection (exact subspace equality)
 12. jet_to_prolongation_point rejects non-solutions
-13. tower depth validation; finite-type bound capping
+13. tower depth validation; the held symbol tower serves exact prefixes,
+    only to its own system, and only after every depth and budget check;
+    finite-type bound capping
 """
 
 import importlib
@@ -399,6 +401,7 @@ def test_eliminations_per_analysis(count_calls):
     def count(analysis, *args):
         solution_fiber.cache_clear()
         symbol_tableau.cache_clear()
+        formalpde.jetpde._held_tower.cache_clear()
         calls.clear()
         analysis(*args)
         return len(calls)
@@ -577,6 +580,68 @@ def test_tower_depth_validation():
         goldschmidt_check(cauchy_riemann(), -1)
     with pytest.raises(ValueError):
         finite_type_integrability(cauchy_riemann(), 2, 0)
+
+
+def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
+    # the deepest tower is held; a shallower request gets exactly the tower a
+    # fresh build at that depth would return, and builds nothing
+    builds = count_calls(tower)
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        s = load_system(str(path))
+        builds.clear()
+        symbol_tower(s, 4)
+        for d in range(1, 5):
+            served, fresh = symbol_tower(s, d), tower(symbol_tableau(s), d)
+            assert len(served.levels) == len(served.partials) == d + 1, (path.name, d)
+            assert served == fresh, (path.name, d)  # n, every level and every ∂
+        assert len(builds) == 1, path.name
+        symbol_tower(s, 5)  # deeper than the held tower: one more build
+        assert len(builds) == 2, path.name
+
+
+def test_another_system_never_gets_the_held_tower(count_calls):
+    builds = count_calls(tower)
+    # same shape, different symbols: a shared chain would hold the wrong spaces
+    held = symbol_tower(laplace2d(), 4)
+    served = symbol_tower(wave1d(), 2)
+    assert served == tower(symbol_tableau(wave1d()), 2)
+    assert served.levels[0] != held.levels[0]
+    # the same symbol with a lower-order term is another system all the same
+    damped = PdeSystem.from_terms(
+        2, 1, 2, [[(1, 0, (2, 0)), (1, 0, (0, 2)), (1, 0, (1, 0))]]
+    )
+    assert symbol_tower(damped, 2) == symbol_tower(laplace2d(), 2)
+    # laplace2d, wave1d, damped, then laplace2d again: only one system is held
+    assert len(builds) == 4
+
+
+def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls):
+    s = laplace2d()
+    symbol_tower(s, 4)
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="tower needs depth >= 1"):
+            symbol_tower(s, depth)
+    with pytest.raises(ValueError, match="above the budget of 1000"):
+        symbol_tower(s, 42)  # C(2 + 2 + 42, 2) = 1035 jet coordinates
+    # budgets that the held depth met are still checked on every request
+    monkeypatch.setattr(formalpde.jetpde, "MAX_JET_FIBER", 9)
+    with pytest.raises(ValueError, match="order-3 jet fiber of 10 coordinates"):
+        symbol_tower(s, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(formalpde.tableau, "MAX_TOWER_WORK", 20)
+    with pytest.raises(ValueError, match="n·A\\^2 is above the budget of 20"):
+        symbol_tower(s, 1)
+    monkeypatch.undo()
+    # a build that raises leaves nothing held: the next request builds again
+    monkeypatch.setattr(formalpde.tableau, "_classical_prolong",
+                        lambda n, f, degree, space: Subspace.full(sym_dim(n, degree + 1) * f))
+    with pytest.raises(InvariantViolation):
+        symbol_tower(s, 5)
+    assert formalpde.jetpde._held_tower(s) == []
+    monkeypatch.undo()
+    builds = count_calls(tower)
+    assert symbol_tower(s, 2) == tower(symbol_tableau(s), 2)
+    assert len(builds) == 1
 
 
 def test_finite_type_bound_capping():
