@@ -82,8 +82,11 @@ def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in row)
 
 
-def _nonzeros(row: Sequence[Fraction]) -> list[tuple[int, Fraction]]:
-    return [(i, x) for i, x in enumerate(row) if x]
+def _nonzeros(row: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+    # zeros are mostly one shared object, so an identity test run in C skips
+    # them, and only the other entries are tested
+    zero = next(filterfalse(None, row), None)
+    return tuple(filter(itemgetter(1), compress(enumerate(row), map(is_not, row, repeat(zero)))))
 
 
 # --------------------------- matrices ---------------------------
@@ -125,13 +128,7 @@ class RatMatrix:
                 cols = width
             elif cols is None:
                 raise ValueError("empty matrix needs an explicit column count")
-            # zeros are mostly one shared object, so an identity test run in
-            # C skips them, and only the other entries are tested
-            zero = next(filterfalse(None, chain.from_iterable(rows)), None)
-            pairs = tuple(
-                tuple(filter(itemgetter(1), compress(enumerate(r), map(is_not, r, repeat(zero)))))
-                for r in rows
-            )
+            pairs = tuple(map(_nonzeros, rows))
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "rows", len(pairs))
         object.__setattr__(self, "cols", cols)
@@ -433,13 +430,6 @@ class Subspace:
     def contains_vector(self, vec: Sequence) -> bool:
         return self._coords(_nonzeros(self._checked(vec))) is not None
 
-    def coords_of(self, vec: Sequence) -> tuple[Fraction, ...] | None:
-        """Coordinates of vec in the canonical basis, or None if outside."""
-        coords = self._coords(_nonzeros(self._checked(vec)))
-        if coords is None:
-            return None
-        return tuple(dict(coords).get(j, _ZERO) for j in range(self.dim))
-
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
@@ -457,11 +447,12 @@ class Subspace:
 
     def tail(self, start: int) -> "Subspace":
         """The vectors vanishing before start, cut at start: the basis vectors
-        with pivot >= start, cut there, already are its canonical basis."""
+        with pivot >= start, cut there (their pairs too), already are its canonical basis."""
         j = bisect_left(self.pivots, start)
         basis = tuple(v[start:] for v in self.basis[j:])
         pivots = tuple(p - start for p in self.pivots[j:])
-        return Subspace(self.ambient_dim - start, basis, pivots)
+        pairs = [[(i - start, x) for i, x in self._pairs(k)] for k in range(j, self.dim)]
+        return Subspace(self.ambient_dim - start, basis, pivots, pairs)
 
     def constraint_matrix(self) -> RatMatrix:
         """A matrix with kernel exactly this subspace, read off the basis: row

@@ -66,14 +66,18 @@ class RelConn:
         fiber: Subspace, sigma_rows: Sequence[int], direction_rows: Sequence[Sequence[int]]
     ) -> "RelConn":
         """The connection a fiber carries, over its canonical basis: sigma
-        reads the coordinates sigma_rows of each basis vector, and A_i minus
-        the coordinates direction_rows[i]."""
-        basis = fiber.basis
-        sigma = RatMatrix([[v[r] for v in basis] for r in sigma_rows], cols=len(basis))
-        mats = [
-            RatMatrix([[-v[r] for v in basis] for r in rows], cols=len(basis))
-            for rows in direction_rows
-        ]
+        reads the coordinates sigma_rows of each basis vector's pairs, and A_i
+        minus the coordinates direction_rows[i], each value negated once."""
+        readers = (sigma_rows, *direction_rows)
+        mats = [[[] for _ in rows] for rows in readers]
+        at = [dict(zip(rows, out)) for rows, out in zip(readers, mats)]
+        for j in range(fiber.dim):  # ascending j keeps each row's columns in order
+            for i, x in fiber._pairs(j):
+                y = -x
+                for s, line in enumerate(rows.get(i) for rows in at):
+                    if line is not None:
+                        line.append((j, y if s else x))
+        sigma, *mats = [RatMatrix(pairs=rows, cols=fiber.dim) for rows in mats]
         return RelConn(sigma, mats)
 
     def __repr__(self) -> str:
@@ -87,10 +91,16 @@ def symbol_map(conn: RelConn) -> Tableau:
     """The generalized tableau (g, ∂_D) with ∂_D(v) = (i -> A_i v)."""
     if conn._symbol_map is None:
         g = conn.symbol
-        images = [[a.apply(v) for v in g.basis] for a in conn.mats]
-        # row b*n + i holds coordinate b of A_i on each basis vector
-        rows = [[out[b] for out in ai] for b in range(conn.coeff_dim) for ai in images]
-        partial = RatMatrix(rows, cols=g.dim)
+        # row b*n + i holds A_i's row b times each basis vector, read by coordinate
+        at = RatMatrix(pairs=map(g._pairs, range(g.dim)), cols=g.ambient_dim).transpose().pairs
+        rows = []
+        for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
+            out: dict[int, Fraction] = {}
+            for c, x in row:
+                for j, y in at[c]:
+                    out[j] = out.get(j, _ZERO) + x * y
+            rows.append([(j, z) for j, z in sorted(out.items()) if z])
+        partial = RatMatrix(pairs=rows, cols=g.dim)
         conn._symbol_map = Tableau.generalized(conn.n, conn.coeff_dim, g, partial)
     return conn._symbol_map
 
@@ -156,22 +166,24 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     ker_part = fiber.tail(sd)
     if fiber.dim != ker_part.dim + proj.dim:
         raise InvariantViolation("prolongation fiber fails exactness bookkeeping")
-    # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D)
-    g = conn.symbol
-    etas = []
-    for v in ker_part.basis:
-        eta = [_ZERO] * (g.dim * n)
-        for i in range(n):
-            coords = g.coords_of(v[i * sd : (i + 1) * sd])
-            if coords is None:
-                raise InvariantViolation("kernel part leaves the symbol")
-            for c, x in enumerate(coords):
-                eta[c * n + i] = x
-        etas.append(eta)
-    rewritten, g1 = Subspace.from_spanning(g.dim * n, etas), prolong(symbol_map(conn))
-    if rewritten != g1:
+    # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D): a
+    # vector's psi_i block with symbol coordinates x_c gives entries c*n + i
+    g, etas = conn.symbol, []
+    for k in range(ker_part.dim):
+        blocks = [[] for _ in range(n)]
+        for c, x in ker_part._pairs(k):
+            blocks[c // sd].append((c % sd, x))
+        coords = [g._coords(block) for block in blocks]
+        if None in coords:
+            i = coords.index(None)
+            raise InvariantViolation(f"kernel part leaves the symbol of dim {g.dim} in direction {i}")
+        etas.append([(c * n + i, x) for i, xs in enumerate(coords) for c, x in xs])
+    # the rewrite is injective, so the etas span ker_part.dim dimensions, and
+    # they span g^(1) iff the dimensions agree and each lies in it
+    g1 = prolong(symbol_map(conn))
+    if ker_part.dim != g1.dim or any(g1._coords(eta) is None for eta in etas):
         raise InvariantViolation(
-            f"kernel part (dim {rewritten.dim}) does not match the generalized "
+            f"kernel part (dim {ker_part.dim}) does not match the generalized "
             f"prolongation (dim {g1.dim})"
         )
     return ProlFiber(subspace=fiber, projection_image=proj, kernel_part=ker_part)

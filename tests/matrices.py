@@ -1,5 +1,8 @@
-"""Matrix helpers that only tests call, built on `RatMatrix.apply`, `rref`
-and `TableauChain.map_out`: the library keeps no algebra without a caller."""
+"""Matrix helpers that only tests call, built on `RatMatrix.apply`, `rref`,
+`TableauChain.map_out` and the membership routine `Subspace._coords`: the
+library keeps no algebra without a caller."""
+
+from fractions import Fraction
 
 from formalpde.ratlin import RatMatrix, Subspace, rref
 from formalpde.spencer import TableauChain
@@ -15,6 +18,17 @@ def product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         raise ValueError("shape mismatch in product")
     cols = [a.apply(b.col(c)) for c in range(b.cols)]
     return RatMatrix([[col[r] for col in cols] for r in range(a.rows)], cols=b.cols)
+
+
+def coords_of(space: Subspace, vec) -> tuple[Fraction, ...] | None:
+    """vec's coordinates in space's canonical basis, or None if outside: the
+    pivot entries `Subspace._coords` reads over vec's nonzeros."""
+    if len(vec) != space.ambient_dim:
+        raise ValueError("vector has wrong ambient dimension")
+    coords = space._coords([(i, Fraction(x)) for i, x in enumerate(vec) if x])
+    if coords is None:
+        return None
+    return tuple(dict(coords).get(j, Fraction(0)) for j in range(space.dim))
 
 
 def rref_rank(m: RatMatrix) -> int:

@@ -11,10 +11,10 @@ Plan:
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses, 1 for input problems,
     2 for internal consistency failures, among them faults injected into the
-    walk (a moved cut, a dropped kept row) and into the crosscheck's jet
-    mapping; an out-of-range count flag is a bad flag, named in the message;
-    a depth whose jet fiber is past the budget exits 1 within a second,
-    before any elimination
+    walk (a moved cut, a dropped kept row), into the crosscheck's jet
+    mapping and into the connection route's rows; an out-of-range count
+    flag is a bad flag, named in the message; a depth whose jet fiber is
+    past the budget exits 1 within a second, before any elimination
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
@@ -838,6 +838,22 @@ def test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check(
         "kernel part (dim 2) does not match the generalized prolongation (dim 2)"
         in capsys.readouterr().err
     )
+
+
+def test_partial_rows_without_sigma_psi_fail_the_kernel_part_check(tmp_path, capsys, monkeypatch):
+    # with sigma psi_i dropped the partial rows read A_i e = 0 alone, so the
+    # psi blocks of the e = 0 slice are no longer held to the symbol ker(sigma)
+    rows_of = relconn_module._partial_rows
+
+    def without_psi(conn):
+        rows = rows_of(conn)
+        pairs = [[(c, x) for c, x in row if c < conn.source_dim] for row in rows.pairs]
+        return RatMatrix(pairs=pairs, cols=rows.cols)
+
+    monkeypatch.setattr(relconn_module, "_partial_rows", without_psi)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["crosscheck", path]) == 2
+    assert "kernel part leaves the symbol of dim 2 in direction 0" in capsys.readouterr().err
 
 
 def test_a_prolongation_escaping_its_level_fails_the_towers_contraction(

@@ -26,7 +26,9 @@ Plan:
     symbol
 11. solution jets of the prolonged system = prolongation fiber of the
     associated relative connection (exact subspace equality)
-12. jet_to_prolongation_point rejects non-solutions
+12. jet_to_prolongation_point rejects non-solutions; on the corpus walks,
+    the connection route's sigma, A_i, ∂_D and jet points, read off pairs,
+    equal what dense basis rows give, and it builds no matrix from dense rows
 13. tower depth validation; the held symbol tower serves exact prefixes,
     only to its own system, and only after every depth and budget check;
     finite-type bound capping
@@ -37,6 +39,7 @@ import json
 import pkgutil
 import random
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -47,6 +50,10 @@ from formalpde.cli import load_system
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     PdeSystem,
+    _jet_shift,
+    _prolongation_point,
+    _relconn,
+    _walk,
     crosscheck_routes,
     finite_type_integrability,
     formal_prolongation,
@@ -62,12 +69,18 @@ from formalpde.jetpde import (
     symbol_tower,
 )
 from formalpde.ratlin import RatMatrix, Subspace, image, rref, solve_affine
-from formalpde.relconn import classical_prolongation_fiber, torsion_at
+from formalpde.relconn import (
+    RelConn,
+    classical_prolongation_fiber,
+    prolongation_connection,
+    symbol_map,
+    torsion_at,
+)
 from formalpde.spencer import cohomology
 from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
-from matrices import zeros
+from matrices import coords_of, zeros
 
 
 def cauchy_riemann() -> PdeSystem:
@@ -390,12 +403,13 @@ def test_every_cache_in_the_package_is_bounded():
 def test_eliminations_per_analysis(count_calls):
     # a tower level eliminates its tableau prolongation and its jet system;
     # a crosscheck level adds the connection's symbol, prolongation fiber,
-    # ∂-symmetry kernel, g^(1) check and mapped jet fiber; the base fiber is
-    # one more.  Truncation images, symbols and e = 0 slices are read off
-    # the fibers' canonical bases, not eliminated.  A Spencer window calls
-    # no `rref`: its slot maps are ranked by `ratlin.rank`, which builds no
-    # basis.  So goldschmidt_check takes the base fiber, one jet level (its
-    # jet system) and one tableau prolongation per symbol level 1 .. l + 1.
+    # ∂-symmetry kernel and mapped jet fiber; the base fiber is one more.
+    # Truncation images, symbols and e = 0 slices are read off the fibers'
+    # canonical bases, not eliminated, and the e = 0 slice is checked
+    # against g^(1) by membership.  A Spencer window calls no `rref`: its
+    # slot maps are ranked by `ratlin.rank`, which builds no basis.  So
+    # goldschmidt_check takes the base fiber, one jet level (its jet system)
+    # and one tableau prolongation per symbol level 1 .. l + 1.
     calls = count_calls(rref)
 
     def count(analysis, *args):
@@ -408,7 +422,7 @@ def test_eliminations_per_analysis(count_calls):
 
     for d in range(1, 5):
         assert count(prolongation_tower, heat3(), d) == 2 * d + 1
-        assert count(crosscheck_routes, heat3(), d) == 7 * d + 1
+        assert count(crosscheck_routes, heat3(), d) == 6 * d + 1
     for l in range(4):
         assert count(goldschmidt_check, heat3(), l) == l + 3
 
@@ -479,7 +493,7 @@ def assert_torsion_home(s: PdeSystem):
     rep = prolongation_tower(s, 1)
     assert rep.verdict == "obstructed-at"
     conn = pde_to_relconn(s)
-    e = solution_fiber(s).coords_of(rep.witness)
+    e = coords_of(solution_fiber(s), rep.witness)
     t = torsion_at(conn, e)
     assert t.kind == "obstruction"
     cd = jet_fiber_dim(n, m, k - 1)
@@ -568,6 +582,102 @@ def test_prolongation_point_rejects_non_solutions():
     bad[jet_index(2, 2, 2, 0, (1, 0))] = 1  # violates u1_x = u2_y
     with pytest.raises(ValueError):
         jet_to_prolongation_point(s, bad)
+
+
+def dense_coords(space: Subspace, v) -> tuple | None:
+    """v's coordinates in a canonical basis, read densely: its pivot entries,
+    if they rebuild v."""
+    coords = tuple(v[p] for p in space.pivots)
+    rebuilt = [
+        sum((c * b[i] for c, b in zip(coords, space.basis)), Fraction(0)) for i in range(len(v))
+    ]
+    return coords if rebuilt == list(v) else None
+
+
+def dense_connection(fiber: Subspace, sigma_rows, direction_rows) -> list[RatMatrix]:
+    """sigma and the A_i of ``RelConn.on_fiber``, from dense basis rows."""
+    basis, width = fiber.basis, fiber.dim
+    sigma = RatMatrix([[v[r] for v in basis] for r in sigma_rows], cols=width)
+    return [sigma] + [
+        RatMatrix([[-v[r] for v in basis] for r in rows], cols=width) for rows in direction_rows
+    ]
+
+
+def dense_partial_map(conn) -> RatMatrix:
+    """∂_D with rows b*n + i, each A_i applied to dense symbol vectors."""
+    images = [[a.apply(v) for v in conn.symbol.basis] for a in conn.mats]
+    rows = [[out[b] for out in ai] for b in range(conn.coeff_dim) for ai in images]
+    return RatMatrix(rows, cols=conn.symbol.dim)
+
+
+def dense_point(system: PdeSystem, fiber: Subspace, u) -> tuple:
+    """(e, psi) of a jet, each block's coordinates read densely."""
+    n, m, k = system.n, system.m, system.k
+    u = [Fraction(x) for x in u]
+    parts = [u[: jet_fiber_dim(n, m, k)]] + [[u[t] for t in ts] for ts in _jet_shift(n, m, k)]
+    pieces = []
+    for part in parts:
+        coords = dense_coords(fiber, part)
+        if coords is None:
+            raise ValueError("not a solution")
+        pieces += coords
+    return tuple(pieces)
+
+
+def test_the_connection_route_reads_pairs_as_the_dense_route_did():
+    # every corpus system's walk at levels 1-3: sigma, the A_i, ∂_D and each
+    # fiber jet's (e, psi) equal what dense basis rows give, as data
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        s = load_system(str(path))
+        steps = _walk(s, solution_fiber(s), symbol_tower(s, 3).ranks)
+        for level, (lower, lower_fiber, fiber, _, _) in enumerate(steps, 1):
+            n, m, k = lower.n, lower.m, lower.k
+            conn = _relconn(lower, lower_fiber)
+            want = dense_connection(
+                lower_fiber, range(jet_fiber_dim(n, m, k - 1)), _jet_shift(n, m, k - 1)
+            )
+            assert [conn.sigma, *conn.mats] == want, (path.name, level)
+            assert symbol_map(conn).partial_map.pairs == dense_partial_map(conn).pairs
+            for v in fiber.basis:
+                assert _prolongation_point(lower, lower_fiber, v) == dense_point(
+                    lower, lower_fiber, v
+                ), (path.name, level)
+            if level == 1:  # the prolongation fiber's layout: e, then the psi blocks
+                sd, pf = conn.source_dim, classical_prolongation_fiber(conn).subspace
+                blocks = [range((1 + i) * sd, (2 + i) * sd) for i in range(n)]
+                outer = prolongation_connection(conn)
+                assert [outer.sigma, *outer.mats] == dense_connection(pf, range(sd), blocks)
+    s = cauchy_riemann()
+    bad = [0] * jet_fiber_dim(s.n, s.m, s.k + 1)
+    bad[0] = 1
+    bad[jet_index(2, 2, 2, 0, (1, 0))] = 1  # violates u1_x = u2_y
+    for to_point in (_prolongation_point, dense_point):
+        with pytest.raises(ValueError):
+            to_point(s, solution_fiber(s), bad)
+
+
+def test_the_connection_route_builds_no_matrix_from_dense_rows(monkeypatch, count_calls):
+    # on_fiber, symbol_map and classical_prolongation_fiber read the bases'
+    # pairs; a RatMatrix built from dense rows anywhere beneath them means a
+    # dense path came back
+    watched = {f.__code__ for f in (RelConn.on_fiber, symbol_map, classical_prolongation_fiber)}
+    dense = []
+    init = RatMatrix.__init__
+
+    def recording(self, data=(), *, cols=None, pairs=None):
+        frame = sys._getframe(1)
+        while pairs is None and frame is not None:
+            if frame.f_code in watched:
+                dense.append(frame.f_code.co_name)
+            frame = frame.f_back
+        init(self, data, cols=cols, pairs=pairs)
+
+    monkeypatch.setattr(RatMatrix, "__init__", recording)
+    calls = [count_calls(f) for f in (RelConn.on_fiber, symbol_map, classical_prolongation_fiber)]
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        crosscheck_routes(load_system(str(path)), 3)
+    assert all(len(c) >= 18 for c in calls)  # six systems, three levels each
+    assert dense == []
 
 
 # --------------------------- 13. bounds ---------------------------

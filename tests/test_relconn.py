@@ -31,7 +31,7 @@ from formalpde.relconn import (
     torsion_at,
 )
 
-from matrices import rref_rank, slot_map, zeros
+from matrices import coords_of, rref_rank, slot_map, zeros
 from oracle_brute import section_curvature
 
 F = Fraction
@@ -65,7 +65,7 @@ def h01_dim(outer: RelConn, inner: RelConn) -> int:
     for v in inner.symbol.basis:
         eta = [F(0)] * (n * g.dim)
         for i in range(n):
-            coords = g.coords_of(inner.mats[i].apply(v))
+            coords = coords_of(g, inner.mats[i].apply(v))
             assert coords is not None, "inner symbol does not map into the outer symbol"
             eta[i * g.dim : (i + 1) * g.dim] = coords
         vecs.append(eta)

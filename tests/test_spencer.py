@@ -55,7 +55,7 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import product, rref_rank, slot_map, zeros
+from matrices import coords_of, product, rref_rank, slot_map, zeros
 
 
 # --------------------------- 1) ambient hand cases ---------------------------
@@ -195,7 +195,7 @@ def ambient_map_through_bases(n, f, degree, m, level, below):
             col = []
             for t in ext_indices(n, m + 1):
                 flat = [out[tgt.index_of(a, t, beta)] for a in range(f) for beta in tgt_sym]
-                coords = below.coords_of(flat)
+                coords = coords_of(below, flat)
                 assert coords is not None
                 col.extend(coords)
             cols.append(col)
