@@ -28,10 +28,11 @@ base system's fiber, symbol and tower do.
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
 fiber prolonged.  Each level therefore prolongs the annihilator of the fiber
-below, read off its canonical basis (``Subspace.constraint_matrix``): (1 + n)
-times the rank in rows, instead of (1 + n)^level times the base equation
-count, and the user's equations enter only through the base fiber.
-``formal_prolongation`` itself still keeps every row.
+below, read off its canonical basis (``Subspace.constraint_matrix``) with
+each row scaled to integers: (1 + n) times the rank in rows, instead of
+(1 + n)^level times the base equation count, and the user's equations enter
+only through the base fiber.  ``formal_prolongation`` itself still keeps
+every row.
 
 Two size budgets live here, checked before anything is eliminated: the jet
 fiber of every analysis's tower (MAX_JET_FIBER) and the width of a connection
@@ -47,7 +48,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _frozen_row, _nonzeros, kernel, rat
+from .ratlin import RatMatrix, Subspace, _frozen_row, _integral, _nonzeros, kernel, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, check_tower_budget, classify_type, tower
@@ -257,7 +258,9 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     """
     cur_fiber = base_fiber
     for level, rank in enumerate(symbol_ranks, 1):
-        lower = replace(system, k=system.k + level - 1, equations=cur_fiber.constraint_matrix())
+        # the annihilator as integer rows, so every shifted copy is one too
+        equations = _integral(cur_fiber.constraint_matrix())
+        lower = replace(system, k=system.k + level - 1, equations=equations)
         fiber = kernel(formal_prolongation(lower).equations)
         img = fiber.head(cur_fiber.ambient_dim)
         sym = fiber.dim - img.dim

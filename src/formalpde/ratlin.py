@@ -2,23 +2,25 @@
 
 Every decision this package makes reduces to ranks, kernels, images and affine
 solvability over Q, so arithmetic is exact: entries are `fractions.Fraction`,
-floating point never enters.  Matrices are immutable and sparse: a
-`RatMatrix` stores each row as its nonzero (column, value) pairs in
-ascending column order, because prolongation moves each coefficient to one
-new column and every matrix the package builds is sparse by construction.
+or exact ints where a row is integral, and floating point never enters.
+Matrices are immutable and sparse: a `RatMatrix` stores each row as its
+nonzero (column, value) pairs in ascending column order, because
+prolongation moves each coefficient to one new column and every matrix the
+package builds is sparse by construction.
 
 A matrix is built from dense rows, validated and converted once, or from rows
 already in pair form.  Entries are validated by type at every boundary
 (`RatMatrix`, `apply`, the vectors a `Subspace` is asked about): a dense row
 whose entries are all Fractions is kept as is, any other row is coerced
-entry by entry, and a float is refused either way; pair rows must hold
-Fractions.  Zeros are skipped by structure, not by testing each entry:
+entry by entry, and a float is refused either way; pair values must be
+Fractions or ints.  Zeros are skipped by structure, not by testing each entry:
 dense rows are read into pairs once, in `RatMatrix`, every stage reads and
 emits pairs from there, a subspace keeps each basis vector's nonzero pairs
 once they are known, and `apply` reads the vector's nonzeros once.
 Membership (`Subspace._coords`, behind every membership and coordinate
 query) reads only the coordinates touched by a vector and by the basis
-vectors its pivot entries select; `reduce_mod` alone stays dense.
+vectors its pivot entries select, and tests an integer vector in ints,
+against each basis vector's cached integer row; `reduce_mod` stays dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
@@ -71,6 +73,7 @@ def rat(x) -> Fraction:
 
 
 _EXACT = {Fraction}
+_RATIONAL = {Fraction, int}  # the exact pair values
 
 
 def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
@@ -95,14 +98,15 @@ def _nonzeros(row: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
 class RatMatrix:
     """Immutable sparse matrix over Q.
 
-    ``pairs[i]`` is row i's nonzero (column, Fraction) pairs in ascending
+    ``pairs[i]`` is row i's nonzero (column, value) pairs in ascending
     column order; it is the only storage, so equal matrices are equal as
     data.  ``RatMatrix(data)`` takes dense rows, validates them and reads
-    their nonzeros: the one place dense rows become pairs.
+    their nonzeros (Fractions): the one place dense rows become pairs.
     ``RatMatrix(pairs=rows, cols=w)`` takes rows already in that form and
-    checks only that every value is a Fraction; each producer keeps its
-    columns ascending and its values nonzero by construction.  ``row``,
-    ``col`` and indexing render dense on demand.
+    checks only that every value is a Fraction or an int, so 1 and
+    Fraction(1) build equal matrices; each producer keeps its columns
+    ascending and its values nonzero by construction.  ``row``, ``col`` and
+    indexing render dense on demand.
 
     Zero-row and zero-column shapes are first-class: pass ``cols=`` when the
     row list is empty so the shape survives.
@@ -115,8 +119,8 @@ class RatMatrix:
             if cols is None:
                 raise ValueError("pair rows need an explicit column count")
             pairs = tuple(map(tuple, pairs))
-            if not _EXACT.issuperset(map(type, map(itemgetter(1), chain.from_iterable(pairs)))):
-                raise ValueError("pair values must be Fractions")
+            if not _RATIONAL.issuperset(map(type, map(itemgetter(1), chain.from_iterable(pairs)))):
+                raise ValueError("pair values must be Fractions or ints")
         else:
             rows = tuple(_frozen_row(r) for r in data)
             if rows:
@@ -269,12 +273,12 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     """The row of the (column, value) pairs as {column: int}, scaled by the
-    lcm of its denominators.  Zero numerators are dropped: every key must be
-    able to lead, or a pivot of 0 would be kept."""
+    lcm of its denominators (ints pass as they are).  Zero numerators are
+    dropped: every key must be able to lead, or a pivot of 0 would be kept."""
     row: dict[int, int] = {}
     dens: dict[int, int] = {}
     for j, x in pairs:
-        num, den = x.as_integer_ratio()
+        num, den = (x, 1) if type(x) is int else x.as_integer_ratio()
         if num:
             row[j] = num
             if den != 1:
@@ -283,6 +287,11 @@ def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
         scale = lcm(*dens.values())
         row = {j: v * (scale // dens.get(j, 1)) for j, v in row.items()}
     return row
+
+
+def _integral(m: RatMatrix) -> RatMatrix:
+    """m with each row scaled to integers (`_integer_row`): the same row space."""
+    return RatMatrix(pairs=(_integer_row(r).items() for r in m.pairs), cols=m.cols)
 
 
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
@@ -326,7 +335,7 @@ class Subspace:
     caching and for byte-stable reports.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_support", "_index")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_support", "_ints", "_index")
 
     def __init__(
         self,
@@ -344,6 +353,7 @@ class Subspace:
         # over by the builder that made them or read the first time they are
         # needed; a cache, so no part of equality, hashing or repr
         object.__setattr__(self, "_support", list(support or [None] * len(basis)))
+        object.__setattr__(self, "_ints", [None] * len(basis))  # likewise, for `_int_row`
         object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
 
     def __setattr__(self, name, value):
@@ -414,17 +424,35 @@ class Subspace:
             pairs = self._support[j] = _nonzeros(self.basis[j])
         return pairs
 
+    def _int_row(self, j: int) -> tuple[tuple[int, int], ...]:
+        """d_j·b_j as (index, int) pairs led by (p_j, d_j), d_j the lcm of b_j's denominators."""
+        row = self._ints[j]
+        if row is None:
+            row = self._ints[j] = tuple(_integer_row(self._pairs(j)).items())
+        return row
+
     def _coords(self, pairs: Sequence[tuple[int, Fraction]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero
         (index, value) pairs, or None if it lies outside.  x_j is its entry at
         pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
-        every pivot, and only the touched coordinates off them are read."""
+        every pivot, and only the touched coordinates off them are read.
+        Integer pairs are tested in ints: D·v - sum x_j (D/d_j)·(d_j b_j)."""
         index = self._index
         coords = [(index[i], x) for i, x in pairs if i in index]
         rest = {i: x for i, x in pairs if i not in index}
-        for j, x in coords:
-            for i, b in islice(self._pairs(j), 1, None):
-                rest[i] = rest.get(i, _ZERO) - x * b
+        if coords and type(coords[0][1]) is int:
+            rows = [self._int_row(j) for j, _ in coords]
+            scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
+            if scale != 1:
+                rest = {i: scale * x for i, x in rest.items()}
+            for (_, x), row in zip(coords, rows):
+                k = x * (scale // row[0][1])
+                for i, b in islice(row, 1, None):
+                    rest[i] = rest.get(i, 0) - k * b
+        else:
+            for j, x in coords:
+                for i, b in islice(self._pairs(j), 1, None):
+                    rest[i] = rest.get(i, _ZERO) - x * b
         return None if any(rest.values()) else coords
 
     def contains_vector(self, vec: Sequence) -> bool:
@@ -496,12 +524,14 @@ def kernel(m: RatMatrix) -> Subspace:
     r, rev_pivots = rref(RatMatrix(pairs=reversed_rows, cols=cols))
     free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
     support = {f: [(f, _ONE)] for f in free}
+    negated: dict[int, Fraction] = {}  # by id: rref shares equal quotients, r keeps them
     # the nonzero rows lead r, and each row's tail past its pivot holds only
     # free columns
     for row in r.pairs[: len(rev_pivots)]:
         p = last - row[0][0]
         for j, x in row[1:]:
-            support[last - j].append((p, -x))
+            y = negated.get(id(x)) or negated.setdefault(id(x), -x)
+            support[last - j].append((p, y))
     basis = []
     for pairs in support.values():
         v = [_ZERO] * cols

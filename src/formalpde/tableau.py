@@ -22,22 +22,25 @@ It re-verifies, level by level, that each computed space really contracts
 into the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Each
-contraction is read off a basis vector's nonzero pairs and tested over
-them, and ∂ is emitted as pairs; no dense vector is built.  Level 0 is g
-with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
-∂ (generalized).  A vanished level makes all later ones zero by construction
-(monotone vanishing is structural, not re-derived).  `check_tower_budget`
-holds the tower's size budget, MAX_TOWER_WORK: `tower` refuses a tower past
-it, or deeper than its square root, before the first level is built.
+contraction is read off a basis vector's integer row and tested in ints, so
+∂'s entries are the only Fractions built; the prolongation raises the
+annihilator's rows scaled to integers, and no dense vector is built.  Level
+0 is g with ι into the full S^(d-1) ⊗ F (classical), or R^p with the
+tableau's own ∂ (generalized).  A vanished level makes all later ones zero
+by construction (monotone vanishing is structural, not re-derived).
+`check_tower_budget` holds the tower's size budget, MAX_TOWER_WORK: `tower`
+refuses a tower past it, or deeper than its square root, before the first
+level is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, kernel
+from .ratlin import RatMatrix, Subspace, _integral, kernel
 from .spencer import TableauChain
 from .tensorspace import binomial_past, raise_table, sym_dim
 
@@ -103,16 +106,16 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     target_dim = sym_dim(n, degree + 1) * f
     if target_dim == 0 or n == 0:
         return Subspace.zero(target_dim)
-    q = space.constraint_matrix()
+    q = _integral(space.constraint_matrix())
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
     # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
     # factor, is the column of Q iota_i at c raised by x_i, which keeps
-    # each row's column order
+    # each row's column order; Q's rows are scaled to integers once
     rows = []
     for entries in raise_table(n, degree, f):
         for row in q.pairs:
-            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
+            rows.append([(entries[c][0], x * entries[c][1].numerator) for c, x in row])
     return kernel(RatMatrix(pairs=rows, cols=target_dim))
 
 
@@ -148,25 +151,27 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
     """∂ on level: ι of every basis vector of level in prev's basis, rows b*n + i.
 
     Raises InvariantViolation when a contraction escapes prev.  ι_i v is read
-    off v's nonzero pairs and tested over them, and ∂ is emitted as pairs.
+    off v's integer row d·v (led by (p, d)) and tested in ints, so its
+    coordinates come out times d; ∂ is emitted as pairs of x/d.
     """
     rows = [[] for _ in range(n * prev.dim)]
+    made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct x/d
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
         # coordinate c of iota_i v is v at c raised by x_i, times the factor
-        down = {up: (c, k) for c, (up, k) in enumerate(entries)}
+        down = {up: (c, k.numerator) for c, (up, k) in enumerate(entries)}
         for col in range(level.dim):
-            img = []
-            for up, x in level._pairs(col):
-                if (hit := down.get(up)) is not None:
-                    img.append((hit[0], x * hit[1]))
+            vec = level._int_row(col)
+            img = [(hit[0], x * hit[1]) for up, x in vec if (hit := down.get(up)) is not None]
             coords = prev._coords(img)
             if coords is None:
                 raise InvariantViolation(
                     f"tower level of degree {degree} (dim {level.dim}) does not contract "
                     f"into its predecessor (dim {prev.dim}) along direction {i}"
                 )
+            d = vec[0][1]
             for b, x in coords:
-                rows[b * n + i].append((col, x))
+                y = made.get((x, d)) or made.setdefault((x, d), Fraction(x, d))
+                rows[b * n + i].append((col, y))
     return RatMatrix(pairs=rows, cols=level.dim)
 
 

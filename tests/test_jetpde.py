@@ -18,7 +18,8 @@ Plan:
     eliminations per analysis are pinned (symbols and e = 0 slices are read
     off the fibers, not eliminated again), and the tower, its cohomology and
     goldschmidt test membership over nonzero pairs, never by a dense
-    coset representative
+    coset representative; the symbol tower multiplies no Fractions (its
+    prolongation and contraction check run on integer rows)
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -448,6 +449,23 @@ def test_the_tower_and_cohomology_never_reduce_densely(count_calls):
         goldschmidt_check(s, 2)
     assert dense == []
     assert len(sparse) > 100
+
+
+def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
+    # the prolongation raises the annihilator's rows scaled to integers, and
+    # the contraction check reads each level vector's integer row and tests
+    # it in ints, so the tower builds Fractions only for its ∂ entries.  A
+    # return to Fraction products in either fails here
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda a, b, op=op: products.append(1) or op(a, b))
+    for s, depth in ((heat3(), 5), (wave4(), 4)):
+        solution_fiber.cache_clear()
+        symbol_tableau.cache_clear()
+        assert len(symbol_tower(s, depth).levels) == depth + 1
+    assert products == []
+    assert Fraction(2, 3) * 3 == 2 and products == [1]  # the counter counts
 
 
 # --------------------------- 8. goldschmidt ---------------------------

@@ -9,7 +9,11 @@ Plan:
     supports leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness); coordinates read over a vector's nonzeros agree with
-    reduce_mod, on spans and on kernels, and rebuild the vector;
+    reduce_mod, on spans and on kernels, and rebuild the vector; an
+    integer-scaled vector's coordinates, tested in ints, are the Fraction
+    coordinates times the scale, and one unit off the span is refused;
+    int pair values build the same matrix, hash, rref, rank and kernel as
+    Fractions, and floats and bools among them are refused;
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its annihilator is the row basis of
@@ -30,6 +34,7 @@ Plan:
 """
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +311,55 @@ def test_coordinates_agree_with_the_coset_representative(m, as_kernel, data):
             rebuilt = [sum((c * b[i] for c, b in zip(coords, u.basis)), F(0)) for i in range(d)]
             assert rebuilt == v
     assert coords_of(u, inside) == tuple(weights)
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices_with_empty_shapes(4, 6), st.booleans(), st.integers(1, 6), st.data())
+def test_integer_coordinates_are_the_fraction_coordinates_scaled(m, as_kernel, factor, data):
+    # integer pairs are tested in ints against the basis's integer rows; that
+    # path must refuse exactly what the Fraction path refuses, and otherwise
+    # read the same coordinates times the scale, as ints
+    u = kernel(m) if as_kernel else Subspace.from_spanning(m.cols, map(m.row, range(m.rows)))
+    d = u.ambient_dim
+    weights = data.draw(st.lists(sparse_entries, min_size=u.dim, max_size=u.dim))
+    inside = [sum((w * b[i] for w, b in zip(weights, u.basis)), F(0)) for i in range(d)]
+    noise = data.draw(st.lists(sparse_entries, min_size=d, max_size=d))
+    for v in (inside, [x + y for x, y in zip(inside, noise)]):
+        pairs = [(i, x) for i, x in enumerate(v) if x]
+        scale = factor * lcm(1, *(x.denominator for _, x in pairs))
+        ints = [(i, int(x * scale)) for i, x in pairs]
+        want, got = u._coords(pairs), u._coords(ints)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == [(j, x * scale) for j, x in want]
+            assert all(type(x) is int for _, x in got)
+            # one unit off the span, at a coordinate no basis vector leads
+            for i in sorted(set(range(d)).difference(u.pivots))[:2]:
+                moved = dict(ints)
+                moved[i] = moved.get(i, 0) + 1
+                assert u._coords([(j, x) for j, x in sorted(moved.items()) if x]) is None
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices_with_empty_shapes())
+def test_int_pair_rows_are_the_fraction_rows(m):
+    # a matrix of integral Fractions, rebuilt with int pair values: the same
+    # matrix and hash, and the same echelon form, rank and kernel
+    scaled = [[(j, x * lcm(1, *(y.denominator for _, y in row))) for j, x in row] for row in m.pairs]
+    frac = RatMatrix(pairs=scaled, cols=m.cols)
+    ints = RatMatrix(pairs=[[(j, int(x)) for j, x in row] for row in scaled], cols=m.cols)
+    assert ints == frac and hash(ints) == hash(frac)
+    assert rref(ints) == rref(frac)
+    assert rank(ints.pairs) == rank(frac.pairs) == rref_rank(m)
+    assert kernel(ints) == kernel(frac) == kernel(m)
+
+
+@pytest.mark.parametrize("x", [1.0, True, False])
+def test_pair_values_are_fractions_or_ints(x):
+    with pytest.raises(ValueError, match="pair values must be Fractions or ints"):
+        RatMatrix(pairs=[[(0, F(1)), (2, x)]], cols=3)
+    with pytest.raises(ValueError, match="pair values must be Fractions or ints"):
+        RatMatrix(pairs=[[(0, 1), (2, x)]], cols=3)
 
 
 def free_column_kernel(m: RatMatrix) -> Subspace:
