@@ -15,8 +15,8 @@ whose entries are all Fractions is kept as is, any other row is coerced
 entry by entry, and a float is refused either way; pair values must be
 Fractions or ints.  Zeros are skipped by structure, not by testing each entry:
 dense rows are read into pairs once, in `RatMatrix`, every stage reads and
-emits pairs from there, a subspace keeps each basis vector's nonzero pairs
-once they are known, and `apply` reads the vector's nonzeros once.
+emits pairs from there, a subspace is its basis vectors' nonzero pairs, and
+`apply` reads the vector's nonzeros once.
 Membership (`Subspace._coords`, behind every membership and coordinate
 query) reads only the coordinates touched by a vector and by the basis
 vectors its pivot entries select, and tests an integer vector in ints,
@@ -27,9 +27,9 @@ echelon form of a row space is unique, so echelon forms, kernel bases and
 canonical subspace bases depend on the spans alone, not on how `rref`
 eliminates, and are reproducible across runs and platforms.  `rref`
 eliminates over integer rows and emits Fractions only for its result.  A
-`Subspace` stores the canonical basis of its span as a tuple of dense
-vectors, the nonzero rows of the reduced row echelon form of any spanning
-set, hence two equal subspaces compare equal as plain data.
+`Subspace` stores the canonical basis of its span as pairs, the nonzero rows
+of the reduced row echelon form of any spanning set, hence two equal
+subspaces compare equal as plain data; dense vectors are rendered on demand.
 
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
@@ -328,32 +328,27 @@ def _divided(row: dict[int, int], g: int) -> dict[int, int]:
 class Subspace:
     """A linear subspace of Q^ambient_dim with a canonical basis.
 
-    ``basis`` is a tuple of vectors (tuples of Fraction) in reduced echelon
-    form: vector j has entry 1 at its pivot p_j, pivots strictly increase,
-    and every other basis vector vanishes at p_j.  Canonicality means equal
+    ``rows[j]`` is basis vector j's nonzero (index, value) pairs in ascending
+    index order, and the rows are the only storage.  The basis is in reduced
+    echelon form: row j is led by its pivot's (p_j, 1), pivots strictly
+    increase, and every other row is absent at p_j.  Canonicality means equal
     subspaces are equal as data, which the rest of the package leans on for
-    caching and for byte-stable reports.
+    caching and for byte-stable reports.  ``basis`` renders the vectors
+    dense on demand.
     """
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_support", "_ints", "_index")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_ints", "_index")
 
-    def __init__(
-        self,
-        ambient_dim: int,
-        basis: tuple[tuple[Fraction, ...], ...],
-        pivots: tuple[int, ...],
-        support: Sequence | None = None,
-    ):
+    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[tuple[int, Fraction]]]):
         # Not for direct use -- go through from_spanning/zero/full, or
-        # kernel, whose basis is canonical as built.
+        # kernel, whose rows are canonical as built.
+        rows = tuple(map(tuple, rows))
+        pivots = tuple(row[0][0] for row in rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        # each basis vector's nonzero pairs, led by its pivot's (p, 1), handed
-        # over by the builder that made them or read the first time they are
-        # needed; a cache, so no part of equality, hashing or repr
-        object.__setattr__(self, "_support", list(support or [None] * len(basis)))
-        object.__setattr__(self, "_ints", [None] * len(basis))  # likewise, for `_int_row`
+        # `_int_row`'s cache, so no part of equality, hashing or repr
+        object.__setattr__(self, "_ints", [None] * len(rows))
         object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
 
     def __setattr__(self, name, value):
@@ -363,32 +358,34 @@ class Subspace:
     def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         """Span of the given vectors: the nonzero rows of their rref."""
         r, pivots = rref(RatMatrix(list(vectors), cols=ambient_dim))
-        rank = len(pivots)
-        return Subspace(ambient_dim, tuple(map(r.row, range(rank))), pivots, r.pairs[:rank])
+        return Subspace(ambient_dim, r.pairs[: len(pivots)])
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (), ())
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        e = RatMatrix.identity(ambient_dim)
-        basis = tuple(map(e.row, range(ambient_dim)))
-        return Subspace(ambient_dim, basis, tuple(range(ambient_dim)), e.pairs)
+        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim).pairs)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The basis vectors as dense tuples of Fractions."""
+        return tuple(map(RatMatrix(pairs=self.rows, cols=self.ambient_dim).row, range(self.dim)))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -403,10 +400,10 @@ class Subspace:
         v lies in the subspace.
         """
         v = list(self._checked(vec))
-        for j, p in enumerate(self.pivots):
+        for p, row in zip(self.pivots, self.rows):
             c = v[p]
             if c:
-                for i, x in self._pairs(j):
+                for i, x in row:
                     v[i] -= c * x
         return tuple(v)
 
@@ -416,19 +413,11 @@ class Subspace:
             raise ValueError("vector has wrong ambient dimension")
         return v
 
-    def _pairs(self, j: int) -> Sequence[tuple[int, Fraction]]:
-        """Basis vector j's nonzero (index, value) pairs, cached; the first is
-        (p_j, 1), as the vector vanishes before its pivot."""
-        pairs = self._support[j]
-        if pairs is None:
-            pairs = self._support[j] = _nonzeros(self.basis[j])
-        return pairs
-
     def _int_row(self, j: int) -> tuple[tuple[int, int], ...]:
         """d_j·b_j as (index, int) pairs led by (p_j, d_j), d_j the lcm of b_j's denominators."""
         row = self._ints[j]
         if row is None:
-            row = self._ints[j] = tuple(_integer_row(self._pairs(j)).items())
+            row = self._ints[j] = tuple(_integer_row(self.rows[j]).items())
         return row
 
     def _coords(self, pairs: Sequence[tuple[int, Fraction]]) -> list | None:
@@ -451,7 +440,7 @@ class Subspace:
                     rest[i] = rest.get(i, 0) - k * b
         else:
             for j, x in coords:
-                for i, b in islice(self._pairs(j), 1, None):
+                for i, b in islice(self.rows[j], 1, None):
                     rest[i] = rest.get(i, _ZERO) - x * b
         return None if any(rest.values()) else coords
 
@@ -463,7 +452,7 @@ class Subspace:
             raise ValueError("ambient dimensions differ")
         # canonical bases: one at least as large is contained only if equal
         if other.dim >= self.dim:
-            return other.basis == self.basis
+            return other.rows == self.rows
         return all(self.contains_vector(v) for v in other.basis)
 
     def head(self, stop: int) -> "Subspace":
@@ -471,16 +460,15 @@ class Subspace:
         with pivot < stop, cut there, already are its canonical basis, and
         every other basis vector projects to zero."""
         j = bisect_left(self.pivots, stop)
-        return Subspace(stop, tuple(v[:stop] for v in self.basis[:j]), self.pivots[:j])
+        cut = (row[: bisect_left(row, stop, key=itemgetter(0))] for row in self.rows[:j])
+        return Subspace(stop, cut)
 
     def tail(self, start: int) -> "Subspace":
         """The vectors vanishing before start, cut at start: the basis vectors
-        with pivot >= start, cut there (their pairs too), already are its canonical basis."""
+        with pivot >= start, shifted there, already are its canonical basis."""
         j = bisect_left(self.pivots, start)
-        basis = tuple(v[start:] for v in self.basis[j:])
-        pivots = tuple(p - start for p in self.pivots[j:])
-        pairs = [[(i - start, x) for i, x in self._pairs(k)] for k in range(j, self.dim)]
-        return Subspace(self.ambient_dim - start, basis, pivots, pairs)
+        shifted = ([(i - start, x) for i, x in row] for row in self.rows[j:])
+        return Subspace(self.ambient_dim - start, shifted)
 
     def constraint_matrix(self) -> RatMatrix:
         """A matrix with kernel exactly this subspace, read off the basis: row
@@ -488,8 +476,8 @@ class Subspace:
         basis vectors' own nonzero pairs; for a kernel, its echelon rows."""
         d = self.ambient_dim
         rows = {j: [] for j in sorted(set(range(d)).difference(self.pivots))}
-        for k, p in enumerate(self.pivots):  # ascending p keeps each row's order
-            for j, x in self._pairs(k):
+        for p, pairs in zip(self.pivots, self.rows):  # ascending p keeps each row's order
+            for j, x in pairs:
                 if j in rows:  # an entry at a pivot has no row
                     rows[j].append((p, x))
         # v_p vanishes before its pivot p, so every p in row j is below j
@@ -525,20 +513,14 @@ def kernel(m: RatMatrix) -> Subspace:
     free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
     support = {f: [(f, _ONE)] for f in free}
     negated: dict[int, Fraction] = {}  # by id: rref shares equal quotients, r keeps them
-    # the nonzero rows lead r, and each row's tail past its pivot holds only
-    # free columns
-    for row in r.pairs[: len(rev_pivots)]:
+    # the nonzero rows lead r in descending p, each row's tail past its pivot
+    # holds only free columns, and ascending p keeps each vector's pairs in order
+    for row in reversed(r.pairs[: len(rev_pivots)]):
         p = last - row[0][0]
         for j, x in row[1:]:
             y = negated.get(id(x)) or negated.setdefault(id(x), -x)
             support[last - j].append((p, y))
-    basis = []
-    for pairs in support.values():
-        v = [_ZERO] * cols
-        for j, x in pairs:
-            v[j] = x
-        basis.append(tuple(v))
-    return Subspace(cols, tuple(basis), tuple(free), support.values())
+    return Subspace(cols, support.values())
 
 
 def image(m: RatMatrix) -> Subspace:

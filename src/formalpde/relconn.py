@@ -71,8 +71,8 @@ class RelConn:
         readers = (sigma_rows, *direction_rows)
         mats = [[[] for _ in rows] for rows in readers]
         at = [dict(zip(rows, out)) for rows, out in zip(readers, mats)]
-        for j in range(fiber.dim):  # ascending j keeps each row's columns in order
-            for i, x in fiber._pairs(j):
+        for j, row in enumerate(fiber.rows):  # ascending j keeps each row's columns in order
+            for i, x in row:
                 y = -x
                 for s, line in enumerate(rows.get(i) for rows in at):
                     if line is not None:
@@ -92,7 +92,7 @@ def symbol_map(conn: RelConn) -> Tableau:
     if conn._symbol_map is None:
         g = conn.symbol
         # row b*n + i holds A_i's row b times each basis vector, read by coordinate
-        at = RatMatrix(pairs=map(g._pairs, range(g.dim)), cols=g.ambient_dim).transpose().pairs
+        at = RatMatrix(pairs=g.rows, cols=g.ambient_dim).transpose().pairs
         rows = []
         for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
             out: dict[int, Fraction] = {}
@@ -169,9 +169,9 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D): a
     # vector's psi_i block with symbol coordinates x_c gives entries c*n + i
     g, etas = conn.symbol, []
-    for k in range(ker_part.dim):
+    for row in ker_part.rows:
         blocks = [[] for _ in range(n)]
-        for c, x in ker_part._pairs(k):
+        for c, x in row:
             blocks[c // sd].append((c % sd, x))
         coords = [g._coords(block) for block in blocks]
         if None in coords:

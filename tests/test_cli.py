@@ -727,7 +727,7 @@ def move_the_cut(monkeypatch):
 
     def moved(self, stop):
         image = read_off(self, stop)
-        return Subspace(stop, image.basis[:-1], image.pivots[:-1])
+        return Subspace(stop, image.rows[:-1])
 
     monkeypatch.setattr(Subspace, "head", moved)
 

@@ -5,8 +5,8 @@ Plan:
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
-    floats are refused, also among Fractions and among pairs, and reduce_mod's cached
-    supports leave equality and hashing alone;
+    floats are refused, also among Fractions and among pairs, and the cached
+    integer rows leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness); coordinates read over a vector's nonzeros agree with
     reduce_mod, on spans and on kernels, and rebuild the vector; an
@@ -21,7 +21,9 @@ Plan:
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
-    kernel of its constraint matrix;
+    kernel of its constraint matrix; every builder (kernel, from_spanning,
+    full, zero, head, tail) emits the canonical pair rows, each ascending and
+    led by its pivot's (p, 1), rendering the reference's dense rref rows;
  6) the integer row insertion of rref equals a Fraction Gauss–Jordan
     reference (`rref_reference.py`), matrix and pivots, on wide
     denominators, dense and sparse rows, and duplicated, scaled and combined
@@ -195,11 +197,12 @@ def test_floats_are_refused(x):
     assert RatMatrix([[1, "-2/3", False, F(1, 2), True]]) == RatMatrix(
         [[F(1), F(-2, 3), F(0), F(1, 2), F(1)]]
     )
-    # the support read by reduce_mod is a cache, invisible to the value
+    # the integer rows read by membership are a cache, invisible to the value
     assert u.contains_vector(exact) and not u.contains_vector([0, 1, 0])
+    assert u._coords([(0, 3), (1, -2)]) == [(0, 3)]
     fresh = Subspace.from_spanning(3, [[0, 0, 1], exact])
     assert u == fresh and hash(u) == hash(fresh) and repr(u) == repr(fresh)
-    for name in ("basis", "_support"):
+    for name in ("basis", "rows"):
         with pytest.raises(AttributeError):
             setattr(u, name, None)
 
@@ -436,6 +439,52 @@ def test_every_subspace_is_the_kernel_of_its_constraints(m):
     assert q.shape == (m.cols - u.dim, m.cols)
     k = kernel(q)
     assert k == u and k.pivots == u.pivots
+
+
+def reference_span(vectors, width: int) -> tuple:
+    """The nonzero rows of the Fraction reference's rref of the vectors."""
+    r, pivots = reference_rref(RatMatrix(list(vectors), cols=width))
+    return tuple(r.row(i) for i in range(len(pivots)))
+
+
+def assert_pair_form(u: Subspace, want: tuple):
+    # rows are the only storage: each ascends, leads with its pivot's
+    # (p, Fraction(1)) and holds nonzero Fractions; pivots increase, every
+    # other row is absent at a pivot, and the dense rendering is the reference
+    assert list(u.pivots) == sorted(set(u.pivots))
+    for j, (p, row) in enumerate(zip(u.pivots, u.rows)):
+        assert row[0] == (p, 1) and type(row[0][1]) is F
+        assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), row
+        assert all(type(x) is F and x for _, x in row)
+        assert all(p not in dict(other) for l, other in enumerate(u.rows) if l != j)
+    assert u.basis == want
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices_with_empty_shapes(4, 6))
+def test_every_builder_emits_the_canonical_pair_form(m):
+    d = m.cols
+    vectors = [m.row(i) for i in range(m.rows)]
+    r, pivots = reference_rref(m)
+    free = []  # the reference kernel: 1 at each free column f, -r[i, f] at pivot i
+    for f in (f for f in range(d) if f not in pivots):
+        v = [F(f == c) for c in range(d)]
+        for i, p in enumerate(pivots):
+            v[p] = -r[i, f]
+        free.append(v)
+    built = [
+        (kernel(m), reference_span(free, d)),
+        (Subspace.from_spanning(d, vectors), reference_span(vectors, d)),
+    ]
+    for u, want in list(built):
+        for c in range(d + 1):
+            built.append((u.head(c), reference_span((v[:c] for v in want), c)))
+            tail = (v[c:] for v in want if not any(v[:c]))
+            built.append((u.tail(c), reference_span(tail, d - c)))
+    identity = [[F(i == j) for j in range(d)] for i in range(d)]
+    built += [(Subspace.full(d), reference_span(identity, d)), (Subspace.zero(d), ())]
+    for u, want in built:
+        assert_pair_form(u, want)
 
 
 def test_single_elimination_kernel_on_empty_shapes():
