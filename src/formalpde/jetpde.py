@@ -142,15 +142,15 @@ class PdeSystem:
 
     @staticmethod
     def from_terms(n: int, m: int, k: int, eqs: Sequence[Sequence[tuple]]) -> "PdeSystem":
-        """Rows from (coeff, component, alpha) term triples (components 0-based)."""
-        width = jet_fiber_dim(n, m, k)
+        """Pair rows summed from (coeff, component, alpha) triples (components 0-based)."""
         rows = []
         for eq in eqs:
-            row = [_ZERO] * width
+            row: dict[int, Fraction] = {}
             for coeff, a, alpha in eq:
-                row[jet_index(n, m, k, a, tuple(alpha))] += rat(coeff)
-            rows.append(row)
-        return PdeSystem(n=n, m=m, k=k, equations=RatMatrix(rows, cols=width))
+                j = jet_index(n, m, k, a, tuple(alpha))
+                row[j] = row.get(j, _ZERO) + rat(coeff)
+            rows.append([(j, x) for j, x in sorted(row.items()) if x])
+        return PdeSystem(n, m, k, RatMatrix(pairs=rows, cols=jet_fiber_dim(n, m, k)))
 
     @property
     def fiber_dim(self) -> int:
@@ -236,9 +236,6 @@ class IntegrabilityReport:
     (finite-type route).
     """
 
-    n: int
-    m: int
-    k: int
     base_fiber_dim: int
     levels: tuple[LevelRecord, ...]
     verdict: str
@@ -293,9 +290,8 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
             projection_surjective=surjective, torsion_vanishes=surjective, witness=witness,
         ))
     report = IntegrabilityReport(
-        n=system.n, m=system.m, k=system.k, base_fiber_dim=base_fiber.dim,
-        levels=tuple(records), verdict="integrable-up-to", verdict_level=len(records),
-        certification_basis="exhausted-bound",
+        base_fiber_dim=base_fiber.dim, levels=tuple(records), verdict="integrable-up-to",
+        verdict_level=len(records), certification_basis="exhausted-bound",
     )
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     if failed is None:
@@ -422,19 +418,22 @@ def jet_to_prolongation_point(
     the direction-i shift of u, also expressed there.  Raises ValueError when
     u does not define such a point (it must solve the prolonged system).
     """
-    return _prolongation_point(system, solution_fiber(system), u)
+    u = _frozen_row(u)
+    if len(u) != jet_fiber_dim(system.n, system.m, system.k + 1):
+        raise ValueError("expected a jet of order k + 1")
+    return tuple(map(Fraction, _prolongation_point(system, solution_fiber(system), _nonzeros(u))))
 
 
 def _prolongation_point(
-    system: PdeSystem, fiber: Subspace, u: Sequence
-) -> tuple[Fraction, ...]:
+    system: PdeSystem, fiber: Subspace, pairs: Sequence[tuple[int, Fraction | int]]
+) -> tuple[Fraction | int, ...]:
+    """The (e, psi) coordinates over fiber of the (k+1)-jet with these nonzero
+    (index, value) pairs, exact values as the pairs give them: an integer jet
+    maps to an integer point."""
     n, m, k = system.n, system.m, system.k
-    u = _frozen_row(u)
-    if len(u) != jet_fiber_dim(n, m, k + 1):
-        raise ValueError("expected a jet of order k + 1")
-    # the truncation's pairs and each shift's, read off u's nonzeros once
+    # the truncation's pairs and each shift's, read off the jet's pairs once
     blocks, reads, dim = [[] for _ in range(1 + n)], _jet_reads(n, m, k), fiber.dim
-    for t, x in _nonzeros(u):
+    for t, x in pairs:
         for b, c in reads[t]:
             blocks[b].append((c, x))
     pieces = [_ZERO] * ((1 + n) * dim)
@@ -492,8 +491,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     steps = _walk(system, solution_fiber(system), ranks)
     for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
-        try:
-            pts = [_prolongation_point(lower, lower_fiber, v) for v in fib.basis]
+        try:  # each basis vector b_j read as its integer row d_j·b_j, the same span
+            pts = [_prolongation_point(lower, lower_fiber, fib._int_row(j)) for j in range(fib.dim)]
         except ValueError as err:  # the walk's own fiber: no input is at fault
             raise InvariantViolation(f"jet fiber does not map at level {level}: {err}") from err
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)

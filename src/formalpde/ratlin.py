@@ -1,8 +1,8 @@
 """Exact rational linear algebra.
 
 Every decision this package makes reduces to ranks, kernels, images and affine
-solvability over Q, so arithmetic is exact: entries are `fractions.Fraction`,
-or exact ints where a row is integral, and floating point never enters.
+solvability over Q, so arithmetic is exact: entries are Fractions or ints,
+the one set of exact values, and floating point never enters.
 Matrices are immutable and sparse: a `RatMatrix` stores each row as its
 nonzero (column, value) pairs in ascending column order, because
 prolongation moves each coefficient to one new column and every matrix the
@@ -11,16 +11,16 @@ package builds is sparse by construction.
 A matrix is built from dense rows, validated and converted once, or from rows
 already in pair form.  Entries are validated by type at every boundary
 (`RatMatrix`, `apply`, the vectors a `Subspace` is asked about): a dense row
-whose entries are all Fractions is kept as is, any other row is coerced
-entry by entry, and a float is refused either way; pair values must be
-Fractions or ints.  Zeros are skipped by structure, not by testing each entry:
-dense rows are read into pairs once, in `RatMatrix`, every stage reads and
-emits pairs from there, a subspace is its basis vectors' nonzero pairs, and
-`apply` reads the vector's nonzeros once.
+whose entries are all Fractions or ints is kept as is, any other row is
+coerced entry by entry, and a float is refused either way; pair values must
+be Fractions or ints.  Zeros are skipped by structure, not by testing each
+entry: dense rows are read into pairs once, in `RatMatrix`, every stage reads
+and emits pairs from there, a subspace is its basis vectors' nonzero pairs,
+and `apply` reads the vector's nonzeros once.
 Membership (`Subspace._coords`, behind every membership and coordinate
-query) reads only the coordinates touched by a vector and by the basis
-vectors its pivot entries select, and tests an integer vector in ints,
-against each basis vector's cached integer row; `reduce_mod` stays dense.
+query) is one formula over the basis vectors' cached integer rows, reading
+only the coordinates touched by a vector and the basis vectors its pivot
+entries select; every command hands it integer rows.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
@@ -72,20 +72,19 @@ def rat(x) -> Fraction:
     raise ValueError(f"not an exact rational: {x!r}")
 
 
-_EXACT = {Fraction}
-_RATIONAL = {Fraction, int}  # the exact pair values
+_RATIONAL = {Fraction, int}  # the exact values
 
 
-def _frozen_row(row: Iterable) -> tuple[Fraction, ...]:
-    """The row as a tuple of Fractions: kept as is when every entry already
-    is one (a type check run in C), otherwise coerced entry by entry."""
+def _frozen_row(row: Iterable) -> tuple[Fraction | int, ...]:
+    """The row as a tuple of exact values: kept as is when every entry is a
+    Fraction or an int (a type check run in C), else coerced to Fractions."""
     row = tuple(row)
-    if _EXACT.issuperset(map(type, row)):
+    if _RATIONAL.issuperset(map(type, row)):
         return row
     return tuple(rat(x) for x in row)
 
 
-def _nonzeros(row: Sequence[Fraction]) -> tuple[tuple[int, Fraction], ...]:
+def _nonzeros(row: Sequence[Fraction | int]) -> tuple[tuple[int, Fraction | int], ...]:
     # zeros are mostly one shared object, so an identity test run in C skips
     # them, and only the other entries are tested
     zero = next(filterfalse(None, row), None)
@@ -101,12 +100,12 @@ class RatMatrix:
     ``pairs[i]`` is row i's nonzero (column, value) pairs in ascending
     column order; it is the only storage, so equal matrices are equal as
     data.  ``RatMatrix(data)`` takes dense rows, validates them and reads
-    their nonzeros (Fractions): the one place dense rows become pairs.
-    ``RatMatrix(pairs=rows, cols=w)`` takes rows already in that form and
-    checks only that every value is a Fraction or an int, so 1 and
-    Fraction(1) build equal matrices; each producer keeps its columns
-    ascending and its values nonzero by construction.  ``row``, ``col`` and
-    indexing render dense on demand.
+    their nonzeros, Fractions and ints kept as given: the one place dense
+    rows become pairs.  ``RatMatrix(pairs=rows, cols=w)`` takes rows already
+    in that form and checks only that every value is a Fraction or an int.
+    Either way 1 and Fraction(1) build equal matrices; each producer keeps
+    its columns ascending and its values nonzero by construction.  ``row``,
+    ``col`` and indexing render dense on demand.
 
     Zero-row and zero-column shapes are first-class: pass ``cols=`` when the
     row list is empty so the shape survives.
@@ -392,7 +391,7 @@ class Subspace:
 
     # -- membership and coordinates --
 
-    def reduce_mod(self, vec: Sequence) -> tuple[Fraction, ...]:
+    def reduce_mod(self, vec: Sequence) -> tuple[Fraction | int, ...]:
         """Canonical coset representative of vec modulo this subspace.
 
         Subtracts the unique combination of basis vectors matching vec on the
@@ -407,7 +406,7 @@ class Subspace:
                     v[i] -= c * x
         return tuple(v)
 
-    def _checked(self, vec: Sequence) -> tuple[Fraction, ...]:
+    def _checked(self, vec: Sequence) -> tuple[Fraction | int, ...]:
         v = _frozen_row(vec)
         if len(v) != self.ambient_dim:
             raise ValueError("vector has wrong ambient dimension")
@@ -420,32 +419,27 @@ class Subspace:
             row = self._ints[j] = tuple(_integer_row(self.rows[j]).items())
         return row
 
-    def _coords(self, pairs: Sequence[tuple[int, Fraction]]) -> list | None:
+    def _coords(self, pairs: Sequence[tuple[int, Fraction | int]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero
         (index, value) pairs, or None if it lies outside.  x_j is its entry at
         pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
-        every pivot, and only the touched coordinates off them are read.
-        Integer pairs are tested in ints: D·v - sum x_j (D/d_j)·(d_j b_j)."""
+        every pivot, and only the touched coordinates off them are read, as
+        D·v - sum x_j (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int v."""
         index = self._index
         coords = [(index[i], x) for i, x in pairs if i in index]
         rest = {i: x for i, x in pairs if i not in index}
-        if coords and type(coords[0][1]) is int:
-            rows = [self._int_row(j) for j, _ in coords]
-            scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
-            if scale != 1:
-                rest = {i: scale * x for i, x in rest.items()}
-            for (_, x), row in zip(coords, rows):
-                k = x * (scale // row[0][1])
-                for i, b in islice(row, 1, None):
-                    rest[i] = rest.get(i, 0) - k * b
-        else:
-            for j, x in coords:
-                for i, b in islice(self.rows[j], 1, None):
-                    rest[i] = rest.get(i, _ZERO) - x * b
+        rows = [self._int_row(j) for j, _ in coords]
+        scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
+        if scale != 1:
+            rest = {i: scale * x for i, x in rest.items()}
+        for (_, x), row in zip(coords, rows):
+            k = x * (scale // row[0][1])
+            for i, b in islice(row, 1, None):
+                rest[i] = rest.get(i, 0) - k * b
         return None if any(rest.values()) else coords
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return self._coords(_nonzeros(self._checked(vec))) is not None
+        return self._coords(_integer_row(_nonzeros(self._checked(vec))).items()) is not None
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

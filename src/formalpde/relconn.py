@@ -166,12 +166,12 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     ker_part = fiber.tail(sd)
     if fiber.dim != ker_part.dim + proj.dim:
         raise InvariantViolation("prolongation fiber fails exactness bookkeeping")
-    # the e = 0 slice, rewritten over the symbol basis, is g^(1)(∂_D): a
-    # vector's psi_i block with symbol coordinates x_c gives entries c*n + i
+    # the e = 0 slice over the symbol basis is g^(1)(∂_D): a basis vector's integer
+    # row, whose psi_i block has symbol coordinates x_c, gives entries c*n + i
     g, etas = conn.symbol, []
-    for row in ker_part.rows:
+    for j in range(ker_part.dim):
         blocks = [[] for _ in range(n)]
-        for c, x in row:
+        for c, x in ker_part._int_row(j):
             blocks[c // sd].append((c % sd, x))
         coords = [g._coords(block) for block in blocks]
         if None in coords:

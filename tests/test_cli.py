@@ -54,6 +54,7 @@ from formalpde.jetpde import (
     crosscheck_routes,
     finite_type_integrability,
     goldschmidt_check,
+    jet_fiber_dim,
     jet_index,
     pde_to_relconn,
     prolongation_tower,
@@ -776,11 +777,14 @@ def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
     tmp_path, capsys, monkeypatch
 ):
     # the walk's fibers solve the prolonged system, so a jet the connection
-    # route cannot read is the program's failure (exit 2), not the input's
+    # route cannot read is the program's failure (exit 2), not the input's;
+    # the fault adds 1 at the jet's last coordinate, given as pairs
     to_point = jetpde._prolongation_point
 
-    def perturbed(system, fiber, u):
-        return to_point(system, fiber, [*u[:-1], u[-1] + 1])
+    def perturbed(system, fiber, pairs):
+        moved, last = dict(pairs), jet_fiber_dim(system.n, system.m, system.k + 1) - 1
+        moved[last] = moved.get(last, 0) + 1
+        return to_point(system, fiber, [(t, x) for t, x in sorted(moved.items()) if x])
 
     monkeypatch.setattr(jetpde, "_prolongation_point", perturbed)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
@@ -796,8 +800,8 @@ def test_a_swapped_jet_mapping_fails_the_crosschecks_fiber_comparison(
     # the dimensions agree, but the mapped fiber is not the connection's
     to_point = jetpde._prolongation_point
 
-    def swapped(system, fiber, u):
-        point = to_point(system, fiber, u)
+    def swapped(system, fiber, pairs):
+        point = to_point(system, fiber, pairs)
         return (point[-1], *point[1:-1], point[0])
 
     monkeypatch.setattr(jetpde, "_prolongation_point", swapped)

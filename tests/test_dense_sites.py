@@ -24,7 +24,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "formalpde"
 
 BASIS_READS = {
     "jetpde._tower_report": "the witness is a LevelRecord field, reported as a dense jet",
-    "jetpde.crosscheck_routes": "the jet points are mapped from whole jets of the fiber",
     "tableau.tower": "the ∂-symmetry check applies the equations to whole vectors",
     "ratlin.solve_affine": "the Fredholm witness is returned as a dense vector",
     "ratlin.Subspace.contains": "a smaller subspace's vectors are tested by contains_vector",
@@ -33,7 +32,6 @@ BASIS_READS = {
 ZERO_FILLS = {
     "ratlin.RatMatrix.row": "the one renderer of a pair row; Subspace.basis goes through it",
     "ratlin.solve": "a solution vector written from the rref's last column",
-    "jetpde.PdeSystem.from_terms": "an equation row summed from its term triples",
     "jetpde._prolongation_point": "a point's coordinates written from membership coordinates",
     "relconn.curvature_of_lift": "the e = 0 half of the point (0, psi)",
 }

@@ -31,9 +31,7 @@ SITES = {
         "untested: the fiber comparison just above runs first, and equal fibers have "
         "equal projection images (ROADMAP 8)",
     "ratlin.solve_affine: infeasible system without a Fredholm witness":
-        "untested: by the Fredholm alternative an infeasible system always has a "
-        "witness in ker Aᵀ, and only relconn.torsion_at, which no analysis calls, "
-        "solves affine systems (ROADMAP 8)",
+        "test_ratlin.py::test_an_infeasible_system_without_a_witness_is_an_internal_failure",
     "relconn.classical_prolongation_fiber: prolongation fiber fails exactness bookkeeping":
         "test_cli.py::test_a_moved_cut_in_the_connection_route_fails_its_exactness",
     "relconn.classical_prolongation_fiber: kernel part leaves the symbol of dim":
@@ -41,10 +39,11 @@ SITES = {
     "relconn.classical_prolongation_fiber: kernel part (dim":
         "test_cli.py::test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check",
     "relconn.torsion_at: torsion class vanished although no symmetric lift exists":
-        "untested: torsion_at has no caller in src/ (ROADMAP 8)",
+        "test_relconn.py::test_a_vanished_torsion_class_without_a_symmetric_lift_is_an_internal_failure",
     "spencer.TableauChain.vanishing_level: a vanished tableau level was followed by a nonzero one":
         "untested: tableau.tower builds every level after a zero one as Subspace.zero "
-        "without prolonging, so no fault in a prolongation reaches it",
+        "without prolonging, so no fault in a prolongation reaches it, and a faulty "
+        "Subspace.zero stops in TableauChain's shape check first",
     "spencer.cohomology: image is not contained in the kernel at slot (":
         "test_spencer.py::test_noncommuting_partials_are_refused",
     "tableau._verify_contracts_into: tower level of degree":

@@ -2,7 +2,9 @@
 
 Plan:
  1. jet coordinate layout: order, index round-trip, truncation-as-prefix
- 2. from_terms accumulation and input validation (float coefficients refused)
+ 2. from_terms accumulation (repeated and cancelling terms give the pair
+    rows of the dense-built matrix) and input validation (float coefficients
+    refused)
  3. Cauchy-Riemann tower: frozen dimensions, all projections onto
  4. Laplace and wave towers: frozen dimensions
  5. gradient system: certified by both routes; minimal one-variable and
@@ -18,8 +20,9 @@ Plan:
     eliminations per analysis are pinned (symbols and e = 0 slices are read
     off the fibers, not eliminated again), and the tower, its cohomology and
     goldschmidt test membership over nonzero pairs, never by a dense
-    coset representative; the symbol tower multiplies no Fractions (its
-    prolongation and contraction check run on integer rows)
+    coset representative; every membership test of the six commands on the
+    corpus gets only int values; the symbol tower multiplies no Fractions
+    (its prolongation and contraction check run on integer rows)
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -29,13 +32,16 @@ Plan:
     associated relative connection (exact subspace equality)
 12. jet_to_prolongation_point rejects non-solutions; on the corpus walks,
     the connection route's sigma, A_i, ∂_D and jet points, read off pairs,
-    equal what dense basis rows give, and it builds no matrix from dense rows
+    equal what dense basis rows give (a fiber vector's integer row maps to
+    its scale times the dense point), and it builds no matrix from dense rows
 13. tower depth validation; the held symbol tower serves exact prefixes,
     only to its own system, and only after every depth and budget check;
     finite-type bound capping
 """
 
+import contextlib
 import importlib
+import io
 import json
 import pkgutil
 import random
@@ -47,7 +53,7 @@ from importlib import resources
 import pytest
 
 import formalpde
-from formalpde.cli import load_system
+from formalpde.cli import load_system, main
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     PdeSystem,
@@ -185,6 +191,20 @@ def test_from_terms_accumulates():
     s = PdeSystem.from_terms(2, 1, 1, [[(1, 0, (1, 0)), (2, 0, (1, 0))]])
     row = s.equations.row(0)
     assert row[jet_index(2, 1, 1, 0, (1, 0))] == 3
+    # repeated terms sum, cancelling ones vanish (an equation may cancel
+    # entirely), and the pair rows equal the matrix built from dense rows
+    eqs = [
+        [(2, 0, (0, 1)), ("1/2", 1, (0, 0)), (-2, 0, (0, 1)), (1, 0, (1, 0)), ("1/2", 1, (0, 0))],
+        [(3, 1, (1, 0)), (-3, 1, (1, 0))],
+        [(-1, 1, (0, 1)), (1, 0, (0, 0)), (-1, 1, (0, 1))],
+    ]
+    dense = [[Fraction(0)] * jet_fiber_dim(2, 2, 1) for _ in eqs]
+    for row, eq in zip(dense, eqs):
+        for coeff, a, alpha in eq:
+            row[jet_index(2, 2, 1, a, alpha)] += Fraction(coeff)
+    s = PdeSystem.from_terms(2, 2, 1, eqs)
+    assert s.equations == RatMatrix(dense) and hash(s.equations) == hash(RatMatrix(dense))
+    assert s.equations.pairs[1] == () and all(x for row in s.equations.pairs for _, x in row)
 
 
 def test_from_terms_refuses_float_coefficients():
@@ -451,6 +471,28 @@ def test_the_tower_and_cohomology_never_reduce_densely(count_calls):
     assert len(sparse) > 100
 
 
+def test_every_membership_of_the_six_commands_runs_in_ints(monkeypatch):
+    # the walk's witness search, the tower's contraction check and both
+    # routes of the crosscheck hand `Subspace._coords` integer rows, so no
+    # membership on a command path is tested in Fraction arithmetic
+    seen = []
+    coords = Subspace._coords
+
+    def recording(self, pairs):
+        pairs = list(pairs)
+        seen.extend(type(x) for _, x in pairs)
+        return coords(self, pairs)
+
+    monkeypatch.setattr(Subspace, "_coords", recording)
+    solution_fiber.cache_clear()
+    symbol_tableau.cache_clear()
+    for command in ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"):
+        for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, str(path)]) == 0
+    assert len(seen) > 500 and set(seen) == {int}
+
+
 def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
     # the prolongation raises the annihilator's rows scaled to integers, and
     # the contraction check reads each level vector's integer row and tests
@@ -656,9 +698,11 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
             )
             assert [conn.sigma, *conn.mats] == want, (path.name, level)
             assert symbol_map(conn).partial_map.pairs == dense_partial_map(conn).pairs
-            for v in fiber.basis:
-                assert _prolongation_point(lower, lower_fiber, v) == dense_point(
-                    lower, lower_fiber, v
+            for j, v in enumerate(fiber.basis):
+                # the integer row d_j·b_j maps to d_j times the dense point of b_j
+                ints = fiber._int_row(j)
+                assert _prolongation_point(lower, lower_fiber, ints) == tuple(
+                    ints[0][1] * x for x in dense_point(lower, lower_fiber, v)
                 ), (path.name, level)
             if level == 1:  # the prolongation fiber's layout: e, then the psi blocks
                 sd, pf = conn.source_dim, classical_prolongation_fiber(conn).subspace
@@ -669,9 +713,10 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
     bad = [0] * jet_fiber_dim(s.n, s.m, s.k + 1)
     bad[0] = 1
     bad[jet_index(2, 2, 2, 0, (1, 0))] = 1  # violates u1_x = u2_y
-    for to_point in (_prolongation_point, dense_point):
+    pairs = [(t, x) for t, x in enumerate(bad) if x]
+    for to_point, jet in ((_prolongation_point, pairs), (dense_point, bad)):
         with pytest.raises(ValueError):
-            to_point(s, solution_fiber(s), bad)
+            to_point(s, solution_fiber(s), jet)
 
 
 def test_the_connection_route_builds_no_matrix_from_dense_rows(monkeypatch, count_calls):

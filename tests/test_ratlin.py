@@ -1,7 +1,9 @@
 """Exact linear algebra tests.
 
 Plan:
- 1) hand-checked row reductions, kernels, images, affine solves;
+ 1) hand-checked row reductions, kernels, images, affine solves; an
+    infeasible system whose kernel of Aᵀ comes back zero is an
+    InvariantViolation;
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
@@ -9,7 +11,8 @@ Plan:
     integer rows leave equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness); coordinates read over a vector's nonzeros agree with
-    reduce_mod, on spans and on kernels, and rebuild the vector; an
+    reduce_mod, on spans and on kernels, and rebuild the vector, and so do
+    a nonzero integer multiple's, given as Fraction pairs or as int pairs; an
     integer-scaled vector's coordinates, tested in ints, are the Fraction
     coordinates times the scale, and one unit off the span is refused;
     int pair values build the same matrix, hash, rref, rank and kernel as
@@ -41,6 +44,8 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formalpde import ratlin
+from formalpde.errors import InvariantViolation
 from formalpde.ratlin import (
     AffineSolution,
     RatMatrix,
@@ -113,6 +118,17 @@ def test_solve_affine_infeasible_has_fredholm_witness():
     assert y is not None
     assert all(v == 0 for v in a.transpose().apply(y))
     assert sum(yi * bi for yi, bi in zip(y, [F(1), F(1)])) != 0
+
+
+def test_an_infeasible_system_without_a_witness_is_an_internal_failure(monkeypatch):
+    # by the Fredholm alternative ker Aᵀ holds a witness for every infeasible
+    # system; a kernel that comes back zero leaves none, and solve_affine
+    # refuses to report infeasibility without one
+    a, b = RatMatrix([[1, 1], [2, 2]]), [1, 3]
+    assert solve_affine(a, b).witness is not None
+    monkeypatch.setattr(ratlin, "kernel", lambda m: Subspace.zero(m.cols))
+    with pytest.raises(InvariantViolation, match="infeasible system without a Fredholm witness"):
+        solve_affine(a, b)
 
 
 def test_solve_affine_feasible_carries_kernel():
@@ -306,6 +322,7 @@ def test_coordinates_agree_with_the_coset_representative(m, as_kernel, data):
     weights = data.draw(st.lists(sparse_entries, min_size=u.dim, max_size=u.dim))
     inside = [sum((w * b[i] for w, b in zip(weights, u.basis)), F(0)) for i in range(d)]
     noise = data.draw(st.lists(sparse_entries, min_size=d, max_size=d))
+    factor = data.draw(st.integers(-6, 6).filter(bool))
     for v in (inside, [x + y for x, y in zip(inside, noise)]):
         coords = coords_of(u, v)
         assert (coords is None) == any(u.reduce_mod(v)) == (not u.contains_vector(v))
@@ -313,6 +330,17 @@ def test_coordinates_agree_with_the_coset_representative(m, as_kernel, data):
             assert len(coords) == u.dim
             rebuilt = [sum((c * b[i] for c, b in zip(coords, u.basis)), F(0)) for i in range(d)]
             assert rebuilt == v
+        # a nonzero integer multiple, as Fraction pairs and as int pairs: one
+        # formula tests both, each exactly when its coset representative vanishes,
+        # and reads its pivot entries in the pairs' own type
+        w = [int(x * factor * lcm(1, *(y.denominator for y in v))) for x in v]
+        outside = any(u.reduce_mod(w))
+        for kind in (F, int):
+            got = u._coords([(i, kind(x)) for i, x in enumerate(w) if x])
+            assert (got is None) == outside
+            if got is not None:
+                assert got == [(j, w[p]) for j, p in enumerate(u.pivots) if w[p]]
+                assert all(type(x) is kind for _, x in got)
     assert coords_of(u, inside) == tuple(weights)
 
 

@@ -2,7 +2,8 @@
 
 Plan:
  1) flat connections (sigma = id): torsion decides commutativity, the
-    obstruction class is the commutator applied to the point;
+    obstruction class is the commutator applied to the point, and a class
+    that vanishes without a symmetric lift is an InvariantViolation;
  2) prolongation fibers: partial vs classical, projection image and e = 0
     slice on worked examples, the induced connection and its compatibility
     (including the necessity of the minus sign in the psi extraction);
@@ -14,10 +15,12 @@ Plan:
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
 
+from formalpde import relconn
 from formalpde.errors import InvariantViolation
 from formalpde.ratlin import RatMatrix, Subspace, image, kernel
 from formalpde.relconn import (
@@ -101,6 +104,18 @@ def test_flat_noncommuting_obstruction_is_commutator():
         assert res.representative == comm_e
     # points in the kernel of the commutator (here only 0) do vanish
     assert torsion_at(conn, [0, 0]).kind == "vanishes"
+
+
+def test_a_vanished_torsion_class_without_a_symmetric_lift_is_an_internal_failure(monkeypatch):
+    # with no symmetric lift the curvature class is nonzero modulo Im δ; an
+    # image that fills the whole slot space leaves no class, and torsion_at
+    # refuses to report an obstruction without one
+    conn = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    assert torsion_at(conn, [1, 0]).kind == "obstruction"
+    slots = comb(conn.n, 2) * conn.coeff_dim
+    monkeypatch.setattr(relconn, "_delta_image", lambda c: Subspace.full(slots))
+    with pytest.raises(InvariantViolation, match="torsion class vanished although no symmetric"):
+        torsion_at(conn, [1, 0])
 
 
 def test_flat_symbol_is_zero_and_sigma_surjective():
