@@ -242,11 +242,15 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     return RatMatrix(pairs=out, cols=m.cols), tuple(pivots)
 
 
-def rank(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> int:
+def rank(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> int:
     """Rank over Q of the rows given by their nonzero (column, value) pairs:
     the number of pivot rows `rref`'s integer insertion leaves, with no
-    back-substitution and no Fractions built."""
-    return len(_echelon(map(_integer_row, rows)))
+    back-substitution and no Fractions built; rows of nonzero ints only are
+    read as they are (type checks run in C), others through `_integer_row`."""
+    rows = tuple(rows)
+    values = tuple(map(itemgetter(1), chain.from_iterable(rows)))
+    ints = {int}.issuperset(map(type, values)) and all(values)
+    return len(_echelon(map(dict if ints else _integer_row, rows)))
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -428,6 +432,8 @@ class Subspace:
         index = self._index
         coords = [(index[i], x) for i, x in pairs if i in index]
         rest = {i: x for i, x in pairs if i not in index}
+        if not coords:  # no pivot touched: the vector must vanish
+            return None if any(rest.values()) else []
         rows = [self._int_row(j) for j, _ in coords]
         scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
         if scale != 1:

@@ -22,15 +22,15 @@ A `TableauChain`, as `tableau.tower` builds it, is its levels W_0, W_1, ...
 plus one ∂ per level: partials[l] maps level l into level l-1, and
 partials[0] maps W_0 into the space one step below it (the full
 S^(d-1) ⊗ F under ι for a classical tableau, the tableau's own ∂ for a
-generalized one).  So one cohomology routine serves both, and the map out of
-every slot is the one assembly.
+generalized one), each kept as ∂·D over the scaled basis d_j·b_j of its
+level: integers wherever `tower` computed it.  So one cohomology routine
+serves both, and the map out of every slot is the one assembly.
 
-Cohomology needs only dimensions, so it is read off ranks: each slot map is
-assembled once, im ⊂ ker is checked exactly as δ∘δ = 0 on the assembled
-maps rather than by subspace membership, over integers (each map scaled by
-its denominators, which keeps the product's zero pattern), and each map is
-ranked once by `ratlin.rank`, `rref`'s integer elimination without its
-back-substitution.
+Cohomology needs only dimensions, so it is read off ranks of the maps
+assembled from ∂·D as it is, since a column scaling keeps ranks: im ⊂ ker is
+checked exactly as δ∘δ = 0 on them, D⁻¹ put back between them as one
+integer row scaling, and each map is ranked once by `ratlin.rank`, `rref`'s
+integer elimination without its back-substitution; on integers, no Fraction.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 """
@@ -38,10 +38,12 @@ MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import cycle
 from math import lcm
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _integer_row, rank
+from .ratlin import RatMatrix, Subspace, rank
 from .tensorspace import delta_insertion, ext_dim, ext_indices, ext_rank
 
 
@@ -60,8 +62,6 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
     src_ext = ext_indices(n, m)
     nsrc = partial.cols
     w = partial.rows // n if n else 0
-    # each ∂ row's pairs and their negations, once
-    by_sign = {1: partial.pairs, -1: [[(c, -x) for c, x in row] for row in partial.pairs]}
     rows = [[] for _ in range(ext_dim(n, m + 1) * w)]
     for e, s in enumerate(src_ext):
         for i in range(n):
@@ -69,15 +69,19 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
             if ins is None:
                 continue
             sign, merged = ins
-            signed = by_sign[sign]
             base = ext_rank(n, merged) * w
             offset = e * nsrc
             for b in range(w):
-                rows[base + b] += [(offset + c, x) for c, x in signed[b * n + i]]
+                rows[base + b] += [(offset + c, sign * x) for c, x in partial.pairs[b * n + i]]
     return RatMatrix(pairs=rows, cols=len(src_ext) * nsrc)
 
 
 # --------------------------- chains and cohomology ---------------------------
+
+
+def _leads(level: Subspace) -> list[int]:
+    """D's diagonal: the lead d_j of each basis vector's integer row d_j·b_j."""
+    return [level._int_row(j)[0][1] for j in range(level.dim)]
 
 
 # Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
@@ -93,9 +97,10 @@ MAX_SPENCER_SLOT = 3000
 class TableauChain:
     """Levels W_0, W_1, ... with one degree-lowering map per level.
 
-    partials[l] is ∂ on level l in basis coordinates: rows b*n + i over the
-    basis of level l-1 (for l = 0, of the space one step below W_0), one
-    column per basis vector of level l.
+    partials[l] is ∂_l·D_l: ∂ on level l in basis coordinates, rows b*n + i
+    over the basis of level l-1 (for l = 0, of the space one step below
+    W_0), with column j times d_j, the lead of level l's integer row j
+    (`_leads`: 1 on a full level, so a generalized ∂ at level 0 is as given).
     """
 
     n: int
@@ -125,12 +130,14 @@ class TableauChain:
         return ext_dim(self.n, m) * width
 
     def map_out(self, l: int, m: int) -> RatMatrix:
-        """The differential leaving slot (l, m), into slot (l-1, m+1)."""
+        """The exact differential leaving slot (l, m), into slot (l-1, m+1)."""
         if l < 0:
             raise ValueError("no outgoing map below the bottom")
         if l >= len(self.levels):
             raise ValueError("chain too short: level not present")
-        return _slot_matrix(self.n, m, self.partials[l])
+        leads, partial = _leads(self.levels[l]), self.partials[l]
+        exact = ([(c, Fraction(x, leads[c])) for c, x in row] for row in partial.pairs)
+        return _slot_matrix(self.n, m, RatMatrix(pairs=exact, cols=partial.cols))
 
     def vanishing_level(self) -> int | None:
         """Smallest l with levels[l] = 0, if any (zero levels must persist)."""
@@ -176,17 +183,18 @@ class CohomologyReport:
     vanishing_level: int | None
 
 
-def _composes_to_zero(a_rows: list, b_rows: list) -> bool:
-    """Whether A @ B = 0, walked over the nonzero (column, value) pairs of the
-    rows of A and B one product row at a time, never building the product.
-    In integers: each row of A is scaled by the lcm of its own denominators,
-    B once by the lcm of all of its; nonzero scalings keep the zero pattern."""
-    scale = lcm(*{x.denominator for row in b_rows for _, x in row})
-    b_int = [[(j, x.numerator * (scale // x.denominator)) for j, x in row] for row in b_rows]
+def _composes_to_zero(a_rows: list, b_rows: list, leads: list[int]) -> bool:
+    """Whether A @ B = 0, given the nonzero pairs of the rows of A·D and of B
+    (times any diagonal on the right), D = diag(leads) on each exterior block
+    of w = len(leads) rows: A @ B = (A·D)(D⁻¹·B) vanishes with (A·D)(L·D⁻¹·B),
+    L = lcm(leads), B's row e*w + b scaled by the int L/d_b.  Walked one
+    product row at a time, never building the product."""
+    ups = [lcm(*leads) // d for d in leads]
+    b_rows = [row if k == 1 else [(j, k * x) for j, x in row] for row, k in zip(b_rows, cycle(ups))]
     for a_row in a_rows:
         acc: dict[int, int] = {}
-        for k, a in _integer_row(a_row).items():
-            for j, b in b_int[k]:
+        for k, a in a_row:
+            for j, b in b_rows[k]:
                 acc[j] = acc.get(j, 0) + a * b
         if any(acc.values()):
             return False
@@ -219,14 +227,6 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"
         )
-    # each map's rows as nonzero (column, value) pairs, assembled once
-    maps: dict[tuple[int, int], tuple] = {}
-
-    def out(l, m):
-        if (l, m) not in maps:
-            maps[(l, m)] = chain.map_out(l, m).pairs
-        return maps[(l, m)]
-
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if chain.slot_dim(l, m)]
     for l, m in slots:
@@ -237,11 +237,12 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
                     f"(l, m) = {met} of {chain.slot_dim(*met)} coordinates, above the "
                     f"budget of {MAX_SPENCER_SLOT}"
                 )
+    # each map out of or into a slot, as nonzero (column, value) pairs, once, from ∂·D
+    keys = dict.fromkeys(key for l, m in slots for key in ((l, m), (l + 1, m - 1)))
+    maps = {(l, m): _slot_matrix(chain.n, m, chain.partials[l]).pairs for l, m in keys}
     for l, m in slots:
-        if not _composes_to_zero(out(l, m), out(l + 1, m - 1)):
-            raise InvariantViolation(
-                f"image is not contained in the kernel at slot ({l}, {m})"
-            )
+        if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], _leads(chain.levels[l])):
+            raise InvariantViolation(f"image is not contained in the kernel at slot ({l}, {m})")
     ranks = {key: rank(rows) for key, rows in maps.items()}
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))
     for l, m in slots:

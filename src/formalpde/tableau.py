@@ -22,9 +22,10 @@ It re-verifies, level by level, that each computed space really contracts
 into the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Each
-contraction is read off a basis vector's integer row and tested in ints, so
-∂'s entries are the only Fractions built; the prolongation raises the
-annihilator's rows scaled to integers, and no dense vector is built.  Level
+contraction is read off a basis vector's integer row d_j·b_j and tested in
+ints, and ∂ is kept as those integer coordinates, ∂·diag(d_j); the
+prolongation raises the annihilator's rows scaled to integers, so no
+Fraction and no dense vector is built.  Level
 0 is g with ι into the full S^(d-1) ⊗ F (classical), or R^p with the
 tableau's own ∂ (generalized).  A vanished level makes all later ones zero
 by construction (monotone vanishing is structural, not re-derived).
@@ -36,7 +37,6 @@ level is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import InvariantViolation
@@ -152,10 +152,9 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
 
     Raises InvariantViolation when a contraction escapes prev.  ι_i v is read
     off v's integer row d·v (led by (p, d)) and tested in ints, so its
-    coordinates come out times d; ∂ is emitted as pairs of x/d.
+    coordinates come out times d and are kept so, as `TableauChain`'s ∂·D.
     """
     rows = [[] for _ in range(n * prev.dim)]
-    made: dict[tuple[int, int], Fraction] = {}  # one Fraction per distinct x/d
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
         # coordinate c of iota_i v is v at c raised by x_i, times the factor
         down = {up: (c, k.numerator) for c, (up, k) in enumerate(entries)}
@@ -168,10 +167,8 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
                     f"tower level of degree {degree} (dim {level.dim}) does not contract "
                     f"into its predecessor (dim {prev.dim}) along direction {i}"
                 )
-            d = vec[0][1]
             for b, x in coords:
-                y = made.get((x, d)) or made.setdefault((x, d), Fraction(x, d))
-                rows[b * n + i].append((col, y))
+                rows[b * n + i].append((col, x))
     return RatMatrix(pairs=rows, cols=level.dim)
 
 

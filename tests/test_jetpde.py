@@ -22,7 +22,8 @@ Plan:
     goldschmidt test membership over nonzero pairs, never by a dense
     coset representative; every membership test of the six commands on the
     corpus gets only int values; the symbol tower multiplies no Fractions
-    (its prolongation and contraction check run on integer rows)
+    (its prolongation and contraction check run on integer rows), keeps
+    every ∂ in ints, and its Spencer cohomology builds no Fraction
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -508,6 +509,30 @@ def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
         assert len(symbol_tower(s, depth).levels) == depth + 1
     assert products == []
     assert Fraction(2, 3) * 3 == 2 and products == [1]  # the counter counts
+
+
+def test_spencer_cohomology_builds_no_fraction_on_a_tower(monkeypatch):
+    # the tower keeps each ∂ as the integers ∂·D, so the slot maps, the
+    # δ∘δ = 0 check (one integer row scaling) and the ranks stay in ints.
+    # A Fraction made, negated or multiplied in cohomology fails here
+    chains = [symbol_tower(s, 4) for s in (heat3(), wave4())]
+    for chain in chains:
+        assert all(type(x) is int for d in chain.partials for row in d.pairs for _, x in row)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *a, **k: made.append("__new__") or new(cls, *a, **k)
+    )
+    for name in ("__neg__", "__mul__", "__rmul__"):
+        op = getattr(Fraction, name)
+        monkeypatch.setattr(
+            Fraction, name, lambda *a, op=op, name=name: made.append(name) or op(*a)
+        )
+    reports = [cohomology(chain, 3, 2) for chain in chains]
+    assert made == []
+    assert all(e.h_dim == 0 for rep in reports for e in rep.entries.values())
+    assert -Fraction(2, 3) * 3 == -2  # the counters count
+    assert {"__new__", "__neg__", "__mul__"} <= set(made)
 
 
 # --------------------------- 8. goldschmidt ---------------------------

@@ -14,7 +14,7 @@ Plan:
     level-0 ∂ has a row count the assembly would cut short is refused;
     the integer δ∘δ = 0 check agrees with Fraction products on maps that
     compose to zero only once denominators cancel, and on those maps with one
-    entry moved;
+    entry moved, also when handed A·D and an integer B for a diagonal D;
     each distinct slot map is ranked once; chains scaled by 2^31 - 1 or
     its inverse, a nonzero H, and random classical and generalized towers
     give every entry of the subspace reference (kernel, image, containment)
@@ -347,7 +347,10 @@ fractions_off_the_integers = st.sampled_from(
 )
 
 
-@settings(deadline=None, max_examples=80)
+small_integers = st.sampled_from([0] * 4 + [-3, -2, -1, 1, 2, 3])
+
+
+@settings(deadline=None, max_examples=50)
 @given(st.integers(1, 5), st.integers(1, 4), st.data())
 def test_the_integer_composition_check_matches_fraction_products(k, w, data):
     # B with a dependent last row, and A spanning B's left kernel scaled by
@@ -362,18 +365,42 @@ def test_the_integer_composition_check_matches_fraction_products(k, w, data):
     b_pairs = RatMatrix(b).pairs
     scale = data.draw(st.sampled_from([Fraction(p, q) for p in (-2, 1, 3) for q in (2, 7)]))
     a = [[scale * x for x in v] for v in kernel(RatMatrix(b).transpose()).basis]
+    ones = [1] * k
     assert fraction_product_is_zero(a, b, w)
-    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs)
+    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs, ones)
     hits = [row for row, entries in enumerate(b) if any(entries)]
     if a and hits:
         r = data.draw(st.integers(0, len(a) - 1))
         a[r][data.draw(st.sampled_from(hits))] += Fraction(1, 7)
         assert not fraction_product_is_zero(a, b, w)
-        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs)
+        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs, ones)
     other = data.draw(
         st.lists(st.lists(fractions_off_the_integers, min_size=k, max_size=k), max_size=3)
     )
-    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_pairs)
+    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_pairs, ones)
+    assert got == fraction_product_is_zero(other, b, w)
+    # as cohomology calls it: A·D for a positive integer diagonal D and an
+    # integer B, so the product it decides is (A·D)(D⁻¹·B) = A·B; A spans
+    # B's left kernel, which A·D does not unless D is scalar
+    leads = data.draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
+    int_rows = st.lists(small_integers, min_size=w, max_size=w)
+    ints = data.draw(st.lists(int_rows, min_size=k, max_size=k))
+    if k > 1:
+        c0, c1 = data.draw(st.lists(small_integers, min_size=2, max_size=2))
+        ints[-1] = [c0 * x + c1 * y for x, y in zip(ints[0], ints[1])]
+    b_int = RatMatrix(ints, cols=w).pairs
+    b = [[Fraction(x, d) for x in row] for row, d in zip(ints, leads)]  # D⁻¹·B
+    left = kernel(RatMatrix(ints, cols=w).transpose()).basis
+    a = [[scale * x * d for x, d in zip(v, leads)] for v in left]  # A·D
+    assert fraction_product_is_zero(a, b, w)
+    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, leads)
+    hits = [row for row, entries in enumerate(ints) if any(entries)]
+    if a and hits:
+        r = data.draw(st.integers(0, len(a) - 1))
+        a[r][data.draw(st.sampled_from(hits))] += Fraction(1, 7)
+        assert not fraction_product_is_zero(a, b, w)
+        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, leads)
+    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_int, leads)
     assert got == fraction_product_is_zero(other, b, w)
 
 
