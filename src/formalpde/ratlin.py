@@ -245,12 +245,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 def rank(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> int:
     """Rank over Q of the rows given by their nonzero (column, value) pairs:
     the number of pivot rows `rref`'s integer insertion leaves, with no
-    back-substitution and no Fractions built; rows of nonzero ints only are
-    read as they are (type checks run in C), others through `_integer_row`."""
-    rows = tuple(rows)
-    values = tuple(map(itemgetter(1), chain.from_iterable(rows)))
-    ints = {int}.issuperset(map(type, values)) and all(values)
-    return len(_echelon(map(dict if ints else _integer_row, rows)))
+    back-substitution and no Fractions built (int rows pass as they are)."""
+    return len(_echelon(map(_integer_row, rows)))
 
 
 def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -422,6 +418,10 @@ class Subspace:
         if row is None:
             row = self._ints[j] = tuple(_integer_row(self.rows[j]).items())
         return row
+
+    def leads(self) -> list[int]:
+        """Each basis vector's d_j, the lead of its integer row d_j·b_j (`_int_row`)."""
+        return [self._int_row(j)[0][1] for j in range(self.dim)]
 
     def _coords(self, pairs: Sequence[tuple[int, Fraction | int]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero

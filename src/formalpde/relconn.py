@@ -27,7 +27,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, image, kernel, rat, solve_affine
+from .ratlin import (
+    RatMatrix,
+    Subspace,
+    image,
+    kernel,
+    rat,
+    solve_affine,
+)
 from .spencer import TableauChain
 from .tableau import Tableau, prolong
 

@@ -79,11 +79,6 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 # --------------------------- chains and cohomology ---------------------------
 
 
-def _leads(level: Subspace) -> list[int]:
-    """D's diagonal: the lead d_j of each basis vector's integer row d_j·b_j."""
-    return [level._int_row(j)[0][1] for j in range(level.dim)]
-
-
 # Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
 # maps are stored as pairs, so cost grows about as N^1.1: the free first-order
 # system under `cohomology --l-max 1` meets N = 2940 in seven variables in
@@ -99,8 +94,8 @@ class TableauChain:
 
     partials[l] is ∂_l·D_l: ∂ on level l in basis coordinates, rows b*n + i
     over the basis of level l-1 (for l = 0, of the space one step below
-    W_0), with column j times d_j, the lead of level l's integer row j
-    (`_leads`: 1 on a full level, so a generalized ∂ at level 0 is as given).
+    W_0), with column j times d_j, D_l = diag(levels[l].leads()) (1 on a
+    full level, so a generalized ∂ at level 0 is as given).
     """
 
     n: int
@@ -135,7 +130,7 @@ class TableauChain:
             raise ValueError("no outgoing map below the bottom")
         if l >= len(self.levels):
             raise ValueError("chain too short: level not present")
-        leads, partial = _leads(self.levels[l]), self.partials[l]
+        leads, partial = self.levels[l].leads(), self.partials[l]
         exact = ([(c, Fraction(x, leads[c])) for c, x in row] for row in partial.pairs)
         return _slot_matrix(self.n, m, RatMatrix(pairs=exact, cols=partial.cols))
 
@@ -241,7 +236,7 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     keys = dict.fromkeys(key for l, m in slots for key in ((l, m), (l + 1, m - 1)))
     maps = {(l, m): _slot_matrix(chain.n, m, chain.partials[l]).pairs for l, m in keys}
     for l, m in slots:
-        if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], _leads(chain.levels[l])):
+        if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], chain.levels[l].leads()):
             raise InvariantViolation(f"image is not contained in the kernel at slot ({l}, {m})")
     ranks = {key: rank(rows) for key, rows in maps.items()}
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))

@@ -23,11 +23,11 @@ into the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Each
 contraction is read off a basis vector's integer row d_j·b_j and tested in
-ints, and ∂ is kept as those integer coordinates, ∂·diag(d_j); the
-prolongation raises the annihilator's rows scaled to integers, so no
-Fraction and no dense vector is built.  Level
-0 is g with ι into the full S^(d-1) ⊗ F (classical), or R^p with the
-tableau's own ∂ (generalized).  A vanished level makes all later ones zero
+ints, and ∂ is kept as those integer coordinates, ∂·D with D =
+diag(level.leads()); the prolongation raises the annihilator's rows scaled
+to integers, so no Fraction and no dense vector is built.  Level 0 is g
+with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
+∂ (generalized).  A vanished level makes all later ones zero
 by construction (monotone vanishing is structural, not re-derived).
 `check_tower_budget` holds the tower's size budget, MAX_TOWER_WORK: `tower`
 refuses a tower past it, or deeper than its square root, before the first
@@ -152,7 +152,8 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
 
     Raises InvariantViolation when a contraction escapes prev.  ι_i v is read
     off v's integer row d·v (led by (p, d)) and tested in ints, so its
-    coordinates come out times d and are kept so, as `TableauChain`'s ∂·D.
+    coordinates come out times d (`level.leads()`) and are kept so, as
+    `TableauChain`'s ∂·D.
     """
     rows = [[] for _ in range(n * prev.dim)]
     for i, entries in enumerate(raise_table(n, degree - 1, f)):

@@ -347,10 +347,7 @@ fractions_off_the_integers = st.sampled_from(
 )
 
 
-small_integers = st.sampled_from([0] * 4 + [-3, -2, -1, 1, 2, 3])
-
-
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None, max_examples=80)
 @given(st.integers(1, 5), st.integers(1, 4), st.data())
 def test_the_integer_composition_check_matches_fraction_products(k, w, data):
     # B with a dependent last row, and A spanning B's left kernel scaled by
@@ -379,9 +376,18 @@ def test_the_integer_composition_check_matches_fraction_products(k, w, data):
     )
     got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_pairs, ones)
     assert got == fraction_product_is_zero(other, b, w)
+
+
+small_integers = st.sampled_from([0] * 4 + [-3, -2, -1, 1, 2, 3])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 5), st.integers(1, 4), st.data())
+def test_the_integer_composition_check_undoes_a_diagonal_scaling(k, w, data):
     # as cohomology calls it: A·D for a positive integer diagonal D and an
-    # integer B, so the product it decides is (A·D)(D⁻¹·B) = A·B; A spans
-    # B's left kernel, which A·D does not unless D is scalar
+    # integer B, so the product it decides is (A·D)(D⁻¹·B) = A·B.  A spans
+    # B's left kernel, which A·D does not unless D is scalar; the one-entry
+    # move and an unrelated A are judged as in the property above
     leads = data.draw(st.lists(st.integers(1, 7), min_size=k, max_size=k))
     int_rows = st.lists(small_integers, min_size=w, max_size=w)
     ints = data.draw(st.lists(int_rows, min_size=k, max_size=k))
@@ -390,6 +396,7 @@ def test_the_integer_composition_check_matches_fraction_products(k, w, data):
         ints[-1] = [c0 * x + c1 * y for x, y in zip(ints[0], ints[1])]
     b_int = RatMatrix(ints, cols=w).pairs
     b = [[Fraction(x, d) for x in row] for row, d in zip(ints, leads)]  # D⁻¹·B
+    scale = data.draw(st.sampled_from([Fraction(p, q) for p in (-2, 1, 3) for q in (2, 7)]))
     left = kernel(RatMatrix(ints, cols=w).transpose()).basis
     a = [[scale * x * d for x, d in zip(v, leads)] for v in left]  # A·D
     assert fraction_product_is_zero(a, b, w)
@@ -400,6 +407,9 @@ def test_the_integer_composition_check_matches_fraction_products(k, w, data):
         a[r][data.draw(st.sampled_from(hits))] += Fraction(1, 7)
         assert not fraction_product_is_zero(a, b, w)
         assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, leads)
+    other = data.draw(
+        st.lists(st.lists(fractions_off_the_integers, min_size=k, max_size=k), max_size=3)
+    )
     got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_int, leads)
     assert got == fraction_product_is_zero(other, b, w)
 
