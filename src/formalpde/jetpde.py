@@ -28,8 +28,8 @@ base system's fiber, symbol and tower do.
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
 fiber prolonged.  Each level therefore prolongs the annihilator of the fiber
-below, read off its canonical basis (``Subspace.constraint_matrix``) with
-each row scaled to integers: (1 + n) times the rank in rows, instead of
+below, read off its canonical basis (``Subspace.constraint_matrix``) as
+integer rows: (1 + n) times the rank in rows, instead of
 (1 + n)^level times the base equation count, and the user's equations enter
 only through the base fiber.  ``formal_prolongation`` itself still keeps
 every row.
@@ -48,7 +48,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _frozen_row, _integral, _nonzeros, kernel, rat
+from .ratlin import RatMatrix, Subspace, _frozen_row, _nonzeros, kernel, rat
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, check_tower_budget, classify_type, tower
@@ -256,7 +256,7 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     cur_fiber = base_fiber
     for level, rank in enumerate(symbol_ranks, 1):
         # the annihilator as integer rows, so every shifted copy is one too
-        equations = _integral(cur_fiber.constraint_matrix())
+        equations = cur_fiber.constraint_matrix()
         lower = replace(system, k=system.k + level - 1, equations=equations)
         fiber = kernel(formal_prolongation(lower).equations)
         img = fiber.head(cur_fiber.ambient_dim)
@@ -492,7 +492,7 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
         try:  # each basis vector b_j read as its integer row d_j·b_j, the same span
-            pts = [_prolongation_point(lower, lower_fiber, fib._int_row(j)) for j in range(fib.dim)]
+            pts = [_prolongation_point(lower, lower_fiber, row) for row in fib.rows]
         except ValueError as err:  # the walk's own fiber: no input is at fault
             raise InvariantViolation(f"jet fiber does not map at level {level}: {err}") from err
         mapped = Subspace.from_spanning(pf.subspace.ambient_dim, pts)

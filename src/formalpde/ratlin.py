@@ -15,27 +15,27 @@ whose entries are all Fractions or ints is kept as is, any other row is
 coerced entry by entry, and a float is refused either way; pair values must
 be Fractions or ints.  Zeros are skipped by structure, not by testing each
 entry: dense rows are read into pairs once, in `RatMatrix`, every stage reads
-and emits pairs from there, a subspace is its basis vectors' nonzero pairs,
+and emits pairs from there, a subspace is its basis vectors' integer pairs,
 and `apply` reads the vector's nonzeros once.
 Membership (`Subspace._coords`, behind every membership and coordinate
-query) is one formula over the basis vectors' cached integer rows, reading
-only the coordinates touched by a vector and the basis vectors its pivot
-entries select; every command hands it integer rows.  `reduce_mod` is dense.
+query) is one formula over the basis vectors' integer rows, reading only the
+coordinates touched by a vector and the basis vectors its pivot entries
+select; every command hands it integer rows.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
 canonical subspace bases depend on the spans alone, not on how `rref`
 eliminates, and are reproducible across runs and platforms.  `rref`
 eliminates over integer rows and emits Fractions only for its result.  A
-`Subspace` stores the canonical basis of its span as pairs, the nonzero rows
-of the reduced row echelon form of any spanning set, hence two equal
-subspaces compare equal as plain data; dense vectors are rendered on demand.
+`Subspace` stores the canonical basis of its span, the nonzero rows of the
+rref of any spanning set, each as its primitive integer row, hence two equal
+subspaces compare equal as plain data; Fractions are rendered on demand.
 
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
 with its leading 1 at that column and zeros at every other free column,
 which is exactly the canonical basis; those echelon rows, a row basis of the
-matrix, come back up to sign as its annihilator (`constraint_matrix`).
+matrix, come back negated, up to scale, as its annihilator (`constraint_matrix`).
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -57,8 +57,6 @@ from typing import Iterable, Sequence
 from .errors import InvariantViolation
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 def rat(x) -> Fraction:
@@ -140,10 +138,6 @@ class RatMatrix:
         raise AttributeError("RatMatrix is immutable")
 
     # -- constructors --
-
-    @staticmethod
-    def identity(n: int) -> "RatMatrix":
-        return RatMatrix(pairs=[((i, _ONE),) for i in range(n)], cols=n)
 
     @staticmethod
     def vstack(mats: Sequence["RatMatrix"]) -> "RatMatrix":
@@ -288,11 +282,6 @@ def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     return row
 
 
-def _integral(m: RatMatrix) -> RatMatrix:
-    """m with each row scaled to integers (`_integer_row`): the same row space."""
-    return RatMatrix(pairs=(_integer_row(r).items() for r in m.pairs), cols=m.cols)
-
-
 def _eliminate(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
     """The multiple (p/g)·row − (f/g)·prow that vanishes at c, where p and f
     are the entries of prow and row there and g = gcd(p, f).
@@ -327,18 +316,18 @@ def _divided(row: dict[int, int], g: int) -> dict[int, int]:
 class Subspace:
     """A linear subspace of Q^ambient_dim with a canonical basis.
 
-    ``rows[j]`` is basis vector j's nonzero (index, value) pairs in ascending
-    index order, and the rows are the only storage.  The basis is in reduced
-    echelon form: row j is led by its pivot's (p_j, 1), pivots strictly
-    increase, and every other row is absent at p_j.  Canonicality means equal
-    subspaces are equal as data, which the rest of the package leans on for
-    caching and for byte-stable reports.  ``basis`` renders the vectors
-    dense on demand.
+    The basis is in reduced echelon form: b_j is 1 at its pivot p_j, pivots
+    strictly increase, and every other b_l is 0 at p_j.  ``rows[j]``, the
+    only storage, is d_j·b_j as nonzero (index, int) pairs in ascending
+    index order, led by (p_j, d_j), d_j > 0 the lcm of b_j's denominators:
+    b_j's primitive integer row.  Canonicality means equal subspaces are
+    equal as data, which the rest of the package leans on for caching and
+    for byte-stable reports.  ``fraction_rows`` and ``basis`` render b_j.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_ints", "_index")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_index")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Sequence[tuple[int, Fraction]]]):
+    def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]]):
         # Not for direct use -- go through from_spanning/zero/full, or
         # kernel, whose rows are canonical as built.
         rows = tuple(map(tuple, rows))
@@ -346,8 +335,6 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        # `_int_row`'s cache, so no part of equality, hashing or repr
-        object.__setattr__(self, "_ints", [None] * len(rows))
         object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
 
     def __setattr__(self, name, value):
@@ -355,9 +342,9 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        """Span of the given vectors: the nonzero rows of their rref."""
+        """Span of the given vectors: the nonzero rows of their rref, scaled to integers."""
         r, pivots = rref(RatMatrix(list(vectors), cols=ambient_dim))
-        return Subspace(ambient_dim, r.pairs[: len(pivots)])
+        return Subspace(ambient_dim, (_integer_row(row).items() for row in r.pairs[: len(pivots)]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -365,16 +352,21 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim).pairs)
+        return Subspace(ambient_dim, (((i, 1),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
+    def fraction_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """Each basis vector b_j as its nonzero (index, Fraction) pairs: rows[j] over d_j."""
+        return [[(i, Fraction(x, row[0][1])) for i, x in row] for row in self.rows]
+
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         """The basis vectors as dense tuples of Fractions."""
-        return tuple(map(RatMatrix(pairs=self.rows, cols=self.ambient_dim).row, range(self.dim)))
+        dense = RatMatrix(pairs=self.fraction_rows(), cols=self.ambient_dim)
+        return tuple(map(dense.row, range(self.dim)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -399,7 +391,7 @@ class Subspace:
         v lies in the subspace.
         """
         v = list(self._checked(vec))
-        for p, row in zip(self.pivots, self.rows):
+        for p, row in zip(self.pivots, self.fraction_rows()):
             c = v[p]
             if c:
                 for i, x in row:
@@ -412,16 +404,9 @@ class Subspace:
             raise ValueError("vector has wrong ambient dimension")
         return v
 
-    def _int_row(self, j: int) -> tuple[tuple[int, int], ...]:
-        """d_j·b_j as (index, int) pairs led by (p_j, d_j), d_j the lcm of b_j's denominators."""
-        row = self._ints[j]
-        if row is None:
-            row = self._ints[j] = tuple(_integer_row(self.rows[j]).items())
-        return row
-
     def leads(self) -> list[int]:
-        """Each basis vector's d_j, the lead of its integer row d_j·b_j (`_int_row`)."""
-        return [self._int_row(j)[0][1] for j in range(self.dim)]
+        """Each basis vector's d_j, the lead of its integer row d_j·b_j."""
+        return [row[0][1] for row in self.rows]
 
     def _coords(self, pairs: Sequence[tuple[int, Fraction | int]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero
@@ -434,7 +419,7 @@ class Subspace:
         rest = {i: x for i, x in pairs if i not in index}
         if not coords:  # no pivot touched: the vector must vanish
             return None if any(rest.values()) else []
-        rows = [self._int_row(j) for j, _ in coords]
+        rows = [self.rows[j] for j, _ in coords]
         scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
         if scale != 1:
             rest = {i: scale * x for i, x in rest.items()}
@@ -458,9 +443,14 @@ class Subspace:
     def head(self, stop: int) -> "Subspace":
         """The projection onto the coordinates before stop: the basis vectors
         with pivot < stop, cut there, already are its canonical basis, and
-        every other basis vector projects to zero."""
+        every other basis vector projects to zero.  A cut integer row is
+        divided by its content again; one led by 1 has none."""
         j = bisect_left(self.pivots, stop)
-        cut = (row[: bisect_left(row, stop, key=itemgetter(0))] for row in self.rows[:j])
+        cut = []
+        for row in self.rows[:j]:
+            row = row[: bisect_left(row, stop, key=itemgetter(0))]
+            g = 1 if row[0][1] == 1 else gcd(*map(itemgetter(1), row))
+            cut.append(row if g == 1 else [(i, x // g) for i, x in row])
         return Subspace(stop, cut)
 
     def tail(self, start: int) -> "Subspace":
@@ -471,19 +461,25 @@ class Subspace:
         return Subspace(self.ambient_dim - start, shifted)
 
     def constraint_matrix(self) -> RatMatrix:
-        """A matrix with kernel exactly this subspace, read off the basis: row
-        sum_p v_p[j] e_p - e_j for each non-pivot j (v_p has pivot p), from the
-        basis vectors' own nonzero pairs; for a kernel, its echelon rows."""
+        """A matrix with kernel exactly this subspace, read off the integer rows:
+        row sum_p b_p[j] e_p - e_j for each non-pivot j (b_p has pivot p), as a
+        primitive integer row; for a kernel, its echelon rows, negated and scaled."""
         d = self.ambient_dim
         rows = {j: [] for j in sorted(set(range(d)).difference(self.pivots))}
-        for p, pairs in zip(self.pivots, self.rows):  # ascending p keeps each row's order
-            for j, x in pairs:
+        for p, row in zip(self.pivots, self.rows):  # ascending p keeps each row's order
+            lead = row[0][1]
+            for j, x in row:
                 if j in rows:  # an entry at a pivot has no row
-                    rows[j].append((p, x))
-        # v_p vanishes before its pivot p, so every p in row j is below j
-        for j, row in rows.items():
-            row.append((j, _MINUS_ONE))
-        return RatMatrix(pairs=rows.values(), cols=d)
+                    rows[j].append((p, x, lead))
+        out = []
+        for j, entries in rows.items():
+            # b_p[j] = x/d_p, so times D, the lcm of the d_p, row j is integral;
+            # b_p vanishes before its pivot p, so every p in row j is below j
+            scale = lcm(*(lead for _, _, lead in entries))
+            line = [(p, x * (scale // lead)) for p, x, lead in entries] + [(j, -scale)]
+            g = 1 if scale == 1 else gcd(*(x for _, x in line))
+            out.append(line if g == 1 else [(i, x // g) for i, x in line])
+        return RatMatrix(pairs=out, cols=d)
 
 
 # --------------------------- derived maps ---------------------------
@@ -504,23 +500,26 @@ def kernel(m: RatMatrix) -> Subspace:
     reduction is needed.
 
     Those echelon rows, columns put back in order, are a row basis of m, and
-    the kernel's ``constraint_matrix`` reads them back off, up to sign.
+    the kernel's ``constraint_matrix`` reads them back off, negated and scaled.
     """
     cols = m.cols
     last = cols - 1
     reversed_rows = [[(last - j, x) for j, x in reversed(row)] for row in m.pairs]
     r, rev_pivots = rref(RatMatrix(pairs=reversed_rows, cols=cols))
     free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
-    support = {f: [(f, _ONE)] for f in free}
-    negated: dict[int, Fraction] = {}  # by id: rref shares equal quotients, r keeps them
+    support = {f: [] for f in free}
     # the nonzero rows lead r in descending p, each row's tail past its pivot
     # holds only free columns, and ascending p keeps each vector's pairs in order
     for row in reversed(r.pairs[: len(rev_pivots)]):
         p = last - row[0][0]
         for j, x in row[1:]:
-            y = negated.get(id(x)) or negated.setdefault(id(x), -x)
-            support[last - j].append((p, y))
-    return Subspace(cols, support.values())
+            support[last - j].append((p, *x.as_integer_ratio()))
+    # b_f is 1 at f and -a/b at each p; d·b_f, d the lcm of the b, is primitive
+    rows = []
+    for f, quotients in support.items():
+        d = lcm(*(b for _, _, b in quotients))
+        rows.append([(f, d), *((p, -a * (d // b)) for p, a, b in quotients)])
+    return Subspace(cols, rows)
 
 
 def image(m: RatMatrix) -> Subspace:

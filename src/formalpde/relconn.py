@@ -71,7 +71,7 @@ class RelConn:
         readers = (sigma_rows, *direction_rows)
         mats = [[[] for _ in rows] for rows in readers]
         at = [dict(zip(rows, out)) for rows, out in zip(readers, mats)]
-        for j, row in enumerate(fiber.rows):  # ascending j keeps each row's columns in order
+        for j, row in enumerate(fiber.fraction_rows()):  # ascending j keeps columns in order
             for i, x in row:
                 y = -x
                 for s, line in enumerate(rows.get(i) for rows in at):
@@ -92,7 +92,7 @@ def symbol_map(conn: RelConn) -> Tableau:
     if conn._symbol_map is None:
         g = conn.symbol
         # row b*n + i holds A_i's row b times each basis vector, read by coordinate
-        at = RatMatrix(pairs=g.rows, cols=g.ambient_dim).transpose().pairs
+        at = RatMatrix(pairs=g.fraction_rows(), cols=g.ambient_dim).transpose().pairs
         rows = []
         for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
             out: dict[int, Fraction] = {}
@@ -171,7 +171,7 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
     g, etas = conn.symbol, []
     for j in range(ker_part.dim):
         blocks = [[] for _ in range(n)]
-        for c, x in ker_part._int_row(j):
+        for c, x in ker_part.rows[j]:
             blocks[c // sd].append((c % sd, x))
         coords = [g._coords(block) for block in blocks]
         if None in coords:

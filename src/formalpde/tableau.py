@@ -22,10 +22,10 @@ It re-verifies, level by level, that each computed space really contracts
 into the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Each
-contraction is read off a basis vector's integer row d_j·b_j and tested in
-ints, and ∂ is kept as those integer coordinates, ∂·D with D =
-diag(level.leads()); the prolongation raises the annihilator's rows scaled
-to integers, so no Fraction and no dense vector is built.  Level 0 is g
+contraction is read off a basis vector's stored integer row d_j·b_j and
+tested in ints, and ∂ is kept as those integer coordinates, ∂·D with D =
+diag(level.leads()); the prolongation raises the annihilator's integer
+rows, so no Fraction and no dense vector is built.  Level 0 is g
 with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
 ∂ (generalized).  A vanished level makes all later ones zero
 by construction (monotone vanishing is structural, not re-derived).
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _integral, kernel
+from .ratlin import RatMatrix, Subspace, kernel
 from .spencer import TableauChain
 from .tensorspace import binomial_past, raise_table, sym_dim
 
@@ -106,12 +106,12 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     target_dim = sym_dim(n, degree + 1) * f
     if target_dim == 0 or n == 0:
         return Subspace.zero(target_dim)
-    q = _integral(space.constraint_matrix())
+    q = space.constraint_matrix()
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
     # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
     # factor, is the column of Q iota_i at c raised by x_i, which keeps
-    # each row's column order; Q's rows are scaled to integers once
+    # each row's column order; Q's rows are integers, and so are these
     rows = []
     for entries in raise_table(n, degree, f):
         for row in q.pairs:
@@ -160,7 +160,7 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
         # coordinate c of iota_i v is v at c raised by x_i, times the factor
         down = {up: (c, k.numerator) for c, (up, k) in enumerate(entries)}
         for col in range(level.dim):
-            vec = level._int_row(col)
+            vec = level.rows[col]
             img = [(hit[0], x * hit[1]) for up, x in vec if (hit := down.get(up)) is not None]
             coords = prev._coords(img)
             if coords is None:

@@ -12,6 +12,10 @@ def zeros(rows: int, cols: int) -> RatMatrix:
     return RatMatrix([[0] * cols for _ in range(rows)], cols=cols)
 
 
+def identity(n: int) -> RatMatrix:
+    return RatMatrix(pairs=[((i, Fraction(1)),) for i in range(n)], cols=n)
+
+
 def product(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """a b, one column of b at a time through ``a.apply``."""
     if a.cols != b.rows:

@@ -42,7 +42,7 @@ from formalpde.tableau import Tableau, prolong, tower
 from formalpde.tensorspace import ext_dim, multi_indices, sym_dim
 
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import product, slot_map, zeros
+from matrices import identity, product, slot_map, zeros
 
 CORPUS_NAMES = (
     "cauchy_riemann.pde",
@@ -292,7 +292,7 @@ def test_criterion_06_flat_connection_family():
         # second pipeline: the connection-side torsion is the commutator class
         # (slot oriented by e_1 ∧ e_2, i.e. the coefficient of dx1 ∧ dx2)
         conn = pde_to_relconn(s)
-        assert conn.sigma == RatMatrix.identity(m)
+        assert conn.sigma == identity(m)
         comm = commutator(a, b)
         obstructed_count = 0
         for c in range(m):

@@ -1,6 +1,6 @@
 """Where ``src/formalpde`` renders a subspace as dense vectors.
 
-A `Subspace` stores only its canonical basis as (index, value) pairs, and
+A `Subspace` stores only its canonical basis as (index, int) pairs, and
 every stage reads those pairs.  Dense vectors are rendered on demand for
 reports, witnesses and a few checks that take whole vectors.  This scan
 pins where:

@@ -88,7 +88,7 @@ from formalpde.spencer import cohomology
 from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
-from matrices import coords_of, zeros
+from matrices import coords_of, identity, zeros
 
 
 def cauchy_riemann() -> PdeSystem:
@@ -269,7 +269,7 @@ def test_single_unknown_single_direction():
     assert rep.base_fiber_dim == 1
     assert [r.fiber_dim for r in rep.levels] == [1, 1]
     conn = pde_to_relconn(s)
-    assert conn.sigma == RatMatrix.identity(1)
+    assert conn.sigma == identity(1)
     assert conn.mats[0] == zeros(1, 1)
     assert classical_prolongation_fiber(conn).subspace.dim == 1
 
@@ -511,6 +511,21 @@ def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
     assert Fraction(2, 3) * 3 == 2 and products == [1]  # the counter counts
 
 
+def test_the_tower_report_compares_no_fractions(monkeypatch):
+    # a subspace is its integer rows, so the walk's containment check and
+    # every cache key compare ints; a Fraction compared anywhere in the heat
+    # tower report to depth 10 fails here
+    compared = []
+    eq = Fraction.__eq__
+    monkeypatch.setattr(Fraction, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
+    solution_fiber.cache_clear()
+    symbol_tableau.cache_clear()
+    report = prolongation_tower(heat3(), 10)
+    assert report.verdict_level == 10 and len(report.levels) == 10
+    assert compared == []
+    assert Fraction(1, 2) == Fraction(2, 4) and compared == [1]  # the counter counts
+
+
 def test_spencer_cohomology_builds_no_fraction_on_a_tower(monkeypatch):
     # the tower keeps each ∂ as the integers ∂·D, so the slot maps, the
     # δ∘δ = 0 check (one integer row scaling) and the ranks stay in ints.
@@ -725,7 +740,7 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
             assert symbol_map(conn).partial_map.pairs == dense_partial_map(conn).pairs
             for j, v in enumerate(fiber.basis):
                 # the integer row d_j·b_j maps to d_j times the dense point of b_j
-                ints = fiber._int_row(j)
+                ints = fiber.rows[j]
                 assert _prolongation_point(lower, lower_fiber, ints) == tuple(
                     ints[0][1] * x for x in dense_point(lower, lower_fiber, v)
                 ), (path.name, level)

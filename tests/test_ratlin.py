@@ -7,8 +7,8 @@ Plan:
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
-    floats are refused, also among Fractions and among pairs, and the cached
-    integer rows leave equality and hashing alone;
+    floats are refused, also among Fractions and among pairs, and membership
+    leaves equality and hashing alone;
  3) hypothesis property tests for the classical identities (rank-nullity,
     Fredholm witness); coordinates read over a vector's nonzeros agree with
     reduce_mod, on spans and on kernels, and rebuild the vector, and so do
@@ -20,13 +20,16 @@ Plan:
  4) zero-row / zero-column edge shapes;
  5) the single-elimination kernel equals the kernel read off rref(m) and
     canonicalised again, bit for bit, and its annihilator is the row basis of
-    the reversed-column rref of m, up to sign and row order;
+    the reversed-column rref of m, negated, up to a positive scale and row
+    order, in primitive integer rows;
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
     kernel of its constraint matrix; every builder (kernel, from_spanning,
-    full, zero, head, tail) emits the canonical pair rows, each ascending and
-    led by its pivot's (p, 1), rendering the reference's dense rref rows;
+    full, zero, head, tail) emits the canonical rows, each basis vector's
+    primitive integer row, ascending and led by its pivot's (p, d) with
+    d > 0, rendering the reference's dense rref rows; a cut row is divided
+    by its content again;
  6) the integer row insertion of rref equals a Fraction Gauss–Jordan
     reference (`rref_reference.py`), matrix and pivots, on wide
     denominators, dense and sparse rows, and duplicated, scaled and combined
@@ -39,7 +42,7 @@ Plan:
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,7 +61,7 @@ from formalpde.ratlin import (
     solve_affine,
 )
 
-from matrices import coords_of, rref_rank, zeros
+from matrices import coords_of, identity, rref_rank, zeros
 from rref_reference import reference_rref
 
 F = Fraction
@@ -213,7 +216,7 @@ def test_floats_are_refused(x):
     assert RatMatrix([[1, "-2/3", False, F(1, 2), True]]) == RatMatrix(
         [[F(1), F(-2, 3), F(0), F(1, 2), F(1)]]
     )
-    # the integer rows read by membership are a cache, invisible to the value
+    # membership reads the stored integer rows and leaves the value alone
     assert u.contains_vector(exact) and not u.contains_vector([0, 1, 0])
     assert u._coords([(0, 3), (1, -2)]) == [(0, 3)]
     fresh = Subspace.from_spanning(3, [[0, 0, 1], exact])
@@ -418,12 +421,20 @@ def test_single_elimination_kernel_is_bit_identical(m):
     assert k.basis == ref.basis
     assert k.pivots == ref.pivots
     # the kernel's annihilator is m's row basis from the reversed-column
-    # rref, up to sign and row order: the walk hands it up as the next level
+    # rref, negated, up to a positive scale and row order: the walk hands it
+    # up as the next level.  Each row is primitive in ints and ends at its
+    # own column, where its echelon row has its 1
     r, pivots = rref(RatMatrix([m.row(i)[::-1] for i in range(m.rows)], cols=m.cols))
     echelon = {tuple(r.row(i)[::-1]) for i in range(len(pivots))}
     q = k.constraint_matrix()
     assert q.shape == (rref_rank(m), m.cols)
-    assert {tuple(-x for x in q.row(i)) for i in range(q.rows)} == echelon
+    negated = set()
+    for i, row in enumerate(q.pairs):
+        assert all(type(x) is int for _, x in row) and gcd(*(x for _, x in row)) == 1
+        scale = -row[-1][1]
+        assert scale > 0
+        negated.add(tuple(F(-x, scale) for x in q.row(i)))
+    assert negated == echelon
 
 
 @settings(deadline=None, max_examples=200)
@@ -476,16 +487,27 @@ def reference_span(vectors, width: int) -> tuple:
 
 
 def assert_pair_form(u: Subspace, want: tuple):
-    # rows are the only storage: each ascends, leads with its pivot's
-    # (p, Fraction(1)) and holds nonzero Fractions; pivots increase, every
-    # other row is absent at a pivot, and the dense rendering is the reference
+    # rows are the only storage, each basis vector's primitive integer row:
+    # it ascends, leads with its pivot's (p, d) for a d > 0, holds nonzero
+    # ints only and has content 1; pivots increase, every other row is
+    # absent at a pivot, and the rendered basis is the reference rref's rows
     assert list(u.pivots) == sorted(set(u.pivots))
     for j, (p, row) in enumerate(zip(u.pivots, u.rows)):
-        assert row[0] == (p, 1) and type(row[0][1]) is F
+        assert row[0][0] == p and row[0][1] > 0
         assert all(a < b for (a, _), (b, _) in zip(row, row[1:])), row
-        assert all(type(x) is F and x for _, x in row)
+        assert all(type(x) is int and x for _, x in row)
+        assert gcd(*(x for _, x in row)) == 1, row
         assert all(p not in dict(other) for l, other in enumerate(u.rows) if l != j)
     assert u.basis == want
+
+
+def test_a_cut_integer_row_is_divided_by_its_content():
+    # b = (1, 0, 1/2) is stored as (2, 0, 1); its cut at 2 is (1, 0), not (2, 0)
+    u = Subspace.from_spanning(3, [[1, 0, F(1, 2)]])
+    assert u.rows == (((0, 2), (2, 1)),)
+    assert_pair_form(u, ((F(1), F(0), F(1, 2)),))
+    assert u.head(2).rows == (((0, 1),),)
+    assert_pair_form(u.head(2), ((F(1), F(0)),))
 
 
 @settings(deadline=None, max_examples=100)
@@ -584,7 +606,7 @@ def test_matrix_immutability_and_hash():
 
 def test_rref_of_the_hilbert_matrix_is_the_identity():
     h = RatMatrix([[F(1, i + j + 1) for j in range(10)] for i in range(10)])
-    assert rref(h) == reference_rref(h) == (RatMatrix.identity(10), tuple(range(10)))
+    assert rref(h) == reference_rref(h) == (identity(10), tuple(range(10)))
 
 
 def test_rref_row_cancelling_exactly_mid_insertion():

@@ -34,7 +34,7 @@ from formalpde.relconn import (
     torsion_at,
 )
 
-from matrices import coords_of, rref_rank, slot_map, zeros
+from matrices import coords_of, identity, rref_rank, slot_map, zeros
 from oracle_brute import section_curvature
 
 F = Fraction
@@ -43,7 +43,7 @@ F = Fraction
 def flat_conn(a1, a2):
     """sigma = id, directions act by the given matrices."""
     m = len(a1)
-    return RelConn(RatMatrix.identity(m), [RatMatrix(a1), RatMatrix(a2)])
+    return RelConn(identity(m), [RatMatrix(a1), RatMatrix(a2)])
 
 
 def to_sympy(m: RatMatrix) -> sympy.Matrix:
@@ -283,7 +283,7 @@ def test_fiber_empty_with_witness():
 
 def test_compatibility_failure_records():
     outer = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    inner = RelConn(RatMatrix.identity(2), [zeros(2, 2)] * 2)
+    inner = RelConn(identity(2), [zeros(2, 2)] * 2)
     report = compatible(outer, inner)
     assert not report.ok
 
@@ -310,13 +310,13 @@ def test_h01_dim_worked_example():
 
 def test_h01_dim_rejects_incompatible_pairs():
     outer = flat_conn([[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    inner = RelConn(RatMatrix.identity(2), [zeros(2, 2)] * 2)
+    inner = RelConn(identity(2), [zeros(2, 2)] * 2)
     with pytest.raises(ValueError):
         h01_dim(outer, inner)
 
 
 def test_relconn_shape_validation():
     with pytest.raises(ValueError):
-        RelConn(RatMatrix.identity(2), [])
+        RelConn(identity(2), [])
     with pytest.raises(ValueError):
-        RelConn(RatMatrix.identity(2), [zeros(3, 2)])
+        RelConn(identity(2), [zeros(3, 2)])
