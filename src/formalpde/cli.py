@@ -25,8 +25,8 @@ above MAX_BASE_FIBER) carry a stable code.
 
 Exit codes: 0 = analysis completed (obstructed verdicts included), 1 = bad
 input (unreadable file, parse error, bad flags, or an input past the size
-budget of the library stage that would run it), 2 = an internal consistency
-check failed.
+budget of the library stage that would run it), 2 = an internal failure: a
+consistency check failed or the program raised an unexpected exception.
 
 With --json PATH the machine-readable report is written to PATH next to the
 usual table; --json - prints only the JSON on stdout.  JSON output is
@@ -373,20 +373,8 @@ def _frac_list(vec) -> list[str] | None:
     return [str(x) for x in vec]
 
 
-def _system_payload(system: PdeSystem) -> dict:
-    return {
-        "base_dim": system.n,
-        "fiber_rank": system.m,
-        "order": system.k,
-        "equation_count": system.equations.rows,
-    }
-
-
-def _report_payload(command: str, system: PdeSystem, rep: IntegrabilityReport) -> dict:
+def _report_payload(rep: IntegrabilityReport) -> dict:
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "system": _system_payload(system),
         "base_fiber_dim": rep.base_fiber_dim,
         "levels": [
             {
@@ -437,14 +425,22 @@ def _report_table(rep: IntegrabilityReport) -> list[str]:
     return lines
 
 
-def _emit(args, lines: list[str], payload: dict) -> None:
-    blob = json.dumps(payload, indent=2)
-    if args.json == "-":
-        print(blob)
-        return
+def _emit(args, system: PdeSystem, lines: list[str], payload: dict) -> int:
+    """Print the table, or with --json - only the report (--json PATH writes it
+    too): the envelope every command shares, then payload.  Exit code 0."""
     if args.json:
+        blob = json.dumps({
+            "schema_version": SCHEMA_VERSION, "command": args.command,
+            "system": {"base_dim": system.n, "fiber_rank": system.m, "order": system.k,
+                       "equation_count": system.equations.rows},
+            **payload,
+        }, indent=2)
+        if args.json == "-":
+            print(blob)
+            return 0
         Path(args.json).write_text(blob + "\n")
     print("\n".join(lines))
+    return 0
 
 
 # --------------------------- commands ---------------------------
@@ -462,22 +458,17 @@ def cmd_symbol(args) -> int:
         f"symbol type: {verdict.kind}({verdict.level})",
     ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "symbol",
-        "system": _system_payload(system),
         "symbol_dim": chain.levels[0].dim,
         "ranks": list(verdict.ranks),
         "symbol_type": {"kind": verdict.kind, "level": verdict.level},
     }
-    _emit(args, lines, payload)
-    return 0
+    return _emit(args, system, lines, payload)
 
 
 def cmd_tower(args) -> int:
     system = load_system(args.file)
     rep = prolongation_tower(system, args.levels)
-    _emit(args, _report_table(rep), _report_payload("tower", system, rep))
-    return 0
+    return _emit(args, system, _report_table(rep), _report_payload(rep))
 
 
 def cmd_cohomology(args) -> int:
@@ -497,9 +488,6 @@ def cmd_cohomology(args) -> int:
     if report.vanishing_level is not None:
         lines.append(f"symbol vanishes from level {report.vanishing_level}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "cohomology",
-        "system": _system_payload(system),
         "l_max": args.l_max,
         "m_max": m_max,
         "entries": [
@@ -514,8 +502,7 @@ def cmd_cohomology(args) -> int:
         ],
         "vanishing_level": report.vanishing_level,
     }
-    _emit(args, lines, payload)
-    return 0
+    return _emit(args, system, lines, payload)
 
 
 def cmd_goldschmidt(args) -> int:
@@ -526,20 +513,18 @@ def cmd_goldschmidt(args) -> int:
     lines.insert(
         1, f"H(l,2) for l = 0..{args.l_max}: " + " ".join(str(d) for d in h2)
     )
-    _emit(args, lines, _report_payload("goldschmidt", system, rep))
-    return 0
+    return _emit(args, system, lines, _report_payload(rep))
 
 
 def cmd_finite_type(args) -> int:
     system = load_system(args.file)
-    rep = finite_type_integrability(system, args.l_max, args.levels)
+    rep = finite_type_integrability(system, args.l_max)
     lines = _report_table(rep)
     if rep.type_verdict is not None:
         lines.insert(
             1, f"symbol type: {rep.type_verdict.kind}({rep.type_verdict.level})"
         )
-    _emit(args, lines, _report_payload("finite-type", system, rep))
-    return 0
+    return _emit(args, system, lines, _report_payload(rep))
 
 
 def cmd_crosscheck(args) -> int:
@@ -554,9 +539,6 @@ def cmd_crosscheck(args) -> int:
     )
     lines.append(f"routes agree at every level 1..{args.levels}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "crosscheck",
-        "system": _system_payload(system),
         "levels": [
             {
                 "level": r.level,
@@ -571,8 +553,7 @@ def cmd_crosscheck(args) -> int:
         ],
         "agree": True,
     }
-    _emit(args, lines, payload)
-    return 0
+    return _emit(args, system, lines, payload)
 
 
 # --------------------------- argument parsing ---------------------------
@@ -633,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("cohomology", "table of symbol cohomology dimensions", l_max=2, m_max=True)
     add("goldschmidt", "first-projection surjectivity plus bounded 2-acyclicity",
         l_max=2)
-    add("finite-type", "certification through symbol vanishing", levels=6, l_max=2)
+    add("finite-type", "certification through symbol vanishing", l_max=2)
     add("crosscheck",
         "compare the jet route against the connection route level by level",
         levels=2)
@@ -662,6 +643,10 @@ def main(argv=None) -> int:
         return 1
     except InvariantViolation as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of the program, reported without a traceback
+        print(f"internal failure in {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,7 @@ Two failure families are kept apart deliberately:
   mismatched shapes, a vector outside a subspace, a chain that is too short.
 * ``InvariantViolation`` -- an internal structural assertion failed, meaning
   the library itself produced inconsistent data.  The command-line driver maps
-  this (and only this) to exit code 2.
+  this, and any exception outside both families, to exit code 2.
 """
 
 

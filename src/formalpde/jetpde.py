@@ -152,10 +152,6 @@ class PdeSystem:
             rows.append([(j, x) for j, x in sorted(row.items()) if x])
         return PdeSystem(n, m, k, RatMatrix(pairs=rows, cols=jet_fiber_dim(n, m, k)))
 
-    @property
-    def fiber_dim(self) -> int:
-        return jet_fiber_dim(self.n, self.m, self.k)
-
 
 @lru_cache
 def solution_fiber(system: PdeSystem) -> Subspace:
@@ -348,29 +344,23 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     )
 
 
-def finite_type_integrability(
-    system: PdeSystem, l_max: int, max_levels: int
-) -> IntegrabilityReport:
+def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """Certify through symbol vanishing: finite type + a surjective tower.
 
     If the symbol tower reaches zero at level l <= l_max and the prolongation
-    tower is surjective through level l + 1 (within max_levels), projections
-    above l are bijections and the system is formally integrable outright.
+    tower is surjective through level l + 1, projections above l are
+    bijections and the system is formally integrable outright; the walk's
+    depth l + 1 is fixed by the criterion, inside the tower's l_max + 1.
     For symbols that stay nonzero through l_max the question defers to
     ``goldschmidt_check``, whose window ``spencer.cohomology`` budgets.
     """
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1")
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
     chain = symbol_tower(system, l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
         return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
-    need = verdict.level + 1
-    if max_levels < need:
-        return replace(_tower_report(system, chain.ranks[:max_levels]), type_verdict=verdict)
-    report = _tower_report(system, chain.ranks[:need])
+    report = _tower_report(system, chain.ranks[: verdict.level + 1])
     if report.verdict == "obstructed-at":
         return replace(
             report, certification_basis=f"finite-type({verdict.level})", type_verdict=verdict

@@ -104,8 +104,6 @@ class Tableau:
 
 def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace:
     target_dim = sym_dim(n, degree + 1) * f
-    if target_dim == 0 or n == 0:
-        return Subspace.zero(target_dim)
     q = space.constraint_matrix()
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
@@ -115,7 +113,7 @@ def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace
     rows = []
     for entries in raise_table(n, degree, f):
         for row in q.pairs:
-            rows.append([(entries[c][0], x * entries[c][1].numerator) for c, x in row])
+            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
     return kernel(RatMatrix(pairs=rows, cols=target_dim))
 
 
@@ -158,7 +156,7 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
     rows = [[] for _ in range(n * prev.dim)]
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
         # coordinate c of iota_i v is v at c raised by x_i, times the factor
-        down = {up: (c, k.numerator) for c, (up, k) in enumerate(entries)}
+        down = {up: (c, k) for c, (up, k) in enumerate(entries)}
         for col in range(level.dim):
             vec = level.rows[col]
             img = [(hit[0], x * hit[1]) for up, x in vec if (hit := down.get(up)) is not None]

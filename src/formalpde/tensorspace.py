@@ -27,7 +27,6 @@ so does every level's ∂ that the Spencer differentials use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -120,7 +119,7 @@ def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
 
 
 @lru_cache
-def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x_i : S^d ⊗ F -> S^(d+1) ⊗ F for every direction i, as sparse entries.
 
     table[i][a * sym_dim(n, d) + sym_rank(alpha)] is (up, alpha_i + 1) with
@@ -131,7 +130,7 @@ def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, Fraction], ...
     sd_up = sym_dim(n, d + 1)
     return tuple(
         tuple(
-            (a * sd_up + sym_rank(raise_sym(alpha, i)), Fraction(alpha[i] + 1))
+            (a * sd_up + sym_rank(raise_sym(alpha, i)), alpha[i] + 1)
             for a in range(f)
             for alpha in multi_indices(n, d)
         )

@@ -279,12 +279,12 @@ def test_criterion_06_flat_connection_family():
             noncommuting.append((a, b))
     for a, b in commuting:
         s = flat_connection_system([a, b])
-        verdict = finite_type_integrability(s, 2, 3)
+        verdict = finite_type_integrability(s, 2)
         assert verdict.verdict == "formally-integrable-certified"
     for a, b in noncommuting:
         m = len(a)
         s = flat_connection_system([a, b])
-        verdict = finite_type_integrability(s, 2, 3)
+        verdict = finite_type_integrability(s, 2)
         assert verdict.verdict == "obstructed-at"
         assert verdict.verdict_level == 1
         rep = prolongation_tower(s, 2)

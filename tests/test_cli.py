@@ -12,9 +12,11 @@ Plan:
  6. exit codes: 0 for completed analyses, 1 for input problems,
     2 for internal consistency failures, among them faults injected into the
     walk (a moved cut, a dropped kept row), into the crosscheck's jet
-    mapping and into the connection route's rows; an out-of-range count
-    flag is a bad flag, named in the message; a depth whose jet fiber is
-    past the budget exits 1 within a second, before any elimination
+    mapping and into the connection route's rows, and for any unexpected
+    exception, printed without a traceback; an out-of-range count flag is a
+    bad flag, named in the message, and finite-type takes no depth flag; a
+    depth whose jet fiber is past the budget exits 1 within a second, before
+    any elimination
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
@@ -44,7 +46,7 @@ from formalpde.cli import (
     main,
     parse_system,
 )
-from formalpde import jetpde, relconn as relconn_module, spencer, tableau as tableau_module
+from formalpde import jetpde, ratlin, relconn as relconn_module, spencer, tableau as tableau_module
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import (
     MAX_CROSSCHECK_WIDTH,
@@ -368,7 +370,6 @@ def test_exit_one_for_input_problems(tmp_path, capsys):
     [
         ("symbol", "--levels", "0", 1),
         ("tower", "--levels", "-1", 1),
-        ("finite-type", "--levels", "0", 1),
         ("crosscheck", "--levels", "0", 1),
         ("cohomology", "--l-max", "-1", 0),
         ("goldschmidt", "--l-max", "-2", 0),
@@ -385,6 +386,28 @@ def test_out_of_range_flags_name_the_flag(command, flag, value, bound, capsys):
     assert f"argument {flag}: must be at least {bound}, got {value}" in err
     # the smallest accepted value still runs
     assert main([command, path, flag, str(bound), "--json", "-"]) == 0
+
+
+def test_finite_type_takes_no_depth_flag(capsys):
+    # its criterion fixes the walk's depth: one level past the vanishing one
+    with pytest.raises(SystemExit) as info:
+        main(["finite-type", str(corpus_path("wave1d.pde")), "--levels", "3"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --levels 3" in capsys.readouterr().err
+
+
+def test_finite_type_walks_one_level_past_its_l_max(tmp_path, capsys):
+    # u_x1^7 = u_x2^7 = 0: the symbol vanishes at level 6, so the certificate
+    # needs the projection from level 7 as well
+    s = PdeSystem.from_terms(2, 1, 7, [[(1, 0, (7, 0))], [(1, 0, (0, 7))]])
+    path = write_pde(tmp_path, format_system(s))
+    assert main(["finite-type", path, "--l-max", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: formally-integrable-certified(6)  [finite-type(6)]" in out
+    assert main(["finite-type", path, "--l-max", "6", "--json", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["certification_basis"] == "finite-type(6)"
+    assert [lv["level"] for lv in payload["levels"]] == list(range(1, 8))
 
 
 HEAT3 = "base_dim = 3\nfiber_rank = 1\norder = 2\neq: u1_x1x1 + u1_x2x2 - u1_x3 = 0\n"
@@ -539,11 +562,11 @@ def test_finite_type_budgets_only_its_goldschmidt_fallback():
     n = 18
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     gradient = PdeSystem.from_terms(n, 1, 1, [[(1, 0, alpha)] for alpha in units])
-    assert finite_type_integrability(gradient, 0, 6).verdict == (
+    assert finite_type_integrability(gradient, 0).verdict == (
         "formally-integrable-certified"
     )
     with pytest.raises(ValueError, match="Spencer cohomology to l_max 0 and m_max 2"):
-        finite_type_integrability(PdeSystem.from_terms(n, 1, 1, []), 0, 6)
+        finite_type_integrability(PdeSystem.from_terms(n, 1, 1, []), 0)
 
 
 def largest_slot_met(chain, l_max, m_max):
@@ -681,7 +704,7 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
     table = [
         (lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
         (lambda: goldschmidt_check(free18, 0), "Spencer cohomology to l_max 0"),
-        (lambda: finite_type_integrability(first43, 0, 6), "symbol tower to depth 1"),
+        (lambda: finite_type_integrability(first43, 0), "symbol tower to depth 1"),
         (lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
         (lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1), "symbol tower to depth 1"),
         (lambda: cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1),
@@ -720,6 +743,24 @@ def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main(["tower", path]) == 2
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"]
+)
+def test_an_unexpected_exception_is_an_internal_failure(command, capsys, monkeypatch):
+    # with nothing cached for the system, every command reaches an elimination
+    for cache in (jetpde.solution_fiber, jetpde.symbol_tableau, jetpde._held_tower):
+        cache.cache_clear()
+
+    def broken(rows):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(ratlin, "_echelon", broken)
+    assert main([command, str(corpus_path("laplace2d.pde"))]) == 2
+    err = capsys.readouterr().err
+    assert f"internal failure in {command}: KeyError: 'injected'" in err
+    assert "Traceback" not in err
 
 
 def move_the_cut(monkeypatch):

@@ -251,7 +251,7 @@ def test_gradient_system_certified():
     rep = prolongation_tower(gradient_zero(), 4)
     assert rep.base_fiber_dim == 1
     assert [r.fiber_dim for r in rep.levels] == [1, 1, 1, 1]
-    ft = finite_type_integrability(gradient_zero(), 3, 6)
+    ft = finite_type_integrability(gradient_zero(), 3)
     assert ft.verdict == "formally-integrable-certified"
     assert ft.certification_basis == "finite-type(0)"
     assert ft.type_verdict.kind == "finite" and ft.type_verdict.level == 0
@@ -288,7 +288,7 @@ def test_flat_commuting_certified():
     rep = prolongation_tower(s, 4)
     assert rep.base_fiber_dim == 2
     assert [r.fiber_dim for r in rep.levels] == [2, 2, 2, 2]
-    ft = finite_type_integrability(s, 3, 6)
+    ft = finite_type_integrability(s, 3)
     assert ft.verdict == "formally-integrable-certified"
     assert ft.certification_basis == "finite-type(0)"
 
@@ -559,7 +559,7 @@ def test_goldschmidt_cauchy_riemann_evidence_bounded():
     assert rep.certification_basis == "goldschmidt-up-to-evidence(4)"
     assert all(rep.cohomology[(l, 2)] == 0 for l in range(5))
     assert all(rep.cohomology[(l, 1)] == 0 for l in range(5))
-    ft = finite_type_integrability(cauchy_riemann(), 3, 6)
+    ft = finite_type_integrability(cauchy_riemann(), 3)
     assert ft.type_verdict.kind == "infinite-up-to"
     assert ft.certification_basis == "goldschmidt-up-to-evidence(3)"
 
@@ -792,7 +792,7 @@ def test_tower_depth_validation():
     with pytest.raises(ValueError):
         goldschmidt_check(cauchy_riemann(), -1)
     with pytest.raises(ValueError):
-        finite_type_integrability(cauchy_riemann(), 2, 0)
+        finite_type_integrability(cauchy_riemann(), -1)
 
 
 def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
@@ -860,11 +860,7 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
 def test_finite_type_bound_capping():
     # u_11 = u_22 = 0 has symbol spanned by x1 x2: finite type at level 1
     s = PdeSystem.from_terms(2, 1, 2, [[(1, 0, (2, 0))], [(1, 0, (0, 2))]])
-    capped = finite_type_integrability(s, 3, 1)
-    assert capped.verdict == "integrable-up-to"
-    assert capped.certification_basis == "exhausted-bound"
-    assert capped.type_verdict.kind == "finite" and capped.type_verdict.level == 1
-    full = finite_type_integrability(s, 3, 6)
+    full = finite_type_integrability(s, 3)
     assert full.verdict == "formally-integrable-certified"
     assert full.certification_basis == "finite-type(1)"
     dims = [full.base_fiber_dim] + [r.fiber_dim for r in full.levels]
