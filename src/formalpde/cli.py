@@ -28,9 +28,11 @@ input (unreadable file, parse error, bad flags, or an input past the size
 budget of the library stage that would run it), 2 = an internal failure: a
 consistency check failed or the program raised an unexpected exception.
 
-With --json PATH the machine-readable report is written to PATH next to the
-usual table; --json - prints only the JSON on stdout.  JSON output is
-deterministic byte for byte: fixed key order, integers exact, rationals as
+Each command maps (args, system) to its table lines and its JSON payload;
+``main`` loads the system once, runs the command and writes the report once
+(``_emit``).  With --json PATH the machine-readable report is written to PATH
+next to the usual table; --json - prints only the JSON on stdout.  JSON output
+is deterministic byte for byte: fixed key order, integers exact, rationals as
 strings.
 """
 
@@ -376,17 +378,7 @@ def _frac_list(vec) -> list[str] | None:
 def _report_payload(rep: IntegrabilityReport) -> dict:
     payload = {
         "base_fiber_dim": rep.base_fiber_dim,
-        "levels": [
-            {
-                "level": rec.level,
-                "fiber_dim": rec.fiber_dim,
-                "symbol_dim": rec.symbol_dim,
-                "projection_surjective": rec.projection_surjective,
-                "torsion_vanishes": rec.torsion_vanishes,
-                "witness": _frac_list(rec.witness),
-            }
-            for rec in rep.levels
-        ],
+        "levels": [{**vars(rec), "witness": _frac_list(rec.witness)} for rec in rep.levels],
         "verdict": rep.verdict,
         "verdict_level": rep.verdict_level,
         "certification_basis": rep.certification_basis,
@@ -395,15 +387,10 @@ def _report_payload(rep: IntegrabilityReport) -> dict:
     }
     if rep.cohomology is not None:
         payload["cohomology"] = [
-            {"l": l, "m": mm, "h_dim": rep.cohomology[(l, mm)]}
-            for (l, mm) in sorted(rep.cohomology)
+            {"l": l, "m": mm, "h_dim": h} for (l, mm), h in sorted(rep.cohomology.items())
         ]
     if rep.type_verdict is not None:
-        payload["symbol_type"] = {
-            "kind": rep.type_verdict.kind,
-            "level": rep.type_verdict.level,
-            "ranks": list(rep.type_verdict.ranks),
-        }
+        payload["symbol_type"] = vars(rep.type_verdict)  # JSON writes the ranks tuple as an array
     return payload
 
 
@@ -426,8 +413,9 @@ def _report_table(rep: IntegrabilityReport) -> list[str]:
 
 
 def _emit(args, system: PdeSystem, lines: list[str], payload: dict) -> int:
-    """Print the table, or with --json - only the report (--json PATH writes it
-    too): the envelope every command shares, then payload.  Exit code 0."""
+    """Write main's one report: the table, or with --json - only the JSON
+    (--json PATH writes it too), whose envelope every command shares ahead of
+    the command's payload.  Exit code 0."""
     if args.json:
         blob = json.dumps({
             "schema_version": SCHEMA_VERSION, "command": args.command,
@@ -446,8 +434,7 @@ def _emit(args, system: PdeSystem, lines: list[str], payload: dict) -> int:
 # --------------------------- commands ---------------------------
 
 
-def cmd_symbol(args) -> int:
-    system = load_system(args.file)
+def cmd_symbol(args, system: PdeSystem) -> tuple[list[str], dict]:
     chain = symbol_tower(system, args.levels)
     verdict = classify_type(chain, args.levels)
     lines = [
@@ -457,22 +444,19 @@ def cmd_symbol(args) -> int:
         + " ".join(f"g({l})={d}" for l, d in enumerate(verdict.ranks)),
         f"symbol type: {verdict.kind}({verdict.level})",
     ]
-    payload = {
+    return lines, {
         "symbol_dim": chain.levels[0].dim,
         "ranks": list(verdict.ranks),
         "symbol_type": {"kind": verdict.kind, "level": verdict.level},
     }
-    return _emit(args, system, lines, payload)
 
 
-def cmd_tower(args) -> int:
-    system = load_system(args.file)
+def cmd_tower(args, system: PdeSystem) -> tuple[list[str], dict]:
     rep = prolongation_tower(system, args.levels)
-    return _emit(args, system, _report_table(rep), _report_payload(rep))
+    return _report_table(rep), _report_payload(rep)
 
 
-def cmd_cohomology(args) -> int:
-    system = load_system(args.file)
+def cmd_cohomology(args, system: PdeSystem) -> tuple[list[str], dict]:
     m_max = args.m_max if args.m_max is not None else system.n
     if m_max > system.n:  # every form degree past n is a zero slot
         raise ValueError(f"--m-max {m_max} exceeds base_dim {system.n}")
@@ -487,48 +471,37 @@ def cmd_cohomology(args) -> int:
         lines.append(f"{l:<5}  {cells}")
     if report.vanishing_level is not None:
         lines.append(f"symbol vanishes from level {report.vanishing_level}")
-    payload = {
+    return lines, {
         "l_max": args.l_max,
         "m_max": m_max,
         "entries": [
-            {
-                "l": l,
-                "m": mm,
-                "z_dim": report.entries[(l, mm)].z_dim,
-                "b_dim": report.entries[(l, mm)].b_dim,
-                "h_dim": report.entries[(l, mm)].h_dim,
-            }
-            for (l, mm) in sorted(report.entries)
+            {"l": l, "m": mm, **vars(entry)} for (l, mm), entry in sorted(report.entries.items())
         ],
         "vanishing_level": report.vanishing_level,
     }
-    return _emit(args, system, lines, payload)
 
 
-def cmd_goldschmidt(args) -> int:
-    system = load_system(args.file)
+def cmd_goldschmidt(args, system: PdeSystem) -> tuple[list[str], dict]:
     rep = goldschmidt_check(system, args.l_max)
     lines = _report_table(rep)
     h2 = [rep.cohomology[(l, 2)] for l in range(args.l_max + 1)]
     lines.insert(
         1, f"H(l,2) for l = 0..{args.l_max}: " + " ".join(str(d) for d in h2)
     )
-    return _emit(args, system, lines, _report_payload(rep))
+    return lines, _report_payload(rep)
 
 
-def cmd_finite_type(args) -> int:
-    system = load_system(args.file)
+def cmd_finite_type(args, system: PdeSystem) -> tuple[list[str], dict]:
     rep = finite_type_integrability(system, args.l_max)
     lines = _report_table(rep)
     if rep.type_verdict is not None:
         lines.insert(
             1, f"symbol type: {rep.type_verdict.kind}({rep.type_verdict.level})"
         )
-    return _emit(args, system, lines, _report_payload(rep))
+    return lines, _report_payload(rep)
 
 
-def cmd_crosscheck(args) -> int:
-    system = load_system(args.file)
+def cmd_crosscheck(args, system: PdeSystem) -> tuple[list[str], dict]:
     levels = crosscheck_routes(system, args.levels)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.extend(
@@ -538,7 +511,7 @@ def cmd_crosscheck(args) -> int:
         for r in levels
     )
     lines.append(f"routes agree at every level 1..{args.levels}")
-    payload = {
+    return lines, {
         "levels": [
             {
                 "level": r.level,
@@ -553,7 +526,6 @@ def cmd_crosscheck(args) -> int:
         ],
         "agree": True,
     }
-    return _emit(args, system, lines, payload)
 
 
 # --------------------------- argument parsing ---------------------------
@@ -634,7 +606,8 @@ def main(argv=None) -> int:
                "goldschmidt": cmd_goldschmidt, "finite-type": cmd_finite_type,
                "crosscheck": cmd_crosscheck}[args.command]
     try:
-        return command(args)
+        system = load_system(args.file)
+        return _emit(args, system, *command(args, system))
     except (PdeSyntaxError, PdeSemanticError) as exc:
         print(f"{args.file}: {exc}", file=sys.stderr)
         return 1

@@ -210,7 +210,7 @@ class LevelRecord:
     torsion_vanishes is the operational reading of projection_surjective:
     every lower-order solution jet extends iff no torsion obstructs it.
     witness (when not surjective) is a solution jet of the level below that
-    admits no extension.
+    admits no extension.  The field order is the JSON key order of a level.
     """
 
     level: int
@@ -285,19 +285,13 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
             level=level, fiber_dim=fiber.dim, symbol_dim=sym,
             projection_surjective=surjective, torsion_vanishes=surjective, witness=witness,
         ))
-    report = IntegrabilityReport(
-        base_fiber_dim=base_fiber.dim, levels=tuple(records), verdict="integrable-up-to",
-        verdict_level=len(records), certification_basis="exhausted-bound",
-    )
     failed = next((rec for rec in records if not rec.projection_surjective), None)
-    if failed is None:
-        return report
-    return replace(
-        report,
-        verdict="obstructed-at",
-        verdict_level=failed.level,
-        certification_basis=f"tower({len(records)})",
-        witness=failed.witness,
+    return IntegrabilityReport(
+        base_fiber_dim=base_fiber.dim, levels=tuple(records),
+        verdict="integrable-up-to" if failed is None else "obstructed-at",
+        verdict_level=len(records) if failed is None else failed.level,
+        certification_basis="exhausted-bound" if failed is None else f"tower({len(records)})",
+        witness=None if failed is None else failed.witness,
     )
 
 
@@ -322,13 +316,10 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     report = cohomology(chain, l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
     tower_report = _tower_report(system, chain.ranks[:1])
-    if not tower_report.levels[0].projection_surjective:
-        # the depth-1 tower already reports obstructed-at(1) and its witness
-        return replace(
-            tower_report, certification_basis=f"goldschmidt({l_max})", cohomology=hdims
-        )
-    acyclic = is_r_acyclic(report, 2)
-    if not acyclic.acyclic:
+    if tower_report.verdict == "obstructed-at":
+        # the depth-1 tower's obstructed-at(1) and its witness stand
+        verdict, level, basis = "obstructed-at", 1, f"goldschmidt({l_max})"
+    elif not (acyclic := is_r_acyclic(report, 2)).acyclic:
         verdict, level, basis = "inconclusive", acyclic.failure[0], f"goldschmidt({l_max})"
     elif acyclic.unconditional:
         # the vanishing symbol makes 2-acyclicity unconditional, so the
@@ -361,20 +352,20 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     if verdict.kind != "finite":
         return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
     report = _tower_report(system, chain.ranks[: verdict.level + 1])
-    if report.verdict == "obstructed-at":
-        return replace(
-            report, certification_basis=f"finite-type({verdict.level})", type_verdict=verdict
-        )
-    # above the vanishing level the projections must be bijections
-    dims = [report.base_fiber_dim] + [rec.fiber_dim for rec in report.levels]
-    for j in range(max(verdict.level, 1), len(dims) - 1):
-        if dims[j + 1] != dims[j]:
-            raise InvariantViolation(
-                f"projections above the vanishing level {verdict.level} are not "
-                f"bijections: level {j + 1} has fiber dim {dims[j + 1]}, level {j} has {dims[j]}"
-            )
+    result, level = report.verdict, report.verdict_level
+    if result != "obstructed-at":
+        # above the vanishing level the projections must be bijections
+        dims = [report.base_fiber_dim] + [rec.fiber_dim for rec in report.levels]
+        for j in range(max(verdict.level, 1), len(dims) - 1):
+            if dims[j + 1] != dims[j]:
+                raise InvariantViolation(
+                    f"projections above the vanishing level {verdict.level} are not "
+                    f"bijections: level {j + 1} has fiber dim {dims[j + 1]}, "
+                    f"level {j} has {dims[j]}"
+                )
+        result, level = "formally-integrable-certified", verdict.level
     return replace(
-        report, verdict="formally-integrable-certified", verdict_level=verdict.level,
+        report, verdict=result, verdict_level=level,
         certification_basis=f"finite-type({verdict.level})", type_verdict=verdict,
     )
 

@@ -531,13 +531,12 @@ def image(m: RatMatrix) -> Subspace:
 class AffineSolution:
     """Outcome of an affine system A x = b.
 
-    Either feasible (a particular solution plus the kernel of A) or
-    infeasible, in which case ``witness`` is a Fredholm certificate:
-    y with yᵀA = 0 and <y, b> != 0.  Infeasibility is a value, not an error.
+    Either feasible (a particular solution) or infeasible, in which case
+    ``witness`` is a Fredholm certificate: y with yᵀA = 0 and <y, b> != 0.
+    Infeasibility is a value, not an error.
     """
 
     particular: tuple[Fraction, ...] | None
-    kernel: Subspace
     witness: tuple[Fraction, ...] | None
 
     @property
@@ -564,7 +563,6 @@ def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
 
 def solve_affine(a: RatMatrix, b: Sequence) -> AffineSolution:
     particular = solve(a, b)
-    ker = kernel(a)
     witness = None
     if particular is None:
         bv = [rat(x) for x in b]
@@ -575,4 +573,4 @@ def solve_affine(a: RatMatrix, b: Sequence) -> AffineSolution:
                 break
         if witness is None:
             raise InvariantViolation("infeasible system without a Fredholm witness")
-    return AffineSolution(particular, ker, witness)
+    return AffineSolution(particular, witness)

@@ -33,6 +33,7 @@ from .ratlin import (
     image,
     kernel,
     rat,
+    solve,
     solve_affine,
 )
 from .spencer import TableauChain
@@ -302,9 +303,9 @@ def torsion_at(conn: RelConn, e: Sequence) -> TorsionResult:
     if len(e) != conn.source_dim:
         raise ValueError("point has wrong dimension")
     partial = _partial_rows(conn)
-    sol = solve_affine(*_lift_system(RatMatrix.vstack([partial, _symmetry_rows(conn)]), e))
-    if sol.feasible:
-        return TorsionResult(kind="vanishes", lift=sol.particular)
+    lift = solve(*_lift_system(RatMatrix.vstack([partial, _symmetry_rows(conn)]), e))
+    if lift is not None:
+        return TorsionResult(kind="vanishes", lift=lift)
     partial_sol = solve_affine(*_lift_system(partial, e))
     if not partial_sol.feasible:
         return TorsionResult(kind="fiber-empty", witness=partial_sol.witness)

@@ -147,6 +147,8 @@ class TableauChain:
 
 @dataclass(frozen=True)
 class HEntry:
+    """dim Z, dim B and dim H of one slot; the field order is the JSON key order."""
+
     z_dim: int
     b_dim: int
     h_dim: int
@@ -162,7 +164,6 @@ class AcyclicityVerdict:
     levels up to ``bound``.
     """
 
-    r: int
     acyclic: bool
     unconditional: bool
     bound: int
@@ -171,7 +172,6 @@ class AcyclicityVerdict:
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    n: int
     l_max: int
     m_max: int
     entries: dict[tuple[int, int], HEntry]
@@ -244,7 +244,6 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         z_dim, b_dim = chain.slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
         entries[(l, m)] = HEntry(z_dim, b_dim, z_dim - b_dim)
     return CohomologyReport(
-        n=chain.n,
         l_max=l_max,
         m_max=m_max,
         entries=entries,
@@ -263,7 +262,7 @@ def is_r_acyclic(report: CohomologyReport, r: int) -> AcyclicityVerdict:
     )
     vanished = report.vanishing_level is not None and report.vanishing_level <= report.l_max + 1
     return AcyclicityVerdict(
-        r=r, acyclic=failure is None, unconditional=failure is not None or vanished,
+        acyclic=failure is None, unconditional=failure is not None or vanished,
         bound=report.l_max, failure=failure,
     )
 

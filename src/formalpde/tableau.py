@@ -250,6 +250,7 @@ class TypeVerdict:
 
     kind == "finite": level is the smallest l with g^(l) = 0 (g^(0) = g).
     kind == "infinite-up-to": nothing vanished through l_max; no claim beyond.
+    The field order is the JSON key order of a report's symbol_type.
     """
 
     kind: str

@@ -21,9 +21,10 @@ Plan:
     and keeps the table on stdout
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
     gradient system through the vanishing symbol; every command builds the
-    symbol tower once
+    symbol tower once; only main loads the system and emits the report
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import product
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -150,6 +152,11 @@ def test_syntax_error_positions():
     with pytest.raises(PdeSyntaxError) as info:
         parse_system(HEADER + "eq: u1 = 0 junk\n")
     assert "end of line" in info.value.message
+
+    with pytest.raises(PdeSyntaxError) as info:
+        parse_system(HEADER + "eq: u1 u2 = 0\n")
+    assert (info.value.line, info.value.col) == (4, 8)
+    assert "'+', '-' or '= 0'" in info.value.message
 
     with pytest.raises(PdeSyntaxError) as info:
         parse_system(HEADER + "what is this\n")
@@ -282,6 +289,9 @@ def test_coefficient_and_sign_forms():
     assert row[jet_index(2, 2, 2, 0, (0, 1))] == -1
     assert all(x == 0 for x in s.equations.row(1))
     assert all(x == 0 for x in s.equations.row(2))
+    # a leading 0 that is a coefficient, not the trivial equation, is read again
+    s = parse_system(HEADER + "eq: 0 u1 = 0\neq: 0/3 u1_x1 + u2 = 0\n")
+    assert s.equations.pairs == ((), ((jet_index(2, 2, 1, 1, (0, 0)), 1),))
 
 
 def test_comments_and_blank_lines():
@@ -727,10 +737,26 @@ def test_the_parser_is_built_once_and_dispatch_reads_the_current_command(
     assert main(["crosscheck", path]) == 0
     assert builds == []
     ran = []
-    monkeypatch.setattr(cli, "cmd_tower", lambda args: ran.append(args.command) or 0)
+    monkeypatch.setattr(
+        cli, "cmd_tower", lambda args, system: ran.append(args.command) or ([], {})
+    )
     assert main(["tower", path]) == 0
     assert ran == ["tower"]
     capsys.readouterr()
+
+
+def test_main_alone_loads_the_system_and_emits_the_report():
+    # each command maps (args, system) to (lines, payload): the file is read
+    # and the report written once, in main
+    tree = ast.parse(Path(cli.__file__).read_text())
+    callers = {
+        (getattr(top, "name", None), call.func.id)
+        for top in tree.body
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("load_system", "_emit")
+    }
+    assert callers == {("main", "load_system"), ("main", "_emit")}
 
 
 def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):

@@ -206,4 +206,5 @@ def test_degenerate_dims():
     assert TensorSpaceDesc(2, 3, 1, 5).dim == 0
     assert TensorSpaceDesc(2, 1, -1, 5).dim == 0
     assert multi_indices(2, -1) == ()
+    assert multi_indices(0, 0) == ((),)
     assert ext_indices(2, 5) == ()
