@@ -428,14 +428,21 @@ def _prolongation_point(
 
 
 @dataclass(frozen=True)
+class RouteDims:
+    """One route's prolongation fiber and projection-image dimensions."""
+
+    fiber_dim: int
+    image_dim: int
+
+
+@dataclass(frozen=True)
 class RouteLevel:
-    """One crosscheck level: fiber and projection-image dimensions per route."""
+    """One crosscheck level: each route's dimensions and the symbol's.  The
+    field order, RouteDims' included, is the JSON key order of a level."""
 
     level: int
-    jet_fiber_dim: int
-    jet_image_dim: int
-    connection_fiber_dim: int
-    connection_image_dim: int
+    jet_route: RouteDims
+    connection_route: RouteDims
     symbol_dim: int
 
 
@@ -487,8 +494,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
                 f"projection images disagree between the routes at level {level}"
             )
         out.append(RouteLevel(
-            level=level, jet_fiber_dim=fib.dim, jet_image_dim=img.dim,
-            connection_fiber_dim=pf.subspace.dim,
-            connection_image_dim=pf.projection_image.dim, symbol_dim=sym,
+            level=level, jet_route=RouteDims(fib.dim, img.dim),
+            connection_route=RouteDims(pf.subspace.dim, pf.projection_image.dim),
+            symbol_dim=sym,
         ))
     return tuple(out)

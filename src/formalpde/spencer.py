@@ -161,12 +161,11 @@ class AcyclicityVerdict:
     ``unconditional`` is True when the answer holds for every level: either a
     finite-level failure was exhibited, or the tower vanished inside the chain
     so all higher slots are zero.  Otherwise the verdict is only certified for
-    levels up to ``bound``.
+    levels up to the report's ``l_max``.
     """
 
     acyclic: bool
     unconditional: bool
-    bound: int
     failure: tuple[int, int] | None
 
 
@@ -262,7 +261,6 @@ def is_r_acyclic(report: CohomologyReport, r: int) -> AcyclicityVerdict:
     )
     vanished = report.vanishing_level is not None and report.vanishing_level <= report.l_max + 1
     return AcyclicityVerdict(
-        acyclic=failure is None, unconditional=failure is not None or vanished,
-        bound=report.l_max, failure=failure,
+        acyclic=failure is None, unconditional=failure is not None or vanished, failure=failure
     )
 

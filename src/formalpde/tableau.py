@@ -14,24 +14,25 @@ first prolongation lives in S^1 ⊗ R^p over the canonical basis of g
 
     g^(1)(∂) = { eta : ∂(eta(X))(Y) = ∂(eta(Y))(X) for all X, Y },
 
-and higher prolongations are classical prolongations of g^(1)(∂), so ∂ is
-consumed exactly once, at level 1.
+and higher prolongations are classical prolongations of g^(1)(∂).
 
 `tower` returns the `TableauChain` that cohomology and `classify_type` read.
-It re-verifies, level by level, that each computed space really contracts
-into the previous one, and keeps the coordinates of those contractions as a
+A tower is the prolongations of one tableau: level 0 is g with ι into the
+full S^(d-1) ⊗ F, and every level above it is `prolong` of the one below.  A
+generalized tableau's tower is R^p with its own ∂ at level 0, g^(1)(∂) at
+level 1, and the classical tower of g^(1)(∂) above that, so ∂ is used once,
+under a classical tower.  `tower` re-verifies that each level contracts into
+the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Each
 contraction is read off a basis vector's stored integer row d_j·b_j and
 tested in ints, and ∂ is kept as those integer coordinates, ∂·D with D =
-diag(level.leads()); the prolongation raises the annihilator's integer
-rows, so no Fraction and no dense vector is built.  Level 0 is g
-with ι into the full S^(d-1) ⊗ F (classical), or R^p with the tableau's own
-∂ (generalized).  A vanished level makes all later ones zero
-by construction (monotone vanishing is structural, not re-derived).
-`check_tower_budget` holds the tower's size budget, MAX_TOWER_WORK: `tower`
-refuses a tower past it, or deeper than its square root, before the first
-level is built.
+diag(level.leads()); the prolongation raises the annihilator's integer rows,
+so no Fraction and no dense vector is built.  A vanished level makes all
+later ones zero by construction (monotone vanishing is structural, not
+re-derived).  `check_tower_budget` holds the tower's size budget,
+MAX_TOWER_WORK: `tower` refuses a tower past it, or deeper than its square
+root, before the first level is built.
 """
 
 from __future__ import annotations
@@ -102,21 +103,6 @@ class Tableau:
 # --------------------------- prolongation ---------------------------
 
 
-def _classical_prolong(n: int, f: int, degree: int, space: Subspace) -> Subspace:
-    target_dim = sym_dim(n, degree + 1) * f
-    q = space.constraint_matrix()
-    if q.rows == 0:  # free tableau: every contraction lands inside
-        return Subspace.full(target_dim)
-    # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
-    # factor, is the column of Q iota_i at c raised by x_i, which keeps
-    # each row's column order; Q's rows are integers, and so are these
-    rows = []
-    for entries in raise_table(n, degree, f):
-        for row in q.pairs:
-            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
-    return kernel(RatMatrix(pairs=rows, cols=target_dim))
-
-
 def _symmetry_equations(t: Tableau) -> RatMatrix:
     """∂(eta_i)(e_j) = ∂(eta_j)(e_i) for i < j, as rows over eta (flat c*n + i)."""
     n, f, p = t.n, t.f, t.space.dim
@@ -137,9 +123,20 @@ def _symmetry_equations(t: Tableau) -> RatMatrix:
 
 def prolong(t: Tableau) -> Subspace:
     """First prolongation; S^(degree+1) ⊗ F for classical, S^1 ⊗ R^p for generalized."""
-    if t.classical:
-        return _classical_prolong(t.n, t.f, t.degree, t.space)
-    return kernel(_symmetry_equations(t))
+    if not t.classical:
+        return kernel(_symmetry_equations(t))
+    target_dim = sym_dim(t.n, t.degree + 1) * t.f
+    q = t.space.constraint_matrix()
+    if q.rows == 0:  # free tableau: every contraction lands inside
+        return Subspace.full(target_dim)
+    # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
+    # factor, is the column of Q iota_i at c raised by x_i, which keeps
+    # each row's column order; Q's rows are integers, and so are these
+    rows = []
+    for entries in raise_table(t.n, t.degree, t.f):
+        for row in q.pairs:
+            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
+    return kernel(RatMatrix(pairs=rows, cols=target_dim))
 
 
 # --------------------------- towers ---------------------------
@@ -201,43 +198,42 @@ def check_tower_budget(t: Tableau, depth: int) -> None:
         )
 
 
-def tower(t: Tableau, depth: int) -> TableauChain:
-    """Levels 0 .. depth with their ∂, each level re-verified against the last.
-
-    Classical: level 0 is g, and its ∂ is ι into the full S^(degree-1) ⊗ F;
-    level i is g^(i) in S^(degree+i) ⊗ F.  Generalized: level 0 is the full
-    carrier-coordinate space R^p (p = dim g), and its ∂ is the tableau's own;
-    level i sits in S^i ⊗ R^p, and level 1 consumed ∂.  Budget checked first.
-    """
-    check_tower_budget(t, depth)
-    fiber = t.f if t.classical else t.dim
-    if t.classical:
-        prev = t.space
-        bottom = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)
-        partial = _verify_contracts_into(t.n, t.f, t.degree, t.space, bottom)
-    else:
-        prev, partial = Subspace.full(t.dim), t.partial_map
-    levels, partials = [prev], [partial]
-    for i in range(1, depth + 1):
-        degree_i = (t.degree + i) if t.classical else i
-        if prev.dim == 0:
-            nxt = Subspace.zero(sym_dim(t.n, degree_i) * fiber)
-            partial = RatMatrix((), cols=0)
+def _classical_tower(t: Tableau, depth: int) -> tuple[list[Subspace], list[RatMatrix]]:
+    """Levels 0 .. depth of a classical tableau and their ∂: level 0 is g with
+    ι into the full S^(degree-1) ⊗ F, level l+1 is `prolong` of level l."""
+    n, f = t.n, t.f
+    bottom = Subspace.full(sym_dim(n, t.degree - 1) * f)
+    levels, partials = [t.space], [_verify_contracts_into(n, f, t.degree, t.space, bottom)]
+    for degree in range(t.degree + 1, t.degree + depth + 1):
+        prev = levels[-1]
+        if prev.dim == 0:  # every level after a zero one is zero, with no elimination
+            nxt, partial = Subspace.zero(sym_dim(n, degree) * f), RatMatrix((), cols=0)
         else:
-            if i > 1 or t.classical:
-                nxt = _classical_prolong(t.n, fiber, degree_i - 1, prev)
-            else:
-                equations = _symmetry_equations(t)
-                nxt = kernel(equations)
-                if any(any(equations.apply(v)) for v in nxt.basis):
-                    raise InvariantViolation(
-                        f"generalized first prolongation violates ∂-symmetry: dim {nxt.dim} "
-                        f"in S^1 ⊗ R^{t.dim}, {equations.rows} symmetry equations"
-                    )
-            partial = _verify_contracts_into(t.n, fiber, degree_i, nxt, prev)
+            nxt = prolong(Tableau(n=n, f=f, space=prev, degree=degree - 1))
+            partial = _verify_contracts_into(n, f, degree, nxt, prev)
         levels.append(nxt)
         partials.append(partial)
-        prev = nxt
+    return levels, partials
+
+
+def tower(t: Tableau, depth: int) -> TableauChain:
+    """Levels 0 .. depth with their ∂, each re-verified against the last, after
+    the budget check.  Classical: the prolongations of g.  Generalized: R^p
+    with the tableau's own ∂, then g^(1)(∂), checked against the ∂-symmetry
+    equations, then the classical tower of g^(1)(∂) in S^i ⊗ R^p (p = dim g)."""
+    check_tower_budget(t, depth)
+    if t.classical:
+        levels, partials = _classical_tower(t, depth)
+    else:
+        g1 = prolong(t)
+        equations = _symmetry_equations(t)
+        if any(any(equations.apply(v)) for v in g1.basis):
+            raise InvariantViolation(
+                f"generalized first prolongation violates ∂-symmetry: dim {g1.dim} "
+                f"in S^1 ⊗ R^{t.dim}, {equations.rows} symmetry equations"
+            )
+        levels, partials = _classical_tower(Tableau(n=t.n, f=t.dim, space=g1), depth - 1)
+        levels, partials = [Subspace.full(t.dim), *levels], [t.partial_map, *partials]
     return TableauChain(n=t.n, levels=tuple(levels), partials=tuple(partials))
 
 

@@ -28,7 +28,7 @@ so does every level's ∂ that the Spencer differentials use.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 ExtIndex = tuple[int, ...]
@@ -69,21 +69,12 @@ def binomial_past(scale: int, a: int, b: int, cap: int) -> str | None:
 
 @lru_cache
 def multi_indices(n: int, k: int) -> tuple[MultiIndex, ...]:
-    """All exponent tuples of total degree k, in the canonical order."""
-    if k < 0 or (n == 0 and k > 0):
+    """All exponent tuples of total degree k, in the canonical order: each
+    pick of k directions counted per direction, sorted by the reversed tuple."""
+    if k < 0:
         return ()
-    if n == 0:
-        return ((),)
-
-    def fill(slots: int, total: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in fill(slots - 1, total - first):
-                yield (first,) + rest
-
-    return tuple(sorted(fill(n, k), key=lambda a: tuple(reversed(a))))
+    counts = (tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), k))
+    return tuple(sorted(counts, key=lambda a: a[::-1]))
 
 
 @lru_cache

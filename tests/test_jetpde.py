@@ -846,8 +846,8 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
         symbol_tower(s, 1)
     monkeypatch.undo()
     # a build that raises leaves nothing held: the next request builds again
-    monkeypatch.setattr(formalpde.tableau, "_classical_prolong",
-                        lambda n, f, degree, space: Subspace.full(sym_dim(n, degree + 1) * f))
+    monkeypatch.setattr(formalpde.tableau, "prolong",
+                        lambda t: Subspace.full(sym_dim(t.n, t.degree + 1) * t.f))
     with pytest.raises(InvariantViolation):
         symbol_tower(s, 5)
     assert formalpde.jetpde._held_tower(s) == []
