@@ -646,16 +646,20 @@ def stress_matrices(draw, max_rows=12, max_cols=14):
     return RatMatrix(draw(st.permutations(rows)), cols=cols)
 
 
+@settings(deadline=None, max_examples=200)
+@given(stress_matrices())
+def test_rref_matches_the_fraction_reference(m):
+    assert rref(m) == reference_rref(m)
+
+
 def supports(m: RatMatrix) -> list:
     return [[(c, x) for c, x in enumerate(m.row(r)) if x] for r in range(m.rows)]
 
 
 @settings(deadline=None, max_examples=200)
 @given(stress_matrices())
-def test_rref_and_rank_match_the_fraction_reference(m):
-    reference = reference_rref(m)
-    assert rref(m) == reference
-    want = len(reference[1])
+def test_rank_matches_the_fraction_reference(m):
+    want = len(reference_rref(m)[1])
     assert rank(supports(m)) == want
     # every entry as a pair, zeros included: a zero pair is dropped, never led by
     assert rank([list(enumerate(m.row(r))) for r in range(m.rows)]) == want
