@@ -1,7 +1,8 @@
 """Command-line front end: parse .pde files and run integrability analyses.
 
-File format (one statement per line; lines whose first non-blank character
-is '#' are comments; blank lines are ignored):
+File format (UTF-8 whatever the locale, a leading byte-order mark skipped;
+one statement per line; lines whose first non-blank character is '#' are
+comments; blank lines are ignored):
 
     base_dim = 2
     fiber_rank = 2
@@ -42,7 +43,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -312,7 +312,7 @@ def parse_system(text: str) -> PdeSystem:
 
 
 def load_system(path: str) -> PdeSystem:
-    return parse_system(Path(path).read_text())
+    return parse_system(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # --------------------------- canonical printer ---------------------------
@@ -380,7 +380,7 @@ def _frac_list(vec) -> list[str] | None:
 def _report_payload(rep: IntegrabilityReport) -> dict:
     payload = {
         "base_fiber_dim": rep.base_fiber_dim,
-        "levels": [{**vars(rec), "witness": _frac_list(rec.witness)} for rec in rep.levels],
+        "levels": [{**rec._asdict(), "witness": _frac_list(rec.witness)} for rec in rep.levels],
         "verdict": rep.verdict,
         "verdict_level": rep.verdict_level,
         "certification_basis": rep.certification_basis,
@@ -392,7 +392,7 @@ def _report_payload(rep: IntegrabilityReport) -> dict:
             {"l": l, "m": mm, "h_dim": h} for (l, mm), h in sorted(rep.cohomology.items())
         ]
     if rep.type_verdict is not None:
-        payload["symbol_type"] = vars(rep.type_verdict)  # JSON writes the ranks tuple as an array
+        payload["symbol_type"] = rep.type_verdict._asdict()  # JSON writes ranks as an array
     return payload
 
 
@@ -477,7 +477,7 @@ def cmd_cohomology(args, system: PdeSystem) -> tuple[list[str], dict]:
         "l_max": args.l_max,
         "m_max": m_max,
         "entries": [
-            {"l": l, "m": mm, **vars(entry)} for (l, mm), entry in sorted(report.entries.items())
+            {"l": l, "m": mm, **e._asdict()} for (l, mm), e in sorted(report.entries.items())
         ],
         "vanishing_level": report.vanishing_level,
     }
@@ -513,7 +513,10 @@ def cmd_crosscheck(args, system: PdeSystem) -> tuple[list[str], dict]:
         for r in levels
     )
     lines.append(f"routes agree at every level 1..{args.levels}")
-    return lines, {"levels": [asdict(r) for r in levels], "agree": True}
+    # _asdict is shallow, and JSON would write a RouteDims as an array
+    rows = [{**r._asdict(), "jet_route": r.jet_route._asdict(),
+             "connection_route": r.connection_route._asdict()} for r in levels]
+    return lines, {"levels": rows, "agree": True}
 
 
 # --------------------------- argument parsing ---------------------------

@@ -41,11 +41,11 @@ route (MAX_CROSSCHECK_WIDTH); ``tableau`` and ``spencer`` hold theirs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, _frozen_row, _nonzeros, kernel, rat
@@ -125,20 +125,21 @@ def _jet_reads(n: int, m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...
 # --------------------------- systems ---------------------------
 
 
-@dataclass(frozen=True)
-class PdeSystem:
+class PdeSystem(namedtuple("PdeSystem", "n m k equations")):
     """Equations = 0, one row per equation, columns over jet coordinates."""
 
-    n: int
-    m: int
-    k: int
-    equations: RatMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.k < 1:
+    def __new__(cls, n: int, m: int, k: int, equations: RatMatrix):
+        if n < 1 or m < 1 or k < 1:
             raise ValueError("need n >= 1, m >= 1, k >= 1")
-        if self.equations.cols != jet_fiber_dim(self.n, self.m, self.k):
+        if equations.cols != jet_fiber_dim(n, m, k):
             raise ValueError("equation matrix width does not match the jet fiber")
+        return tuple.__new__(cls, (n, m, k, equations))
+
+    @classmethod
+    def _make(cls, fields):  # so _replace checks its record too
+        return cls(*fields)
 
     @staticmethod
     def from_terms(n: int, m: int, k: int, eqs: Sequence[Sequence[tuple]]) -> "PdeSystem":
@@ -183,7 +184,7 @@ def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
         held.clear()  # a build that raises leaves nothing held
         held.append(tower(t, depth))
     cut = slice(depth + 1)
-    return replace(held[0], levels=held[0].levels[cut], partials=held[0].partials[cut])
+    return TableauChain(held[0].n, held[0].levels[cut], held[0].partials[cut])
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -203,8 +204,7 @@ def formal_prolongation(system: PdeSystem) -> PdeSystem:
 # --------------------------- tower reports ---------------------------
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     """One prolongation level: dimensions and the two per-level verdicts.
 
     torsion_vanishes is the operational reading of projection_surjective:
@@ -221,8 +221,7 @@ class LevelRecord:
     witness: tuple[Fraction, ...] | None
 
 
-@dataclass(frozen=True)
-class IntegrabilityReport:
+class IntegrabilityReport(NamedTuple):
     """Outcome of a bounded integrability analysis.
 
     verdict is one of 'formally-integrable-certified', 'integrable-up-to',
@@ -253,7 +252,7 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     for level, rank in enumerate(symbol_ranks, 1):
         # the annihilator as integer rows, so every shifted copy is one too
         equations = cur_fiber.constraint_matrix()
-        lower = replace(system, k=system.k + level - 1, equations=equations)
+        lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
         fiber = kernel(formal_prolongation(lower).equations)
         img = fiber.head(cur_fiber.ambient_dim)
         sym = fiber.dim - img.dim
@@ -329,9 +328,8 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     else:
         verdict, level = "integrable-up-to", l_max
         basis = f"goldschmidt-up-to-evidence({l_max})"
-    return replace(
-        tower_report, verdict=verdict, verdict_level=level, certification_basis=basis,
-        cohomology=hdims,
+    return tower_report._replace(
+        verdict=verdict, verdict_level=level, certification_basis=basis, cohomology=hdims
     )
 
 
@@ -350,7 +348,7 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     chain = symbol_tower(system, l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
-        return replace(goldschmidt_check(system, l_max), type_verdict=verdict)
+        return goldschmidt_check(system, l_max)._replace(type_verdict=verdict)
     report = _tower_report(system, chain.ranks[: verdict.level + 1])
     result, level = report.verdict, report.verdict_level
     if result != "obstructed-at":
@@ -364,8 +362,8 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
                     f"level {j} has {dims[j]}"
                 )
         result, level = "formally-integrable-certified", verdict.level
-    return replace(
-        report, verdict=result, verdict_level=level,
+    return report._replace(
+        verdict=result, verdict_level=level,
         certification_basis=f"finite-type({verdict.level})", type_verdict=verdict,
     )
 
@@ -427,16 +425,14 @@ def _prolongation_point(
     return tuple(pieces)
 
 
-@dataclass(frozen=True)
-class RouteDims:
+class RouteDims(NamedTuple):
     """One route's prolongation fiber and projection-image dimensions."""
 
     fiber_dim: int
     image_dim: int
 
 
-@dataclass(frozen=True)
-class RouteLevel:
+class RouteLevel(NamedTuple):
     """One crosscheck level: each route's dimensions and the symbol's.  The
     field order, RouteDims' included, is the JSON key order of a level."""
 

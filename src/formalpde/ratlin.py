@@ -47,12 +47,11 @@ same integer insertion and stops there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, filterfalse, islice, repeat
 from math import gcd, lcm
 from operator import is_not, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvariantViolation
 
@@ -527,8 +526,7 @@ def image(m: RatMatrix) -> Subspace:
     return Subspace.from_spanning(m.rows, zip(*map(m.row, range(m.rows))))
 
 
-@dataclass(frozen=True)
-class AffineSolution:
+class AffineSolution(NamedTuple):
     """Outcome of an affine system A x = b.
 
     Either feasible (a particular solution) or infeasible, in which case

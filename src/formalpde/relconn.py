@@ -22,9 +22,8 @@ its class modulo the image of the ∂-built Spencer differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .ratlin import (
@@ -144,8 +143,7 @@ def _symmetry_rows(conn: RelConn) -> RatMatrix:
     return RatMatrix(pairs=rows, cols=(1 + n) * sd)
 
 
-@dataclass(frozen=True)
-class ProlFiber:
+class ProlFiber(NamedTuple):
     """The classical prolongation fiber with its two canonical pieces.
 
     subspace sits in (1+n)*source_dim coordinates; kernel_part is the e = 0
@@ -207,16 +205,14 @@ def prolongation_connection(conn: RelConn) -> RelConn:
 # --------------------------- compatibility ---------------------------
 
 
-@dataclass(frozen=True)
-class CompatibilityFailure:
+class CompatibilityFailure(NamedTuple):
     condition: int  # 1: A_i sigma' != sigma B_i;  2: A_i B_j != A_j B_i
     directions: tuple[int, ...]
     basis_index: int
     discrepancy: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     ok: bool
     failures: tuple[CompatibilityFailure, ...]
 
@@ -254,8 +250,7 @@ def compatible(outer: RelConn, inner: RelConn) -> CompatibilityReport:
 # --------------------------- torsion ---------------------------
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(NamedTuple):
     """Outcome of the torsion question at a source point.
 
     kind is one of:

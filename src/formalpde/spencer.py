@@ -37,10 +37,11 @@ MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle
 from math import lcm
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, rank
@@ -88,8 +89,7 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 MAX_SPENCER_SLOT = 3000
 
 
-@dataclass(frozen=True)
-class TableauChain:
+class TableauChain(namedtuple("TableauChain", "n levels partials")):
     """Levels W_0, W_1, ... with one degree-lowering map per level.
 
     partials[l] is ∂_l·D_l: ∂ on level l in basis coordinates, rows b*n + i
@@ -98,21 +98,24 @@ class TableauChain:
     full level, so a generalized ∂ at level 0 is as given).
     """
 
-    n: int
-    levels: tuple[Subspace, ...]
-    partials: tuple[RatMatrix, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.partials) != len(self.levels):
+    def __new__(cls, n: int, levels: tuple[Subspace, ...], partials: tuple[RatMatrix, ...]):
+        if len(partials) != len(levels):
             raise ValueError("need one partial map per level")
-        for l, (lev, partial) in enumerate(zip(self.levels, self.partials)):
+        for l, (lev, partial) in enumerate(zip(levels, partials)):
             if partial.cols != lev.dim:
                 raise ValueError(f"partial map {l} must consume the level-{l} basis")
-            if l and partial.rows != self.n * self.levels[l - 1].dim:
+            if l and partial.rows != n * levels[l - 1].dim:
                 raise ValueError(f"partial map {l} must land in level {l - 1}")
             # rows b*n + i: the assembly would cut any other count short
-            if not l and (partial.rows % self.n if self.n else partial.rows):
+            if not l and (partial.rows % n if n else partial.rows):
                 raise ValueError("partial map 0 needs a multiple of n rows (b*n + i)")
+        return tuple.__new__(cls, (n, levels, partials))
+
+    @classmethod
+    def _make(cls, fields):  # so _replace checks its record too
+        return cls(*fields)
 
     @property
     def ranks(self) -> tuple[int, ...]:
@@ -145,8 +148,7 @@ class TableauChain:
         return found
 
 
-@dataclass(frozen=True)
-class HEntry:
+class HEntry(NamedTuple):
     """dim Z, dim B and dim H of one slot; the field order is the JSON key order."""
 
     z_dim: int
@@ -154,8 +156,7 @@ class HEntry:
     h_dim: int
 
 
-@dataclass(frozen=True)
-class AcyclicityVerdict:
+class AcyclicityVerdict(NamedTuple):
     """Outcome of an r-acyclicity question on a bounded chain.
 
     ``unconditional`` is True when the answer holds for every level: either a
@@ -169,8 +170,7 @@ class AcyclicityVerdict:
     failure: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     l_max: int
     m_max: int
     entries: dict[tuple[int, int], HEntry]

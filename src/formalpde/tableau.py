@@ -37,8 +37,9 @@ root, before the first level is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import InvariantViolation
 from .ratlin import RatMatrix, Subspace, kernel
@@ -49,8 +50,7 @@ from .tensorspace import binomial_past, raise_table, sym_dim
 # --------------------------- the tableau type ---------------------------
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(namedtuple("Tableau", "n f space degree partial_map")):
     """A classical or generalized tableau.
 
     Classical (partial_map is None): ``space`` sits in S^degree ⊗ F, flat
@@ -62,30 +62,32 @@ class Tableau:
     their own source space.
     """
 
-    n: int
-    f: int
-    space: Subspace
-    degree: int = 1
-    partial_map: RatMatrix | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.f < 0:
+    def __new__(cls, n: int, f: int, space: Subspace, degree: int = 1,
+                partial_map: RatMatrix | None = None):
+        if n < 0 or f < 0:
             raise ValueError("negative dimensions")
-        if self.partial_map is None:
-            if self.degree < 1:
+        if partial_map is None:
+            if degree < 1:
                 raise ValueError("classical tableaux need degree >= 1")
-            want = sym_dim(self.n, self.degree) * self.f
-            if self.space.ambient_dim != want:
+            want = sym_dim(n, degree) * f
+            if space.ambient_dim != want:
                 raise ValueError(
-                    f"classical carrier has ambient {self.space.ambient_dim}, want {want}"
+                    f"classical carrier has ambient {space.ambient_dim}, want {want}"
                 )
         else:
-            if self.degree != 1:
+            if degree != 1:
                 raise ValueError("generalized tableaux carry no symmetric degree")
-            if self.partial_map.rows != self.n * self.f:
+            if partial_map.rows != n * f:
                 raise ValueError("partial_map must have n*f rows (convention b*n+i)")
-            if self.partial_map.cols != self.space.dim:
+            if partial_map.cols != space.dim:
                 raise ValueError("partial_map columns must match the carrier basis")
+        return tuple.__new__(cls, (n, f, space, degree, partial_map))
+
+    @classmethod
+    def _make(cls, fields):  # so _replace checks its record too
+        return cls(*fields)
 
     @property
     def classical(self) -> bool:
@@ -240,8 +242,7 @@ def tower(t: Tableau, depth: int) -> TableauChain:
 # --------------------------- classification ---------------------------
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
+class TypeVerdict(NamedTuple):
     """Finite/infinite type, certified only up to the inspected bound.
 
     kind == "finite": level is the smallest l with g^(l) = 0 (g^(0) = g).

@@ -20,7 +20,7 @@ Other dunders are protocol, and private classes are skipped whole.
 
 An attribute read cannot tell apart two classes that define the same name.
 So a method or property whose name another ``src`` class also defines (as a
-method, property, dataclass field or ``__slots__`` entry) counts as called
+method, property, record field or ``__slots__`` entry) counts as called
 only if ``SHADOWED`` names the product-code site of its real caller, and
 that site reads the name.  An entry that is no longer shadowed fails the
 test, as a stale ``CALLERLESS`` entry does.
@@ -57,8 +57,20 @@ _OPERATORS = _FRACTION_OPERATORS | {"__matmul__"}
 
 
 def _defined_names(cls) -> set[str]:
-    """The methods, properties, dataclass fields and __slots__ entries of cls."""
+    """The methods, properties, record fields and __slots__ entries of cls.
+
+    A record's fields are its annotated names, or the field names of a
+    ``namedtuple(...)`` or ``NamedTuple(...)`` call it derives from.
+    """
     names = set()
+    for base in cls.bases:
+        func = getattr(base, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) in ("namedtuple", "NamedTuple"):
+            names |= {
+                field for c in ast.walk(base.args[1])
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                for field in c.value.replace(",", " ").split()
+            }
     for node in cls.body:
         if isinstance(node, ast.FunctionDef):
             names.add(node.name)
@@ -196,6 +208,15 @@ def test_a_shadowed_member_is_called_only_from_its_listed_site(tmp_path):
         "        return 2\n\n\nclass B:\n    def col(self):\n        return 1\n"
     )
     assert _shadowed(_parse(tmp_path)) == {"a.B.col"}
+    # a record's fields named by the namedtuple or NamedTuple call it derives from
+    (tmp_path / "a.py").write_text(
+        "from collections import namedtuple\nfrom typing import NamedTuple\n\n\n"
+        "class A:\n    def col(self):\n        return 1\n\n"
+        "    def size(self):\n        return 2\n\n\n"
+        "class R(namedtuple('R', 'row col')):\n    __slots__ = ()\n\n\n"
+        "class S(NamedTuple('S', [('size', int)])):\n    __slots__ = ()\n"
+    )
+    assert _shadowed(_parse(tmp_path)) == {"a.A.col", "a.A.size"}
 
 
 def test_the_check_sees_a_callerless_function(tmp_path):

@@ -18,18 +18,22 @@ Plan:
     depth whose jet fiber is past the budget exits 1 within a second, before
     any elimination
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
-    and keeps the table on stdout
+    and keeps the table on stdout; a corpus file with a leading byte-order
+    mark reads as the same system and gives the same JSON
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
     gradient system through the vanishing symbol; every command builds the
-    symbol tower once; only main loads the system and emits the report
+    symbol tower once; only main loads the system and emits the report;
+    the CLI's start-up loads every module of the package and neither
+    dataclasses nor inspect
 """
 
 import ast
+import codecs
 import json
+import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -833,7 +837,7 @@ def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsy
     def dropped(system):
         out = prolong(system).equations
         rows = [out.row(r) for r in range(1, out.rows)]
-        return replace(system, k=system.k + 1, equations=RatMatrix(rows, cols=out.cols))
+        return system._replace(k=system.k + 1, equations=RatMatrix(rows, cols=out.cols))
 
     monkeypatch.setattr(jetpde, "formal_prolongation", dropped)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
@@ -957,8 +961,8 @@ def test_a_projection_above_the_vanishing_level_that_is_not_a_bijection_is_locat
 
     def widened(system, ranks):
         rep = report_of(system, ranks)
-        top = replace(rep.levels[-1], fiber_dim=rep.levels[-1].fiber_dim + 1)
-        return replace(rep, levels=rep.levels[:-1] + (top,))
+        top = rep.levels[-1]._replace(fiber_dim=rep.levels[-1].fiber_dim + 1)
+        return rep._replace(levels=rep.levels[:-1] + (top,))
 
     monkeypatch.setattr(jetpde, "_tower_report", widened)
     s = PdeSystem.from_terms(2, 1, 2, [[(1, 0, (2, 0))], [(1, 0, (0, 2))]])
@@ -1069,6 +1073,21 @@ def test_load_system_reads_files(tmp_path):
     assert load_system(path) == parse_system(corpus_text("wave1d.pde"))
 
 
+def test_a_byte_order_mark_changes_no_corpus_system_or_report(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.pde", tmp_path / "marked.pde"
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        plain.write_bytes(path.read_bytes())
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert load_system(str(marked)) == load_system(str(plain)), path.name
+        for command in ("symbol", "tower", "cohomology", "goldschmidt",
+                        "finite-type", "crosscheck"):
+            outs = []
+            for source in (plain, marked):
+                assert main([command, str(source), "--json", "-"]) == 0, (path.name, command)
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], (path.name, command)
+
+
 # --------------------------- 8. new command surfaces ---------------------------
 
 
@@ -1100,3 +1119,19 @@ def test_goldschmidt_certifies_gradient(capsys):
     assert payload["verdict"] == "formally-integrable-certified"
     assert payload["certification_basis"] == "finite-type(0)"
     assert payload["basis_ref"].startswith("Cartan")
+
+
+def test_the_cli_loads_every_module_and_no_code_generator():
+    # dataclasses compiles each record's methods at import and brings in
+    # inspect; nothing is loaded lazily, so the CLI's start-up loads the
+    # whole package (every module but __main__)
+    probe = "import sys, formalpde.cli; print(*sorted(sys.modules))"
+    src = Path(cli.__file__).parent
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src.parent)}, check=True)
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect"}
+    package = {"formalpde"} | {
+        f"formalpde.{p.stem}" for p in src.glob("*.py") if p.stem not in ("__init__", "__main__")
+    }
+    assert len(package) == 9 and package <= loaded

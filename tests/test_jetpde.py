@@ -4,7 +4,8 @@ Plan:
  1. jet coordinate layout: order, index round-trip, truncation-as-prefix
  2. from_terms accumulation (repeated and cancelling terms give the pair
     rows of the dense-built matrix) and input validation (float coefficients
-    refused)
+    refused); PdeSystem, Tableau and TableauChain refuse a bad field with
+    the same error whether built positionally, by keyword or by _replace
  3. Cauchy-Riemann tower: frozen dimensions, all projections onto
  4. Laplace and wave towers: frozen dimensions
  5. gradient system: certified by both routes; minimal one-variable and
@@ -218,6 +219,30 @@ def test_system_validation():
         PdeSystem(n=0, m=1, k=1, equations=zeros(1, 1))
     with pytest.raises(ValueError):
         PdeSystem(n=2, m=1, k=1, equations=zeros(1, 5))
+
+
+def _full_tableau() -> Tableau:
+    return Tableau(n=2, f=2, space=Subspace.full(4))
+
+
+@pytest.mark.parametrize("make, bad, message", [
+    (cauchy_riemann, {"k": 2}, "equation matrix width does not match the jet fiber"),
+    (_full_tableau, {"degree": 2}, "classical carrier has ambient 4, want 6"),
+    (lambda: tower(_full_tableau(), 2), {"partials": ()}, "need one partial map per level"),
+], ids=["PdeSystem", "Tableau", "TableauChain"])
+def test_a_checked_record_refuses_a_bad_field_on_every_construction_path(make, bad, message):
+    good = make()
+    fields = {**good._asdict(), **bad}
+    builds = {
+        "positional": lambda: type(good)(*fields.values()),
+        "keyword": lambda: type(good)(**fields),
+        "_replace": lambda: good._replace(**bad),
+    }
+    for path, build in builds.items():
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message, path
+    assert good._replace() == good and type(good._replace()) is type(good)
 
 
 # --------------------------- 3-4. frozen towers ---------------------------
