@@ -108,7 +108,7 @@ def _jet_shift(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """shift[i][c]: the order-(k+1) index of order-k coordinate c raised by x_i,
     each degree-d block raised into the degree-(d+1) one at jet_fiber_dim(n, m, d)."""
     blocks = [(jet_fiber_dim(n, m, d), raise_table(n, d, m)) for d in range(k + 1)]
-    return tuple(tuple(start + up for start, t in blocks for up, _ in t[i]) for i in range(n))
+    return tuple(tuple(start + up for start, t in blocks for up in t[i]) for i in range(n))
 
 
 @lru_cache
@@ -162,8 +162,8 @@ def solution_fiber(system: PdeSystem) -> Subspace:
 
 @lru_cache
 def symbol_tableau(system: PdeSystem) -> Tableau:
-    """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m:
-    the solution jets vanishing below order k."""
+    """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m: the
+    solution jets vanishing below order k, whose jet components it reads as they are."""
     space = solution_fiber(system).tail(jet_fiber_dim(system.n, system.m, system.k - 1))
     return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
 

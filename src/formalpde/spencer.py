@@ -1,13 +1,13 @@
 """Spencer differentials and tableau cohomology.
 
-Sign convention (used uniformly): on a basis element e_S ⊗ x^alpha ⊗ f_a,
+Sign convention (used uniformly): on e_S ⊗ ε_alpha ⊗ f_a, ε_alpha = x^alpha/alpha!,
 
-    delta(e_S ⊗ x^alpha ⊗ f_a)
-        = sum over i not in S of
-          (-1)^(#{s in S : s < i}) * alpha_i * (e_{S ∪ i} ⊗ x^(alpha - e_i) ⊗ f_a),
+    delta(e_S ⊗ ε_alpha ⊗ f_a)
+        = sum over i not in S with alpha_i > 0 of
+          (-1)^(#{s in S : s < i}) * (e_{S ∪ i} ⊗ ε_(alpha - e_i) ⊗ f_a),
 
-i.e. delta(omega ⊗ v) = (-1)^|omega| omega ∧ delta(v) with monomial (not
-divided-power) contraction coefficients.  delta ∘ delta = 0 because symmetric
+i.e. delta(omega ⊗ v) = (-1)^|omega| omega ∧ delta(v), in the jet components of
+`tensorspace`: δ shifts with coefficient 1.  delta ∘ delta = 0 because symmetric
 second contractions meet antisymmetric double insertions.  (The equivalent
 Hom-form convention delta(eta)(X, Y) = eta(X)(Y) - eta(Y)(X) differs from this
 one by a global sign in form degree 1; kernels, images and dimensions agree.)

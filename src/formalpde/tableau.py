@@ -6,11 +6,11 @@ the textbook Hom(E, F) case); its prolongation is
     g^(1) = { xi in S^(d+1) E* ⊗ F : iota_v xi in g for every v },
 
 computed as an intersection of contraction preimages, with every contraction
-read backwards off `tensorspace.raise_table` (ι_i at c is x_i at c scaled by
-its factor).  A generalized tableau is an abstract carrier subspace g
-together with a degree-lowering map ∂ : g -> Hom(E, F) (rows b*n + i); its
-first prolongation lives in S^1 ⊗ R^p over the canonical basis of g
-(p = dim g),
+read backwards off `tensorspace.raise_table`: in jet components, ι_i at c is
+the coordinate x_i raises c to, with coefficient 1.  A generalized tableau is
+an abstract carrier subspace g together with a degree-lowering map
+∂ : g -> Hom(E, F) (rows b*n + i); its first prolongation lives in
+S^1 ⊗ R^p over the canonical basis of g (p = dim g),
 
     g^(1)(∂) = { eta : ∂(eta(X))(Y) = ∂(eta(Y))(X) for all X, Y },
 
@@ -131,13 +131,13 @@ def prolong(t: Tableau) -> Subspace:
     q = t.space.constraint_matrix()
     if q.rows == 0:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
-    # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c, scaled by the
-    # factor, is the column of Q iota_i at c raised by x_i, which keeps
-    # each row's column order; Q's rows are integers, and so are these
+    # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c is the column
+    # of Q iota_i at c raised by x_i, which keeps each row's column order;
+    # Q's rows are integers, and so are these
     rows = []
     for entries in raise_table(t.n, t.degree, t.f):
         for row in q.pairs:
-            rows.append([(entries[c][0], x * entries[c][1]) for c, x in row])
+            rows.append([(entries[c], x) for c, x in row])
     return kernel(RatMatrix(pairs=rows, cols=target_dim))
 
 
@@ -154,11 +154,11 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
     """
     rows = [[] for _ in range(n * prev.dim)]
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
-        # coordinate c of iota_i v is v at c raised by x_i, times the factor
-        down = {up: (c, k) for c, (up, k) in enumerate(entries)}
+        # coordinate c of iota_i v is v at c raised by x_i
+        down = {up: c for c, up in enumerate(entries)}
         for col in range(level.dim):
             vec = level.rows[col]
-            img = [(hit[0], x * hit[1]) for up, x in vec if (hit := down.get(up)) is not None]
+            img = [(c, x) for up, x in vec if (c := down.get(up)) is not None]
             coords = prev._coords(img)
             if coords is None:
                 raise InvariantViolation(

@@ -16,13 +16,16 @@ Degenerate degrees follow the usual conventions: S^k = 0 for k < 0 and
 `binomial_past` sizes such spaces against a limit without computing a
 binomial of a huge argument; every size budget of the package reads it.
 
-Symmetric tensors are polynomials with plain monomial coefficients.  The
-action of x_i raises x^alpha to x^(alpha+e_i); read backwards, scaled by
-alpha_i + 1, it is the contraction (directional derivative) ι_i, which sends
-x^alpha to alpha_i x^(alpha-e_i).  This module owns that one map as a cached
-sparse table, `raise_table`: the jet walk's total derivatives shift along it,
-and the symbol prolongation and the tower verification contract along it, and
-so does every level's ∂ that the Spencer differentials use.
+A symmetric tensor's coordinates are jet components: coordinate alpha of
+w in S^k ⊗ F is u_alpha, the alpha-th derivative of the polynomial
+sum_alpha u_alpha x^alpha / alpha! (the divided-power coordinates, alpha!
+times the monomial coefficient).  The action of x_i raises alpha to
+alpha + e_i; read backwards it is the contraction (directional derivative)
+ι_i, (ι_i w)_beta = w_(beta+e_i), with coefficient 1.  This module owns that
+one map as a cached table, `raise_table`: the jet walk's total derivatives
+shift along it, and the symbol prolongation and the tower verification
+contract along it, and so does every level's ∂ that the Spencer
+differentials use.
 """
 
 from __future__ import annotations
@@ -110,21 +113,17 @@ def raise_sym(alpha: MultiIndex, i: int) -> MultiIndex:
 
 
 @lru_cache
-def raise_table(n: int, d: int, f: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x_i : S^d ⊗ F -> S^(d+1) ⊗ F for every direction i, as sparse entries.
+def raise_table(n: int, d: int, f: int) -> tuple[tuple[int, ...], ...]:
+    """x_i : S^d ⊗ F -> S^(d+1) ⊗ F for every direction i, as raised indices.
 
-    table[i][a * sym_dim(n, d) + sym_rank(alpha)] is (up, alpha_i + 1) with
-    up = a * sym_dim(n, d+1) + sym_rank(alpha + e_i): each source coordinate
-    has exactly one image per direction.  Coordinate c of ι_i w, for w in
-    S^(d+1) ⊗ F, is w[up] times the factor.
+    table[i][a * sym_dim(n, d) + sym_rank(alpha)] is
+    a * sym_dim(n, d+1) + sym_rank(alpha + e_i): each source coordinate has
+    exactly one image per direction.  Coordinate c of ι_i w, for w in
+    S^(d+1) ⊗ F, is w at table[i][c], with coefficient 1.
     """
     sd_up = sym_dim(n, d + 1)
     return tuple(
-        tuple(
-            (a * sd_up + sym_rank(raise_sym(alpha, i)), alpha[i] + 1)
-            for a in range(f)
-            for alpha in multi_indices(n, d)
-        )
+        tuple(a * sd_up + sym_rank(raise_sym(al, i)) for a in range(f) for al in multi_indices(n, d))
         for i in range(n)
     )
 

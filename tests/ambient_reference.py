@@ -6,7 +6,9 @@ this one, written on the whole ambient space in flat coordinates: fiber
 slowest, exterior in the middle, symmetric fastest, so the flat index of
 (fiber a, exterior S, symmetric alpha) is
 (a * C(n,j) + ext_rank(S)) * sym_dim(n,k) + sym_rank(alpha).  The sign
-convention is the one in the ``spencer`` module docstring.
+convention is the one in the ``spencer`` module docstring, written here in
+monomial coefficients c_alpha, where the package writes jet components
+u_alpha = alpha! c_alpha.
 
 It owns the conventions it checks: the monomial contraction and the
 insertion sign are derived here, from that docstring, and only the

@@ -5,7 +5,9 @@ jet coordinates (in a deliberately different order: degree ascending, then
 lexicographic exponent, component index fastest), prolongation by total
 derivatives, symbols, tableau towers, a Spencer differential with a front-wedge
 sign convention, and a section-level curvature computation using honest
-symbolic differentiation.
+symbolic differentiation.  Its tableau towers and Spencer differential work in
+plain monomial coefficients, where the package works in jet components: the
+symbol's jet coordinates are converted once, by 1/alpha!, where they enter.
 
 Running the module as a script prints the reference table; those numbers are
 frozen as literals in the test suite.  Radical independence from the package
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import sympy
 
@@ -128,11 +131,17 @@ def tower_data(n, m, k, eqs, depth):
 
 
 def symbol_space_basis(n, m, k, eqs):
-    """Basis of the symbol inside S^k ⊗ R^m, as vectors over (alpha lex, comp fast)."""
+    """Basis of the symbol inside S^k ⊗ R^m, as vectors over (alpha lex, comp fast).
+
+    The nullspace is in jet coordinates u_alpha, the alpha-th derivatives of
+    the polynomial; each is divided by alpha! to give the monomial
+    coefficients that `prolong_symbol` and `ambient_delta` contract."""
     coords = jet_coords(n, m, k)
     top = [i for i, (a, al) in enumerate(coords) if sum(al) == k]
     mat = eq_matrix(n, m, k, eqs)[:, top]
-    return [(a, al) for (a, al) in (coords[i] for i in top)], mat.nullspace()
+    sym = [coords[i] for i in top]
+    scale = [prod(map(sympy.factorial, al)) for _, al in sym]
+    return sym, [sympy.Matrix([x / s for x, s in zip(v, scale)]) for v in mat.nullspace()]
 
 
 def sym_coords(n, m, d):

@@ -9,7 +9,8 @@ Plan:
     past the parser's limit are refused fast, before any equation is read
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
- 6. exit codes: 0 for completed analyses, 1 for input problems,
+ 6. exit codes: 0 for completed analyses (all six commands on a system with
+    mixed top-order partials read the walk's dims and H = 0), 1 for input problems,
     2 for internal consistency failures, among them faults injected into the
     walk (a moved cut, a dropped kept row), into the crosscheck's jet
     mapping and into the connection route's rows, and for any unexpected
@@ -367,6 +368,38 @@ def test_exit_zero_for_completed_analyses(tmp_path, capsys):
     assert main(["cohomology", path, "--l-max", "1"]) == 0
     assert main(["finite-type", path]) == 0
     assert main(["crosscheck", path]) == 0
+
+
+# tests/systems.py's MIXED_PARTIALS in corpus syntax: mixed top-order partials
+# in principal parts that share a factor
+MIXED_PARTIALS = """\
+base_dim = 2
+fiber_rank = 2
+order = 2
+
+eq: u1_x1x1 + 2 u1_x1x2 + u1_x2x2 + 2 u2_x1x1 + 4 u2_x1x2 + 2 u2_x2x2 = 0
+eq: -3 u1_x1x1 - 6 u1_x1x2 - 3 u1_x2x2 + 2 u2_x1x1 + 4 u2_x1x2 + 2 u2_x2x2 = 0
+eq: -20 u1_x1x1 + 20 u1_x2x2 + u1 = 0
+"""
+
+
+def test_mixed_top_order_partials_read_the_walks_dims_in_every_command(tmp_path, capsys):
+    path = write_pde(tmp_path, MIXED_PARTIALS)
+    out = {}
+    for command in ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"):
+        assert main([command, path, "--json", "-"]) == 0, command
+        out[command] = json.loads(capsys.readouterr().out)
+    assert out["symbol"]["ranks"] == [3, 3, 3, 3, 3]
+    tower_levels = out["tower"]["levels"]
+    assert out["tower"]["base_fiber_dim"] == 9
+    assert [lv["fiber_dim"] for lv in tower_levels] == [11, 13, 15, 17]
+    assert [lv["symbol_dim"] for lv in tower_levels] == [3, 3, 3, 3]
+    assert [e["h_dim"] for e in out["cohomology"]["entries"]] == [0] * 6  # l = 0..2, m = 1, 2
+    for command in ("tower", "goldschmidt", "finite-type"):
+        assert (out[command]["verdict"], out[command]["verdict_level"]) == ("obstructed-at", 1)
+    for command in ("goldschmidt", "finite-type"):
+        assert [e["h_dim"] for e in out[command]["cohomology"]] == [0] * 6
+    assert [lv["symbol_dim"] for lv in out["crosscheck"]["levels"]] == [3, 3]
 
 
 def test_exit_one_for_input_problems(tmp_path, capsys):

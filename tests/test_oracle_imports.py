@@ -1,12 +1,15 @@
 """The test oracles own the conventions they check.
 
 ``tests/oracle_brute.py`` rebuilds everything on sympy and imports nothing
-from formalpde.  ``tests/ambient_reference.py`` takes from the package only
-``RatMatrix`` and the enumeration and index functions; it derives the
-monomial contraction and the insertion sign itself.  ``tests/rref_reference.py``
-takes only ``RatMatrix``.  Both build and read matrices through dense rows
-alone, never ``RatMatrix``'s pair encoding, so a convention bug in the
-package cannot pass through an oracle that shares it.
+from formalpde; its tableaux are in monomial coefficients, into which it
+converts the symbol's jet coordinates itself.  ``tests/ambient_reference.py``
+takes from the package only ``RatMatrix`` and the enumeration and index
+functions; it derives the monomial contraction and the insertion sign itself,
+and the test that reads the package's jet components through it converts
+them.  ``tests/rref_reference.py`` takes only ``RatMatrix``.  Both build and
+read matrices through dense rows alone, never ``RatMatrix``'s pair encoding,
+so a convention bug in the package cannot pass through an oracle that shares
+it.
 """
 
 import ast

@@ -19,8 +19,10 @@ Plan:
     its inverse, a nonzero H, and random classical and generalized towers
     give every entry of the subspace reference (kernel, image, containment)
     below;
- 5) on random small systems, the tower's level dimensions and the type
-    verdict equal the sympy oracle's symbol tower.
+ 5) on random small systems, and on one whose principal parts carry mixed
+    top-order partials, the tower's level dimensions and the type verdict
+    equal the sympy oracle's symbol tower, and that tower equals the symbol
+    dimensions of the oracle's own prolonged equations.
 
 The ambient differential of 1)-3) lives in tests/ambient_reference.py.
 Frozen reference values come from tests/oracle_brute.py (independent sympy
@@ -28,11 +30,12 @@ implementation): the first-order 2x2 rotation-like tableau has ker dim 2 in
 form degree 1, and free towers are acyclic in every slot.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
@@ -56,6 +59,7 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
 from matrices import coords_of, product, rref_rank, slot_map, zeros
+from systems import MIXED_PARTIALS, small_terms
 
 
 # --------------------------- 1) ambient hand cases ---------------------------
@@ -156,9 +160,10 @@ def test_delta_restricted_escape_raises():
 
 
 def test_a_contraction_off_the_pivots_is_an_escape():
-    # prev = span{x1 + x2} in S^1, pivot x1.  v = x1^2 + 4 x1x2 has
-    # ι_1 v = 2 x1 + 4 x2: it agrees with 2·(x1 + x2) at the pivot and
-    # differs only at x2, so a check reading pivot entries alone would miss it
+    # prev = span{x1 + x2} in S^1, pivot x1.  v with jet components
+    # (1, 4, 0), x1^2 / 2 + 4 x1x2, has ι_1 v = x1 + 4 x2: it agrees with
+    # x1 + x2 at the pivot and differs only at x2, so a check reading pivot
+    # entries alone would miss it
     prev = Subspace.from_spanning(2, [[1, 1]])
     level = Subspace.from_spanning(3, [[1, 4, 0]])
     message = (
@@ -167,17 +172,26 @@ def test_a_contraction_off_the_pivots_is_an_escape():
     )
     with pytest.raises(InvariantViolation, match=message):
         _verify_contracts_into(2, 1, 2, level, prev)
-    # (x1 + x2)^2 contracts to 2·(x1 + x2) along both directions
-    level = Subspace.from_spanning(3, [[1, 2, 1]])
-    assert _verify_contracts_into(2, 1, 2, level, prev) == RatMatrix([[2], [2]])
+    # (x1 + x2)^2 / 2, jet components (1, 1, 1), contracts to x1 + x2 along
+    # both directions, each read with coefficient 1
+    level = Subspace.from_spanning(3, [[1, 1, 1]])
+    assert _verify_contracts_into(2, 1, 2, level, prev) == RatMatrix([[1], [1]])
+
+
+def factorial(alpha):
+    """alpha! = alpha_1! ... alpha_n!, the jet component of x^alpha."""
+    return math.prod(map(math.factorial, alpha))
 
 
 def ambient_map_through_bases(n, f, degree, m, level, below):
     """delta_matrix on Λ^m ⊗ level, written in the slot coordinates of the chain.
 
-    level sits in S^degree ⊗ F and below in S^(degree-1) ⊗ F; each slot basis
-    vector e_S ⊗ v_c goes to ambient coordinates, through the reference
-    differential, and back through below's basis, ext-major on both sides.
+    level sits in S^degree ⊗ F and below in S^(degree-1) ⊗ F, both in jet
+    components; each slot basis vector e_S ⊗ v_c goes to the reference's
+    monomial coefficients (c_alpha = u_alpha / alpha!), through the reference
+    differential, back to jet components (u_beta = beta! · c_beta) and
+    through below's basis, ext-major on both sides.  This is the one place
+    the two conventions meet.
     """
     src = TensorSpaceDesc(n, m, degree, f)
     tgt = TensorSpaceDesc(n, m + 1, degree - 1, f)
@@ -190,11 +204,15 @@ def ambient_map_through_bases(n, f, degree, m, level, below):
             amb = [Fraction(0)] * src.dim
             for a in range(f):
                 for r, alpha in enumerate(src_sym):
-                    amb[src.index_of(a, s, alpha)] = v[a * len(src_sym) + r]
+                    amb[src.index_of(a, s, alpha)] = v[a * len(src_sym) + r] / factorial(alpha)
             out = d.apply(amb)
             col = []
             for t in ext_indices(n, m + 1):
-                flat = [out[tgt.index_of(a, t, beta)] for a in range(f) for beta in tgt_sym]
+                flat = [
+                    out[tgt.index_of(a, t, beta)] * factorial(beta)
+                    for a in range(f)
+                    for beta in tgt_sym
+                ]
                 coords = coords_of(below, flat)
                 assert coords is not None
                 col.extend(coords)
@@ -228,7 +246,8 @@ def test_chain_maps_match_the_ambient_differential():
 
 
 def polarization_matrix(n, degree, f):
-    """S^degree ⊗ F -> Hom(E, S^(degree-1) ⊗ F), rows b*n + i."""
+    """S^degree ⊗ F -> Hom(E, S^(degree-1) ⊗ F), rows b*n + i: in jet
+    components, ι_i reads coordinate alpha at alpha - e_i with coefficient 1."""
     from formalpde.tensorspace import multi_indices, sym_rank
 
     sd_src = sym_dim(n, degree)
@@ -240,7 +259,7 @@ def polarization_matrix(n, degree, f):
                 if alpha[i]:
                     beta = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
                     b = a * sd_tgt + sym_rank(beta)
-                    rows[b * n + i][a * sd_src + sr] = Fraction(alpha[i])
+                    rows[b * n + i][a * sd_src + sr] = Fraction(1)
     return RatMatrix(rows, cols=sd_src * f)
 
 
@@ -489,21 +508,6 @@ def test_generalized_cohomology_matches_the_subspace_reference(t, l_max):
     assert_matches_the_subspace_reference(chain, cohomology(chain, l_max=l_max, m_max=t.n))
 
 
-@st.composite
-def small_terms(draw):
-    """(n, m, k, equations) with n <= 3, m <= 2, k <= 2, as `from_terms` reads them."""
-    n, m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    terms = st.tuples(
-        st.integers(-2, 2),
-        st.integers(0, m - 1),
-        st.lists(st.integers(0, k), min_size=n, max_size=n)
-        .filter(lambda alpha: sum(alpha) <= k)
-        .map(tuple),
-    )
-    eqs = draw(st.lists(st.lists(terms, min_size=1, max_size=4), min_size=1, max_size=4))
-    return n, m, k, eqs
-
-
 def small_systems():
     return small_terms().map(lambda terms: PdeSystem.from_terms(*terms))
 
@@ -518,6 +522,7 @@ def test_cohomology_matches_the_subspace_reference(system, l_max):
 
 @settings(deadline=None, max_examples=40)
 @given(small_terms(), st.integers(1, 3), st.integers(0, 3))
+@example(MIXED_PARTIALS, 4, 2)
 def test_tower_and_type_match_the_oracle(terms, depth, l_max):
     l_max = min(l_max, depth)
     chain = tower(symbol_tableau(PdeSystem.from_terms(*terms)), depth)
@@ -530,3 +535,18 @@ def test_tower_and_type_match_the_oracle(terms, depth, l_max):
     else:
         expected = TypeVerdict(kind="infinite-up-to", level=l_max, ranks=ranks)
     assert classify_type(chain, l_max) == expected
+
+
+@settings(deadline=None, max_examples=25)
+@given(small_terms(), st.integers(1, 2))
+@example(MIXED_PARTIALS, 2)
+def test_the_oracles_symbol_tower_matches_its_prolonged_equations(terms, depth):
+    # the oracle's tableau tower, prolonged from its symbol in monomial
+    # coefficients, against the symbol column of its own tower_data: the
+    # symbol dims of the prolonged equations, in jet coordinates
+    n, m = terms[:2]
+    tower_dims = [len(basis) for _, _, basis in oracle_brute.symbol_tower_bases(*terms, depth)]
+    walked = [
+        oracle_brute.symbol_dim(n, m, *oracle_brute.prolonged(*terms, d)) for d in range(depth + 1)
+    ]
+    assert tower_dims == walked

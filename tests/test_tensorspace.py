@@ -5,7 +5,7 @@ Plan:
     the graded-reverse-lex definition literally;
  2) flat index <-> triple bijection (hand cases + hypothesis round trip);
  3) the x_i table: contraction hand cases read backwards through it
-    (monomial-coefficient convention), and the jet walk's shift against a
+    (jet components, coefficient 1), and the jet walk's shift against a
     second derivation through jet_index;
  4) degenerate degree conventions (S^k = 0 for k < 0, Λ^j = 0 for j > n).
 """
@@ -127,46 +127,43 @@ def test_index_bijection(n, j, k, f):
 # --------------------------- 3) contraction ---------------------------
 
 
-def contract(table, i, eta, dim):
+def contract(table, i, eta):
     """ι_i eta read backwards through the x_i table: coordinate c of the
-    result is eta at c raised by x_i, times the factor."""
-    out = [Fraction(0)] * dim
-    for c, (up, factor) in enumerate(table[i]):
-        out[c] = eta[up] * factor
-    return out
+    result is eta at c raised by x_i, with coefficient 1."""
+    return [eta[up] for up in table[i]]
 
 
-def test_contraction_monomial_convention():
-    # eta = x1 x2: derivative along e1 is x2, along e2 is x1
+def test_contraction_jet_component_convention():
+    # jet component u_(1,1) is x1 x2: its derivative along e1 is x2, along e2 x1
     d = TensorSpaceDesc(2, 0, 2, 1)
     target = TensorSpaceDesc(2, 0, 1, 1)
     table = raise_table(2, 1, 1)
     src = d.index_of(0, (), (1, 1))
-    assert table[0][target.index_of(0, (), (0, 1))] == (src, 1)
-    assert table[1][target.index_of(0, (), (1, 0))] == (src, 1)
-    # eta = x1^2: derivative along e1 is 2 x1 (coefficient 2, not 1), along
-    # e2 is 0, as no x_2 raise lands on x1^2
+    assert table[0][target.index_of(0, (), (0, 1))] == src
+    assert table[1][target.index_of(0, (), (1, 0))] == src
+    # u_(2,0) is x1^2 / 2: ι_1 reads it at (1,0) with coefficient 1 (not 2),
+    # and ι_2 not at all, as no x_2 raise lands on (2,0)
     sq = d.index_of(0, (), (2, 0))
-    assert table[0][target.index_of(0, (), (1, 0))] == (sq, 2)
-    assert sq not in [up for up, _ in table[1]]
+    assert table[0][target.index_of(0, (), (1, 0))] == sq
+    assert sq not in table[1]
     eta = [Fraction(0)] * d.dim
-    eta[sq], eta[src] = Fraction(3), Fraction(5)  # 3 x1^2 + 5 x1 x2
-    assert contract(table, 0, eta, target.dim) == [6, 5]
-    assert contract(table, 1, eta, target.dim) == [5, 0]
-    assert all(type(factor) is int for entries in table for _, factor in entries)
+    eta[sq], eta[src] = Fraction(3), Fraction(5)  # 3 x1^2 / 2 + 5 x1 x2
+    assert contract(table, 0, eta) == [3, 5]
+    assert contract(table, 1, eta) == [5, 0]
+    # each entry is the raised index alone: no factor rides along
+    assert all(type(up) is int for entries in table for up in entries)
 
 
 def test_contraction_degree_one_is_permutation_identity():
     # S^0 -> S^1 with two fiber slots: x_i sends fiber a to its x_i slot, so
-    # iota_i picks the x_i coefficient of each
+    # iota_i picks the x_i component of each
     table = raise_table(2, 0, 2)
-    assert table[0] == ((0, 1), (2, 1))
-    assert table[1] == ((1, 1), (3, 1))
-    hits = [(c, i, hit) for i, entries in enumerate(table) for c, hit in enumerate(entries)]
+    assert table[0] == (0, 2)
+    assert table[1] == (1, 3)
+    hits = [(c, i, up) for i, entries in enumerate(table) for c, up in enumerate(entries)]
     # every raised coordinate has one preimage, every (source, direction) one image
-    assert sorted(up for _, _, (up, _) in hits) == [0, 1, 2, 3]
+    assert sorted(up for _, _, up in hits) == [0, 1, 2, 3]
     assert len({(c, i) for c, i, _ in hits}) == 4
-    assert all(factor == 1 for _, _, (_, factor) in hits)
 
 
 def test_jet_shift_matches_jet_index_of_the_raised_coordinate():
@@ -180,10 +177,10 @@ def test_jet_shift_matches_jet_index_of_the_raised_coordinate():
 
 
 def test_contract_and_raise_sym():
-    # x1^2 contracts along e1 to 2 x1: x1 raised by x1 is x1^2, factor 2;
+    # ι_1 reads u_(2,0) at (1,0) with coefficient 1: x1 raised by x1 is x1^2;
     # no x1 raise lands on x2^3, so its e1 contraction is zero
-    assert raise_table(2, 1, 1)[0][sym_rank((1, 0))] == (sym_rank((2, 0)), 2)
-    assert sym_rank((0, 3)) not in [up for up, _ in raise_table(2, 2, 1)[0]]
+    assert raise_table(2, 1, 1)[0][sym_rank((1, 0))] == sym_rank((2, 0))
+    assert sym_rank((0, 3)) not in raise_table(2, 2, 1)[0]
     assert raise_sym((1, 0), 1) == (1, 1)
 
 
