@@ -19,7 +19,7 @@ from .jetpde import (
     solution_fiber,
     symbol_tableau,
 )
-from .ratlin import AffineSolution, RatMatrix, Subspace, image, kernel, solve_affine
+from .ratlin import RatMatrix, Subspace, image, kernel
 from .relconn import (
     CompatibilityReport,
     ProlFiber,
@@ -50,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcyclicityVerdict",
-    "AffineSolution",
     "CohomologyReport",
     "CompatibilityReport",
     "IntegrabilityReport",
@@ -84,7 +83,6 @@ __all__ = [
     "prolongation_connection",
     "prolongation_tower",
     "solution_fiber",
-    "solve_affine",
     "symbol_map",
     "symbol_tableau",
     "torsion_at",

@@ -1,7 +1,7 @@
 """Exact rational linear algebra.
 
-Every decision this package makes reduces to ranks, kernels, images and affine
-solvability over Q, so arithmetic is exact: entries are Fractions or ints,
+Every decision this package makes reduces to ranks, kernels and images over
+Q, so arithmetic is exact: entries are Fractions or ints,
 the one set of exact values, and floating point never enters.
 Matrices are immutable and sparse: a `RatMatrix` stores each row as its
 nonzero (column, value) pairs in ascending column order, because
@@ -51,9 +51,7 @@ from fractions import Fraction
 from itertools import chain, compress, filterfalse, islice, repeat
 from math import gcd, lcm
 from operator import is_not, itemgetter
-from typing import Iterable, NamedTuple, Sequence
-
-from .errors import InvariantViolation
+from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
 
@@ -101,8 +99,8 @@ class RatMatrix:
     rows become pairs.  ``RatMatrix(pairs=rows, cols=w)`` takes rows already
     in that form and checks only that every value is a Fraction or an int.
     Either way 1 and Fraction(1) build equal matrices; each producer keeps
-    its columns ascending and its values nonzero by construction.  ``row``,
-    ``col`` and indexing render dense on demand.
+    its columns ascending and its values nonzero by construction.  ``row``
+    and ``col`` render dense on demand.
 
     Zero-row and zero-column shapes are first-class: pass ``cols=`` when the
     row list is empty so the shape survives.
@@ -152,10 +150,6 @@ class RatMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return dict(self.pairs[i]).get(j, _ZERO)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         line = [_ZERO] * self.cols
@@ -524,51 +518,3 @@ def kernel(m: RatMatrix) -> Subspace:
 def image(m: RatMatrix) -> Subspace:
     """Column span of m as a canonical Subspace of Q^rows."""
     return Subspace.from_spanning(m.rows, zip(*map(m.row, range(m.rows))))
-
-
-class AffineSolution(NamedTuple):
-    """Outcome of an affine system A x = b.
-
-    Either feasible (a particular solution) or infeasible, in which case
-    ``witness`` is a Fredholm certificate: y with yᵀA = 0 and <y, b> != 0.
-    Infeasibility is a value, not an error.
-    """
-
-    particular: tuple[Fraction, ...] | None
-    witness: tuple[Fraction, ...] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.particular is not None
-
-
-def solve(a: RatMatrix, b: Sequence) -> tuple[Fraction, ...] | None:
-    """One solution of A x = b, or None if infeasible."""
-    bv = [rat(x) for x in b]
-    if len(bv) != a.rows:
-        raise ValueError("right-hand side has wrong length")
-    aug = RatMatrix(
-        pairs=[row + ((a.cols, x),) if x else row for row, x in zip(a.pairs, bv)], cols=a.cols + 1
-    )
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [_ZERO] * a.cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i, a.cols]
-    return tuple(x)
-
-
-def solve_affine(a: RatMatrix, b: Sequence) -> AffineSolution:
-    particular = solve(a, b)
-    witness = None
-    if particular is None:
-        bv = [rat(x) for x in b]
-        for y in kernel(a.transpose()).basis:
-            pairing = sum((yi * bi for yi, bi in zip(y, bv) if yi and bi), _ZERO)
-            if pairing:
-                witness = y
-                break
-        if witness is None:
-            raise InvariantViolation("infeasible system without a Fredholm witness")
-    return AffineSolution(particular, witness)

@@ -14,10 +14,12 @@ Fixed coordinate layouts:
 * torsion representatives live in the Λ² ⊗ W slot with ext-major coordinates
   rank(i,j) * coeff_dim + b.
 
-The torsion at a source point e is decided by affine feasibility alone, so a
-non-surjective sigma needs no special casing: an empty fiber is reported with
-a Fredholm witness, a nonvanishing torsion with a canonical representative of
-its class modulo the image of the ∂-built Spencer differential.
+The torsion at a source point e is read off two canonical kernels, so a
+non-surjective sigma needs no special casing: it vanishes iff e lifts into the
+classical prolongation fiber, and a point that does not even lift into the
+partial fiber is reported with a Fredholm witness; otherwise the torsion is
+the canonical representative of its class modulo the image of the ∂-built
+Spencer differential.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ from .ratlin import (
     image,
     kernel,
     rat,
-    solve,
-    solve_affine,
 )
 from .spencer import TableauChain
 from .tableau import Tableau, prolong
@@ -254,33 +254,22 @@ class TorsionResult(NamedTuple):
     """Outcome of the torsion question at a source point.
 
     kind is one of:
-    * "vanishes": some lift makes the curvature 2-form zero; ``lift`` holds
-      the psi blocks (flat, length n * source_dim);
-    * "obstruction": lifts exist but none kills the curvature;
+    * "vanishes": e lies in the projection of the classical prolongation
+      fiber; ``lift`` holds the psi blocks (flat, length n * source_dim) of
+      its canonical lift there, zero at every psi pivot of the fiber's basis;
+    * "obstruction": e lies in the projection of the partial fiber only;
       ``representative`` is the canonical representative of the class of
       K(i,j) = A_j psi_i - A_i psi_j modulo Im(delta_∂D), in Λ² ⊗ W slot
       coordinates;
-    * "fiber-empty": no lift at all; ``witness`` certifies infeasibility of
-      sigma(psi_i) = -A_i e (rows ordered i*coeff_dim + b).
+    * "fiber-empty": e is outside the partial fiber's projection; ``witness``
+      certifies infeasibility of sigma(psi_i) = -A_i e (rows ordered
+      i*coeff_dim + b): a vector of ker(sigmaᵀ) in one block i.
     """
 
     kind: str
     lift: tuple[Fraction, ...] | None = None
     representative: tuple[Fraction, ...] | None = None
     witness: tuple[Fraction, ...] | None = None
-
-
-def _lift_system(rows: RatMatrix, e: Sequence) -> tuple[RatMatrix, list[Fraction]]:
-    """Equations over (e, psi) as a linear system over psi at the point e.
-
-    The psi columns form the matrix; the e columns, applied to e, move to the
-    right-hand side with their sign flipped.  Rows keep their order, so a
-    Fredholm witness indexes the given rows.
-    """
-    sd = len(e)
-    rhs = [-sum((x * e[j] for j, x in row if j < sd), _ZERO) for row in rows.pairs]
-    psi = [[(j - sd, x) for j, x in row if j >= sd] for row in rows.pairs]
-    return RatMatrix(pairs=psi, cols=rows.cols - sd), rhs
 
 
 def curvature_of_lift(conn: RelConn, psi: Sequence) -> tuple[Fraction, ...]:
@@ -292,23 +281,43 @@ def curvature_of_lift(conn: RelConn, psi: Sequence) -> tuple[Fraction, ...]:
     return _symmetry_rows(conn).apply([_ZERO] * conn.source_dim + list(psi))
 
 
+def _lift(fiber: Subspace, e: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+    """The psi blocks of e's canonical lift in fiber, None if e is outside its
+    projection: sum x_j b_j over the b_j with pivot in the e block, x_j e's
+    coordinates in their cuts (the head), so zero at every psi pivot."""
+    sd = len(e)
+    coords = fiber.head(sd)._coords([(i, x) for i, x in enumerate(e) if x])
+    if coords is None:
+        return None
+    psi, rows = [_ZERO] * (fiber.ambient_dim - sd), fiber.fraction_rows()
+    for j, x in coords:
+        for i, b in rows[j]:
+            if i >= sd:
+                psi[i - sd] += x * b
+    return tuple(psi)
+
+
 def torsion_at(conn: RelConn, e: Sequence) -> TorsionResult:
     """Decide whether the torsion class at e vanishes, obstructs, or is void."""
     e = [rat(x) for x in e]
     if len(e) != conn.source_dim:
         raise ValueError("point has wrong dimension")
-    partial = _partial_rows(conn)
-    lift = solve(*_lift_system(RatMatrix.vstack([partial, _symmetry_rows(conn)]), e))
+    lift = _lift(classical_prolongation_fiber(conn).subspace, e)
     if lift is not None:
         return TorsionResult(kind="vanishes", lift=lift)
-    partial_sol = solve_affine(*_lift_system(partial, e))
-    if not partial_sol.feasible:
-        return TorsionResult(kind="fiber-empty", witness=partial_sol.witness)
-    k = curvature_of_lift(conn, partial_sol.particular)
-    rep = _delta_image(conn).reduce_mod(k)
+    partial_lift = _lift(kernel(_partial_rows(conn)), e)
+    if partial_lift is None:
+        # the partial rows' psi block is n diagonal copies of sigma, so y in
+        # ker(sigmaᵀ), placed in block i, is a witness if it pairs nonzero with A_i e
+        cd, ys = conn.coeff_dim, kernel(conn.sigma.transpose()).basis
+        for i, ae in enumerate([a.apply(e) for a in conn.mats]):
+            for y in ys:
+                if sum(yb * x for yb, x in zip(y, ae)):
+                    witness = [_ZERO] * (conn.n * cd)
+                    witness[i * cd : (i + 1) * cd] = y
+                    return TorsionResult(kind="fiber-empty", witness=tuple(witness))
+        raise InvariantViolation("no lift and no Fredholm witness at the point")
+    rep = _delta_image(conn).reduce_mod(curvature_of_lift(conn, partial_lift))
     if not any(rep):
-        raise InvariantViolation(
-            "torsion class vanished although no symmetric lift exists"
-        )
+        raise InvariantViolation("torsion class vanished although no symmetric lift exists")
     return TorsionResult(kind="obstruction", representative=rep)
-

@@ -5,6 +5,10 @@ nonzero row at or below the cursor, scale the pivot to 1 and eliminate the
 column in every other row.  The package eliminates over integer rows
 instead; the reduced row echelon form of a row space is unique, so the two
 must agree entry for entry and pivot for pivot.
+
+`solve` reads one solution of an affine system off the same elimination of
+its augmented matrix, so tests can build solutions without the package's
+own elimination.
 """
 
 from fractions import Fraction
@@ -35,3 +39,18 @@ def reference_rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
         if cursor == nrows:
             break
     return RatMatrix(work, cols=ncols), tuple(pivots)
+
+
+def solve(a: RatMatrix, b) -> tuple[Fraction, ...] | None:
+    """The solution of A x = b that is zero at every free column, or None if
+    the system is infeasible, read off the reference rref of [A | b]."""
+    if len(b) != a.rows:
+        raise ValueError("right-hand side has wrong length")
+    aug = RatMatrix([list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
+    r, pivots = reference_rref(aug)
+    if pivots and pivots[-1] == a.cols:
+        return None
+    x = [Fraction(0)] * a.cols
+    for i, p in enumerate(pivots):
+        x[p] = r.row(i)[a.cols]
+    return tuple(x)

@@ -29,7 +29,7 @@ from formalpde.jetpde import (
     solution_fiber,
     symbol_tableau,
 )
-from formalpde.ratlin import RatMatrix, Subspace, image, solve_affine
+from formalpde.ratlin import RatMatrix, Subspace, image
 from formalpde.relconn import (
     RelConn,
     classical_prolongation_fiber,
@@ -43,6 +43,7 @@ from formalpde.tensorspace import ext_dim, multi_indices, sym_dim
 
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
 from matrices import identity, product, slot_map, zeros
+from rref_reference import solve
 
 CORPUS_NAMES = (
     "cauchy_riemann.pde",
@@ -374,11 +375,11 @@ def test_criterion_09_torsion_lift_independence():
             feasible = True
             for i in range(n):
                 rhs = [-x for x in conn.mats[i].apply(e)]
-                sol = solve_affine(conn.sigma, rhs)
-                if not sol.feasible:
+                sol = solve(conn.sigma, rhs)
+                if sol is None:
                     feasible = False
                     break
-                lift.extend(sol.particular)
+                lift.extend(sol)
             assert feasible
             base_class = delta_image.reduce_mod(curvature_of_lift(conn, lift))
             if result.kind == "obstruction":

@@ -25,13 +25,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "formalpde"
 BASIS_READS = {
     "jetpde._tower_report": "the witness is a LevelRecord field, reported as a dense jet",
     "tableau.tower": "the ∂-symmetry check applies the equations to whole vectors",
-    "ratlin.solve_affine": "the Fredholm witness is returned as a dense vector",
+    "relconn.torsion_at": "the Fredholm witness is a TorsionResult field, a dense vector",
     "ratlin.Subspace.contains": "a smaller subspace's vectors are tested by contains_vector",
 }
 
 ZERO_FILLS = {
     "ratlin.RatMatrix.row": "the one renderer of a pair row; Subspace.basis goes through it",
-    "ratlin.solve": "a solution vector written from the rref's last column",
+    "relconn.torsion_at": "the witness's one nonzero block placed among zero blocks",
+    "relconn._lift": "a lift's psi blocks summed from the fiber's basis rows",
     "jetpde._prolongation_point": "a point's coordinates written from membership coordinates",
     "relconn.curvature_of_lift": "the e = 0 half of the point (0, psi)",
 }

@@ -30,14 +30,14 @@ SITES = {
     "jetpde.crosscheck_routes: projection images disagree between the routes at level":
         "untested: the fiber comparison just above runs first, and equal fibers have "
         "equal projection images (ROADMAP 8)",
-    "ratlin.solve_affine: infeasible system without a Fredholm witness":
-        "test_ratlin.py::test_an_infeasible_system_without_a_witness_is_an_internal_failure",
     "relconn.classical_prolongation_fiber: prolongation fiber fails exactness bookkeeping":
         "test_cli.py::test_a_moved_cut_in_the_connection_route_fails_its_exactness",
     "relconn.classical_prolongation_fiber: kernel part leaves the symbol of dim":
         "test_cli.py::test_partial_rows_without_sigma_psi_fail_the_kernel_part_check",
     "relconn.classical_prolongation_fiber: kernel part (dim":
         "test_cli.py::test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check",
+    "relconn.torsion_at: no lift and no Fredholm witness at the point":
+        "test_relconn.py::test_a_fiber_empty_point_without_a_witness_is_an_internal_failure",
     "relconn.torsion_at: torsion class vanished although no symmetric lift exists":
         "test_relconn.py::test_a_vanished_torsion_class_without_a_symmetric_lift_is_an_internal_failure",
     "spencer.TableauChain.vanishing_level: a vanished tableau level was followed by a nonzero one":

@@ -31,7 +31,9 @@ Plan:
     is delta-closed into form degree 3, and is nonzero modulo delta of the
     symbol
 11. solution jets of the prolonged system = prolongation fiber of the
-    associated relative connection (exact subspace equality)
+    associated relative connection (exact subspace equality); at every walk
+    level the torsion at a lower-fiber basis vector vanishes exactly when
+    the jet image holds it (corpus, MIXED_PARTIALS, drawn small systems)
 12. jet_to_prolongation_point rejects non-solutions; on the corpus walks,
     the connection route's sigma, A_i, ∂_D and jet points, read off pairs,
     equal what dense basis rows give (a fiber vector's integer row maps to
@@ -53,6 +55,7 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
 
 import formalpde
 from formalpde.cli import load_system, main
@@ -77,7 +80,7 @@ from formalpde.jetpde import (
     symbol_tableau,
     symbol_tower,
 )
-from formalpde.ratlin import RatMatrix, Subspace, image, rref, solve_affine
+from formalpde.ratlin import RatMatrix, Subspace, image, rref
 from formalpde.relconn import (
     RelConn,
     classical_prolongation_fiber,
@@ -90,6 +93,7 @@ from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
 from matrices import coords_of, identity, zeros
+from systems import MIXED_PARTIALS, small_terms
 
 
 def cauchy_riemann() -> PdeSystem:
@@ -328,7 +332,8 @@ def test_flat_obstructed_with_witness():
     w = rep.witness
     assert w is not None and solution_fiber(s).contains_vector(w)
     # the witness really does not extend: the prolonged system with the
-    # truncation pinned to w is infeasible
+    # truncation pinned to w is infeasible, its right-hand side outside the
+    # column span
     p1 = formal_prolongation(s)
     lo = jet_fiber_dim(s.n, s.m, s.k)
     hi = jet_fiber_dim(s.n, s.m, s.k + 1)
@@ -338,7 +343,7 @@ def test_flat_obstructed_with_witness():
     ]
     stacked = RatMatrix.vstack([p1.equations, RatMatrix(pin, cols=hi)])
     rhs = [Fraction(0)] * p1.equations.rows + list(w)
-    assert not solve_affine(stacked, rhs).feasible
+    assert not image(stacked).contains_vector(rhs)
 
 
 # --------------------------- 7. prolongation structure ---------------------------
@@ -695,6 +700,34 @@ def test_prolongation_fiber_matches_connection():
         tower_img = Subspace.from_spanning(lo, [c[:lo] for c in f1.basis])
         assert jet_img.dim == tower_img.dim
         assert all(fiber.contains_vector(c) for c in jet_img.basis)
+
+
+def torsion_kinds_along_the_walk(s: PdeSystem, depth: int = 2) -> set:
+    """The torsion kinds at each lower-fiber basis vector of each walk level,
+    checking that the connection route's torsion vanishes exactly where the
+    jet route's truncation image holds the vector."""
+    kinds = set()
+    for lower, lower_fiber, _, img, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
+        conn = _relconn(lower, lower_fiber)
+        for j, v in enumerate(lower_fiber.basis):
+            kind = torsion_at(conn, [int(t == j) for t in range(lower_fiber.dim)]).kind
+            assert (kind == "vanishes") == img.contains_vector(v), (s, j, kind)
+            kinds.add(kind)
+    return kinds
+
+
+def test_torsion_vanishes_exactly_where_the_jet_image_reaches():
+    corpus = sorted((resources.files("formalpde") / "corpus").iterdir())
+    systems = [load_system(str(path)) for path in corpus]
+    systems.append(PdeSystem.from_terms(*MIXED_PARTIALS))
+    kinds = set().union(*map(torsion_kinds_along_the_walk, systems))
+    assert kinds == {"vanishes", "obstruction", "fiber-empty"}
+
+
+@settings(deadline=None, max_examples=15)
+@given(small_terms())
+def test_torsion_vanishes_exactly_where_the_jet_image_reaches_on_small_systems(terms):
+    torsion_kinds_along_the_walk(PdeSystem.from_terms(*terms))
 
 
 def test_prolongation_point_rejects_non_solutions():

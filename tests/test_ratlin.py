@@ -1,16 +1,14 @@
 """Exact linear algebra tests.
 
 Plan:
- 1) hand-checked row reductions, kernels, images, affine solves; an
-    infeasible system whose kernel of Aᵀ comes back zero is an
-    InvariantViolation;
+ 1) hand-checked row reductions, kernels and images;
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
     floats are refused, also among Fractions and among pairs, and membership
     leaves equality and hashing alone;
- 3) hypothesis property tests for the classical identities (rank-nullity,
-    Fredholm witness); coordinates read over a vector's nonzeros agree with
+ 3) hypothesis property tests for the classical identities (rank-nullity);
+    coordinates read over a vector's nonzeros agree with
     reduce_mod, on spans and on kernels, and rebuild the vector, and so do
     a nonzero integer multiple's, given as Fraction pairs or as int pairs; an
     integer-scaled vector's coordinates, tested in ints, are the Fraction
@@ -47,18 +45,13 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formalpde import ratlin
-from formalpde.errors import InvariantViolation
 from formalpde.ratlin import (
-    AffineSolution,
     RatMatrix,
     Subspace,
     image,
     kernel,
     rank,
     rref,
-    solve,
-    solve_affine,
 )
 
 from matrices import coords_of, identity, rref_rank, zeros
@@ -106,41 +99,6 @@ def test_image_hand_case():
     assert im.contains_vector([1, 2, 0])
 
 
-def test_solve_feasible():
-    a = RatMatrix([[1, 1], [0, 1]])
-    x = solve(a, [3, 1])
-    assert x is not None and a.apply(x) == (F(3), F(1))
-
-
-def test_solve_affine_infeasible_has_fredholm_witness():
-    # Second equation reads 0 = 1: infeasibility is a value with certificate.
-    a = RatMatrix([[1, 0], [0, 0]])
-    sol = solve_affine(a, [1, 1])
-    assert isinstance(sol, AffineSolution) and not sol.feasible
-    y = sol.witness
-    assert y is not None
-    assert all(v == 0 for v in a.transpose().apply(y))
-    assert sum(yi * bi for yi, bi in zip(y, [F(1), F(1)])) != 0
-
-
-def test_an_infeasible_system_without_a_witness_is_an_internal_failure(monkeypatch):
-    # by the Fredholm alternative ker Aᵀ holds a witness for every infeasible
-    # system; a kernel that comes back zero leaves none, and solve_affine
-    # refuses to report infeasibility without one
-    a, b = RatMatrix([[1, 1], [2, 2]]), [1, 3]
-    assert solve_affine(a, b).witness is not None
-    monkeypatch.setattr(ratlin, "kernel", lambda m: Subspace.zero(m.cols))
-    with pytest.raises(InvariantViolation, match="infeasible system without a Fredholm witness"):
-        solve_affine(a, b)
-
-
-def test_solve_affine_feasible_carries_a_particular_solution():
-    a = RatMatrix([[1, 1]])
-    sol = solve_affine(a, [2])
-    assert sol.feasible and sol.witness is None
-    assert a.apply(sol.particular) == (F(2),)
-
-
 # --------------------------- 2) subspace semantics ---------------------------
 
 
@@ -183,8 +141,6 @@ def test_wrong_vector_lengths_raise():
     for probe in (u.reduce_mod, u.contains_vector):
         with pytest.raises(ValueError):
             probe([1, 0])
-    with pytest.raises(ValueError):
-        solve(RatMatrix([[1, 0]]), [1, 2])
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, float("nan")])
@@ -404,7 +360,7 @@ def free_column_kernel(m: RatMatrix) -> Subspace:
         v = [F(0)] * m.cols
         v[f] = F(1)
         for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
+            v[p] = -r.row(i)[f]
         vecs.append(v)
     return Subspace.from_spanning(m.cols, vecs)
 
@@ -515,11 +471,11 @@ def test_every_builder_emits_the_canonical_pair_form(m):
     d = m.cols
     vectors = [m.row(i) for i in range(m.rows)]
     r, pivots = reference_rref(m)
-    free = []  # the reference kernel: 1 at each free column f, -r[i, f] at pivot i
+    free = []  # the reference kernel: 1 at each free column f, -r.row(i)[f] at pivot i
     for f in (f for f in range(d) if f not in pivots):
         v = [F(f == c) for c in range(d)]
         for i, p in enumerate(pivots):
-            v[p] = -r[i, f]
+            v[p] = -r.row(i)[f]
         free.append(v)
     built = [
         (kernel(m), reference_span(free, d)),
@@ -541,32 +497,6 @@ def test_single_elimination_kernel_on_empty_shapes():
         k = kernel(zeros(r, c))
         assert k == Subspace.full(c) and k.pivots == tuple(range(c))
         assert k.constraint_matrix().shape == (0, c)
-
-
-@settings(deadline=None, max_examples=60)
-@given(matrices(4, 4), st.lists(small_entries, min_size=4, max_size=4))
-def test_solve_affine_certificates(m, x):
-    x = x[: m.cols]
-    while len(x) < m.cols:
-        x.append(0)
-    b = m.apply(x)
-    sol = solve_affine(m, b)
-    assert sol.feasible
-    assert m.apply(sol.particular) == tuple(b)
-    # perturb b outside the image when the image is proper
-    im = image(m)
-    if im.dim < m.rows:
-        for j in range(m.rows):
-            e = [0] * m.rows
-            e[j] = 1
-            if not im.contains_vector(e):
-                bad = [bi + ei for bi, ei in zip(b, e)]
-                s2 = solve_affine(m, bad)
-                assert not s2.feasible
-                y = s2.witness
-                assert all(v == 0 for v in m.transpose().apply(y))
-                assert sum(yi * vi for yi, vi in zip(y, bad)) != 0
-                break
 
 
 # --------------------------- 4) degenerate shapes ---------------------------
@@ -597,7 +527,7 @@ def test_matrix_immutability_and_hash():
     dense = RatMatrix([[0, F(2, 3), 0], [0, 0, 0], [-1, 0, 4]])
     sparse = RatMatrix(pairs=[[(1, F(2, 3))], [], [(0, F(-1)), (2, F(4))]], cols=3)
     assert sparse == dense and hash(sparse) == hash(dense)
-    assert sparse.row(2) == (F(-1), F(0), F(4)) and sparse[0, 1] == F(2, 3)
+    assert sparse.row(2) == (F(-1), F(0), F(4)) and sparse.row(0)[1] == F(2, 3)
 
 
 # --------------------------- 6) the Fraction reference ---------------------------

@@ -10,7 +10,14 @@ Plan:
  3) the curvature formula against the section-level symbolic oracle, and
     lift-independence of the class;
  4) fiber-empty detection for non-surjective sigma, compatibility failure
-    records, h01 on a worked example.
+    records, h01 on a worked example;
+ 5) torsion certificates on drawn connections, sigma not onto included:
+    every kind agrees with the Fraction reference solver
+    (`rref_reference.solve`), a vanishing lift solves the partial and
+    symmetry rows and is zero at the prolongation fiber's psi pivots, a
+    fiber-empty witness kills sigma in every block and pairs nonzero with
+    -A e, an obstruction is the reference lift's class; a point with no
+    lift and no witness is an InvariantViolation.
 """
 
 import random
@@ -19,6 +26,7 @@ from math import comb
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from formalpde import relconn
 from formalpde.errors import InvariantViolation
@@ -26,6 +34,7 @@ from formalpde.ratlin import RatMatrix, Subspace, image, kernel
 from formalpde.relconn import (
     RelConn,
     _partial_rows,
+    _symmetry_rows,
     classical_prolongation_fiber,
     compatible,
     curvature_of_lift,
@@ -36,6 +45,7 @@ from formalpde.relconn import (
 
 from matrices import coords_of, identity, rref_rank, slot_map, zeros
 from oracle_brute import section_curvature
+from rref_reference import solve
 
 F = Fraction
 
@@ -320,3 +330,79 @@ def test_relconn_shape_validation():
         RelConn(identity(2), [])
     with pytest.raises(ValueError):
         RelConn(identity(2), [zeros(3, 2)])
+
+
+# --------------------------- 5) torsion certificates ---------------------------
+
+
+def test_the_vanishing_lift_is_zero_at_the_fibers_psi_pivots():
+    # sigma forgets the third source coordinate, so psi_i's third entry is
+    # free up to the symmetry psi_2[2] = 2 psi_1[2]: the fiber's one psi pivot
+    # is psi_1[2], and the canonical lift is zero there
+    sigma = RatMatrix([[1, 0, 0], [0, 1, 0]])
+    conn = RelConn(sigma, [RatMatrix([[0, 0, 1], [0, 0, 0]]), RatMatrix([[0, 0, 2], [0, 0, 0]])])
+    fiber = classical_prolongation_fiber(conn).subspace
+    assert [p - 3 for p in fiber.pivots if p >= 3] == [2]
+    res = torsion_at(conn, [1, 1, 1])
+    assert res.kind == "vanishes"
+    assert res.lift == (-1, 0, 0, -2, 0, 0)
+
+
+def test_a_fiber_empty_point_without_a_witness_is_an_internal_failure(monkeypatch):
+    # by the Fredholm alternative a point with no partial lift has a witness
+    # in some block's copy of ker(sigmaᵀ); a cokernel that comes back zero
+    # leaves none, and torsion_at refuses to report an empty fiber without one
+    conn = RelConn(RatMatrix([[1, 0], [0, 0]]), [RatMatrix([[0, 0], [1, 0]]), zeros(2, 2)])
+    assert torsion_at(conn, [1, 0]).kind == "fiber-empty"
+    cokernel_of, real = conn.sigma.transpose(), relconn.kernel
+    monkeypatch.setattr(
+        relconn, "kernel", lambda m: Subspace.zero(m.cols) if m == cokernel_of else real(m)
+    )
+    with pytest.raises(InvariantViolation, match="no lift and no Fredholm witness"):
+        torsion_at(conn, [1, 0])
+
+
+@st.composite
+def connections_at_points(draw):
+    """A connection with up to three directions and a point; with more
+    coefficient than source coordinates, or rank-deficient draws, sigma is
+    not onto."""
+    n, w, q = (draw(st.integers(1, 3)) for _ in range(3))
+    rows = st.lists(st.lists(st.integers(-2, 2), min_size=q, max_size=q), min_size=w, max_size=w)
+    sigma, *mats = (RatMatrix(draw(rows), cols=q) for _ in range(1 + n))
+    return RelConn(sigma, mats), draw(st.lists(st.integers(-2, 2), min_size=q, max_size=q))
+
+
+def psi_system(rows: RatMatrix, e) -> tuple[RatMatrix, list]:
+    """Equations over (e, psi) as A psi = b at the point e, in dense rows."""
+    sd = len(e)
+    dense = [rows.row(i) for i in range(rows.rows)]
+    b = [-sum(x * y for x, y in zip(r[:sd], e)) for r in dense]
+    return RatMatrix([r[sd:] for r in dense], cols=rows.cols - sd), b
+
+
+@settings(deadline=None, max_examples=60)
+@given(connections_at_points())
+def test_torsion_at_certificates(case):
+    conn, e = case
+    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
+    partial, symmetry = _partial_rows(conn), _symmetry_rows(conn)
+    full_lift = solve(*psi_system(RatMatrix.vstack([partial, symmetry]), e))
+    partial_lift = solve(*psi_system(partial, e))
+    res = torsion_at(conn, e)
+    if full_lift is not None:
+        assert res.kind == "vanishes"
+        point = [*e, *res.lift]
+        assert not any(partial.apply(point)) and not any(symmetry.apply(point))
+        pivots = classical_prolongation_fiber(conn).subspace.pivots
+        assert all(res.lift[p - sd] == 0 for p in pivots if p >= sd)
+    elif partial_lift is None:
+        assert res.kind == "fiber-empty"
+        blocks = [res.witness[i * cd : (i + 1) * cd] for i in range(n)]
+        assert all(not any(conn.sigma.transpose().apply(y)) for y in blocks)
+        minus_ae = [[-x for x in a.apply(e)] for a in conn.mats]
+        assert sum(a * b for y, rhs in zip(blocks, minus_ae) for a, b in zip(y, rhs)) != 0
+    else:
+        assert res.kind == "obstruction"
+        delta_image = image(slot_map(symbol_map(conn).partial_map, n, 1))
+        assert res.representative == delta_image.reduce_mod(curvature_of_lift(conn, partial_lift))

@@ -19,7 +19,7 @@ from math import comb
 import pytest
 
 from formalpde.errors import InvariantViolation
-from formalpde.ratlin import RatMatrix, Subspace, image, solve
+from formalpde.ratlin import RatMatrix, Subspace, image
 from formalpde.spencer import cohomology, is_r_acyclic
 from formalpde.tableau import (
     Tableau,
@@ -30,6 +30,7 @@ from formalpde.tableau import (
 from formalpde.tensorspace import sym_dim
 
 from matrices import rref_rank, zeros
+from rref_reference import solve
 
 
 def from_matrices(n, f, mats):
