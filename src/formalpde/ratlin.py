@@ -24,9 +24,10 @@ select; every command hands it integer rows.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
-canonical subspace bases depend on the spans alone, not on how `rref`
-eliminates, and are reproducible across runs and platforms.  `rref`
-eliminates over integer rows and emits Fractions only for its result.  A
+canonical subspace bases depend on the spans alone, not on how they are
+eliminated, and are reproducible across runs and platforms.  Elimination
+runs over integer rows (`_reduced`): `rref` emits Fractions only for its
+result, and `kernel` reads the integer pivot rows and emits none.  A
 `Subspace` stores the canonical basis of its span, the nonzero rows of the
 rref of any spanning set, each as its primitive integer row, hence two equal
 subspaces compare equal as plain data; Fractions are rendered on demand.
@@ -34,8 +35,9 @@ subspaces compare equal as plain data; Fractions are rendered on demand.
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
 with its leading 1 at that column and zeros at every other free column,
-which is exactly the canonical basis; those echelon rows, a row basis of the
-matrix, come back negated, up to scale, as its annihilator (`constraint_matrix`).
+which is exactly the canonical basis, read off the integer pivot rows as
+primitive integer rows; those echelon rows, a row basis of the matrix, come
+back negated, up to scale, as its annihilator (`constraint_matrix`).
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -199,20 +201,10 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     vanishes at each of those columns.  R is those rows followed by zero rows
     up to m.rows, so R and the pivots depend on the span of m's rows alone.
 
-    Computed over the integers: `_echelon` inserts each row, scaled by the
-    lcm of its denominators, into pivot rows by leading column.  Then each
-    pivot column is cleared above its pivot, from the last pivot to the
-    first, and each row is divided by its pivot into Fraction pairs.
+    Computed over the integers by `_reduced`; only its result becomes
+    Fractions, each integer pivot row divided by its pivot into pairs.
     """
-    pivot_rows = _echelon(map(_integer_row, m.pairs))
-    pivots = sorted(pivot_rows)
-    # the rows of later pivots are cleared first, so each vanishes at every
-    # other pivot column, and clearing one column never refills another
-    for c in reversed(pivots):
-        row = pivot_rows[c]
-        for j in [j for j in row if j != c and j in pivot_rows]:
-            row = _eliminate(row, pivot_rows[j], j)
-        pivot_rows[c] = row
+    pivot_rows, pivots = _reduced(m.pairs)
     made: dict[tuple[int, int], Fraction] = {}  # equal quotients share one Fraction
     out: list = []
     for c in pivots:
@@ -226,7 +218,31 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
             line.append((j, x))
         out.append(line)
     out.extend([()] * (m.rows - len(pivots)))
-    return RatMatrix(pairs=out, cols=m.cols), tuple(pivots)
+    return RatMatrix(pairs=out, cols=m.cols), pivots
+
+
+def _reduced(
+    rows: Iterable[Iterable[tuple[int, Fraction | int]]],
+) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:
+    """The reduced echelon form of the rows given by their nonzero (column,
+    value) pairs, before any division: (pivot_rows, pivots), pivot_rows[c]
+    the integer row whose division by its entry at c, which is positive, is
+    the rref row with pivot c, and pivots those columns in order.
+
+    `_echelon` inserts each row, scaled by the lcm of its denominators, into
+    pivot rows by leading column.  Then each pivot column is cleared above
+    its pivot, from the last pivot to the first.
+    """
+    pivot_rows = _echelon(map(_integer_row, rows))
+    pivots = tuple(sorted(pivot_rows))
+    # the rows of later pivots are cleared first, so each vanishes at every
+    # other pivot column, and clearing one column never refills another
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        for j in [j for j in row if j != c and j in pivot_rows]:
+            row = _eliminate(row, pivot_rows[j], j)
+        pivot_rows[c] = row
+    return pivot_rows, pivots
 
 
 def rank(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> int:
@@ -481,38 +497,44 @@ class Subspace:
 def kernel(m: RatMatrix) -> Subspace:
     """Null space of m as a canonical Subspace of Q^cols.
 
-    One elimination gives it.  ``rref`` runs on m with the column order
-    reversed; its pivots, the pivot columns of that unique echelon form, are
-    the rightmost independent columns of m, and every other column f is
-    free.  The kernel vector of a free column f is 1 at f and, at each pivot
-    column, minus the echelon entry of f in that pivot's row.  Reversed
-    reduction leaves such entries only for pivots to the right of f, so f is
-    the vector's leading entry, and every other kernel vector vanishes
-    there.  Taken in ascending f, these vectors already are the canonical
-    echelon basis, with the free columns as its pivots, and no second
-    reduction is needed.
+    One elimination gives it.  `_reduced` eliminates m with the column
+    order reversed; its pivots, the pivot columns of that unique echelon
+    form, are the rightmost independent columns of m, and every other column
+    f is free.  The kernel vector of a free column f is 1 at f and, at each
+    pivot column, minus the echelon entry of f in that pivot's row: v/P, v
+    and P the entries of the integer pivot row at f and at its pivot.
+    Reversed reduction leaves such entries only for pivots to the right of
+    f, so f is the vector's leading entry, and every other kernel vector
+    vanishes there.  Taken in ascending f, these vectors already are the
+    canonical echelon basis, with the free columns as its pivots, and no
+    second reduction is needed; each is built as its primitive integer row,
+    with no Fraction.
 
     Those echelon rows, columns put back in order, are a row basis of m, and
     the kernel's ``constraint_matrix`` reads them back off, negated and scaled.
     """
     cols = m.cols
     last = cols - 1
-    reversed_rows = [[(last - j, x) for j, x in reversed(row)] for row in m.pairs]
-    r, rev_pivots = rref(RatMatrix(pairs=reversed_rows, cols=cols))
+    pivot_rows, rev_pivots = _reduced([(last - j, x) for j, x in reversed(row)] for row in m.pairs)
     free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
-    support = {f: [] for f in free}
-    # the nonzero rows lead r in descending p, each row's tail past its pivot
-    # holds only free columns, and ascending p keeps each vector's pairs in order
-    for row in reversed(r.pairs[: len(rev_pivots)]):
-        p = last - row[0][0]
-        for j, x in row[1:]:
-            support[last - j].append((p, *x.as_integer_ratio()))
-    # b_f is 1 at f and -a/b at each p; d·b_f, d the lcm of the b, is primitive
-    rows = []
-    for f, quotients in support.items():
-        d = lcm(*(b for _, _, b in quotients))
-        rows.append([(f, d), *((p, -a * (d // b)) for p, a, b in quotients)])
-    return Subspace(cols, rows)
+    # a pivot row's lead P > 0; its other entries v lie at free columns f
+    # only, and b_f is -v/P there.  d_f, the lcm of the reduced denominators
+    # P/gcd(v, P) over f's entries, makes d_f·b_f primitive, with the
+    # integer -v·d_f/P at p
+    leads = [pivot_rows[q].pop(q) for q in rev_pivots]
+    scale = dict.fromkeys(free, 1)
+    for q, lead in zip(rev_pivots, leads):
+        for j, v in pivot_rows[q].items():
+            f = last - j
+            scale[f] = lcm(scale[f], lead // gcd(v, lead))
+    rows = {f: [(f, d)] for f, d in scale.items()}
+    # descending q is ascending p, which keeps each row's pairs in order
+    for q, lead in zip(reversed(rev_pivots), reversed(leads)):
+        p = last - q
+        for j, v in pivot_rows.pop(q).items():
+            f = last - j
+            rows[f].append((p, -v * scale[f] // lead))
+    return Subspace(cols, rows.values())
 
 
 def image(m: RatMatrix) -> Subspace:

@@ -80,7 +80,7 @@ from formalpde.jetpde import (
     symbol_tableau,
     symbol_tower,
 )
-from formalpde.ratlin import RatMatrix, Subspace, image, rref
+from formalpde.ratlin import RatMatrix, Subspace, image
 from formalpde.relconn import (
     RelConn,
     classical_prolongation_fiber,
@@ -453,16 +453,18 @@ def test_every_cache_in_the_package_is_bounded():
 
 
 def test_eliminations_per_analysis(count_calls):
-    # a tower level eliminates its tableau prolongation and its jet system;
-    # a crosscheck level adds the connection's symbol, prolongation fiber,
-    # ∂-symmetry kernel and mapped jet fiber; the base fiber is one more.
-    # Truncation images, symbols and e = 0 slices are read off the fibers'
-    # canonical bases, not eliminated, and the e = 0 slice is checked
-    # against g^(1) by membership.  A Spencer window calls no `rref`: its
-    # slot maps are ranked by `ratlin.rank`, which builds no basis.  So
-    # goldschmidt_check takes the base fiber, one jet level (its jet system)
-    # and one tableau prolongation per symbol level 1 .. l + 1.
-    calls = count_calls(rref)
+    # counts the integer elimination `ratlin._reduced`, which `rref` and
+    # `kernel` both run, once per call.  A tower level eliminates its
+    # tableau prolongation and its jet system; a crosscheck level adds the
+    # connection's symbol, prolongation fiber, ∂-symmetry kernel and mapped
+    # jet fiber; the base fiber is one more.  Truncation images, symbols and
+    # e = 0 slices are read off the fibers' canonical bases, not eliminated,
+    # and the e = 0 slice is checked against g^(1) by membership.  A Spencer
+    # window reduces nothing: its slot maps are ranked by `ratlin.rank`,
+    # which builds no basis.  So goldschmidt_check takes the base fiber, one
+    # jet level (its jet system) and one tableau prolongation per symbol
+    # level 1 .. l + 1.
+    calls = count_calls(formalpde.ratlin._reduced)
 
     def count(analysis, *args):
         solution_fiber.cache_clear()
@@ -539,6 +541,31 @@ def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
         assert len(symbol_tower(s, depth).levels) == depth + 1
     assert products == []
     assert Fraction(2, 3) * 3 == 2 and products == [1]  # the counter counts
+
+
+def test_the_tower_walk_and_cohomology_build_no_fraction(monkeypatch):
+    # every level's elimination is a `kernel`, which reads the integer
+    # pivot rows directly, so the tower, the jet walk and cohomology
+    # construct no Fraction at all (the systems are built before counting).
+    # A return to rendering the echelon rows as Fractions and reading them
+    # back fails here
+    runs = (
+        (prolongation_tower, heat3(), 5),
+        (prolongation_tower, wave4(), 4),
+        (goldschmidt_check, wave4(), 3),
+    )
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)
+    )
+    for analysis, s, depth in runs:
+        solution_fiber.cache_clear()
+        symbol_tableau.cache_clear()
+        formalpde.jetpde._held_tower.cache_clear()
+        analysis(s, depth)
+        assert made == [], analysis.__name__
+    assert Fraction(2, 3) and made == [1]  # the counter counts
 
 
 def test_the_tower_report_compares_no_fractions(monkeypatch):

@@ -1,7 +1,8 @@
 """Exact linear algebra tests.
 
 Plan:
- 1) hand-checked row reductions, kernels and images;
+ 1) hand-checked row reductions, kernels (one whose integer quotients
+    reduce) and images;
  2) canonical Subspace semantics (order-independent bases, membership,
     containment of a smaller, an equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
@@ -16,10 +17,12 @@ Plan:
     int pair values build the same matrix, hash, rref, rank and kernel as
     Fractions, and floats and bools among them are refused;
  4) zero-row / zero-column edge shapes;
- 5) the single-elimination kernel equals the kernel read off rref(m) and
-    canonicalised again, bit for bit, and its annihilator is the row basis of
-    the reversed-column rref of m, negated, up to a positive scale and row
-    order, in primitive integer rows;
+ 5) the single-elimination kernel's rows equal, bit for bit, the kernel
+    read off the Fraction reference's rref of m (`rref_reference.py`),
+    canonicalised by it again and scaled to primitive integer rows, and its
+    annihilator is the row basis of the reference's reversed-column rref of
+    m, negated, up to a positive scale and row order, in primitive integer
+    rows;
     a spanned subspace's basis is the nonzero rows of the rref of its
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
@@ -45,6 +48,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from formalpde import ratlin
 from formalpde.ratlin import (
     RatMatrix,
     Subspace,
@@ -91,6 +95,16 @@ def test_kernel_hand_case():
     assert k.dim == 1
     assert k.contains_vector([1, -1, 1])
     assert not k.contains_vector([1, 0, 0])
+
+
+def test_kernel_hand_case_with_reduced_quotients():
+    # 3/2 x + 2y + 3z = 0: reversed and scaled to ints the row is (6, 4, 3),
+    # lead 6 at z, so b_x is 1 at x and -3/6 = -1/2 at z, b_y 1 at y and
+    # -4/6 = -2/3 at z, each stored as its primitive integer row
+    k = kernel(RatMatrix([[Fraction(3, 2), 2, 3]]))
+    assert k.rows == (((0, 2), (2, -1)), ((1, 3), (2, -2)))
+    assert k.pivots == (0, 1)
+    assert k.basis == ((1, 0, F(-1, 2)), (0, 1, F(-2, 3)))
 
 
 def test_image_hand_case():
@@ -183,7 +197,7 @@ def test_floats_are_refused(x):
 
 def test_constraint_matrix_cuts_out_the_subspace(count_calls):
     u = Subspace.from_spanning(4, [[1, 1, 0, 0], [0, 0, 1, -1]])
-    calls = count_calls(rref)
+    calls = count_calls(ratlin._reduced)
     q = u.constraint_matrix()
     assert calls == []  # read off the canonical basis
     assert kernel(q) == u
@@ -351,10 +365,11 @@ def test_pair_values_are_fractions_or_ints(x):
         RatMatrix(pairs=[[(0, 1), (2, x)]], cols=3)
 
 
-def free_column_kernel(m: RatMatrix) -> Subspace:
-    """The kernel read off rref(m) directly, one vector per free column,
-    then canonicalised by a second reduction."""
-    r, pivots = rref(m)
+def free_column_kernel(m: RatMatrix) -> tuple:
+    """The kernel's canonical rows by the Fraction reference alone: one
+    vector per free column of reference_rref(m), canonicalised by a second
+    reference elimination, each row scaled to its primitive integer row."""
+    r, pivots = reference_rref(m)
     vecs = []
     for f in (j for j in range(m.cols) if j not in pivots):
         v = [F(0)] * m.cols
@@ -362,24 +377,25 @@ def free_column_kernel(m: RatMatrix) -> Subspace:
         for i, p in enumerate(pivots):
             v[p] = -r.row(i)[f]
         vecs.append(v)
-    return Subspace.from_spanning(m.cols, vecs)
+    rows = []
+    for b in reference_span(vecs, m.cols):
+        d = lcm(*(F(x).denominator for x in b))
+        rows.append(tuple((i, int(x * d)) for i, x in enumerate(b) if x))
+    return tuple(rows)
 
 
 @settings(deadline=None, max_examples=200)
 @given(matrices_with_empty_shapes())
 def test_single_elimination_kernel_is_bit_identical(m):
     k = kernel(m)
-    ref = free_column_kernel(m)
-    assert k.ambient_dim == ref.ambient_dim == m.cols
-    assert len(k.basis) == len(ref.basis)
+    assert k.ambient_dim == m.cols
+    assert k.rows == free_column_kernel(m)
     assert all(len(v) == m.cols for v in k.basis)
-    assert k.basis == ref.basis
-    assert k.pivots == ref.pivots
     # the kernel's annihilator is m's row basis from the reversed-column
     # rref, negated, up to a positive scale and row order: the walk hands it
     # up as the next level.  Each row is primitive in ints and ends at its
     # own column, where its echelon row has its 1
-    r, pivots = rref(RatMatrix([m.row(i)[::-1] for i in range(m.rows)], cols=m.cols))
+    r, pivots = reference_rref(RatMatrix([m.row(i)[::-1] for i in range(m.rows)], cols=m.cols))
     echelon = {tuple(r.row(i)[::-1]) for i in range(len(pivots))}
     q = k.constraint_matrix()
     assert q.shape == (rref_rank(m), m.cols)
