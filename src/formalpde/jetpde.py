@@ -27,12 +27,12 @@ base system's fiber, symbol and tower do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
-fiber prolonged.  Each level therefore prolongs the annihilator of the fiber
-below, read off its canonical basis (``Subspace.constraint_matrix``) as
-integer rows: (1 + n) times the rank in rows, instead of
-(1 + n)^level times the base equation count, and the user's equations enter
-only through the base fiber.  ``formal_prolongation`` itself still keeps
-every row.
+fiber prolonged, and the user's equations enter only through the base
+fiber.  Each level keeps the annihilator of the fiber below as integer rows
+(``Subspace.constraint_matrix``), pivot rows of its elimination as they are,
+and prolongs only the rows new at that level: n shifted rows per new row,
+not (1 + n)^level per base equation.  ``formal_prolongation`` itself still
+keeps every row.
 
 Two size budgets live here, checked before anything is eliminated: the jet
 fiber of every analysis's tower (MAX_JET_FIBER) and the width of a connection
@@ -66,11 +66,11 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
 
 
 # Widest jet fiber, in coordinates, an analysis may prolong to.  The walk
-# eliminates up to (1 + n) rows per fiber coordinate at every level, and its
+# inserts n shifted rows per new annihilator row at every level, and its
 # cost grows about as N^2 in time: u_x1x1 + u_x2x2 - u_x3 = 0 under
-# `tower --levels 14` reaches N = 969 in 0.22 s and 28 MB peak RSS, and the
-# free first-order system in three variables at depth 15 (also 969) in 0.14 s
-# and 42 MB (in-process, Python 3.11.7, shared 2-vCPU VM).  Every corpus, pool
+# `tower --levels 14` reaches N = 969 in 0.04 s and 18 MB peak RSS, and the
+# free first-order system in three variables at depth 15 (also 969) in 0.02 s
+# and 17 MB (in-process, Python 3.11.7, shared 2-vCPU VM).  Every corpus, pool
 # and benchmark input stays at or below 330 (the 4-D wave equation at depth 5).
 MAX_JET_FIBER = 1000
 
@@ -247,14 +247,22 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     Yields, per level: the system below (its fiber's annihilator) and that
     fiber, then the level's fiber, its truncation image (the basis vectors
     with pivot in the lower coordinates, cut there) and its symbol dimension.
+
+    The whole annihilator seeds the elimination, and only its new rows are
+    prolonged: those at coordinates above the level below's, or at pivots
+    of the fiber there that the truncation image lost.  With the annihilator
+    one level lower, whose shifts it holds, they span it all.
     """
-    cur_fiber = base_fiber
+    cur_fiber, floor, lost = base_fiber, 0, set()
     for level, rank in enumerate(symbol_ranks, 1):
         # the annihilator as integer rows, so every shifted copy is one too
-        equations = cur_fiber.constraint_matrix()
+        equations, lower_dim = cur_fiber.constraint_matrix(), cur_fiber.ambient_dim
         lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
-        fiber = kernel(formal_prolongation(lower).equations)
-        img = fiber.head(cur_fiber.ambient_dim)
+        new = [row for row in equations.pairs if row[-1][0] >= floor or row[-1][0] in lost]
+        up = formal_prolongation(lower._replace(equations=RatMatrix(pairs=new, cols=lower_dim)))
+        shifts = RatMatrix(pairs=up.equations.pairs[len(new):], cols=up.equations.cols)
+        fiber = kernel(shifts, kept=equations.pairs)
+        img = fiber.head(lower_dim)
         sym = fiber.dim - img.dim
         if sym != rank:
             raise InvariantViolation(
@@ -267,6 +275,7 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
                 f"(fiber dim {cur_fiber.dim}) at level {level}"
             )
         yield lower, cur_fiber, fiber, img, sym
+        floor, lost = lower_dim, set(cur_fiber.pivots).difference(img.pivots)
         cur_fiber = fiber
 
 

@@ -37,7 +37,9 @@ with its columns in reverse order leaves each free column's kernel vector
 with its leading 1 at that column and zeros at every other free column,
 which is exactly the canonical basis, read off the integer pivot rows as
 primitive integer rows; those echelon rows, a row basis of the matrix, come
-back negated, up to scale, as its annihilator (`constraint_matrix`).
+back negated, up to scale, as its annihilator (`constraint_matrix`).  In
+that order each annihilator row leads at its own top column, so kept rows
+seed `kernel`'s pivot rows as they are, and only new rows are inserted.
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -223,6 +225,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 def _reduced(
     rows: Iterable[Iterable[tuple[int, Fraction | int]]],
+    seed: dict[int, dict[int, int]] | None = None,
 ) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:
     """The reduced echelon form of the rows given by their nonzero (column,
     value) pairs, before any division: (pivot_rows, pivots), pivot_rows[c]
@@ -230,10 +233,11 @@ def _reduced(
     the rref row with pivot c, and pivots those columns in order.
 
     `_echelon` inserts each row, scaled by the lcm of its denominators, into
-    pivot rows by leading column.  Then each pivot column is cleared above
+    pivot rows by leading column, after the seed's (integer rows, each led
+    at its key and positive there).  Then each pivot column is cleared above
     its pivot, from the last pivot to the first.
     """
-    pivot_rows = _echelon(map(_integer_row, rows))
+    pivot_rows = _echelon(map(_integer_row, rows), {} if seed is None else seed)
     pivots = tuple(sorted(pivot_rows))
     # the rows of later pivots are cleared first, so each vanishes at every
     # other pivot column, and clearing one column never refills another
@@ -249,18 +253,17 @@ def rank(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> int:
     """Rank over Q of the rows given by their nonzero (column, value) pairs:
     the number of pivot rows `rref`'s integer insertion leaves, with no
     back-substitution and no Fractions built (int rows pass as they are)."""
-    return len(_echelon(map(_integer_row, rows)))
+    return len(_echelon(map(_integer_row, rows), {}))
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Pivot rows of the integer rows, by leading column.
+def _echelon(rows: Iterable[dict[int, int]], pivot_rows: dict) -> dict[int, dict[int, int]]:
+    """pivot_rows, by leading column, with the integer rows inserted.
 
     Each row is inserted in turn: while its leading column holds a pivot
     row, it is reduced against that row (`_eliminate`); a row left nonzero,
     divided by its content and made positive there, becomes the pivot row of
     its leading column.
     """
-    pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
         while row:
             c = min(row)
@@ -494,8 +497,9 @@ class Subspace:
 # --------------------------- derived maps ---------------------------
 
 
-def kernel(m: RatMatrix) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols.
+def kernel(m: RatMatrix, kept: Sequence[Sequence[tuple[int, int]]] = ()) -> Subspace:
+    """Null space of m as a canonical Subspace of Q^cols, or, given kept
+    integer pair rows with distinct top columns, of kept and m together.
 
     One elimination gives it.  `_reduced` eliminates m with the column
     order reversed; its pivots, the pivot columns of that unique echelon
@@ -512,10 +516,21 @@ def kernel(m: RatMatrix) -> Subspace:
 
     Those echelon rows, columns put back in order, are a row basis of m, and
     the kernel's ``constraint_matrix`` reads them back off, negated and scaled.
+
+    Kept rows lead the reversed order at their top columns, so, those being
+    distinct, they seed the pivot rows as they are, made positive at the
+    lead, and only m's rows are inserted.
     """
     cols = m.cols
     last = cols - 1
-    pivot_rows, rev_pivots = _reduced([(last - j, x) for j, x in reversed(row)] for row in m.pairs)
+    seed = {}
+    for row in kept:
+        sign = 1 if row[-1][1] > 0 else -1
+        seed[last - row[-1][0]] = {last - j: sign * x for j, x in row}
+    if len(seed) != len(kept):
+        raise ValueError("kept rows must have distinct top columns")
+    rows = ([(last - j, x) for j, x in reversed(row)] for row in m.pairs)
+    pivot_rows, rev_pivots = _reduced(rows, seed)
     free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
     # a pivot row's lead P > 0; its other entries v lie at free columns f
     # only, and b_f is -v/P there.  d_f, the lcm of the reduced denominators

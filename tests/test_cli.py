@@ -820,7 +820,7 @@ def test_an_unexpected_exception_is_an_internal_failure(command, capsys, monkeyp
     for cache in (jetpde.solution_fiber, jetpde.symbol_tableau, jetpde._held_tower):
         cache.cache_clear()
 
-    def broken(rows):
+    def broken(rows, pivot_rows):
         raise KeyError("injected")
 
     monkeypatch.setattr(ratlin, "_echelon", broken)
@@ -862,17 +862,16 @@ def test_a_moved_cut_in_the_connection_route_fails_its_exactness(monkeypatch):
 
 @pytest.mark.parametrize("command", ["tower", "goldschmidt", "finite-type", "crosscheck"])
 def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsys, monkeypatch):
-    # without the lower equation the truncated solutions fill the lower jets,
-    # while the shifted rows alone still give the tableau tower's symbol, so
-    # only the containment check sees the fault
-    prolong = jetpde.formal_prolongation
+    # the walk seeds each level's elimination with the lower annihilator's
+    # rows; without the lower equation the truncated solutions fill the lower
+    # jets, while the shifted rows alone still give the tableau tower's
+    # symbol, so only the containment check sees the fault
+    seeded = jetpde.kernel
 
-    def dropped(system):
-        out = prolong(system).equations
-        rows = [out.row(r) for r in range(1, out.rows)]
-        return system._replace(k=system.k + 1, equations=RatMatrix(rows, cols=out.cols))
+    def dropped(m, kept=()):
+        return seeded(m, kept=kept[1:])
 
-    monkeypatch.setattr(jetpde, "formal_prolongation", dropped)
+    monkeypatch.setattr(jetpde, "kernel", dropped)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main([command, path]) == 2
     assert (

@@ -13,9 +13,11 @@ Plan:
  6. flat-connection systems: commuting certified, noncommuting obstructed,
     with an honestly non-extendable witness
  7. formal prolongation keeps the original equations; the tower and the
-    crosscheck walk prolong each lower fiber's annihilator, one row per jet
-    coordinate outside that fiber, so their matrices stay within the jet
-    fiber width, and the tower's fibers match the plain repeated prolongation;
+    crosscheck walk prolong only the rows of each lower fiber's annihilator
+    that are new at that level, so their matrices stay within the jet fiber
+    width, the tower's fibers match the plain repeated prolongation, and
+    every walk fiber is bit-identical to the kernel of the whole prolonged
+    annihilator below;
     the crosscheck prolongs once per level and caches no level system, and
     every cache in the package is bounded; the
     eliminations per analysis are pinned (symbols and e = 0 slices are read
@@ -56,6 +58,7 @@ from importlib import resources
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import formalpde
 from formalpde.cli import load_system, main
@@ -80,7 +83,7 @@ from formalpde.jetpde import (
     symbol_tableau,
     symbol_tower,
 )
-from formalpde.ratlin import RatMatrix, Subspace, image
+from formalpde.ratlin import RatMatrix, Subspace, image, kernel
 from formalpde.relconn import (
     RelConn,
     classical_prolongation_fiber,
@@ -387,11 +390,14 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
         received.clear()
         rep = prolongation_tower(s, 6)
         assert [k for k, _ in received] == [s.k + level - 1 for level in range(1, 7)]
-        # each level prolongs the annihilator of the fiber below: one row per
-        # jet coordinate outside that fiber
+        # each level prolongs the rows of the fiber below's annihilator (one
+        # per jet coordinate outside that fiber) that the annihilator one
+        # level lower lacks: all of them at level 1
         lower_dims = [rep.base_fiber_dim] + [lv.fiber_dim for lv in rep.levels[:-1]]
-        for (k, rows), lower_dim in zip(received, lower_dims):
-            assert rows == jet_fiber_dim(s.n, s.m, k) - lower_dim, (s.n, k)
+        annihilators = [jet_fiber_dim(s.n, s.m, k) - d for (k, _), d in zip(received, lower_dims)]
+        assert [rows for _, rows in received] == [
+            ann - below for ann, below in zip(annihilators, [0] + annihilators[:-1])
+        ], s.n
     monkeypatch.undo()
     # the annihilator handed up loses nothing: every level's fiber is the
     # fiber of the plain repeated prolongation, which keeps every row
@@ -402,6 +408,17 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
         for level in rep.levels:
             naive = formal_prolongation(naive)
             assert level.fiber_dim == solution_fiber(naive).dim, (path.name, level)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_terms(), st.integers(1, 4))
+def test_every_walk_fiber_is_the_unseeded_elimination(terms, depth):
+    # the walk prolongs only the annihilator's new rows and seeds the rest;
+    # the canonical basis is contract, so each fiber must equal, bit for
+    # bit, the kernel of the whole prolonged annihilator below
+    s = PdeSystem.from_terms(*terms)
+    for lower, _, fiber, _, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
+        assert fiber.rows == kernel(formal_prolongation(lower).equations).rows
 
 
 def test_crosscheck_rows_stay_within_the_jet_fiber(count_calls, tmp_path, capsys):

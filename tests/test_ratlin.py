@@ -17,7 +17,11 @@ Plan:
     int pair values build the same matrix, hash, rref, rank and kernel as
     Fractions, and floats and bools among them are refused;
  4) zero-row / zero-column edge shapes;
- 5) the single-elimination kernel's rows equal, bit for bit, the kernel
+ 5) the kernel seeded with kept rows of distinct top columns (either
+    sign there, or a kernel's own annihilator) equals, bit for bit, the
+    plain kernel of the kept and new rows together, by hand and on drawn
+    rows, and refuses kept rows sharing a top column;
+    the single-elimination kernel's rows equal, bit for bit, the kernel
     read off the Fraction reference's rref of m (`rref_reference.py`),
     canonicalised by it again and scaled to primitive integer rows, and its
     annihilator is the row basis of the reference's reversed-column rref of
@@ -105,6 +109,20 @@ def test_kernel_hand_case_with_reduced_quotients():
     assert k.rows == (((0, 2), (2, -1)), ((1, 3), (2, -2)))
     assert k.pivots == (0, 1)
     assert k.basis == ((1, 0, F(-1, 2)), (0, 1, F(-2, 3)))
+
+
+def test_kernel_hand_case_with_kept_rows():
+    # kept 2x0 - x1 = 0 and x0 + x2 - 3x3 = 0, tops 1 and 3, both entries
+    # there negative, and the new row x2 + x3 = 0: x3 = -x2, x0 = -4x2,
+    # x1 = -8x2, so the kernel is b_0 = (1, 2, -1/4, 1/4), stored as 4·b_0
+    kept = [((0, 2), (1, -1)), ((0, 1), (2, 1), (3, -3))]
+    new = RatMatrix([[0, 0, 1, 1]])
+    k = kernel(new, kept=kept)
+    assert k.rows == (((0, 4), (1, 8), (2, -1), (3, 1)),)
+    assert k == kernel(RatMatrix.vstack([RatMatrix(pairs=kept, cols=4), new]))
+    assert kernel(new, kept=()) == kernel(new)
+    with pytest.raises(ValueError, match="distinct top columns"):
+        kernel(new, kept=[((0, 1), (3, 1)), ((3, 2),)])
 
 
 def test_image_hand_case():
@@ -406,6 +424,33 @@ def test_single_elimination_kernel_is_bit_identical(m):
         assert scale > 0
         negated.add(tuple(F(-x, scale) for x in q.row(i)))
     assert negated == echelon
+
+
+@st.composite
+def kept_rows(draw, cols):
+    """Integer pair rows with distinct top columns, the entry at each top of
+    either sign and the entries below it free, other rows' tops included."""
+    tops = draw(st.lists(st.integers(0, cols - 1), unique=True, max_size=cols)) if cols else []
+    rows = []
+    for j in sorted(tops):
+        below = draw(st.lists(st.integers(-3, 3), min_size=j, max_size=j))
+        top = draw(st.integers(-4, 4).filter(bool))
+        rows.append(tuple((i, x) for i, x in enumerate(below) if x) + ((j, top),))
+    return rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices_with_empty_shapes(), st.data())
+def test_kept_rows_seed_the_kernel_of_kept_and_new_rows(m, data):
+    # kept rows with distinct top columns are pivot rows of the reversed
+    # elimination as they are; only m's rows are inserted after them, and the
+    # kernel is bit for bit the plain kernel of both, with none kept as well
+    kept = data.draw(kept_rows(m.cols))
+    both = RatMatrix.vstack([RatMatrix(pairs=kept, cols=m.cols), m])
+    assert kernel(m, kept=kept).rows == kernel(both).rows
+    # a kernel's own annihilator, whose tops are all negative, as the walk keeps it
+    q = kernel(both).constraint_matrix().pairs
+    assert kernel(m, kept=q).rows == kernel(both).rows
 
 
 @settings(deadline=None, max_examples=200)
