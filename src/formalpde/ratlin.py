@@ -17,20 +17,21 @@ be Fractions or ints.  Zeros are skipped by structure, not by testing each
 entry: dense rows are read into pairs once, in `RatMatrix`, every stage reads
 and emits pairs from there, a subspace is its basis vectors' integer pairs,
 and `apply` reads the vector's nonzeros once.
-Membership (`Subspace._coords`, behind every membership and coordinate
-query) is one formula over the basis vectors' integer rows, reading only the
+Membership (`Subspace._coords`, behind every membership and coordinate query)
+is one formula over the basis vectors' integer rows, reading only the
 coordinates touched by a vector and the basis vectors its pivot entries
-select; every command hands it integer rows.  `reduce_mod` is dense.
+select; every command hands it integer rows, the crosscheck its jet points as
+pairs end to end.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
 canonical subspace bases depend on the spans alone, not on how they are
-eliminated, and are reproducible across runs and platforms.  Elimination
-runs over integer rows (`_reduced`): `rref` emits Fractions only for its
-result, and `kernel` reads the integer pivot rows and emits none.  A
-`Subspace` stores the canonical basis of its span, the nonzero rows of the
-rref of any spanning set, each as its primitive integer row, hence two equal
-subspaces compare equal as plain data; Fractions are rendered on demand.
+eliminated, and are reproducible across runs and platforms.  Elimination runs
+over integer rows (`_reduced`); `rref` emits Fractions for its result, but
+runs only behind `from_spanning`, which no analysis calls.  A `Subspace`
+stores the canonical basis of its span, the nonzero rows of the rref of any
+spanning set, each as its primitive integer row, hence two equal subspaces
+compare equal as plain data; Fractions are rendered on demand.
 
 Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
@@ -450,7 +451,7 @@ class Subspace:
         # canonical bases: one at least as large is contained only if equal
         if other.dim >= self.dim:
             return other.rows == self.rows
-        return all(self.contains_vector(v) for v in other.basis)
+        return all(self._coords(row) is not None for row in other.rows)
 
     def head(self, stop: int) -> "Subspace":
         """The projection onto the coordinates before stop: the basis vectors

@@ -903,20 +903,41 @@ def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
 def test_a_swapped_jet_mapping_fails_the_crosschecks_fiber_comparison(
     tmp_path, capsys, monkeypatch
 ):
-    # a coordinate swap is invertible, so every fiber vector still maps and
-    # the dimensions agree, but the mapped fiber is not the connection's
+    # the values at the point's first and last coordinates swapped: every
+    # fiber vector still maps, but two of the mapped points fall outside the
+    # connection's fiber, and only the rest are ranked
     to_point = jetpde._prolongation_point
 
     def swapped(system, fiber, pairs):
-        point = to_point(system, fiber, pairs)
-        return (point[-1], *point[1:-1], point[0])
+        point = dict(to_point(system, fiber, pairs))
+        last = (1 + system.n) * fiber.dim - 1
+        point[0], point[last] = point.get(last, 0), point.get(0, 0)
+        return [(i, x) for i, x in sorted(point.items()) if x]
 
     monkeypatch.setattr(jetpde, "_prolongation_point", swapped)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main(["crosscheck", path]) == 2
     assert (
-        "jet-side (dim 7, mapped 7) and connection-side (dim 7) prolongation fibers "
-        "disagree at level 1" in capsys.readouterr().err
+        "jet-side (dim 7, rank 5, 2 outside) and connection-side (dim 7) prolongation "
+        "fibers disagree at level 1" in capsys.readouterr().err
+    )
+
+
+def test_a_collapsed_jet_mapping_fails_the_crosschecks_rank(tmp_path, capsys, monkeypatch):
+    # every basis vector mapped to the first one's point stays inside the
+    # connection's fiber, so only the rank of the coordinates sees the fault
+    to_point = jetpde._prolongation_point
+    first = {}
+
+    def collapsed(system, fiber, pairs):
+        return first.setdefault((system, fiber), to_point(system, fiber, pairs))
+
+    monkeypatch.setattr(jetpde, "_prolongation_point", collapsed)
+    path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
+    assert main(["crosscheck", path]) == 2
+    assert (
+        "jet-side (dim 7, rank 1, 0 outside) and connection-side (dim 7) prolongation "
+        "fibers disagree at level 1" in capsys.readouterr().err
     )
 
 

@@ -11,7 +11,10 @@ pins where:
   reason it needs dense vectors;
 * a zero-filled Fraction list (``[_ZERO] * n``) is built only at the sites
   in ``ZERO_FILLS``, and ``.row`` is read only in ``ROW_READS``, so
-  no other code renders a dense vector from a subspace's pairs.
+  no other code renders a dense vector from a subspace's pairs;
+* ``from_spanning`` and ``rref``, which span dense vectors again through
+  Fractions, are called only at the sites in ``SPAN_CALLS``, so no analysis
+  path reaches them.
 
 A new site missing from a table, or a listed site that is gone, fails, as
 in `test_invariant_sites`.
@@ -26,14 +29,12 @@ BASIS_READS = {
     "jetpde._tower_report": "the witness is a LevelRecord field, reported as a dense jet",
     "tableau.tower": "the ∂-symmetry check applies the equations to whole vectors",
     "relconn.torsion_at": "the Fredholm witness is a TorsionResult field, a dense vector",
-    "ratlin.Subspace.contains": "a smaller subspace's vectors are tested by contains_vector",
 }
 
 ZERO_FILLS = {
     "ratlin.RatMatrix.row": "the one renderer of a pair row; Subspace.basis goes through it",
     "relconn.torsion_at": "the witness's one nonzero block placed among zero blocks",
     "relconn._lift": "a lift's psi blocks summed from the fiber's basis rows",
-    "jetpde._prolongation_point": "a point's coordinates written from membership coordinates",
     "relconn.curvature_of_lift": "the e = 0 half of the point (0, psi)",
 }
 
@@ -41,6 +42,12 @@ ROW_READS = {
     "ratlin.RatMatrix.__repr__": "the repr prints every row",
     "ratlin.Subspace.basis": "renders the basis on demand",
     "ratlin.image": "a matrix's columns, dense vectors for from_spanning",
+    "jetpde.jet_to_prolongation_point": "the public map renders its point's pairs dense",
+}
+
+SPAN_CALLS = {
+    "ratlin.image: from_spanning": "a matrix's column span, on the callerless torsion path",
+    "ratlin.Subspace.from_spanning: rref": "the span's canonical basis is its rref's rows",
 }
 
 RETIRED = {"_support", "_pairs"}
@@ -48,7 +55,7 @@ RETIRED = {"_support", "_pairs"}
 
 def _scan(src: Path = SRC) -> dict[str, set[str]]:
     """Sites (``module.scope``) of each watched construct in src."""
-    found = {"basis": set(), "zero_fill": set(), "row": set(), "retired": set()}
+    found = {"basis": set(), "zero_fill": set(), "row": set(), "span": set(), "retired": set()}
 
     def visit(node, site):
         for child in ast.iter_child_nodes(node):
@@ -62,6 +69,10 @@ def _scan(src: Path = SRC) -> dict[str, set[str]]:
                     found["row"].add(site)
                 if child.attr in RETIRED:
                     found["retired"].add(f"{site}: .{child.attr}")
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name in ("from_spanning", "rref"):
+                    found["span"].add(f"{site}: {name}")
             if isinstance(child, ast.Name) and child.id in RETIRED:
                 found["retired"].add(f"{site}: {child.id}")
             if isinstance(child, ast.Constant) and child.value in RETIRED:
@@ -88,7 +99,8 @@ def test_no_reader_of_the_retired_pair_cache_remains():
 
 def test_dense_renderings_are_the_listed_sites():
     found = _scan()
-    for kind, table in (("basis", BASIS_READS), ("zero_fill", ZERO_FILLS), ("row", ROW_READS)):
+    tables = {"basis": BASIS_READS, "zero_fill": ZERO_FILLS, "row": ROW_READS, "span": SPAN_CALLS}
+    for kind, table in tables.items():
         missing = found[kind] - set(table)
         assert not missing, f"unlisted {kind} sites: {sorted(missing)}"
         stale = set(table) - found[kind]
@@ -106,11 +118,12 @@ def test_the_scan_sees_each_construct(tmp_path):
         "        return inner, [None] * n, map(self.row, range(n))\n\n\n"
         "def h(u):\n"
         "    u.basis = u.rows\n"
-        "    return S(support=[]), '_support'\n"
+        "    return S(support=[]), '_support', S.from_spanning(2, []), rref(u), u.rref\n"
     )
     assert _scan(tmp_path) == {
         "basis": {"a.S.f"},
         "zero_fill": {"a.S.g.inner"},
         "row": {"a.S.g"},
+        "span": {"a.h: from_spanning", "a.h: rref"},
         "retired": {"a.S.f: support=", "a.S.f: ._pairs", "a.h: support=", "a.h: '_support'"},
     }

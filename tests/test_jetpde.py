@@ -473,14 +473,15 @@ def test_eliminations_per_analysis(count_calls):
     # counts the integer elimination `ratlin._reduced`, which `rref` and
     # `kernel` both run, once per call.  A tower level eliminates its
     # tableau prolongation and its jet system; a crosscheck level adds the
-    # connection's symbol, prolongation fiber, ∂-symmetry kernel and mapped
-    # jet fiber; the base fiber is one more.  Truncation images, symbols and
-    # e = 0 slices are read off the fibers' canonical bases, not eliminated,
-    # and the e = 0 slice is checked against g^(1) by membership.  A Spencer
-    # window reduces nothing: its slot maps are ranked by `ratlin.rank`,
-    # which builds no basis.  So goldschmidt_check takes the base fiber, one
-    # jet level (its jet system) and one tableau prolongation per symbol
-    # level 1 .. l + 1.
+    # connection's symbol, prolongation fiber and ∂-symmetry kernel; the base
+    # fiber is one more.  Truncation images, symbols and e = 0 slices are
+    # read off the fibers' canonical bases, not eliminated, the e = 0 slice
+    # is checked against g^(1) by membership, and the mapped jet fiber by its
+    # points' coordinates in the connection fiber.  A Spencer window reduces
+    # nothing: those coordinates and its slot maps are ranked by
+    # `ratlin.rank`, which builds no basis.  So goldschmidt_check takes the
+    # base fiber, one jet level (its jet system) and one tableau prolongation
+    # per symbol level 1 .. l + 1.
     calls = count_calls(formalpde.ratlin._reduced)
 
     def count(analysis, *args):
@@ -493,7 +494,7 @@ def test_eliminations_per_analysis(count_calls):
 
     for d in range(1, 5):
         assert count(prolongation_tower, heat3(), d) == 2 * d + 1
-        assert count(crosscheck_routes, heat3(), d) == 6 * d + 1
+        assert count(crosscheck_routes, heat3(), d) == 5 * d + 1
     for l in range(4):
         assert count(goldschmidt_check, heat3(), l) == l + 3
 
@@ -840,10 +841,15 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
             )
             assert [conn.sigma, *conn.mats] == want, (path.name, level)
             assert symbol_map(conn).partial_map.pairs == dense_partial_map(conn).pairs
+            width = (1 + n) * lower_fiber.dim
             for j, v in enumerate(fiber.basis):
-                # the integer row d_j·b_j maps to d_j times the dense point of b_j
+                # the integer row d_j·b_j maps to the ascending pairs of d_j
+                # times the dense point of b_j
                 ints = fiber.rows[j]
-                assert _prolongation_point(lower, lower_fiber, ints) == tuple(
+                point = _prolongation_point(lower, lower_fiber, ints)
+                indices = [i for i, _ in point]
+                assert indices == sorted(set(indices)) and all(x for _, x in point)
+                assert RatMatrix(pairs=[point], cols=width).row(0) == tuple(
                     ints[0][1] * x for x in dense_point(lower, lower_fiber, v)
                 ), (path.name, level)
             if level == 1:  # the prolongation fiber's layout: e, then the psi blocks
