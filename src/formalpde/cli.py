@@ -19,10 +19,11 @@ tail _x<i>...x<j>.  Signs belong to the separators; 'eq: 0 = 0' denotes the
 trivial equation.  Components and directions are 1-based in this syntax.
 Numbers are written with the ASCII digits 0-9 only.
 
-Syntax errors report line and column plus the expected token; semantic
-errors (component or direction out of range, derivative order above the
-declared order, zero denominators, header problems such as a base jet fiber
-above MAX_BASE_FIBER) carry a stable code.
+Syntax errors report line and column plus the expected token; the column is
+the first where the line leaves the grammar, at most one past its end.
+Semantic errors (component or direction out of range, derivative order above
+the declared order, zero denominators, header problems such as a base jet
+fiber above MAX_BASE_FIBER) carry a stable code.
 
 Exit codes: 0 = analysis completed (obstructed verdicts included), 1 = bad
 input (unreadable file, parse error, bad flags, or an input past the size
@@ -92,7 +93,6 @@ class PdeSemanticError(ValueError):
 
 _HEADER_RE = re.compile(r"^\s*(base_dim|fiber_rank|order)\s*=\s*([0-9]+)\s*$")
 _HEADER_NAMES = ("base_dim", "fiber_rank", "order")
-_DIGITS = frozenset("0123456789")  # str.isdigit() also accepts '²' and '٢'
 # Largest base jet fiber m·C(n+k, n) the parser accepts.  At the limit, the free
 # system base_dim 1, fiber_rank 250, order 1 runs `tower --levels 1` in 0.11 s
 # and 18 MB peak RSS, and `crosscheck --levels 1` in 0.19 s and 23 MB (child
@@ -112,134 +112,87 @@ def _int_literal(line_no: int, col: int, digits: str) -> int:
         ) from None
 
 
-class _TermScanner:
-    """Hand scanner for the right-hand side of an 'eq:' line."""
-
-    def __init__(self, line_no: int, text: str, offset: int):
-        self.line_no = line_no
-        self.text = text
-        self.pos = 0
-        self.offset = offset  # column of text[0] in the original line, 1-based
-
-    def col(self) -> int:
-        return self.offset + self.pos
-
-    def fail(self, expected: str):
-        raise PdeSyntaxError(self.line_no, self.col(), f"expected {expected}")
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take_int(self, expected: str) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self.fail(expected)
-        return _int_literal(self.line_no, self.offset + start, self.text[start : self.pos])
-
-    def take_rational(self) -> Fraction:
-        num = self.take_int("an unsigned integer")
-        if self.peek() == "/":
-            self.pos += 1
-            den_col = self.col()
-            den = self.take_int("a denominator after '/'")
-            if den == 0:
-                raise PdeSemanticError(
-                    self.line_no, "zero-denominator",
-                    f"col {den_col}: zero denominator in coefficient",
-                )
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def take_variable(self, n: int, m: int, k: int) -> tuple[int, tuple[int, ...]]:
-        if self.peek() != "u":
-            self.fail("a jet variable like u1 or u1_x1")
-        self.pos += 1
-        comp_col = self.col()
-        comp = self.take_int("a component number after 'u'")
-        if not (1 <= comp <= m):
-            raise PdeSemanticError(
-                self.line_no, "component-out-of-range",
-                f"col {comp_col}: component u{comp} outside 1..{m}",
-            )
-        alpha = [0] * n
-        total = 0
-        if self.peek() == "_":
-            self.pos += 1
-            if self.peek() != "x":
-                self.fail("a derivative direction like x1 after '_'")
-            while self.peek() == "x":
-                self.pos += 1
-                dir_col = self.col()
-                d = self.take_int("a direction number after 'x'")
-                if not (1 <= d <= n):
-                    raise PdeSemanticError(
-                        self.line_no, "direction-out-of-range",
-                        f"col {dir_col}: direction x{d} outside 1..{n}",
-                    )
-                alpha[d - 1] += 1
-                total += 1
-                if total > k:
-                    raise PdeSemanticError(
-                        self.line_no, "order-exceeded",
-                        f"col {dir_col}: derivative order exceeds declared order {k}",
-                    )
-        return comp - 1, tuple(alpha)
+# The pieces of a term, in text order.  Each may match empty, so the first empty
+# piece is the token a syntax error names.  [0-9] is ASCII only, unlike isdigit().
+_TERM_RE = re.compile(
+    r"(?:(?P<num>[0-9]+)(?:/(?P<den>[0-9]*))?[ \t]*(?:\*[ \t]*)?)?"
+    r"(?:u(?P<comp>[0-9]*)(?:_(?P<dirs>(?:x[0-9]*)*))?)?"
+)
+_DIRECTION_RE = re.compile(r"x([0-9]*)")
+_BLANKS_RE = re.compile(r"[ \t]*")
+_TRIVIAL_RE = re.compile(r"0[ \t]*(?==)")  # 'eq: 0 = 0', a bare unsigned zero
+_RHS_RE = re.compile(r"=[ \t]*(?:(0)[ \t]*)?")
 
 
 def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
-    body_start = line.index("eq:") + 3
-    scanner = _TermScanner(line_no, line[body_start:], body_start + 1)
+    """The terms of an 'eq:' line; the character at index p is column p + 1."""
+
+    def fail(pos: int, expected: str):
+        raise PdeSyntaxError(line_no, pos + 1, f"expected {expected}")
+
+    def semantic(match: re.Match, group: str | int, code: str, message: str):
+        raise PdeSemanticError(line_no, code, f"col {match.start(group) + 1}: {message}")
+
+    def number(match: re.Match, group: str | int) -> int:
+        return _int_literal(line_no, match.start(group) + 1, match[group])
+
     terms: list[tuple[Fraction, int, tuple[int, ...]]] = []
-    scanner.skip_ws()
-    sign = Fraction(1)
-    if scanner.peek() in "+-":
-        if scanner.peek() == "-":
-            sign = Fraction(-1)
-        scanner.pos += 1
-        scanner.skip_ws()
-    # the trivial equation: a bare, unsigned zero
-    trivial = False
-    if sign == 1 and scanner.peek() == "0":
-        save = scanner.pos
-        scanner.pos += 1
-        scanner.skip_ws()
-        trivial = scanner.peek() == "="
-        if not trivial:
-            scanner.pos = save
+    pos = _BLANKS_RE.match(line, line.index("eq:") + 3).end()
+    sign = Fraction(-1) if line.startswith("-", pos) else Fraction(1)
+    if line.startswith(("+", "-"), pos):
+        pos = _BLANKS_RE.match(line, pos + 1).end()
+    trivial = _TRIVIAL_RE.match(line, pos) if sign == 1 else None
+    if trivial:
+        pos = trivial.end()
     while not trivial:
+        term = _TERM_RE.match(line, pos)
         coeff = Fraction(1)
-        if scanner.peek() in _DIGITS:
-            coeff = scanner.take_rational()
-            scanner.skip_ws()
-            if scanner.peek() == "*":
-                scanner.pos += 1
-                scanner.skip_ws()
-        comp, alpha = scanner.take_variable(n, m, k)
-        terms.append((sign * coeff, comp, alpha))
-        scanner.skip_ws()
-        ch = scanner.peek()
-        if ch in "+-":
-            sign = Fraction(1) if ch == "+" else Fraction(-1)
-            scanner.pos += 1
-            scanner.skip_ws()
+        if term["num"] is not None:
+            coeff = Fraction(number(term, "num"))
+            if term["den"] is not None:
+                if not term["den"]:
+                    fail(term.start("den"), "a denominator after '/'")
+                den = number(term, "den")
+                if den == 0:
+                    semantic(term, "den", "zero-denominator", "zero denominator in coefficient")
+                coeff /= den
+        if term["comp"] is None:
+            fail(term.end(), "a jet variable like u1 or u1_x1")
+        if not term["comp"]:
+            fail(term.start("comp"), "a component number after 'u'")
+        comp = number(term, "comp")
+        if not (1 <= comp <= m):
+            semantic(term, "comp", "component-out-of-range", f"component u{comp} outside 1..{m}")
+        alpha = [0] * n
+        if term["dirs"] is not None:  # unmatched, start("dirs") would be -1
+            if not term["dirs"]:
+                fail(term.start("dirs"), "a derivative direction like x1 after '_'")
+            tail = _DIRECTION_RE.finditer(line, term.start("dirs"), term.end("dirs"))
+            for total, x in enumerate(tail, start=1):
+                if not x[1]:
+                    fail(x.start(1), "a direction number after 'x'")
+                d = number(x, 1)
+                if not (1 <= d <= n):
+                    semantic(x, 1, "direction-out-of-range", f"direction x{d} outside 1..{n}")
+                alpha[d - 1] += 1
+                if total > k:
+                    semantic(
+                        x, 1, "order-exceeded", f"derivative order exceeds declared order {k}"
+                    )
+        terms.append((sign * coeff, comp - 1, tuple(alpha)))
+        pos = _BLANKS_RE.match(line, term.end()).end()
+        if line.startswith(("+", "-"), pos):
+            sign = Fraction(1) if line[pos] == "+" else Fraction(-1)
+            pos = _BLANKS_RE.match(line, pos + 1).end()
             continue
-        if ch == "=":
+        if line.startswith("=", pos):
             break
-        scanner.fail("'+', '-' or '= 0'")
-    scanner.pos += 1  # the '='
-    scanner.skip_ws()
-    if scanner.peek() != "0":
-        scanner.fail("'0' on the right-hand side")
-    scanner.pos += 1
-    scanner.skip_ws()
-    if scanner.pos != len(scanner.text):
-        scanner.fail("end of line after '= 0'")
+        fail(pos, "'+', '-' or '= 0'")
+    rhs = _RHS_RE.match(line, pos)
+    if rhs[1] is None:
+        fail(rhs.end(), "'0' on the right-hand side")
+    if rhs.end() != len(line):
+        fail(rhs.end(), "end of line after '= 0'")
     return terms
 
 

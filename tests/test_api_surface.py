@@ -45,7 +45,6 @@ CALLERLESS = {
 
 # shadowed member -> the function or method whose read of its name is the call
 SHADOWED = {
-    "ratlin.RatMatrix.col": "relconn.compatible",  # not _TermScanner.col
     "ratlin.Subspace.dim": "jetpde._tower_report",  # not Tableau.dim
     "tableau.Tableau.dim": "tableau.check_tower_budget",  # not Subspace.dim
     "spencer.TableauChain.ranks": "jetpde.prolongation_tower",  # not TypeVerdict.ranks

@@ -2,9 +2,11 @@
 
 Plan:
  1. every corpus file parses to the expected system matrix
- 2. syntax errors carry line, column and the expected token; numbers are
+ 2. every error of the grammar carries its exact line, column and expected
+    token or code, the column at most one past the line's end; numbers are
     ASCII digits, an over-long literal is a syntax error at its column, and
-    fuzzed text raises only PdeSyntaxError or PdeSemanticError
+    fuzzed text raises only PdeSyntaxError or PdeSemanticError, a syntax
+    error inside its line or one past its end
  3. semantic errors carry stable codes; headers whose base jet fiber is
     past the parser's limit are refused fast, before any equation is read
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
@@ -139,37 +141,44 @@ def test_corpus_flat_connections():
 # --------------------------- 2. syntax errors ---------------------------
 
 
-def test_syntax_error_positions():
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1_x1 + = 0\n")
-    assert info.value.line == 4
-    assert info.value.col == 13
-    assert "jet variable" in info.value.message
+# every error the grammar names, pinned exactly: a syntax error's column is the
+# first where the line leaves the grammar, at most one past its end
+_GRAMMAR_ERRORS = [
+    ("eq: u1_x1 + = 0", "line 4, col 13: expected a jet variable like u1 or u1_x1"),
+    ("eq:", "line 4, col 4: expected a jet variable like u1 or u1_x1"),
+    ("eq: u1_ = 0", "line 4, col 8: expected a derivative direction like x1 after '_'"),
+    ("eq: u1_y = 0", "line 4, col 8: expected a derivative direction like x1 after '_'"),
+    ("eq: u = 0", "line 4, col 6: expected a component number after 'u'"),
+    ("eq: u1_x = 0", "line 4, col 9: expected a direction number after 'x'"),
+    ("eq: 2/ u1 = 0", "line 4, col 7: expected a denominator after '/'"),
+    ("eq: u1 u2 = 0", "line 4, col 8: expected '+', '-' or '= 0'"),
+    ("eq: u1", "line 4, col 7: expected '+', '-' or '= 0'"),
+    ("eq: u1 = 1", "line 4, col 10: expected '0' on the right-hand side"),
+    ("eq: u1 =", "line 4, col 9: expected '0' on the right-hand side"),
+    ("eq: u1 = 0 junk", "line 4, col 12: expected end of line after '= 0'"),
+    ("eq: u1 = 0 x", "line 4, col 12: expected end of line after '= 0'"),
+    ("what is this", "line 4, col 1: expected a header (base_dim/fiber_rank/order) or 'eq:'"),
+    (
+        "eq: u1 = 0  # trailing comment",
+        "line 4, col 13: expected a full-line comment ('#' must start the line)",
+    ),
+    ("eq: 1/0 u1 = 0", "line 4: col 7: zero denominator in coefficient [zero-denominator]"),
+    ("eq: u3 = 0", "line 4: col 6: component u3 outside 1..2 [component-out-of-range]"),
+    ("eq: u1_x3 = 0", "line 4: col 9: direction x3 outside 1..2 [direction-out-of-range]"),
+    (
+        "eq: u1_x1x2 = 0",
+        "line 4: col 11: derivative order exceeds declared order 1 [order-exceeded]",
+    ),
+]
 
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1_ = 0\n")
-    assert "x1 after '_'" in info.value.message
 
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1 = 1\n")
-    assert "'0' on the right-hand side" in info.value.message
-
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1 = 0 junk\n")
-    assert "end of line" in info.value.message
-
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1 u2 = 0\n")
-    assert (info.value.line, info.value.col) == (4, 8)
-    assert "'+', '-' or '= 0'" in info.value.message
-
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "what is this\n")
-    assert "header" in info.value.message
-
-    with pytest.raises(PdeSyntaxError) as info:
-        parse_system(HEADER + "eq: u1 = 0  # trailing comment\n")
-    assert "full-line comment" in info.value.message
+@pytest.mark.parametrize(
+    "line, expected", _GRAMMAR_ERRORS, ids=[row[0] for row in _GRAMMAR_ERRORS]
+)
+def test_syntax_error_positions(line, expected):
+    with pytest.raises((PdeSyntaxError, PdeSemanticError)) as info:
+        parse_system(HEADER + line + "\n")
+    assert str(info.value) == expected
 
 
 # only ASCII digits are numbers: '²' and '٢' pass str.isdigit()
@@ -181,12 +190,17 @@ _FUZZ_LINES = st.text(_FUZZ_CHARS, max_size=24)
 @given(st.lists(_FUZZ_LINES | _FUZZ_LINES.map(lambda t: "eq: " + t), max_size=4))
 @example(["eq: u1_x²"])
 @example(["eq: 2² u1 = 0"])
+@example(["eq: u1"])
 def test_parser_raises_only_input_errors(lines):
     # the headers are fixed and small, and a fuzzed header line can only be a
     # duplicate: the fuzzed text reaches the parser and nothing else
+    text = HEADER + "\n".join(lines)
     try:
-        parse_system(HEADER + "\n".join(lines))
-    except (PdeSyntaxError, PdeSemanticError):
+        parse_system(text)
+    except PdeSyntaxError as err:
+        # the fuzz draws line breaks that splitlines honours, and so does the parser
+        assert 1 <= err.col <= len(text.splitlines()[err.line - 1]) + 1
+    except PdeSemanticError:
         pass
 
 
