@@ -45,7 +45,7 @@ class RelConn:
     """A relative connection (sigma, A_1..A_n) with cached derived data."""
 
     __slots__ = ("n", "source_dim", "coeff_dim", "sigma", "mats", "symbol",
-                 "_symbol_map", "_delta_image", "_prolongation_fiber")
+                 "_symbol_map", "_delta_image")
 
     def __init__(self, sigma: RatMatrix, mats: Sequence[RatMatrix]):
         n = len(mats)
@@ -60,7 +60,6 @@ class RelConn:
         self.symbol = kernel(sigma)
         self._symbol_map = None
         self._delta_image = None
-        self._prolongation_fiber = None
 
     @staticmethod
     def on_fiber(
@@ -160,9 +159,6 @@ class ProlFiber(NamedTuple):
 
 
 def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
-    """The connection's ProlFiber, computed and checked once, then cached."""
-    if conn._prolongation_fiber is not None:
-        return conn._prolongation_fiber
     n, sd = conn.n, conn.source_dim
     fiber = kernel(RatMatrix.vstack([_partial_rows(conn), _symmetry_rows(conn)]))
     proj = fiber.head(sd)
@@ -189,9 +185,7 @@ def classical_prolongation_fiber(conn: RelConn) -> ProlFiber:
             f"kernel part (dim {ker_part.dim}) does not match the generalized "
             f"prolongation (dim {g1.dim})"
         )
-    pf = ProlFiber(subspace=fiber, projection_image=proj, kernel_part=ker_part)
-    conn._prolongation_fiber = pf
-    return pf
+    return ProlFiber(subspace=fiber, projection_image=proj, kernel_part=ker_part)
 
 
 def prolongation_connection(conn: RelConn) -> RelConn:

@@ -6,8 +6,7 @@ Plan:
     that vanishes without a symmetric lift is an InvariantViolation;
  2) prolongation fibers: partial vs classical, projection image and e = 0
     slice on worked examples, the induced connection and its compatibility
-    (including the necessity of the minus sign in the psi extraction), and
-    one fiber elimination per connection;
+    (including the necessity of the minus sign in the psi extraction);
  3) the curvature formula against the section-level symbolic oracle, and
     lift-independence of the class;
  4) fiber-empty detection for non-surjective sigma, compatibility failure
@@ -168,20 +167,6 @@ def test_partial_fiber_with_kernel():
     assert pf.subspace.dim == 4
     assert pf.projection_image == Subspace.full(3)
     assert pf.kernel_part.dim == 1
-
-
-def test_the_prolongation_fiber_is_built_once_per_connection(monkeypatch):
-    # a second call and a vanishing torsion_at read the one cached fiber
-    conn = flat_conn([[1, 1], [0, 1]], [[1, 2], [0, 1]])
-    pf = classical_prolongation_fiber(conn)
-
-    def refused(*args):
-        raise AssertionError("the cached fiber was eliminated again")
-
-    monkeypatch.setattr(relconn, "kernel", refused)
-    monkeypatch.setattr(relconn, "prolong", refused)
-    assert classical_prolongation_fiber(conn) is pf
-    assert torsion_at(conn, [1, 2]).kind == "vanishes"
 
 
 def test_prolongation_connection_is_compatible():
