@@ -22,8 +22,8 @@ Numbers are written with the ASCII digits 0-9 only.
 Syntax errors report line and column plus the expected token; the column is
 the first where the line leaves the grammar, at most one past its end.
 Semantic errors (component or direction out of range, derivative order above
-the declared order, zero denominators, header problems such as a base jet
-fiber above MAX_BASE_FIBER) carry a stable code.
+the declared order, zero denominators, header problems such as headers whose
+first prolongation is past the jet budget) carry a stable code.
 
 Exit codes: 0 = analysis completed (obstructed verdicts included), 1 = bad
 input (unreadable file, parse error, bad flags, or an input past the size
@@ -52,6 +52,7 @@ from .errors import InvariantViolation
 from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
+    check_jet_budget,
     crosscheck_routes,
     finite_type_integrability,
     goldschmidt_check,
@@ -61,7 +62,6 @@ from .jetpde import (
 )
 from .spencer import cohomology
 from .tableau import classify_type
-from .tensorspace import binomial_past
 
 SCHEMA_VERSION = 1
 
@@ -93,13 +93,6 @@ class PdeSemanticError(ValueError):
 
 _HEADER_RE = re.compile(r"^\s*(base_dim|fiber_rank|order)\s*=\s*([0-9]+)\s*$")
 _HEADER_NAMES = ("base_dim", "fiber_rank", "order")
-# Largest base jet fiber m·C(n+k, n) the parser accepts.  At the limit, the free
-# system base_dim 1, fiber_rank 250, order 1 runs `tower --levels 1` in 0.11 s
-# and 18 MB peak RSS, and `crosscheck --levels 1` in 0.19 s and 23 MB (child
-# processes, interpreter start included, Python 3.11.7, shared 2-vCPU VM); at
-# their default depths all six commands refuse it by the jet or crosscheck budget
-# (1,250 to 1,500 > 1,000 coordinates).  Corpus and pool systems have N <= 20.
-MAX_BASE_FIBER = 500
 
 
 def _int_literal(line_no: int, col: int, digits: str) -> int:
@@ -138,12 +131,12 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
 
     terms: list[tuple[Fraction, int, tuple[int, ...]]] = []
     pos = _BLANKS_RE.match(line, line.index("eq:") + 3).end()
+    trivial = _TRIVIAL_RE.match(line, pos)  # before any sign: '+0 = 0' is an error
+    if trivial:
+        pos = trivial.end()
     sign = Fraction(-1) if line.startswith("-", pos) else Fraction(1)
     if line.startswith(("+", "-"), pos):
         pos = _BLANKS_RE.match(line, pos + 1).end()
-    trivial = _TRIVIAL_RE.match(line, pos) if sign == 1 else None
-    if trivial:
-        pos = trivial.end()
     while not trivial:
         term = _TERM_RE.match(line, pos)
         coeff = Fraction(1)
@@ -227,14 +220,11 @@ def parse_system(text: str) -> PdeSystem:
                     line_no, "header-out-of-range", f"{name} must be at least 1"
                 )
             headers[name] = value
-            if len(headers) == len(_HEADER_NAMES) and binomial_past(
-                headers["fiber_rank"], headers["base_dim"], headers["order"], MAX_BASE_FIBER
-            ):
-                raise PdeSemanticError(
-                    line_no, "header-out-of-range",
-                    f"base jet fiber fiber_rank·C(base_dim+order, base_dim) "
-                    f"exceeds {MAX_BASE_FIBER}",
-                )
+            if len(headers) == len(_HEADER_NAMES):
+                try:  # every analysis prolongs at least once
+                    check_jet_budget(*map(headers.get, _HEADER_NAMES), 1)
+                except ValueError as err:
+                    raise PdeSemanticError(line_no, "header-out-of-range", str(err)) from None
             continue
         if stripped.startswith("eq:"):
             missing = [h for h in _HEADER_NAMES if h not in headers]

@@ -35,9 +35,9 @@ and prolongs only the rows new at that level: n shifted rows per new row,
 not (1 + n)^level per base equation.  ``formal_prolongation`` itself still
 keeps every row.
 
-Two size budgets live here, checked before anything is eliminated: the jet
-fiber of every analysis's tower (MAX_JET_FIBER) and the width of a connection
-route (MAX_CROSSCHECK_WIDTH); ``tableau`` and ``spencer`` hold theirs.
+Two of the four size budgets live here, checked before anything is eliminated:
+the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
+1, as every analysis prolongs) and a connection route's width (MAX_CROSSCHECK_WIDTH).
 """
 
 from __future__ import annotations
@@ -74,12 +74,12 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
 MAX_JET_FIBER = 1000
 
 
-def check_jet_budget(system: PdeSystem, depth: int) -> None:
-    """Refuse, before any elimination, a prolongation of system to depth whose
-    jet fiber m·C(n+k+depth, n) exceeds MAX_JET_FIBER (ValueError naming the
-    stage and the size)."""
-    order = system.k + depth
-    has = binomial_past(system.m, system.n, order, MAX_JET_FIBER)
+def check_jet_budget(n: int, m: int, k: int, depth: int) -> None:
+    """Refuse, before any elimination, a prolongation to depth of a system with
+    these headers whose jet fiber m·C(n+k+depth, n) exceeds MAX_JET_FIBER
+    (ValueError naming the stage and the size)."""
+    order = k + depth
+    has = binomial_past(m, n, order, MAX_JET_FIBER)
     if has:
         raise ValueError(
             f"prolongation to depth {depth} needs the order-{order} jet fiber of "
@@ -176,7 +176,7 @@ def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
     """Levels 0 .. depth of the symbol's tableau tower, which every analysis
     and jet walk reads, after the jet and tower budgets: a prefix of the tower
     held for the most recent system, rebuilt deeper only when too shallow."""
-    check_jet_budget(system, depth)
+    check_jet_budget(system.n, system.m, system.k, depth)
     check_tower_budget(t := symbol_tableau(system), depth)
     held = _held_tower(system)
     if not held or len(held[0].levels) <= depth:

@@ -42,10 +42,9 @@ _ZERO = Fraction(0)
 
 
 class RelConn:
-    """A relative connection (sigma, A_1..A_n) with cached derived data."""
+    """A relative connection (sigma, A_1..A_n) and its symbol g = ker(sigma)."""
 
-    __slots__ = ("n", "source_dim", "coeff_dim", "sigma", "mats", "symbol",
-                 "_symbol_map", "_delta_image")
+    __slots__ = ("n", "source_dim", "coeff_dim", "sigma", "mats", "symbol")
 
     def __init__(self, sigma: RatMatrix, mats: Sequence[RatMatrix]):
         n = len(mats)
@@ -58,8 +57,6 @@ class RelConn:
         self.sigma = sigma
         self.mats = tuple(mats)
         self.symbol = kernel(sigma)
-        self._symbol_map = None
-        self._delta_image = None
 
     @staticmethod
     def on_fiber(
@@ -89,29 +86,25 @@ class RelConn:
 
 def symbol_map(conn: RelConn) -> Tableau:
     """The generalized tableau (g, ∂_D) with ∂_D(v) = (i -> A_i v)."""
-    if conn._symbol_map is None:
-        g = conn.symbol
-        # row b*n + i holds A_i's row b times each basis vector, read by coordinate
-        at = RatMatrix(pairs=g.fraction_rows(), cols=g.ambient_dim).transpose().pairs
-        rows = []
-        for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
-            out: dict[int, Fraction] = {}
-            for c, x in row:
-                for j, y in at[c]:
-                    out[j] = out.get(j, _ZERO) + x * y
-            rows.append([(j, z) for j, z in sorted(out.items()) if z])
-        partial = RatMatrix(pairs=rows, cols=g.dim)
-        conn._symbol_map = Tableau.generalized(conn.n, conn.coeff_dim, g, partial)
-    return conn._symbol_map
+    g = conn.symbol
+    # row b*n + i holds A_i's row b times each basis vector, read by coordinate
+    at = RatMatrix(pairs=g.fraction_rows(), cols=g.ambient_dim).transpose().pairs
+    rows = []
+    for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
+        out: dict[int, Fraction] = {}
+        for c, x in row:
+            for j, y in at[c]:
+                out[j] = out.get(j, _ZERO) + x * y
+        rows.append([(j, z) for j, z in sorted(out.items()) if z])
+    partial = RatMatrix(pairs=rows, cols=g.dim)
+    return Tableau.generalized(conn.n, conn.coeff_dim, g, partial)
 
 
 def _delta_image(conn: RelConn) -> Subspace:
     """Image of delta_∂D : Hom(E, g) -> Λ² ⊗ W, in slot coordinates."""
-    if conn._delta_image is None:
-        partial = symbol_map(conn).partial_map
-        chain = TableauChain(conn.n, (Subspace.full(partial.cols),), (partial,))
-        conn._delta_image = image(chain.map_out(0, 1))
-    return conn._delta_image
+    partial = symbol_map(conn).partial_map
+    chain = TableauChain(conn.n, (Subspace.full(partial.cols),), (partial,))
+    return image(chain.map_out(0, 1))
 
 
 # --------------------------- prolongation fibers ---------------------------

@@ -7,8 +7,10 @@ Plan:
     ASCII digits, an over-long literal is a syntax error at its column, and
     fuzzed text raises only PdeSyntaxError or PdeSemanticError, a syntax
     error inside its line or one past its end
- 3. semantic errors carry stable codes; headers whose base jet fiber is
-    past the parser's limit are refused fast, before any equation is read
+ 3. semantic errors carry stable codes; headers are refused fast, before
+    any equation is read, exactly when the jet budget refuses their first
+    prolongation, and every command runs at depth 1 on the widest accepted
+    system, the crosscheck up to its own width budget
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses (all six commands on a system with
@@ -146,6 +148,7 @@ def test_corpus_flat_connections():
 _GRAMMAR_ERRORS = [
     ("eq: u1_x1 + = 0", "line 4, col 13: expected a jet variable like u1 or u1_x1"),
     ("eq:", "line 4, col 4: expected a jet variable like u1 or u1_x1"),
+    ("eq: +0 = 0", "line 4, col 8: expected a jet variable like u1 or u1_x1"),
     ("eq: u1_ = 0", "line 4, col 8: expected a derivative direction like x1 after '_'"),
     ("eq: u1_y = 0", "line 4, col 8: expected a derivative direction like x1 after '_'"),
     ("eq: u = 0", "line 4, col 6: expected a component number after 'u'"),
@@ -266,7 +269,7 @@ def test_semantic_error_codes():
 
 @pytest.mark.parametrize(
     "n, m, k",
-    [(99999999999, 1, 1), (1, 99999999999, 1), (10**90, 10**90, 10**90), (1, 251, 1)],
+    [(99999999999, 1, 1), (1, 99999999999, 1), (10**90, 10**90, 10**90), (1, 251, 2)],
     ids=["base_dim", "fiber_rank", "every-header", "one-past"],
 )
 def test_base_fiber_past_the_limit_is_refused_before_allocating(
@@ -282,13 +285,62 @@ def test_base_fiber_past_the_limit_is_refused_before_allocating(
     assert main(["symbol", path]) == 1
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "[header-out-of-range]" in err and f"exceeds {cli.MAX_BASE_FIBER}" in err
+    assert "[header-out-of-range]" in err and f"above the budget of {MAX_JET_FIBER}" in err
 
 
 def test_base_fiber_at_the_limit_is_accepted():
-    # 250 · C(1 + 1, 1) = 500
-    s = parse_system("base_dim = 1\nfiber_rank = 250\norder = 1\n")
-    assert s.equations.cols == cli.MAX_BASE_FIBER
+    # its first prolongation meets the jet budget: 250 · C(1 + 3, 1) = 1000
+    s = parse_system("base_dim = 1\nfiber_rank = 250\norder = 2\n")
+    assert s.equations.cols == 750
+    assert jet_fiber_dim(1, 250, 3) == MAX_JET_FIBER
+
+
+def headers_only(n: int, m: int, k: int) -> str:
+    return f"base_dim = {n}\nfiber_rank = {m}\norder = {k}\n"
+
+
+# every (n, k) with n <= 4 and k <= 3, at the largest m whose first prolongation
+# fits the jet budget and one past it
+_JET_EDGES = [
+    (n, m, k)
+    for n, k in product(range(1, 5), range(1, 4))
+    for edge in [MAX_JET_FIBER // comb(n + k + 1, n)]
+    for m in (1, edge, edge + 1)
+]
+
+
+@pytest.mark.parametrize("n, m, k", _JET_EDGES)
+def test_the_parser_refuses_exactly_the_headers_the_jet_budget_refuses(n, m, k):
+    try:
+        check_jet_budget(n, m, k, 1)
+        budget = None
+    except ValueError as err:
+        budget = str(err)
+    assert (budget is None) == (jet_fiber_dim(n, m, k + 1) <= MAX_JET_FIBER)
+    if budget is None:
+        assert parse_system(headers_only(n, m, k)).equations.cols == jet_fiber_dim(n, m, k)
+    else:
+        with pytest.raises(PdeSemanticError) as info:
+            parse_system(headers_only(n, m, k))
+        assert (info.value.line, info.value.code, info.value.message) == (
+            3, "header-out-of-range", budget
+        )
+
+
+def test_every_command_runs_at_depth_one_on_the_widest_accepted_system(tmp_path, capsys):
+    path = write_pde(tmp_path, headers_only(1, 250, 2))
+    start = time.perf_counter()
+    for command, flags in [
+        ("symbol", ["--levels", "1"]), ("tower", ["--levels", "1"]),
+        ("cohomology", ["--l-max", "0"]), ("goldschmidt", ["--l-max", "0"]),
+        ("finite-type", ["--l-max", "0"]),
+    ]:
+        assert main([command, path, *flags]) == 0, command
+    capsys.readouterr()
+    # (1 + n) copies of the order-2 fiber: 2 · 250 · 3 = 1500
+    assert main(["crosscheck", path, "--levels", "1"]) == 1
+    assert f"1500 coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
 
 
 # --------------------------- 4. term forms ---------------------------
@@ -504,19 +556,19 @@ def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, t
 
 def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
     # n = 1: m·C(1 + k + depth, 1) = 10 · (2 + depth), so depth 98 is 1000
-    free = PdeSystem.from_terms(1, 10, 1, [])
-    check_jet_budget(free, 98)
+    check_jet_budget(1, 10, 1, 98)
     with pytest.raises(ValueError, match="order-100 jet fiber of 1010 coordinates"):
-        check_jet_budget(free, 99)
+        check_jet_budget(1, 10, 1, 99)
     # the widest benchmark ladder input: the 4-D wave equation at depth 5
-    check_jet_budget(PdeSystem.from_terms(4, 1, 2, []), 5)
+    check_jet_budget(4, 1, 2, 5)
     # every corpus system at each command's default depth
     for path in (resources.files("formalpde") / "corpus").iterdir():
-        check_jet_budget(cli.load_system(str(path)), 6)
+        system = cli.load_system(str(path))
+        check_jet_budget(system.n, system.m, system.k, 6)
 
 
-# passes the parser (base fiber 44) and, at depth 1, the jet budget
-# (C(45, 2) = 990), yet its depth-1 tower reaches S^2 of C(44, 2) = 946
+# passes the parser, which is the jet budget at depth 1 (C(45, 2) = 990),
+# yet its depth-1 tower reaches S^2 of C(44, 2) = 946
 # coordinates: n·A^2 = 3.8e7
 FIRST_ORDER_43 = "base_dim = 43\nfiber_rank = 1\norder = 1\neq: u1_x1 = 0\n"
 
