@@ -29,11 +29,11 @@ cache; only the base system's fiber, symbol and tower do.
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
 fiber prolonged, and the user's equations enter only through the base
-fiber.  Each level keeps the annihilator of the fiber below as integer rows
-(``Subspace.constraint_matrix``), pivot rows of its elimination as they are,
-and prolongs only the rows new at that level: n shifted rows per new row,
-not (1 + n)^level per base equation.  ``formal_prolongation`` itself still
-keeps every row.
+fiber.  Each level seeds its elimination with the annihilator of the fiber
+below, the integer pivot rows that fiber's elimination kept
+(``Subspace.annihilator``), and prolongs only the rows new at that level: n
+shifted rows per new row, not (1 + n)^level per base equation.
+``formal_prolongation`` itself still keeps every row.
 
 Two of the four size budgets live here, checked before anything is eliminated:
 the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
@@ -243,24 +243,31 @@ class IntegrabilityReport(NamedTuple):
 def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     """Prolong once per tableau-tower rank, checking every level as it goes.
 
-    Yields, per level: the system below (its fiber's annihilator) and that
-    fiber, then the level's fiber, its truncation image (the basis vectors
-    with pivot in the lower coordinates, cut there) and its symbol dimension.
+    Yields, per level: the system of the new rows below (whose header the
+    crosscheck reads) and the fiber below, then the level's fiber, its
+    truncation image (the basis vectors with pivot in the lower coordinates,
+    cut there) and its symbol dimension.
 
-    The whole annihilator seeds the elimination, and only its new rows are
-    prolonged: those at coordinates above the level below's, or at pivots
-    of the fiber there that the truncation image lost.  With the annihilator
-    one level lower, whose shifts it holds, they span it all.
+    The fiber below's whole annihilator, the integer rows its elimination
+    kept, seeds the elimination, and only its new rows are prolonged: those
+    at coordinates above the level below's, or at pivots of the fiber there
+    that the truncation image lost.  With the annihilator one level lower,
+    whose shifts it holds, they span it all.
     """
     cur_fiber, floor, lost = base_fiber, 0, set()
     for level, rank in enumerate(symbol_ranks, 1):
-        # the annihilator as integer rows, so every shifted copy is one too
-        equations, lower_dim = cur_fiber.constraint_matrix(), cur_fiber.ambient_dim
+        kept, lower_dim = cur_fiber.annihilator(), cur_fiber.ambient_dim
+        # the new rows as forward pairs, ascending by top column; the shifts
+        # go back to kernel's negated keys
+        new = [
+            [(-j, x) for j, x in sorted(row.items(), reverse=True)]
+            for row in reversed(kept) if (top := -min(row)) >= floor or top in lost
+        ]
+        equations = RatMatrix(pairs=new, cols=lower_dim)
         lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
-        new = [row for row in equations.pairs if row[-1][0] >= floor or row[-1][0] in lost]
-        up = formal_prolongation(lower._replace(equations=RatMatrix(pairs=new, cols=lower_dim)))
-        shifts = RatMatrix(pairs=up.equations.pairs[len(new):], cols=up.equations.cols)
-        fiber = kernel(shifts, kept=equations.pairs)
+        up = formal_prolongation(lower)
+        shifts = [{-j: x for j, x in row} for row in up.equations.pairs[len(new):]]
+        fiber = kernel(shifts, kept=kept, cols=up.equations.cols)
         img = fiber.head(lower_dim)
         sym = fiber.dim - img.dim
         if sym != rank:

@@ -37,16 +37,19 @@ Kernels need only one elimination.  The reduced row echelon form of a matrix
 with its columns in reverse order leaves each free column's kernel vector
 with its leading 1 at that column and zeros at every other free column,
 which is exactly the canonical basis, read off the integer pivot rows as
-primitive integer rows; those echelon rows, a row basis of the matrix, come
-back negated, up to scale, as its annihilator (`constraint_matrix`).  In
-that order each annihilator row leads at its own top column, so kept rows
-seed `kernel`'s pivot rows as they are, and only new rows are inserted.
+primitive integer rows.  `kernel` reverses the order by keying each row by
+its negated column, and the subspace it returns keeps those echelon rows, a
+row basis of the matrix, as its annihilator (`Subspace.annihilator`): the
+rows are equally valid in a wider space, where each leads at its own top
+column, so they seed a later `kernel`'s pivot rows as copies, and only new
+rows are inserted.
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
-(`Subspace.tail`) and the annihilator (`Subspace.constraint_matrix`) are read
-off it.  Where only a rank is needed, `rank` counts the pivot rows of the
-same integer insertion and stops there.
+(`Subspace.tail`) and, for a subspace no kernel built, the annihilator
+(`Subspace.constraint_matrix`) are read off it.  Where only a rank is
+needed, `rank` counts the pivot rows of the same integer insertion and stops
+there.
 """
 
 from __future__ import annotations
@@ -207,7 +210,7 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     Computed over the integers by `_reduced`; only its result becomes
     Fractions, each integer pivot row divided by its pivot into pairs.
     """
-    pivot_rows, pivots = _reduced(m.pairs)
+    pivot_rows, pivots = _reduced(map(_integer_row, m.pairs))
     made: dict[tuple[int, int], Fraction] = {}  # equal quotients share one Fraction
     out: list = []
     for c in pivots:
@@ -225,20 +228,19 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 
 def _reduced(
-    rows: Iterable[Iterable[tuple[int, Fraction | int]]],
-    seed: dict[int, dict[int, int]] | None = None,
+    rows: Iterable[dict[int, int]], seed: dict[int, dict[int, int]] | None = None
 ) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:
-    """The reduced echelon form of the rows given by their nonzero (column,
-    value) pairs, before any division: (pivot_rows, pivots), pivot_rows[c]
-    the integer row whose division by its entry at c, which is positive, is
-    the rref row with pivot c, and pivots those columns in order.
+    """The reduced echelon form of the integer rows, before any division:
+    (pivot_rows, pivots), pivot_rows[c] the integer row whose division by
+    its entry at c, which is positive, is the rref row with pivot c, and
+    pivots those columns in order.
 
-    `_echelon` inserts each row, scaled by the lcm of its denominators, into
-    pivot rows by leading column, after the seed's (integer rows, each led
-    at its key and positive there).  Then each pivot column is cleared above
-    its pivot, from the last pivot to the first.
+    `_echelon` inserts each row into pivot rows by leading column, after the
+    seed's (integer rows, each led at its key and positive there).  Then
+    each pivot column is cleared above its pivot, from the last pivot to the
+    first.
     """
-    pivot_rows = _echelon(map(_integer_row, rows), {} if seed is None else seed)
+    pivot_rows = _echelon(rows, {} if seed is None else seed)
     pivots = tuple(sorted(pivot_rows))
     # the rows of later pivots are cleared first, so each vanishes at every
     # other pivot column, and clearing one column never refills another
@@ -338,17 +340,19 @@ class Subspace:
     for byte-stable reports.  ``fraction_rows`` and ``basis`` render b_j.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_index")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_index", "_kept")
 
-    def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]]):
+    def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]], kept=None):
         # Not for direct use -- go through from_spanning/zero/full, or
-        # kernel, whose rows are canonical as built.
+        # kernel, whose rows are canonical as built and which alone passes
+        # kept (see `annihilator`).
         rows = tuple(map(tuple, rows))
         pivots = tuple(row[0][0] for row in rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
+        object.__setattr__(self, "_kept", kept)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -494,63 +498,76 @@ class Subspace:
             out.append(line if g == 1 else [(i, x // g) for i, x in line])
         return RatMatrix(pairs=out, cols=d)
 
+    def annihilator(self) -> tuple[dict[int, int], ...]:
+        """Integer rows keyed by negated column, one led (at its least key)
+        by each non-pivot column, whose kernel is this subspace: the shared
+        echelon rows `kernel` kept, or else `constraint_matrix`'s, re-keyed."""
+        if self._kept is None:
+            return tuple({-j: x for j, x in row} for row in self.constraint_matrix().pairs)
+        return self._kept
+
 
 # --------------------------- derived maps ---------------------------
 
 
-def kernel(m: RatMatrix, kept: Sequence[Sequence[tuple[int, int]]] = ()) -> Subspace:
+def kernel(
+    m: RatMatrix | Iterable[dict[int, int]], kept: Sequence[dict[int, int]] = (),
+    cols: int | None = None,
+) -> Subspace:
     """Null space of m as a canonical Subspace of Q^cols, or, given kept
-    integer pair rows with distinct top columns, of kept and m together.
+    integer rows keyed by negated column with distinct top columns (as
+    `Subspace.annihilator` gives them), of kept and m together.  m is a
+    RatMatrix, or integer rows keyed by negated column, with cols, which
+    the elimination takes over as they are.
 
-    One elimination gives it.  `_reduced` eliminates m with the column
-    order reversed; its pivots, the pivot columns of that unique echelon
-    form, are the rightmost independent columns of m, and every other column
-    f is free.  The kernel vector of a free column f is 1 at f and, at each
-    pivot column, minus the echelon entry of f in that pivot's row: v/P, v
-    and P the entries of the integer pivot row at f and at its pivot.
-    Reversed reduction leaves such entries only for pivots to the right of
-    f, so f is the vector's leading entry, and every other kernel vector
-    vanishes there.  Taken in ascending f, these vectors already are the
-    canonical echelon basis, with the free columns as its pivots, and no
-    second reduction is needed; each is built as its primitive integer row,
-    with no Fraction.
+    One elimination gives it.  `_reduced` eliminates m keyed by the negated
+    column, which reverses the column order; its pivots, the pivot columns
+    of that unique echelon form, are the rightmost independent columns of
+    m, and every other column f is free.  The kernel vector of a free column
+    f is 1 at f and, at each pivot column, minus the echelon entry of f in
+    that pivot's row: v/P, v and P the entries of the integer pivot row at f
+    and at its pivot.  Reversed reduction leaves such entries only for
+    pivots to the right of f, so f is the vector's leading entry, and every
+    other kernel vector vanishes there.  Taken in ascending f, these vectors
+    already are the canonical echelon basis, with the free columns as its
+    pivots, and no second reduction is needed; each is built as its
+    primitive integer row, with no Fraction.
 
-    Those echelon rows, columns put back in order, are a row basis of m, and
-    the kernel's ``constraint_matrix`` reads them back off, negated and scaled.
-
-    Kept rows lead the reversed order at their top columns, so, those being
-    distinct, they seed the pivot rows as they are, made positive at the
+    The Subspace keeps those echelon rows, a row basis of m, as its
+    annihilator.  Negated keys need no width, so kept rows, each leading at
+    its top column, seed the pivot rows as copies, made positive at the
     lead, and only m's rows are inserted.
     """
-    cols = m.cols
-    last = cols - 1
+    if isinstance(m, RatMatrix):
+        cols, m = m.cols, (_integer_row([(-j, x) for j, x in row]) for row in m.pairs)
+    elif cols is None:
+        raise ValueError("integer rows need an explicit column count")
     seed = {}
     for row in kept:
-        sign = 1 if row[-1][1] > 0 else -1
-        seed[last - row[-1][0]] = {last - j: sign * x for j, x in row}
+        q = min(row)
+        seed[q] = dict(row) if row[q] > 0 else {j: -x for j, x in row.items()}
     if len(seed) != len(kept):
         raise ValueError("kept rows must have distinct top columns")
-    rows = ([(last - j, x) for j, x in reversed(row)] for row in m.pairs)
-    pivot_rows, rev_pivots = _reduced(rows, seed)
-    free = sorted(set(range(cols)).difference(last - q for q in rev_pivots))
+    pivot_rows, rev_pivots = _reduced(m, seed)
+    free = sorted(set(range(cols)).difference(-q for q in rev_pivots))
     # a pivot row's lead P > 0; its other entries v lie at free columns f
     # only, and b_f is -v/P there.  d_f, the lcm of the reduced denominators
     # P/gcd(v, P) over f's entries, makes d_f·b_f primitive, with the
-    # integer -v·d_f/P at p
-    leads = [pivot_rows[q].pop(q) for q in rev_pivots]
+    # integer -v·d_f/P at p.  Each row keeps its lead, as the Subspace keeps
+    # the rows; popping and re-adding it would regrow small dicts
+    leads = [pivot_rows[q][q] for q in rev_pivots]
     scale = dict.fromkeys(free, 1)
     for q, lead in zip(rev_pivots, leads):
         for j, v in pivot_rows[q].items():
-            f = last - j
-            scale[f] = lcm(scale[f], lead // gcd(v, lead))
+            if j != q:
+                scale[-j] = lcm(scale[-j], lead // gcd(v, lead))
     rows = {f: [(f, d)] for f, d in scale.items()}
     # descending q is ascending p, which keeps each row's pairs in order
     for q, lead in zip(reversed(rev_pivots), reversed(leads)):
-        p = last - q
-        for j, v in pivot_rows.pop(q).items():
-            f = last - j
-            rows[f].append((p, -v * scale[f] // lead))
-    return Subspace(cols, rows.values())
+        for j, v in pivot_rows[q].items():
+            if j != q:
+                rows[-j].append((-q, -v * scale[-j] // lead))
+    return Subspace(cols, rows.values(), kept=tuple(pivot_rows[q] for q in rev_pivots))
 
 
 def image(m: RatMatrix) -> Subspace:

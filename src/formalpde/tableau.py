@@ -27,12 +27,14 @@ the previous one, and keeps the coordinates of those contractions as a
 encoding from which every Spencer differential is assembled.  Each
 contraction is read off a basis vector's stored integer row d_j·b_j and
 tested in ints, and ∂ is kept as those integer coordinates, ∂·D with D =
-diag(level.leads()); the prolongation raises the annihilator's integer rows,
-so no Fraction and no dense vector is built.  A vanished level makes all
-later ones zero by construction (monotone vanishing is structural, not
-re-derived).  `check_tower_budget` holds the tower's size budget,
-MAX_TOWER_WORK: `tower` refuses a tower past it, or deeper than its square
-root, before the first level is built.
+diag(level.leads()); the prolongation raises the integer rows the level's
+own elimination kept (`Subspace.annihilator`; only level 0, cut from the
+solution fiber, reads them off its basis), so no Fraction and no dense
+vector is built.  A vanished level makes all later ones zero by
+construction (monotone vanishing is structural, not re-derived).
+`check_tower_budget` holds the tower's size budget, MAX_TOWER_WORK: `tower`
+refuses a tower past it, or deeper than its square root, before the first
+level is built.
 """
 
 from __future__ import annotations
@@ -128,17 +130,17 @@ def prolong(t: Tableau) -> Subspace:
     if not t.classical:
         return kernel(_symmetry_equations(t))
     target_dim = sym_dim(t.n, t.degree + 1) * t.f
-    q = t.space.constraint_matrix()
-    if q.rows == 0:  # free tableau: every contraction lands inside
+    q = t.space.annihilator()
+    if not q:  # free tableau: every contraction lands inside
         return Subspace.full(target_dim)
     # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c is the column
-    # of Q iota_i at c raised by x_i, which keeps each row's column order;
-    # Q's rows are integers, and so are these
-    rows = []
-    for entries in raise_table(t.n, t.degree, t.f):
-        for row in q.pairs:
-            rows.append([(entries[c], x) for c, x in row])
-    return kernel(RatMatrix(pairs=rows, cols=target_dim))
+    # of Q iota_i at c raised by x_i.  Q's rows are integer rows keyed by
+    # negated column -c, and so are these
+    rows = [
+        {-entries[-key]: x for key, x in row.items()}
+        for entries in raise_table(t.n, t.degree, t.f) for row in q
+    ]
+    return kernel(rows, cols=target_dim)
 
 
 # --------------------------- towers ---------------------------

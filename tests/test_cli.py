@@ -934,8 +934,10 @@ def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsy
     # symbol, so only the containment check sees the fault
     seeded = jetpde.kernel
 
-    def dropped(m, kept=()):
-        return seeded(m, kept=kept[1:])
+    def dropped(m, kept=(), cols=None):
+        # keyed by negated column, the row with the greatest lead has the lowest top
+        lowest = max(kept, key=min, default=None)
+        return seeded(m, kept=[row for row in kept if row is not lowest], cols=cols)
 
     monkeypatch.setattr(jetpde, "kernel", dropped)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))

@@ -17,7 +17,9 @@ Plan:
     that are new at that level, so their matrices stay within the jet fiber
     width, the tower's fibers match the plain repeated prolongation, and
     every walk fiber is bit-identical to the kernel of the whole prolonged
-    annihilator below;
+    annihilator below; a second walk from the same cached base fiber
+    repeats the first, and only the symbol tower's level 0 reads an
+    annihilator off a basis (`constraint_matrix`);
     the crosscheck prolongs once per level and caches no level system, and
     every cache in the package is bounded; the
     eliminations per analysis are pinned (symbols and e = 0 slices are read
@@ -415,10 +417,50 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
 def test_every_walk_fiber_is_the_unseeded_elimination(terms, depth):
     # the walk prolongs only the annihilator's new rows and seeds the rest;
     # the canonical basis is contract, so each fiber must equal, bit for
-    # bit, the kernel of the whole prolonged annihilator below
+    # bit, the kernel of the whole prolonged annihilator below, read off
+    # the lower fiber's canonical basis
     s = PdeSystem.from_terms(*terms)
-    for lower, _, fiber, _, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
-        assert fiber.rows == kernel(formal_prolongation(lower).equations).rows
+    for lower, lower_fiber, fiber, _, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
+        whole = lower._replace(equations=lower_fiber.constraint_matrix())
+        assert fiber.rows == kernel(formal_prolongation(whole).equations).rows
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_terms(), st.integers(1, 4))
+def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
+    # each level seeds its kernel with the rows the level below kept, and
+    # `kernel` copies its seeds, so a walk leaves the cached fibers' kept
+    # rows as they were and a second walk from the same fiber repeats it
+    s = PdeSystem.from_terms(*terms)
+    base, ranks = solution_fiber(s), symbol_tower(s, depth).ranks
+    kept = [dict(row) for row in base.annihilator()]
+    walks = [[(fib.rows, img.rows) for _, _, fib, img, _ in _walk(s, base, ranks)] for _ in (1, 2)]
+    assert walks[0] == walks[1]
+    assert list(base.annihilator()) == kept
+
+
+def test_the_walk_reads_no_annihilator_off_a_basis(count_calls):
+    # the walk seeds every level with the rows the elimination below kept,
+    # and the symbol tower raises them; only its tail-built level 0, which
+    # no kernel built, reads its annihilator off its canonical basis
+    read_off = count_calls(Subspace.constraint_matrix)
+    walks = count_calls(formalpde.jetpde._walk)
+    for d in range(1, 5):
+        for analysis in (prolongation_tower, crosscheck_routes):
+            solution_fiber.cache_clear()
+            symbol_tableau.cache_clear()
+            formalpde.jetpde._held_tower.cache_clear()
+            read_off.clear()
+            analysis(heat3(), d)
+            assert len(read_off) == 1, (analysis.__name__, d)
+            (owner,) = read_off[0]
+            assert owner == symbol_tableau(heat3()).space
+        # with the tower held, the walk alone reads none
+        read_off.clear()
+        prolongation_tower(heat3(), d)
+        crosscheck_routes(heat3(), d)
+        assert read_off == []
+    assert len(walks) == 4 * 4
 
 
 def test_crosscheck_rows_stay_within_the_jet_fiber(count_calls, tmp_path, capsys):

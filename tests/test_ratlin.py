@@ -17,10 +17,13 @@ Plan:
     int pair values build the same matrix, hash, rref, rank and kernel as
     Fractions, and floats and bools among them are refused;
  4) zero-row / zero-column edge shapes;
- 5) the kernel seeded with kept rows of distinct top columns (either
-    sign there, or a kernel's own annihilator) equals, bit for bit, the
-    plain kernel of the kept and new rows together, by hand and on drawn
-    rows, and refuses kept rows sharing a top column;
+ 5) the kernel seeded with kept rows of distinct top columns, keyed by
+    negated column (either sign there, or a kernel's own annihilator),
+    equals, bit for bit, the plain kernel of the kept and new rows
+    together, by hand and on drawn rows, and refuses kept rows sharing a
+    top column; a kernel's kept rows, seeded or not, are its constraint
+    matrix up to sign and content, and a later, wider kernel they seed
+    leaves them as they were;
     the single-elimination kernel's rows equal, bit for bit, the kernel
     read off the Fraction reference's rref of m (`rref_reference.py`),
     canonicalised by it again and scaled to primitive integer rows, and its
@@ -111,18 +114,26 @@ def test_kernel_hand_case_with_reduced_quotients():
     assert k.basis == ((1, 0, F(-1, 2)), (0, 1, F(-2, 3)))
 
 
+def negated(pairs) -> dict:
+    """A forward integer pair row keyed by negated column, the seed form."""
+    return {-j: x for j, x in pairs}
+
+
 def test_kernel_hand_case_with_kept_rows():
     # kept 2x0 - x1 = 0 and x0 + x2 - 3x3 = 0, tops 1 and 3, both entries
     # there negative, and the new row x2 + x3 = 0: x3 = -x2, x0 = -4x2,
     # x1 = -8x2, so the kernel is b_0 = (1, 2, -1/4, 1/4), stored as 4·b_0
     kept = [((0, 2), (1, -1)), ((0, 1), (2, 1), (3, -3))]
+    seeds = [negated(row) for row in kept]
+    assert seeds == [{0: 2, -1: -1}, {0: 1, -2: 1, -3: -3}]
     new = RatMatrix([[0, 0, 1, 1]])
-    k = kernel(new, kept=kept)
+    k = kernel(new, kept=seeds)
     assert k.rows == (((0, 4), (1, 8), (2, -1), (3, 1)),)
     assert k == kernel(RatMatrix.vstack([RatMatrix(pairs=kept, cols=4), new]))
+    assert seeds == [{0: 2, -1: -1}, {0: 1, -2: 1, -3: -3}]  # copied, not eliminated
     assert kernel(new, kept=()) == kernel(new)
     with pytest.raises(ValueError, match="distinct top columns"):
-        kernel(new, kept=[((0, 1), (3, 1)), ((3, 2),)])
+        kernel(new, kept=[{0: 1, -3: 1}, {-3: 2}])
 
 
 def test_image_hand_case():
@@ -447,10 +458,44 @@ def test_kept_rows_seed_the_kernel_of_kept_and_new_rows(m, data):
     # kernel is bit for bit the plain kernel of both, with none kept as well
     kept = data.draw(kept_rows(m.cols))
     both = RatMatrix.vstack([RatMatrix(pairs=kept, cols=m.cols), m])
-    assert kernel(m, kept=kept).rows == kernel(both).rows
-    # a kernel's own annihilator, whose tops are all negative, as the walk keeps it
+    assert kernel(m, kept=[negated(row) for row in kept]).rows == kernel(both).rows
+    # a kernel's own annihilator, as the walk keeps it: its echelon rows,
+    # positive at their tops, and `constraint_matrix`'s, negative there
+    assert kernel(m, kept=kernel(both).annihilator()).rows == kernel(both).rows
     q = kernel(both).constraint_matrix().pairs
-    assert kernel(m, kept=q).rows == kernel(both).rows
+    assert kernel(m, kept=[negated(row) for row in q]).rows == kernel(both).rows
+
+
+def forward_primitive(row: dict) -> tuple:
+    """A row keyed by negated column as forward pairs, primitive and negated."""
+    g = gcd(*row.values())
+    return tuple((-j, -x // g) for j, x in sorted(row.items(), reverse=True))
+
+
+@settings(deadline=None, max_examples=100)
+@given(matrices_with_empty_shapes(), st.data())
+def test_kept_rows_are_the_annihilator_read_off_the_basis(m, data):
+    # a kernel's kept rows, with or without seeds, made primitive and negated,
+    # are bit for bit the constraint matrix read off its canonical basis, and
+    # `annihilator` hands out the same rows each time, not a rebuilt copy
+    kept = [negated(row) for row in data.draw(kept_rows(m.cols))]
+    for k in (kernel(m), kernel(m, kept=kept)):
+        rows = k.annihilator()
+        want = Subspace(k.ambient_dim, k.rows).constraint_matrix().pairs
+        assert tuple(sorted(map(forward_primitive, rows), key=lambda r: r[-1][0])) == want
+        # as seeds of a later, wider kernel they are copied, not eliminated,
+        # also where a new row's pivot is cleared from them
+        before = [dict(row) for row in rows]
+        new = RatMatrix(pairs=[((p, 1),) for p in k.pivots[:1]], cols=m.cols + 2)
+        wider = kernel(new, kept=rows)
+        assert list(rows) == before and k.annihilator() is rows
+        assert wider == kernel(RatMatrix.vstack([RatMatrix(pairs=want, cols=m.cols + 2), new]))
+    # the same kernel from m's rows scaled to integers, keyed by negated column
+    scaled = [negated((j, int(x * lcm(*(F(y).denominator for _, y in row)))) for j, x in row)
+              for row in m.pairs]
+    assert kernel(scaled, cols=m.cols) == kernel(m)
+    with pytest.raises(ValueError, match="explicit column count"):
+        kernel(scaled)
 
 
 @settings(deadline=None, max_examples=200)
