@@ -15,25 +15,29 @@ of its solution fiber vanishing below the top order, read off the fiber's
 canonical basis rather than eliminated again.
 
 Each analysis reads a prefix of the symbol's tableau tower, built once per
-system, and walks the jet prolongation once, one elimination per level, for
-the level's fiber, its truncation image in the fiber below and the symbol
-dimension, both read off the fiber's canonical basis (``Subspace.head``) and
-checked against the tower.  A projection that is not surjective is a genuine
-obstruction, with a witness: a lower-order solution jet that no higher-order
-solution extends.  The crosscheck maps the same walk's fibers into the
-connection route, whose fibers come from eliminations of their own, so the
-two routes stay independent, and checks the mapped jets, kept as pairs, by
-their coordinates in the connection fiber.  Level systems never enter a
-cache; only the base system's fiber, symbol and tower do.
+system, and walks the jet prolongation once, one forward elimination per
+level.  The level's fiber dimension, its truncation image's in the fiber
+below and the symbol dimension are read off the pivot columns of its
+echelon rows, with no back-substitution, and the symbol is checked against
+the tower.  A projection that is not surjective is a genuine obstruction,
+with a witness: a lower-order solution jet that no higher-order solution
+extends.  Canonical fibers are built from the echelon rows only where
+something reads them: a witness's two levels, and every level of the
+crosscheck, which maps the walk's fibers into the connection route, whose
+fibers come from eliminations of their own, so the two routes stay
+independent, and checks the mapped jets, kept as pairs, by their
+coordinates in the connection fiber.  Level systems never enter a cache;
+only the base system's fiber, symbol and tower do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
 fiber prolonged, and the user's equations enter only through the base
-fiber.  Each level seeds its elimination with the annihilator of the fiber
-below, the integer pivot rows that fiber's elimination kept
-(``Subspace.annihilator``), and prolongs only the rows new at that level: n
-shifted rows per new row, not (1 + n)^level per base equation.
-``formal_prolongation`` itself still keeps every row.
+fiber.  Level 1 seeds its elimination with the base fiber's annihilator,
+the integer pivot rows its elimination kept (``Subspace.annihilator``), and
+each later level with the forward pivot rows of the level below; a level
+prolongs only the rows new at it: n shifted rows per new row, not
+(1 + n)^level per base equation.  ``formal_prolongation`` itself still keeps
+every row.
 
 Two of the four size budgets live here, checked before anything is eliminated:
 the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
@@ -42,6 +46,7 @@ the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at dept
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +54,9 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _frozen_row, _nonzeros, kernel, rank, rat
+from .ratlin import (
+    RatMatrix, Subspace, _echelon, _eliminate, _frozen_row, _nonzeros, kernel, rank, rat,
+)
 from .relconn import RelConn, classical_prolongation_fiber
 from .spencer import TableauChain, cohomology, is_r_acyclic
 from .tableau import Tableau, TypeVerdict, check_tower_budget, classify_type, tower
@@ -153,13 +160,15 @@ class PdeSystem(namedtuple("PdeSystem", "n m k equations")):
         return PdeSystem(n, m, k, RatMatrix(pairs=rows, cols=jet_fiber_dim(n, m, k)))
 
 
-@lru_cache
+# Every analysis reads the fiber and symbol of the one system it analyses,
+# so one entry each serves all six commands run on a system in turn.
+@lru_cache(maxsize=1)
 def solution_fiber(system: PdeSystem) -> Subspace:
     """Jets of order k satisfying every equation."""
     return kernel(system.equations)
 
 
-@lru_cache
+@lru_cache(maxsize=1)
 def symbol_tableau(system: PdeSystem) -> Tableau:
     """The top-degree kernel as a classical degree-k tableau in S^k ⊗ R^m: the
     solution jets vanishing below order k, whose jet components it reads as they are."""
@@ -240,65 +249,97 @@ class IntegrabilityReport(NamedTuple):
     type_verdict: TypeVerdict | None = None
 
 
+class _Level(NamedTuple):
+    """A walk level: the system of the new rows below (whose header the
+    crosscheck reads), the level's forward pivot rows keyed by negated
+    column, and its fiber, truncation image and symbol dimensions."""
+
+    lower: PdeSystem
+    rows: dict[int, dict[int, int]]
+    fiber_dim: int
+    image_dim: int
+    symbol_dim: int
+
+    def fiber(self) -> Subspace:
+        """The level's canonical fiber, its rows back-substituted."""
+        n, m, k = self.lower.n, self.lower.m, self.lower.k + 1
+        return kernel((), kept=self.rows.values(), cols=jet_fiber_dim(n, m, k))
+
+
+def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> bool:
+    row = dict(row)  # `_eliminate` may reduce its row in place
+    while row:
+        if (prow := pivot_rows.get(c := min(row))) is None:
+            return False
+        row = _eliminate(row, prow, c)
+    return True
+
+
 def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
-    """Prolong once per tableau-tower rank, checking every level as it goes.
+    """Prolong once per tableau-tower rank, checking and yielding each level.
 
-    Yields, per level: the system of the new rows below (whose header the
-    crosscheck reads) and the fiber below, then the level's fiber, its
-    truncation image (the basis vectors with pivot in the lower coordinates,
-    cut there) and its symbol dimension.
-
-    The fiber below's whole annihilator, the integer rows its elimination
-    kept, seeds the elimination, and only its new rows are prolonged: those
-    at coordinates above the level below's, or at pivots of the fiber there
-    that the truncation image lost.  With the annihilator one level lower,
-    whose shifts it holds, they span it all.
+    A level runs only the forward elimination (`ratlin._echelon`): copies of
+    the pivot rows below take the shifts of the new rows there, those at
+    coordinates above the level below's or at pivots of the fiber there that
+    the truncation image lost; with the rows one level lower, whose shifts
+    they hold, they span it all.  Keyed by negated column, a row leads at its
+    top column, and the columns no row tops are the pivots of the fiber's
+    canonical basis: the fiber dimension counts them, the image those below
+    the lower width, and the symbol, checked against the tableau tower, the
+    rest.  The image lies in the fiber below iff each pivot row below
+    reduces to zero against the level's.
     """
-    cur_fiber, floor, lost = base_fiber, 0, set()
+    below = {min(row): row for row in base_fiber.annihilator()}
+    floor, lower_dim, prev_dim, lost = 0, base_fiber.ambient_dim, base_fiber.dim, set()
     for level, rank in enumerate(symbol_ranks, 1):
-        kept, lower_dim = cur_fiber.annihilator(), cur_fiber.ambient_dim
         # the new rows as forward pairs, ascending by top column; the shifts
-        # go back to kernel's negated keys
+        # go back to negated keys
         new = [
             [(-j, x) for j, x in sorted(row.items(), reverse=True)]
-            for row in reversed(kept) if (top := -min(row)) >= floor or top in lost
+            for q, row in sorted(below.items(), reverse=True) if -q >= floor or -q in lost
         ]
         equations = RatMatrix(pairs=new, cols=lower_dim)
         lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
         up = formal_prolongation(lower)
-        shifts = [{-j: x for j, x in row} for row in up.equations.pairs[len(new):]]
-        fiber = kernel(shifts, kept=kept, cols=up.equations.cols)
-        img = fiber.head(lower_dim)
-        sym = fiber.dim - img.dim
+        shifts = ({-j: x for j, x in row} for row in up.equations.pairs[len(new):])
+        rows = _echelon(shifts, dict(below))
+        tops = sorted(-q for q in rows)
+        cut = bisect_left(tops, lower_dim)  # the pivot columns among the lower jets
+        fiber_dim, image_dim = up.equations.cols - len(tops), lower_dim - cut
+        sym = fiber_dim - image_dim
         if sym != rank:
             raise InvariantViolation(
                 f"prolonged-system symbol of dim {sym} disagrees with the tableau "
                 f"tower's rank {rank} at level {level}"
             )
-        if not cur_fiber.contains(img):
+        if not all(_reduces_to_zero(row, rows) for row in below.values()):
             raise InvariantViolation(
-                f"truncated solutions (image dim {img.dim}) violate the lower system "
-                f"(fiber dim {cur_fiber.dim}) at level {level}"
+                f"truncated solutions (image dim {image_dim}) violate the lower system "
+                f"(fiber dim {prev_dim}) at level {level}"
             )
-        yield lower, cur_fiber, fiber, img, sym
-        floor, lost = lower_dim, set(cur_fiber.pivots).difference(img.pivots)
-        cur_fiber = fiber
+        yield _Level(lower, rows, fiber_dim, image_dim, sym)
+        lost = {t for t in tops[:cut] if -t not in below}
+        floor, lower_dim, prev_dim, below = lower_dim, up.equations.cols, fiber_dim, rows
 
 
 def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> IntegrabilityReport:
-    """The tower report over one level per given tableau-tower rank."""
+    """The tower report over one level per given tableau-tower rank.  Only a
+    level that is not surjective builds canonical fibers, its own and the
+    one below, for its witness."""
     base_fiber = solution_fiber(system)
     records: list[LevelRecord] = []
-    steps = _walk(system, base_fiber, symbol_ranks)
-    for level, (_, prev_fiber, fiber, img, sym) in enumerate(steps, 1):
-        surjective = img.dim == prev_fiber.dim
-        witness = None if surjective else next(
-            v for v in prev_fiber.basis if not img.contains_vector(v)
-        )
+    prev, prev_dim = None, base_fiber.dim
+    for level, step in enumerate(_walk(system, base_fiber, symbol_ranks), 1):
+        surjective, witness = step.image_dim == prev_dim, None
+        if not surjective:
+            lower_fiber = base_fiber if prev is None else prev.fiber()
+            img = step.fiber().head(lower_fiber.ambient_dim)
+            witness = next(v for v in lower_fiber.basis if not img.contains_vector(v))
         records.append(LevelRecord(
-            level=level, fiber_dim=fiber.dim, symbol_dim=sym,
+            level=level, fiber_dim=step.fiber_dim, symbol_dim=step.symbol_dim,
             projection_surjective=surjective, torsion_vanishes=surjective, witness=witness,
         ))
+        prev, prev_dim = step, step.fiber_dim
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(
         base_fiber_dim=base_fiber.dim, levels=tuple(records),
@@ -470,7 +511,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
     """Prolong along the jet route and the connection route, level by level.
 
     The jet route is the tower's own walk: it solves the prolonged equations
-    and runs the tower's checks.  The connection route takes the classical
+    and runs the tower's checks, and each level's canonical fiber is built
+    from the walk's echelon rows.  The connection route takes the classical
     prolongation fiber of the relative connection on each lower fiber, as
     ``pde_to_relconn`` builds it, so the two routes share no elimination.  At
     every level each jet fiber basis vector, mapped to its point's pairs, must
@@ -488,8 +530,9 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
         )
     out = []
     ranks = symbol_tower(system, depth).ranks
-    steps = _walk(system, solution_fiber(system), ranks)
-    for level, (lower, lower_fiber, fib, img, sym) in enumerate(steps, 1):
+    lower_fiber = solution_fiber(system)
+    for level, step in enumerate(_walk(system, lower_fiber, ranks), 1):
+        lower, fib = step.lower, step.fiber()
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
         try:  # each basis vector b_j read as its integer row d_j·b_j, the same span
             pts = [_prolongation_point(lower, lower_fiber, row) for row in fib.rows]
@@ -502,13 +545,14 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
                 f"jet-side (dim {fib.dim}, rank {mapped}, {outside} outside) and connection-side "
                 f"(dim {pf.subspace.dim}) prolongation fibers disagree at level {level}"
             )
-        if pf.projection_image.dim != img.dim:
+        if pf.projection_image.dim != step.image_dim:
             raise InvariantViolation(
                 f"projection images disagree between the routes at level {level}"
             )
         out.append(RouteLevel(
-            level=level, jet_route=RouteDims(fib.dim, img.dim),
+            level=level, jet_route=RouteDims(fib.dim, step.image_dim),
             connection_route=RouteDims(pf.subspace.dim, pf.projection_image.dim),
-            symbol_dim=sym,
+            symbol_dim=step.symbol_dim,
         ))
+        lower_fiber = fib
     return tuple(out)

@@ -449,14 +449,6 @@ class Subspace:
     def contains_vector(self, vec: Sequence) -> bool:
         return self._coords(_integer_row(_nonzeros(self._checked(vec))).items()) is not None
 
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        # canonical bases: one at least as large is contained only if equal
-        if other.dim >= self.dim:
-            return other.rows == self.rows
-        return all(self._coords(row) is not None for row in other.rows)
-
     def head(self, stop: int) -> "Subspace":
         """The projection onto the coordinates before stop: the basis vectors
         with pivot < stop, cut there, already are its canonical basis, and

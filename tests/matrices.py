@@ -35,6 +35,14 @@ def coords_of(space: Subspace, vec) -> tuple[Fraction, ...] | None:
     return tuple(dict(coords).get(j, Fraction(0)) for j in range(space.dim))
 
 
+def contains(space: Subspace, other: Subspace) -> bool:
+    """Whether other lies in space: every integer row of other's canonical
+    basis has coordinates in space (`Subspace._coords`)."""
+    if space.ambient_dim != other.ambient_dim:
+        raise ValueError("ambient dimensions differ")
+    return all(space._coords(row) is not None for row in other.rows)
+
+
 def rref_rank(m: RatMatrix) -> int:
     """The rank of m, its rref's pivot count, so that test ranks do not go
     through `ratlin.rank`."""

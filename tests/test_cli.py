@@ -16,8 +16,8 @@ Plan:
  6. exit codes: 0 for completed analyses (all six commands on a system with
     mixed top-order partials read the walk's dims and H = 0), 1 for input problems,
     2 for internal consistency failures, among them faults injected into the
-    walk (a moved cut, a dropped kept row), into the crosscheck's jet
-    mapping and into the connection route's rows, and for any unexpected
+    walk (a moved cut among its pivot columns, a dropped seed row), into the
+    crosscheck's jet mapping and into the connection route's rows, and for any unexpected
     exception, printed without a traceback; an out-of-range count flag is a
     bad flag, named in the message, and finite-type takes no depth flag; a
     depth whose jet fiber is past the budget exits 1 within a second, before
@@ -39,6 +39,7 @@ import os
 import subprocess
 import sys
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from importlib import resources
 from itertools import product
@@ -816,22 +817,27 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
     free18 = PdeSystem.from_terms(18, 1, 1, [])
     first43 = cli.parse_system(FIRST_ORDER_43)
     # the base system's own fiber, bounded by the parser and cached, is the
-    # one elimination every analysis starts from
-    symbol_tableau(free18), symbol_tableau(first43)
+    # one elimination every analysis starts from; the cache holds one
+    # system, so each is built just before its analysis
     table = [
-        (lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
-        (lambda: goldschmidt_check(free18, 0), "Spencer cohomology to l_max 0"),
-        (lambda: finite_type_integrability(first43, 0), "symbol tower to depth 1"),
-        (lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
-        (lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1), "symbol tower to depth 1"),
-        (lambda: cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1),
+        (None, lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
+        (free18, lambda: goldschmidt_check(free18, 0), "Spencer cohomology to l_max 0"),
+        (first43, lambda: finite_type_integrability(first43, 0), "symbol tower to depth 1"),
+        (None, lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
+        (None, lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1),
+         "symbol tower to depth 1"),
+        (None, lambda: cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1),
          "Spencer cohomology to l_max 0"),
     ]
     calls = [count_calls(ratlin._reduced), count_calls(rank), count_calls(spencer._slot_matrix)]
-    for call, stage in table:
+    for system, call, stage in table:
+        if system is not None:
+            symbol_tableau(system)
+        for seen in calls:
+            seen.clear()
         with pytest.raises(ValueError, match=stage):
             call()
-    assert calls == [[], [], []]
+        assert calls == [[], [], []], stage
 
 
 def test_the_parser_is_built_once_and_dispatch_reads_the_current_command(
@@ -909,9 +915,12 @@ def move_the_cut(monkeypatch):
 
 @pytest.mark.parametrize("command", ["tower", "goldschmidt", "finite-type", "crosscheck"])
 def test_a_moved_cut_in_the_walk_is_an_internal_failure(command, tmp_path, capsys, monkeypatch):
-    # the symbol is the rest of the fiber's basis, so a short image shows up
-    # as a symbol one larger than the independent tableau tower's rank
-    move_the_cut(monkeypatch)
+    # the walk cuts a level's sorted pivot columns at the lower width, and
+    # the free columns below the cut are the truncation image's pivots.  The
+    # fault moves the cut up one pivot column, so level 1's image is one
+    # short, and the symbol, the rest of the fiber, is one larger than the
+    # independent tableau tower's rank
+    monkeypatch.setattr(jetpde, "bisect_left", lambda tops, width: bisect_left(tops, width) + 1)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main([command, path]) == 2
     err = capsys.readouterr().err
@@ -928,18 +937,18 @@ def test_a_moved_cut_in_the_connection_route_fails_its_exactness(monkeypatch):
 
 @pytest.mark.parametrize("command", ["tower", "goldschmidt", "finite-type", "crosscheck"])
 def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsys, monkeypatch):
-    # the walk seeds each level's elimination with the lower annihilator's
-    # rows; without the lower equation the truncated solutions fill the lower
+    # the walk seeds each level's elimination with the pivot rows below;
+    # without the lower equation the truncated solutions fill the lower
     # jets, while the shifted rows alone still give the tableau tower's
     # symbol, so only the containment check sees the fault
-    seeded = jetpde.kernel
+    eliminate = jetpde._echelon
 
-    def dropped(m, kept=(), cols=None):
-        # keyed by negated column, the row with the greatest lead has the lowest top
-        lowest = max(kept, key=min, default=None)
-        return seeded(m, kept=[row for row in kept if row is not lowest], cols=cols)
+    def dropped(rows, pivot_rows):
+        # keyed by negated column, the greatest key is the lowest top
+        lowest = max(pivot_rows, default=None)
+        return eliminate(rows, {q: row for q, row in pivot_rows.items() if q != lowest})
 
-    monkeypatch.setattr(jetpde, "kernel", dropped)
+    monkeypatch.setattr(jetpde, "_echelon", dropped)
     path = write_pde(tmp_path, corpus_text("laplace2d.pde"))
     assert main([command, path]) == 2
     assert (

@@ -13,16 +13,20 @@ Plan:
  6. flat-connection systems: commuting certified, noncommuting obstructed,
     with an honestly non-extendable witness
  7. formal prolongation keeps the original equations; the tower and the
-    crosscheck walk prolong only the rows of each lower fiber's annihilator
-    that are new at that level, so their matrices stay within the jet fiber
-    width, the tower's fibers match the plain repeated prolongation, and
-    every walk fiber is bit-identical to the kernel of the whole prolonged
-    annihilator below; a second walk from the same cached base fiber
-    repeats the first, and only the symbol tower's level 0 reads an
-    annihilator off a basis (`constraint_matrix`);
-    the crosscheck prolongs once per level and caches no level system, and
-    every cache in the package is bounded; the
-    eliminations per analysis are pinned (symbols and e = 0 slices are read
+    crosscheck walk prolong only the echelon rows below that are new at
+    each level, so their matrices stay within the jet fiber width, the
+    tower's fibers match the plain repeated prolongation, every walk fiber
+    built from the walk's forward rows is bit-identical to the kernel of
+    the whole prolonged annihilator below, and every tower record (dims,
+    surjectivity, witness) equals what those canonical fibers give; a
+    second walk from the same cached base fiber repeats the first, and only
+    the symbol tower's level 0 reads an annihilator off a basis
+    (`constraint_matrix`);
+    the crosscheck prolongs once per level and caches no level system,
+    every cache in the package is bounded, and the base system's fiber and
+    symbol caches hold the one system the six commands share; the
+    eliminations per analysis are pinned, the walk's forward ones apart
+    (symbols and e = 0 slices are read
     off the fibers, not eliminated again), and the tower, its cohomology and
     goldschmidt test membership over nonzero pairs, never by a dense
     coset representative; every membership test of the six commands on the
@@ -97,7 +101,7 @@ from formalpde.spencer import cohomology
 from formalpde.tableau import Tableau, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
-from matrices import coords_of, identity, zeros
+from matrices import contains, coords_of, identity, zeros
 from systems import MIXED_PARTIALS, small_terms
 
 
@@ -369,7 +373,7 @@ def test_prolongation_keeps_original_equations():
     f1 = solution_fiber(p1)
     f0 = solution_fiber(s)
     trunc = Subspace.from_spanning(lo, [col[:lo] for col in f1.basis])
-    assert f0.contains(trunc)
+    assert contains(f0, trunc)
 
 
 def heat3() -> PdeSystem:
@@ -412,29 +416,65 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
             assert level.fiber_dim == solution_fiber(naive).dim, (path.name, level)
 
 
+def canonical_walk(s: PdeSystem, depth: int):
+    """Each walk level read out canonically: the system of its new rows below,
+    the canonical fiber below, the level's canonical fiber (`_Level.fiber`),
+    its truncation image and the walk's symbol dimension."""
+    lower_fiber = solution_fiber(s)
+    for step in _walk(s, lower_fiber, symbol_tower(s, depth).ranks):
+        fiber = step.fiber()
+        yield step.lower, lower_fiber, fiber, fiber.head(lower_fiber.ambient_dim), step.symbol_dim
+        lower_fiber = fiber
+
+
 @settings(deadline=None, max_examples=60)
 @given(small_terms(), st.integers(1, 4))
 def test_every_walk_fiber_is_the_unseeded_elimination(terms, depth):
     # the walk prolongs only the annihilator's new rows and seeds the rest;
-    # the canonical basis is contract, so each fiber must equal, bit for
-    # bit, the kernel of the whole prolonged annihilator below, read off
-    # the lower fiber's canonical basis
+    # the canonical basis is contract, so each fiber read off the walk's
+    # forward rows must equal, bit for bit, the kernel of the whole
+    # prolonged annihilator below, read off the lower fiber's canonical basis
     s = PdeSystem.from_terms(*terms)
-    for lower, lower_fiber, fiber, _, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
+    for lower, lower_fiber, fiber, _, _ in canonical_walk(s, depth):
         whole = lower._replace(equations=lower_fiber.constraint_matrix())
         assert fiber.rows == kernel(formal_prolongation(whole).equations).rows
+
+
+@settings(deadline=None, max_examples=100)
+@given(small_terms(), st.integers(1, 4))
+def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
+    # the walk reads each level's dims off its forward pivot columns and
+    # builds canonical fibers only for a witness; every record must equal
+    # what the canonical fibers of the whole prolonged annihilators give,
+    # built level by level with no walk: fiber, truncation image, symbol,
+    # surjectivity and the first lower basis vector outside the image
+    s = PdeSystem.from_terms(*terms)
+    report = prolongation_tower(s, depth)
+    lower, lower_fiber = s, solution_fiber(s)
+    for rec in report.levels:
+        lower = formal_prolongation(lower._replace(equations=lower_fiber.constraint_matrix()))
+        fiber = kernel(lower.equations)
+        img = fiber.head(lower_fiber.ambient_dim)
+        onto = img.dim == lower_fiber.dim
+        witness = None if onto else next(
+            v for v in lower_fiber.basis if not img.contains_vector(v)
+        )
+        assert rec == (rec.level, fiber.dim, fiber.dim - img.dim, onto, onto, witness)
+        lower_fiber = fiber
 
 
 @settings(deadline=None, max_examples=40)
 @given(small_terms(), st.integers(1, 4))
 def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
-    # each level seeds its kernel with the rows the level below kept, and
-    # `kernel` copies its seeds, so a walk leaves the cached fibers' kept
+    # each level seeds its elimination with copies of the rows below, and
+    # `kernel` copies its seeds, so a walk leaves the cached fiber's kept
     # rows as they were and a second walk from the same fiber repeats it
     s = PdeSystem.from_terms(*terms)
-    base, ranks = solution_fiber(s), symbol_tower(s, depth).ranks
+    base = solution_fiber(s)
     kept = [dict(row) for row in base.annihilator()]
-    walks = [[(fib.rows, img.rows) for _, _, fib, img, _ in _walk(s, base, ranks)] for _ in (1, 2)]
+    walks = [
+        [(fib.rows, img.rows) for _, _, fib, img, _ in canonical_walk(s, depth)] for _ in (1, 2)
+    ]
     assert walks[0] == walks[1]
     assert list(base.annihilator()) == kept
 
@@ -511,34 +551,58 @@ def test_every_cache_in_the_package_is_bounded():
     assert unbounded == []
 
 
-def test_eliminations_per_analysis(count_calls):
+def test_the_base_system_caches_hold_the_one_system_they_serve(capsys):
+    # a command reads the fiber and symbol of its own system only, so one
+    # entry each serves the six commands run on a system in turn
+    assert solution_fiber.cache_info().maxsize == symbol_tableau.cache_info().maxsize == 1
+    path = str(resources.files("formalpde") / "corpus" / "laplace2d.pde")
+    solution_fiber.cache_clear()
+    symbol_tableau.cache_clear()
+    for command in ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"):
+        assert main([command, path]) == 0
+    capsys.readouterr()
+    for cache in (solution_fiber, symbol_tableau):
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits > 0, info
+
+
+def test_eliminations_per_analysis(count_calls, monkeypatch):
     # counts the integer elimination `ratlin._reduced`, which `rref` and
     # `kernel` both run, once per call.  A tower level eliminates its
-    # tableau prolongation and its jet system; a crosscheck level adds the
-    # connection's symbol, prolongation fiber and ∂-symmetry kernel; the base
-    # fiber is one more.  Truncation images, symbols and e = 0 slices are
-    # read off the fibers' canonical bases, not eliminated, the e = 0 slice
-    # is checked against g^(1) by membership, and the mapped jet fiber by its
-    # points' coordinates in the connection fiber.  A Spencer window reduces
+    # tableau prolongation; its jet system runs only the forward
+    # elimination `ratlin._echelon`, counted apart below, and reads its dims
+    # off the pivot columns.  heat3 is surjective at every level, so its
+    # tower builds no canonical fiber past the base fiber, which is one
+    # more.  A crosscheck level adds the jet level's canonical fiber and the
+    # connection's symbol, prolongation fiber and ∂-symmetry kernel.
+    # Truncation images, symbols and e = 0 slices are read off pivots or
+    # canonical bases, not eliminated, the e = 0 slice is checked against
+    # g^(1) by membership, and the mapped jet fiber by its points'
+    # coordinates in the connection fiber.  A Spencer window reduces
     # nothing: those coordinates and its slot maps are ranked by
     # `ratlin.rank`, which builds no basis.  So goldschmidt_check takes the
-    # base fiber, one jet level (its jet system) and one tableau prolongation
-    # per symbol level 1 .. l + 1.
+    # base fiber and one tableau prolongation per symbol level 1 .. l + 1.
     calls = count_calls(formalpde.ratlin._reduced)
+    walked = []
+    forward = formalpde.jetpde._echelon
+    monkeypatch.setattr(
+        formalpde.jetpde, "_echelon", lambda rows, seed: walked.append(1) or forward(rows, seed)
+    )
 
     def count(analysis, *args):
         solution_fiber.cache_clear()
         symbol_tableau.cache_clear()
         formalpde.jetpde._held_tower.cache_clear()
         calls.clear()
+        walked.clear()
         analysis(*args)
-        return len(calls)
+        return len(calls), len(walked)
 
     for d in range(1, 5):
-        assert count(prolongation_tower, heat3(), d) == 2 * d + 1
-        assert count(crosscheck_routes, heat3(), d) == 5 * d + 1
+        assert count(prolongation_tower, heat3(), d) == (d + 1, d)
+        assert count(crosscheck_routes, heat3(), d) == (5 * d + 1, d)
     for l in range(4):
-        assert count(goldschmidt_check, heat3(), l) == l + 3
+        assert count(goldschmidt_check, heat3(), l) == (l + 2, 1)
 
 
 def wave4() -> PdeSystem:
@@ -794,7 +858,7 @@ def torsion_kinds_along_the_walk(s: PdeSystem, depth: int = 2) -> set:
     checking that the connection route's torsion vanishes exactly where the
     jet route's truncation image holds the vector."""
     kinds = set()
-    for lower, lower_fiber, _, img, _ in _walk(s, solution_fiber(s), symbol_tower(s, depth).ranks):
+    for lower, lower_fiber, _, img, _ in canonical_walk(s, depth):
         conn = _relconn(lower, lower_fiber)
         for j, v in enumerate(lower_fiber.basis):
             kind = torsion_at(conn, [int(t == j) for t in range(lower_fiber.dim)]).kind
@@ -874,8 +938,7 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
     # fiber jet's (e, psi) equal what dense basis rows give, as data
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         s = load_system(str(path))
-        steps = _walk(s, solution_fiber(s), symbol_tower(s, 3).ranks)
-        for level, (lower, lower_fiber, fiber, _, _) in enumerate(steps, 1):
+        for level, (lower, lower_fiber, fiber, _, _) in enumerate(canonical_walk(s, 3), 1):
             n, m, k = lower.n, lower.m, lower.k
             conn = _relconn(lower, lower_fiber)
             want = dense_connection(

@@ -43,7 +43,7 @@ from formalpde.relconn import (
     torsion_at,
 )
 
-from matrices import coords_of, identity, rref_rank, slot_map, zeros
+from matrices import contains, coords_of, identity, rref_rank, slot_map, zeros
 from oracle_brute import section_curvature
 from rref_reference import solve
 
@@ -83,7 +83,7 @@ def h01_dim(outer: RelConn, inner: RelConn) -> int:
             eta[i * g.dim : (i + 1) * g.dim] = coords
         vecs.append(eta)
     b = Subspace.from_spanning(n * g.dim, vecs)
-    assert z.contains(b), "inner-symbol image is not closed"
+    assert contains(z, b), "inner-symbol image is not closed"
     return z.dim - b.dim
 
 

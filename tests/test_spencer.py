@@ -58,7 +58,7 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import coords_of, product, rref_rank, slot_map, zeros
+from matrices import contains, coords_of, product, rref_rank, slot_map, zeros
 from systems import MIXED_PARTIALS, small_terms
 
 
@@ -324,7 +324,7 @@ def reference_cycles_and_boundaries(chain, l, m):
     slot and the image of the map into it, checked to nest."""
     z = kernel(chain.map_out(l, m))
     b = image(chain.map_out(l + 1, m - 1))
-    assert z.contains(b), (l, m)
+    assert contains(z, b), (l, m)
     return z, b
 
 
