@@ -251,8 +251,8 @@ class IntegrabilityReport(NamedTuple):
 
 class _Level(NamedTuple):
     """A walk level: the system of the new rows below (whose header the
-    crosscheck reads), the level's forward pivot rows keyed by negated
-    column, and its fiber, truncation image and symbol dimensions."""
+    crosscheck reads), the level's forward pivot rows by top column, and its
+    fiber, truncation image and symbol dimensions."""
 
     lower: PdeSystem
     rows: dict[int, dict[int, int]]
@@ -261,15 +261,16 @@ class _Level(NamedTuple):
     symbol_dim: int
 
     def fiber(self) -> Subspace:
-        """The level's canonical fiber, its rows back-substituted."""
+        """The level's canonical fiber: `kernel` back-substitutes copies of
+        the rows, which stay the seed of the level above."""
         n, m, k = self.lower.n, self.lower.m, self.lower.k + 1
-        return kernel((), kept=self.rows.values(), cols=jet_fiber_dim(n, m, k))
+        return kernel(map(dict, self.rows.values()), cols=jet_fiber_dim(n, m, k))
 
 
 def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> bool:
     row = dict(row)  # `_eliminate` may reduce its row in place
     while row:
-        if (prow := pivot_rows.get(c := min(row))) is None:
+        if (prow := pivot_rows.get(c := max(row))) is None:
             return False
         row = _eliminate(row, prow, c)
     return True
@@ -282,28 +283,23 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     the pivot rows below take the shifts of the new rows there, those at
     coordinates above the level below's or at pivots of the fiber there that
     the truncation image lost; with the rows one level lower, whose shifts
-    they hold, they span it all.  Keyed by negated column, a row leads at its
-    top column, and the columns no row tops are the pivots of the fiber's
-    canonical basis: the fiber dimension counts them, the image those below
-    the lower width, and the symbol, checked against the tableau tower, the
-    rest.  The image lies in the fiber below iff each pivot row below
-    reduces to zero against the level's.
+    they hold, they span it all.  Each row leads at its top column, and the
+    columns no row tops are the pivots of the fiber's canonical basis: the
+    fiber dimension counts them, the image those below the lower width, and
+    the symbol, checked against the tableau tower, the rest.  The image lies
+    in the fiber below iff each pivot row below reduces to zero against the
+    level's.
     """
-    below = {min(row): row for row in base_fiber.annihilator()}
+    below = {max(row): row for row in base_fiber.annihilator()}
     floor, lower_dim, prev_dim, lost = 0, base_fiber.ambient_dim, base_fiber.dim, set()
     for level, rank in enumerate(symbol_ranks, 1):
-        # the new rows as forward pairs, ascending by top column; the shifts
-        # go back to negated keys
-        new = [
-            [(-j, x) for j, x in sorted(row.items(), reverse=True)]
-            for q, row in sorted(below.items(), reverse=True) if -q >= floor or -q in lost
-        ]
+        # the new rows as pairs, ascending by top column
+        new = [sorted(row.items()) for t, row in sorted(below.items()) if t >= floor or t in lost]
         equations = RatMatrix(pairs=new, cols=lower_dim)
         lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
         up = formal_prolongation(lower)
-        shifts = ({-j: x for j, x in row} for row in up.equations.pairs[len(new):])
-        rows = _echelon(shifts, dict(below))
-        tops = sorted(-q for q in rows)
+        rows = _echelon(map(dict, up.equations.pairs[len(new):]), dict(below))
+        tops = sorted(rows)
         cut = bisect_left(tops, lower_dim)  # the pivot columns among the lower jets
         fiber_dim, image_dim = up.equations.cols - len(tops), lower_dim - cut
         sym = fiber_dim - image_dim
@@ -318,7 +314,7 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
                 f"(fiber dim {prev_dim}) at level {level}"
             )
         yield _Level(lower, rows, fiber_dim, image_dim, sym)
-        lost = {t for t in tops[:cut] if -t not in below}
+        lost = {t for t in tops[:cut] if t not in below}
         floor, lower_dim, prev_dim, below = lower_dim, up.equations.cols, fiber_dim, rows
 
 

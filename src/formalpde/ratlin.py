@@ -33,16 +33,16 @@ stores the canonical basis of its span, the nonzero rows of the rref of any
 spanning set, each as its primitive integer row, hence two equal subspaces
 compare equal as plain data; Fractions are rendered on demand.
 
-Kernels need only one elimination.  The reduced row echelon form of a matrix
-with its columns in reverse order leaves each free column's kernel vector
-with its leading 1 at that column and zeros at every other free column,
-which is exactly the canonical basis, read off the integer pivot rows as
-primitive integer rows.  `kernel` reverses the order by keying each row by
-its negated column, and the subspace it returns keeps those echelon rows, a
-row basis of the matrix, as its annihilator (`Subspace.annihilator`): the
-rows are equally valid in a wider space, where each leads at its own top
-column, so they seed a later `kernel`'s pivot rows as copies, and only new
-rows are inserted.
+Kernels need only one elimination.  Integer rows are keyed by their own
+columns, and the elimination leads each row at its greatest column, its top;
+that echelon form leaves each free column's kernel vector with its leading 1
+at that column and zeros at every other free column, which is exactly the
+canonical basis, read off the integer pivot rows as primitive integer rows.
+The subspace `kernel` returns keeps those echelon rows, a row basis of the
+matrix, as its annihilator (`Subspace.annihilator`); in a wider space each
+still leads at its top, so copies handed to a later `kernel` become its pivot
+rows unreduced.  `rref` alone leads rows at their least column, negating its
+columns on the way in and out.
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -207,44 +207,43 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     vanishes at each of those columns.  R is those rows followed by zero rows
     up to m.rows, so R and the pivots depend on the span of m's rows alone.
 
-    Computed over the integers by `_reduced`; only its result becomes
-    Fractions, each integer pivot row divided by its pivot into pairs.
+    Computed over the integers by `_reduced`, which leads each row at its
+    greatest column, so the columns go in negated and come out negated
+    again; only its result becomes Fractions, each integer pivot row divided
+    by its pivot into pairs.
     """
-    pivot_rows, pivots = _reduced(map(_integer_row, m.pairs))
+    pivot_rows, negated = _reduced(_integer_row([(-j, x) for j, x in row]) for row in m.pairs)
     made: dict[tuple[int, int], Fraction] = {}  # equal quotients share one Fraction
     out: list = []
-    for c in pivots:
+    for c in reversed(negated):
         row = pivot_rows[c]
         p = row[c]
         line = []
-        for j, v in sorted(row.items()):
+        for j, v in sorted(row.items(), reverse=True):
             x = made.get((v, p))
             if x is None:
                 x = made[(v, p)] = Fraction(v, p)
-            line.append((j, x))
+            line.append((-j, x))
         out.append(line)
-    out.extend([()] * (m.rows - len(pivots)))
-    return RatMatrix(pairs=out, cols=m.cols), pivots
+    out.extend([()] * (m.rows - len(negated)))
+    return RatMatrix(pairs=out, cols=m.cols), tuple(-c for c in reversed(negated))
 
 
-def _reduced(
-    rows: Iterable[dict[int, int]], seed: dict[int, dict[int, int]] | None = None
-) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:
-    """The reduced echelon form of the integer rows, before any division:
-    (pivot_rows, pivots), pivot_rows[c] the integer row whose division by
-    its entry at c, which is positive, is the rref row with pivot c, and
-    pivots those columns in order.
+def _reduced(rows: Iterable[dict[int, int]]) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:
+    """The reduced echelon form of the integer rows, each led at its top
+    column, before any division: (pivot_rows, pivots), pivot_rows[c] the
+    integer row whose division by its entry at c, which is positive, is the
+    reduced row with pivot c, and pivots those columns in ascending order.
 
-    `_echelon` inserts each row into pivot rows by leading column, after the
-    seed's (integer rows, each led at its key and positive there).  Then
-    each pivot column is cleared above its pivot, from the last pivot to the
-    first.
+    `_echelon` inserts each row into pivot rows by top column.  Then each
+    pivot column is cleared from the rows above it, from the lowest pivot up.
     """
-    pivot_rows = _echelon(rows, {} if seed is None else seed)
+    pivot_rows = _echelon(rows, {})
     pivots = tuple(sorted(pivot_rows))
-    # the rows of later pivots are cleared first, so each vanishes at every
-    # other pivot column, and clearing one column never refills another
-    for c in reversed(pivots):
+    # a pivot row has entries only at and below its pivot, and the rows of
+    # lower pivots are cleared first, so each vanishes at every other pivot
+    # column, and clearing one column never refills another
+    for c in pivots:
         row = pivot_rows[c]
         for j in [j for j in row if j != c and j in pivot_rows]:
             row = _eliminate(row, pivot_rows[j], j)
@@ -254,22 +253,23 @@ def _reduced(
 
 def rank(rows: Iterable[Iterable[tuple[int, Fraction | int]]]) -> int:
     """Rank over Q of the rows given by their nonzero (column, value) pairs:
-    the number of pivot rows `rref`'s integer insertion leaves, with no
+    the number of pivot rows `_echelon`'s integer insertion leaves, with no
     back-substitution and no Fractions built (int rows pass as they are)."""
     return len(_echelon(map(_integer_row, rows), {}))
 
 
 def _echelon(rows: Iterable[dict[int, int]], pivot_rows: dict) -> dict[int, dict[int, int]]:
-    """pivot_rows, by leading column, with the integer rows inserted.
+    """pivot_rows, by top column, with the integer rows inserted.
 
-    Each row is inserted in turn: while its leading column holds a pivot
-    row, it is reduced against that row (`_eliminate`); a row left nonzero,
-    divided by its content and made positive there, becomes the pivot row of
-    its leading column.
+    Each row is inserted in turn: while its top column, its greatest, holds
+    a pivot row, it is reduced against that row (`_eliminate`); a row left
+    nonzero, divided by its content and made positive there, becomes the
+    pivot row of its top column.  A row already primitive and positive there
+    is stored itself, not a copy.
     """
     for row in rows:
         while row:
-            c = min(row)
+            c = max(row)
             prow = pivot_rows.get(c)
             if prow is None:
                 g = gcd(*row.values())
@@ -491,75 +491,63 @@ class Subspace:
         return RatMatrix(pairs=out, cols=d)
 
     def annihilator(self) -> tuple[dict[int, int], ...]:
-        """Integer rows keyed by negated column, one led (at its least key)
-        by each non-pivot column, whose kernel is this subspace: the shared
-        echelon rows `kernel` kept, or else `constraint_matrix`'s, re-keyed."""
+        """Integer rows {column: int}, one topped by each non-pivot column,
+        whose kernel is this subspace: the shared echelon rows `kernel` kept,
+        positive at their tops, or else `constraint_matrix`'s."""
         if self._kept is None:
-            return tuple({-j: x for j, x in row} for row in self.constraint_matrix().pairs)
+            return tuple(map(dict, self.constraint_matrix().pairs))
         return self._kept
 
 
 # --------------------------- derived maps ---------------------------
 
 
-def kernel(
-    m: RatMatrix | Iterable[dict[int, int]], kept: Sequence[dict[int, int]] = (),
-    cols: int | None = None,
-) -> Subspace:
-    """Null space of m as a canonical Subspace of Q^cols, or, given kept
-    integer rows keyed by negated column with distinct top columns (as
-    `Subspace.annihilator` gives them), of kept and m together.  m is a
-    RatMatrix, or integer rows keyed by negated column, with cols, which
-    the elimination takes over as they are.
+def kernel(m: RatMatrix | Iterable[dict[int, int]], *, cols: int | None = None) -> Subspace:
+    """Null space of m as a canonical Subspace of Q^cols.  m is a RatMatrix,
+    or integer rows {column: int} with cols, which the elimination takes
+    over as they are: rows primitive and positive at distinct tops, as
+    `Subspace.annihilator` gives a kernel's, become pivot rows unreduced, so
+    a caller that keeps them hands in copies.
 
-    One elimination gives it.  `_reduced` eliminates m keyed by the negated
-    column, which reverses the column order; its pivots, the pivot columns
-    of that unique echelon form, are the rightmost independent columns of
-    m, and every other column f is free.  The kernel vector of a free column
-    f is 1 at f and, at each pivot column, minus the echelon entry of f in
-    that pivot's row: v/P, v and P the entries of the integer pivot row at f
-    and at its pivot.  Reversed reduction leaves such entries only for
-    pivots to the right of f, so f is the vector's leading entry, and every
-    other kernel vector vanishes there.  Taken in ascending f, these vectors
-    already are the canonical echelon basis, with the free columns as its
-    pivots, and no second reduction is needed; each is built as its
-    primitive integer row, with no Fraction.
+    One elimination gives it.  `_reduced` leads each row of m at its top
+    column; its pivots, the pivot columns of that unique echelon form, are
+    the rightmost independent columns of m, and every other column f is
+    free.  The kernel vector of a free column f is 1 at f and, at each pivot
+    column, minus the echelon entry of f in that pivot's row: v/P, v and P
+    the entries of the integer pivot row at f and at its pivot.  A pivot row
+    has such entries only below its pivot, so f is the vector's leading
+    entry, and every other kernel vector vanishes there.  Taken in ascending
+    f, these vectors already are the canonical echelon basis, with the free
+    columns as its pivots, and no second reduction is needed; each is built
+    as its primitive integer row, with no Fraction.
 
     The Subspace keeps those echelon rows, a row basis of m, as its
-    annihilator.  Negated keys need no width, so kept rows, each leading at
-    its top column, seed the pivot rows as copies, made positive at the
-    lead, and only m's rows are inserted.
+    annihilator.
     """
     if isinstance(m, RatMatrix):
-        cols, m = m.cols, (_integer_row([(-j, x) for j, x in row]) for row in m.pairs)
+        cols, m = m.cols, map(_integer_row, m.pairs)
     elif cols is None:
         raise ValueError("integer rows need an explicit column count")
-    seed = {}
-    for row in kept:
-        q = min(row)
-        seed[q] = dict(row) if row[q] > 0 else {j: -x for j, x in row.items()}
-    if len(seed) != len(kept):
-        raise ValueError("kept rows must have distinct top columns")
-    pivot_rows, rev_pivots = _reduced(m, seed)
-    free = sorted(set(range(cols)).difference(-q for q in rev_pivots))
+    pivot_rows, pivots = _reduced(m)
+    free = sorted(set(range(cols)).difference(pivots))
     # a pivot row's lead P > 0; its other entries v lie at free columns f
     # only, and b_f is -v/P there.  d_f, the lcm of the reduced denominators
     # P/gcd(v, P) over f's entries, makes d_f·b_f primitive, with the
     # integer -v·d_f/P at p.  Each row keeps its lead, as the Subspace keeps
     # the rows; popping and re-adding it would regrow small dicts
-    leads = [pivot_rows[q][q] for q in rev_pivots]
+    leads = [pivot_rows[p][p] for p in pivots]
     scale = dict.fromkeys(free, 1)
-    for q, lead in zip(rev_pivots, leads):
-        for j, v in pivot_rows[q].items():
-            if j != q:
-                scale[-j] = lcm(scale[-j], lead // gcd(v, lead))
+    for p, lead in zip(pivots, leads):
+        for j, v in pivot_rows[p].items():
+            if j != p:
+                scale[j] = lcm(scale[j], lead // gcd(v, lead))
     rows = {f: [(f, d)] for f, d in scale.items()}
-    # descending q is ascending p, which keeps each row's pairs in order
-    for q, lead in zip(reversed(rev_pivots), reversed(leads)):
-        for j, v in pivot_rows[q].items():
-            if j != q:
-                rows[-j].append((-q, -v * scale[-j] // lead))
-    return Subspace(cols, rows.values(), kept=tuple(pivot_rows[q] for q in rev_pivots))
+    # ascending p keeps each row's pairs in order
+    for p, lead in zip(pivots, leads):
+        for j, v in pivot_rows[p].items():
+            if j != p:
+                rows[j].append((p, -v * scale[j] // lead))
+    return Subspace(cols, rows.values(), kept=tuple(pivot_rows[p] for p in pivots))
 
 
 def image(m: RatMatrix) -> Subspace:

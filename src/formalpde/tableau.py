@@ -135,9 +135,9 @@ def prolong(t: Tableau) -> Subspace:
         return Subspace.full(target_dim)
     # iota_i xi in g  <=>  Q iota_i xi = 0; Q's column at c is the column
     # of Q iota_i at c raised by x_i.  Q's rows are integer rows keyed by
-    # negated column -c, and so are these
+    # column, and so are these
     rows = [
-        {-entries[-key]: x for key, x in row.items()}
+        {entries[c]: x for c, x in row.items()}
         for entries in raise_table(t.n, t.degree, t.f) for row in q
     ]
     return kernel(rows, cols=target_dim)
@@ -231,7 +231,9 @@ def tower(t: Tableau, depth: int) -> TableauChain:
     else:
         g1 = prolong(t)
         equations = _symmetry_equations(t)
-        if any(any(equations.apply(v)) for v in g1.basis):
+        # each equation against the stored rows d_j·b_j, zero exactly where b_j gives zero
+        basis = [dict(row) for row in g1.rows]
+        if any(sum(x * v.get(c, 0) for c, x in eq) for eq in equations.pairs for v in basis):
             raise InvariantViolation(
                 f"generalized first prolongation violates ∂-symmetry: dim {g1.dim} "
                 f"in S^1 ⊗ R^{t.dim}, {equations.rows} symmetry equations"

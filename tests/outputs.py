@@ -67,11 +67,14 @@ def _run(argv: list[str], report: Path) -> list:
     return [code, _digest(out.getvalue().encode()), written]
 
 
-def outputs() -> dict[str, list]:
-    """'<system> <command> <flags>' -> `_run`'s entry."""
+def outputs(prefix: str = "") -> dict[str, list]:
+    """'<system> <command> <flags>' -> `_run`'s entry, for the systems whose
+    names start with prefix."""
     with tempfile.TemporaryDirectory() as work:
         report, table = Path(work) / "report.json", {}
         for name, path in _systems(Path(work)).items():
+            if not name.startswith(prefix):
+                continue
             for command in COMMANDS:
                 for flags in FLAG_SETS[command]:
                     key = " ".join([name, command, *flags])

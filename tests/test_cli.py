@@ -14,7 +14,8 @@ Plan:
  4. coefficient and sign forms: rationals, '*', signed separators, 0 = 0
  5. canonical printing round-trips (parse of print == original system)
  6. exit codes: 0 for completed analyses (all six commands on a system with
-    mixed top-order partials read the walk's dims and H = 0), 1 for input problems,
+    mixed top-order partials read the walk's dims and H = 0), 0 or 1 with no
+    traceback for all six commands on drawn accepted systems, 1 for input problems,
     2 for internal consistency failures, among them faults injected into the
     walk (a moved cut among its pivot columns, a dropped seed row), into the
     crosscheck's jet mapping and into the connection route's rows, and for any unexpected
@@ -34,6 +35,8 @@ Plan:
 
 import ast
 import codecs
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -80,6 +83,8 @@ from formalpde.relconn import classical_prolongation_fiber
 from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
 from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
 from formalpde.tensorspace import multi_indices, sym_dim
+
+from systems import small_terms
 
 
 def corpus_path(name: str):
@@ -467,6 +472,23 @@ def test_mixed_top_order_partials_read_the_walks_dims_in_every_command(tmp_path,
     for command in ("goldschmidt", "finite-type"):
         assert [e["h_dim"] for e in out[command]["cohomology"]] == [0] * 6
     assert [lv["symbol_dim"] for lv in out["crosscheck"]["levels"]] == [3, 3]
+
+
+COMMANDS = ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck")
+
+
+@settings(deadline=None, max_examples=50)
+@given(terms=small_terms())
+def test_every_command_fails_fast_on_accepted_systems(tmp_path_factory, terms):
+    # any accepted system, written out canonically, ends each command with
+    # default flags in exit 0 or 1, never in an internal failure or a traceback
+    path = tmp_path_factory.mktemp("fail_fast") / "system.pde"
+    path.write_text(format_system(PdeSystem.from_terms(*terms)))
+    for command in COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 1) and "Traceback" not in err.getvalue(), (command, err.getvalue())
 
 
 def test_exit_one_for_input_problems(tmp_path, capsys):
@@ -944,8 +966,8 @@ def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsy
     eliminate = jetpde._echelon
 
     def dropped(rows, pivot_rows):
-        # keyed by negated column, the greatest key is the lowest top
-        lowest = max(pivot_rows, default=None)
+        # keyed by top column, the least key is the lowest top
+        lowest = min(pivot_rows, default=None)
         return eliminate(rows, {q: row for q, row in pivot_rows.items() if q != lowest})
 
     monkeypatch.setattr(jetpde, "_echelon", dropped)

@@ -27,7 +27,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "formalpde"
 
 BASIS_READS = {
     "jetpde._tower_report": "the witness is a LevelRecord field, reported as a dense jet",
-    "tableau.tower": "the ∂-symmetry check applies the equations to whole vectors",
     "relconn.torsion_at": "the Fredholm witness is a TorsionResult field, a dense vector",
 }
 

@@ -466,9 +466,10 @@ def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
 @settings(deadline=None, max_examples=40)
 @given(small_terms(), st.integers(1, 4))
 def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
-    # each level seeds its elimination with copies of the rows below, and
-    # `kernel` copies its seeds, so a walk leaves the cached fiber's kept
-    # rows as they were and a second walk from the same fiber repeats it
+    # each level seeds its elimination with copies of the rows below, and a
+    # level hands `kernel` copies of its rows, so a walk leaves the cached
+    # fiber's kept rows as they were and a second walk from the same fiber
+    # repeats it
     s = PdeSystem.from_terms(*terms)
     base = solution_fiber(s)
     kept = [dict(row) for row in base.annihilator()]

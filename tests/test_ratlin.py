@@ -18,13 +18,13 @@ Plan:
     int pair values build the same matrix, hash, rref, rank and kernel as
     Fractions, and floats and bools among them are refused;
  4) zero-row / zero-column edge shapes;
- 5) the kernel seeded with kept rows of distinct top columns, keyed by
-    negated column (either sign there, or a kernel's own annihilator),
-    equals, bit for bit, the plain kernel of the kept and new rows
-    together, by hand and on drawn rows, and refuses kept rows sharing a
-    top column; a kernel's kept rows, seeded or not, are its constraint
-    matrix up to sign and content, and a later, wider kernel they seed
-    leaves them as they were;
+ 5) the kernel of integer rows {column: int} equals the kernel of their
+    pairs as a RatMatrix, by hand, on drawn rows with distinct top columns
+    (either sign there) and on a matrix's rows scaled to integers, and is
+    refused without a column count; a kernel's kept rows are its constraint
+    matrix up to sign and content, `annihilator` returns the same tuple each
+    time, and the rows, handed back as copies, give the same kernel, and
+    with a new row a wider one, and are left as they were;
     the single-elimination kernel's rows equal, bit for bit, the kernel
     read off the Fraction reference's rref of m (`rref_reference.py`),
     canonicalised by it again and scaled to primitive integer rows, and its
@@ -115,26 +115,15 @@ def test_kernel_hand_case_with_reduced_quotients():
     assert k.basis == ((1, 0, F(-1, 2)), (0, 1, F(-2, 3)))
 
 
-def negated(pairs) -> dict:
-    """A forward integer pair row keyed by negated column, the seed form."""
-    return {-j: x for j, x in pairs}
-
-
 def test_kernel_hand_case_with_kept_rows():
-    # kept 2x0 - x1 = 0 and x0 + x2 - 3x3 = 0, tops 1 and 3, both entries
-    # there negative, and the new row x2 + x3 = 0: x3 = -x2, x0 = -4x2,
-    # x1 = -8x2, so the kernel is b_0 = (1, 2, -1/4, 1/4), stored as 4·b_0
-    kept = [((0, 2), (1, -1)), ((0, 1), (2, 1), (3, -3))]
-    seeds = [negated(row) for row in kept]
-    assert seeds == [{0: 2, -1: -1}, {0: 1, -2: 1, -3: -3}]
-    new = RatMatrix([[0, 0, 1, 1]])
-    k = kernel(new, kept=seeds)
+    # 2x0 - x1 = 0 and x0 + x2 - 3x3 = 0, tops 1 and 3, both entries there
+    # negative, and x2 + x3 = 0, as integer rows keyed by column: x3 = -x2,
+    # x0 = -4x2, x1 = -8x2, so the kernel is b_0 = (1, 2, -1/4, 1/4), stored
+    # as 4·b_0
+    rows = [((0, 2), (1, -1)), ((0, 1), (2, 1), (3, -3)), ((2, 1), (3, 1))]
+    k = kernel([dict(row) for row in rows], cols=4)
     assert k.rows == (((0, 4), (1, 8), (2, -1), (3, 1)),)
-    assert k == kernel(RatMatrix.vstack([RatMatrix(pairs=kept, cols=4), new]))
-    assert seeds == [{0: 2, -1: -1}, {0: 1, -2: 1, -3: -3}]  # copied, not eliminated
-    assert kernel(new, kept=()) == kernel(new)
-    with pytest.raises(ValueError, match="distinct top columns"):
-        kernel(new, kept=[{0: 1, -3: 1}, {-3: 2}])
+    assert k == kernel(RatMatrix(pairs=rows, cols=4))
 
 
 def test_image_hand_case():
@@ -421,10 +410,11 @@ def test_single_elimination_kernel_is_bit_identical(m):
     assert k.ambient_dim == m.cols
     assert k.rows == free_column_kernel(m)
     assert all(len(v) == m.cols for v in k.basis)
-    # the kernel's annihilator is m's row basis from the reversed-column
-    # rref, negated, up to a positive scale and row order: the walk hands it
-    # up as the next level.  Each row is primitive in ints and ends at its
-    # own column, where its echelon row has its 1
+    # the kernel's annihilator is m's echelon rows, each led at its top
+    # column, which the reversed-column rref gives read back in order; the
+    # constraint matrix gives them negated, up to a positive scale and row
+    # order.  Each row is primitive in ints and ends at its top column, where
+    # its echelon row has its 1
     r, pivots = reference_rref(RatMatrix([m.row(i)[::-1] for i in range(m.rows)], cols=m.cols))
     echelon = {tuple(r.row(i)[::-1]) for i in range(len(pivots))}
     q = k.constraint_matrix()
@@ -454,45 +444,47 @@ def kept_rows(draw, cols):
 @settings(deadline=None, max_examples=60)
 @given(matrices_with_empty_shapes(), st.data())
 def test_kept_rows_seed_the_kernel_of_kept_and_new_rows(m, data):
-    # kept rows with distinct top columns are pivot rows of the reversed
-    # elimination as they are; only m's rows are inserted after them, and the
-    # kernel is bit for bit the plain kernel of both, with none kept as well
+    # a kernel's own annihilator, as a walk level keeps it: its echelon rows,
+    # primitive and positive at distinct tops.  Handed back as copies, they
+    # are stored as pivot rows unreduced, and give the same kernel, bit for
+    # bit; with a new row whose pivot is cleared from them, in a wider space,
+    # the kernel of both; and the rows are left as they were
     kept = data.draw(kept_rows(m.cols))
-    both = RatMatrix.vstack([RatMatrix(pairs=kept, cols=m.cols), m])
-    assert kernel(m, kept=[negated(row) for row in kept]).rows == kernel(both).rows
-    # a kernel's own annihilator, as the walk keeps it: its echelon rows,
-    # positive at their tops, and `constraint_matrix`'s, negative there
-    assert kernel(m, kept=kernel(both).annihilator()).rows == kernel(both).rows
-    q = kernel(both).constraint_matrix().pairs
-    assert kernel(m, kept=[negated(row) for row in q]).rows == kernel(both).rows
+    both = kernel(RatMatrix.vstack([RatMatrix(pairs=kept, cols=m.cols), m]))
+    rows = both.annihilator()
+    before = [dict(row) for row in rows]
+    assert kernel(map(dict, rows), cols=m.cols).rows == both.rows
+    new = [{p: 1} for p in both.pivots[:1]]
+    wider = kernel([*map(dict, rows), *new], cols=m.cols + 2)
+    q = both.constraint_matrix().pairs
+    assert wider == kernel(RatMatrix(pairs=[*q, *(row.items() for row in new)], cols=m.cols + 2))
+    assert list(rows) == before
 
 
-def forward_primitive(row: dict) -> tuple:
-    """A row keyed by negated column as forward pairs, primitive and negated."""
+def negated_primitive(row: dict) -> tuple:
+    """An integer row {column: int} as pairs, primitive and negated."""
     g = gcd(*row.values())
-    return tuple((-j, -x // g) for j, x in sorted(row.items(), reverse=True))
+    return tuple((j, -x // g) for j, x in sorted(row.items()))
 
 
 @settings(deadline=None, max_examples=100)
 @given(matrices_with_empty_shapes(), st.data())
 def test_kept_rows_are_the_annihilator_read_off_the_basis(m, data):
-    # a kernel's kept rows, with or without seeds, made primitive and negated,
-    # are bit for bit the constraint matrix read off its canonical basis, and
-    # `annihilator` hands out the same rows each time, not a rebuilt copy
-    kept = [negated(row) for row in data.draw(kept_rows(m.cols))]
-    for k in (kernel(m), kernel(m, kept=kept)):
+    # a kernel's kept rows, made primitive and negated, are bit for bit the
+    # constraint matrix read off its canonical basis, and `annihilator` hands
+    # out the same rows each time, not a rebuilt copy
+    kept = data.draw(kept_rows(m.cols))
+    for k in (kernel(m), kernel(RatMatrix.vstack([RatMatrix(pairs=kept, cols=m.cols), m]))):
         rows = k.annihilator()
         want = Subspace(k.ambient_dim, k.rows).constraint_matrix().pairs
-        assert tuple(sorted(map(forward_primitive, rows), key=lambda r: r[-1][0])) == want
-        # as seeds of a later, wider kernel they are copied, not eliminated,
-        # also where a new row's pivot is cleared from them
-        before = [dict(row) for row in rows]
-        new = RatMatrix(pairs=[((p, 1),) for p in k.pivots[:1]], cols=m.cols + 2)
-        wider = kernel(new, kept=rows)
-        assert list(rows) == before and k.annihilator() is rows
-        assert wider == kernel(RatMatrix.vstack([RatMatrix(pairs=want, cols=m.cols + 2), new]))
-    # the same kernel from m's rows scaled to integers, keyed by negated column
-    scaled = [negated((j, int(x * lcm(*(F(y).denominator for _, y in row)))) for j, x in row)
+        assert tuple(map(negated_primitive, rows)) == want
+        assert k.annihilator() is rows
+    # integer rows keyed by column give the kernel of their pairs: drawn rows
+    # with distinct tops of either sign, and m's rows scaled to integers
+    assert kernel([dict(row) for row in kept], cols=m.cols) == kernel(
+        RatMatrix(pairs=kept, cols=m.cols)
+    )
+    scaled = [{j: int(x * lcm(*(F(y).denominator for _, y in row))) for j, x in row}
               for row in m.pairs]
     assert kernel(scaled, cols=m.cols) == kernel(m)
     with pytest.raises(ValueError, match="explicit column count"):
