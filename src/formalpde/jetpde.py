@@ -119,8 +119,8 @@ def _jet_shift(n: int, m: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache
 def _jet_reads(n: int, m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """reads[t]: each (b, c) with order-(k+1) coordinate t at order-k coordinate c
-    of a prolongation point's block b: 0 the truncation, 1 + i the x_i shift."""
+    """reads[t]: each (b, c) with order-(k+1) coordinate t at order-k coordinate c of
+    block b (0 truncation, 1 + i the x_i shift), read by _prolongation_point and _relconn."""
     reads = [[] for _ in range(jet_fiber_dim(n, m, k + 1))]
     for b, targets in enumerate((range(jet_fiber_dim(n, m, k)), *_jet_shift(n, m, k))):
         for c, t in enumerate(targets):
@@ -437,7 +437,7 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
 
 def _relconn(system: PdeSystem, fiber: Subspace) -> RelConn:
     n, m, k = system.n, system.m, system.k
-    return RelConn.on_fiber(fiber, range(jet_fiber_dim(n, m, k - 1)), _jet_shift(n, m, k - 1))
+    return RelConn.on_fiber(fiber, n, jet_fiber_dim(n, m, k - 1), _jet_reads(n, m, k - 1))
 
 
 def jet_to_prolongation_point(

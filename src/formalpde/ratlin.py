@@ -213,18 +213,10 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     by its pivot into pairs.
     """
     pivot_rows, negated = _reduced(_integer_row([(-j, x) for j, x in row]) for row in m.pairs)
-    made: dict[tuple[int, int], Fraction] = {}  # equal quotients share one Fraction
     out: list = []
     for c in reversed(negated):
         row = pivot_rows[c]
-        p = row[c]
-        line = []
-        for j, v in sorted(row.items(), reverse=True):
-            x = made.get((v, p))
-            if x is None:
-                x = made[(v, p)] = Fraction(v, p)
-            line.append((-j, x))
-        out.append(line)
+        out.append([(-j, Fraction(v, row[c])) for j, v in sorted(row.items(), reverse=True)])
     out.extend([()] * (m.rows - len(negated)))
     return RatMatrix(pairs=out, cols=m.cols), tuple(-c for c in reversed(negated))
 

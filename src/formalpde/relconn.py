@@ -59,21 +59,16 @@ class RelConn:
         self.symbol = kernel(sigma)
 
     @staticmethod
-    def on_fiber(
-        fiber: Subspace, sigma_rows: Sequence[int], direction_rows: Sequence[Sequence[int]]
-    ) -> "RelConn":
-        """The connection a fiber carries, over its canonical basis: sigma
-        reads the coordinates sigma_rows of each basis vector's pairs, and A_i
-        minus the coordinates direction_rows[i], each value negated once."""
-        readers = (sigma_rows, *direction_rows)
-        mats = [[[] for _ in rows] for rows in readers]
-        at = [dict(zip(rows, out)) for rows, out in zip(readers, mats)]
+    def on_fiber(fiber: Subspace, n: int, coeff_dim: int, reads: Sequence[Sequence]) -> "RelConn":
+        """The connection a fiber carries over its canonical basis b_j: reads[t]
+        lists each (b, c) with coordinate t of a b_j at entry c of sigma (b = 0)
+        or of -A_b (1 <= b <= n).  ``jetpde._relconn`` passes ``_jet_reads``,
+        ``prolongation_connection`` its (e, psi) blocks."""
+        mats = [[[] for _ in range(coeff_dim)] for _ in range(1 + n)]
         for j, row in enumerate(fiber.fraction_rows()):  # ascending j keeps columns in order
-            for i, x in row:
-                y = -x
-                for s, line in enumerate(rows.get(i) for rows in at):
-                    if line is not None:
-                        line.append((j, y if s else x))
+            for t, x in row:
+                for b, c in reads[t]:
+                    mats[b][c].append((j, -x if b else x))
         sigma, *mats = [RatMatrix(pairs=rows, cols=fiber.dim) for rows in mats]
         return RelConn(sigma, mats)
 
@@ -187,12 +182,9 @@ def prolongation_connection(conn: RelConn) -> RelConn:
     sigma' extracts the base point e; the direction maps extract -psi_i (the
     sign is forced by compatibility: sigma(psi_i) = -A_i e on the fiber).
     """
-    sd = conn.source_dim
-    return RelConn.on_fiber(
-        classical_prolongation_fiber(conn).subspace,
-        range(sd),
-        [range((1 + i) * sd, (2 + i) * sd) for i in range(conn.n)],
-    )
+    n, sd = conn.n, conn.source_dim
+    blocks = [(divmod(t, sd),) for t in range((1 + n) * sd)]
+    return RelConn.on_fiber(classical_prolongation_fiber(conn).subspace, n, sd, blocks)
 
 
 # --------------------------- compatibility ---------------------------

@@ -6,7 +6,8 @@ Plan:
     that vanishes without a symmetric lift is an InvariantViolation;
  2) prolongation fibers: partial vs classical, projection image and e = 0
     slice on worked examples, the induced connection and its compatibility
-    (including the necessity of the minus sign in the psi extraction);
+    (including the necessity of the minus sign in the psi extraction), and
+    the zero connection a zero source prolongs to;
  3) the curvature formula against the section-level symbolic oracle, and
     lift-independence of the class;
  4) fiber-empty detection for non-surjective sigma, compatibility failure
@@ -181,6 +182,14 @@ def test_prolongation_connection_is_compatible():
         conn = RelConn(sigma, mats)
         inner = prolongation_connection(conn)
         assert compatible(conn, inner).ok
+
+
+def test_a_zero_source_prolongs_to_the_zero_connection():
+    # no source coordinates: the prolongation fiber is the zero space, and
+    # the induced connection keeps both directions over no coordinates
+    zero = RatMatrix([[]], cols=0)
+    conn = prolongation_connection(RelConn(zero, [zero] * 2))
+    assert (conn.n, conn.source_dim, conn.coeff_dim) == (2, 0, 0)
 
 
 def test_prolongation_connection_sign_is_forced():

@@ -5,8 +5,9 @@ Plan:
     the graded-reverse-lex definition literally;
  2) flat index <-> triple bijection (hand cases + hypothesis round trip);
  3) the x_i table: contraction hand cases read backwards through it
-    (jet components, coefficient 1), and the jet walk's shift against a
-    second derivation through jet_index;
+    (jet components, coefficient 1), the jet walk's shift against a
+    second derivation through jet_index, and the jet reads table as the
+    inverse of truncation and the shifts;
  4) degenerate degree conventions (S^k = 0 for k < 0, Λ^j = 0 for j > n).
 """
 
@@ -16,7 +17,7 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from formalpde.jetpde import _jet_shift, jet_coords, jet_index
+from formalpde.jetpde import _jet_reads, _jet_shift, jet_coords, jet_fiber_dim, jet_index
 from formalpde.tensorspace import (
     delta_insertion,
     ext_dim,
@@ -174,6 +175,17 @@ def test_jet_shift_matches_jet_index_of_the_raised_coordinate():
             for i in range(n)
         )
         assert _jet_shift(n, m, k) == want, (n, m, k)
+
+
+def test_jet_reads_list_the_truncation_and_every_shift_into_each_coordinate():
+    # each order-(k+1) coordinate lists every (block, source) landing on it
+    for n, m, k in product(range(1, 4), range(1, 3), range(0, 4)):
+        low, shift, reads = jet_fiber_dim(n, m, k), _jet_shift(n, m, k), _jet_reads(n, m, k)
+        assert len(reads) == jet_fiber_dim(n, m, k + 1), (n, m, k)
+        for t, got in enumerate(reads):
+            want = {(0, t)} if t < low else set()
+            want |= {(1 + i, c) for i in range(n) for c in range(low) if shift[i][c] == t}
+            assert set(got) == want, (n, m, k, t)
 
 
 def test_contract_and_raise_sym():
