@@ -27,8 +27,9 @@ Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
 canonical subspace bases depend on the spans alone, not on how they are
 eliminated, and are reproducible across runs and platforms.  Elimination runs
-over integer rows (`_reduced`); `rref` emits Fractions for its result, but
-runs only behind `from_spanning`, which no analysis calls.  A `Subspace`
+over integer rows (`_reduced`), and `kernel` alone reads a canonical basis
+off them; `rref`, the kernel of the kernel rendered as Fractions, runs only
+behind `from_spanning`, which no analysis calls.  A `Subspace`
 stores the canonical basis of its span, the nonzero rows of the rref of any
 spanning set, each as its primitive integer row, hence two equal subspaces
 compare equal as plain data; Fractions are rendered on demand.
@@ -41,8 +42,7 @@ canonical basis, read off the integer pivot rows as primitive integer rows.
 The subspace `kernel` returns keeps those echelon rows, a row basis of the
 matrix, as its annihilator (`Subspace.annihilator`); in a wider space each
 still leads at its top, so copies handed to a later `kernel` become its pivot
-rows unreduced.  `rref` alone leads rows at their least column, negating its
-columns on the way in and out.
+rows unreduced.
 
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
@@ -207,18 +207,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     vanishes at each of those columns.  R is those rows followed by zero rows
     up to m.rows, so R and the pivots depend on the span of m's rows alone.
 
-    Computed over the integers by `_reduced`, which leads each row at its
-    greatest column, so the columns go in negated and come out negated
-    again; only its result becomes Fractions, each integer pivot row divided
-    by its pivot into pairs.
+    Over Q the row space of m is the kernel of its kernel ((V^⊥)^⊥ = V), so
+    `kernel`, run twice, reads its canonical basis; only R becomes Fractions.
     """
-    pivot_rows, negated = _reduced(_integer_row([(-j, x) for j, x in row]) for row in m.pairs)
-    out: list = []
-    for c in reversed(negated):
-        row = pivot_rows[c]
-        out.append([(-j, Fraction(v, row[c])) for j, v in sorted(row.items(), reverse=True)])
-    out.extend([()] * (m.rows - len(negated)))
-    return RatMatrix(pairs=out, cols=m.cols), tuple(-c for c in reversed(negated))
+    space = kernel(RatMatrix(pairs=kernel(m).rows, cols=m.cols))
+    out = space.fraction_rows() + [()] * (m.rows - space.dim)
+    return RatMatrix(pairs=out, cols=m.cols), space.pivots
 
 
 def _reduced(rows: Iterable[dict[int, int]]) -> tuple[dict[int, dict[int, int]], tuple[int, ...]]:

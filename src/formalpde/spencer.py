@@ -29,8 +29,8 @@ serves both, and the map out of every slot is the one assembly.
 Cohomology needs only dimensions, so it is read off ranks of the maps
 assembled from ∂·D as it is, since a column scaling keeps ranks: im ⊂ ker is
 checked exactly as δ∘δ = 0 on them, D⁻¹ put back between them as one
-integer row scaling, and each map is ranked once by `ratlin.rank`, `rref`'s
-integer elimination without its back-substitution; on integers, no Fraction.
+integer row scaling, and each map is ranked once by `ratlin.rank`, `kernel`'s
+integer insertion with no back-substitution; on integers, no Fraction.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 """

@@ -568,12 +568,12 @@ def test_the_base_system_caches_hold_the_one_system_they_serve(capsys):
 
 
 def test_eliminations_per_analysis(count_calls, monkeypatch):
-    # counts the integer elimination `ratlin._reduced`, which `rref` and
-    # `kernel` both run, once per call.  A tower level eliminates its
-    # tableau prolongation; its jet system runs only the forward
-    # elimination `ratlin._echelon`, counted apart below, and reads its dims
-    # off the pivot columns.  heat3 is surjective at every level, so its
-    # tower builds no canonical fiber past the base fiber, which is one
+    # counts the integer elimination `ratlin._reduced`, which `kernel` runs
+    # once per call (`rref`, on no analysis path, runs two).  A tower level
+    # eliminates its tableau prolongation; its jet system runs only the
+    # forward elimination `ratlin._echelon`, counted apart below, and reads
+    # its dims off the pivot columns.  heat3 is surjective at every level, so
+    # its tower builds no canonical fiber past the base fiber, which is one
     # more.  A crosscheck level adds the jet level's canonical fiber and the
     # connection's symbol, prolongation fiber and ∂-symmetry kernel.
     # Truncation images, symbols and e = 0 slices are read off pivots or

@@ -3,6 +3,8 @@
 Plan:
  1) hand-checked row reductions, kernels (one whose integer quotients
     reduce) and images;
+    `kernel` is the one read-out of an echelon: every `_reduced` call of
+    `rref` and `from_spanning` comes from a `kernel` call, two per rref;
  2) canonical Subspace semantics (order-independent bases, membership,
     containment, by a test-side helper over `_coords`, of a smaller, an
     equal-dimension and a larger subspace,
@@ -17,7 +19,9 @@ Plan:
     coordinates times the scale, and one unit off the span is refused;
     int pair values build the same matrix, hash, rref, rank and kernel as
     Fractions, and floats and bools among them are refused;
- 4) zero-row / zero-column edge shapes;
+ 4) zero-row / zero-column edge shapes, and the shapes a builder cannot
+    know (pair rows or no rows without a column count, a vstack of nothing
+    or of two widths, a vector of the wrong length) refused;
  5) the kernel of integer rows {column: int} equals the kernel of their
     pairs as a RatMatrix, by hand, on drawn rows with distinct top columns
     (either sign there) and on a matrix's rows scaled to integers, and is
@@ -220,6 +224,23 @@ def test_constraint_matrix_cuts_out_the_subspace(count_calls):
     q = u.constraint_matrix()
     assert calls == []  # read off the canonical basis
     assert kernel(q) == u
+
+
+def test_kernel_is_the_one_read_out_of_an_echelon(count_calls):
+    # rref is the kernel of the kernel, so every `_reduced` call comes from a
+    # `kernel` call: two per rref, and from_spanning runs one rref
+    cases = [
+        RatMatrix([[2, 4], [1, 2]]),
+        RatMatrix([[0, 0, 3], [0, 2, 1]]),
+        RatMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        RatMatrix([[6, 10, 0], [0, 15, 21], [12, 35, 21]]),
+    ] + [zeros(r, c) for r, c in ((0, 0), (0, 3), (3, 0), (2, 2))]
+    kernels = count_calls(ratlin.kernel)
+    reduced = count_calls(ratlin._reduced)
+    for m in cases:
+        rref(m)
+        Subspace.from_spanning(m.cols, map(m.row, range(m.rows)))
+    assert len(kernels) == len(reduced) == 4 * len(cases)
 
 
 def test_contains_compares_subspaces_not_dimensions():
@@ -609,6 +630,19 @@ def test_zero_shape_matrices():
     zc = zeros(3, 0)
     assert kernel(zc) == Subspace.zero(0)
     assert image(zc) == Subspace.zero(3)
+
+
+def test_matrix_builders_refuse_shapes_they_cannot_know():
+    with pytest.raises(ValueError, match="pair rows need an explicit column count"):
+        RatMatrix(pairs=[[(0, 1)]])
+    with pytest.raises(ValueError, match="empty matrix needs an explicit column count"):
+        RatMatrix([])
+    with pytest.raises(ValueError, match="vstack of nothing"):
+        RatMatrix.vstack([])
+    with pytest.raises(ValueError, match="vstack: column counts differ"):
+        RatMatrix.vstack([zeros(1, 2), zeros(1, 3)])
+    with pytest.raises(ValueError, match="shape mismatch in apply"):
+        RatMatrix([[1, 2]]).apply([1, 2, 3])
 
 
 def test_zero_ambient_subspace():

@@ -10,8 +10,9 @@ Plan:
     chain map of random towers against the ambient differential read through
     the level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
-    short-chain and bad-r errors, a chain whose ∂s do not commute or whose
-    level-0 ∂ has a row count the assembly would cut short is refused;
+    short-chain, empty-window, missing-level and bad-r errors, a chain
+    whose ∂s do not commute or whose level-0 ∂ has a row count the assembly
+    would cut short is refused;
     the integer δ∘δ = 0 check agrees with Fraction products on maps that
     compose to zero only once denominators cancel, and on those maps with one
     entry moved, also when handed A·D and an integer B for a diagonal D;
@@ -286,6 +287,20 @@ def test_cohomology_requires_levels_through_l_max_plus_one():
     chain = full_chain(2, 1, 1)
     with pytest.raises(ValueError, match="chain too short"):
         cohomology(chain, l_max=1, m_max=1)
+
+
+@pytest.mark.parametrize("l_max, m_max", [(-1, 1), (0, 0)])
+def test_cohomology_refuses_an_empty_window(l_max, m_max):
+    with pytest.raises(ValueError, match=r"need l_max >= 0 and m_max >= 1"):
+        cohomology(full_chain(2, 1, 1), l_max=l_max, m_max=m_max)
+
+
+def test_map_out_refuses_levels_the_chain_lacks():
+    chain = full_chain(2, 1, 1)
+    with pytest.raises(ValueError, match="no outgoing map below the bottom"):
+        chain.map_out(-1, 1)
+    with pytest.raises(ValueError, match="chain too short: level not present"):
+        chain.map_out(len(chain.levels), 1)
 
 
 def test_is_r_acyclic_rejects_r_above_m_max():

@@ -8,8 +8,8 @@ Plan:
     the lower bound dim g^(1) >= n dim g - C(n,2) f, monotone vanishing;
  3) generalized tableaux: ∂-symmetry kernel, transport along an injective ∂
     to the classical prolongation of Image(∂), chain assembly;
- 4) classification, bounded vs unconditional cohomology windows, degenerate
-    n = 0 / f = 0 towers.
+ 4) classification (a negative or too deep l_max is refused), bounded vs
+    unconditional cohomology windows, degenerate n = 0 / f = 0 towers.
 """
 
 import random
@@ -76,6 +76,8 @@ def test_zero_tableau_tower():
     assert verdict.kind == "finite" and verdict.level == 0
     with pytest.raises(ValueError):  # the type is read off levels the tower has
         classify_type(tw, 4)
+    with pytest.raises(ValueError, match="l_max must be >= 0"):
+        classify_type(tw, -1)
 
 
 def test_identity_like_tableau_is_finite_type_level_one():
