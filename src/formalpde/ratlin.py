@@ -21,7 +21,9 @@ Membership (`Subspace._coords`, behind every membership and coordinate query)
 is one formula over the basis vectors' integer rows, reading only the
 coordinates touched by a vector and the basis vectors its pivot entries
 select; every command hands it integer rows, the crosscheck its jet points as
-pairs end to end.  `reduce_mod` is dense.
+pairs end to end.  Its table (D, the lcm of all the leads d_j, and each row's
+D/d_j and tail) is built by a subspace's first query and read by the later
+ones, outside equality and hashing.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, repeat
 from math import gcd, lcm
 from operator import is_not, itemgetter
 from typing import Iterable, Sequence
@@ -326,7 +328,7 @@ class Subspace:
     for byte-stable reports.  ``fraction_rows`` and ``basis`` render b_j.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "_index", "_kept")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_kept", "_table")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]], kept=None):
         # Not for direct use -- go through from_spanning/zero/full, or
@@ -337,8 +339,8 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_index", {p: j for j, p in enumerate(pivots)})
         object.__setattr__(self, "_kept", kept)
+        object.__setattr__(self, "_table", None)  # filled by the first `_coords`
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -416,20 +418,24 @@ class Subspace:
         (index, value) pairs, or None if it lies outside.  x_j is its entry at
         pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
         every pivot, and only the touched coordinates off them are read, as
-        D·v - sum x_j (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int v."""
-        index = self._index
-        coords = [(index[i], x) for i, x in pairs if i in index]
-        rest = {i: x for i, x in pairs if i not in index}
-        if not coords:  # no pivot touched: the vector must vanish
-            return None if any(rest.values()) else []
-        rows = [self.rows[j] for j, _ in coords]
-        scale = lcm(*(row[0][1] for row in rows))  # D, the lcm of the selected d_j
-        if scale != 1:
-            rest = {i: scale * x for i, x in rest.items()}
-        for (_, x), row in zip(coords, rows):
-            k = x * (scale // row[0][1])
-            for i, b in islice(row, 1, None):
-                rest[i] = rest.get(i, 0) - k * b
+        D·v - sum x_j (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int v.
+        The membership table, D the lcm of all the d_j and each row's D/d_j
+        and tail past its lead, is built by the first call; later calls read it."""
+        if self._table is None:
+            scale = lcm(*self.leads())
+            table = {row[0][0]: (j, scale // row[0][1], row[1:]) for j, row in enumerate(self.rows)}
+            object.__setattr__(self, "_table", (scale, table))
+        scale, table = self._table
+        coords, rest = [], {}
+        for i, x in pairs:
+            if i in table:
+                j, factor, tail = table[i]
+                coords.append((j, x))
+                k = x * factor
+                for c, b in tail:
+                    rest[c] = rest.get(c, 0) - k * b
+            else:
+                rest[i] = rest.get(i, 0) + scale * x
         return None if any(rest.values()) else coords
 
     def contains_vector(self, vec: Sequence) -> bool:

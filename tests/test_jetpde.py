@@ -613,8 +613,9 @@ def wave4() -> PdeSystem:
 
 
 def test_the_tower_and_cohomology_never_reduce_densely(count_calls):
-    # the tower's contraction check and every walk membership read a vector's
-    # nonzero pairs (`Subspace._coords`); δ∘δ = 0 multiplies integers.  A
+    # the tower's contraction check and the walk's witness search read a
+    # vector's nonzero pairs (`Subspace._coords`); the walk tests containment
+    # in row form (`_reduces_to_zero`); δ∘δ = 0 multiplies integers.  A
     # return to the dense coset representative fails here
     dense = count_calls(Subspace.reduce_mod)
     sparse = count_calls(Subspace._coords)

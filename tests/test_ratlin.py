@@ -10,7 +10,8 @@ Plan:
     equal-dimension and a larger subspace,
     reduce_mod, constraint matrices read off the basis with no elimination);
     floats are refused, also among Fractions and among pairs, and membership
-    leaves equality and hashing alone;
+    leaves equality and hashing alone; the membership table the first query
+    fills changes no answer, ==, hash or repr, on leads above 1 and of 1;
  3) hypothesis property tests for the classical identities (rank-nullity);
     coordinates read over a vector's nonzeros agree with
     reduce_mod, on spans and on kernels, and rebuild the vector, and so do
@@ -167,6 +168,39 @@ def test_reduce_mod_and_coords():
     assert any(red)
     assert u.reduce_mod(red) == red  # idempotent
     assert coords_of(u, w) is None
+
+
+def test_the_membership_table_is_invisible():
+    # the first `_coords` call fills the subspace's membership table (D, the
+    # lcm of all the leads, and each row's D/d_j and tail) and later calls
+    # read it; answers, ==, hash and repr stay those of a copy built from the
+    # same rows with its table empty.  Leads 2, 1, 3: the first lead is not D
+    mixed = Subspace.from_spanning(5, [[1, 0, F(1, 2), 0, 0], [0, 1, 2, 0, 1], [0, 0, 0, 1, F(1, 3)]])
+    assert mixed.leads() == [2, 1, 3]
+    mixed_cases = [
+        ([(0, 2), (2, 1)], [(0, 2)]),  # 2·b_0
+        ([(1, 1), (2, 2), (4, 1)], [(1, 1)]),  # b_1
+        ([(3, 3), (4, 1)], [(2, 3)]),  # 3·b_2
+        ([(3, F(1)), (4, F(1, 3))], [(2, F(1))]),  # b_2 as Fractions
+        ([(0, 2), (1, 1), (2, 3), (3, 3), (4, 2)], [(0, 2), (1, 1), (2, 3)]),
+        ([(0, 2), (1, 1), (2, 3), (3, 3), (4, 3)], None),  # one unit off at 4
+        ([(3, 1), (4, 1)], None),
+        ([(2, 1)], None),  # off every pivot
+        ([], []),
+    ]
+    unit = Subspace.from_spanning(3, [[1, 0, 1], [0, 1, -1]])
+    assert unit.leads() == [1, 1]
+    unit_cases = [([(0, 2), (1, 3), (2, -1)], [(0, 2), (1, 3)]), ([(0, 1)], None), ([(2, 1)], None)]
+    for space, cases in ((mixed, mixed_cases), (unit, unit_cases)):
+        fresh = Subspace(space.ambient_dim, space.rows)
+        assert space._table is None
+        first = [space._coords(pairs) for pairs, _ in cases]
+        assert space._table is not None
+        again = [space._coords(pairs) for pairs, _ in reversed(cases)][::-1]
+        assert first == again == [want for _, want in cases]
+        assert fresh._table is None
+        assert space == fresh and hash(space) == hash(fresh) and repr(space) == repr(fresh)
+        assert [fresh._coords(pairs) for pairs, _ in cases] == first
 
 
 def test_wrong_vector_lengths_raise():

@@ -6,9 +6,13 @@ Plan:
     acceptance suite);
  3) restricted differentials: the first-order tableau slot map, exact equality
     with the ∂-built map for ∂ = inclusion, escape detection (also of a
-    contraction that agrees with its predecessor at every pivot), and every
-    chain map of random towers against the ambient differential read through
-    the level bases;
+    contraction that agrees with its predecessor at every pivot), the
+    contraction check on drawn pairs that are not prolongations of each
+    other, the lower one with mixed leads, against a dense reference (ι_i
+    read off `multi_indices`, then `reduce_mod`): it raises exactly when one
+    contraction escapes and otherwise gives the reference's coordinates
+    times the leads; and every chain map of random towers against the
+    ambient differential read through the level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain, empty-window, missing-level and bad-r errors, a chain
     whose ∂s do not commute or whose level-0 ∂ has a row count the assembly
@@ -53,6 +57,7 @@ from formalpde.tableau import (
     TypeVerdict,
     _verify_contracts_into,
     classify_type,
+    prolong,
     tower,
 )
 from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
@@ -177,6 +182,66 @@ def test_a_contraction_off_the_pivots_is_an_escape():
     # both directions, each read with coefficient 1
     level = Subspace.from_spanning(3, [[1, 1, 1]])
     assert _verify_contracts_into(2, 1, 2, level, prev) == RatMatrix([[1], [1]])
+
+
+def dense_contractions(n, f, degree, v):
+    """ι_0 v, ..., ι_(n-1) v for v dense in S^degree ⊗ F, read off
+    `multi_indices`: coordinate (a, alpha) of ι_i v is v at (a, alpha + e_i)."""
+    up = {alpha: r for r, alpha in enumerate(multi_indices(n, degree))}
+    low = multi_indices(n, degree - 1)
+    return [
+        [v[a * len(up) + up[tuple(e + (j == i) for j, e in enumerate(alpha))]]
+         for a in range(f) for alpha in low]
+        for i in range(n)
+    ]
+
+
+weights = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 0, 0])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([(n, f, d) for n in (1, 2, 3) for f in (1, 2) for d in (1, 2, 3)]), st.data())
+def test_the_contraction_check_matches_a_dense_reference(shape, data):
+    # prev has one or two free columns, its first basis vector halves and
+    # thirds there and the others ints, so its leads mix 1 and d > 1; level
+    # spans vectors of prev's prolongation and, half the time, a drawn one,
+    # so some pairs contract and others escape.  The dense reference reduces
+    # each ι_i of level's basis mod prev, and its coordinates, the entries
+    # at prev's pivots, times level's leads d_j are the ∂·D
+    n, f, degree = shape
+    up, low = sym_dim(n, degree) * f, sym_dim(n, degree - 1) * f
+    free = data.draw(st.sets(st.integers(1, max(1, low - 1)), min_size=low > 1, max_size=2 * (low > 1)))
+    pivots = [c for c in range(low) if c not in free]
+    rows = []
+    for j, p in enumerate(pivots):
+        entries = st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 0] if j == 0 else [1, -1, 2, 0])
+        rows.append([int(c == p) if c <= p or c in pivots else data.draw(entries) for c in range(low)])
+    prev = Subspace.from_spanning(low, rows)
+    if degree > 1:
+        g1 = prolong(Tableau(n=n, f=f, space=prev, degree=degree - 1))
+    else:  # ι_i(b ⊗ x_i) = b
+        g1 = Subspace.from_spanning(
+            up, [[b[a] * (r == i) for a in range(f) for r in range(n)] for b in prev.basis for i in range(n)]
+        )
+    vectors = lambda dim: st.lists(st.lists(weights, min_size=dim, max_size=dim), min_size=1, max_size=2)
+    spans = [
+        [sum((w * b[c] for w, b in zip(ws, g1.basis)), Fraction(0)) for c in range(up)]
+        for ws in data.draw(vectors(g1.dim))
+    ]
+    noise = data.draw(vectors(up))[:1] if data.draw(st.booleans()) else []
+    level = Subspace.from_spanning(up, spans + noise)
+    want = [[0] * level.dim for _ in range(n * prev.dim)]
+    escapes = False
+    for col, (v, d) in enumerate(zip(level.basis, level.leads())):
+        for i, w in enumerate(dense_contractions(n, f, degree, v)):
+            escapes |= any(prev.reduce_mod(w))
+            for b, p in enumerate(prev.pivots):
+                want[b * n + i][col] = w[p] * d
+    if escapes:
+        with pytest.raises(InvariantViolation, match=f"tower level of degree {degree} "):
+            _verify_contracts_into(n, f, degree, level, prev)
+    else:
+        assert _verify_contracts_into(n, f, degree, level, prev) == RatMatrix(want, cols=level.dim)
 
 
 def factorial(alpha):
