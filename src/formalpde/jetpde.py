@@ -19,15 +19,15 @@ system, and walks the jet prolongation once, one forward elimination per
 level.  The level's fiber dimension, its truncation image's in the fiber
 below and the symbol dimension are read off the pivot columns of its
 echelon rows, with no back-substitution, and the symbol is checked against
-the tower.  A projection that is not surjective is a genuine obstruction,
-with a witness: a lower-order solution jet that no higher-order solution
-extends.  Canonical fibers are built from the echelon rows only where
-something reads them: a witness's two levels, and every level of the
-crosscheck, which maps the walk's fibers into the connection route, whose
-fibers come from eliminations of their own, so the two routes stay
-independent, and checks the mapped jets, kept as pairs, by their
-coordinates in the connection fiber.  Level systems never enter a cache;
-only the base system's fiber, symbol and tower do.
+the tower, above its involutive level the closed form.  A projection that
+is not surjective is a genuine obstruction, with a witness: a lower-order
+solution jet that no higher-order solution extends.  Canonical fibers are
+built from the echelon rows only where something reads them: a witness's
+two levels, and every level of the crosscheck, which maps the walk's fibers
+into the connection route, whose fibers come from eliminations of their
+own, so the two routes stay independent, and checks the mapped jets, kept
+as pairs, by their coordinates in the connection fiber.  Level systems
+never enter a cache; only the base system's fiber, symbol and tower do.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
@@ -188,11 +188,10 @@ def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
     check_jet_budget(system.n, system.m, system.k, depth)
     check_tower_budget(t := symbol_tableau(system), depth)
     held = _held_tower(system)
-    if not held or len(held[0].levels) <= depth:
+    if not held or held[0].depth < depth:
         held.clear()  # a build that raises leaves nothing held
         held.append(tower(t, depth))
-    cut = slice(depth + 1)
-    return TableauChain(held[0].n, held[0].levels[cut], held[0].partials[cut])
+    return held[0].prefix(depth)
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -276,8 +275,9 @@ def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]])
     return True
 
 
-def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
-    """Prolong once per tableau-tower rank, checking and yielding each level.
+def _walk(system: PdeSystem, base_fiber: Subspace, chain: TableauChain):
+    """Prolong once per level 1 .. depth of the tableau tower, checking and
+    yielding each level.
 
     A level runs only the forward elimination (`ratlin._echelon`): copies of
     the pivot rows below take the shifts of the new rows there, those at
@@ -286,13 +286,13 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
     they hold, they span it all.  Each row leads at its top column, and the
     columns no row tops are the pivots of the fiber's canonical basis: the
     fiber dimension counts them, the image those below the lower width, and
-    the symbol, checked against the tableau tower, the rest.  The image lies
-    in the fiber below iff each pivot row below reduces to zero against the
-    level's.
+    the symbol, checked against the tableau tower's rank (above an involutive
+    level its closed form), the rest.  The image lies in the fiber below iff
+    each pivot row below reduces to zero against the level's.
     """
     below = {max(row): row for row in base_fiber.annihilator()}
     floor, lower_dim, prev_dim, lost = 0, base_fiber.ambient_dim, base_fiber.dim, set()
-    for level, rank in enumerate(symbol_ranks, 1):
+    for level, rank in enumerate(chain.ranks, 1):
         # the new rows as pairs, ascending by top column
         new = [sorted(row.items()) for t, row in sorted(below.items()) if t >= floor or t in lost]
         equations = RatMatrix(pairs=new, cols=lower_dim)
@@ -304,9 +304,16 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
         fiber_dim, image_dim = up.equations.cols - len(tops), lower_dim - cut
         sym = fiber_dim - image_dim
         if sym != rank:
+            if level < len(chain.levels):
+                raise InvariantViolation(
+                    f"prolonged-system symbol of dim {sym} disagrees with the tableau "
+                    f"tower's rank {rank} at level {level}"
+                )
+            inv = chain.involution  # past the built levels the walk checks the closed form
             raise InvariantViolation(
-                f"prolonged-system symbol of dim {sym} disagrees with the tableau "
-                f"tower's rank {rank} at level {level}"
+                f"closed-form rank {rank} at level {level}, from the characters "
+                f"{inv.characters} of level {inv.level} under the flag {inv.flag}, "
+                f"disagrees with the prolonged-system symbol of dim {sym}"
             )
         if not all(_reduces_to_zero(row, rows) for row in below.values()):
             raise InvariantViolation(
@@ -318,14 +325,14 @@ def _walk(system: PdeSystem, base_fiber: Subspace, symbol_ranks: Sequence[int]):
         floor, lower_dim, prev_dim, below = lower_dim, up.equations.cols, fiber_dim, rows
 
 
-def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> IntegrabilityReport:
-    """The tower report over one level per given tableau-tower rank.  Only a
+def _tower_report(system: PdeSystem, chain: TableauChain) -> IntegrabilityReport:
+    """The tower report over levels 1 .. depth of the tableau tower.  Only a
     level that is not surjective builds canonical fibers, its own and the
     one below, for its witness."""
     base_fiber = solution_fiber(system)
     records: list[LevelRecord] = []
     prev, prev_dim = None, base_fiber.dim
-    for level, step in enumerate(_walk(system, base_fiber, symbol_ranks), 1):
+    for level, step in enumerate(_walk(system, base_fiber, chain), 1):
         surjective, witness = step.image_dim == prev_dim, None
         if not surjective:
             lower_fiber = base_fiber if prev is None else prev.fiber()
@@ -349,7 +356,7 @@ def _tower_report(system: PdeSystem, symbol_ranks: Sequence[int]) -> Integrabili
 def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
     """Walk depth prolongations, checking surjectivity of every truncation
     (depth >= 1, as for the tower)."""
-    return _tower_report(system, symbol_tower(system, depth).ranks)
+    return _tower_report(system, symbol_tower(system, depth))
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -366,7 +373,7 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     chain = symbol_tower(system, l_max + 1)
     report = cohomology(chain, l_max=l_max, m_max=2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
-    tower_report = _tower_report(system, chain.ranks[:1])
+    tower_report = _tower_report(system, chain.prefix(1))
     if tower_report.verdict == "obstructed-at":
         # the depth-1 tower's obstructed-at(1) and its witness stand
         verdict, level, basis = "obstructed-at", 1, f"goldschmidt({l_max})"
@@ -401,7 +408,7 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
         return goldschmidt_check(system, l_max)._replace(type_verdict=verdict)
-    report = _tower_report(system, chain.ranks[: verdict.level + 1])
+    report = _tower_report(system, chain.prefix(verdict.level + 1))
     result, level = report.verdict, report.verdict_level
     if result != "obstructed-at":
         # above the vanishing level the projections must be bijections
@@ -525,9 +532,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
             f"fiber, {has} coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"
         )
     out = []
-    ranks = symbol_tower(system, depth).ranks
     lower_fiber = solution_fiber(system)
-    for level, step in enumerate(_walk(system, lower_fiber, ranks), 1):
+    for level, step in enumerate(_walk(system, lower_fiber, symbol_tower(system, depth)), 1):
         lower, fib = step.lower, step.fiber()
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
         try:  # each basis vector b_j read as its integer row d_j·b_j, the same span

@@ -33,6 +33,8 @@ integer row scaling, and each map is ranked once by `ratlin.rank`, `kernel`'s
 integer insertion with no back-substitution; on integers, no Fraction.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
+At and above a chain's involutive level every Spencer group is zero
+(Serre), so those slots are filled with no slot map, rank or δ∘δ check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -89,18 +91,31 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 MAX_SPENCER_SLOT = 3000
 
 
-class TableauChain(namedtuple("TableauChain", "n levels partials")):
+class Involution(NamedTuple):
+    """Cartan's test passed at chain ``level`` under ``flag`` v_1 .. v_n, with
+    characters α_j = dim g_(j-1) - dim g_j: level + r has dimension
+    Σ_j C(r + j - 1, r)·α_j (Seiler 2010), and H = 0 from level up (Serre)."""
+
+    level: int
+    flag: tuple[tuple[int, ...], ...]
+    characters: tuple[int, ...]
+
+
+class TableauChain(namedtuple("TableauChain", "n levels partials involution depth")):
     """Levels W_0, W_1, ... with one degree-lowering map per level.
 
     partials[l] is ∂_l·D_l: ∂ on level l in basis coordinates, rows b*n + i
     over the basis of level l-1 (for l = 0, of the space one step below
     W_0), with column j times d_j, D_l = diag(levels[l].leads()) (1 on a
     full level, so a generalized ∂ at level 0 is as given).
+    It reaches level ``depth``: built through depth, or with an
+    ``involution`` at level l through l + 1 only, and closed-form above.
     """
 
     __slots__ = ()
 
-    def __new__(cls, n: int, levels: tuple[Subspace, ...], partials: tuple[RatMatrix, ...]):
+    def __new__(cls, n: int, levels: tuple[Subspace, ...], partials: tuple[RatMatrix, ...],
+                involution: Involution | None = None, depth: int | None = None):
         if len(partials) != len(levels):
             raise ValueError("need one partial map per level")
         for l, (lev, partial) in enumerate(zip(levels, partials)):
@@ -111,20 +126,40 @@ class TableauChain(namedtuple("TableauChain", "n levels partials")):
             # rows b*n + i: the assembly would cut any other count short
             if not l and (partial.rows % n if n else partial.rows):
                 raise ValueError("partial map 0 needs a multiple of n rows (b*n + i)")
-        return tuple.__new__(cls, (n, levels, partials))
+        built, depth = len(levels) - 1, len(levels) - 1 if depth is None else depth
+        if built != (depth if involution is None else involution.level + 1) or built > depth:
+            raise ValueError("a chain holds its levels through depth, or its involution's + 1")
+        return tuple.__new__(cls, (n, levels, partials, involution, depth))
 
     @classmethod
     def _make(cls, fields):  # so _replace checks its record too
         return cls(*fields)
 
+    def level_dim(self, l: int) -> int:
+        """dim W_l: the built level's, or above the built levels the closed form
+        Σ_j C(r + j - 1, r)·α_j of the involution at level l - r."""
+        if l < len(self.levels):
+            return self.levels[l].dim
+        if self.involution is None:
+            raise ValueError(f"chain too short: level {l} not present")
+        r = l - self.involution.level
+        return sum(comb(r + j - 1, r) * a for j, a in enumerate(self.involution.characters, 1))
+
+    def prefix(self, depth: int) -> "TableauChain":
+        """Levels 0 .. depth (at most self.depth): the chain a tower built to
+        depth is, keeping the involution when it lies below depth."""
+        if self.involution is not None and self.involution.level < depth:
+            return self._replace(depth=depth)
+        return TableauChain(self.n, self.levels[: depth + 1], self.partials[: depth + 1])
+
     @property
     def ranks(self) -> tuple[int, ...]:
         """Dimensions of levels 1 .. depth."""
-        return tuple(level.dim for level in self.levels[1:])
+        return tuple(map(self.level_dim, range(1, self.depth + 1)))
 
     def slot_dim(self, l: int, m: int) -> int:
         """dim Λ^m ⊗ W_l, with W_-1 the space partials[0] maps into."""
-        width = self.levels[l].dim if l >= 0 else self.partials[0].rows // max(self.n, 1)
+        width = self.level_dim(l) if l >= 0 else self.partials[0].rows // max(self.n, 1)
         return ext_dim(self.n, m) * width
 
     def map_out(self, l: int, m: int) -> RatMatrix:
@@ -138,8 +173,8 @@ class TableauChain(namedtuple("TableauChain", "n levels partials")):
         return _slot_matrix(self.n, m, RatMatrix(pairs=exact, cols=partial.cols))
 
     def vanishing_level(self) -> int | None:
-        """Smallest l with levels[l] = 0, if any (zero levels must persist)."""
-        dims = [lev.dim for lev in self.levels]
+        """Smallest l <= depth with W_l = 0, if any (zero levels must persist)."""
+        dims = [self.level_dim(0), *self.ranks]
         if 0 not in dims:
             return None
         found = dims.index(0)
@@ -201,9 +236,11 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     Read off ranks: with A the map out of slot (l, m) and B the map into it,
     dim Z = dim slot - rank A and dim B = rank B.  im B ⊂ ker A is checked
     first, exactly, as A @ B = 0; a failure raises InvariantViolation.  Each
-    distinct map is then ranked once (`ratlin.rank`).
+    distinct map is then ranked once (`ratlin.rank`).  At and above the
+    involutive level the complex is exact and ∂ injective on 0-forms, so
+    dim Z = dim B = Σ_(j=1..m) (-1)^(j+1) dim slot (l + j, m - j).
 
-    Needs the chain to carry levels through l_max + 1 (the incoming map of the
+    Needs the chain to reach level l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
     otherwise rather than prolonging silently.  It refuses (ValueError),
     before any assembly, a window whose maps meet a slot past MAX_SPENCER_SLOT,
@@ -217,9 +254,9 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
             f"Spencer cohomology to m_max {m_max} is past form degree {max(chain.n, 2)}, "
             f"the larger of n = {chain.n} and 2"
         )
-    if len(chain.levels) < l_max + 2:
+    if chain.depth < l_max + 1:
         raise ValueError(
-            f"chain too short: need levels through {l_max + 1}, have {len(chain.levels) - 1}"
+            f"chain too short: need levels through {l_max + 1}, have {chain.depth}"
         )
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if chain.slot_dim(l, m)]
@@ -231,16 +268,22 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
                     f"(l, m) = {met} of {chain.slot_dim(*met)} coordinates, above the "
                     f"budget of {MAX_SPENCER_SLOT}"
                 )
+    # slots at and above an involutive level are Serre's zeros; the rest are ranked
+    top = l_max + 1 if chain.involution is None else chain.involution.level
+    ranked = [(l, m) for l, m in slots if l < top]
     # each map out of or into a slot, as nonzero (column, value) pairs, once, from ∂·D
-    keys = dict.fromkeys(key for l, m in slots for key in ((l, m), (l + 1, m - 1)))
+    keys = dict.fromkeys(key for l, m in ranked for key in ((l, m), (l + 1, m - 1)))
     maps = {(l, m): _slot_matrix(chain.n, m, chain.partials[l]).pairs for l, m in keys}
-    for l, m in slots:
+    for l, m in ranked:
         if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], chain.levels[l].leads()):
             raise InvariantViolation(f"image is not contained in the kernel at slot ({l}, {m})")
     ranks = {key: rank(rows) for key, rows in maps.items()}
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))
     for l, m in slots:
-        z_dim, b_dim = chain.slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
+        if l < top:
+            z_dim, b_dim = chain.slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
+        else:  # exact here and above, and ∂ is injective on 0-forms: Z = B, read off dims
+            z_dim = b_dim = sum((-1) ** (j + 1) * chain.slot_dim(l + j, m - j) for j in range(1, m + 1))
         entries[(l, m)] = HEntry(z_dim, b_dim, z_dim - b_dim)
     return CohomologyReport(
         l_max=l_max,

@@ -1,11 +1,15 @@
 """Matrix helpers that only tests call, built on `RatMatrix.apply`, `rref`,
 `TableauChain.map_out` and the membership routine `Subspace._coords`: the
-library keeps no algebra without a caller."""
+library keeps no algebra without a caller.  `full_tower` is the tableau
+tower with no shortcut, every level built, as a reference for the one
+`tableau.tower` stops at its first involutive level."""
 
 from fractions import Fraction
 
 from formalpde.ratlin import RatMatrix, Subspace, rref
 from formalpde.spencer import TableauChain
+from formalpde.tableau import Tableau, _verify_contracts_into, prolong
+from formalpde.tensorspace import sym_dim
 
 
 def zeros(rows: int, cols: int) -> RatMatrix:
@@ -53,3 +57,24 @@ def slot_map(partial: RatMatrix, n: int, m: int) -> RatMatrix:
     """δ_∂ : Λ^m ⊗ R^G -> Λ^(m+1) ⊗ F for ∂ = partial (rows b*n + i): the map
     out of slot (0, m) of the one-level chain that ∂ starts."""
     return TableauChain(n, (Subspace.full(partial.cols),), (partial,)).map_out(0, m)
+
+
+def full_tower(t: Tableau, depth: int) -> TableauChain:
+    """Levels 0 .. depth of t's tower, each built by `prolong` and its ∂
+    checked by `_verify_contracts_into`: a chain with no involution, which
+    every `cohomology` entry reads off ranks.  Generalized: R^p with t's own
+    ∂ under the classical tower of g^(1)(∂)."""
+    if not t.classical:
+        rest = full_tower(Tableau(n=t.n, f=t.dim, space=prolong(t)), depth - 1)
+        return TableauChain(
+            t.n, (Subspace.full(t.dim), *rest.levels), (t.partial_map, *rest.partials)
+        )
+    below = Subspace.full(sym_dim(t.n, t.degree - 1) * t.f)
+    levels, partials, space = [], [], t.space
+    for degree in range(t.degree, t.degree + depth + 1):
+        if levels:
+            space = prolong(Tableau(n=t.n, f=t.f, space=below, degree=degree - 1))
+        partials.append(_verify_contracts_into(t.n, t.f, degree, space, below))
+        levels.append(space)
+        below = space
+    return TableauChain(t.n, tuple(levels), tuple(partials))

@@ -42,7 +42,7 @@ from formalpde.tableau import Tableau, prolong, tower
 from formalpde.tensorspace import ext_dim, multi_indices, sym_dim
 
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import identity, product, slot_map, zeros
+from matrices import full_tower, identity, product, slot_map, zeros
 from rref_reference import solve
 
 CORPUS_NAMES = (
@@ -148,12 +148,18 @@ def test_criterion_01_spencer_complex_squares_to_zero():
     for n, f, k, j in [(2, 2, 2, 0), (3, 2, 3, 1), (4, 3, 4, 2), (4, 1, 2, 3)]:
         second = product(delta_matrix(n, j + 1, k - 1, f), delta_matrix(n, j, k, f))
         assert second == zeros(second.rows, second.cols)
-    # restricted chains: consecutive chain maps compose to zero
+    # restricted chains: consecutive chain maps compose to zero on every
+    # level, which `tower` builds only through the one above its first
+    # involutive level, so they are read off the full tower, of which the
+    # built levels are a prefix
     rng = random.Random(90125)
     for _ in range(200):
         t = random_tableau(rng)
         depth = rng.randint(2, 3)
-        chain = tower(t, depth)
+        chain, built = full_tower(t, depth), tower(t, depth)
+        assert built.levels == chain.levels[: len(built.levels)]
+        assert built.partials == chain.partials[: len(built.partials)]
+        assert built.ranks == chain.ranks
         for l in range(1, depth + 1):
             for m in range(0, t.n):
                 lower = chain.map_out(l - 1, m + 1)

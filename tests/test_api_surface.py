@@ -47,7 +47,7 @@ CALLERLESS = {
 SHADOWED = {
     "ratlin.Subspace.dim": "jetpde._tower_report",  # not Tableau.dim
     "tableau.Tableau.dim": "tableau.check_tower_budget",  # not Subspace.dim
-    "spencer.TableauChain.ranks": "jetpde.prolongation_tower",  # not TypeVerdict.ranks
+    "spencer.TableauChain.ranks": "jetpde._walk",  # not TypeVerdict.ranks
     "spencer.TableauChain.vanishing_level": "spencer.cohomology",  # not the report's field
 }
 

@@ -84,6 +84,7 @@ from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
 from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
 from formalpde.tensorspace import multi_indices, sym_dim
 
+from matrices import full_tower
 from systems import small_terms
 
 
@@ -688,9 +689,13 @@ def test_spencer_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
     with pytest.raises(ValueError, match=f"\\(-1, 2\\) of {MAX_SPENCER_SLOT + 1} coordinates"):
         cohomology(chain_of_widths(2, MAX_SPENCER_SLOT + 1, (1, 0)), 0, 1)
     # the benchmark's goldschmidt window on the 4-D wave equation (the free
-    # second-order system bounds it), and beyond
+    # second-order system bounds it), and beyond.  The free symbol is
+    # involutive at level 0, so its window is filled with no assembly; the
+    # full tower's, with no involution, reaches it
     free4 = PdeSystem.from_terms(4, 1, 2, [])
-    assert reaches(monkeypatch, spencer, "_slot_matrix", lambda: goldschmidt_check(free4, 6))
+    assert goldschmidt_check(free4, 6).verdict == "integrable-up-to"
+    full = full_tower(symbol_tableau(free4), 7)
+    assert reaches(monkeypatch, spencer, "_slot_matrix", lambda: cohomology(full, 6, 2))
     # every corpus system at each command's default window
     for path in (resources.files("formalpde") / "corpus").iterdir():
         system = cli.load_system(str(path))
@@ -716,7 +721,7 @@ def largest_slot_met(chain, l_max, m_max):
     out of it and the source (l+1, mm-1) of the map into it (W_-1 is the
     space the level-0 map lands in)."""
     n = chain.n
-    dims = {l: level.dim for l, level in enumerate(chain.levels)}
+    dims = {l: chain.level_dim(l) for l in range(l_max + 2)}
     dims[-1] = chain.partials[0].rows // n
     met = [
         (level, j)
@@ -805,7 +810,7 @@ def test_tower_refuses_a_depth_past_the_root_of_its_budget():
         assert time.perf_counter() - start < 1
         with pytest.raises(ValueError, match="symbol tower to depth 3163"):
             tower(t, 3163)
-    assert len(tower(line, 3162).levels) == 3163
+    assert tower(line, 3162).depth == 3162
 
 
 def test_cohomology_refuses_a_form_degree_past_every_caller():
@@ -948,6 +953,24 @@ def test_a_moved_cut_in_the_walk_is_an_internal_failure(command, tmp_path, capsy
     err = capsys.readouterr().err
     assert "symbol of dim" in err and "disagrees with the tableau tower" in err
     assert "at level 1" in err
+
+
+def test_a_wrong_character_fails_the_walks_closed_form_check(tmp_path, capsys, monkeypatch):
+    # heat3's symbol passes Cartan's test at level 0, so the tower builds
+    # levels 0 and 1 and reads the levels above off the characters (3, 2, 0).
+    # The fault adds one to α_1: levels 0 and 1 stay as built, and level 2's
+    # closed form, 10, meets the walk's own elimination, which finds 9
+    involution = tableau_module.Involution
+    monkeypatch.setattr(
+        tableau_module, "Involution",
+        lambda level, flag, chars: involution(level, flag, (chars[0] + 1, *chars[1:])),
+    )
+    assert main(["tower", write_pde(tmp_path, HEAT3)]) == 2
+    assert (
+        "closed-form rank 10 at level 2, from the characters (4, 2, 0) of level 0 under "
+        "the flag ((1, 1, 1), (1, 2, 4), (1, 3, 9)), disagrees with the prolonged-system "
+        "symbol of dim 9" in capsys.readouterr().err
+    )
 
 
 def test_a_moved_cut_in_the_connection_route_fails_its_exactness(monkeypatch):

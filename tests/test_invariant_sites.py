@@ -19,6 +19,8 @@ SRC = TESTS.parent / "src" / "formalpde"
 SITES = {
     "jetpde._walk: prolonged-system symbol of dim":
         "test_cli.py::test_a_moved_cut_in_the_walk_is_an_internal_failure",
+    "jetpde._walk: closed-form rank":
+        "test_cli.py::test_a_wrong_character_fails_the_walks_closed_form_check",
     "jetpde._walk: truncated solutions (image dim":
         "test_cli.py::test_a_dropped_kept_row_fails_the_walks_containment",
     "jetpde.finite_type_integrability: projections above the vanishing level":

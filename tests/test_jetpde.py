@@ -59,8 +59,10 @@ import pkgutil
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,8 +99,8 @@ from formalpde.relconn import (
     symbol_map,
     torsion_at,
 )
-from formalpde.spencer import cohomology
-from formalpde.tableau import Tableau, tower
+from formalpde.spencer import Involution, cohomology
+from formalpde.tableau import Tableau, cartan_dims, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
 from matrices import contains, coords_of, identity, zeros
@@ -421,7 +423,7 @@ def canonical_walk(s: PdeSystem, depth: int):
     the canonical fiber below, the level's canonical fiber (`_Level.fiber`),
     its truncation image and the walk's symbol dimension."""
     lower_fiber = solution_fiber(s)
-    for step in _walk(s, lower_fiber, symbol_tower(s, depth).ranks):
+    for step in _walk(s, lower_fiber, symbol_tower(s, depth)):
         fiber = step.fiber()
         yield step.lower, lower_fiber, fiber, fiber.head(lower_fiber.ambient_dim), step.symbol_dim
         lower_fiber = fiber
@@ -569,8 +571,10 @@ def test_the_base_system_caches_hold_the_one_system_they_serve(capsys):
 
 def test_eliminations_per_analysis(count_calls, monkeypatch):
     # counts the integer elimination `ratlin._reduced`, which `kernel` runs
-    # once per call (`rref`, on no analysis path, runs two).  A tower level
-    # eliminates its tableau prolongation; its jet system runs only the
+    # once per call (`rref`, on no analysis path, runs two).  A built tower
+    # level eliminates its tableau prolongation, and heat3's symbol tower
+    # builds only level 1: level 0 passes Cartan's test there, and the
+    # levels above are its closed form.  A walk level's jet system runs only the
     # forward elimination `ratlin._echelon`, counted apart below, and reads
     # its dims off the pivot columns.  heat3 is surjective at every level, so
     # its tower builds no canonical fiber past the base fiber, which is one
@@ -581,8 +585,9 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
     # g^(1) by membership, and the mapped jet fiber by its points'
     # coordinates in the connection fiber.  A Spencer window reduces
     # nothing: those coordinates and its slot maps are ranked by
-    # `ratlin.rank`, which builds no basis.  So goldschmidt_check takes the
-    # base fiber and one tableau prolongation per symbol level 1 .. l + 1.
+    # `ratlin.rank`, which builds no basis, or, at and above the involutive
+    # level, filled in from the level dimensions.  So every analysis takes the
+    # base fiber and the one tableau prolongation, and a crosscheck 4 per level.
     calls = count_calls(formalpde.ratlin._reduced)
     walked = []
     forward = formalpde.jetpde._echelon
@@ -600,10 +605,10 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
         return len(calls), len(walked)
 
     for d in range(1, 5):
-        assert count(prolongation_tower, heat3(), d) == (d + 1, d)
-        assert count(crosscheck_routes, heat3(), d) == (5 * d + 1, d)
+        assert count(prolongation_tower, heat3(), d) == (2, d)
+        assert count(crosscheck_routes, heat3(), d) == (4 * d + 2, d)
     for l in range(4):
-        assert count(goldschmidt_check, heat3(), l) == (l + 2, 1)
+        assert count(goldschmidt_check, heat3(), l) == (2, 1)
 
 
 def wave4() -> PdeSystem:
@@ -664,7 +669,7 @@ def test_the_symbol_tower_multiplies_no_fractions(monkeypatch):
     for s, depth in ((heat3(), 5), (wave4(), 4)):
         solution_fiber.cache_clear()
         symbol_tableau.cache_clear()
-        assert len(symbol_tower(s, depth).levels) == depth + 1
+        assert symbol_tower(s, depth).depth == depth
     assert products == []
     assert Fraction(2, 3) * 3 == 2 and products == [1]  # the counter counts
 
@@ -1020,7 +1025,7 @@ def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
         symbol_tower(s, 4)
         for d in range(1, 5):
             served, fresh = symbol_tower(s, d), tower(symbol_tableau(s), d)
-            assert len(served.levels) == len(served.partials) == d + 1, (path.name, d)
+            assert served.depth == d, (path.name, d)
             assert served == fresh, (path.name, d)  # n, every level and every ∂
         assert len(builds) == 1, path.name
         symbol_tower(s, 5)  # deeper than the held tower: one more build
@@ -1080,3 +1085,62 @@ def test_finite_type_bound_capping():
     assert full.certification_basis == "finite-type(1)"
     dims = [full.base_fiber_dim] + [r.fiber_dim for r in full.levels]
     assert dims == [4, 4, 4]
+
+
+# --------------------------- Cartan's test on the corpus and the pool ---------------------------
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli_pool.json"
+
+
+def test_cartans_test_certifies_the_corpus_and_the_pool_at_level_0_or_1():
+    # the symbol tower of every corpus system and every pool system (read
+    # only), to the pool's depth 4, stops at its first level that passes
+    # Cartan's test; 12 pool systems need level 1, and none is left over
+    pool = json.loads(POOL.read_text())
+    systems = [load_system(str(path)) for path in (resources.files("formalpde") / "corpus").iterdir()]
+    systems += [
+        PdeSystem.from_terms(rec["n"], rec["m"], rec["k"],
+                             [[(c, a, tuple(alpha)) for c, a, alpha in eq] for eq in rec["eqs"]])
+        for rec in pool["pool"]
+    ]
+    found = Counter()
+    for s in systems:
+        involution = tower(symbol_tableau(s), pool["tower_depth"]).involution
+        found[None if involution is None else involution.level] += 1
+    assert len(systems) == 582 and found == {0: 570, 1: 12}
+
+
+def test_a_flag_past_the_first_vandermonde_one_certifies_the_pool_system_they_miss():
+    # -u2_x2x2 - u2_x1x2 = 0, -3 u2_x1 - u1_x1x2 + u1 = 0: under v_1 = (1, 0),
+    # (0, 1) and (1, 1) dim g_1 = 1 at every level, so the coordinate flag and
+    # the Vandermonde flag at t = 1, 2 miss it; t = 2, 3 certifies level 0
+    s = PdeSystem.from_terms(2, 2, 2, [
+        [(-1, 1, (0, 2)), (-1, 1, (1, 1))],
+        [(-3, 1, (1, 0)), (-1, 0, (1, 1)), (1, 0, (0, 0))],
+    ])
+    chain = symbol_tower(s, 4)
+    assert chain.involution == Involution(level=0, flag=((1, 2), (1, 3)), characters=(4, 0))
+    assert len(chain.levels) == 2 and chain.ranks == (4, 4, 4, 4)
+    for flag in (((1, 0), (0, 1)), ((1, 1), (1, 2))):
+        assert cartan_dims(2, chain.partials[0], flag) == (4, 1, 0)
+    # the walk eliminates levels 2 .. 4 and meets the closed form there
+    assert [rec.symbol_dim for rec in prolongation_tower(s, 4).levels] == [4, 4, 4, 4]
+
+
+def test_the_height_case_prolongs_only_its_first_symbol_level(count_calls):
+    # the heat3-shaped system with 4,000-digit coefficients: level 0 passes
+    # Cartan's test, so the tower prolongs level 0 alone and the walk checks
+    # levels 2 .. 4 against the closed form
+    rng = random.Random(13)
+
+    def big():
+        return rng.randrange(10**3999, 10**4000)
+
+    a, b, c = Fraction(big(), big()), Fraction(big(), big()), big()
+    s = PdeSystem.from_terms(3, 1, 2, [
+        [(1, 0, (2, 0, 0)), (a, 0, (0, 2, 0)), (-b, 0, (0, 0, 1)), (c, 0, (1, 1, 0))]
+    ])
+    prolongs = count_calls(formalpde.tableau.prolong)
+    report = prolongation_tower(s, 4)
+    assert [rec.symbol_dim for rec in report.levels] == [7, 9, 11, 13]
+    assert [t.space for (t,) in prolongs] == [symbol_tableau(s).space]

@@ -40,7 +40,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
@@ -64,7 +64,7 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import contains, coords_of, product, rref_rank, slot_map, zeros
+from matrices import contains, coords_of, full_tower, product, rref_rank, slot_map, zeros
 from systems import MIXED_PARTIALS, small_terms
 
 
@@ -584,8 +584,9 @@ def generalized_tableaux(draw):
 @settings(deadline=None, max_examples=40)
 @given(generalized_tableaux(), st.integers(0, 2))
 def test_generalized_cohomology_matches_the_subspace_reference(t, l_max):
-    chain = tower(t, l_max + 1)
-    assert_matches_the_subspace_reference(chain, cohomology(chain, l_max=l_max, m_max=t.n))
+    # the reference reads every level, so the full tower, not tower's prefix
+    report = cohomology(tower(t, l_max + 1), l_max=l_max, m_max=t.n)
+    assert_matches_the_subspace_reference(full_tower(t, l_max + 1), report)
 
 
 def small_systems():
@@ -595,9 +596,9 @@ def small_systems():
 @settings(deadline=None, max_examples=40)
 @given(small_systems(), st.integers(0, 2))
 def test_cohomology_matches_the_subspace_reference(system, l_max):
-    chain = tower(symbol_tableau(system), l_max + 1)
-    report = cohomology(chain, l_max=l_max, m_max=system.n)
-    assert_matches_the_subspace_reference(chain, report)
+    t = symbol_tableau(system)
+    report = cohomology(tower(t, l_max + 1), l_max=l_max, m_max=system.n)
+    assert_matches_the_subspace_reference(full_tower(t, l_max + 1), report)
 
 
 @settings(deadline=None, max_examples=40)
@@ -607,7 +608,7 @@ def test_tower_and_type_match_the_oracle(terms, depth, l_max):
     l_max = min(l_max, depth)
     chain = tower(symbol_tableau(PdeSystem.from_terms(*terms)), depth)
     dims = tuple(len(basis) for _, _, basis in oracle_brute.symbol_tower_bases(*terms, depth))
-    assert tuple(level.dim for level in chain.levels) == dims
+    assert tuple(map(chain.level_dim, range(depth + 1))) == dims
     assert chain.ranks == dims[1:]
     ranks = dims[: l_max + 1]
     if 0 in ranks:
@@ -630,3 +631,42 @@ def test_the_oracles_symbol_tower_matches_its_prolonged_equations(terms, depth):
         oracle_brute.symbol_dim(n, m, *oracle_brute.prolonged(*terms, d)) for d in range(depth + 1)
     ]
     assert tower_dims == walked
+
+
+# --------------------------- 5) involution past the built levels ---------------------------
+
+
+@settings(deadline=None, max_examples=4)
+@given(small_terms())
+@example((2, 2, 2, [[(-1, 1, (0, 2)), (-1, 1, (1, 1))], [(-3, 1, (1, 0)), (-1, 0, (1, 1)), (1, 0, (0, 0))]]))
+def test_involution_answers_the_levels_above_it_as_the_oracle_does(terms):
+    # a tower that passes Cartan's test at level l holds levels 0 .. l + 1
+    # and reads every level above off the closed form, and every Spencer
+    # group at and above l is 0 with no rank taken.  The sympy oracle
+    # prolongs the jet system and the symbol itself through l + 3 (l <= 1:
+    # its cost grows fast with the depth, about 2.6 s at depth 4 for n = 3, m = 2)
+    n, m, k, eqs = terms
+    chain = tower(symbol_tableau(PdeSystem.from_terms(*terms)), 2)
+    assume(chain.involution is not None)
+    top = chain.involution.level + 3
+    symbols = [symbol for _, symbol, _ in oracle_brute.tower_data(n, m, k, eqs, top)]
+    assert list(map(chain.level_dim, range(top + 1))) == symbols
+    bases = oracle_brute.symbol_tower_bases(n, m, k, eqs, top)
+    report = cohomology(chain.prefix(top), l_max=top - 1, m_max=n)
+    for l in range(chain.involution.level, top):
+        for j in range(1, n + 1):
+            assert oracle_brute.spencer_h_dim(n, m, bases, l, j) == 0, (l, j)
+            assert report.entries[(l, j)].h_dim == 0, (l, j)
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_terms(), st.integers(1, 4))
+def test_every_entry_above_an_involutive_level_is_the_full_towers(terms, depth):
+    # z, b and h of every slot, the ones cohomology fills in from level
+    # dimensions included, against a chain built level by level with no
+    # involution, whose every entry is ranked
+    t = symbol_tableau(PdeSystem.from_terms(*terms))
+    chain, full = tower(t, depth), full_tower(t, depth)
+    assert chain.ranks == full.ranks
+    assert chain.levels == full.levels[: len(chain.levels)]
+    assert cohomology(chain, depth - 1, t.n).entries == cohomology(full, depth - 1, t.n).entries
