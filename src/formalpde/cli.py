@@ -63,7 +63,7 @@ from .jetpde import (
 from .spencer import cohomology
 from .tableau import classify_type
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # --------------------------- errors ---------------------------
@@ -341,12 +341,11 @@ def _report_payload(rep: IntegrabilityReport) -> dict:
 
 def _report_table(rep: IntegrabilityReport) -> list[str]:
     lines = [f"base fiber dimension: {rep.base_fiber_dim}"]
-    lines.append("level  fiber  symbol  projection  torsion")
+    lines.append("level  fiber  symbol  projection")
     for rec in rep.levels:
         lines.append(
             f"{rec.level:>5}  {rec.fiber_dim:>5}  {rec.symbol_dim:>6}  "
-            f"{'onto' if rec.projection_surjective else 'NOT onto':<10}  "
-            f"{'vanishes' if rec.torsion_vanishes else 'OBSTRUCTS'}"
+            f"{'onto' if rec.projection_surjective else 'NOT onto'}"
         )
     lines.append(
         f"verdict: {rep.verdict}({rep.verdict_level})  [{rep.certification_basis}]"
@@ -367,7 +366,7 @@ def _emit(args, system: PdeSystem, lines: list[str], payload: dict) -> int:
             "system": {"base_dim": system.n, "fiber_rank": system.m, "order": system.k,
                        "equation_count": system.equations.rows},
             **payload,
-        }, indent=2)
+        })
         if args.json == "-":
             print(blob)
             return 0

@@ -184,11 +184,12 @@ def _held_tower(system: PdeSystem) -> list[TableauChain]:
 def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
     """Levels 0 .. depth of the symbol's tableau tower, which every analysis
     and jet walk reads, after the jet and tower budgets: a prefix of the tower
-    held for the most recent system, rebuilt deeper only when too shallow."""
+    held for the most recent system, rebuilt deeper only when too shallow and
+    not involutive (an involution answers every depth)."""
     check_jet_budget(system.n, system.m, system.k, depth)
     check_tower_budget(t := symbol_tableau(system), depth)
     held = _held_tower(system)
-    if not held or held[0].depth < depth:
+    if not held or held[0].involution is None and held[0].depth < depth:
         held.clear()  # a build that raises leaves nothing held
         held.append(tower(t, depth))
     return held[0].prefix(depth)
@@ -212,19 +213,19 @@ def formal_prolongation(system: PdeSystem) -> PdeSystem:
 
 
 class LevelRecord(NamedTuple):
-    """One prolongation level: dimensions and the two per-level verdicts.
+    """One prolongation level: its dimensions and whether its projection is
+    onto the fiber below.
 
-    torsion_vanishes is the operational reading of projection_surjective:
-    every lower-order solution jet extends iff no torsion obstructs it.
     witness (when not surjective) is a solution jet of the level below that
-    admits no extension.  The field order is the JSON key order of a level.
+    admits no extension.  Which obstruction stops it, a torsion class or no
+    partial lift at all, is `relconn.torsion_at`'s three-way answer, not a
+    field here.  The field order is the JSON key order of a level.
     """
 
     level: int
     fiber_dim: int
     symbol_dim: int
     projection_surjective: bool
-    torsion_vanishes: bool
     witness: tuple[Fraction, ...] | None
 
 
@@ -338,10 +339,7 @@ def _tower_report(system: PdeSystem, chain: TableauChain) -> IntegrabilityReport
             lower_fiber = base_fiber if prev is None else prev.fiber()
             img = step.fiber().head(lower_fiber.ambient_dim)
             witness = next(v for v in lower_fiber.basis if not img.contains_vector(v))
-        records.append(LevelRecord(
-            level=level, fiber_dim=step.fiber_dim, symbol_dim=step.symbol_dim,
-            projection_surjective=surjective, torsion_vanishes=surjective, witness=witness,
-        ))
+        records.append(LevelRecord(level, step.fiber_dim, step.symbol_dim, surjective, witness))
         prev, prev_dim = step, step.fiber_dim
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(

@@ -35,7 +35,7 @@ from .ratlin import (
     kernel,
     rat,
 )
-from .spencer import TableauChain
+from .spencer import _slot_matrix
 from .tableau import Tableau, prolong
 
 _ZERO = Fraction(0)
@@ -96,10 +96,9 @@ def symbol_map(conn: RelConn) -> Tableau:
 
 
 def _delta_image(conn: RelConn) -> Subspace:
-    """Image of delta_∂D : Hom(E, g) -> Λ² ⊗ W, in slot coordinates."""
-    partial = symbol_map(conn).partial_map
-    chain = TableauChain(conn.n, (Subspace.full(partial.cols),), (partial,))
-    return image(chain.map_out(0, 1))
+    """Image of delta_∂D : Hom(E, g) -> Λ² ⊗ W, in slot coordinates: the slot
+    map of ∂_D itself, whose one level, all of R^(dim g), has every lead 1."""
+    return image(_slot_matrix(conn.n, 1, symbol_map(conn).partial_map))
 
 
 # --------------------------- prolongation fibers ---------------------------

@@ -40,7 +40,6 @@ At and above a chain's involutive level every Spencer group is zero
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import cycle
 from math import comb, lcm
 from typing import NamedTuple
@@ -146,8 +145,8 @@ class TableauChain(namedtuple("TableauChain", "n levels partials involution dept
         return sum(comb(r + j - 1, r) * a for j, a in enumerate(self.involution.characters, 1))
 
     def prefix(self, depth: int) -> "TableauChain":
-        """Levels 0 .. depth (at most self.depth): the chain a tower built to
-        depth is, keeping the involution when it lies below depth."""
+        """Levels 0 .. depth: the chain a tower built to depth is, keeping the
+        involution when it lies below depth; with none, depth <= self.depth."""
         if self.involution is not None and self.involution.level < depth:
             return self._replace(depth=depth)
         return TableauChain(self.n, self.levels[: depth + 1], self.partials[: depth + 1])
@@ -161,16 +160,6 @@ class TableauChain(namedtuple("TableauChain", "n levels partials involution dept
         """dim Λ^m ⊗ W_l, with W_-1 the space partials[0] maps into."""
         width = self.level_dim(l) if l >= 0 else self.partials[0].rows // max(self.n, 1)
         return ext_dim(self.n, m) * width
-
-    def map_out(self, l: int, m: int) -> RatMatrix:
-        """The exact differential leaving slot (l, m), into slot (l-1, m+1)."""
-        if l < 0:
-            raise ValueError("no outgoing map below the bottom")
-        if l >= len(self.levels):
-            raise ValueError("chain too short: level not present")
-        leads, partial = self.levels[l].leads(), self.partials[l]
-        exact = ([(c, Fraction(x, leads[c])) for c, x in row] for row in partial.pairs)
-        return _slot_matrix(self.n, m, RatMatrix(pairs=exact, cols=partial.cols))
 
     def vanishing_level(self) -> int | None:
         """Smallest l <= depth with W_l = 0, if any (zero levels must persist)."""

@@ -1,13 +1,15 @@
 """Matrix helpers that only tests call, built on `RatMatrix.apply`, `rref`,
-`TableauChain.map_out` and the membership routine `Subspace._coords`: the
-library keeps no algebra without a caller.  `full_tower` is the tableau
+`spencer._slot_matrix` and the membership routine `Subspace._coords`: the
+library keeps no algebra without a caller.  `map_out` is a chain's exact
+differential, with the leads D put back as Fractions, as a reference for
+the integer ∂·D that `spencer.cohomology` ranks.  `full_tower` is the tableau
 tower with no shortcut, every level built, as a reference for the one
 `tableau.tower` stops at its first involutive level."""
 
 from fractions import Fraction
 
 from formalpde.ratlin import RatMatrix, Subspace, rref
-from formalpde.spencer import TableauChain
+from formalpde.spencer import TableauChain, _slot_matrix
 from formalpde.tableau import Tableau, _verify_contracts_into, prolong
 from formalpde.tensorspace import sym_dim
 
@@ -53,10 +55,22 @@ def rref_rank(m: RatMatrix) -> int:
     return len(rref(m)[1])
 
 
+def map_out(chain: TableauChain, l: int, m: int) -> RatMatrix:
+    """The exact differential leaving slot (l, m) of chain, into slot (l-1, m+1):
+    ∂ = (∂·D)·D⁻¹ with D = diag(levels[l].leads()), assembled by `_slot_matrix`."""
+    if l < 0:
+        raise ValueError("no outgoing map below the bottom")
+    if l >= len(chain.levels):
+        raise ValueError("chain too short: level not present")
+    leads, partial = chain.levels[l].leads(), chain.partials[l]
+    exact = ([(c, Fraction(x, leads[c])) for c, x in row] for row in partial.pairs)
+    return _slot_matrix(chain.n, m, RatMatrix(pairs=exact, cols=partial.cols))
+
+
 def slot_map(partial: RatMatrix, n: int, m: int) -> RatMatrix:
     """δ_∂ : Λ^m ⊗ R^G -> Λ^(m+1) ⊗ F for ∂ = partial (rows b*n + i): the map
     out of slot (0, m) of the one-level chain that ∂ starts."""
-    return TableauChain(n, (Subspace.full(partial.cols),), (partial,)).map_out(0, m)
+    return map_out(TableauChain(n, (Subspace.full(partial.cols),), (partial,)), 0, m)
 
 
 def full_tower(t: Tableau, depth: int) -> TableauChain:

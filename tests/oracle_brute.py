@@ -71,10 +71,14 @@ def shift_eq(eq, i):
 
 
 def prolong_eqs(n, eqs):
-    out = [list(eq) for eq in eqs]
-    for eq in eqs:
-        for i in range(n):
-            out.append(shift_eq(eq, i))
+    """eqs and every shift of them, each distinct equation once: a repeated
+    row changes no rank and no nullspace, and d_i d_j = d_j d_i repeats many."""
+    out, seen = [], set()
+    for eq in [list(eq) for eq in eqs] + [shift_eq(eq, i) for eq in eqs for i in range(n)]:
+        key = tuple(sorted((comp, tuple(alpha), Fraction(coeff)) for coeff, comp, alpha in eq))
+        if key not in seen:
+            seen.add(key)
+            out.append(eq)
     return out
 
 

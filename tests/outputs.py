@@ -14,7 +14,14 @@ deeper walks, ``tower --levels 6`` and ``crosscheck --levels 3``.
 
 A change that alters an output on purpose regenerates the table in a commit
 of its own that gives the reason, as with ``corpus_golden.json``, and bumps
-``schema_version`` when the JSON changes.
+``schema_version`` when the JSON changes.  The table holds only hashes, so a
+bump is verified on the texts: run every entry at the parent commit and at
+the change, apply the stated edits to each parent output, and require the
+result to equal the change's output with the same exit code, for every
+entry.  For schema 2 the edits were: delete the table's ``torsion`` header
+word and column, delete every ``torsion_vanishes`` key, set
+``schema_version`` to 2 and re-dump the payload with ``json.dumps(payload)``.
+``--check`` then reads "outputs unchanged" against the regenerated table.
 """
 
 from __future__ import annotations

@@ -1174,7 +1174,7 @@ def test_json_stdout_only_and_deterministic(capsys):
     payload = json.loads(first)
     assert first.startswith("{")
     assert "level  fiber" not in first
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["command"] == "tower"
     assert payload["verdict"] == "integrable-up-to"
     assert [lv["fiber_dim"] for lv in payload["levels"]] == [6, 8, 10]

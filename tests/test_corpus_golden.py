@@ -5,7 +5,9 @@ with their default flags on the six corpus files, once as the table and once
 as ``--json -``.  The test compares each against a fresh in-process run, byte
 for byte.  A change that alters any of them on purpose regenerates the file
 (``python tests/test_corpus_golden.py``) and bumps ``schema_version`` when the
-JSON changes.
+JSON changes.  The bump is verified against the old file: each regenerated
+output must equal the old one with the stated edits applied, and nothing
+else may differ (for schema 2, the edits ``tests/outputs.py`` lists).
 """
 
 import contextlib

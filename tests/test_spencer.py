@@ -42,6 +42,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from formalpde import relconn, spencer
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
 from formalpde.ratlin import RatMatrix, Subspace, image, kernel, rank
@@ -64,7 +65,9 @@ from formalpde.tensorspace import ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
-from matrices import contains, coords_of, full_tower, product, rref_rank, slot_map, zeros
+from matrices import (
+    contains, coords_of, full_tower, map_out, product, rref_rank, slot_map, zeros,
+)
 from systems import MIXED_PARTIALS, small_terms
 
 
@@ -132,7 +135,7 @@ def cr_tableau_space():
 
 def cr_chain_map(m):
     # level 0 of the CR tableau's chain: ι into the full S^0 ⊗ F
-    return tower(Tableau(n=2, f=2, space=cr_tableau_space()), 1).map_out(0, m)
+    return map_out(tower(Tableau(n=2, f=2, space=cr_tableau_space()), 1), 0, m)
 
 
 def test_delta_hom_on_cr_tableau():
@@ -301,7 +304,7 @@ def test_chain_maps_match_the_ambient_differential():
         for l, level in enumerate(chain.levels):
             for m in range(n + 1):
                 want = ambient_map_through_bases(n, f, degree + l, m, level, below)
-                got = chain.map_out(l, m)
+                got = map_out(chain, l, m)
                 assert got == want, (n, f, degree, l, m)
                 seen_nonzero += got != zeros(*got.shape)
             below = level
@@ -363,9 +366,18 @@ def test_cohomology_refuses_an_empty_window(l_max, m_max):
 def test_map_out_refuses_levels_the_chain_lacks():
     chain = full_chain(2, 1, 1)
     with pytest.raises(ValueError, match="no outgoing map below the bottom"):
-        chain.map_out(-1, 1)
+        map_out(chain, -1, 1)
     with pytest.raises(ValueError, match="chain too short: level not present"):
-        chain.map_out(len(chain.levels), 1)
+        map_out(chain, len(chain.levels), 1)
+
+
+def test_spencer_keeps_no_fraction_and_relconn_builds_no_chain():
+    # every Spencer map is `_slot_matrix` of an integer ∂·D, and the exact
+    # differential with D⁻¹ put back as Fractions is the test reference
+    # `matrices.map_out`; the connection route's δ image calls `_slot_matrix`
+    # on its one full level rather than building a chain by hand
+    assert not hasattr(spencer, "Fraction")
+    assert not hasattr(relconn, "TableauChain")
 
 
 def test_is_r_acyclic_rejects_r_above_m_max():
@@ -402,8 +414,8 @@ def test_level_zero_partial_needs_a_multiple_of_n_rows(n, rows):
 def reference_cycles_and_boundaries(chain, l, m):
     """Z^(l,m) and B^(l,m) as subspaces: the kernel of the map out of the
     slot and the image of the map into it, checked to nest."""
-    z = kernel(chain.map_out(l, m))
-    b = image(chain.map_out(l + 1, m - 1))
+    z = kernel(map_out(chain, l, m))
+    b = image(map_out(chain, l + 1, m - 1))
     assert contains(z, b), (l, m)
     return z, b
 
@@ -644,7 +656,7 @@ def test_involution_answers_the_levels_above_it_as_the_oracle_does(terms):
     # and reads every level above off the closed form, and every Spencer
     # group at and above l is 0 with no rank taken.  The sympy oracle
     # prolongs the jet system and the symbol itself through l + 3 (l <= 1:
-    # its cost grows fast with the depth, about 2.6 s at depth 4 for n = 3, m = 2)
+    # its cost grows fast with the depth, about 0.6 s at depth 4 for n = 3, m = 2, k = 2)
     n, m, k, eqs = terms
     chain = tower(symbol_tableau(PdeSystem.from_terms(*terms)), 2)
     assume(chain.involution is not None)
