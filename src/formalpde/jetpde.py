@@ -339,7 +339,10 @@ def _tower_report(system: PdeSystem, chain: TableauChain) -> IntegrabilityReport
             lower_fiber = base_fiber if prev is None else prev.fiber()
             img = step.fiber().head(lower_fiber.ambient_dim)
             witness = next(v for v in lower_fiber.basis if not img.contains_vector(v))
-        records.append(LevelRecord(level, step.fiber_dim, step.symbol_dim, surjective, witness))
+        records.append(LevelRecord(
+            level=level, fiber_dim=step.fiber_dim, symbol_dim=step.symbol_dim,
+            projection_surjective=surjective, witness=witness,
+        ))
         prev, prev_dim = step, step.fiber_dim
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(

@@ -1031,13 +1031,17 @@ def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
         assert len(builds) == 1, path.name
 
 
-def test_a_held_tower_with_no_involution_is_rebuilt_deeper(count_calls):
+def pool_283():
     # pool system 283, -2 u_x1 + 2 u_x1x2 + 3 u = 0, -4 u_x2 - 2 u_x1x1 - u_x2x2 = 0,
     # passes Cartan's test only at level 1, which a depth-1 tower cannot see
-    s = PdeSystem.from_terms(2, 1, 2, [
+    return PdeSystem.from_terms(2, 1, 2, [
         [(-2, 0, (1, 0)), (2, 0, (1, 1)), (3, 0, (0, 0))],
         [(-4, 0, (0, 1)), (-2, 0, (2, 0)), (-1, 0, (0, 2))],
     ])
+
+
+def test_a_held_tower_with_no_involution_is_rebuilt_deeper(count_calls):
+    s = pool_283()
     builds = count_calls(tower)
     assert symbol_tower(s, 1).involution is None
     deeper = symbol_tower(s, 2)
@@ -1078,16 +1082,20 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
     with pytest.raises(ValueError, match="n·A\\^2 is above the budget of 20"):
         symbol_tower(s, 1)
     monkeypatch.undo()
-    # a build that raises leaves nothing held: the next request builds again
-    # (another system, since the held involutive tower answers every depth)
+    # a rebuild that raises leaves nothing held: the next request builds again.
+    # Only a held tower with no involution is rebuilt, so hold pool system 283
+    # (certified only at level 1) at depth 1 and ask for depth 2
+    p = pool_283()
+    assert symbol_tower(p, 1).involution is None
+    assert formalpde.jetpde._held_tower(p) != []
     monkeypatch.setattr(formalpde.tableau, "prolong",
                         lambda t: Subspace.full(sym_dim(t.n, t.degree + 1) * t.f))
     with pytest.raises(InvariantViolation):
-        symbol_tower(w := wave1d(), 5)
-    assert formalpde.jetpde._held_tower(w) == []
+        symbol_tower(p, 2)
+    assert formalpde.jetpde._held_tower(p) == []
     monkeypatch.undo()
     builds = count_calls(tower)
-    assert symbol_tower(w, 2) == tower(symbol_tableau(w), 2)
+    assert symbol_tower(p, 2) == tower(symbol_tableau(p), 2)
     assert len(builds) == 1
 
 
