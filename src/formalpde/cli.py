@@ -45,6 +45,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -52,6 +53,7 @@ from .errors import InvariantViolation
 from .jetpde import (
     IntegrabilityReport,
     PdeSystem,
+    _held,
     check_jet_budget,
     crosscheck_routes,
     finite_type_integrability,
@@ -60,7 +62,6 @@ from .jetpde import (
     prolongation_tower,
     symbol_tower,
 )
-from .spencer import cohomology
 from .tableau import classify_type
 
 SCHEMA_VERSION = 2
@@ -189,6 +190,7 @@ def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
     return terms
 
 
+@lru_cache(maxsize=1)  # the commands run on one text in one process parse it once
 def parse_system(text: str) -> PdeSystem:
     """Parse .pde source into a PdeSystem; equations keep file order."""
     headers: dict[str, int] = {}
@@ -404,8 +406,8 @@ def cmd_cohomology(args, system: PdeSystem) -> tuple[list[str], dict]:
     m_max = args.m_max if args.m_max is not None else system.n
     if m_max > system.n:  # every form degree past n is a zero slot
         raise ValueError(f"--m-max {m_max} exceeds base_dim {system.n}")
-    chain = symbol_tower(system, args.l_max + 1)
-    report = cohomology(chain, l_max=args.l_max, m_max=m_max)
+    held, chain = _held(system, args.l_max + 1)
+    report = held.window(chain, args.l_max, m_max)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.append("l      " + "  ".join(f"H(l,{mm})" for mm in range(1, m_max + 1)))
     for l in range(args.l_max + 1):

@@ -14,20 +14,20 @@ prolongations truncate into each other.  The symbol of a system is the part
 of its solution fiber vanishing below the top order, read off the fiber's
 canonical basis rather than eliminated again.
 
-Each analysis reads a prefix of the symbol's tableau tower, built once per
-system, and walks the jet prolongation once, one forward elimination per
-level.  The level's fiber dimension, its truncation image's in the fiber
-below and the symbol dimension are read off the pivot columns of its
-echelon rows, with no back-substitution, and the symbol is checked against
-the tower, above its involutive level the closed form.  A projection that
-is not surjective is a genuine obstruction, with a witness: a lower-order
-solution jet that no higher-order solution extends.  Canonical fibers are
-built from the echelon rows only where something reads them: a witness's
-two levels, and every level of the crosscheck, which maps the walk's fibers
-into the connection route, whose fibers come from eliminations of their
-own, so the two routes stay independent, and checks the mapped jets, kept
-as pairs, by their coordinates in the connection fiber.  Level systems
-never enter a cache; only the base system's fiber, symbol and tower do.
+Every analysis reads the record held for the most recent system
+(`_Analysis`): a prefix of its symbol's tableau tower, and its jet walk,
+one forward elimination per level and once per system, a deeper walk
+resuming from the deepest held level.  A level's fiber dimension, its
+truncation image's in the fiber below and the symbol dimension are read off
+the pivot columns of its echelon rows, with no back-substitution, and the
+symbol is checked against the tower, above its involutive level the closed
+form.  A projection that is not surjective is a genuine obstruction, with a
+witness: a lower-order solution jet that no higher-order solution extends.
+Canonical fibers are built, and held, only where something reads them: a
+witness's two levels, and every level of the crosscheck, which maps the
+walk's fibers into the connection route, whose fibers come from
+eliminations of their own, so the two routes stay independent, and checks
+the mapped jets, kept as pairs, by their coordinates in the connection fiber.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
@@ -176,23 +176,47 @@ def symbol_tableau(system: PdeSystem) -> Tableau:
     return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
 
 
-@lru_cache(maxsize=1)
-def _held_tower(system: PdeSystem) -> list[TableauChain]:
-    return []  # the deepest tower built for the most recent system, once built
+@lru_cache(maxsize=1)  # so a call returns the record of the most recent system
+class _Analysis:
+    """What the analyses have read off one system: its symbol tower, the jet
+    walk's levels 1 .. the deepest walked with the state the next resumes
+    from, the canonical fibers built of them, and the Spencer windows asked,
+    by (l_max, m_max).  What raises is never held."""
+
+    def __init__(self, system: PdeSystem):
+        self.system, self.tower, self.resume = system, None, None
+        self.steps, self.fibers, self.windows = [], {}, {}
+
+    def fiber(self, level: int) -> Subspace:
+        """The canonical fiber of held walk level >= 1, built once: `kernel`
+        back-substitutes copies of its rows, which stay the seed above."""
+        if level not in self.fibers:
+            rows, (n, m, k, _) = self.steps[level - 1].rows.values(), self.system
+            self.fibers[level] = kernel(map(dict, rows), cols=jet_fiber_dim(n, m, k + level))
+        return self.fibers[level]
+
+    def window(self, chain: TableauChain, l_max: int, m_max: int):
+        """cohomology(chain, l_max, m_max), chain the held tower's prefix to l_max + 1."""
+        if (l_max, m_max) not in self.windows:
+            self.windows[l_max, m_max] = cohomology(chain, l_max=l_max, m_max=m_max)
+        return self.windows[l_max, m_max]
+
+
+def _held(system: PdeSystem, depth: int) -> tuple[_Analysis, TableauChain]:
+    """The record of system and levels 0 .. depth of its symbol tower, after the
+    jet and tower budgets: rebuilt deeper only when too shallow and not involutive."""
+    check_jet_budget(system.n, system.m, system.k, depth)
+    check_tower_budget(t := symbol_tableau(system), depth)
+    held = _Analysis(system)
+    if held.tower is None or held.tower.involution is None and held.tower.depth < depth:
+        held.tower = tower(t, depth)
+    return held, held.tower.prefix(depth)
 
 
 def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
     """Levels 0 .. depth of the symbol's tableau tower, which every analysis
-    and jet walk reads, after the jet and tower budgets: a prefix of the tower
-    held for the most recent system, rebuilt deeper only when too shallow and
-    not involutive (an involution answers every depth)."""
-    check_jet_budget(system.n, system.m, system.k, depth)
-    check_tower_budget(t := symbol_tableau(system), depth)
-    held = _held_tower(system)
-    if not held or held[0].involution is None and held[0].depth < depth:
-        held.clear()  # a build that raises leaves nothing held
-        held.append(tower(t, depth))
-    return held[0].prefix(depth)
+    and jet walk reads: a prefix of the tower held for the most recent system."""
+    return _held(system, depth)[1]
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -260,12 +284,6 @@ class _Level(NamedTuple):
     image_dim: int
     symbol_dim: int
 
-    def fiber(self) -> Subspace:
-        """The level's canonical fiber: `kernel` back-substitutes copies of
-        the rows, which stay the seed of the level above."""
-        n, m, k = self.lower.n, self.lower.m, self.lower.k + 1
-        return kernel(map(dict, self.rows.values()), cols=jet_fiber_dim(n, m, k))
-
 
 def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> bool:
     row = dict(row)  # `_eliminate` may reduce its row in place
@@ -276,9 +294,9 @@ def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]])
     return True
 
 
-def _walk(system: PdeSystem, base_fiber: Subspace, chain: TableauChain):
-    """Prolong once per level 1 .. depth of the tableau tower, checking and
-    yielding each level.
+def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
+    """Yield levels 1 .. depth of the tableau tower: the levels held for the
+    system, then one prolongation per level above, each checked and held.
 
     A level runs only the forward elimination (`ratlin._echelon`): copies of
     the pivot rows below take the shifts of the new rows there, those at
@@ -291,13 +309,15 @@ def _walk(system: PdeSystem, base_fiber: Subspace, chain: TableauChain):
     level its closed form), the rest.  The image lies in the fiber below iff
     each pivot row below reduces to zero against the level's.
     """
-    below = {max(row): row for row in base_fiber.annihilator()}
-    floor, lower_dim, prev_dim, lost = 0, base_fiber.ambient_dim, base_fiber.dim, set()
-    for level, rank in enumerate(chain.ranks, 1):
+    yield from held.steps[: chain.depth]
+    for level, rank in enumerate(chain.ranks[len(held.steps):], len(held.steps) + 1):
+        below, floor, lower_dim, prev_dim, lost = held.resume or (
+            {max(r): r for r in base_fiber.annihilator()}, 0,
+            base_fiber.ambient_dim, base_fiber.dim, set())
         # the new rows as pairs, ascending by top column
         new = [sorted(row.items()) for t, row in sorted(below.items()) if t >= floor or t in lost]
         equations = RatMatrix(pairs=new, cols=lower_dim)
-        lower = PdeSystem(system.n, system.m, system.k + level - 1, equations)
+        lower = PdeSystem(held.system.n, held.system.m, held.system.k + level - 1, equations)
         up = formal_prolongation(lower)
         rows = _echelon(map(dict, up.equations.pairs[len(new):]), dict(below))
         tops = sorted(rows)
@@ -321,29 +341,30 @@ def _walk(system: PdeSystem, base_fiber: Subspace, chain: TableauChain):
                 f"truncated solutions (image dim {image_dim}) violate the lower system "
                 f"(fiber dim {prev_dim}) at level {level}"
             )
-        yield _Level(lower, rows, fiber_dim, image_dim, sym)
+        held.steps.append(step := _Level(lower, rows, fiber_dim, image_dim, sym))
         lost = {t for t in tops[:cut] if t not in below}
-        floor, lower_dim, prev_dim, below = lower_dim, up.equations.cols, fiber_dim, rows
+        held.resume = rows, lower_dim, up.equations.cols, fiber_dim, lost
+        yield step
 
 
-def _tower_report(system: PdeSystem, chain: TableauChain) -> IntegrabilityReport:
+def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
     """The tower report over levels 1 .. depth of the tableau tower.  Only a
-    level that is not surjective builds canonical fibers, its own and the
+    level that is not surjective reads canonical fibers, its own and the
     one below, for its witness."""
-    base_fiber = solution_fiber(system)
+    base_fiber = solution_fiber(held.system)
     records: list[LevelRecord] = []
-    prev, prev_dim = None, base_fiber.dim
-    for level, step in enumerate(_walk(system, base_fiber, chain), 1):
+    prev_dim = base_fiber.dim
+    for level, step in enumerate(_walk(held, base_fiber, chain), 1):
         surjective, witness = step.image_dim == prev_dim, None
         if not surjective:
-            lower_fiber = base_fiber if prev is None else prev.fiber()
-            img = step.fiber().head(lower_fiber.ambient_dim)
+            lower_fiber = base_fiber if level == 1 else held.fiber(level - 1)
+            img = held.fiber(level).head(lower_fiber.ambient_dim)
             witness = next(v for v in lower_fiber.basis if not img.contains_vector(v))
         records.append(LevelRecord(
             level=level, fiber_dim=step.fiber_dim, symbol_dim=step.symbol_dim,
             projection_surjective=surjective, witness=witness,
         ))
-        prev, prev_dim = step, step.fiber_dim
+        prev_dim = step.fiber_dim
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(
         base_fiber_dim=base_fiber.dim, levels=tuple(records),
@@ -357,7 +378,7 @@ def _tower_report(system: PdeSystem, chain: TableauChain) -> IntegrabilityReport
 def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
     """Walk depth prolongations, checking surjectivity of every truncation
     (depth >= 1, as for the tower)."""
-    return _tower_report(system, symbol_tower(system, depth))
+    return _tower_report(*_held(system, depth))
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -371,10 +392,10 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    chain = symbol_tower(system, l_max + 1)
-    report = cohomology(chain, l_max=l_max, m_max=2)
+    held, chain = _held(system, l_max + 1)
+    report = held.window(chain, l_max, 2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
-    tower_report = _tower_report(system, chain.prefix(1))
+    tower_report = _tower_report(held, chain.prefix(1))
     if tower_report.verdict == "obstructed-at":
         # the depth-1 tower's obstructed-at(1) and its witness stand
         verdict, level, basis = "obstructed-at", 1, f"goldschmidt({l_max})"
@@ -405,11 +426,11 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    chain = symbol_tower(system, l_max + 1)
+    held, chain = _held(system, l_max + 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
         return goldschmidt_check(system, l_max)._replace(type_verdict=verdict)
-    report = _tower_report(system, chain.prefix(verdict.level + 1))
+    report = _tower_report(held, chain.prefix(verdict.level + 1))
     result, level = report.verdict, report.verdict_level
     if result != "obstructed-at":
         # above the vanishing level the projections must be bijections
@@ -533,9 +554,10 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
             f"fiber, {has} coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"
         )
     out = []
+    held, chain = _held(system, depth)
     lower_fiber = solution_fiber(system)
-    for level, step in enumerate(_walk(system, lower_fiber, symbol_tower(system, depth)), 1):
-        lower, fib = step.lower, step.fiber()
+    for level, step in enumerate(_walk(held, lower_fiber, chain), 1):
+        lower, fib = step.lower, held.fiber(level)
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
         try:  # each basis vector b_j read as its integer row d_j·b_j, the same span
             pts = [_prolongation_point(lower, lower_fiber, row) for row in fib.rows]

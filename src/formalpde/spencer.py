@@ -149,6 +149,7 @@ class TableauChain(namedtuple("TableauChain", "n levels partials involution dept
         involution when it lies below depth; with none, depth <= self.depth."""
         if self.involution is not None and self.involution.level < depth:
             return self._replace(depth=depth)
+        self.level_dim(depth)  # with no involution, refuses a depth past the built levels
         return TableauChain(self.n, self.levels[: depth + 1], self.partials[: depth + 1])
 
     @property

@@ -3,9 +3,11 @@
 * a per-criterion summary for the acceptance suite;
 * child processes import the package from this checkout's ``src/``, so tests
   that start ``python -m formalpde`` need no install;
-* each test starts with no symbol tower held (``jetpde._held_tower``), so a
-  test that breaks a tower internal meets a tower built under that fault, not
-  one an earlier test left behind;
+* each test starts with no analysis held (``jetpde._Analysis``: the symbol
+  tower, walk levels, level fibers and Spencer windows of the most recent
+  system) and no parse memoised (``cli.parse_system``), so a test that breaks
+  an internal meets work done under that fault, not work an earlier test left
+  behind;
 * ``count_calls`` wraps a package function in every namespace that holds it,
   or a method on its class.
 """
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from formalpde import jetpde
+from formalpde import cli, jetpde
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,8 +31,9 @@ def _children_import_this_checkout(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def _no_tower_held():
-    jetpde._held_tower.cache_clear()
+def _no_analysis_held():
+    jetpde._Analysis.cache_clear()
+    cli.parse_system.cache_clear()
 
 
 @pytest.fixture

@@ -828,15 +828,15 @@ def test_cohomology_refuses_a_form_degree_past_every_caller():
 def test_crosscheck_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
     # n = 1: (1 + n)·m·C(1 + k + depth - 1, 1) = 2·250·(1 + depth)
     free = PdeSystem.from_terms(1, 250, 1, [])
-    assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(free, 1))
+    assert reaches(monkeypatch, jetpde, "_held", lambda: crosscheck_routes(free, 1))
     with pytest.raises(ValueError, match=f"1500 coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"):
         crosscheck_routes(free, 2)
     heat3 = cli.parse_system(HEAT3)
-    assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(heat3, 5))
+    assert reaches(monkeypatch, jetpde, "_held", lambda: crosscheck_routes(heat3, 5))
     systems = [cli.load_system(str(p)) for p in (resources.files("formalpde") / "corpus").iterdir()]
     systems += [PdeSystem.from_terms(n, m, k, []) for n, m, k in ((3, 2, 1), (2, 2, 2))]  # widest pool shapes
     for system in systems:
-        assert reaches(monkeypatch, jetpde, "symbol_tower", lambda: crosscheck_routes(system, 2))
+        assert reaches(monkeypatch, jetpde, "_held", lambda: crosscheck_routes(system, 2))
 
 
 def test_a_refused_analysis_eliminates_nothing(count_calls):
@@ -916,7 +916,7 @@ def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
 )
 def test_an_unexpected_exception_is_an_internal_failure(command, capsys, monkeypatch):
     # with nothing cached for the system, every command reaches an elimination
-    for cache in (jetpde.solution_fiber, jetpde.symbol_tableau, jetpde._held_tower):
+    for cache in (jetpde.solution_fiber, jetpde.symbol_tableau, jetpde._Analysis):
         cache.cache_clear()
 
     def broken(rows, pivot_rows):
@@ -1217,6 +1217,95 @@ def test_each_command_builds_one_symbol_tower(count_calls, capsys):
             assert main([command, str(path), "--json", "-"]) == 0
             capsys.readouterr()
         assert len(calls) == 1, path.name
+
+
+COMMANDS = ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck")
+GOLDEN = Path(__file__).resolve().parent / "data" / "corpus_golden.json"
+
+
+def count_walk_levels(monkeypatch) -> list:
+    """The seeds of every walk level's forward elimination from here on
+    (`jetpde._echelon`, which tableau and ratlin also run, is counted only
+    where the walk calls it)."""
+    seeds, forward = [], jetpde._echelon
+    monkeypatch.setattr(
+        jetpde, "_echelon", lambda rows, seed: seeds.append(len(seed)) or forward(rows, seed)
+    )
+    return seeds
+
+
+def test_the_six_commands_parse_each_text_once(count_calls, capsys, tmp_path):
+    # parse_system holds its most recent text's system, so the six commands
+    # of one file parse it once; a file rewritten between two runs on the
+    # same path is parsed again, and so is a text another text displaced
+    parsed = count_calls(cli._parse_equation)
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        parsed.clear()
+        for command in COMMANDS:
+            assert main([command, str(path), "--json", "-"]) == 0
+        capsys.readouterr()
+        assert len(parsed) == path.read_text().count("eq:"), path.name
+    golden = json.loads(GOLDEN.read_text())
+    path = tmp_path / "system.pde"
+    for name in ("laplace2d.pde", "wave1d.pde", "laplace2d.pde"):
+        path.write_text(corpus_text(name))
+        parsed.clear()
+        assert main(["tower", str(path), "--json", "-"]) == 0
+        assert capsys.readouterr().out == golden[f"tower {name} json"]
+        assert len(parsed) == 1, name
+
+
+def test_the_six_commands_eliminate_each_walk_level_once(monkeypatch, capsys):
+    # the commands of one system share its held walk: each level is
+    # forward-eliminated once, so the eliminations equal the deepest depth
+    # walked, the tower's default 4
+    seeds = count_walk_levels(monkeypatch)
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        seeds.clear()
+        for command in COMMANDS:
+            assert main([command, str(path), "--json", "-"]) == 0
+        capsys.readouterr()
+        assert len(seeds) == 4, path.name
+
+
+def test_each_spencer_window_is_computed_once_per_system(count_calls, capsys):
+    # cohomology and goldschmidt read one held report per (l_max, m_max):
+    # here the windows (2, 1), (2, 2) and (1, 2), each output as a fresh
+    # record gives it
+    windows = count_calls(spencer.cohomology)
+    path = str(corpus_path("cauchy_riemann.pde"))
+    runs = [["cohomology", "--m-max", "1"], ["goldschmidt"], ["cohomology"],
+            ["cohomology", "--m-max", "1"], ["goldschmidt", "--l-max", "1"]]
+    outs = []
+    for fresh in (False, True):
+        for command, *flags in runs:
+            if fresh:
+                jetpde._Analysis.cache_clear()
+            assert main([command, path, *flags, "--json", "-"]) == 0
+            outs.append(capsys.readouterr().out)
+        if not fresh:
+            assert len(windows) == 3
+    assert outs[: len(runs)] == outs[len(runs):]
+
+
+def test_a_walk_level_that_raises_is_never_held(monkeypatch, capsys):
+    # goldschmidt walks laplace2d to depth 1 and holds level 1.  A fault at
+    # level 2, past its elimination, fails the crosscheck's walk there; with
+    # the fault gone, the next depth-2 walk eliminates level 2 only and
+    # gives the golden output
+    path = str(corpus_path("laplace2d.pde"))
+    assert main(["goldschmidt", path, "--json", "-"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(jetpde, "_reduces_to_zero", lambda row, pivot_rows: False)
+    assert main(["crosscheck", path, "--json", "-"]) == 2
+    assert "violate the lower system (fiber dim 7) at level 2" in capsys.readouterr().err
+    held = jetpde._Analysis(load_system(path))
+    assert len(held.steps) == 1 and list(held.fibers) == [1]
+    monkeypatch.undo()
+    seeds = count_walk_levels(monkeypatch)
+    assert main(["crosscheck", path, "--json", "-"]) == 0
+    assert capsys.readouterr().out == json.loads(GOLDEN.read_text())["crosscheck laplace2d.pde json"]
+    assert seeds == [len(held.steps[0].rows)] and len(held.steps) == 2
 
 
 def test_every_matrix_built_from_pairs_is_canonical(monkeypatch, capsys):

@@ -67,5 +67,22 @@ def test_corpus_outputs_are_byte_identical(command):
             assert _run(command, path, form) == golden[key], key
 
 
+def test_held_analyses_give_the_golden_bytes_in_any_order():
+    # the commands run on one system share its parse and its held analysis,
+    # and another system displaces both.  In one process, the corpus run
+    # forward, then in reverse, then each neighbouring pair of files
+    # interleaved A, B, A per command, must give every pinned output
+    golden = json.loads(GOLDEN.read_text())
+    corpus = _corpus()
+    forward = [(c, p, f) for p in corpus for c in COMMANDS for f in FORMS]
+    interleaved = [
+        (c, p, f) for a, b in zip(corpus, corpus[1:]) for c in COMMANDS for p in (a, b, a)
+        for f in FORMS
+    ]
+    for command, path, form in forward + forward[::-1] + interleaved:
+        key = _key(command, path.name, form)
+        assert _run(command, path, form) == golden[key], key
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(_outputs(), indent=1, sort_keys=True) + "\n")

@@ -75,6 +75,7 @@ from formalpde.jetpde import (
     PdeSystem,
     _jet_shift,
     _prolongation_point,
+    _held,
     _relconn,
     _walk,
     crosscheck_routes,
@@ -420,11 +421,12 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
 
 def canonical_walk(s: PdeSystem, depth: int):
     """Each walk level read out canonically: the system of its new rows below,
-    the canonical fiber below, the level's canonical fiber (`_Level.fiber`),
+    the canonical fiber below, the level's canonical fiber (`_Analysis.fiber`),
     its truncation image and the walk's symbol dimension."""
+    held, chain = _held(s, depth)
     lower_fiber = solution_fiber(s)
-    for step in _walk(s, lower_fiber, symbol_tower(s, depth)):
-        fiber = step.fiber()
+    for level, step in enumerate(_walk(held, lower_fiber, chain), 1):
+        fiber = held.fiber(level)
         yield step.lower, lower_fiber, fiber, fiber.head(lower_fiber.ambient_dim), step.symbol_dim
         lower_fiber = fiber
 
@@ -471,13 +473,18 @@ def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
     # each level seeds its elimination with copies of the rows below, and a
     # level hands `kernel` copies of its rows, so a walk leaves the cached
     # fiber's kept rows as they were and a second walk from the same fiber
-    # repeats it
+    # repeats it.  The second goes one level per walk, each resuming from the
+    # levels held before it, which it must leave as they were too: their
+    # fibers are built last
     s = PdeSystem.from_terms(*terms)
     base = solution_fiber(s)
     kept = [dict(row) for row in base.annihilator()]
-    walks = [
-        [(fib.rows, img.rows) for _, _, fib, img, _ in canonical_walk(s, depth)] for _ in (1, 2)
-    ]
+    walks = []
+    for step in (depth, 1):
+        formalpde.jetpde._Analysis.cache_clear()
+        for d in range(step, depth, step):
+            prolongation_tower(s, d)
+        walks.append([(fib.rows, img.rows) for _, _, fib, img, _ in canonical_walk(s, depth)])
     assert walks[0] == walks[1]
     assert list(base.annihilator()) == kept
 
@@ -492,7 +499,7 @@ def test_the_walk_reads_no_annihilator_off_a_basis(count_calls):
         for analysis in (prolongation_tower, crosscheck_routes):
             solution_fiber.cache_clear()
             symbol_tableau.cache_clear()
-            formalpde.jetpde._held_tower.cache_clear()
+            formalpde.jetpde._Analysis.cache_clear()
             read_off.clear()
             analysis(heat3(), d)
             assert len(read_off) == 1, (analysis.__name__, d)
@@ -526,10 +533,18 @@ def test_crosscheck_shares_the_walk_and_caches_no_level_system(count_calls):
     calls = count_calls(formal_prolongation)
     for s in (cauchy_riemann(), laplace2d(), heat3()):
         for depth in (1, 2, 3):
+            formalpde.jetpde._Analysis.cache_clear()
             calls.clear()
             crosscheck_routes(s, depth)
             assert len(calls) == depth, (s.n, depth)
-    # only the base system's fiber is cached; the level fibers come from the walk
+        # the levels are held for the system: a deeper call prolongs only
+        # the new ones, a shallower one nothing
+        calls.clear()
+        crosscheck_routes(s, 5)
+        crosscheck_routes(s, 2)
+        assert [lower.k for (lower,) in calls] == [s.k + 3, s.k + 4], s.n
+    # only the base system's fiber is cached; the level fibers come from the
+    # walk and are held with it
     solution_fiber.cache_clear()
     symbol_tableau.cache_clear()
     crosscheck_routes(laplace2d(), 3)
@@ -598,7 +613,7 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
     def count(analysis, *args):
         solution_fiber.cache_clear()
         symbol_tableau.cache_clear()
-        formalpde.jetpde._held_tower.cache_clear()
+        formalpde.jetpde._Analysis.cache_clear()
         calls.clear()
         walked.clear()
         analysis(*args)
@@ -693,7 +708,7 @@ def test_the_tower_walk_and_cohomology_build_no_fraction(monkeypatch):
     for analysis, s, depth in runs:
         solution_fiber.cache_clear()
         symbol_tableau.cache_clear()
-        formalpde.jetpde._held_tower.cache_clear()
+        formalpde.jetpde._Analysis.cache_clear()
         analysis(s, depth)
         assert made == [], analysis.__name__
     assert Fraction(2, 3) and made == [1]  # the counter counts
@@ -1049,6 +1064,15 @@ def test_a_held_tower_with_no_involution_is_rebuilt_deeper(count_calls):
     assert deeper == tower(symbol_tableau(s), 2)
 
 
+def test_a_prefix_past_a_chain_with_no_involution_is_refused():
+    # a depth-1 tower of pool system 283 has no involution, so it cannot
+    # answer depth 2; it says so rather than return itself
+    chain = tower(symbol_tableau(pool_283()), 1)
+    with pytest.raises(ValueError, match="chain too short: level 2 not present"):
+        chain.prefix(2)
+    assert chain.prefix(1) == chain and chain.prefix(0).depth == 0
+
+
 def test_another_system_never_gets_the_held_tower(count_calls):
     builds = count_calls(tower)
     # same shape, different symbols: a shared chain would hold the wrong spaces
@@ -1082,17 +1106,18 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
     with pytest.raises(ValueError, match="n·A\\^2 is above the budget of 20"):
         symbol_tower(s, 1)
     monkeypatch.undo()
-    # a rebuild that raises leaves nothing held: the next request builds again.
-    # Only a held tower with no involution is rebuilt, so hold pool system 283
-    # (certified only at level 1) at depth 1 and ask for depth 2
+    # a rebuild that raises holds nothing new: the shallower tower stays
+    # held, and the next request builds again.  Only a held tower with no
+    # involution is rebuilt, so hold pool system 283 (certified only at
+    # level 1) at depth 1 and ask for depth 2
     p = pool_283()
-    assert symbol_tower(p, 1).involution is None
-    assert formalpde.jetpde._held_tower(p) != []
+    shallow = symbol_tower(p, 1)
+    assert shallow.involution is None
     monkeypatch.setattr(formalpde.tableau, "prolong",
                         lambda t: Subspace.full(sym_dim(t.n, t.degree + 1) * t.f))
     with pytest.raises(InvariantViolation):
         symbol_tower(p, 2)
-    assert formalpde.jetpde._held_tower(p) == []
+    assert formalpde.jetpde._Analysis(p).tower == shallow
     monkeypatch.undo()
     builds = count_calls(tower)
     assert symbol_tower(p, 2) == tower(symbol_tableau(p), 2)
