@@ -27,8 +27,10 @@ Plan:
     and keeps the table on stdout; a corpus file with a leading byte-order
     mark reads as the same system and gives the same JSON
  8. crosscheck agrees level by level; --version; goldschmidt certifies the
-    gradient system through the vanishing symbol; every command builds the
-    symbol tower once; only main loads the system and emits the report;
+    gradient system through the vanishing symbol; the six commands on one
+    file build its symbol tower once, parse it once, eliminate each walk
+    level once and compute each Spencer window once, and a walk level that
+    raises is never held; only main loads the system and emits the report;
     the CLI's start-up loads every module of the package and neither
     dataclasses nor inspect
 """
