@@ -286,7 +286,9 @@ class _Level(NamedTuple):
 
 
 def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> bool:
-    row = dict(row)  # `_eliminate` may reduce its row in place
+    """Whether the nonzero row reduces to zero against pivot_rows: at once if it equals
+    its top's pivot row (one step cancels it), else in a copy (`_eliminate` works in place)."""
+    row = {} if pivot_rows.get(max(row)) == row else dict(row)
     while row:
         if (prow := pivot_rows.get(c := max(row))) is None:
             return False
@@ -304,10 +306,11 @@ def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
     the truncation image lost; with the rows one level lower, whose shifts
     they hold, they span it all.  Each row leads at its top column, and the
     columns no row tops are the pivots of the fiber's canonical basis: the
-    fiber dimension counts them, the image those below the lower width, and
-    the symbol, checked against the tableau tower's rank (above an involutive
-    level its closed form), the rest.  The image lies in the fiber below iff
-    each pivot row below reduces to zero against the level's.
+    fiber dimension counts them, the image those below the lower width, and the
+    symbol, checked against the tableau tower's rank (above an involutive level
+    its closed form), the rest.  The image lies in the fiber below iff each
+    pivot row below reduces to zero against the level's, which `_echelon` keeps
+    as seeded: one equality per kept row, a reduction only on a mismatch.
     """
     yield from held.steps[: chain.depth]
     for level, rank in enumerate(chain.ranks[len(held.steps):], len(held.steps) + 1):

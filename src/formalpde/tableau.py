@@ -216,16 +216,17 @@ def cartan_dims(n: int, partial: RatMatrix, flag) -> tuple[int, ...]:
     """dim g_0 >= dim g_1 >= ... >= dim g_n for a chain level g with ∂·D =
     partial (rows b*n + i) under the flag v_1 .. v_n: g_j is the ξ in g with
     ι_(v_1)ξ = ... = ι_(v_j)ξ = 0, and ι_v = Σ v_i ι_i, so g_j is the kernel of
-    the rows Σ_i v_i·partial[b*n + i] of v_1 .. v_j, whose ranks one integer
-    elimination reads as they are added (the column scaling D keeps them)."""
+    the rows Σ_i v_i·partial[b*n + i] (over v_i ≠ 0) of v_1 .. v_j, whose ranks
+    one integer elimination reads as they are added (the column scaling D keeps them)."""
     pivot_rows, dims = {}, [partial.cols]
     for v in flag:
         rows = []
         for b in range(partial.rows // n):
             acc: dict[int, int] = {}
             for x, row in zip(v, partial.pairs[b * n: b * n + n]):
-                for c, y in row:
-                    acc[c] = acc.get(c, 0) + x * y
+                if x:
+                    for c, y in row:
+                        acc[c] = acc.get(c, 0) + x * y
             rows.append({c: y for c, y in acc.items() if y})
         dims.append(partial.cols - len(_echelon(rows, pivot_rows)))
     return tuple(dims)
