@@ -1004,6 +1004,33 @@ def test_a_dropped_kept_row_fails_the_walks_containment(command, tmp_path, capsy
     )
 
 
+def test_an_unequal_seed_of_the_same_span_passes_the_walks_containment(monkeypatch, capsys):
+    # the containment check settles a kept row by equality with the level's
+    # pivot row at its top; a fault that swaps the top seed for itself plus
+    # the lowest seed leaves every level's span as it was, so the check
+    # must reduce that row instead, pass, and leave every output golden
+    forward = jetpde._echelon
+
+    def swapped(rows, pivot_rows):
+        if len(pivot_rows) > 1:
+            top, low = max(pivot_rows), min(pivot_rows)
+            row = dict(pivot_rows[top])
+            for c, x in pivot_rows[low].items():
+                row[c] = row.get(c, 0) + x
+            pivot_rows[top] = {c: x for c, x in row.items() if x}
+        return forward(rows, pivot_rows)
+
+    eliminated, eliminate = [], jetpde._eliminate
+    monkeypatch.setattr(jetpde, "_echelon", swapped)
+    monkeypatch.setattr(jetpde, "_eliminate", lambda *args: eliminated.append(1) or eliminate(*args))
+    golden = json.loads(GOLDEN.read_text())
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        for command in ("tower", "goldschmidt", "finite-type", "crosscheck"):
+            assert main([command, str(path), "--json", "-"]) == 0
+            assert capsys.readouterr().out == golden[f"{command} {path.name} json"]
+    assert eliminated
+
+
 def test_an_unmapped_jet_fiber_in_the_crosscheck_is_an_internal_failure(
     tmp_path, capsys, monkeypatch
 ):

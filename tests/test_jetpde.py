@@ -65,7 +65,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import formalpde
@@ -446,12 +446,16 @@ def test_every_walk_fiber_is_the_unseeded_elimination(terms, depth):
 
 @settings(deadline=None, max_examples=100)
 @given(small_terms(), st.integers(1, 4))
+@example((2, 1, 1, [[(1, 0, (0, 1)), (-1, 0, (1, 0))], [(-1, 0, (0, 0))]]), 3)
 def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
     # the walk reads each level's dims off its forward pivot columns and
     # builds canonical fibers only for a witness; every record must equal
     # what the canonical fibers of the whole prolonged annihilators give,
     # built level by level with no walk: fiber, truncation image, symbol,
-    # surjectivity and the first lower basis vector outside the image
+    # surjectivity and the first lower basis vector outside the image.  In
+    # the example, u_x2 - u_x1 = 0 and u = 0, each level has fiber 1, symbol
+    # 1 and image 0: every truncation image loses the pivot of the fiber
+    # below, which the walk must carry up in its resume state
     s = PdeSystem.from_terms(*terms)
     report = prolongation_tower(s, depth)
     lower, lower_fiber = s, solution_fiber(s)
@@ -469,13 +473,15 @@ def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
 
 @settings(deadline=None, max_examples=40)
 @given(small_terms(), st.integers(1, 4))
+@example((2, 1, 1, [[(1, 0, (0, 1)), (-1, 0, (1, 0))], [(-1, 0, (0, 0))]]), 3)
 def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
     # each level seeds its elimination with copies of the rows below, and a
     # level hands `kernel` copies of its rows, so a walk leaves the cached
     # fiber's kept rows as they were and a second walk from the same fiber
     # repeats it.  The second goes one level per walk, each resuming from the
     # levels held before it, which it must leave as they were too: their
-    # fibers are built last
+    # fibers are built last.  The example resumes past levels that are not
+    # onto, whose truncation images lose a pivot
     s = PdeSystem.from_terms(*terms)
     base = solution_fiber(s)
     kept = [dict(row) for row in base.annihilator()]
@@ -624,6 +630,24 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
         assert count(crosscheck_routes, heat3(), d) == (4 * d + 2, d)
     for l in range(4):
         assert count(goldschmidt_check, heat3(), l) == (2, 1)
+
+
+def test_the_walks_containment_check_eliminates_nothing(count_calls, monkeypatch):
+    # `_echelon` stores a seed as it is, so each pivot row below is still
+    # the level's pivot row at its top and the containment check settles it
+    # by one equality: heat3's walk to depth 5 checks every kept row and
+    # runs none of the eliminations `_reduces_to_zero` falls back to
+    checked = count_calls(formalpde.jetpde._reduces_to_zero)
+    eliminated, eliminate = [], formalpde.jetpde._eliminate
+    monkeypatch.setattr(
+        formalpde.jetpde, "_eliminate", lambda *args: eliminated.append(1) or eliminate(*args)
+    )
+    s = heat3()
+    prolongation_tower(s, 5)
+    held = formalpde.jetpde._Analysis(s)
+    below = [len(solution_fiber(s).annihilator())] + [len(step.rows) for step in held.steps[:4]]
+    assert len(held.steps) == 5 and len(checked) == sum(below) > 0
+    assert eliminated == []
 
 
 def wave4() -> PdeSystem:
