@@ -331,7 +331,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "pivots", "_kept", "_table")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]], kept=None):
-        # Not for direct use -- go through from_spanning/zero/full, or
+        # Not for direct use -- go through from_spanning/full, or
         # kernel, whose rows are canonical as built and which alone passes
         # kept (see `annihilator`).
         rows = tuple(map(tuple, rows))
@@ -350,10 +350,6 @@ class Subspace:
         """Span of the given vectors: the nonzero rows of their rref, scaled to integers."""
         r, pivots = rref(RatMatrix(list(vectors), cols=ambient_dim))
         return Subspace(ambient_dim, (_integer_row(row).items() for row in r.pairs[: len(pivots)]))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":

@@ -30,12 +30,11 @@ tested in ints, and ∂ is kept as those integer coordinates, ∂·D with D =
 diag(level.leads()); the prolongation raises the integer rows the level's
 own elimination kept (`Subspace.annihilator`; only level 0, cut from the
 solution fiber, reads them off its basis), so no Fraction and no dense
-vector is built.  A vanished level makes all later ones zero by
-construction (monotone vanishing is structural, not re-derived).
-An involutive level settles every level above it, so `tower` stops at the
-first level l that passes Cartan's test (`cartan_dims`), with levels
-0 .. l+1 built and contraction-checked, and the chain reads every level
-above off the characters α_j (`spencer.Involution`).
+vector is built.  An involutive level, a zero one among them, settles
+every level above it, so `tower` stops at the first level l that passes
+Cartan's test (`cartan_dims`), with levels 0 .. l+1 built by `prolong`
+and contraction-checked, and the chain reads every level above off the
+characters α_j (`spencer.Involution`).
 `check_tower_budget` holds the tower's size budget, MAX_TOWER_WORK: `tower`
 refuses a tower past it, or deeper than its square root, before the first
 level is built.
@@ -246,13 +245,9 @@ def _classical_tower(t: Tableau, depth: int):
     levels, partials = [t.space], [_verify_contracts_into(n, f, t.degree, t.space, bottom)]
     for degree in range(t.degree + 1, t.degree + depth + 1):
         prev = levels[-1]
-        if prev.dim == 0:  # every level after a zero one is zero, with no elimination
-            nxt, partial = Subspace.zero(sym_dim(n, degree) * f), RatMatrix((), cols=0)
-        else:
-            nxt = prolong(Tableau(n=n, f=f, space=prev, degree=degree - 1))
-            partial = _verify_contracts_into(n, f, degree, nxt, prev)
+        nxt = prolong(Tableau(n=n, f=f, space=prev, degree=degree - 1))
         levels.append(nxt)
-        partials.append(partial)
+        partials.append(_verify_contracts_into(n, f, degree, nxt, prev))
         for flag in flags:
             dims = cartan_dims(n, partials[-2], flag)
             if sum(dims[:n]) == nxt.dim:

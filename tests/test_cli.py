@@ -773,9 +773,9 @@ def test_tower_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
 
     # n = 2 at depth 1: A = f·(degree + 2), and 2·2236^2 <= 10^7 < 2·2237^2
     assert MAX_TOWER_WORK == 10**7
-    assert builds(Tableau(n=2, f=559, space=Subspace.zero(3 * 559), degree=2))
+    assert builds(Tableau(n=2, f=559, space=Subspace.from_spanning(3 * 559, []), degree=2))
     with pytest.raises(ValueError, match="A = 2237 coordinates"):
-        tower(Tableau(n=2, f=1, space=Subspace.zero(2236), degree=2235), 1)
+        tower(Tableau(n=2, f=1, space=Subspace.from_spanning(2236, []), degree=2235), 1)
     # a generalized tableau of p carrier coordinates in n = 10 directions:
     # depth 1 reaches S^1 ⊗ R^p, A = 10p, so p = 100 is n·A^2 = 10^7
     def generalized(p):

@@ -43,9 +43,9 @@ SITES = {
     "relconn.torsion_at: torsion class vanished although no symmetric lift exists":
         "test_relconn.py::test_a_vanished_torsion_class_without_a_symmetric_lift_is_an_internal_failure",
     "spencer.TableauChain.vanishing_level: a vanished tableau level was followed by a nonzero one":
-        "untested: tableau.tower builds every level after a zero one as Subspace.zero "
-        "without prolonging, so no fault in a prolongation reaches it, and a faulty "
-        "Subspace.zero stops in TableauChain's shape check first",
+        "untested: tableau.tower checks every level it prolongs against the one "
+        "below, so a nonzero level above a zero one stops at the contraction check "
+        "(tableau._verify_contracts_into) first",
     "spencer.cohomology: image is not contained in the kernel at slot (":
         "test_spencer.py::test_noncommuting_partials_are_refused",
     "tableau._verify_contracts_into: tower level of degree":

@@ -19,7 +19,8 @@ Plan:
     built from the walk's forward rows is bit-identical to the kernel of
     the whole prolonged annihilator below, and every tower record (dims,
     surjectivity, witness) equals what those canonical fibers give; a
-    second walk from the same cached base fiber repeats the first, and only
+    second walk from the same cached base fiber, one level at a time,
+    repeats the first and gives those canonical fibers too, and only
     the symbol tower's level 0 reads an annihilator off a basis
     (`constraint_matrix`);
     the crosscheck prolongs once per level and caches no level system,
@@ -480,8 +481,10 @@ def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
     # fiber's kept rows as they were and a second walk from the same fiber
     # repeats it.  The second goes one level per walk, each resuming from the
     # levels held before it, which it must leave as they were too: their
-    # fibers are built last.  The example resumes past levels that are not
-    # onto, whose truncation images lose a pivot
+    # fibers are built last.  Both walks must also give the fibers built
+    # level by level with no walk, so a resume state that every walk shares
+    # cannot pass wrong.  The example resumes past levels that are not onto,
+    # whose truncation images lose a pivot
     s = PdeSystem.from_terms(*terms)
     base = solution_fiber(s)
     kept = [dict(row) for row in base.annihilator()]
@@ -493,6 +496,13 @@ def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
         walks.append([(fib.rows, img.rows) for _, _, fib, img, _ in canonical_walk(s, depth)])
     assert walks[0] == walks[1]
     assert list(base.annihilator()) == kept
+    unwalked, lower, lower_fiber = [], s, base
+    for _ in range(depth):
+        lower = formal_prolongation(lower._replace(equations=lower_fiber.constraint_matrix()))
+        fiber = kernel(lower.equations)
+        unwalked.append((fiber.rows, fiber.head(lower_fiber.ambient_dim).rows))
+        lower_fiber = fiber
+    assert walks[1] == unwalked
 
 
 def test_the_walk_reads_no_annihilator_off_a_basis(count_calls):

@@ -40,7 +40,7 @@ Plan:
     spanning vectors, and rref equals sympy's on sparse matrices; a kernel's
     tail is the kernel of the columns it keeps, and every subspace is the
     kernel of its constraint matrix; every builder (kernel, from_spanning,
-    full, zero, head, tail) emits the canonical rows, each basis vector's
+    also of [], full, head, tail) emits the canonical rows, each basis vector's
     primitive integer row, ascending and led by its pivot's (p, d) with
     d > 0, rendering the reference's dense rref rows; a cut row is divided
     by its content again;
@@ -654,7 +654,8 @@ def test_every_builder_emits_the_canonical_pair_form(m):
             tail = (v[c:] for v in want if not any(v[:c]))
             built.append((u.tail(c), reference_span(tail, d - c)))
     identity = [[F(i == j) for j in range(d)] for i in range(d)]
-    built += [(Subspace.full(d), reference_span(identity, d)), (Subspace.zero(d), ())]
+    built += [(Subspace.full(d), reference_span(identity, d)),
+              (Subspace.from_spanning(d, []), ())]
     for u, want in built:
         assert_pair_form(u, want)
 
@@ -673,10 +674,10 @@ def test_zero_shape_matrices():
     z = zeros(0, 3)
     assert z.shape == (0, 3)
     assert kernel(z) == Subspace.full(3)
-    assert image(z) == Subspace.zero(0)
+    assert image(z) == Subspace.from_spanning(0, [])
     zc = zeros(3, 0)
-    assert kernel(zc) == Subspace.zero(0)
-    assert image(zc) == Subspace.zero(3)
+    assert kernel(zc) == Subspace.from_spanning(0, [])
+    assert image(zc) == Subspace.from_spanning(3, [])
 
 
 def test_matrix_builders_refuse_shapes_they_cannot_know():
@@ -693,7 +694,7 @@ def test_matrix_builders_refuse_shapes_they_cannot_know():
 
 
 def test_zero_ambient_subspace():
-    s = Subspace.zero(0)
+    s = Subspace.from_spanning(0, [])
     assert s.dim == 0 and s == Subspace.full(0)
 
 

@@ -11,7 +11,8 @@ Plan:
  3) the curvature formula against the section-level symbolic oracle, and
     lift-independence of the class;
  4) fiber-empty detection for non-surjective sigma, compatibility failure
-    records, h01 on a worked example;
+    records, h01 on a worked example; the shape refusals of a connection,
+    a nested pair and a torsion point, each by its message;
  5) torsion certificates on drawn connections, sigma not onto included:
     every kind agrees with the Fraction reference solver
     (`rref_reference.solve`), a vanishing lift solves the partial and
@@ -335,10 +336,18 @@ def test_h01_dim_rejects_incompatible_pairs():
 
 
 def test_relconn_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least one direction"):
         RelConn(identity(2), [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all A_i must share sigma's shape"):
         RelConn(identity(2), [zeros(3, 2)])
+    # and the shapes a nested pair or a torsion point must match
+    outer = RelConn(identity(2), [zeros(2, 2)])
+    with pytest.raises(ValueError, match="direction counts differ"):
+        compatible(outer, RelConn(identity(2), [zeros(2, 2), zeros(2, 2)]))
+    with pytest.raises(ValueError, match="inner coefficients must be the outer source"):
+        compatible(outer, RelConn(zeros(3, 2), [zeros(3, 2)]))
+    with pytest.raises(ValueError, match="point has wrong dimension"):
+        torsion_at(outer, [1])
 
 
 # --------------------------- 5) torsion certificates ---------------------------
@@ -365,7 +374,8 @@ def test_a_fiber_empty_point_without_a_witness_is_an_internal_failure(monkeypatc
     assert torsion_at(conn, [1, 0]).kind == "fiber-empty"
     cokernel_of, real = conn.sigma.transpose(), relconn.kernel
     monkeypatch.setattr(
-        relconn, "kernel", lambda m: Subspace.zero(m.cols) if m == cokernel_of else real(m)
+        relconn, "kernel",
+        lambda m: Subspace.from_spanning(m.cols, []) if m == cokernel_of else real(m),
     )
     with pytest.raises(InvariantViolation, match="no lift and no Fredholm witness"):
         torsion_at(conn, [1, 0])

@@ -16,7 +16,8 @@ Plan:
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain, empty-window, missing-level and bad-r errors, a chain
     whose ∂s do not commute or whose level-0 ∂ has a row count the assembly
-    would cut short is refused;
+    would cut short is refused, and so is a ∂ that misses its level's
+    basis or the level below, and a depth its levels do not reach;
     the integer δ∘δ = 0 check agrees with Fraction products on maps that
     compose to zero only once denominators cancel, and on those maps with one
     entry moved, also when handed A·D and an integer B for a diagonal D;
@@ -388,9 +389,9 @@ def test_is_r_acyclic_rejects_r_above_m_max():
 
 
 def test_zero_chain_vanishing_short_circuit():
-    z1 = Subspace.zero(sym_dim(2, 1) * 1)
-    z2 = Subspace.zero(sym_dim(2, 2) * 1)
-    z3 = Subspace.zero(sym_dim(2, 3) * 1)
+    z1 = Subspace.from_spanning(sym_dim(2, 1) * 1, [])
+    z2 = Subspace.from_spanning(sym_dim(2, 2) * 1, [])
+    z3 = Subspace.from_spanning(sym_dim(2, 3) * 1, [])
     chain = TableauChain(
         n=2,
         levels=(z1, z2, z3),
@@ -402,13 +403,27 @@ def test_zero_chain_vanishing_short_circuit():
     assert verdict.acyclic and verdict.unconditional
 
 
-@pytest.mark.parametrize("n, rows", [(2, 3), (2, 1), (0, 1)])
-def test_level_zero_partial_needs_a_multiple_of_n_rows(n, rows):
+ROWS = "partial map 0 needs a multiple of n rows"
+
+
+@pytest.mark.parametrize("n, partials, depth, message", [
     # rows b*n + i: with n = 2, three rows would lose the last one to b = rows // n
-    partial0 = RatMatrix([[1], [0], [5]][:rows])
-    levels = (Subspace.full(1), Subspace.zero(0))
-    with pytest.raises(ValueError, match="partial map 0"):
-        TableauChain(n=n, levels=levels, partials=(partial0, zeros(n, 0)))
+    pytest.param(2, (RatMatrix([[1], [0], [5]]), zeros(2, 0)), None, ROWS, id="2-3"),
+    pytest.param(2, (RatMatrix([[1]]), zeros(2, 0)), None, ROWS, id="2-1"),
+    pytest.param(0, (RatMatrix([[1]]), zeros(0, 0)), None, ROWS, id="0-1"),
+    pytest.param(2, (zeros(2, 2), zeros(2, 0)), None,
+                 "partial map 0 must consume the level-0 basis", id="consume"),
+    pytest.param(2, (zeros(2, 1), zeros(4, 0)), None, "partial map 1 must land in level 0",
+                 id="land"),
+    pytest.param(2, (zeros(2, 1), zeros(2, 0)), 2, "a chain holds its levels through depth",
+                 id="depth"),
+])
+def test_level_zero_partial_needs_a_multiple_of_n_rows(n, partials, depth, message):
+    # and every other ∂ and depth a chain's levels cannot carry
+    levels = (Subspace.full(1), Subspace.from_spanning(0, []))
+    TableauChain(n=2, levels=levels, partials=(zeros(2, 1), zeros(2, 0)))
+    with pytest.raises(ValueError, match=message):
+        TableauChain(n=n, levels=levels, partials=partials, depth=depth)
 
 
 def reference_cycles_and_boundaries(chain, l, m):

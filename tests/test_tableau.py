@@ -7,7 +7,8 @@ Plan:
  2) structural invariants on seeded random tableaux: (g^(1))^(1) = g^(2),
     the lower bound dim g^(1) >= n dim g - C(n,2) f, monotone vanishing;
  3) generalized tableaux: ∂-symmetry kernel, transport along an injective ∂
-    to the classical prolongation of Image(∂), chain assembly;
+    to the classical prolongation of Image(∂), chain assembly; the
+    record's shape refusals, each by its message;
  4) classification (a negative or too deep l_max is refused), bounded vs
     unconditional cohomology windows, degenerate n = 0 / f = 0 towers.
 """
@@ -69,7 +70,7 @@ def test_free_tableau_ranks_are_binomial():
 
 
 def test_zero_tableau_tower():
-    zero = Tableau(n=2, f=2, space=Subspace.zero(4))
+    zero = Tableau(n=2, f=2, space=Subspace.from_spanning(4, []))
     tw = tower(zero, 3)
     assert tw.ranks == (0, 0, 0)
     verdict = classify_type(tower(zero, 2), 2)
@@ -209,10 +210,17 @@ def test_generalized_tower_and_chain():
 
 
 def test_generalized_partial_shape_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partial_map must have n"):
         Tableau.generalized(2, 2, Subspace.full(3), zeros(3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="partial_map columns must match"):
         Tableau.generalized(2, 2, Subspace.full(3), zeros(4, 2))
+    # and the record's other refusals, classical and generalized
+    with pytest.raises(ValueError, match="negative dimensions"):
+        Tableau(n=-1, f=1, space=Subspace.full(0))
+    with pytest.raises(ValueError, match="classical tableaux need degree >= 1"):
+        Tableau(n=2, f=1, space=Subspace.full(1), degree=0)
+    with pytest.raises(ValueError, match="generalized tableaux carry no symmetric degree"):
+        Tableau(n=2, f=2, space=Subspace.full(3), degree=2, partial_map=zeros(4, 3))
 
 
 # --------------------------- 4) classification and scans ---------------------------
@@ -243,7 +251,8 @@ def test_finite_type_cohomology_is_unconditional():
 
 def test_degenerate_towers_are_zero_not_errors():
     # full and zero carriers coincide when the ambient is 0-dimensional
-    for t in (Tableau(n=n, f=f, space=Subspace.zero(0)) for n, f in ((0, 2), (2, 0), (0, 0))):
+    empty = Subspace.from_spanning(0, [])
+    for t in (Tableau(n=n, f=f, space=empty) for n, f in ((0, 2), (2, 0), (0, 0))):
         tw = tower(t, 3)
         assert tw.ranks == (0, 0, 0)
         assert classify_type(tower(t, 2), 2).kind == "finite"
