@@ -411,14 +411,12 @@ class Subspace:
 
     def _coords(self, pairs: Sequence[tuple[int, Fraction | int]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero
-        (index, value) pairs, or None if it lies outside: the pairs themselves
-        in the full space (unit vectors).  Else x_j is its entry at pivot p_j,
-        where b_j alone is nonzero, so v - sum x_j b_j vanishes at every pivot,
-        and only the touched coordinates off them are read, as D·v - sum x_j
-        (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int v.  Its table (D,
-        the lcm of the d_j, and each row's D/d_j and tail) is built by the first call."""
-        if len(self.rows) == self.ambient_dim:
-            return list(pairs)
+        (index, value) pairs, or None if it lies outside.  x_j is its entry at
+        pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
+        every pivot, and only the touched coordinates off them are read, as
+        D·v - sum x_j (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int
+        v.  Its table (D, the lcm of the d_j, and each row's D/d_j and tail) is
+        built by the first call."""
         if self._table is None:
             scale = lcm(*self.leads())
             table = {row[0][0]: (j, scale // row[0][1], row[1:]) for j, row in enumerate(self.rows)}

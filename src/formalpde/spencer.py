@@ -33,6 +33,7 @@ integer row scaling, and each map is ranked once by `ratlin.rank`, `kernel`'s
 integer insertion with no back-substitution; on integers, no Fraction.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
+A window reads each slot's dimension once, when the budget or a fill first needs it.
 At and above a chain's involutive level every Spencer group is zero
 (Serre), so those slots are filled with no slot map, rank or δ∘δ check.
 """
@@ -40,6 +41,7 @@ At and above a chain's involutive level every Spencer group is zero
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from itertools import cycle
 from math import comb, lcm
 from typing import NamedTuple
@@ -248,14 +250,15 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {chain.depth}"
         )
+    slot_dim = cache(chain.slot_dim)  # each slot's dimension read once, when first met
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
-    slots = [(l, m) for l, m in grid if chain.slot_dim(l, m)]
+    slots = [(l, m) for l, m in grid if slot_dim(l, m)]
     for l, m in slots:
         for met in ((l - 1, m + 1), (l, m), (l + 1, m - 1)):
-            if chain.slot_dim(*met) > MAX_SPENCER_SLOT:
+            if slot_dim(*met) > MAX_SPENCER_SLOT:
                 raise ValueError(
                     f"Spencer cohomology to l_max {l_max} and m_max {m_max} meets slot "
-                    f"(l, m) = {met} of {chain.slot_dim(*met)} coordinates, above the "
+                    f"(l, m) = {met} of {slot_dim(*met)} coordinates, above the "
                     f"budget of {MAX_SPENCER_SLOT}"
                 )
     # slots at and above an involutive level are Serre's zeros; the rest are ranked
@@ -271,9 +274,9 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))
     for l, m in slots:
         if l < top:
-            z_dim, b_dim = chain.slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
+            z_dim, b_dim = slot_dim(l, m) - ranks[(l, m)], ranks[(l + 1, m - 1)]
         else:  # exact here and above, and ∂ is injective on 0-forms: Z = B, read off dims
-            z_dim = b_dim = sum((-1) ** (j + 1) * chain.slot_dim(l + j, m - j) for j in range(1, m + 1))
+            z_dim = b_dim = sum((-1) ** (j + 1) * slot_dim(l + j, m - j) for j in range(1, m + 1))
         entries[(l, m)] = HEntry(z_dim, b_dim, z_dim - b_dim)
     return CohomologyReport(
         l_max=l_max,

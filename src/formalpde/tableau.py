@@ -24,9 +24,11 @@ level 1, and the classical tower of g^(1)(∂) above that, so ∂ is used once,
 under a classical tower.  `tower` re-verifies that each level contracts into
 the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
-encoding from which every Spencer differential is assembled.  Each
-contraction is read off a basis vector's stored integer row d_j·b_j and
-tested in ints, and ∂ is kept as those integer coordinates, ∂·D with D =
+encoding from which every Spencer differential is assembled.  Both are read
+off the level's integer rows d_j·b_j indexed by coordinate once: each row
+of ∂ is a column, and the check one integer residual of columns per
+direction and non-pivot coordinate below, so no level is asked for
+coordinates.  ∂ is kept as those integer coordinates, ∂·D with D =
 diag(level.leads()); the prolongation raises the integer rows the level's
 own elimination kept (`Subspace.annihilator`; only level 0, cut from the
 solution fiber, reads them off its basis), so no Fraction and no dense
@@ -43,7 +45,7 @@ level is built.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import isqrt
+from math import isqrt, lcm
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -152,33 +154,42 @@ def prolong(t: Tableau) -> Subspace:
 def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: Subspace):
     """∂ on level: ι of every basis vector of level in prev's basis, rows b*n + i.
 
-    Raises InvariantViolation when a contraction escapes prev.  ι_i v is read
-    off v's integer row d·v (led by (p, d)) and tested in ints, so its
-    coordinates come out times d (`level.leads()`) and are kept so, as
-    `TableauChain`'s ∂·D.
+    Raises InvariantViolation, naming the first direction, when a contraction
+    escapes prev.  With col(u) the column u of the level's integer rows d_j·b_j,
+    row b*n + i of ∂·D (D = diag(`level.leads()`)) is col(raise_i(p_b)), and
+    every ι_i b_j lies in prev exactly when E·col(raise_i(c)) = Σ_b (E/d_b)·
+    (d_b b_b)[c]·col(raise_i(p_b)) at each non-pivot c of prev, E = lcm(d_b).
     """
-    rows = [[] for _ in range(n * prev.dim)]
+    cols = [[] for _ in range(level.ambient_dim)]
+    for j, row in enumerate(level.rows):  # ascending j keeps each column's order
+        for c, x in row:
+            cols[c].append((j, x))
+    scale = lcm(*prev.leads())
+    terms = {c: [(c, scale)] for c in set(range(prev.ambient_dim)).difference(prev.pivots)}
+    for (p, d), *tail in prev.rows:  # a canonical basis has tail entries off the pivots only
+        for c, y in tail:
+            terms[c].append((p, -(scale // d) * y))
+    rows = [None] * (n * prev.dim)
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
-        # coordinate c of iota_i v is v at c raised by x_i
-        down = {up: c for c, up in enumerate(entries)}
-        for col in range(level.dim):
-            vec = level.rows[col]
-            img = [(c, x) for up, x in vec if (c := down.get(up)) is not None]
-            coords = prev._coords(img)
-            if coords is None:
+        for b, p in enumerate(prev.pivots):
+            rows[b * n + i] = cols[entries[p]]
+        for residual in terms.values():
+            acc: dict[int, int] = {}
+            for c, k in residual:
+                for j, x in cols[entries[c]]:
+                    acc[j] = acc.get(j, 0) + k * x
+            if any(acc.values()):
                 raise InvariantViolation(
                     f"tower level of degree {degree} (dim {level.dim}) does not contract "
                     f"into its predecessor (dim {prev.dim}) along direction {i}"
                 )
-            for b, x in coords:
-                rows[b * n + i].append((col, x))
     return RatMatrix(pairs=rows, cols=level.dim)
 
 
 # Largest n·A^2 a tower may reach, A = f·C(n+d-1, n-1) the ambient of its
-# deepest level S^d ⊗ R^f.  Cost is about 1.7e-7 s·n·A^2 for the first-order
-# scalar system at depth 1: 0.18, 1.0 and 6.4 s in n = 20, 30 and 43
-# (in-process, Python 3.11, shared 2-vCPU VM).  Heat at depth 14, wave4 at
+# deepest level S^d ⊗ R^f.  The first-order scalar system at depth 1 takes
+# 4, 10 and 35 ms CPU in n = 20, 30 and 43, n·A^2 = 8.8e5, 6.5e6 and 3.8e7
+# (in-process, budget lifted, Python 3.11, shared 2-vCPU VM).  Heat at depth 14, wave4 at
 # depth 5 and u_xi = 0 in 18 variables reach 7.0e4, 5.8e4 and 5.3e5.
 MAX_TOWER_WORK = 10**7
 

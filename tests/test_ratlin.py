@@ -203,19 +203,6 @@ def test_the_membership_table_is_invisible():
         assert [fresh._coords(pairs) for pairs, _ in cases] == first
 
 
-def test_the_full_space_reads_coordinates_off_the_pairs():
-    # the full space's canonical basis is the unit vectors, so every vector
-    # lies in it and its coordinates are its own entries: `_coords` returns
-    # the pairs as given, Fractions included, and builds no membership table
-    full = Subspace.full(4)
-    assert full.rows == tuple(((i, 1),) for i in range(4))
-    for vec in ([0, 0, 0, 0], [0, 0, 5, 0], [F(1, 2), 0, 0, -2], [1, -1, 3, 7]):
-        pairs = [(i, x) for i, x in enumerate(vec) if x]
-        assert full._coords(pairs) == pairs
-        assert full.contains_vector(vec) and not any(full.reduce_mod(vec))
-    assert full._table is None
-
-
 def test_wrong_vector_lengths_raise():
     u = Subspace.from_spanning(3, [[1, 0, 1]])
     with pytest.raises(ValueError):

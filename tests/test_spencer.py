@@ -11,7 +11,9 @@ Plan:
     other, the lower one with mixed leads, against a dense reference (ι_i
     read off `multi_indices`, then `reduce_mod`): it raises exactly when one
     contraction escapes and otherwise gives the reference's coordinates
-    times the leads; and every chain map of random towers against the
+    times the leads, also on a full predecessor, on two ∂ rows reading one
+    column and on an escape along the last direction alone, which the
+    check names; and every chain map of random towers against the
     ambient differential read through the level bases;
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain, empty-window, missing-level and bad-r errors, a chain
@@ -186,6 +188,11 @@ def test_a_contraction_off_the_pivots_is_an_escape():
     # both directions, each read with coefficient 1
     level = Subspace.from_spanning(3, [[1, 1, 1]])
     assert _verify_contracts_into(2, 1, 2, level, prev) == RatMatrix([[1], [1]])
+    # x2^2 / 2, jet components (0, 0, 1), contracts to 0 along x1 and to x2
+    # along x2, so it escapes along the last direction alone, and is named there
+    level = Subspace.from_spanning(3, [[0, 0, 1]])
+    with pytest.raises(InvariantViolation, match="along direction 1$"):
+        _verify_contracts_into(2, 1, 2, level, prev)
 
 
 def dense_contractions(n, f, degree, v):
@@ -203,8 +210,27 @@ def dense_contractions(n, f, degree, v):
 weights = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 0, 0])
 
 
+class Drawn:
+    """Stands in for `st.data()` in an @example: each draw takes the next value."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from([(n, f, d) for n in (1, 2, 3) for f in (1, 2) for d in (1, 2, 3)]), st.data())
+# prev the full S^1 (no free column, as at tower level 0): no residual, and
+# ∂ rows (x1, direction 1) and (x2, direction 0) both read column x1x2
+@example((2, 1, 2), Drawn(set(), [[1, 2, 0], [0, Fraction(1, 2), -1]], False))
+# prev = span{x1 + x2/2} ⊕ S^1 of the second fiber, leads 2 and 1: rows
+# (b, i) = (1, 1) and (2, 0) read that fiber's x1x2, and x2 of the first
+# fiber is a non-pivot whose residual subtracts a halved column
+@example((2, 2, 2), Drawn({1}, Fraction(1, 2), [[1, -1, 2, Fraction(1, 2)], [0, 1, 0, 2]], False))
+# prev = span{x1}, level = span{x1^2, x2^2}: x2^2 escapes along the last direction only
+@example((2, 1, 2), Drawn({1}, 0, [[1]], True, [[1, 0, 1]]))
 def test_the_contraction_check_matches_a_dense_reference(shape, data):
     # prev has one or two free columns, its first basis vector halves and
     # thirds there and the others ints, so its leads mix 1 and d > 1; level
