@@ -37,7 +37,10 @@ the integer pivot rows its elimination kept (``Subspace.annihilator``), and
 each later level with the forward pivot rows of the level below; a level
 prolongs only the rows new at it: n shifted rows per new row, not
 (1 + n)^level per base equation.  ``formal_prolongation`` itself still keeps
-every row.
+every row, and since D_i D_j = D_j D_i a mixed shift of a row two levels down
+arrives twice; the walk inserts each distinct shifted row once.  Its seeds
+stay the level's pivot rows as they are, so the check that each reduces to
+zero passes it by identity.
 
 Two of the four size budgets live here, checked before anything is eliminated:
 the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
@@ -149,14 +152,16 @@ class PdeSystem(namedtuple("PdeSystem", "n m k equations")):
 
     @staticmethod
     def from_terms(n: int, m: int, k: int, eqs: Sequence[Sequence[tuple]]) -> "PdeSystem":
-        """Pair rows summed from (coeff, component, alpha) triples (components 0-based)."""
+        """Pair rows summed from (coeff, component, alpha) triples (components 0-based),
+        an integral sum kept as an int, so that hashing the system hashes no Fraction."""
         rows = []
         for eq in eqs:
             row: dict[int, Fraction] = {}
             for coeff, a, alpha in eq:
                 j = jet_index(n, m, k, a, tuple(alpha))
                 row[j] = row.get(j, 0) + rat(coeff)
-            rows.append([(j, x) for j, x in sorted(row.items()) if x])
+            rows.append([(j, x.numerator if x.denominator == 1 else x)
+                         for j, x in sorted(row.items()) if x])
         return PdeSystem(n, m, k, RatMatrix(pairs=rows, cols=jet_fiber_dim(n, m, k)))
 
 
@@ -286,9 +291,10 @@ class _Level(NamedTuple):
 
 
 def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]]) -> bool:
-    """Whether the nonzero row reduces to zero against pivot_rows: at once if it equals
-    its top's pivot row (one step cancels it), else in a copy (`_eliminate` works in place)."""
-    row = {} if pivot_rows.get(max(row)) == row else dict(row)
+    """Whether the nonzero row reduces to zero against pivot_rows: at once if it is
+    its top's pivot row (one step cancels it), else in a copy (`_eliminate` works
+    in place)."""
+    row = {} if pivot_rows.get(max(row)) is row else dict(row)
     while row:
         if (prow := pivot_rows.get(c := max(row))) is None:
             return False
@@ -308,9 +314,12 @@ def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
     columns no row tops are the pivots of the fiber's canonical basis: the
     fiber dimension counts them, the image those below the lower width, and the
     symbol, checked against the tableau tower's rank (above an involutive level
-    its closed form), the rest.  The image lies in the fiber below iff each
-    pivot row below reduces to zero against the level's, which `_echelon` keeps
-    as seeded: one equality per kept row, a reduction only on a mismatch.
+    its closed form), the rest.  Each distinct shifted row is inserted once, in
+    order: a repeat lies in the span of the pivot rows, so it would reduce to
+    zero and change none.  The image lies in the fiber below iff each pivot row
+    below reduces to zero against the level's, which `_echelon` keeps as seeded,
+    the same objects: one identity test per kept row, a reduction only on a
+    mismatch.
     """
     yield from held.steps[: chain.depth]
     for level, rank in enumerate(chain.ranks[len(held.steps):], len(held.steps) + 1):
@@ -322,7 +331,9 @@ def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
         equations = RatMatrix(pairs=new, cols=lower_dim)
         lower = PdeSystem(held.system.n, held.system.m, held.system.k + level - 1, equations)
         up = formal_prolongation(lower)
-        rows = _echelon(map(dict, up.equations.pairs[len(new):]), dict(below))
+        # D_i D_j = D_j D_i: a mixed shift of a row two levels down arrives twice
+        shifted = dict.fromkeys(up.equations.pairs[len(new):])
+        rows = _echelon(map(dict, shifted), dict(below))
         tops = sorted(rows)
         cut = bisect_left(tops, lower_dim)  # the pivot columns among the lower jets
         fiber_dim, image_dim = up.equations.cols - len(tops), lower_dim - cut

@@ -33,7 +33,8 @@ integer row scaling, and each map is ranked once by `ratlin.rank`, `kernel`'s
 integer insertion with no back-substitution; on integers, no Fraction.
 A window holds its size budget: no slot its maps meet may pass
 MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
-A window reads each slot's dimension once, when the budget or a fill first needs it.
+A window reads each level's and each slot's dimension once, when the budget
+or a fill first needs it.
 At and above a chain's involutive level every Spencer group is zero
 (Serre), so those slots are filled with no slot map, rank or δ∘δ check.
 """
@@ -137,8 +138,11 @@ class TableauChain(namedtuple("TableauChain", "n levels partials involution dept
         return cls(*fields)
 
     def level_dim(self, l: int) -> int:
-        """dim W_l: the built level's, or above the built levels the closed form
-        Σ_j C(r + j - 1, r)·α_j of the involution at level l - r."""
+        """dim W_l: for l = -1 the space partials[0] maps into, a built level's, or
+        above the built levels the closed form Σ_j C(r + j - 1, r)·α_j of the
+        involution at level l - r."""
+        if l < 0:
+            return self.partials[0].rows // max(self.n, 1)
         if l < len(self.levels):
             return self.levels[l].dim
         if self.involution is None:
@@ -158,11 +162,6 @@ class TableauChain(namedtuple("TableauChain", "n levels partials involution dept
     def ranks(self) -> tuple[int, ...]:
         """Dimensions of levels 1 .. depth."""
         return tuple(map(self.level_dim, range(1, self.depth + 1)))
-
-    def slot_dim(self, l: int, m: int) -> int:
-        """dim Λ^m ⊗ W_l, with W_-1 the space partials[0] maps into."""
-        width = self.level_dim(l) if l >= 0 else self.partials[0].rows // max(self.n, 1)
-        return ext_dim(self.n, m) * width
 
     def vanishing_level(self) -> int | None:
         """Smallest l <= depth with W_l = 0, if any (zero levels must persist)."""
@@ -250,7 +249,9 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
         raise ValueError(
             f"chain too short: need levels through {l_max + 1}, have {chain.depth}"
         )
-    slot_dim = cache(chain.slot_dim)  # each slot's dimension read once, when first met
+    # each level's dimension, and each slot's dim Λ^m ⊗ W_l, read once when first met
+    level_dim = cache(chain.level_dim)
+    slot_dim = cache(lambda l, m: ext_dim(chain.n, m) * level_dim(l))
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if slot_dim(l, m)]
     for l, m in slots:

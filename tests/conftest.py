@@ -5,9 +5,10 @@
   that start ``python -m formalpde`` need no install;
 * each test starts with no analysis held (``jetpde._Analysis``: the symbol
   tower, walk levels, level fibers and Spencer windows of the most recent
-  system) and no parse memoised (``cli.parse_system``), so a test that breaks
-  an internal meets work done under that fault, not work an earlier test left
-  behind;
+  system; ``jetpde.solution_fiber`` and ``jetpde.symbol_tableau``: its base
+  fiber and symbol) and no parse memoised (``cli.parse_system``), so a test
+  that breaks an internal meets work done under that fault, not work an
+  earlier test left behind;
 * ``count_calls`` wraps a package function in every namespace that holds it,
   or a method on its class.
 """
@@ -32,8 +33,9 @@ def _children_import_this_checkout(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _no_analysis_held():
-    jetpde._Analysis.cache_clear()
-    cli.parse_system.cache_clear()
+    for cache in (jetpde._Analysis, jetpde.solution_fiber, jetpde.symbol_tableau,
+                  cli.parse_system):
+        cache.cache_clear()
 
 
 @pytest.fixture

@@ -917,10 +917,7 @@ def test_exit_two_for_internal_failures(tmp_path, capsys, monkeypatch):
     "command", ["symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"]
 )
 def test_an_unexpected_exception_is_an_internal_failure(command, capsys, monkeypatch):
-    # with nothing cached for the system, every command reaches an elimination
-    for cache in (jetpde.solution_fiber, jetpde.symbol_tableau, jetpde._Analysis):
-        cache.cache_clear()
-
+    # a test starts with nothing cached, so every command reaches an elimination
     def broken(rows, pivot_rows):
         raise KeyError("injected")
 
@@ -1350,7 +1347,6 @@ def test_every_matrix_built_from_pairs_is_canonical(monkeypatch, capsys):
             built.append(self)
 
     monkeypatch.setattr(RatMatrix, "__init__", recording)
-    jetpde.solution_fiber.cache_clear()  # so the base fibers are eliminated here too
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         for command in ("symbol", "tower", "cohomology", "goldschmidt",
                         "finite-type", "crosscheck"):

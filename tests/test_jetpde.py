@@ -3,7 +3,8 @@
 Plan:
  1. jet coordinate layout: order, index round-trip, truncation-as-prefix
  2. from_terms accumulation (repeated and cancelling terms give the pair
-    rows of the dense-built matrix) and input validation (float coefficients
+    rows of the dense-built matrix, integral sums as ints, so the analyses
+    hash no Fraction) and input validation (float coefficients
     refused); PdeSystem, Tableau and TableauChain refuse a bad field with
     the same error whether built positionally, by keyword or by _replace
  3. Cauchy-Riemann tower: frozen dimensions, all projections onto
@@ -22,7 +23,9 @@ Plan:
     second walk from the same cached base fiber, one level at a time,
     repeats the first and gives those canonical fibers too, and only
     the symbol tower's level 0 reads an annihilator off a basis
-    (`constraint_matrix`);
+    (`constraint_matrix`); each walk level inserts every distinct shifted
+    row once, keeping the pivot rows every shifted row gives, so heat3's
+    walk eliminates nothing;
     the crosscheck prolongs once per level and caches no level system,
     every cache in the package is bounded, and the base system's fiber and
     symbol caches hold the one system the six commands share; the
@@ -591,8 +594,6 @@ def test_the_base_system_caches_hold_the_one_system_they_serve(capsys):
     # entry each serves the six commands run on a system in turn
     assert solution_fiber.cache_info().maxsize == symbol_tableau.cache_info().maxsize == 1
     path = str(resources.files("formalpde") / "corpus" / "laplace2d.pde")
-    solution_fiber.cache_clear()
-    symbol_tableau.cache_clear()
     for command in ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"):
         assert main([command, path]) == 0
     capsys.readouterr()
@@ -645,9 +646,10 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
 
 def test_the_walks_containment_check_eliminates_nothing(count_calls, monkeypatch):
     # `_echelon` stores a seed as it is, so each pivot row below is still
-    # the level's pivot row at its top and the containment check settles it
-    # by one equality: heat3's walk to depth 5 checks every kept row and
-    # runs none of the eliminations `_reduces_to_zero` falls back to
+    # the level's pivot row at its top, the same object, and the containment
+    # check settles it by one identity test: heat3's walk to depth 5 checks
+    # every kept row and runs none of the eliminations `_reduces_to_zero`
+    # falls back to
     checked = count_calls(formalpde.jetpde._reduces_to_zero)
     eliminated, eliminate = [], formalpde.jetpde._eliminate
     monkeypatch.setattr(
@@ -659,6 +661,50 @@ def test_the_walks_containment_check_eliminates_nothing(count_calls, monkeypatch
     below = [len(solution_fiber(s).annihilator())] + [len(step.rows) for step in held.steps[:4]]
     assert len(held.steps) == 5 and len(checked) == sum(below) > 0
     assert eliminated == []
+
+
+def test_the_walk_inserts_each_distinct_shifted_row_once(count_calls):
+    # D_i D_j = D_j D_i, so a mixed shift of a row two levels down arrives
+    # twice.  The walk inserts it once, and every other shifted row of heat3's
+    # walk to depth 5 takes a fresh pivot, so with the symbol tower held the
+    # walk eliminates nothing; inserting each repeat too takes 50 steps
+    s = heat3()
+    symbol_tower(s, 5)
+    eliminated = count_calls(formalpde.ratlin._eliminate)
+    prolongation_tower(s, 5)
+    assert len(formalpde.jetpde._Analysis(s).steps) == 5
+    assert eliminated == []
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_terms(), st.integers(1, 4))
+def test_every_walk_level_keeps_the_rows_of_every_shifted_row(terms, depth):
+    # a repeated shifted row lies in the span of the pivot rows when it
+    # arrives, so inserting only the first copy keeps, as data, the pivot
+    # rows `_echelon` keeps when it is handed every shifted row
+    s = PdeSystem.from_terms(*terms)
+    prolongation_tower(s, depth)
+    seed = {max(r): r for r in solution_fiber(s).annihilator()}
+    for step in formalpde.jetpde._Analysis(s).steps[:depth]:
+        every = formal_prolongation(step.lower).equations.pairs[step.lower.equations.rows:]
+        kept = formalpde.jetpde._echelon(map(dict, every), dict(seed))
+        assert list(step.rows.items()) == list(kept.items())
+        seed = step.rows
+
+
+def test_the_analyses_hash_no_fractions(monkeypatch):
+    # from_terms keeps an integral coefficient as an int, so the cache keys
+    # the heat tower and the wave goldschmidt check look up hash no Fraction
+    systems = heat3(), wave4()
+    hashed = []
+    hash_ = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda a: hashed.append(1) or hash_(a))
+    prolongation_tower(systems[0], 5)
+    goldschmidt_check(systems[1], 3)
+    assert hashed == []
+    assert hash(Fraction(1, 2)) and hashed == [1]  # the counter counts
+    (row,) = PdeSystem.from_terms(1, 1, 1, [[("1/2", 0, (1,)), ("3/3", 0, (0,))]]).equations.pairs
+    assert row == ((0, 1), (1, Fraction(1, 2))) and [type(x) for _, x in row] == [int, Fraction]
 
 
 def wave4() -> PdeSystem:
@@ -713,8 +759,6 @@ def test_every_membership_of_the_six_commands_runs_in_ints(monkeypatch):
         return coords(self, pairs)
 
     monkeypatch.setattr(Subspace, "_coords", recording)
-    solution_fiber.cache_clear()
-    symbol_tableau.cache_clear()
     for command in ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck"):
         for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
             with contextlib.redirect_stdout(io.StringIO()):
@@ -771,8 +815,6 @@ def test_the_tower_report_compares_no_fractions(monkeypatch):
     compared = []
     eq = Fraction.__eq__
     monkeypatch.setattr(Fraction, "__eq__", lambda a, b: compared.append(1) or eq(a, b))
-    solution_fiber.cache_clear()
-    symbol_tableau.cache_clear()
     report = prolongation_tower(heat3(), 10)
     assert report.verdict_level == 10 and len(report.levels) == 10
     assert compared == []
