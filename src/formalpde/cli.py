@@ -116,6 +116,8 @@ _DIRECTION_RE = re.compile(r"x([0-9]*)")
 _BLANKS_RE = re.compile(r"[ \t]*")
 _TRIVIAL_RE = re.compile(r"0[ \t]*(?==)")  # 'eq: 0 = 0', a bare unsigned zero
 _RHS_RE = re.compile(r"=[ \t]*(?:(0)[ \t]*)?")
+# not str.splitlines, which also breaks at \v, \f, \x1c-\x1e, U+0085, U+2028 and U+2029
+_LINE_END_RE = re.compile(r"\r\n|\r|\n")
 
 
 def _parse_equation(line_no: int, line: str, n: int, m: int, k: int):
@@ -195,7 +197,7 @@ def parse_system(text: str) -> PdeSystem:
     """Parse .pde source into a PdeSystem; equations keep file order."""
     headers: dict[str, int] = {}
     equations: list[list[tuple[Fraction, int, tuple[int, ...]]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_END_RE.split(text), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

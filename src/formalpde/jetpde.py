@@ -16,31 +16,33 @@ canonical basis rather than eliminated again.
 
 Every analysis reads the record held for the most recent system
 (`_Analysis`): a prefix of its symbol's tableau tower, and its jet walk,
-one forward elimination per level and once per system, a deeper walk
-resuming from the deepest held level.  A level's fiber dimension, its
-truncation image's in the fiber below and the symbol dimension are read off
-the pivot columns of its echelon rows, with no back-substitution, and the
-symbol is checked against the tower, above its involutive level the closed
-form.  A projection that is not surjective is a genuine obstruction, with a
-witness: a lower-order solution jet that no higher-order solution extends.
-Canonical fibers are built, and held, only where something reads them: a
-witness's two levels, and every level of the crosscheck, which maps the
-walk's fibers into the connection route, whose fibers come from
-eliminations of their own, so the two routes stay independent, and checks
-the mapped jets, kept as pairs, by their coordinates in the connection fiber.
+whose level 0 is the base fiber: one forward elimination per level above
+and once per system, each walk resuming from the deepest held level.  A
+level's fiber dimension, its truncation image's in the fiber below and the
+symbol dimension are read off the pivot columns of its echelon rows, with
+no back-substitution, and the symbol is checked against the tower, above
+its involutive level the closed form.  A projection that is not surjective
+is a genuine obstruction, with a witness: a lower-order solution jet that
+no higher-order solution extends.  Canonical fibers are built, and held,
+only where something reads them: a witness's two levels, and every level
+of the crosscheck, which maps the walk's fibers into the connection route,
+whose fibers come from eliminations of their own, so the two routes stay
+independent, and checks the mapped jets, kept as pairs, by their
+coordinates in the connection fiber.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
 fiber prolonged, and the user's equations enter only through the base
-fiber.  Level 1 seeds its elimination with the base fiber's annihilator,
-the integer pivot rows its elimination kept (``Subspace.annihilator``), and
-each later level with the forward pivot rows of the level below; a level
-prolongs only the rows new at it: n shifted rows per new row, not
-(1 + n)^level per base equation.  ``formal_prolongation`` itself still keeps
-every row, and since D_i D_j = D_j D_i a mixed shift of a row two levels down
-arrives twice; the walk inserts each distinct shifted row once.  Its seeds
-stay the level's pivot rows as they are, so the check that each reduces to
-zero passes it by identity.
+fiber.  Level 0's rows are the base fiber's annihilator, the integer pivot
+rows its elimination kept (``Subspace.annihilator``), seeded by none; each
+level above seeds its elimination with the forward pivot rows of the level
+below and prolongs only the rows that level added to its seeds: n shifted
+rows per new row, not (1 + n)^level per base equation.
+``formal_prolongation`` itself still keeps every row, and since
+D_i D_j = D_j D_i a mixed shift of a row two levels down arrives twice; the
+walk inserts each distinct shifted row once.  Its seeds stay the level's
+pivot rows as they are, so the check that each reduces to zero passes it by
+identity.
 
 Two of the four size budgets live here, checked before anything is eliminated:
 the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
@@ -183,18 +185,20 @@ def symbol_tableau(system: PdeSystem) -> Tableau:
 
 @lru_cache(maxsize=1)  # so a call returns the record of the most recent system
 class _Analysis:
-    """What the analyses have read off one system: its symbol tower, the jet
-    walk's levels 1 .. the deepest walked with the state the next resumes
-    from, the canonical fibers built of them, and the Spencer windows asked,
-    by (l_max, m_max).  What raises is never held."""
+    """What the analyses have read off one system: its symbol tower; the jet
+    walk's levels from level 0, the base fiber, with the state the next
+    resumes from and the canonical fibers built of them; and the Spencer
+    windows asked, by (l_max, m_max).  What raises is never held."""
 
     def __init__(self, system: PdeSystem):
-        self.system, self.tower, self.resume = system, None, None
-        self.steps, self.fibers, self.windows = [], {}, {}
+        self.system, self.tower, base = system, None, solution_fiber(system)
+        self.steps, self.fibers, self.windows = [], {0: base}, {}
+        # level 0's rows: the annihilator its kernel kept, seeded by none
+        self.resume = {max(r): r for r in base.annihilator()}, {}, base.ambient_dim, base.dim
 
     def fiber(self, level: int) -> Subspace:
-        """The canonical fiber of held walk level >= 1, built once: `kernel`
-        back-substitutes copies of its rows, which stay the seed above."""
+        """The canonical fiber of held walk level (level 0's the base fiber), built
+        once: `kernel` back-substitutes copies of its rows, which stay the seed above."""
         if level not in self.fibers:
             rows, (n, m, k, _) = self.steps[level - 1].rows.values(), self.system
             self.fibers[level] = kernel(map(dict, rows), cols=jet_fiber_dim(n, m, k + level))
@@ -302,15 +306,14 @@ def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]])
     return True
 
 
-def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
+def _walk(held: _Analysis, chain: TableauChain):
     """Yield levels 1 .. depth of the tableau tower: the levels held for the
     system, then one prolongation per level above, each checked and held.
 
     A level runs only the forward elimination (`ratlin._echelon`): copies of
-    the pivot rows below take the shifts of the new rows there, those at
-    coordinates above the level below's or at pivots of the fiber there that
-    the truncation image lost; with the rows one level lower, whose shifts
-    they hold, they span it all.  Each row leads at its top column, and the
+    the pivot rows below take the shifts of the rows new there, those the
+    level below added to its seeds; with its seeds, whose shifts the level
+    below holds, they span it all.  Each row leads at its top column, and the
     columns no row tops are the pivots of the fiber's canonical basis: the
     fiber dimension counts them, the image those below the lower width, and the
     symbol, checked against the tableau tower's rank (above an involutive level
@@ -323,11 +326,9 @@ def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
     """
     yield from held.steps[: chain.depth]
     for level, rank in enumerate(chain.ranks[len(held.steps):], len(held.steps) + 1):
-        below, floor, lower_dim, prev_dim, lost = held.resume or (
-            {max(r): r for r in base_fiber.annihilator()}, 0,
-            base_fiber.ambient_dim, base_fiber.dim, set())
+        below, seeds, lower_dim, prev_dim = held.resume
         # the new rows as pairs, ascending by top column
-        new = [sorted(row.items()) for t, row in sorted(below.items()) if t >= floor or t in lost]
+        new = [sorted(row.items()) for t, row in sorted(below.items()) if t not in seeds]
         equations = RatMatrix(pairs=new, cols=lower_dim)
         lower = PdeSystem(held.system.n, held.system.m, held.system.k + level - 1, equations)
         up = formal_prolongation(lower)
@@ -356,8 +357,7 @@ def _walk(held: _Analysis, base_fiber: Subspace, chain: TableauChain):
                 f"(fiber dim {prev_dim}) at level {level}"
             )
         held.steps.append(step := _Level(lower, rows, fiber_dim, image_dim, sym))
-        lost = {t for t in tops[:cut] if t not in below}
-        held.resume = rows, lower_dim, up.equations.cols, fiber_dim, lost
+        held.resume = rows, below, up.equations.cols, fiber_dim
         yield step
 
 
@@ -365,13 +365,12 @@ def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
     """The tower report over levels 1 .. depth of the tableau tower.  Only a
     level that is not surjective reads canonical fibers, its own and the
     one below, for its witness."""
-    base_fiber = solution_fiber(held.system)
     records: list[LevelRecord] = []
-    prev_dim = base_fiber.dim
-    for level, step in enumerate(_walk(held, base_fiber, chain), 1):
+    prev_dim = held.fiber(0).dim
+    for level, step in enumerate(_walk(held, chain), 1):
         surjective, witness = step.image_dim == prev_dim, None
         if not surjective:
-            lower_fiber = base_fiber if level == 1 else held.fiber(level - 1)
+            lower_fiber = held.fiber(level - 1)
             img = held.fiber(level).head(lower_fiber.ambient_dim)
             witness = next(v for v in lower_fiber.basis if not img.contains_vector(v))
         records.append(LevelRecord(
@@ -381,7 +380,7 @@ def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
         prev_dim = step.fiber_dim
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(
-        base_fiber_dim=base_fiber.dim, levels=tuple(records),
+        base_fiber_dim=held.fiber(0).dim, levels=tuple(records),
         verdict="integrable-up-to" if failed is None else "obstructed-at",
         verdict_level=len(records) if failed is None else failed.level,
         certification_basis="exhausted-bound" if failed is None else f"tower({len(records)})",
@@ -569,9 +568,8 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
         )
     out = []
     held, chain = _held(system, depth)
-    lower_fiber = solution_fiber(system)
-    for level, step in enumerate(_walk(held, lower_fiber, chain), 1):
-        lower, fib = step.lower, held.fiber(level)
+    for level, step in enumerate(_walk(held, chain), 1):
+        lower, lower_fiber, fib = step.lower, held.fiber(level - 1), held.fiber(level)
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))
         try:  # each basis vector b_j read as its integer row d_j·b_j, the same span
             pts = [_prolongation_point(lower, lower_fiber, row) for row in fib.rows]
@@ -593,5 +591,4 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
             connection_route=RouteDims(pf.subspace.dim, pf.projection_image.dim),
             symbol_dim=step.symbol_dim,
         ))
-        lower_fiber = fib
     return tuple(out)

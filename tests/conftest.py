@@ -4,11 +4,12 @@
 * child processes import the package from this checkout's ``src/``, so tests
   that start ``python -m formalpde`` need no install;
 * each test starts with no analysis held (``jetpde._Analysis``: the symbol
-  tower, walk levels, level fibers and Spencer windows of the most recent
-  system; ``jetpde.solution_fiber`` and ``jetpde.symbol_tableau``: its base
-  fiber and symbol) and no parse memoised (``cli.parse_system``), so a test
-  that breaks an internal meets work done under that fault, not work an
-  earlier test left behind;
+  tower, the walk levels from level 0, the base fiber, their fibers and the
+  Spencer windows of the most recent system; ``jetpde.solution_fiber`` and
+  ``jetpde.symbol_tableau``: its base fiber and symbol, cached apart too)
+  and no parse memoised (``cli.parse_system``), so a test that breaks an
+  internal meets work done under that fault, not work an earlier test left
+  behind;
 * ``count_calls`` wraps a package function in every namespace that holds it,
   or a method on its class.
 """

@@ -210,10 +210,25 @@ def test_parser_raises_only_input_errors(lines):
     try:
         parse_system(text)
     except PdeSyntaxError as err:
-        # the fuzz draws line breaks that splitlines honours, and so does the parser
-        assert 1 <= err.col <= len(text.splitlines()[err.line - 1]) + 1
+        # the fuzz draws every character str.splitlines breaks at; the parser
+        # ends a line only at '\n', '\r\n' or '\r', and so does this oracle
+        assert 1 <= err.col <= len(cli._LINE_END_RE.split(text)[err.line - 1]) + 1
     except PdeSemanticError:
         pass
+
+
+def test_a_line_ends_only_at_a_line_feed_or_a_carriage_return(tmp_path, capsys):
+    # str.splitlines also breaks at U+0085 and U+2028, among others: a
+    # comment's tail would be read as an equation, a comment's text past
+    # U+2028 as a line of its own, and text after '= 0' would be accepted
+    path = write_pde(tmp_path, "base_dim = 1\nfiber_rank = 1\norder = 1\n# note\x85eq: u1 = 0\n")
+    assert main(["tower", path, "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["verdict"], report["verdict_level"]) == ("integrable-up-to", 4)
+    assert parse_system(HEADER + "# a\u2028 b\n") == parse_system(HEADER)
+    with pytest.raises(PdeSyntaxError) as info:
+        parse_system(HEADER + "eq: -u1_x1 = 0\u2028\n")
+    assert str(info.value) == "line 4, col 15: expected end of line after '= 0'"
 
 
 def test_non_ascii_digits_are_syntax_errors():
@@ -1326,7 +1341,7 @@ def test_a_walk_level_that_raises_is_never_held(monkeypatch, capsys):
     assert main(["crosscheck", path, "--json", "-"]) == 2
     assert "violate the lower system (fiber dim 7) at level 2" in capsys.readouterr().err
     held = jetpde._Analysis(load_system(path))
-    assert len(held.steps) == 1 and list(held.fibers) == [1]
+    assert len(held.steps) == 1 and list(held.fibers) == [0, 1]
     monkeypatch.undo()
     seeds = count_walk_levels(monkeypatch)
     assert main(["crosscheck", path, "--json", "-"]) == 0
@@ -1362,19 +1377,34 @@ def test_load_system_reads_files(tmp_path):
     assert load_system(path) == parse_system(corpus_text("wave1d.pde"))
 
 
-def test_a_byte_order_mark_changes_no_corpus_system_or_report(tmp_path, capsys):
-    plain, marked = tmp_path / "plain.pde", tmp_path / "marked.pde"
+def assert_read_as_the_corpus(tmp_path, capsys, encode) -> None:
+    """Each corpus file and its copy through encode (bytes to bytes) load as
+    equal systems and give the same outputs of the six commands."""
+    plain, copy = tmp_path / "plain.pde", tmp_path / "copy.pde"
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         plain.write_bytes(path.read_bytes())
-        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
-        assert load_system(str(marked)) == load_system(str(plain)), path.name
-        for command in ("symbol", "tower", "cohomology", "goldschmidt",
-                        "finite-type", "crosscheck"):
+        copy.write_bytes(encode(path.read_bytes()))
+        assert load_system(str(copy)) == load_system(str(plain)), path.name
+        for command in COMMANDS:
             outs = []
-            for source in (plain, marked):
+            for source in (plain, copy):
                 assert main([command, str(source), "--json", "-"]) == 0, (path.name, command)
                 outs.append(capsys.readouterr().out)
             assert outs[0] == outs[1], (path.name, command)
+
+
+def test_a_byte_order_mark_changes_no_corpus_system_or_report(tmp_path, capsys):
+    assert_read_as_the_corpus(tmp_path, capsys, lambda text: codecs.BOM_UTF8 + text)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_change_no_corpus_system_or_report(end, tmp_path, capsys):
+    # a file is read with universal newlines, so the parser's own split is
+    # checked on the text too
+    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
+        text = path.read_text()
+        assert parse_system(text.replace("\n", end)) == parse_system(text), path.name
+    assert_read_as_the_corpus(tmp_path, capsys, lambda text: text.replace(b"\n", end.encode()))
 
 
 # --------------------------- 8. new command surfaces ---------------------------

@@ -429,11 +429,9 @@ def canonical_walk(s: PdeSystem, depth: int):
     the canonical fiber below, the level's canonical fiber (`_Analysis.fiber`),
     its truncation image and the walk's symbol dimension."""
     held, chain = _held(s, depth)
-    lower_fiber = solution_fiber(s)
-    for level, step in enumerate(_walk(held, lower_fiber, chain), 1):
-        fiber = held.fiber(level)
+    for level, step in enumerate(_walk(held, chain), 1):
+        lower_fiber, fiber = held.fiber(level - 1), held.fiber(level)
         yield step.lower, lower_fiber, fiber, fiber.head(lower_fiber.ambient_dim), step.symbol_dim
-        lower_fiber = fiber
 
 
 @settings(deadline=None, max_examples=60)
@@ -460,7 +458,9 @@ def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
     # surjectivity and the first lower basis vector outside the image.  In
     # the example, u_x2 - u_x1 = 0 and u = 0, each level has fiber 1, symbol
     # 1 and image 0: every truncation image loses the pivot of the fiber
-    # below, which the walk must carry up in its resume state
+    # below, so each level adds to its seeds a row below the lower width,
+    # which the walk must prolong at the level above as it does every row
+    # a level adds
     s = PdeSystem.from_terms(*terms)
     report = prolongation_tower(s, depth)
     lower, lower_fiber = s, solution_fiber(s)
@@ -507,6 +507,25 @@ def test_walking_a_cached_base_fiber_twice_gives_the_same_fibers(terms, depth):
         unwalked.append((fiber.rows, fiber.head(lower_fiber.ambient_dim).rows))
         lower_fiber = fiber
     assert walks[1] == unwalked
+
+
+def test_the_record_holds_the_base_fiber_as_level_0(count_calls):
+    # the walk starts the way it resumes: the record holds the base fiber as
+    # level 0 from the start, so the tower and the crosscheck read every
+    # lower fiber off the record, level 1's and a witness's too, and look up
+    # no solution fiber of their own
+    looked_up = count_calls(solution_fiber)
+    for s in heat3(), load_system(str(resources.files("formalpde") / "corpus"
+                                      / "flat_connection_obstructed.pde")):
+        symbol_tower(s, 2)
+        held = formalpde.jetpde._Analysis(s)
+        assert held.fibers == {0: solution_fiber(s)} and held.fibers[0] is solution_fiber(s)
+        looked_up.clear()
+        tower_report, levels = prolongation_tower(s, 2), crosscheck_routes(s, 2)
+        assert looked_up == [] and len(levels) == 2
+        assert tower_report.base_fiber_dim == held.fibers[0].dim
+        assert sorted(held.fibers) == [0, 1, 2] and held.fibers[0] is solution_fiber(s)
+    assert tower_report.verdict == "obstructed-at" and tower_report.witness is not None
 
 
 def test_the_walk_reads_no_annihilator_off_a_basis(count_calls):
