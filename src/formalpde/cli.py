@@ -408,8 +408,8 @@ def cmd_cohomology(args, system: PdeSystem) -> tuple[list[str], dict]:
     m_max = args.m_max if args.m_max is not None else system.n
     if m_max > system.n:  # every form degree past n is a zero slot
         raise ValueError(f"--m-max {m_max} exceeds base_dim {system.n}")
-    held, chain = _held(system, args.l_max + 1)
-    report = held.window(chain, args.l_max, m_max)
+    held, chain = _held(system, args.l_max + 1, 0)
+    report = held.symbol.window(chain, args.l_max, m_max)
     lines = [f"system: base_dim={system.n} fiber_rank={system.m} order={system.k}"]
     lines.append("l      " + "  ".join(f"H(l,{mm})" for mm in range(1, m_max + 1)))
     for l in range(args.l_max + 1):

@@ -14,21 +14,22 @@ prolongations truncate into each other.  The symbol of a system is the part
 of its solution fiber vanishing below the top order, read off the fiber's
 canonical basis rather than eliminated again.
 
-Every analysis reads the record held for the most recent system
-(`_Analysis`): a prefix of its symbol's tableau tower, and its jet walk,
-whose level 0 is the base fiber: one forward elimination per level above
-and once per system, each walk resuming from the deepest held level.  A
-level's fiber dimension, its truncation image's in the fiber below and the
-symbol dimension are read off the pivot columns of its echelon rows, with
-no back-substitution, and the symbol is checked against the tower, above
-its involutive level the closed form.  A projection that is not surjective
-is a genuine obstruction, with a witness: a lower-order solution jet that
-no higher-order solution extends.  Canonical fibers are built, and held,
-only where something reads them: a witness's two levels, and every level
-of the crosscheck, which maps the walk's fibers into the connection route,
-whose fibers come from eliminations of their own, so the two routes stay
-independent, and checks the mapped jets, kept as pairs, by their
-coordinates in the connection fiber.
+Every analysis reads the record of its symbol (`_Symbol`), shared by the
+systems with that symbol: a prefix of its tableau tower, and its Spencer
+windows; and the record of the most recent system (`_Analysis`): its jet
+walk, whose level 0 is the base fiber: one forward elimination per level
+above and once per system, each walk resuming from the deepest held level.
+A level's fiber dimension, its truncation image's in the fiber below and
+the symbol dimension are read off the pivot columns of its echelon rows,
+with no back-substitution, and the symbol is checked against the tower,
+above its involutive level the closed form.  A projection that is not
+surjective is a genuine obstruction, with a witness: a lower-order
+solution jet that no higher-order solution extends.  Canonical fibers are
+built, and held, only where something reads them: a witness's two levels,
+and every level of the crosscheck, which maps the walk's fibers into the
+connection route, whose fibers come from eliminations of their own, so the
+two routes stay independent, and checks the mapped jets, kept as pairs, by
+their coordinates in the connection fiber.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
@@ -44,9 +45,10 @@ walk inserts each distinct shifted row once.  Its seeds stay the level's
 pivot rows as they are, so the check that each reduces to zero passes it by
 identity.
 
-Two of the four size budgets live here, checked before anything is eliminated:
-the jet fiber of every tower (MAX_JET_FIBER, which the .pde parser reads at depth
-1, as every analysis prolongs) and a connection route's width (MAX_CROSSCHECK_WIDTH).
+Two of the four size budgets live here, checked before the stage they guard
+eliminates anything: the jet fiber at the depth an analysis walks
+(MAX_JET_FIBER, which the .pde parser reads at depth 1) and a connection
+route's width (MAX_CROSSCHECK_WIDTH).
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def jet_fiber_dim(n: int, m: int, k: int) -> int:
     return m * comb(n + k, n)
 
 
-# Widest jet fiber, in coordinates, an analysis may prolong to.  The walk
+# Widest jet fiber, in coordinates, an analysis may walk to.  The walk
 # inserts n shifted rows per new annihilator row at every level, and its
 # cost grows about as N^2 in time: u_x1x1 + u_x2x2 - u_x3 = 0 under
 # `tower --levels 14` reaches N = 969 in 0.04 s and 18 MB peak RSS, and the
@@ -183,16 +185,39 @@ def symbol_tableau(system: PdeSystem) -> Tableau:
     return Tableau(n=system.n, f=system.m, space=space, degree=system.k)
 
 
+@lru_cache(maxsize=16)  # a fixed bound: the symbols of the most recent systems
+class _Symbol:
+    """What the analyses have read off one symbol tableau, whichever system has
+    it: the deepest tower built, and the Spencer windows asked, by (l_max,
+    m_max), which read only the tower.  What raises is never held."""
+
+    def __init__(self, t: Tableau):
+        self.tableau, self.tower, self.windows = t, None, {}
+
+    def chain(self, depth: int) -> TableauChain:
+        """Levels 0 .. depth: the held tower's prefix, rebuilt deeper only when too
+        shallow and not involutive (`tower` read off the module at each build)."""
+        if self.tower is None or self.tower.involution is None and self.tower.depth < depth:
+            self.tower = tower(self.tableau, depth)
+        return self.tower.prefix(depth)
+
+    def window(self, chain: TableauChain, l_max: int, m_max: int):
+        """cohomology(chain, l_max, m_max), chain the held tower's prefix to l_max + 1."""
+        if (l_max, m_max) not in self.windows:
+            self.windows[l_max, m_max] = cohomology(chain, l_max=l_max, m_max=m_max)
+        return self.windows[l_max, m_max]
+
+
 @lru_cache(maxsize=1)  # so a call returns the record of the most recent system
 class _Analysis:
-    """What the analyses have read off one system: its symbol tower; the jet
-    walk's levels from level 0, the base fiber, with the state the next
-    resumes from and the canonical fibers built of them; and the Spencer
-    windows asked, by (l_max, m_max).  What raises is never held."""
+    """What the analyses have read off one system: the record of its symbol
+    (`_Symbol`, shared by every system with that symbol), and the jet walk's
+    levels from level 0, the base fiber, with the state the next resumes from
+    and the canonical fibers built of them.  What raises is never held."""
 
     def __init__(self, system: PdeSystem):
-        self.system, self.tower, base = system, None, solution_fiber(system)
-        self.steps, self.fibers, self.windows = [], {0: base}, {}
+        self.system, base = system, solution_fiber(system)
+        self.symbol, self.steps, self.fibers = _Symbol(symbol_tableau(system)), [], {0: base}
         # level 0's rows: the annihilator its kernel kept, seeded by none
         self.resume = {max(r): r for r in base.annihilator()}, {}, base.ambient_dim, base.dim
 
@@ -204,28 +229,20 @@ class _Analysis:
             self.fibers[level] = kernel(map(dict, rows), cols=jet_fiber_dim(n, m, k + level))
         return self.fibers[level]
 
-    def window(self, chain: TableauChain, l_max: int, m_max: int):
-        """cohomology(chain, l_max, m_max), chain the held tower's prefix to l_max + 1."""
-        if (l_max, m_max) not in self.windows:
-            self.windows[l_max, m_max] = cohomology(chain, l_max=l_max, m_max=m_max)
-        return self.windows[l_max, m_max]
 
-
-def _held(system: PdeSystem, depth: int) -> tuple[_Analysis, TableauChain]:
+def _held(system: PdeSystem, depth: int, walk: int) -> tuple[_Analysis, TableauChain]:
     """The record of system and levels 0 .. depth of its symbol tower, after the
-    jet and tower budgets: rebuilt deeper only when too shallow and not involutive."""
-    check_jet_budget(system.n, system.m, system.k, depth)
-    check_tower_budget(t := symbol_tableau(system), depth)
+    jet budget at the depth walked and the tower budget, whatever is held."""
+    check_jet_budget(system.n, system.m, system.k, walk)
+    check_tower_budget(symbol_tableau(system), depth)
     held = _Analysis(system)
-    if held.tower is None or held.tower.involution is None and held.tower.depth < depth:
-        held.tower = tower(t, depth)
-    return held, held.tower.prefix(depth)
+    return held, held.symbol.chain(depth)
 
 
 def symbol_tower(system: PdeSystem, depth: int) -> TableauChain:
     """Levels 0 .. depth of the symbol's tableau tower, which every analysis
-    and jet walk reads: a prefix of the tower held for the most recent system."""
-    return _held(system, depth)[1]
+    and jet walk reads: a prefix of the tower held for the system's symbol."""
+    return _held(system, depth, 0)[1]
 
 
 def formal_prolongation(system: PdeSystem) -> PdeSystem:
@@ -391,7 +408,7 @@ def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
 def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
     """Walk depth prolongations, checking surjectivity of every truncation
     (depth >= 1, as for the tower)."""
-    return _tower_report(*_held(system, depth))
+    return _tower_report(*_held(system, depth, depth))
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -405,8 +422,8 @@ def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    held, chain = _held(system, l_max + 1)
-    report = held.window(chain, l_max, 2)
+    held, chain = _held(system, l_max + 1, 1)
+    report = held.symbol.window(chain, l_max, 2)
     hdims = {key: e.h_dim for key, e in report.entries.items()}
     tower_report = _tower_report(held, chain.prefix(1))
     if tower_report.verdict == "obstructed-at":
@@ -433,16 +450,18 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     If the symbol tower reaches zero at level l <= l_max and the prolongation
     tower is surjective through level l + 1, projections above l are
     bijections and the system is formally integrable outright; the walk's
-    depth l + 1 is fixed by the criterion, inside the tower's l_max + 1.
+    depth l + 1 is fixed by the criterion, inside the tower's l_max + 1, and
+    the jet budget is charged it once l is read, before the walk.
     For symbols that stay nonzero through l_max the question defers to
     ``goldschmidt_check``, whose window ``spencer.cohomology`` budgets.
     """
     if l_max < 0:
         raise ValueError("l_max must be >= 0")
-    held, chain = _held(system, l_max + 1)
+    held, chain = _held(system, l_max + 1, 1)
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
         return goldschmidt_check(system, l_max)._replace(type_verdict=verdict)
+    check_jet_budget(system.n, system.m, system.k, verdict.level + 1)
     report = _tower_report(held, chain.prefix(verdict.level + 1))
     result, level = report.verdict, report.verdict_level
     if result != "obstructed-at":
@@ -567,7 +586,7 @@ def crosscheck_routes(system: PdeSystem, depth: int) -> tuple[RouteLevel, ...]:
             f"fiber, {has} coordinates, above the budget of {MAX_CROSSCHECK_WIDTH}"
         )
     out = []
-    held, chain = _held(system, depth)
+    held, chain = _held(system, depth, depth)
     for level, step in enumerate(_walk(held, chain), 1):
         lower, lower_fiber, fib = step.lower, held.fiber(level - 1), held.fiber(level)
         pf = classical_prolongation_fiber(_relconn(lower, lower_fiber))

@@ -31,8 +31,8 @@ assembled from ∂·D as it is, since a column scaling keeps ranks: im ⊂ ker i
 checked exactly as δ∘δ = 0 on them, D⁻¹ put back between them as one
 integer row scaling, and each map is ranked once by `ratlin.rank`, `kernel`'s
 integer insertion with no back-substitution; on integers, no Fraction.
-A window holds its size budget: no slot its maps meet may pass
-MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
+A window holds its size budget: no slot the maps it assembles meet may
+pass MAX_SPENCER_SLOT, read off the chain's exact dimensions before assembly.
 A window reads each level's and each slot's dimension once, when the budget
 or a fill first needs it.
 At and above a chain's involutive level every Spencer group is zero
@@ -85,11 +85,11 @@ def _slot_matrix(n: int, m: int, partial: RatMatrix) -> RatMatrix:
 
 
 # Widest Spencer slot, in coordinates, a cohomology window may assemble.  Its
-# maps are stored as pairs, so cost grows about as N^1.1: the free first-order
-# system under `cohomology --l-max 1` meets N = 2940 in seven variables in
-# 0.08 s and 19 MB, 8400 in eight in 0.26 s and 22 MB, and 20790 in nine in
-# 0.75 s and 32 MB (in-process, budget lifted, Python 3.11, shared 2-vCPU VM).
-# Corpus, pool and benchmark inputs stay at or below 336.
+# maps are stored as pairs, so cost grows about as N: u_xixi = 0 for all i
+# under `cohomology --l-max 1` meets N = 1225 in seven variables in 0.04 s,
+# 4900 in eight in 0.12 s and 24 MB, and 15876 in nine in 0.42 s and 42 MB
+# (window only, budget lifted, Python 3.11.7, shared 2-vCPU VM).  Corpus,
+# pool and benchmark inputs stay at or below 336.
 MAX_SPENCER_SLOT = 3000
 
 
@@ -234,7 +234,8 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     Needs the chain to reach level l_max + 1 (the incoming map of the
     slot (l_max, m) starts there); raises ValueError("chain too short ...")
     otherwise rather than prolonging silently.  It refuses (ValueError),
-    before any assembly, a window whose maps meet a slot past MAX_SPENCER_SLOT,
+    before any assembly, a window whose ranked slots' maps meet a slot past
+    MAX_SPENCER_SLOT (those at and above the involutive level assemble none),
     and before building its grid an m_max past max(n, 2): every form degree
     past n is a zero slot, and no caller asks past 2 when n < 2.
     """
@@ -254,7 +255,10 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     slot_dim = cache(lambda l, m: ext_dim(chain.n, m) * level_dim(l))
     grid = [(l, m) for l in range(l_max + 1) for m in range(1, m_max + 1)]
     slots = [(l, m) for l, m in grid if slot_dim(l, m)]
-    for l, m in slots:
+    # slots at and above an involutive level are Serre's zeros; the rest are ranked
+    top = l_max + 1 if chain.involution is None else chain.involution.level
+    ranked = [(l, m) for l, m in slots if l < top]
+    for l, m in ranked:
         for met in ((l - 1, m + 1), (l, m), (l + 1, m - 1)):
             if slot_dim(*met) > MAX_SPENCER_SLOT:
                 raise ValueError(
@@ -262,9 +266,6 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
                     f"(l, m) = {met} of {slot_dim(*met)} coordinates, above the "
                     f"budget of {MAX_SPENCER_SLOT}"
                 )
-    # slots at and above an involutive level are Serre's zeros; the rest are ranked
-    top = l_max + 1 if chain.involution is None else chain.involution.level
-    ranked = [(l, m) for l, m in slots if l < top]
     # each map out of or into a slot, as nonzero (column, value) pairs, once, from ∂·D
     keys = dict.fromkeys(key for l, m in ranked for key in ((l, m), (l + 1, m - 1)))
     maps = {(l, m): _slot_matrix(chain.n, m, chain.partials[l]).pairs for l, m in keys}

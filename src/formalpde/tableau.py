@@ -45,6 +45,7 @@ level is built.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from math import isqrt, lcm
 from typing import NamedTuple
 
@@ -222,6 +223,14 @@ def check_tower_budget(t: Tableau, depth: int) -> None:
 VANDERMONDE_FLAGS = 3
 
 
+@lru_cache
+def _flags(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Cartan's test's flags in n variables, in the order tried."""
+    coordinate = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    return coordinate, *(tuple(tuple(x**i for i in range(n)) for x in range(s, s + n))
+                         for s in range(1, VANDERMONDE_FLAGS + 1))
+
+
 def cartan_dims(n: int, partial: RatMatrix, flag) -> tuple[int, ...]:
     """dim g_0 >= dim g_1 >= ... >= dim g_n for a chain level g with ∂·D =
     partial (rows b*n + i) under the flag v_1 .. v_n: g_j is the ξ in g with
@@ -249,9 +258,6 @@ def _classical_tower(t: Tableau, depth: int):
     >=), once l+1 is built, ends it: levels 0 .. l+1, their ∂ and the
     `Involution` (None if no level passes)."""
     n, f = t.n, t.f
-    flags = [tuple(tuple(int(i == j) for i in range(n)) for j in range(n))]
-    flags += [tuple(tuple(x**i for i in range(n)) for x in range(s, s + n))
-              for s in range(1, VANDERMONDE_FLAGS + 1)]
     bottom = Subspace.full(sym_dim(n, t.degree - 1) * f)
     levels, partials = [t.space], [_verify_contracts_into(n, f, t.degree, t.space, bottom)]
     for degree in range(t.degree + 1, t.degree + depth + 1):
@@ -259,7 +265,7 @@ def _classical_tower(t: Tableau, depth: int):
         nxt = prolong(Tableau(n=n, f=f, space=prev, degree=degree - 1))
         levels.append(nxt)
         partials.append(_verify_contracts_into(n, f, degree, nxt, prev))
-        for flag in flags:
+        for flag in _flags(n):
             dims = cartan_dims(n, partials[-2], flag)
             if sum(dims[:n]) == nxt.dim:
                 chars = tuple(a - b for a, b in zip(dims, dims[1:]))

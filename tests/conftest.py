@@ -3,13 +3,16 @@
 * a per-criterion summary for the acceptance suite;
 * child processes import the package from this checkout's ``src/``, so tests
   that start ``python -m formalpde`` need no install;
-* each test starts with no analysis held (``jetpde._Analysis``: the symbol
-  tower, the walk levels from level 0, the base fiber, their fibers and the
-  Spencer windows of the most recent system; ``jetpde.solution_fiber`` and
-  ``jetpde.symbol_tableau``: its base fiber and symbol, cached apart too)
-  and no parse memoised (``cli.parse_system``), so a test that breaks an
-  internal meets work done under that fault, not work an earlier test left
-  behind;
+* each test starts with no analysis held (``clear_held``): no symbol record
+  (``jetpde._Symbol``: the tower and the Spencer windows of each of the most
+  recent symbols), no system record (``jetpde._Analysis``: the walk levels
+  from level 0, the base fiber, and their fibers of the most recent system;
+  ``jetpde.solution_fiber`` and ``jetpde.symbol_tableau``: its base fiber
+  and symbol, cached apart too) and no parse memoised
+  (``cli.parse_system``), so a test that breaks an internal meets work done
+  under that fault, not work an earlier test left behind.
+  `test_jetpde.py` pins that list against every cache in ``jetpde`` and
+  ``cli`` but the pure coordinate tables;
 * ``count_calls`` wraps a package function in every namespace that holds it,
   or a method on its class.
 """
@@ -32,11 +35,19 @@ def _children_import_this_checkout(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, (SRC, inherited))))
 
 
+HELD = (jetpde._Symbol, jetpde._Analysis, jetpde.solution_fiber, jetpde.symbol_tableau,
+        cli.parse_system)
+
+
+def clear_held():
+    """Empty every record held for a symbol or a system, and the parse memo."""
+    for cache in HELD:
+        cache.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _no_analysis_held():
-    for cache in (jetpde._Analysis, jetpde.solution_fiber, jetpde.symbol_tableau,
-                  cli.parse_system):
-        cache.cache_clear()
+    clear_held()
 
 
 @pytest.fixture

@@ -86,6 +86,7 @@ from formalpde.spencer import MAX_SPENCER_SLOT, HEntry, TableauChain, cohomology
 from formalpde.tableau import MAX_TOWER_WORK, Tableau, tower
 from formalpde.tensorspace import multi_indices, sym_dim
 
+from conftest import clear_held
 from matrices import full_tower
 from systems import small_terms
 
@@ -576,8 +577,6 @@ HEAT3 = "base_dim = 3\nfiber_rank = 1\norder = 2\neq: u1_x1x1 + u1_x2x2 - u1_x3 
     [
         ("tower", "--levels", "20"),  # the order-22 jet fiber: C(25, 3) = 2300
         ("tower", "--levels", "9" * 23),
-        ("goldschmidt", "--l-max", "9" * 23),
-        ("cohomology", "--l-max", "10" + "0" * 20),
     ],
 )
 def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, tmp_path):
@@ -595,6 +594,41 @@ def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, t
     assert f"above the budget of {MAX_JET_FIBER}" in proc.stderr
 
 
+def test_each_command_is_charged_the_jet_fiber_it_walks(tmp_path, capsys):
+    # `tower --levels 20` walks heat3 to the order-22 jet fiber, past the
+    # budget.  symbol and cohomology walk no level, and goldschmidt and
+    # finite-type (heat3 is of infinite type, so it falls back to
+    # goldschmidt) one: at the same tower depth they run, in about 1 ms of
+    # analysis, every H zero by Serre, heat3 being involutive at level 0
+    path = write_pde(tmp_path, HEAT3)
+    assert main(["tower", path, "--levels", "20"]) == 1
+    assert "prolongation to depth 20" in capsys.readouterr().err
+    runs = {command: [command, path, flag, value, "--json", "-"] for command, flag, value in (
+        ("symbol", "--levels", "20"), ("cohomology", "--l-max", "19"),
+        ("goldschmidt", "--l-max", "19"), ("finite-type", "--l-max", "19"),
+    )}
+    out = {}
+    for command, argv in runs.items():
+        assert main(argv) == 0, command
+        out[command] = json.loads(capsys.readouterr().out)
+    assert out["symbol"]["ranks"] == [5 + 2 * l for l in range(21)]
+    assert {e["h_dim"] for e in out["cohomology"]["entries"]} == {0}
+    for command in ("goldschmidt", "finite-type"):
+        assert out[command]["certification_basis"] == "goldschmidt-up-to-evidence(19)"
+        assert [lv["level"] for lv in out[command]["levels"]] == [1]
+
+
+def test_finite_type_is_charged_the_walk_its_verdict_needs():
+    # u_x1^23 = u_x2^23 = 0 vanishes at level 22, so its certificate walks to
+    # depth 23: the order-46 jet fiber of C(48, 2) = 1128 coordinates.  The
+    # check comes after the tower, before the walk; through l_max 21 the
+    # symbol has not vanished, and the goldschmidt fallback walks one level
+    s = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
+    with pytest.raises(ValueError, match="prolongation to depth 23 needs the order-46 jet fiber of 1128"):
+        finite_type_integrability(s, 22)
+    assert finite_type_integrability(s, 21).type_verdict.kind == "infinite-up-to"
+
+
 def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
     # n = 1: m·C(1 + k + depth, 1) = 10 · (2 + depth), so depth 98 is 1000
     check_jet_budget(1, 10, 1, 98)
@@ -608,6 +642,10 @@ def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
         check_jet_budget(system.n, system.m, system.k, 6)
 
 
+# pool system 283, involutive only from level 1
+POOL_283 = "base_dim = 2\nfiber_rank = 1\norder = 2\neq: -2 u1_x1 + 2 u1_x1x2 + 3 u1 = 0\n" \
+    "eq: -4 u1_x2 - 2 u1_x1x1 - u1_x2x2 = 0\n"
+
 # passes the parser, which is the jet budget at depth 1 (C(45, 2) = 990),
 # yet its depth-1 tower reaches S^2 of C(44, 2) = 946
 # coordinates: n·A^2 = 3.8e7
@@ -616,6 +654,15 @@ FIRST_ORDER_43 = "base_dim = 43\nfiber_rank = 1\norder = 1\neq: u1_x1 = 0\n"
 
 def free_first_order(n: int) -> str:
     return f"base_dim = {n}\nfiber_rank = 1\norder = 1\n"
+
+
+def square_free(n: int) -> str:
+    """u_xixi = 0 for every i: the symbol's level l is the square-free monomials
+    of degree l + 2, C(n, l + 2) of them, and no level above 0 passes Cartan's
+    test before the symbol vanishes, so the Spencer maps below it are assembled."""
+    return free_first_order(n).replace("order = 1", "order = 2") + "".join(
+        f"eq: u1_x{i}x{i} = 0\n" for i in range(1, n + 1)
+    )
 
 
 def run_child(command, path, flags):
@@ -635,10 +682,10 @@ def run_child(command, path, flags):
     "command, flags, message",
     [
         ("cohomology", ["--m-max", "100000"], "--m-max 100000 exceeds base_dim 2"),
-        # the free system in eight variables: level 2 has C(10, 3) = 120
-        # coordinates, so slot (2, 4) has C(8, 4)·120 = 8400
+        # square_free(8): level 1 has C(8, 3) = 56 coordinates, so slot
+        # (1, 3) has C(8, 3)·56 = 3136
         ("cohomology", ["--l-max", "1"], "Spencer cohomology to l_max 1 and m_max 8"),
-        # in 18 variables: slot (1, 1) has 18·C(19, 2) = 3078 coordinates
+        # square_free(11): slot (0, 2) has C(11, 2)·55 = 3025 coordinates
         ("goldschmidt", ["--l-max", "0"], "Spencer cohomology to l_max 0 and m_max 2"),
     ],
 )
@@ -648,8 +695,33 @@ def test_spencer_window_past_its_budget_is_refused_in_a_child(
     if "--m-max" in flags:
         path = str(corpus_path("wave1d.pde"))
     else:
-        path = write_pde(tmp_path, free_first_order(8 if command == "cohomology" else 18))
+        path = write_pde(tmp_path, square_free(8 if command == "cohomology" else 11))
     assert message in run_child(command, path, flags)
+
+
+def test_a_window_filled_in_closed_form_is_not_charged(tmp_path, capsys):
+    # the free system in eight variables has the slot (2, 2) of C(8, 2)·120 =
+    # 3360 coordinates, past the budget, in `cohomology --l-max 1`'s window;
+    # so has u = 0, of the same symbol.  That symbol is involutive at level
+    # 0, so every slot is a Serre zero and no map is assembled: both run, in
+    # about 2 ms of analysis
+    for text in (free_first_order(8), free_first_order(8) + "eq: u1 = 0\n"):
+        assert main(["cohomology", write_pde(tmp_path, text), "--l-max", "1", "--json", "-"]) == 0
+        assert {e["h_dim"] for e in json.loads(capsys.readouterr().out)["entries"]} == {0}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("goldschmidt", "--l-max", "9" * 23),
+        ("cohomology", "--l-max", "10" + "0" * 20),
+    ],
+)
+def test_depth_past_the_tower_budget_is_refused_in_a_child(command, flag, value, tmp_path):
+    # goldschmidt walks one jet level and cohomology none, so the jet budget
+    # admits them; the tower's depth bound, the budget's square root, refuses
+    err = run_child(command, write_pde(tmp_path, HEAT3), [flag, value])
+    assert f"symbol tower to depth {int(value) + 1} is deeper than {isqrt(MAX_TOWER_WORK)}" in err
 
 
 @pytest.mark.parametrize(
@@ -720,29 +792,31 @@ def test_spencer_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatch):
 
 
 def test_finite_type_budgets_only_its_goldschmidt_fallback():
-    # in 18 variables, m_max 2 meets Λ^1 ⊗ S^2 of 18·171 = 3078 coordinates
-    n = 18
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    gradient = PdeSystem.from_terms(n, 1, 1, [[(1, 0, alpha)] for alpha in units])
-    assert finite_type_integrability(gradient, 0).verdict == (
+    # in 11 variables, square_free's window at l_max 0 and m_max 2 meets
+    # Λ^2 ⊗ W_0 of C(11, 2)·55 = 3025 coordinates; every second derivative
+    # zero has the same window, but a vanished symbol and no Spencer window
+    hessian = PdeSystem.from_terms(11, 1, 2, [[(1, 0, alpha)] for alpha in multi_indices(11, 2)])
+    assert finite_type_integrability(hessian, 0).verdict == (
         "formally-integrable-certified"
     )
     with pytest.raises(ValueError, match="Spencer cohomology to l_max 0 and m_max 2"):
-        finite_type_integrability(PdeSystem.from_terms(n, 1, 1, []), 0)
+        finite_type_integrability(cli.parse_system(square_free(11)), 0)
 
 
 def largest_slot_met(chain, l_max, m_max):
     """The widest slot Λ^j ⊗ W_level that cohomology's maps meet, from the
-    chain's exact level dimensions: for each window slot (l, mm) with
+    chain's exact level dimensions: for each window slot (l, mm) below the
+    chain's involutive level (at and above it none is assembled) with
     Λ^mm ⊗ W_l nonzero, the slot itself, the target (l-1, mm+1) of the map
     out of it and the source (l+1, mm-1) of the map into it (W_-1 is the
     space the level-0 map lands in)."""
     n = chain.n
     dims = {l: chain.level_dim(l) for l in range(l_max + 2)}
     dims[-1] = chain.partials[0].rows // n
+    top = l_max + 1 if chain.involution is None else min(l_max + 1, chain.involution.level)
     met = [
         (level, j)
-        for l in range(l_max + 1)
+        for l in range(top)
         for mm in range(1, m_max + 1)
         if comb(n, mm) * dims[l]
         for level, j in ((l, mm), (l - 1, mm + 1), (l + 1, mm - 1))
@@ -761,6 +835,8 @@ def test_spencer_budget_refuses_exactly_the_windows_past_it(monkeypatch):
     )
     systems = [PdeSystem.from_terms(n, m, k, []) for n, m, k in product((1, 2, 3), (1, 2), (1, 2))]
     systems += [heat3, gradient, hessian, cli.load_system(str(corpus_path("cauchy_riemann.pde")))]
+    # not involutive below level 1 and 2: their low slots are assembled
+    systems += [cli.parse_system(POOL_283), cli.parse_system(square_free(3))]
     outcomes = set()
     for system in systems:
         chain = symbol_tower(system, 3)
@@ -858,15 +934,23 @@ def test_crosscheck_budget_is_exact_at_its_edge_and_admits_the_ladder(monkeypatc
 
 def test_a_refused_analysis_eliminates_nothing(count_calls):
     heat3 = cli.parse_system(HEAT3)
-    free18 = PdeSystem.from_terms(18, 1, 1, [])
+    square11 = cli.parse_system(square_free(11))
     first43 = cli.parse_system(FIRST_ORDER_43)
+    late = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
     # the base system's own fiber, bounded by the parser and cached, is the
     # one elimination every analysis starts from; the cache holds one
-    # system, so each is built just before its analysis
+    # system, so each is built just before its analysis.  The stages past
+    # the symbol tower read it off the symbol's record, built before too:
+    # the Spencer window's exact slots, and finite-type's walk depth, one
+    # above the level where the symbol vanishes
     table = [
         (None, lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
-        (free18, lambda: goldschmidt_check(free18, 0), "Spencer cohomology to l_max 0"),
-        (first43, lambda: finite_type_integrability(first43, 0), "symbol tower to depth 1"),
+        (lambda: symbol_tower(square11, 1), lambda: goldschmidt_check(square11, 0),
+         "Spencer cohomology to l_max 0"),
+        (lambda: symbol_tableau(first43), lambda: finite_type_integrability(first43, 0),
+         "symbol tower to depth 1"),
+        (lambda: symbol_tower(late, 23), lambda: finite_type_integrability(late, 22),
+         "prolongation to depth 23"),
         (None, lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
         (None, lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1),
          "symbol tower to depth 1"),
@@ -874,9 +958,9 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
          "Spencer cohomology to l_max 0"),
     ]
     calls = [count_calls(ratlin._reduced), count_calls(rank), count_calls(spencer._slot_matrix)]
-    for system, call, stage in table:
-        if system is not None:
-            symbol_tableau(system)
+    for warm, call, stage in table:
+        if warm is not None:
+            warm()
         for seen in calls:
             seen.clear()
         with pytest.raises(ValueError, match=stage):
@@ -1248,16 +1332,22 @@ def test_module_entry_point():
 
 
 def test_each_command_builds_one_symbol_tower(count_calls, capsys):
-    # the six commands of one system share its held tower: the first, at the
-    # deepest default depth, builds it, and the other five read its prefixes
+    # the six commands of one system share its symbol's held tower: the
+    # first, at the deepest default depth, builds it, and the other five read
+    # its prefixes.  The two flat connections share their zero symbol, so the
+    # second builds none
     calls = count_calls(tower)
+    seen = set()
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         calls.clear()
         for command in ("symbol", "tower", "cohomology", "goldschmidt",
                         "finite-type", "crosscheck"):
             assert main([command, str(path), "--json", "-"]) == 0
             capsys.readouterr()
-        assert len(calls) == 1, path.name
+        symbol = symbol_tableau(load_system(str(path)))
+        assert len(calls) == (symbol not in seen), path.name
+        seen.add(symbol)
+    assert len(seen) == 5
 
 
 COMMANDS = ("symbol", "tower", "cohomology", "goldschmidt", "finite-type", "crosscheck")
@@ -1321,12 +1411,44 @@ def test_each_spencer_window_is_computed_once_per_system(count_calls, capsys):
     for fresh in (False, True):
         for command, *flags in runs:
             if fresh:
+                jetpde._Symbol.cache_clear()
                 jetpde._Analysis.cache_clear()
             assert main([command, path, *flags, "--json", "-"]) == 0
             outs.append(capsys.readouterr().out)
         if not fresh:
             assert len(windows) == 3
     assert outs[: len(runs)] == outs[len(runs):]
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "cli_pool.json"
+
+
+def test_systems_sharing_a_symbol_give_the_outputs_of_fresh_records(tmp_path, capsys):
+    # pool systems 216 .. 221 have four symbols among six systems, so later
+    # ones read towers and windows that earlier ones held.  The six commands
+    # on each give the same bytes in stored order, in reverse order, and with
+    # every record cleared before each system
+    recs = json.loads(POOL.read_text())["pool"][216:222]
+    paths = []
+    for i, rec in enumerate(recs):
+        terms = [[(c, a, tuple(alpha)) for c, a, alpha in eq] for eq in rec["eqs"]]
+        paths.append(tmp_path / f"pool{i}.pde")
+        paths[-1].write_text(format_system(PdeSystem.from_terms(rec["n"], rec["m"], rec["k"], terms)))
+    assert len({symbol_tableau(load_system(str(p))) for p in paths}) == 4
+
+    def outputs(order, clear):
+        out = {}
+        for path in order:
+            if clear:
+                clear_held()
+            for command in COMMANDS:
+                assert main([command, str(path), "--json", "-"]) == 0
+                out[path, command] = capsys.readouterr().out
+        return out
+
+    stored = outputs(paths, False)
+    assert outputs(paths[::-1], False) == stored
+    assert outputs(paths, True) == stored
 
 
 def test_a_walk_level_that_raises_is_never_held(monkeypatch, capsys):

@@ -109,6 +109,7 @@ from formalpde.spencer import Involution, cohomology
 from formalpde.tableau import Tableau, cartan_dims, tower
 from formalpde.tensorspace import ext_dim, sym_dim
 
+from conftest import HELD, clear_held
 from matrices import contains, coords_of, identity, map_out, zeros
 from systems import MIXED_PARTIALS, small_terms
 
@@ -428,7 +429,7 @@ def canonical_walk(s: PdeSystem, depth: int):
     """Each walk level read out canonically: the system of its new rows below,
     the canonical fiber below, the level's canonical fiber (`_Analysis.fiber`),
     its truncation image and the walk's symbol dimension."""
-    held, chain = _held(s, depth)
+    held, chain = _held(s, depth, depth)
     for level, step in enumerate(_walk(held, chain), 1):
         lower_fiber, fiber = held.fiber(level - 1), held.fiber(level)
         yield step.lower, lower_fiber, fiber, fiber.head(lower_fiber.ambient_dim), step.symbol_dim
@@ -536,9 +537,7 @@ def test_the_walk_reads_no_annihilator_off_a_basis(count_calls):
     walks = count_calls(formalpde.jetpde._walk)
     for d in range(1, 5):
         for analysis in (prolongation_tower, crosscheck_routes):
-            solution_fiber.cache_clear()
-            symbol_tableau.cache_clear()
-            formalpde.jetpde._Analysis.cache_clear()
+            clear_held()  # a cold analysis: no symbol record either
             read_off.clear()
             analysis(heat3(), d)
             assert len(read_off) == 1, (analysis.__name__, d)
@@ -648,9 +647,7 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
     )
 
     def count(analysis, *args):
-        solution_fiber.cache_clear()
-        symbol_tableau.cache_clear()
-        formalpde.jetpde._Analysis.cache_clear()
+        clear_held()  # a cold analysis: no symbol record either
         calls.clear()
         walked.clear()
         analysis(*args)
@@ -819,9 +816,7 @@ def test_the_tower_walk_and_cohomology_build_no_fraction(monkeypatch):
         Fraction, "__new__", lambda cls, *a, **k: made.append(1) or new(cls, *a, **k)
     )
     for analysis, s, depth in runs:
-        solution_fiber.cache_clear()
-        symbol_tableau.cache_clear()
-        formalpde.jetpde._Analysis.cache_clear()
+        clear_held()
         analysis(s, depth)
         assert made == [], analysis.__name__
     assert Fraction(2, 3) and made == [1]  # the counter counts
@@ -1142,10 +1137,12 @@ def test_tower_depth_validation():
 
 
 def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
-    # the deepest tower is held; a shallower request gets exactly the tower a
-    # fresh build at that depth would return, and builds nothing.  Every corpus
-    # tower is involutive at level 0, so a deeper request builds nothing either
-    builds = count_calls(tower)
+    # the deepest tower is held for the system's symbol; a shallower request
+    # gets exactly the tower a fresh build at that depth would return, and
+    # builds nothing.  Every corpus tower is involutive at level 0, so a
+    # deeper request builds nothing either.  The two flat connections share
+    # their zero symbol, so the second builds none
+    builds, seen = count_calls(tower), set()
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         s = load_system(str(path))
         builds.clear()
@@ -1154,7 +1151,9 @@ def test_a_held_tower_serves_exact_prefixes_of_its_own_system(count_calls):
             served, fresh = symbol_tower(s, d), tower(symbol_tableau(s), d)
             assert served.depth == d, (path.name, d)
             assert served == fresh, (path.name, d)  # n, every level and every ∂
-        assert len(builds) == 1, path.name
+        assert len(builds) == (symbol_tableau(s) not in seen), path.name
+        seen.add(symbol_tableau(s))
+    assert len(seen) == 5
 
 
 def pool_283():
@@ -1191,32 +1190,63 @@ def test_another_system_never_gets_the_held_tower(count_calls):
     served = symbol_tower(wave1d(), 2)
     assert served == tower(symbol_tableau(wave1d()), 2)
     assert served.levels[0] != held.levels[0]
-    # the same symbol with a lower-order term is another system all the same
+    # laplace2d and wave1d, then each again: each symbol's record is its own
+    assert symbol_tower(laplace2d(), 2) == held.prefix(2) and symbol_tower(wave1d(), 2) == served
+    assert len(builds) == 2
+
+
+def test_systems_with_one_symbol_share_one_tower(count_calls):
+    # u_xx + u_yy + u_x = 0 has laplace2d's symbol with a lower-order term:
+    # another system, with a walk of its own, but one symbol record and one
+    # tower, whose prefixes are what a fresh build gives either system
+    builds = count_calls(tower)
     damped = PdeSystem.from_terms(
         2, 1, 2, [[(1, 0, (2, 0)), (1, 0, (0, 2)), (1, 0, (1, 0))]]
     )
-    assert symbol_tower(damped, 2) == symbol_tower(laplace2d(), 2)
-    # laplace2d, wave1d, damped, then laplace2d again: only one system is held
-    assert len(builds) == 4
+    assert symbol_tableau(damped) == symbol_tableau(laplace2d())
+    runs = ((laplace2d(), 4), (damped, 2), (laplace2d(), 3), (damped, 5))
+    reports = [prolongation_tower(s, depth) for s, depth in runs]
+    for s, depth in runs:
+        assert symbol_tower(s, depth) == tower(symbol_tableau(s), depth)
+    assert len(builds) == 1
+    # the walks are each system's own: every report is a cold record's
+    for (s, depth), report in zip(runs, reports):
+        clear_held()
+        assert prolongation_tower(s, depth) == report
 
 
 def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls):
+    # every budget runs on every request before either record is read, so a
+    # refusal reads the same with the records cold and warm: budgets that
+    # the held depth met are still checked
     s = laplace2d()
-    symbol_tower(s, 4)
-    for depth in (0, -1):
-        with pytest.raises(ValueError, match="tower needs depth >= 1"):
-            symbol_tower(s, depth)
-    with pytest.raises(ValueError, match="above the budget of 1000"):
-        symbol_tower(s, 42)  # C(2 + 2 + 42, 2) = 1035 jet coordinates
-    # budgets that the held depth met are still checked on every request
-    monkeypatch.setattr(formalpde.jetpde, "MAX_JET_FIBER", 9)
-    with pytest.raises(ValueError, match="order-3 jet fiber of 10 coordinates"):
-        symbol_tower(s, 1)
-    monkeypatch.undo()
-    monkeypatch.setattr(formalpde.tableau, "MAX_TOWER_WORK", 20)
-    with pytest.raises(ValueError, match="n·A\\^2 is above the budget of 20"):
-        symbol_tower(s, 1)
-    monkeypatch.undo()
+
+    def refusals():
+        seen = []
+        cases = [(lambda: symbol_tower(s, 0), "tower needs depth >= 1", {}),
+                 (lambda: symbol_tower(s, -1), "tower needs depth >= 1", {}),
+                 # the walk's C(2 + 2 + 42, 2) = 1035 jet coordinates
+                 (lambda: prolongation_tower(s, 42), "above the budget of 1000", {}),
+                 (lambda: prolongation_tower(s, 1), "order-3 jet fiber of 10 coordinates",
+                  {formalpde.jetpde: ("MAX_JET_FIBER", 9)}),
+                 (lambda: symbol_tower(s, 1), "n·A\\^2 is above the budget of 20",
+                  {formalpde.tableau: ("MAX_TOWER_WORK", 20)})]
+        for call, message, lowered in cases:
+            with monkeypatch.context() as patch:
+                for module, (name, value) in lowered.items():
+                    patch.setattr(module, name, value)
+                with pytest.raises(ValueError, match=message) as err:
+                    call()
+            seen.append(str(err.value))
+        return seen
+
+    cold = refusals()
+    prolongation_tower(s, 4)
+    goldschmidt_check(s, 2)
+    assert refusals() == cold
+    # the symbol record is charged the tower budget alone: symbol_tower walks
+    # no jets, so depth 42 is held
+    assert symbol_tower(s, 42).depth == 42
     # a rebuild that raises holds nothing new: the shallower tower stays
     # held, and the next request builds again.  Only a held tower with no
     # involution is rebuilt, so hold pool system 283 (certified only at
@@ -1228,11 +1258,47 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
                         lambda t: Subspace.full(sym_dim(t.n, t.degree + 1) * t.f))
     with pytest.raises(InvariantViolation):
         symbol_tower(p, 2)
-    assert formalpde.jetpde._Analysis(p).tower == shallow
+    assert formalpde.jetpde._Symbol(symbol_tableau(p)).tower == shallow
     monkeypatch.undo()
     builds = count_calls(tower)
     assert symbol_tower(p, 2) == tower(symbol_tableau(p), 2)
     assert len(builds) == 1
+
+
+def test_a_window_that_raises_is_never_held(monkeypatch, count_calls):
+    # a fault in the window's δ∘δ = 0 check fails goldschmidt, and the symbol
+    # record holds no window; with the fault gone the next request computes
+    # it and holds it once
+    s = pool_283()  # not involutive at level 0, so its window is assembled
+    record = formalpde.jetpde._Analysis(s).symbol
+    monkeypatch.setattr(formalpde.spencer, "_composes_to_zero", lambda *args: False)
+    with pytest.raises(InvariantViolation, match="image is not contained in the kernel"):
+        goldschmidt_check(s, 1)
+    assert record.windows == {} and record.tower is not None
+    monkeypatch.undo()
+    windows = count_calls(cohomology)
+    assert goldschmidt_check(s, 1) == goldschmidt_check(s, 1)
+    assert list(record.windows) == [(1, 2)] and len(windows) == 1
+
+
+def test_each_test_starts_with_nothing_held_for_a_system_or_a_symbol(capsys):
+    # every cache in jetpde and cli but the pure coordinate tables holds state
+    # of a system or a symbol, and the autouse fixture must empty each one
+    tables = {"_jet_shift", "_jet_reads"}
+    caches = {
+        f"{module.__name__}.{name}": value
+        for module in (formalpde.jetpde, formalpde.cli)
+        for name, value in vars(module).items()
+        if callable(getattr(value, "cache_clear", None))
+        and value.__module__ == module.__name__ and name not in tables
+    }
+    assert set(caches.values()) == set(HELD)
+    path = str(resources.files("formalpde") / "corpus" / "laplace2d.pde")
+    assert main(["goldschmidt", path]) == 0
+    capsys.readouterr()
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    clear_held()
+    assert [name for name, cache in caches.items() if cache.cache_info().currsize] == []
 
 
 def test_finite_type_bound_capping():
