@@ -571,6 +571,9 @@ def test_finite_type_walks_one_level_past_its_l_max(tmp_path, capsys):
 
 HEAT3 = "base_dim = 3\nfiber_rank = 1\norder = 2\neq: u1_x1x1 + u1_x2x2 - u1_x3 = 0\n"
 
+# u_x1^23 = u_x2^23 = 0: its symbol vanishes at level 22
+LATE = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
+
 
 @pytest.mark.parametrize(
     "command, flag, value",
@@ -619,14 +622,13 @@ def test_each_command_is_charged_the_jet_fiber_it_walks(tmp_path, capsys):
 
 
 def test_finite_type_is_charged_the_walk_its_verdict_needs():
-    # u_x1^23 = u_x2^23 = 0 vanishes at level 22, so its certificate walks to
-    # depth 23: the order-46 jet fiber of C(48, 2) = 1128 coordinates.  The
-    # check comes after the tower, before the walk; through l_max 21 the
-    # symbol has not vanished, and the goldschmidt fallback walks one level
-    s = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
+    # LATE vanishes at level 22, so its certificate walks to depth 23: the
+    # order-46 jet fiber of C(48, 2) = 1128 coordinates.  The check comes
+    # after the tower, before the walk; through l_max 21 the symbol has not
+    # vanished, and the goldschmidt fallback walks one level
     with pytest.raises(ValueError, match="prolongation to depth 23 needs the order-46 jet fiber of 1128"):
-        finite_type_integrability(s, 22)
-    assert finite_type_integrability(s, 21).type_verdict.kind == "infinite-up-to"
+        finite_type_integrability(LATE, 22)
+    assert finite_type_integrability(LATE, 21).type_verdict.kind == "infinite-up-to"
 
 
 def test_jet_budget_is_exact_at_its_edge_and_admits_the_ladder():
@@ -936,7 +938,6 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
     heat3 = cli.parse_system(HEAT3)
     square11 = cli.parse_system(square_free(11))
     first43 = cli.parse_system(FIRST_ORDER_43)
-    late = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
     # the base system's own fiber, bounded by the parser and cached, is the
     # one elimination every analysis starts from; the cache holds one
     # system, so each is built just before its analysis.  The stages past
@@ -949,7 +950,7 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
          "Spencer cohomology to l_max 0"),
         (lambda: symbol_tableau(first43), lambda: finite_type_integrability(first43, 0),
          "symbol tower to depth 1"),
-        (lambda: symbol_tower(late, 23), lambda: finite_type_integrability(late, 22),
+        (lambda: symbol_tower(LATE, 23), lambda: finite_type_integrability(LATE, 22),
          "prolongation to depth 23"),
         (None, lambda: crosscheck_routes(heat3, 14), "crosscheck to depth 14"),
         (None, lambda: tower(Tableau(n=43, f=1, space=Subspace.full(43)), 1),
@@ -1411,8 +1412,7 @@ def test_each_spencer_window_is_computed_once_per_system(count_calls, capsys):
     for fresh in (False, True):
         for command, *flags in runs:
             if fresh:
-                jetpde._Symbol.cache_clear()
-                jetpde._Analysis.cache_clear()
+                clear_held()
             assert main([command, path, *flags, "--json", "-"]) == 0
             outs.append(capsys.readouterr().out)
         if not fresh:
