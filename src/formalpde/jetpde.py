@@ -488,8 +488,9 @@ def pde_to_relconn(system: PdeSystem) -> RelConn:
     """Re-express the system as a relative connection on its solution fiber.
 
     Source: the solution fiber E' in its canonical basis.  Coefficients: the
-    full fiber of jets one order lower.  sigma is truncation restricted to E';
-    the direction maps are the negated shifts (A_i xi)^a_alpha = -xi^a_(alpha+e_i),
+    full fiber of jets one order lower, scaled by the basis's denominator D
+    (`RelConn.on_fiber`).  sigma is D times truncation restricted to E'; the
+    direction maps D times the negated shifts (A_i xi)^a_alpha = -xi^a_(alpha+e_i),
     so that the first-order covariant constancy D_i s = A_i s + sigma(d_i s) = 0
     encodes exactly the passage from a k-jet section to its (k+1)-jet.
     """

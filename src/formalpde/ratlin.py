@@ -18,12 +18,12 @@ entry: dense rows are read into pairs once, in `RatMatrix`, every stage reads
 and emits pairs from there, a subspace is its basis vectors' integer pairs,
 and `apply` reads the vector's nonzeros once.
 Membership (`Subspace._coords`, behind every membership and coordinate query)
-is one formula over the basis vectors' integer rows, reading only the
-coordinates touched by a vector and the basis vectors its pivot entries
-select; every command hands it integer rows, the crosscheck its jet points as
-pairs end to end.  Its table (D, the lcm of all the leads d_j, and each row's
-D/d_j and tail) is built by a subspace's first query and read by the later
-ones, outside equality and hashing.  `reduce_mod` is dense.
+reads a basis over one denominator (`Subspace.scaled`: D, the lcm of the
+leads d_j, and the rows D·b_j, held outside equality and hashing) as
+D·v - sum x_j·(D·b_j), touching only a vector's coordinates and the rows its
+pivot entries select; every command hands it integer rows, the crosscheck
+its jet points as pairs end to end, and the connection route reads its σ and
+A_i off the same rows.  `reduce_mod` is dense.
 
 Determinism is part of the contract, not an aspiration.  The reduced row
 echelon form of a row space is unique, so echelon forms, kernel bases and
@@ -49,9 +49,9 @@ rows unreduced.
 A canonical basis answers its own slices without elimination: the projection
 before a cut (`Subspace.head`), the vectors vanishing before it
 (`Subspace.tail`) and, for a subspace no kernel built, the annihilator
-(`Subspace.constraint_matrix`) are read off it.  Where only a rank is
-needed, `rank` counts the pivot rows of the same integer insertion and stops
-there.
+(`Subspace.constraint_matrix`, held once read) are read off it.  Where only
+a rank is needed, `rank` counts the pivot rows of the same integer insertion
+and stops there.
 """
 
 from __future__ import annotations
@@ -325,22 +325,21 @@ class Subspace:
     index order, led by (p_j, d_j), d_j > 0 the lcm of b_j's denominators:
     b_j's primitive integer row.  Canonicality means equal subspaces are
     equal as data, which the rest of the package leans on for caching and
-    for byte-stable reports.  ``fraction_rows`` and ``basis`` render b_j.
+    for byte-stable reports; ``scaled``, ``fraction_rows`` and ``basis`` render b_j.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots", "_kept", "_table")
 
     def __init__(self, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]], kept=None):
-        # Not for direct use -- go through from_spanning/full, or
-        # kernel, whose rows are canonical as built and which alone passes
-        # kept (see `annihilator`).
+        # Not for direct use -- go through from_spanning, full or kernel, whose
+        # rows are canonical as built; the last two pass kept (see `annihilator`).
         rows = tuple(map(tuple, rows))
         pivots = tuple(row[0][0] for row in rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_kept", kept)
-        object.__setattr__(self, "_table", None)  # filled by the first `_coords`
+        object.__setattr__(self, "_table", None)  # filled by the first `scaled`
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -353,7 +352,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, (((i, 1),) for i in range(ambient_dim)))
+        return Subspace(ambient_dim, (((i, 1),) for i in range(ambient_dim)), kept=())
 
     @property
     def dim(self) -> int:
@@ -409,29 +408,31 @@ class Subspace:
         """Each basis vector's d_j, the lead of its integer row d_j·b_j."""
         return [row[0][1] for row in self.rows]
 
+    def scaled(self) -> tuple[int, dict[int, tuple[int, tuple[tuple[int, int], ...]]]]:
+        """(D, table): D the lcm of the leads d_j, table[p_j] = (j, D·b_j), each
+        row D·b_j as (index, int) pairs led by (p_j, D); built once and held."""
+        if self._table is None:
+            scale, table = lcm(*self.leads()), {}
+            for j, row in enumerate(self.rows):
+                k = scale // row[0][1]
+                table[row[0][0]] = (j, row if k == 1 else tuple((i, k * x) for i, x in row))
+            object.__setattr__(self, "_table", (scale, table))
+        return self._table
+
     def _coords(self, pairs: Sequence[tuple[int, Fraction | int]]) -> list | None:
         """Canonical coordinates (j, x_j) of the vector with these nonzero
-        (index, value) pairs, or None if it lies outside.  x_j is its entry at
-        pivot p_j, where b_j alone is nonzero, so v - sum x_j b_j vanishes at
-        every pivot, and only the touched coordinates off them are read, as
-        D·v - sum x_j (D/d_j)·(d_j b_j) over the rows d_j b_j: ints for an int
-        v.  Its table (D, the lcm of the d_j, and each row's D/d_j and tail) is
-        built by the first call."""
-        if self._table is None:
-            scale = lcm(*self.leads())
-            table = {row[0][0]: (j, scale // row[0][1], row[1:]) for j, row in enumerate(self.rows)}
-            object.__setattr__(self, "_table", (scale, table))
-        scale, table = self._table
+        (index, value) pairs, or None if it lies outside: x_j is its entry at
+        pivot p_j, where b_j alone is nonzero, and v lies inside exactly when
+        D·v - sum x_j·(D·b_j) vanishes (`scaled`), its pivot entries cancelling."""
+        scale, table = self.scaled()
         coords, rest = [], {}
         for i, x in pairs:
+            rest[i] = rest.get(i, 0) + scale * x
             if i in table:
-                j, factor, tail = table[i]
+                j, row = table[i]
                 coords.append((j, x))
-                k = x * factor
-                for c, b in tail:
-                    rest[c] = rest.get(c, 0) - k * b
-            else:
-                rest[i] = rest.get(i, 0) + scale * x
+                for c, b in row:
+                    rest[c] = rest.get(c, 0) - x * b
         return None if any(rest.values()) else coords
 
     def contains_vector(self, vec: Sequence) -> bool:
@@ -464,10 +465,8 @@ class Subspace:
         d = self.ambient_dim
         rows = {j: [] for j in sorted(set(range(d)).difference(self.pivots))}
         for p, row in zip(self.pivots, self.rows):  # ascending p keeps each row's order
-            lead = row[0][1]
-            for j, x in row:
-                if j in rows:  # an entry at a pivot has no row
-                    rows[j].append((p, x, lead))
+            for j, x in row[1:]:  # a canonical basis has tail entries off the pivots only
+                rows[j].append((p, x, row[0][1]))
         out = []
         for j, entries in rows.items():
             # b_p[j] = x/d_p, so times D, the lcm of the d_p, row j is integral;
@@ -480,10 +479,10 @@ class Subspace:
 
     def annihilator(self) -> tuple[dict[int, int], ...]:
         """Integer rows {column: int}, one topped by each non-pivot column,
-        whose kernel is this subspace: the shared echelon rows `kernel` kept,
-        positive at their tops, or else `constraint_matrix`'s."""
+        whose kernel is this subspace: the echelon rows `kernel` kept, positive
+        at their tops, none for `full`, or else `constraint_matrix`'s, held."""
         if self._kept is None:
-            return tuple(map(dict, self.constraint_matrix().pairs))
+            object.__setattr__(self, "_kept", tuple(map(dict, self.constraint_matrix().pairs)))
         return self._kept
 
 

@@ -3,7 +3,11 @@
 A relative connection is the data D = (sigma, A_1..A_n): sigma maps the
 source space E' into a coefficient space W, the A_i map E' into W, and the
 covariant derivative of a section s along d_i is D_i(s) = A_i s + sigma(d_i s).
-Everything below is fiberwise exact linear algebra over these matrices.
+Everything below is fiberwise exact linear algebra over these matrices.  On
+a fiber (`RelConn.on_fiber`) they read its basis over one denominator D
+(`Subspace.scaled`), in ints: W rescaled by D, the same fibration, so every
+kernel is the same data, and sigma, the A_i, ∂_D and torsion representatives
+carry a positive integer factor.
 
 Fixed coordinate layouts:
 * points of the first jet of a section are written (e, psi_1..psi_n) with the
@@ -60,12 +64,12 @@ class RelConn:
 
     @staticmethod
     def on_fiber(fiber: Subspace, n: int, coeff_dim: int, reads: Sequence[Sequence]) -> "RelConn":
-        """The connection a fiber carries over its canonical basis b_j: reads[t]
-        lists each (b, c) with coordinate t of a b_j at entry c of sigma (b = 0)
-        or of -A_b (1 <= b <= n).  ``jetpde._relconn`` passes ``_jet_reads``,
-        ``prolongation_connection`` its (e, psi) blocks."""
+        """The connection a fiber carries over its basis rows D·b_j (`Subspace.scaled`),
+        W scaled by D: reads[t] lists each (b, c) with coordinate t of a row at entry
+        c of sigma (b = 0) or of -A_b (1 <= b <= n), all ints.  ``jetpde._relconn``
+        passes ``_jet_reads``, ``prolongation_connection`` its (e, psi) blocks."""
         mats = [[[] for _ in range(coeff_dim)] for _ in range(1 + n)]
-        for j, row in enumerate(fiber.fraction_rows()):  # ascending j keeps columns in order
+        for j, row in fiber.scaled()[1].values():  # ascending j keeps columns in order
             for t, x in row:
                 for b, c in reads[t]:
                     mats[b][c].append((j, -x if b else x))
@@ -80,16 +84,18 @@ class RelConn:
 
 
 def symbol_map(conn: RelConn) -> Tableau:
-    """The generalized tableau (g, ∂_D) with ∂_D(v) = (i -> A_i v)."""
+    """The generalized tableau (g, ∂_D) with ∂_D(v) = (i -> A_i v), read over the
+    rows E·b_j of g (`Subspace.scaled`): E·∂_D, with the same g^(1)(∂_D)."""
     g = conn.symbol
-    # row b*n + i holds A_i's row b times each basis vector, read by coordinate
-    at = RatMatrix(pairs=g.fraction_rows(), cols=g.ambient_dim).transpose().pairs
+    # row b*n + i holds A_i's row b times each row E·b_j, read by coordinate
+    scaled = [row for _, row in g.scaled()[1].values()]
+    at = RatMatrix(pairs=scaled, cols=g.ambient_dim).transpose().pairs
     rows = []
     for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for c, x in row:
             for j, y in at[c]:
-                out[j] = out.get(j, _ZERO) + x * y
+                out[j] = out.get(j, 0) + x * y
         rows.append([(j, z) for j, z in sorted(out.items()) if z])
     partial = RatMatrix(pairs=rows, cols=g.dim)
     return Tableau.generalized(conn.n, conn.coeff_dim, g, partial)

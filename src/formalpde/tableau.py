@@ -25,14 +25,13 @@ under a classical tower.  `tower` re-verifies that each level contracts into
 the previous one, and keeps the coordinates of those contractions as a
 `RatMatrix`: the level's degree-lowering map ∂ in basis coordinates, the one
 encoding from which every Spencer differential is assembled.  Both are read
-off the level's integer rows d_j·b_j indexed by coordinate once: each row
-of ∂ is a column, and the check one integer residual of columns per
-direction and non-pivot coordinate below, so no level is asked for
-coordinates.  ∂ is kept as those integer coordinates, ∂·D with D =
-diag(level.leads()); the prolongation raises the integer rows the level's
-own elimination kept (`Subspace.annihilator`; only level 0, cut from the
-solution fiber, reads them off its basis), so no Fraction and no dense
-vector is built.  An involutive level, a zero one among them, settles
+off the level's integer rows d_j·b_j indexed by coordinate once: each row of
+∂·D (D = diag(level.leads())) is a column, and the check one integer
+residual of columns per direction and annihilator row of the level below,
+the rows the prolongation raises: those the level's own elimination kept
+(`Subspace.annihilator`; only level 0, cut from the solution fiber, reads
+them off its basis, and holds them).  So no level is asked for coordinates,
+and no Fraction and no dense vector is built.  An involutive level settles
 every level above it, so `tower` stops at the first level l that passes
 Cartan's test (`cartan_dims`), with levels 0 .. l+1 built by `prolong`
 and contraction-checked, and the chain reads every level above off the
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -158,25 +157,20 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
     Raises InvariantViolation, naming the first direction, when a contraction
     escapes prev.  With col(u) the column u of the level's integer rows d_j·b_j,
     row b*n + i of ∂·D (D = diag(`level.leads()`)) is col(raise_i(p_b)), and
-    every ι_i b_j lies in prev exactly when E·col(raise_i(c)) = Σ_b (E/d_b)·
-    (d_b b_b)[c]·col(raise_i(p_b)) at each non-pivot c of prev, E = lcm(d_b).
+    every ι_i b_j lies in prev exactly when Σ_c q[c]·col(raise_i(c)) = 0 for
+    each row q of `prev.annihilator()`, the rows `prolong` raised.
     """
     cols = [[] for _ in range(level.ambient_dim)]
     for j, row in enumerate(level.rows):  # ascending j keeps each column's order
         for c, x in row:
             cols[c].append((j, x))
-    scale = lcm(*prev.leads())
-    terms = {c: [(c, scale)] for c in set(range(prev.ambient_dim)).difference(prev.pivots)}
-    for (p, d), *tail in prev.rows:  # a canonical basis has tail entries off the pivots only
-        for c, y in tail:
-            terms[c].append((p, -(scale // d) * y))
     rows = [None] * (n * prev.dim)
     for i, entries in enumerate(raise_table(n, degree - 1, f)):
         for b, p in enumerate(prev.pivots):
             rows[b * n + i] = cols[entries[p]]
-        for residual in terms.values():
+        for residual in prev.annihilator():
             acc: dict[int, int] = {}
-            for c, k in residual:
+            for c, k in residual.items():
                 for j, x in cols[entries[c]]:
                     acc[j] = acc.get(j, 0) + k * x
             if any(acc.values()):

@@ -14,7 +14,10 @@ pins where:
   no other code renders a dense vector from a subspace's pairs;
 * ``from_spanning`` and ``rref``, which span dense vectors again through
   Fractions, are called only at the sites in ``SPAN_CALLS``, so no analysis
-  path reaches them.
+  path reaches them;
+* ``.fraction_rows``, a basis rendered as Fractions, is read only at the
+  sites in ``FRACTION_READS``; every other reader takes the integer rows, or
+  the basis over one denominator (``Subspace.scaled``).
 
 A new site missing from a table, or a listed site that is gone, fails, as
 in `test_invariant_sites`.
@@ -49,12 +52,20 @@ SPAN_CALLS = {
     "ratlin.Subspace.from_spanning: rref": "the span's canonical basis is its rref's rows",
 }
 
+FRACTION_READS = {
+    "ratlin.rref": "the echelon form's rows are the reduced rows b_j themselves",
+    "ratlin.Subspace.basis": "renders the basis on demand",
+    "ratlin.Subspace.reduce_mod": "the dense coset representative subtracts the b_j",
+    "relconn._lift": "a lift's psi blocks are a TorsionResult field, summed from the b_j",
+}
+
 RETIRED = {"_support", "_pairs"}
 
 
 def _scan(src: Path = SRC) -> dict[str, set[str]]:
     """Sites (``module.scope``) of each watched construct in src."""
-    found = {"basis": set(), "zero_fill": set(), "row": set(), "span": set(), "retired": set()}
+    found = {"basis": set(), "zero_fill": set(), "row": set(), "span": set(), "fraction": set(),
+             "retired": set()}
 
     def visit(node, site):
         for child in ast.iter_child_nodes(node):
@@ -66,6 +77,8 @@ def _scan(src: Path = SRC) -> dict[str, set[str]]:
                     found["basis"].add(site)
                 if child.attr == "row":
                     found["row"].add(site)
+                if child.attr == "fraction_rows":
+                    found["fraction"].add(site)
                 if child.attr in RETIRED:
                     found["retired"].add(f"{site}: .{child.attr}")
             if isinstance(child, ast.Call):
@@ -98,7 +111,8 @@ def test_no_reader_of_the_retired_pair_cache_remains():
 
 def test_dense_renderings_are_the_listed_sites():
     found = _scan()
-    tables = {"basis": BASIS_READS, "zero_fill": ZERO_FILLS, "row": ROW_READS, "span": SPAN_CALLS}
+    tables = {"basis": BASIS_READS, "zero_fill": ZERO_FILLS, "row": ROW_READS, "span": SPAN_CALLS,
+              "fraction": FRACTION_READS}
     for kind, table in tables.items():
         missing = found[kind] - set(table)
         assert not missing, f"unlisted {kind} sites: {sorted(missing)}"
@@ -110,7 +124,7 @@ def test_the_scan_sees_each_construct(tmp_path):
     (tmp_path / "a.py").write_text(
         "class S:\n"
         "    def f(self, u, support=None):\n"
-        "        return u.basis, u._pairs(0)\n\n"
+        "        return u.basis, u._pairs(0), u.fraction_rows()\n\n"
         "    def g(self, n):\n"
         "        def inner():\n"
         "            return [_ZERO] * n\n"
@@ -124,5 +138,6 @@ def test_the_scan_sees_each_construct(tmp_path):
         "zero_fill": {"a.S.g.inner"},
         "row": {"a.S.g"},
         "span": {"a.h: from_spanning", "a.h: rref"},
+        "fraction": {"a.S.f"},
         "retired": {"a.S.f: support=", "a.S.f: ._pairs", "a.h: support=", "a.h: '_support'"},
     }

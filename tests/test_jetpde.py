@@ -37,7 +37,8 @@ Plan:
     every membership test of the six commands on the
     corpus gets only int values; the symbol tower multiplies no Fractions
     (its prolongation and contraction check run on integer rows), keeps
-    every ∂ in ints, and its Spencer cohomology builds no Fraction
+    every ∂ in ints, and its Spencer cohomology builds no Fraction, nor does
+    the crosscheck
  8. goldschmidt on Cauchy-Riemann: evidence-bounded positive verdict
  9. an obstructed system with a nonzero symbol
 10. torsion-home invariant: the obstruction class sits in the top jet slice,
@@ -47,10 +48,13 @@ Plan:
     associated relative connection (exact subspace equality); at every walk
     level the torsion at a lower-fiber basis vector vanishes exactly when
     the jet image holds it (corpus, MIXED_PARTIALS, drawn small systems)
-12. jet_to_prolongation_point rejects non-solutions; on the corpus walks,
-    the connection route's sigma, A_i, ∂_D and jet points, read off pairs,
-    equal what dense basis rows give (a fiber vector's integer row maps to
-    its scale times the dense point), and it builds no matrix from dense rows
+12. jet_to_prolongation_point rejects non-solutions; on the corpus walks
+    and that of -4u_xx + 3u_x = 0 (a base fiber with denominator D = 4), the
+    connection route, read off pairs, is the dense basis rows' with W scaled
+    by D: sigma and the A_i D times theirs, ∂_D a positive multiple, the same
+    prolongation fiber, and jet points equal to dense ones (a fiber vector's
+    integer row maps to its scale times the dense point); it builds no
+    matrix from dense rows
 13. tower depth validation; the held symbol tower serves exact prefixes,
     only to its own system, and only after every depth and budget check;
     finite-type bound capping
@@ -67,6 +71,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -389,6 +394,12 @@ def heat3() -> PdeSystem:
     return PdeSystem.from_terms(
         3, 1, 2, [[(1, 0, (2, 0, 0)), (1, 0, (0, 2, 0)), (-1, 0, (0, 0, 1))]]
     )
+
+
+def ode_over_fourths() -> PdeSystem:
+    # -4u_xx + 3u_x = 0: its solution fiber's basis (1, 0, 0), (0, 1, 3/4) has
+    # the common denominator 4, so the connection on it is scaled by 4
+    return PdeSystem.from_terms(1, 1, 2, [[(-4, 0, (2,)), (3, 0, (1,))]])
 
 
 def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
@@ -749,8 +760,10 @@ def test_the_tower_and_cohomology_never_reduce_densely(count_calls):
 
 
 def test_the_contraction_check_queries_no_membership(count_calls):
-    # ∂ and the residual are read off the level's columns by coordinate, so
-    # the tower asks no level for coordinates and builds no membership table
+    # ∂ and the residual are read off the level's columns by coordinate, the
+    # residual against the annihilator rows of the level below, the rows the
+    # prolongation raises, so the tower asks no level for coordinates and
+    # builds no membership table
     queries = count_calls(Subspace._coords)
     for s, depth in ((heat3(), 5), (wave4(), 4)):
         solution_fiber.cache_clear()
@@ -803,12 +816,16 @@ def test_the_tower_walk_and_cohomology_build_no_fraction(monkeypatch):
     # every level's elimination is a `kernel`, which reads the integer
     # pivot rows directly, so the tower, the jet walk and cohomology
     # construct no Fraction at all (the systems are built before counting).
-    # A return to rendering the echelon rows as Fractions and reading them
+    # The crosscheck's connection route reads each fiber's basis over its
+    # common denominator, 4 at the base of -4u_xx + 3u_x = 0, so it builds
+    # none either.  A return to rendering rows as Fractions and reading them
     # back fails here
     runs = (
         (prolongation_tower, heat3(), 5),
         (prolongation_tower, wave4(), 4),
         (goldschmidt_check, wave4(), 3),
+        (crosscheck_routes, heat3(), 5),
+        (crosscheck_routes, ode_over_fourths(), 3),
     )
     made = []
     new = Fraction.__new__
@@ -1040,6 +1057,16 @@ def dense_connection(fiber: Subspace, sigma_rows, direction_rows) -> list[RatMat
     ]
 
 
+def times(c: int, m: RatMatrix) -> RatMatrix:
+    """c·m, every entry times the int c."""
+    return RatMatrix(pairs=[[(j, c * x) for j, x in row] for row in m.pairs], cols=m.cols)
+
+
+def denominator(space: Subspace) -> int:
+    """The lcm of every denominator of the dense basis."""
+    return lcm(1, *(x.denominator for v in space.basis for x in v))
+
+
 def dense_partial_map(conn) -> RatMatrix:
     """∂_D with rows b*n + i, each A_i applied to dense symbol vectors."""
     images = [[a.apply(v) for v in conn.symbol.basis] for a in conn.mats]
@@ -1062,18 +1089,29 @@ def dense_point(system: PdeSystem, fiber: Subspace, u) -> tuple:
 
 
 def test_the_connection_route_reads_pairs_as_the_dense_route_did():
-    # every corpus system's walk at levels 1-3: sigma, the A_i, ∂_D and each
-    # fiber jet's (e, psi) equal what dense basis rows give, as data
-    for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
-        s = load_system(str(path))
+    # every corpus system's walk at levels 1-3, and that of -4u_xx + 3u_x = 0,
+    # whose base fiber has D = 4: sigma and the A_i are D times what dense
+    # basis rows give (W scaled by D), ∂_D is E times the dense ∂_D over
+    # them (E the symbol's D), the prolongation fiber is the dense
+    # connection's as data, and each fiber jet's (e, psi) is the dense point
+    named = [(path.name, load_system(str(path)))
+             for path in sorted((resources.files("formalpde") / "corpus").iterdir())]
+    scales = []
+    for name, s in named + [("ode_over_fourths", ode_over_fourths())]:
         for level, (lower, lower_fiber, fiber, _, _) in enumerate(canonical_walk(s, 3), 1):
             n, m, k = lower.n, lower.m, lower.k
             conn = _relconn(lower, lower_fiber)
             want = dense_connection(
                 lower_fiber, range(jet_fiber_dim(n, m, k - 1)), _jet_shift(n, m, k - 1)
             )
-            assert [conn.sigma, *conn.mats] == want, (path.name, level)
-            assert symbol_map(conn).partial_map.pairs == dense_partial_map(conn).pairs
+            scale = denominator(lower_fiber)
+            scales.append((name, level, scale))
+            assert [conn.sigma, *conn.mats] == [times(scale, a) for a in want], (name, level)
+            assert symbol_map(conn).partial_map == times(
+                denominator(conn.symbol), dense_partial_map(conn)
+            ), (name, level)
+            dense = RelConn(want[0], want[1:])
+            assert classical_prolongation_fiber(conn) == classical_prolongation_fiber(dense)
             width = (1 + n) * lower_fiber.dim
             for j, v in enumerate(fiber.basis):
                 # the integer row d_j·b_j maps to the ascending pairs of d_j
@@ -1084,12 +1122,16 @@ def test_the_connection_route_reads_pairs_as_the_dense_route_did():
                 assert indices == sorted(set(indices)) and all(x for _, x in point)
                 assert RatMatrix(pairs=[point], cols=width).row(0) == tuple(
                     ints[0][1] * x for x in dense_point(lower, lower_fiber, v)
-                ), (path.name, level)
+                ), (name, level)
             if level == 1:  # the prolongation fiber's layout: e, then the psi blocks
                 sd, pf = conn.source_dim, classical_prolongation_fiber(conn).subspace
                 blocks = [range((1 + i) * sd, (2 + i) * sd) for i in range(n)]
                 outer = prolongation_connection(conn)
-                assert [outer.sigma, *outer.mats] == dense_connection(pf, range(sd), blocks)
+                want = dense_connection(pf, range(sd), blocks)
+                assert [outer.sigma, *outer.mats] == [times(denominator(pf), a) for a in want]
+    # every corpus level reads D = 1; the scaled case is the last system's base
+    assert {scale for name, _, scale in scales if name != "ode_over_fourths"} == {1}
+    assert ("ode_over_fourths", 1, 4) in scales
     s = cauchy_riemann()
     bad = [0] * jet_fiber_dim(s.n, s.m, s.k + 1)
     bad[0] = 1
