@@ -24,12 +24,14 @@ the symbol dimension are read off the pivot columns of its echelon rows,
 with no back-substitution, and the symbol is checked against the tower,
 above its involutive level the closed form.  A projection that is not
 surjective is a genuine obstruction, with a witness: a lower-order
-solution jet that no higher-order solution extends.  Canonical fibers are
-built, and held, only where something reads them: a witness's two levels,
-and every level of the crosscheck, which maps the walk's fibers into the
-connection route, whose fibers come from eliminations of their own, so the
-two routes stay independent, and checks the mapped jets, kept as pairs, by
-their coordinates in the connection fiber.
+solution jet that no higher-order solution extends.  The tower's walk stops
+one level past its first onto level above the symbol's involutive level:
+Goldschmidt's criterion fixes every level above, filled in from the closed
+form.  Canonical fibers are built, and held, only where something reads
+them: a witness's two levels, and every level of the crosscheck, which
+walks every level, maps the walk's fibers into the connection route, whose
+fibers come from eliminations of their own, so the two routes stay
+independent, and checks the mapped jets by their connection coordinates.
 
 The walk does not prolong every row it has ever made.  Prolongation is
 linear in the equations, so a prolonged system's fiber depends only on the
@@ -325,7 +327,8 @@ def _reduces_to_zero(row: dict[int, int], pivot_rows: dict[int, dict[int, int]])
 
 def _walk(held: _Analysis, chain: TableauChain):
     """Yield levels 1 .. depth of the tableau tower: the levels held for the
-    system, then one prolongation per level above, each checked and held.
+    system, then one prolongation per level above, each checked and held
+    when pulled: the tower stops at its certificate, the crosscheck never.
 
     A level runs only the forward elimination (`ratlin._echelon`): copies of
     the pivot rows below take the shifts of the rows new there, those the
@@ -337,9 +340,8 @@ def _walk(held: _Analysis, chain: TableauChain):
     its closed form), the rest.  Each distinct shifted row is inserted once, in
     order: a repeat lies in the span of the pivot rows, so it would reduce to
     zero and change none.  The image lies in the fiber below iff each pivot row
-    below reduces to zero against the level's, which `_echelon` keeps as seeded,
-    the same objects: one identity test per kept row, a reduction only on a
-    mismatch.
+    below reduces to zero against the level's, kept as seeded by `_echelon`, the
+    same objects: one identity test per kept row, a reduction on a mismatch.
     """
     yield from held.steps[: chain.depth]
     for level, rank in enumerate(chain.ranks[len(held.steps):], len(held.steps) + 1):
@@ -381,7 +383,14 @@ def _walk(held: _Analysis, chain: TableauChain):
 def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
     """The tower report over levels 1 .. depth of the tableau tower.  Only a
     level that is not surjective reads canonical fibers, its own and the
-    one below, for its witness."""
+    one below, for its witness.  With g^(l) involutive and level q + 1 onto,
+    q >= l, R_{k+q} is formally integrable (Goldschmidt): the walk stops one
+    level past, keeping its closed-form check in reach, and fills each level
+    above as onto, no witness, its fiber grown by the closed-form symbol.  The
+    jet budget is charged at min(depth, l + 2), then before each level further."""
+    (n, m, k, _), inv = held.system, chain.involution
+    top = chain.depth if inv is None else min(chain.depth, inv.level + 2)
+    check_jet_budget(n, m, k, top)
     records: list[LevelRecord] = []
     prev_dim = held.fiber(0).dim
     for level, step in enumerate(_walk(held, chain), 1):
@@ -395,6 +404,13 @@ def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
             projection_surjective=surjective, witness=witness,
         ))
         prev_dim = step.fiber_dim
+        if level == top < chain.depth:
+            if any(rec.projection_surjective for rec in records[inv.level : level - 1]):
+                break  # one level past the first onto level above l
+            check_jet_budget(n, m, k, top := top + 1)
+    for level in range(len(records) + 1, chain.depth + 1):
+        prev_dim += (sym := chain.level_dim(level))
+        records.append(LevelRecord(level, prev_dim, sym, True, None))
     failed = next((rec for rec in records if not rec.projection_surjective), None)
     return IntegrabilityReport(
         base_fiber_dim=held.fiber(0).dim, levels=tuple(records),
@@ -407,8 +423,8 @@ def _tower_report(held: _Analysis, chain: TableauChain) -> IntegrabilityReport:
 
 def prolongation_tower(system: PdeSystem, depth: int) -> IntegrabilityReport:
     """Walk depth prolongations, checking surjectivity of every truncation
-    (depth >= 1, as for the tower)."""
-    return _tower_report(*_held(system, depth, depth))
+    (depth >= 1, as for the tower) up to the certificate (`_tower_report`)."""
+    return _tower_report(*_held(system, depth, 0))
 
 
 def goldschmidt_check(system: PdeSystem, l_max: int) -> IntegrabilityReport:
@@ -461,7 +477,6 @@ def finite_type_integrability(system: PdeSystem, l_max: int) -> IntegrabilityRep
     verdict = classify_type(chain, l_max)
     if verdict.kind != "finite":
         return goldschmidt_check(system, l_max)._replace(type_verdict=verdict)
-    check_jet_budget(system.n, system.m, system.k, verdict.level + 1)
     report = _tower_report(held, chain.prefix(verdict.level + 1))
     result, level = report.verdict, report.verdict_level
     if result != "obstructed-at":

@@ -408,11 +408,15 @@ class Subspace:
         """Each basis vector's d_j, the lead of its integer row d_j·b_j."""
         return [row[0][1] for row in self.rows]
 
+    def scale(self) -> int:
+        """D, the lcm of the leads d_j, read without `scaled`'s table."""
+        return lcm(*self.leads())
+
     def scaled(self) -> tuple[int, dict[int, tuple[int, tuple[tuple[int, int], ...]]]]:
-        """(D, table): D the lcm of the leads d_j, table[p_j] = (j, D·b_j), each
-        row D·b_j as (index, int) pairs led by (p_j, D); built once and held."""
+        """(D, table): D the `scale`, table[p_j] = (j, D·b_j), each row D·b_j
+        as (index, int) pairs led by (p_j, D); built once and held."""
         if self._table is None:
-            scale, table = lcm(*self.leads()), {}
+            scale, table = self.scale(), {}
             for j, row in enumerate(self.rows):
                 k = scale // row[0][1]
                 table[row[0][0]] = (j, row if k == 1 else tuple((i, k * x) for i, x in row))

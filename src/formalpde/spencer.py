@@ -44,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import cycle
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple
 
 from .errors import InvariantViolation
@@ -203,13 +203,14 @@ class CohomologyReport(NamedTuple):
     vanishing_level: int | None
 
 
-def _composes_to_zero(a_rows: list, b_rows: list, leads: list[int]) -> bool:
+def _composes_to_zero(a_rows: list, b_rows: list, level: Subspace) -> bool:
     """Whether A @ B = 0, given the nonzero pairs of the rows of A·D and of B
-    (times any diagonal on the right), D = diag(leads) on each exterior block
-    of w = len(leads) rows: A @ B = (A·D)(D⁻¹·B) vanishes with (A·D)(L·D⁻¹·B),
-    L = lcm(leads), B's row e*w + b scaled by the int L/d_b.  Walked one
-    product row at a time, never building the product."""
-    ups = [lcm(*leads) // d for d in leads]
+    (times any diagonal on the right), D = diag(level.leads()) on each exterior
+    block of w = level.dim rows: A @ B = (A·D)(D⁻¹·B) vanishes with
+    (A·D)(L·D⁻¹·B), L = level.scale(), B's row e*w + b scaled by the int L/d_b.
+    Walked one product row at a time, never building the product."""
+    scale = level.scale()
+    ups = [scale // d for d in level.leads()]
     b_rows = [row if k == 1 else [(j, k * x) for j, x in row] for row, k in zip(b_rows, cycle(ups))]
     for a_row in a_rows:
         acc: dict[int, int] = {}
@@ -270,7 +271,7 @@ def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:
     keys = dict.fromkeys(key for l, m in ranked for key in ((l, m), (l + 1, m - 1)))
     maps = {(l, m): _slot_matrix(chain.n, m, chain.partials[l]).pairs for l, m in keys}
     for l, m in ranked:
-        if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], chain.levels[l].leads()):
+        if not _composes_to_zero(maps[(l, m)], maps[(l + 1, m - 1)], chain.levels[l]):
             raise InvariantViolation(f"image is not contained in the kernel at slot ({l}, {m})")
     ranks = {key: rank(rows) for key, rows in maps.items()}
     entries = dict.fromkeys(grid, HEntry(0, 0, 0))

@@ -22,7 +22,8 @@ Plan:
     exception, printed without a traceback; an out-of-range count flag is a
     bad flag, named in the message, and finite-type takes no depth flag; a
     depth whose jet fiber is past the budget exits 1 within a second, before
-    any elimination
+    any elimination, and a tower whose walk stops at its certificate is
+    charged only the levels it walks (heat3 `tower --levels 22` exits 0)
  7. --json '-' emits only deterministic JSON; --json PATH writes the file
     and keeps the table on stdout; a corpus file with a leading byte-order
     mark reads as the same system and gives the same JSON
@@ -574,18 +575,18 @@ HEAT3 = "base_dim = 3\nfiber_rank = 1\norder = 2\neq: u1_x1x1 + u1_x2x2 - u1_x3 
 # u_x1^23 = u_x2^23 = 0: its symbol vanishes at level 22
 LATE = PdeSystem.from_terms(2, 1, 23, [[(1, 0, (23, 0))], [(1, 0, (0, 23))]])
 
+# u_x1^24 = u_x2^24 = 0: its symbol vanishes at level 23 and no level below
+# passes Cartan's test, so no tower to depth 20 certifies a level, and the
+# walk to depth 20 needs the order-44 jet fiber: C(46, 2) = 1035
+LATE_24 = PdeSystem.from_terms(2, 1, 24, [[(1, 0, (24, 0))], [(1, 0, (0, 24))]])
 
-@pytest.mark.parametrize(
-    "command, flag, value",
-    [
-        ("tower", "--levels", "20"),  # the order-22 jet fiber: C(25, 3) = 2300
-        ("tower", "--levels", "9" * 23),
-    ],
-)
+
+@pytest.mark.parametrize("command, flag, value", [("tower", "--levels", "20")])
 def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, tmp_path):
     # in a child with a timeout: a refusal that came too late would run the
-    # analysis, which must never happen in the test run itself
-    path = write_pde(tmp_path, HEAT3)
+    # analysis, which must never happen in the test run itself.  A tower
+    # with no involution walks, and is charged, every level it is asked
+    path = write_pde(tmp_path, format_system(LATE_24))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "formalpde", command, path, flag, value],
@@ -593,21 +594,42 @@ def test_depth_past_the_jet_budget_is_refused_in_a_child(command, flag, value, t
     )
     assert time.perf_counter() - start < 1
     assert proc.returncode == 1 and not proc.stdout
-    assert "prolongation to depth" in proc.stderr
+    assert "prolongation to depth 20 needs the order-44 jet fiber of 1035" in proc.stderr
     assert f"above the budget of {MAX_JET_FIBER}" in proc.stderr
 
 
+def test_a_certified_tower_walks_no_level_past_its_certificate_in_a_child(tmp_path):
+    # heat3 is involutive at level 0 and onto at level 1, so `tower --levels
+    # 22` walks two levels, is charged the order-4 jet fiber, and fills the
+    # twenty above from the closed form; walking them all would need the
+    # order-24 jet fiber of C(27, 3) = 2925 coordinates.  The filled fiber
+    # dims are the jets of order 2 + j less the derivatives of order <= j of
+    # the one equation, its symbol's the same one degree up
+    proc = subprocess.run(
+        [sys.executable, "-m", "formalpde", "tower", write_pde(tmp_path, HEAT3),
+         "--levels", "22", "--json", "-"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 0 and not proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["verdict"] == "integrable-up-to" and payload["verdict_level"] == 22
+    assert [(lv["fiber_dim"], lv["symbol_dim"], lv["projection_surjective"], lv["witness"])
+            for lv in payload["levels"]] == [
+        (comb(5 + j, 3) - comb(3 + j, 3), comb(4 + j, 2) - comb(2 + j, 2), True, None)
+        for j in range(1, 23)
+    ]
+
+
 def test_each_command_is_charged_the_jet_fiber_it_walks(tmp_path, capsys):
-    # `tower --levels 20` walks heat3 to the order-22 jet fiber, past the
-    # budget.  symbol and cohomology walk no level, and goldschmidt and
-    # finite-type (heat3 is of infinite type, so it falls back to
-    # goldschmidt) one: at the same tower depth they run, in about 1 ms of
-    # analysis, every H zero by Serre, heat3 being involutive at level 0
+    # `tower --levels 20` on heat3, involutive at level 0, walks two levels,
+    # one past its onto level 1, and fills the rest, so it is charged the
+    # order-4 jet fiber, not the order-22 one past the budget.  symbol and
+    # cohomology walk no level, and goldschmidt and finite-type (heat3 is of
+    # infinite type, so it falls back to goldschmidt) one: at the same tower
+    # depth they run, in about 1 ms of analysis, every H zero by Serre
     path = write_pde(tmp_path, HEAT3)
-    assert main(["tower", path, "--levels", "20"]) == 1
-    assert "prolongation to depth 20" in capsys.readouterr().err
     runs = {command: [command, path, flag, value, "--json", "-"] for command, flag, value in (
-        ("symbol", "--levels", "20"), ("cohomology", "--l-max", "19"),
+        ("tower", "--levels", "20"), ("symbol", "--levels", "20"), ("cohomology", "--l-max", "19"),
         ("goldschmidt", "--l-max", "19"), ("finite-type", "--l-max", "19"),
     )}
     out = {}
@@ -615,6 +637,7 @@ def test_each_command_is_charged_the_jet_fiber_it_walks(tmp_path, capsys):
         assert main(argv) == 0, command
         out[command] = json.loads(capsys.readouterr().out)
     assert out["symbol"]["ranks"] == [5 + 2 * l for l in range(21)]
+    assert [lv["symbol_dim"] for lv in out["tower"]["levels"]] == out["symbol"]["ranks"][1:]
     assert {e["h_dim"] for e in out["cohomology"]["entries"]} == {0}
     for command in ("goldschmidt", "finite-type"):
         assert out[command]["certification_basis"] == "goldschmidt-up-to-evidence(19)"
@@ -717,13 +740,17 @@ def test_a_window_filled_in_closed_form_is_not_charged(tmp_path, capsys):
     [
         ("goldschmidt", "--l-max", "9" * 23),
         ("cohomology", "--l-max", "10" + "0" * 20),
+        ("tower", "--levels", "9" * 23),
     ],
 )
 def test_depth_past_the_tower_budget_is_refused_in_a_child(command, flag, value, tmp_path):
     # goldschmidt walks one jet level and cohomology none, so the jet budget
-    # admits them; the tower's depth bound, the budget's square root, refuses
+    # admits them, and the tower is charged the jet fiber only once its
+    # symbol tower is read; the tower's depth bound, the budget's square
+    # root, refuses first
     err = run_child(command, write_pde(tmp_path, HEAT3), [flag, value])
-    assert f"symbol tower to depth {int(value) + 1} is deeper than {isqrt(MAX_TOWER_WORK)}" in err
+    depth = int(value) + (flag == "--l-max")
+    assert f"symbol tower to depth {depth} is deeper than {isqrt(MAX_TOWER_WORK)}" in err
 
 
 @pytest.mark.parametrize(
@@ -942,10 +969,12 @@ def test_a_refused_analysis_eliminates_nothing(count_calls):
     # one elimination every analysis starts from; the cache holds one
     # system, so each is built just before its analysis.  The stages past
     # the symbol tower read it off the symbol's record, built before too:
-    # the Spencer window's exact slots, and finite-type's walk depth, one
-    # above the level where the symbol vanishes
+    # the Spencer window's exact slots, finite-type's walk depth, one above
+    # the level where the symbol vanishes, and the tower's, the whole depth
+    # asked where no level is involutive
     table = [
-        (None, lambda: prolongation_tower(heat3, 20), "prolongation to depth 20"),
+        (lambda: symbol_tower(LATE_24, 20), lambda: prolongation_tower(LATE_24, 20),
+         "prolongation to depth 20"),
         (lambda: symbol_tower(square11, 1), lambda: goldschmidt_check(square11, 0),
          "Spencer cohomology to l_max 0"),
         (lambda: symbol_tableau(first43), lambda: finite_type_integrability(first43, 0),
@@ -1389,13 +1418,21 @@ def test_the_six_commands_parse_each_text_once(count_calls, capsys, tmp_path):
 
 def test_the_six_commands_eliminate_each_walk_level_once(monkeypatch, capsys):
     # the commands of one system share its held walk: each level is
-    # forward-eliminated once, so the eliminations equal the deepest depth
-    # walked, the tower's default 4
+    # forward-eliminated once, so the eliminations equal the deepest level
+    # walked.  Every corpus symbol is involutive at level 0, so the tower, at
+    # its default depth 4, stops one level past its first onto level: level
+    # 1, or level 2 for the obstructed system; the crosscheck's default depth
+    # 2 walks no further.  A crosscheck to depth 4 walks the levels the
+    # tower filled in, each once
     seeds = count_walk_levels(monkeypatch)
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         seeds.clear()
         for command in COMMANDS:
             assert main([command, str(path), "--json", "-"]) == 0
+        capsys.readouterr()
+        assert len(seeds) == (3 if path.name == "flat_connection_obstructed.pde" else 2), path.name
+        for command in ("tower", "crosscheck"):
+            assert main([command, str(path), "--levels", "4", "--json", "-"]) == 0
         capsys.readouterr()
         assert len(seeds) == 4, path.name
 

@@ -25,7 +25,10 @@ Plan:
     the symbol tower's level 0 reads an annihilator off a basis
     (`constraint_matrix`); each walk level inserts every distinct shifted
     row once, keeping the pivot rows every shifted row gives, so heat3's
-    walk eliminates nothing;
+    walk eliminates nothing; the tower stops its walk one level past its
+    first onto level above the involutive one and fills the levels above
+    from the closed form, which must equal what the crosscheck, walking
+    every level, finds;
     the crosscheck prolongs once per level and caches no level system,
     every cache in the package is bounded, and the base system's fiber and
     symbol caches hold the one system the six commands share; the
@@ -57,6 +60,8 @@ Plan:
     matrix from dense rows
 13. tower depth validation; the held symbol tower serves exact prefixes,
     only to its own system, and only after every depth and budget check;
+    the tower's jet budget reads the same warm or cold, also where it
+    refuses past the levels already walked;
     finite-type bound capping
 """
 
@@ -75,7 +80,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import formalpde
@@ -402,6 +407,20 @@ def ode_over_fourths() -> PdeSystem:
     return PdeSystem.from_terms(1, 1, 2, [[(-4, 0, (2,)), (3, 0, (1,))]])
 
 
+def height_case() -> PdeSystem:
+    """The heat3-shaped system with 4,000-digit coefficients, involutive at
+    level 0 as heat3 is."""
+    rng = random.Random(13)
+
+    def big():
+        return rng.randrange(10**3999, 10**4000)
+
+    a, b, c = Fraction(big(), big()), Fraction(big(), big()), big()
+    return PdeSystem.from_terms(3, 1, 2, [
+        [(1, 0, (2, 0, 0)), (a, 0, (0, 2, 0)), (-b, 0, (0, 0, 1)), (c, 0, (1, 1, 0))]
+    ])
+
+
 def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
     import formalpde.jetpde as jetpde_mod
 
@@ -413,20 +432,26 @@ def test_tower_rows_stay_within_the_jet_fiber(monkeypatch):
 
     monkeypatch.setattr(jetpde_mod, "formal_prolongation", recording)
     for s in (laplace2d(), heat3()):
+        # the tower stops one level past its onto level 1; the crosscheck,
+        # on a fresh record, walks every level
         received.clear()
-        rep = prolongation_tower(s, 6)
+        assert len(prolongation_tower(s, 6).levels) == 6 and len(received) == 2
+        clear_held()
+        received.clear()
+        route = crosscheck_routes(s, 6)
         assert [k for k, _ in received] == [s.k + level - 1 for level in range(1, 7)]
         # each level prolongs the rows of the fiber below's annihilator (one
         # per jet coordinate outside that fiber) that the annihilator one
         # level lower lacks: all of them at level 1
-        lower_dims = [rep.base_fiber_dim] + [lv.fiber_dim for lv in rep.levels[:-1]]
+        lower_dims = [solution_fiber(s).dim] + [lv.jet_route.fiber_dim for lv in route[:-1]]
         annihilators = [jet_fiber_dim(s.n, s.m, k) - d for (k, _), d in zip(received, lower_dims)]
         assert [rows for _, rows in received] == [
             ann - below for ann, below in zip(annihilators, [0] + annihilators[:-1])
         ], s.n
     monkeypatch.undo()
-    # the annihilator handed up loses nothing: every level's fiber is the
-    # fiber of the plain repeated prolongation, which keeps every row
+    # the annihilator handed up loses nothing, and the levels filled in from
+    # the closed form are the walk's: every level's fiber is the fiber of the
+    # plain repeated prolongation, which keeps every row
     for path in sorted((resources.files("formalpde") / "corpus").iterdir()):
         s = load_system(str(path))
         rep = prolongation_tower(s, 4)
@@ -486,6 +511,34 @@ def test_the_tower_reads_what_the_canonical_fibers_give(terms, depth):
         )
         assert rec == (rec.level, fiber.dim, fiber.dim - img.dim, onto, witness)
         lower_fiber = fiber
+
+
+@settings(deadline=None, max_examples=120)
+@given(small_terms(), st.integers(1, 6))
+@example((3, 1, 2, [[(-1, 0, (1, 1, 0)), (-2, 0, (0, 0, 2)), (1, 0, (0, 1, 1))],
+                    [(1, 0, (1, 0, 1)), (-3, 0, (1, 0, 0)), (1, 0, (0, 2, 0))],
+                    [(2, 0, (1, 0, 1))]]), 4)
+def test_the_levels_the_tower_fills_in_are_the_levels_the_crosscheck_walks(terms, depth):
+    # Goldschmidt's criterion: once g^(l) is involutive and one projection
+    # R_(k+q+1) -> R_(k+q), q >= l, is onto, so is every projection above,
+    # and each fiber grows by the closed-form symbol dim.  The tower stops
+    # its walk there and fills the levels above in; the crosscheck, on a
+    # fresh record, walks every level, and must find the same dims.  In the
+    # example g^(1) is involutive, g^(0) is not, and level 1, q = 0, is onto
+    # while no level above is: an onto level below l certifies nothing
+    s = PdeSystem.from_terms(*terms)
+    report = prolongation_tower(s, depth)
+    clear_held()
+    try:
+        route = crosscheck_routes(s, depth)
+    except ValueError as err:
+        assume("crosscheck to depth" not in str(err))
+        raise
+    below = [report.base_fiber_dim] + [lv.jet_route.fiber_dim for lv in route]
+    walked = [(lv.jet_route.fiber_dim, lv.symbol_dim, lv.jet_route.image_dim == dim)
+              for lv, dim in zip(route, below)]
+    assert [(rec.fiber_dim, rec.symbol_dim, rec.projection_surjective)
+            for rec in report.levels] == walked
 
 
 @settings(deadline=None, max_examples=40)
@@ -640,8 +693,11 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
     # forward elimination `ratlin._echelon`, counted apart below, and reads
     # its dims off the pivot columns.  heat3 is surjective at every level, so
     # its tower builds no canonical fiber past the base fiber, which is one
-    # more.  A crosscheck level adds the jet level's canonical fiber and the
-    # connection's symbol, prolongation fiber and ∂-symmetry kernel.
+    # more.  heat3 is involutive at level 0 and onto at level 1, so the tower
+    # walks min(d, 2) levels and fills the rest from the closed form, as it
+    # does for the 4,000-digit height case at depth 14.  A crosscheck level
+    # adds the jet level's canonical fiber and the connection's symbol,
+    # prolongation fiber and ∂-symmetry kernel.
     # Truncation images, symbols and e = 0 slices are read off pivots or
     # canonical bases, not eliminated, the e = 0 slice is checked against
     # g^(1) by membership, and the mapped jet fiber by its points'
@@ -665,8 +721,9 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
         return len(calls), len(walked)
 
     for d in range(1, 5):
-        assert count(prolongation_tower, heat3(), d) == (2, d)
+        assert count(prolongation_tower, heat3(), d) == (2, min(d, 2))
         assert count(crosscheck_routes, heat3(), d) == (4 * d + 2, d)
+    assert count(prolongation_tower, height_case(), 14) == (2, 2)
     for l in range(4):
         assert count(goldschmidt_check, heat3(), l) == (2, 1)
 
@@ -674,16 +731,16 @@ def test_eliminations_per_analysis(count_calls, monkeypatch):
 def test_the_walks_containment_check_eliminates_nothing(count_calls, monkeypatch):
     # `_echelon` stores a seed as it is, so each pivot row below is still
     # the level's pivot row at its top, the same object, and the containment
-    # check settles it by one identity test: heat3's walk to depth 5 checks
-    # every kept row and runs none of the eliminations `_reduces_to_zero`
-    # falls back to
+    # check settles it by one identity test: heat3's walk to depth 5, which
+    # the crosscheck walks level by level, checks every kept row and runs
+    # none of the eliminations `_reduces_to_zero` falls back to
     checked = count_calls(formalpde.jetpde._reduces_to_zero)
     eliminated, eliminate = [], formalpde.jetpde._eliminate
     monkeypatch.setattr(
         formalpde.jetpde, "_eliminate", lambda *args: eliminated.append(1) or eliminate(*args)
     )
     s = heat3()
-    prolongation_tower(s, 5)
+    crosscheck_routes(s, 5)
     held = formalpde.jetpde._Analysis(s)
     below = [len(solution_fiber(s).annihilator())] + [len(step.rows) for step in held.steps[:4]]
     assert len(held.steps) == 5 and len(checked) == sum(below) > 0
@@ -694,12 +751,12 @@ def test_the_walk_inserts_each_distinct_shifted_row_once(count_calls):
     # D_i D_j = D_j D_i, so a mixed shift of a row two levels down arrives
     # twice.  The walk inserts it once, and every other shifted row of heat3's
     # walk to depth 5 takes a fresh pivot, so with the symbol tower held the
-    # walk eliminates nothing; inserting each repeat too takes 50 steps
+    # walk eliminates nothing; inserting each repeat too takes 50 steps.  The
+    # walk is driven to every level: the tower stops at level 2
     s = heat3()
-    symbol_tower(s, 5)
+    chain = symbol_tower(s, 5)
     eliminated = count_calls(formalpde.ratlin._eliminate)
-    prolongation_tower(s, 5)
-    assert len(formalpde.jetpde._Analysis(s).steps) == 5
+    assert len(list(_walk(formalpde.jetpde._Analysis(s), chain))) == 5
     assert eliminated == []
 
 
@@ -710,7 +767,7 @@ def test_every_walk_level_keeps_the_rows_of_every_shifted_row(terms, depth):
     # arrives, so inserting only the first copy keeps, as data, the pivot
     # rows `_echelon` keeps when it is handed every shifted row
     s = PdeSystem.from_terms(*terms)
-    prolongation_tower(s, depth)
+    list(_walk(*_held(s, depth, depth)))  # every level: the tower may stop early
     seed = {max(r): r for r in solution_fiber(s).annihilator()}
     for step in formalpde.jetpde._Analysis(s).steps[:depth]:
         every = formal_prolongation(step.lower).equations.pairs[step.lower.equations.rows:]
@@ -1258,17 +1315,25 @@ def test_systems_with_one_symbol_share_one_tower(count_calls):
 
 
 def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls):
-    # every budget runs on every request before either record is read, so a
+    # every budget runs on every request, whatever either record holds, so a
     # refusal reads the same with the records cold and warm: budgets that
-    # the held depth met are still checked
+    # the held depth met are still checked.  The tower's jet budget runs
+    # once its symbol tower is read, at the depth the walk reaches
     s = laplace2d()
+    obstructed = load_system(str(resources.files("formalpde") / "corpus"
+                                 / "flat_connection_obstructed.pde"))
 
     def refusals():
         seen = []
-        cases = [(lambda: symbol_tower(s, 0), "tower needs depth >= 1", {}),
+        # first, while the warm record is the obstructed system's: it is not
+        # onto at level 1, so its walk goes on past level 2, onto, to level
+        # 3 and the order-4 jet fiber of 2·C(6, 2) = 30 coordinates
+        cases = [(lambda: prolongation_tower(obstructed, 4), "depth 3 needs the order-4 jet "
+                  "fiber of 30 coordinates", {formalpde.jetpde: ("MAX_JET_FIBER", 20)}),
+                 (lambda: symbol_tower(s, 0), "tower needs depth >= 1", {}),
                  (lambda: symbol_tower(s, -1), "tower needs depth >= 1", {}),
-                 # the walk's C(2 + 2 + 42, 2) = 1035 jet coordinates
-                 (lambda: prolongation_tower(s, 42), "above the budget of 1000", {}),
+                 # the crosscheck walks every level: (1 + 2)·C(2 + 2 + 41, 2) = 2970
+                 (lambda: crosscheck_routes(s, 42), "above the budget of 1000", {}),
                  (lambda: prolongation_tower(s, 1), "order-3 jet fiber of 10 coordinates",
                   {formalpde.jetpde: ("MAX_JET_FIBER", 9)}),
                  (lambda: symbol_tower(s, 1), "n·A\\^2 is above the budget of 20",
@@ -1283,8 +1348,12 @@ def test_validation_runs_before_the_held_tower_is_read(monkeypatch, count_calls)
         return seen
 
     cold = refusals()
-    prolongation_tower(s, 4)
+    # laplace2d, involutive at level 0, walks two levels of 42
+    assert len(prolongation_tower(s, 42).levels) == 42
+    assert len(formalpde.jetpde._Analysis(s).steps) == 2
     goldschmidt_check(s, 2)
+    prolongation_tower(obstructed, 4)
+    assert len(formalpde.jetpde._Analysis(obstructed).steps) == 3
     assert refusals() == cold
     # the symbol record is charged the tower budget alone: symbol_tower walks
     # no jets, so depth 42 is held
@@ -1394,18 +1463,10 @@ def test_a_flag_past_the_first_vandermonde_one_certifies_the_pool_system_they_mi
 
 
 def test_the_height_case_prolongs_only_its_first_symbol_level(count_calls):
-    # the heat3-shaped system with 4,000-digit coefficients: level 0 passes
-    # Cartan's test, so the tower prolongs level 0 alone and the walk checks
-    # levels 2 .. 4 against the closed form
-    rng = random.Random(13)
-
-    def big():
-        return rng.randrange(10**3999, 10**4000)
-
-    a, b, c = Fraction(big(), big()), Fraction(big(), big()), big()
-    s = PdeSystem.from_terms(3, 1, 2, [
-        [(1, 0, (2, 0, 0)), (a, 0, (0, 2, 0)), (-b, 0, (0, 0, 1)), (c, 0, (1, 1, 0))]
-    ])
+    # level 0 passes Cartan's test, so the tower prolongs level 0 alone, and
+    # the walk checks level 2 against the closed form and stops there, one
+    # past its onto level 1
+    s = height_case()
     prolongs = count_calls(formalpde.tableau.prolong)
     report = prolongation_tower(s, 4)
     assert [rec.symbol_dim for rec in report.levels] == [7, 9, 11, 13]

@@ -172,7 +172,7 @@ def test_reduce_mod_and_coords():
 
 def test_the_membership_table_is_invisible():
     # the first `_coords` call fills the subspace's membership table (D, the
-    # lcm of all the leads, and each row's D/d_j and tail) and later calls
+    # lcm of all the leads, and each row D·b_j by its pivot) and later calls
     # read it; answers, ==, hash and repr stay those of a copy built from the
     # same rows with its table empty.  Leads 2, 1, 3: the first lead is not D
     mixed = Subspace.from_spanning(5, [[1, 0, F(1, 2), 0, 0], [0, 1, 2, 0, 1], [0, 0, 0, 1, F(1, 3)]])
@@ -191,11 +191,12 @@ def test_the_membership_table_is_invisible():
     unit = Subspace.from_spanning(3, [[1, 0, 1], [0, 1, -1]])
     assert unit.leads() == [1, 1]
     unit_cases = [([(0, 2), (1, 3), (2, -1)], [(0, 2), (1, 3)]), ([(0, 1)], None), ([(2, 1)], None)]
-    for space, cases in ((mixed, mixed_cases), (unit, unit_cases)):
+    for space, cases, scale in ((mixed, mixed_cases, 6), (unit, unit_cases, 1)):
         fresh = Subspace(space.ambient_dim, space.rows)
-        assert space._table is None
+        # the scale-only read builds no table
+        assert space.scale() == scale and space._table is None
         first = [space._coords(pairs) for pairs, _ in cases]
-        assert space._table is not None
+        assert space._table is not None and space._table[0] == scale
         again = [space._coords(pairs) for pairs, _ in reversed(cases)][::-1]
         assert first == again == [want for _, want in cases]
         assert fresh._table is None

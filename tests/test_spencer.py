@@ -499,6 +499,15 @@ fractions_off_the_integers = st.sampled_from(
 )
 
 
+def level_with_leads(leads: list[int]) -> Subspace:
+    """The span of e_j + e_k/d_j in Q^(k+1), k = len(leads): its canonical
+    integer rows d_j·e_j + e_k lead with the given d_j."""
+    k = len(leads)
+    return Subspace.from_spanning(
+        k + 1, [[int(i == j) for i in range(k)] + [Fraction(1, d)] for j, d in enumerate(leads)]
+    )
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.integers(1, 5), st.integers(1, 4), st.data())
 def test_the_integer_composition_check_matches_fraction_products(k, w, data):
@@ -514,7 +523,7 @@ def test_the_integer_composition_check_matches_fraction_products(k, w, data):
     b_pairs = RatMatrix(b).pairs
     scale = data.draw(st.sampled_from([Fraction(p, q) for p in (-2, 1, 3) for q in (2, 7)]))
     a = [[scale * x for x in v] for v in kernel(RatMatrix(b).transpose()).basis]
-    ones = [1] * k
+    ones = level_with_leads([1] * k)
     assert fraction_product_is_zero(a, b, w)
     assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_pairs, ones)
     hits = [row for row, entries in enumerate(b) if any(entries)]
@@ -552,17 +561,19 @@ def test_the_integer_composition_check_undoes_a_diagonal_scaling(k, w, data):
     left = kernel(RatMatrix(ints, cols=w).transpose()).basis
     a = [[scale * x * d for x, d in zip(v, leads)] for v in left]  # A·D
     assert fraction_product_is_zero(a, b, w)
-    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, leads)
+    level = level_with_leads(leads)
+    assert level.leads() == leads
+    assert _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, level)
     hits = [row for row, entries in enumerate(ints) if any(entries)]
     if a and hits:
         r = data.draw(st.integers(0, len(a) - 1))
         a[r][data.draw(st.sampled_from(hits))] += Fraction(1, 7)
         assert not fraction_product_is_zero(a, b, w)
-        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, leads)
+        assert not _composes_to_zero(RatMatrix(a, cols=k).pairs, b_int, level)
     other = data.draw(
         st.lists(st.lists(fractions_off_the_integers, min_size=k, max_size=k), max_size=3)
     )
-    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_int, leads)
+    got = _composes_to_zero(RatMatrix(other, cols=k).pairs, b_int, level)
     assert got == fraction_product_is_zero(other, b, w)
 
 
