@@ -201,6 +201,16 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: {body})"
 
 
+def _combine(terms: Iterable[tuple[int, Fraction | int]], rows: Sequence) -> dict:
+    """The nonzero entries {j: v} of Σ a·rows[k] over the (k, a) in terms, each
+    rows[k] a row's (j, x) pairs: a sparse row times a matrix, cancelled entries dropped."""
+    acc: dict = {}
+    for k, a in terms:
+        for j, x in rows[k]:
+            acc[j] = acc.get(j, 0) + a * x
+    return {j: v for j, v in acc.items() if v}
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     """Reduced row echelon form: (R, pivots), pivots the pivot columns in order.
 

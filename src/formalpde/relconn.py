@@ -18,6 +18,8 @@ Fixed coordinate layouts:
 * torsion representatives live in the Λ² ⊗ W slot with ext-major coordinates
   rank(i,j) * coeff_dim + b.
 
+A lift's curvature K(i, j) = A_j psi_i - A_i psi_j is minus the Spencer δ
+(`spencer._slot_matrix`) of the connection's ∂ over the whole source at psi.
 The torsion at a source point e is read off two canonical kernels, so a
 non-surjective sigma needs no special casing: it vanishes iff e lifts into the
 classical prolongation fiber, and a point that does not even lift into the
@@ -32,13 +34,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import InvariantViolation
-from .ratlin import (
-    RatMatrix,
-    Subspace,
-    image,
-    kernel,
-    rat,
-)
+from .ratlin import RatMatrix, Subspace, _combine, image, kernel, rat
 from .spencer import _slot_matrix
 from .tableau import Tableau, prolong
 
@@ -90,13 +86,7 @@ def symbol_map(conn: RelConn) -> Tableau:
     # row b*n + i holds A_i's row b times each row E·b_j, read by coordinate
     scaled = [row for _, row in g.scaled()[1].values()]
     at = RatMatrix(pairs=scaled, cols=g.ambient_dim).transpose().pairs
-    rows = []
-    for row in (a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats):
-        out: dict[int, int] = {}
-        for c, x in row:
-            for j, y in at[c]:
-                out[j] = out.get(j, 0) + x * y
-        rows.append([(j, z) for j, z in sorted(out.items()) if z])
+    rows = [sorted(_combine(row, at).items()) for row in _source_rows(conn)]
     partial = RatMatrix(pairs=rows, cols=g.dim)
     return Tableau.generalized(conn.n, conn.coeff_dim, g, partial)
 
@@ -122,18 +112,18 @@ def _partial_rows(conn: RelConn) -> RatMatrix:
     return RatMatrix(pairs=rows, cols=(1 + n) * sd)
 
 
+def _source_rows(conn: RelConn) -> list:
+    """The rows of ∂(v) = (i -> A_i v) over the whole source: row b*n + i is A_i's row b."""
+    return [a.pairs[b] for b in range(conn.coeff_dim) for a in conn.mats]
+
+
 def _symmetry_rows(conn: RelConn) -> RatMatrix:
-    """A_j psi_i - A_i psi_j = 0 for i < j, as rows over (e, psi)."""
-    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for b in range(cd):
-                # i < j, so the two psi blocks are distinct and in column order
-                row = [((1 + i) * sd + c, x) for c, x in conn.mats[j].pairs[b]]
-                row += [((1 + j) * sd + c, -x) for c, x in conn.mats[i].pairs[b]]
-                rows.append(row)
-    return RatMatrix(pairs=rows, cols=(1 + n) * sd)
+    """A_j psi_i - A_i psi_j = 0 for i < j, as rows over (e, psi): minus δ of the
+    connection's ∂, shifted past the e block, rows in slot order (i < j, then b)."""
+    sd = conn.source_dim
+    delta = _slot_matrix(conn.n, 1, RatMatrix(pairs=_source_rows(conn), cols=sd))
+    rows = ([(sd + c, -x) for c, x in row] for row in delta.pairs)
+    return RatMatrix(pairs=rows, cols=(1 + conn.n) * sd)
 
 
 class ProlFiber(NamedTuple):
@@ -263,10 +253,9 @@ class TorsionResult(NamedTuple):
 
 
 def curvature_of_lift(conn: RelConn, psi: Sequence) -> tuple[Fraction, ...]:
-    """K(i,j) = A_j psi_i - A_i psi_j over Λ² ⊗ W slot coordinates.
-
-    These are the left-hand sides of ``_symmetry_rows`` at (0, psi), whose
-    row order (i < j in exterior order, then b) is the slot order.
+    """K(i,j) = A_j psi_i - A_i psi_j over Λ² ⊗ W slot coordinates: minus δ
+    of the connection's ∂ at psi, the left-hand sides of ``_symmetry_rows`` at
+    (0, psi), whose row order (i < j in exterior order, then b) is the slot order.
     """
     return _symmetry_rows(conn).apply([_ZERO] * conn.source_dim + list(psi))
 

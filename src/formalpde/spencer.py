@@ -16,7 +16,10 @@ Every differential is assembled once, by `_slot_matrix`, from a
 degree-lowering map ∂ : V -> Hom(E, W) given in basis coordinates (rows
 b*n + i, one column per V basis vector); delta(omega ⊗ v) =
 (-1)^|omega| omega ∧ ∂(v).  Its matrix on Λ^m ⊗ V uses slot coordinates
-ext_rank * dim V + c (exterior slowest over the V basis).
+ext_rank * dim V + c (exterior slowest over the V basis).  It serves
+`cohomology`'s slot maps, `tableau._symmetry_equations` (δ on 1-forms, cutting
+out g^(1)(∂)), and `relconn._symmetry_rows` and `_delta_image` (a connection's
+curvature rows, minus δ of its ∂, and the image of δ over its symbol).
 
 A `TableauChain`, as `tableau.tower` builds it, is its levels W_0, W_1, ...
 plus one ∂ per level: partials[l] maps level l into level l-1, and
@@ -48,7 +51,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, rank
+from .ratlin import RatMatrix, Subspace, _combine, rank
 from .tensorspace import delta_insertion, ext_dim, ext_indices, ext_rank
 
 
@@ -208,18 +211,11 @@ def _composes_to_zero(a_rows: list, b_rows: list, level: Subspace) -> bool:
     (times any diagonal on the right), D = diag(level.leads()) on each exterior
     block of w = level.dim rows: A @ B = (A·D)(D⁻¹·B) vanishes with
     (A·D)(L·D⁻¹·B), L = level.scale(), B's row e*w + b scaled by the int L/d_b.
-    Walked one product row at a time, never building the product."""
+    Walked one product row at a time (`ratlin._combine`), never building the product."""
     scale = level.scale()
     ups = [scale // d for d in level.leads()]
     b_rows = [row if k == 1 else [(j, k * x) for j, x in row] for row, k in zip(b_rows, cycle(ups))]
-    for a_row in a_rows:
-        acc: dict[int, int] = {}
-        for k, a in a_row:
-            for j, b in b_rows[k]:
-                acc[j] = acc.get(j, 0) + a * b
-        if any(acc.values()):
-            return False
-    return True
+    return not any(_combine(a_row, b_rows) for a_row in a_rows)
 
 
 def cohomology(chain: TableauChain, l_max: int, m_max: int) -> CohomologyReport:

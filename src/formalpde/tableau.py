@@ -14,7 +14,8 @@ S^1 ⊗ R^p over the canonical basis of g (p = dim g),
 
     g^(1)(∂) = { eta : ∂(eta(X))(Y) = ∂(eta(Y))(X) for all X, Y },
 
-and higher prolongations are classical prolongations of g^(1)(∂).
+the kernel of ∂'s Spencer δ on 1-forms (`spencer._slot_matrix`), and higher
+prolongations are classical prolongations of g^(1)(∂).
 
 `tower` returns the `TableauChain` that cohomology and `classify_type` read.
 A tower is the prolongations of one tableau: level 0 is g with ι into the
@@ -49,8 +50,8 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import InvariantViolation
-from .ratlin import RatMatrix, Subspace, _echelon, kernel
-from .spencer import Involution, TableauChain
+from .ratlin import RatMatrix, Subspace, _combine, _echelon, kernel
+from .spencer import Involution, TableauChain, _slot_matrix
 from .tensorspace import binomial_past, raise_table, sym_dim
 
 
@@ -113,21 +114,12 @@ class Tableau(namedtuple("Tableau", "n f space degree partial_map")):
 
 
 def _symmetry_equations(t: Tableau) -> RatMatrix:
-    """∂(eta_i)(e_j) = ∂(eta_j)(e_i) for i < j, as rows over eta (flat c*n + i)."""
-    n, f, p = t.n, t.f, t.space.dim
-    partial = t.partial_map
-    ambient = sym_dim(n, 1) * p
-    rows = []
-    for b in range(f):
-        for i in range(n):
-            for j in range(i + 1, n):
-                # ∂(eta_i)(e_j) - ∂(eta_j)(e_i) at output coordinate b; eta_i
-                # is the slice of the coordinates c * n + i, so the two
-                # strides interleave and the row is sorted
-                row = [(c * n + i, x) for c, x in partial.pairs[b * n + j]]
-                row += [(c * n + j, -x) for c, x in partial.pairs[b * n + i]]
-                rows.append(sorted(row))
-    return RatMatrix(pairs=rows, cols=ambient)
+    """∂(eta_i)(e_j) = ∂(eta_j)(e_i) for i < j, as rows over eta (flat c*n + i):
+    δ of ∂ on 1-forms, its column s*p + c (e_s ⊗ v_c) renamed to c*n + s."""
+    n, p = t.n, t.space.dim
+    delta = _slot_matrix(n, 1, t.partial_map)
+    rows = (sorted((c % p * n + c // p, x) for c, x in row) for row in delta.pairs)
+    return RatMatrix(pairs=rows, cols=n * p)
 
 
 def prolong(t: Tableau) -> Subspace:
@@ -169,11 +161,7 @@ def _verify_contracts_into(n: int, f: int, degree: int, level: Subspace, prev: S
         for b, p in enumerate(prev.pivots):
             rows[b * n + i] = cols[entries[p]]
         for residual in prev.annihilator():
-            acc: dict[int, int] = {}
-            for c, k in residual.items():
-                for j, x in cols[entries[c]]:
-                    acc[j] = acc.get(j, 0) + k * x
-            if any(acc.values()):
+            if _combine(((entries[c], k) for c, k in residual.items()), cols):
                 raise InvariantViolation(
                     f"tower level of degree {degree} (dim {level.dim}) does not contract "
                     f"into its predecessor (dim {prev.dim}) along direction {i}"
@@ -233,14 +221,9 @@ def cartan_dims(n: int, partial: RatMatrix, flag) -> tuple[int, ...]:
     one integer elimination reads as they are added (the column scaling D keeps them)."""
     pivot_rows, dims = {}, [partial.cols]
     for v in flag:
-        rows = []
-        for b in range(partial.rows // n):
-            acc: dict[int, int] = {}
-            for x, row in zip(v, partial.pairs[b * n: b * n + n]):
-                if x:
-                    for c, y in row:
-                        acc[c] = acc.get(c, 0) + x * y
-            rows.append({c: y for c, y in acc.items() if y})
+        weights = [(i, x) for i, x in enumerate(v) if x]
+        rows = [_combine(((b * n + i, x) for i, x in weights), partial.pairs)
+                for b in range(partial.rows // n)]
         dims.append(partial.cols - len(_echelon(rows, pivot_rows)))
     return tuple(dims)
 
@@ -280,9 +263,9 @@ def tower(t: Tableau, depth: int) -> TableauChain:
     else:
         g1 = prolong(t)
         equations = _symmetry_equations(t)
-        # each equation against the stored rows d_j·b_j, zero exactly where b_j gives zero
-        basis = [dict(row) for row in g1.rows]
-        if any(sum(x * v.get(c, 0) for c, x in eq) for eq in equations.pairs for v in basis):
+        # the equations at each stored row d_j·b_j, zero exactly where they vanish at b_j
+        columns = equations.transpose().pairs
+        if any(_combine(row, columns) for row in g1.rows):
             raise InvariantViolation(
                 f"generalized first prolongation violates ∂-symmetry: dim {g1.dim} "
                 f"in S^1 ⊗ R^{t.dim}, {equations.rows} symmetry equations"

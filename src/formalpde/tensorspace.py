@@ -30,6 +30,7 @@ differentials use.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -132,12 +133,11 @@ def delta_insertion(s: ExtIndex, i: int) -> tuple[int, ExtIndex] | None:
     """Insert direction i into the exterior slot with the differential's sign.
 
     Sign is (-1)^(number of members of s smaller than i), which equals
-    (-1)^|s| times the plain wedge sign of e_s ∧ e_i.  Returns None when
-    i already occurs.
+    (-1)^|s| times the plain wedge sign of e_s ∧ e_i; s is ascending, so
+    that number is where i goes.  Returns None when i already occurs.
     """
-    if i in s:
+    below = bisect_left(s, i)
+    if below < len(s) and s[below] == i:
         return None
-    below = sum(1 for x in s if x < i)
-    merged = tuple(sorted(s + (i,)))
-    return (-1) ** below, merged
+    return (-1) ** below, s[:below] + (i,) + s[below:]
 

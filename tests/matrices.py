@@ -4,7 +4,11 @@ library keeps no algebra without a caller.  `map_out` is a chain's exact
 differential, with the leads D put back as Fractions, as a reference for
 the integer ∂·D that `spencer.cohomology` ranks.  `full_tower` is the tableau
 tower with no shortcut, every level built, as a reference for the one
-`tableau.tower` stops at its first involutive level."""
+`tableau.tower` stops at its first involutive level.  The ∂-symmetry rows of
+a generalized tableau and of a connection are written out by hand here, as
+references for the δ on 1-forms that `spencer._slot_matrix` assembles for
+both, and `combine` is a dense Fraction sum, a reference for
+`ratlin._combine`."""
 
 from fractions import Fraction
 
@@ -92,3 +96,42 @@ def full_tower(t: Tableau, depth: int) -> TableauChain:
         levels.append(space)
         below = space
     return TableauChain(t.n, tuple(levels), tuple(partials))
+
+
+def symmetry_equations(t: Tableau) -> RatMatrix:
+    """∂(eta_i)(e_j) = ∂(eta_j)(e_i) for i < j, as rows over eta (flat c*n + i),
+    one row per output coordinate b and pair i < j, b slowest."""
+    n, partial = t.n, t.partial_map
+    rows = []
+    for b in range(t.f):
+        for i in range(n):
+            for j in range(i + 1, n):
+                # eta_i is the slice of the coordinates c * n + i
+                row = [(c * n + i, x) for c, x in partial.pairs[b * n + j]]
+                row += [(c * n + j, -x) for c, x in partial.pairs[b * n + i]]
+                rows.append(sorted(row))
+    return RatMatrix(pairs=rows, cols=n * t.dim)
+
+
+def symmetry_rows(conn) -> RatMatrix:
+    """A_j psi_i - A_i psi_j = 0 for i < j, then b, as rows over (e, psi)."""
+    n, sd, cd = conn.n, conn.source_dim, conn.coeff_dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for b in range(cd):
+                # i < j, so the two psi blocks are distinct and in column order
+                row = [((1 + i) * sd + c, x) for c, x in conn.mats[j].pairs[b]]
+                row += [((1 + j) * sd + c, -x) for c, x in conn.mats[i].pairs[b]]
+                rows.append(row)
+    return RatMatrix(pairs=rows, cols=(1 + n) * sd)
+
+
+def combine(terms, rows, width: int) -> dict:
+    """The nonzero entries {j: v} of Σ a·rows[k] over the (k, a) in terms, each
+    rows[k] a row's (j, x) pairs, summed as dense Fraction vectors of the width."""
+    matrix = RatMatrix(pairs=rows, cols=width)
+    total = [Fraction(0)] * width
+    for k, a in terms:
+        total = [s + a * x for s, x in zip(total, matrix.row(k))]
+    return {j: v for j, v in enumerate(total) if v}

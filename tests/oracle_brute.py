@@ -58,11 +58,6 @@ def eq_matrix(n, m, k, eqs):
     return sympy.Matrix(rows)
 
 
-def fiber_dim(n, m, k, eqs):
-    mat = eq_matrix(n, m, k, eqs)
-    return mat.cols - mat.rank()
-
-
 def shift_eq(eq, i):
     return [
         (coeff, comp, alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :])
@@ -102,12 +97,12 @@ def fiber_basis(n, m, k, eqs):
     return eq_matrix(n, m, k, eqs).nullspace()
 
 
-def truncation_image_dim(n, m, k_hi, eqs_hi, k_lo):
-    """Rank of the projection of the order-k_hi fiber onto jets of order k_lo."""
+def truncation_image_dim(n, m, k_hi, basis, k_lo):
+    """Rank of the projection onto jets of order k_lo of the order-k_hi fiber
+    with the given basis."""
     hi = jet_coords(n, m, k_hi)
     lo = jet_coords(n, m, k_lo)
     keep = [hi.index(c) for c in lo]
-    basis = fiber_basis(n, m, k_hi, eqs_hi)
     if not basis:
         return 0
     cols = [v[keep, :] for v in basis]
@@ -115,18 +110,15 @@ def truncation_image_dim(n, m, k_hi, eqs_hi, k_lo):
 
 
 def tower_data(n, m, k, eqs, depth):
-    """Per level i=0..depth: (fiber dim, symbol dim, image dim into level i-1)."""
+    """Per level i=0..depth: (fiber dim, symbol dim, image dim into level i-1),
+    all read off one nullspace of the level's equations: its length is the
+    fiber dim, and its truncation spans the image."""
     out = []
     cur, kk = eqs, k
-    prev = None
     for i in range(depth + 1):
-        fd = fiber_dim(n, m, kk, cur)
-        sd = symbol_dim(n, m, kk, cur)
-        img = None
-        if prev is not None:
-            img = truncation_image_dim(n, m, kk, cur, kk - 1)
-        out.append((fd, sd, img))
-        prev = (kk, cur)
+        basis = fiber_basis(n, m, kk, cur)
+        img = truncation_image_dim(n, m, kk, basis, kk - 1) if i else None
+        out.append((len(basis), symbol_dim(n, m, kk, cur), img))
         cur, kk = prolong_eqs(n, cur), kk + 1
     return out
 

@@ -1222,8 +1222,8 @@ def test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check(
     tmp_path, capsys, monkeypatch
 ):
     # with A_j psi_i + A_i psi_j = 0 the e = 0 slice of the connection fiber
-    # is no longer g^(1)(∂_D), which tableau._symmetry_equations cuts out
-    # independently
+    # is no longer g^(1)(∂_D), which tableau._symmetry_equations still cuts
+    # out of the signed δ
     rows_of = relconn_module._symmetry_rows
 
     def flipped(conn):
@@ -1247,6 +1247,22 @@ def test_a_sign_flip_in_the_symmetry_rows_fails_the_kernel_part_check(
         "kernel part (dim 2) does not match the generalized prolongation (dim 2)"
         in capsys.readouterr().err
     )
+
+
+def test_an_unsigned_delta_fails_the_crosschecks_fiber_comparison(tmp_path, capsys, monkeypatch):
+    # δ with its insertion signs dropped gives A_j psi_i + A_i psi_j as the
+    # connection's curvature rows, and the tableau's g^(1)(∂_D) agrees with
+    # them, so only the jet walk, which assembles no δ, sees the fault
+    insertion = spencer.delta_insertion
+
+    def unsigned(s, i):
+        ins = insertion(s, i)
+        return ins and (1, ins[1])
+
+    monkeypatch.setattr(spencer, "delta_insertion", unsigned)
+    path = write_pde(tmp_path, corpus_text("cauchy_riemann.pde"))
+    assert main(["crosscheck", path]) == 2
+    assert "prolongation fibers disagree at level 1" in capsys.readouterr().err
 
 
 def test_partial_rows_without_sigma_psi_fail_the_kernel_part_check(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,11 @@ Plan:
     contraction escapes and otherwise gives the reference's coordinates
     times the leads, also on a full predecessor, on two ∂ rows reading one
     column and on an escape along the last direction alone, which the
-    check names; and every chain map of random towers against the
-    ambient differential read through the level bases;
+    check names; every chain map of random towers against the
+    ambient differential read through the level bases; and, on drawn
+    generalized tableaux and connections, the ∂-symmetry rows that
+    `_slot_matrix` assembles as δ on 1-forms against the hand-written
+    rows of tests/matrices.py, and `ratlin._combine` against a dense sum;
  4) chain cohomology on the full (free) tableau: everything vanishes,
     short-chain, empty-window, missing-level and bad-r errors, a chain
     whose ∂s do not commute or whose level-0 ∂ has a row count the assembly
@@ -48,7 +51,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from formalpde import relconn, spencer
 from formalpde.errors import InvariantViolation
 from formalpde.jetpde import PdeSystem, goldschmidt_check, symbol_tableau
-from formalpde.ratlin import RatMatrix, Subspace, image, kernel, rank
+from formalpde.ratlin import RatMatrix, Subspace, _combine, image, kernel, rank
+from formalpde.relconn import RelConn, _symmetry_rows
 from formalpde.spencer import (
     HEntry,
     TableauChain,
@@ -59,6 +63,7 @@ from formalpde.spencer import (
 from formalpde.tableau import (
     Tableau,
     TypeVerdict,
+    _symmetry_equations,
     _verify_contracts_into,
     classify_type,
     prolong,
@@ -68,6 +73,7 @@ from formalpde.tensorspace import ext_dim, ext_indices, multi_indices, sym_dim
 
 import oracle_brute
 from ambient_reference import TensorSpaceDesc, delta_apply_basis, delta_matrix
+import matrices
 from matrices import (
     contains, coords_of, full_tower, map_out, product, rref_rank, slot_map, zeros,
 )
@@ -161,6 +167,38 @@ def test_delta_partial_degree_zero_single_direction_is_partial_itself():
     partial = RatMatrix([[2], [3]])  # G = 1, n = 1, F_b = 2: rows b*1 + 0
     out = slot_map(partial, 1, 0)
     assert out == partial
+
+
+@st.composite
+def symmetry_cases(draw):
+    """A generalized tableau, a connection and terms over the tableau's ∂ rows:
+    n <= 3, coefficient and carrier dims <= 3, entries in -2..2, zeros included."""
+    n, f, p, sd = (draw(st.integers(lo, 3)) for lo in (1, 0, 0, 0))
+    entries = st.integers(-2, 2)
+
+    def matrix(rows, cols):
+        return RatMatrix([[draw(entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    t = Tableau.generalized(n, f, Subspace.full(p), matrix(n * f, p))
+    conn = RelConn(matrix(f, sd), [matrix(f, sd) for _ in range(n)])
+    terms = draw(st.lists(st.tuples(st.integers(0, n * f - 1), entries), max_size=5)) if f else []
+    return t, conn, terms
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetry_cases())
+def test_the_symmetry_rows_are_the_hand_written_ones(case):
+    # δ on 1-forms, assembled by _slot_matrix alone, against rows written out
+    # by hand: the connection's as data, the tableau's by kernel and row count
+    # (its rows are δ's, negated and reordered); the sparse product against a
+    # dense one
+    t, conn, terms = case
+    assert _symmetry_rows(conn) == matrices.symmetry_rows(conn)
+    equations, reference = _symmetry_equations(t), matrices.symmetry_equations(t)
+    assert equations.rows == reference.rows
+    assert kernel(equations) == kernel(reference)
+    rows = t.partial_map.pairs
+    assert _combine(terms, rows) == matrices.combine(terms, rows, t.dim)
 
 
 def test_delta_restricted_escape_raises():
